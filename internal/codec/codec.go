@@ -22,6 +22,7 @@ package codec
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -54,7 +55,8 @@ type Codec interface {
 	// DecompressCtx is Decompress under a context (see CompressCtx).
 	DecompressCtx(ctx context.Context, data []byte) (*tensor.Tensor, error)
 	// RoundTrip compresses then decompresses x, returning the
-	// reconstruction and the compressed payload size in bytes.
+	// reconstruction and the compressed payload size in bytes — the
+	// framed payload length, as RoundTripInto reports it.
 	RoundTrip(x *tensor.Tensor) (*tensor.Tensor, int, error)
 }
 
@@ -76,59 +78,25 @@ type streamDecoder interface {
 	decodeStream(ctx context.Context, r *payloadReader, shape []int) (*tensor.Tensor, error)
 }
 
-// fastRoundTripper is implemented by backends that can round-trip
-// without materializing the serialized payload (the hot path for the
-// training experiments, which round-trip every batch).
-type fastRoundTripper interface {
-	fastRoundTrip(x *tensor.Tensor) (*tensor.Tensor, int, error)
-}
-
-// fastRoundTripperInto is implemented by backends that can round-trip
-// into a caller-provided tensor with pooled scratch only — the
-// steady-state form of fastRoundTripper (zero allocations per call on
-// a single-worker pipeline).
+// fastRoundTripperInto is implemented by backends with a fused round
+// trip: compress and decompress x into dst without materializing the
+// serialized payload, using pooled scratch only (zero allocations per
+// call on a single-worker pipeline). The size it reports is the framed
+// payload length — exactly len(encode(x)). A backend returns
+// errNoFastPath for shapes its fused path does not cover; those, and
+// every staged codec, take the serialize path instead.
 type fastRoundTripperInto interface {
 	fastRoundTripInto(dst, x *tensor.Tensor) (int, error)
 }
 
-// slowRoundTripInto is the fallback for backends (or shapes) without a
-// pooled in-place path: serialize, decode, copy. Backends call it from
-// their fast paths, which only run on an empty stage chain; staged
-// codecs go through stagedRoundTripInto instead.
-func slowRoundTripInto(b backend, dst, x *tensor.Tensor) (int, error) {
-	ctx := context.Background()
-	payload, err := b.encode(ctx, x)
-	if err != nil {
-		return 0, err
-	}
-	out, err := b.decode(ctx, payload, x.Shape())
-	if err != nil {
-		return 0, err
-	}
-	copy(dst.Data(), out.Data())
-	return len(payload), nil
-}
-
-// stagedRoundTripInto round-trips through the full stage chain; the
-// reported size is the staged (post-chain) payload size.
-func stagedRoundTripInto(c *codecImpl, dst, x *tensor.Tensor) (int, error) {
-	ctx := context.Background()
-	payload, err := c.encodePayload(ctx, x)
-	if err != nil {
-		return 0, err
-	}
-	out, err := c.decodePayload(ctx, payload, x.Shape())
-	if err != nil {
-		return 0, err
-	}
-	copy(dst.Data(), out.Data())
-	return len(payload), nil
-}
+// errNoFastPath is fastRoundTripInto's "not for this shape" answer.
+var errNoFastPath = errors.New("codec: no fused round trip for this shape")
 
 // RoundTripInto compresses and decompresses x into dst, which must
-// have x's element count, returning the compressed payload size. For
-// codecs with a pooled in-place path (zfp, jpegq) the steady state
-// allocates nothing; others fall back to serialize-decode-copy.
+// have x's element count, returning the compressed payload size — the
+// length of the framed payload Compress would carry. Codecs with a
+// fused path (zfp, jpegq) allocate nothing at steady state; others, and
+// every staged codec, serialize, decode and copy.
 func RoundTripInto(c Codec, dst, x *tensor.Tensor) (int, error) {
 	if dst.Len() != x.Len() {
 		return 0, fmt.Errorf("codec: RoundTripInto dst holds %d values, x holds %d", dst.Len(), x.Len())
@@ -138,25 +106,32 @@ func RoundTripInto(c Codec, dst, x *tensor.Tensor) (int, error) {
 		return 0, fmt.Errorf("codec: %T is not a registry codec", c)
 	}
 	start := telemetry.NowNanos()
-	var (
-		n   int
-		err error
-	)
+	n, err := 0, errNoFastPath
 	if fast, ok := impl.b.(fastRoundTripperInto); ok && len(impl.chain) == 0 {
 		n, err = fast.fastRoundTripInto(dst, x)
-		if err != nil {
-			// The fused path bypasses encodePayload/decodePayload, so the
-			// error is counted here; the staged path counts at the choke
-			// points and must not double-count.
-			impl.m.countErr(err)
-			return n, err
-		}
+	}
+	switch err {
+	case nil:
+		// The fused path bypasses encodePayload/decodePayload, so it is
+		// counted here; the serialize path counts at those choke points
+		// and must not double-count.
 		impl.m.inputBytes.Add(uint64(x.SizeBytes()))
 		impl.m.payloadBytes.Add(uint64(n))
-	} else {
-		if n, err = stagedRoundTripInto(impl, dst, x); err != nil {
-			return n, err
+	case errNoFastPath:
+		ctx := context.Background()
+		payload, err := impl.encodePayload(ctx, x)
+		if err != nil {
+			return 0, err
 		}
+		out, err := impl.decodePayload(ctx, payload, x.Shape())
+		if err != nil {
+			return 0, err
+		}
+		copy(dst.Data(), out.Data())
+		n = len(payload)
+	default:
+		impl.m.countErr(err)
+		return n, err
 	}
 	impl.m.roundTripCalls.Inc()
 	impl.m.roundTripNs.ObserveSince(start)
@@ -231,35 +206,15 @@ func (c *codecImpl) DecompressCtx(ctx context.Context, data []byte) (*tensor.Ten
 	return impl.decodePayload(ctx, payload, hdr.Shape)
 }
 
+// RoundTrip is RoundTripInto into a freshly allocated tensor of x's
+// shape.
 func (c *codecImpl) RoundTrip(x *tensor.Tensor) (*tensor.Tensor, int, error) {
-	// The in-place fast paths skip payload serialization, which a stage
-	// chain requires: staged codecs always take the serialize path, and
-	// the reported size is the staged (post-chain) payload size.
-	start := telemetry.NowNanos()
-	if fast, ok := c.b.(fastRoundTripper); ok && len(c.chain) == 0 {
-		out, n, err := fast.fastRoundTrip(x)
-		if err != nil {
-			c.m.countErr(err)
-			return out, n, err
-		}
-		c.m.inputBytes.Add(uint64(x.SizeBytes()))
-		c.m.payloadBytes.Add(uint64(n))
-		c.m.roundTripCalls.Inc()
-		c.m.roundTripNs.ObserveSince(start)
-		return out, n, nil
-	}
-	ctx := context.Background()
-	payload, err := c.encodePayload(ctx, x)
+	out := tensor.New(x.Shape()...)
+	n, err := RoundTripInto(c, out, x)
 	if err != nil {
 		return nil, 0, err
 	}
-	out, err := c.decodePayload(ctx, payload, x.Shape())
-	if err != nil {
-		return nil, 0, err
-	}
-	c.m.roundTripCalls.Inc()
-	c.m.roundTripNs.ObserveSince(start)
-	return out, len(payload), nil
+	return out, n, nil
 }
 
 // builder constructs a family's backend from parsed options.

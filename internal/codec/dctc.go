@@ -1,9 +1,11 @@
 package codec
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"sync"
 
 	"repro/internal/codec/tensorio"
@@ -16,20 +18,21 @@ import (
 // keys optional).
 //
 // Image batches [BD, C, n, n] whose resolution satisfies the config's
-// block/serialization divisibility take the planar path: each plane is
-// compressed independently on the shared pipeline and the payload is
-// the raw float32 chunk data (size known from the config, so no
-// per-plane headers). Every other shape takes the flat path — values
-// are packed row-major into planeN×planeN planes with a zero-padded
-// tail, exactly the FlatRoundTripper packing — marked by the payload's
-// mode byte.
+// block/serialization divisibility take the planar path: the batch is
+// compressed in one batched pass and the payload is each plane's raw
+// float32 chunk data (size known from the config, so no per-plane
+// headers). Every other shape takes the flat path — values are packed
+// row-major into planeN×planeN planes with a zero-padded tail, exactly
+// the FlatRoundTripper packing — marked by the payload's mode byte.
+//
+// dctc has no fused fastRoundTripInto: its round trips take the
+// batched serialize path (DESIGN.md §5 records why).
 type dctcBackend struct {
 	cfg    core.Config
 	planeN int // flat-path plane edge (0 = auto)
 
 	mu    sync.Mutex
-	comps map[int]*core.Compressor       // compiled per resolution
-	frts  map[int]*core.FlatRoundTripper // compiled per flat plane edge
+	comps map[int]*core.Compressor // compiled per resolution or flat plane edge
 }
 
 const (
@@ -57,7 +60,6 @@ func init() {
 			cfg:    cfg,
 			planeN: o.Int("planen", 0),
 			comps:  map[int]*core.Compressor{},
-			frts:   map[int]*core.FlatRoundTripper{},
 		}
 		// Validate eagerly against the smallest legal resolution so bad
 		// options fail at New, not at first Compress.
@@ -136,225 +138,185 @@ func (b *dctcBackend) flatPlaneN(values int) int {
 	return n
 }
 
+// encode compresses every plane in one batched CompressInto on the
+// compiled compressor's pooled payload, then frames it: each plane's
+// s×s chunks of raw float32 values, in plane order.
 func (b *dctcBackend) encode(ctx context.Context, x *tensor.Tensor) ([]byte, error) {
-	if n, ok := b.planar(x.Shape()); ok {
-		comp, err := b.compilerFor(n)
-		if err != nil {
-			return nil, err
-		}
-		framed, err := b.encodePlanar(ctx, comp, x, n)
-		if err != nil {
-			return nil, err
-		}
-		return append([]byte{dctcModePlanar}, framed...), nil
+	if err := ctx.Err(); err != nil {
+		return nil, markErr(ErrCanceled, fmt.Errorf("dctc: encode cancelled: %w", err))
 	}
-	if x.Len() == 0 {
-		return nil, fmt.Errorf("dctc: empty tensor")
-	}
-	planeN := b.flatPlaneN(x.Len())
-	comp, err := b.compilerFor(planeN)
-	if err != nil {
-		return nil, err
-	}
-	plane := planeN * planeN
-	nplanes := (x.Len() + plane - 1) / plane
-	// The padded tail beyond x.Len() is compressed along with the data,
-	// so this scratch must be zeroed.
-	scratch := getScratch(nplanes * plane)
-	defer putScratch(scratch)
-	copy(scratch, x.Data())
-	packed := tensor.FromSlice(scratch, nplanes, 1, planeN, planeN)
-	framed, err := b.encodePlanar(ctx, comp, packed, planeN)
-	if err != nil {
-		return nil, err
-	}
-	// The flat header records the exact element count alongside the
-	// plane edge: nplanes alone cannot distinguish claimed lengths
-	// within one padded plane, so without it a corrupted (v1,
-	// un-CRC'd) dims field could round-trip to a silently wrong
-	// tensor.
-	head := []byte{dctcModeFlat, 0, 0, 0, 0, 0, 0, 0, 0}
-	binary.LittleEndian.PutUint32(head[1:], uint32(planeN))
-	binary.LittleEndian.PutUint32(head[5:], uint32(x.Len()))
-	return append(head, framed...), nil
-}
-
-// encodePlanar fans x's planes across the pipeline; each plane payload
-// is the concatenated raw float32 chunk data of its core.Compressed.
-// The per-plane payload tensors come from the compressor's pool, so the
-// only per-plane allocation is the output byte slice itself.
-func (b *dctcBackend) encodePlanar(ctx context.Context, comp *core.Compressor, x *tensor.Tensor, n int) ([]byte, error) {
-	return compressPlanes(ctx, x, n, n, func(p int, plane *tensor.Tensor) ([]byte, error) {
-		y := comp.AcquireCompressed()
-		defer comp.ReleaseCompressed(y)
-		if err := comp.CompressInto(y, plane.Reshape(1, 1, n, n)); err != nil {
-			return nil, err
-		}
-		out := make([]byte, 0, y.CompressedBytes())
-		for _, chunk := range y.Chunks {
-			out = tensorio.Float32sToBytes(out, chunk.Data())
-		}
-		return out, nil
-	})
-}
-
-func (b *dctcBackend) decode(ctx context.Context, payload []byte, shape []int) (*tensor.Tensor, error) {
-	if len(payload) < 1 {
-		return nil, fmt.Errorf("dctc: empty payload")
-	}
-	mode, payload := payload[0], payload[1:]
-	elems := 1
-	for _, d := range shape {
-		elems *= d
-	}
-	switch mode {
-	case dctcModePlanar:
-		n, ok := b.planar(shape)
-		if !ok {
-			return nil, fmt.Errorf("dctc: planar payload but shape %v is not a compatible [BD,C,n,n] batch", shape)
-		}
-		comp, err := b.compilerFor(n)
-		if err != nil {
-			return nil, err
-		}
-		// Split and length-check every plane before allocating the
-		// output, so a tiny corrupted payload claiming a huge shape
-		// fails without the large allocation.
-		parts, err := splitPlanePayloads(payload, elems/(n*n))
-		if err != nil {
-			return nil, err
-		}
-		wantBytes, dec := b.planeDec(comp, n)
-		for p, part := range parts {
-			if len(part) != wantBytes {
-				return nil, fmt.Errorf("dctc: plane %d payload %d bytes, want %d", p, len(part), wantBytes)
-			}
-		}
-		out := tensor.New(shape...)
-		if err := decompressPlanes(ctx, out, n, n, parts, dec); err != nil {
-			return nil, err
-		}
-		return out, nil
-	case dctcModeFlat:
-		if len(payload) < 8 {
-			return nil, fmt.Errorf("dctc: flat payload truncated")
-		}
-		planeN := int(binary.LittleEndian.Uint32(payload))
-		encElems := binary.LittleEndian.Uint32(payload[4:])
-		payload = payload[8:]
-		if planeN < 1 || planeN > 1<<12 {
-			return nil, fmt.Errorf("dctc: implausible flat plane edge %d", planeN)
-		}
-		if encElems != uint32(elems) {
-			return nil, fmt.Errorf("dctc: flat payload holds %d values, shape %v implies %d", encElems, shape, elems)
-		}
-		comp, err := b.compilerFor(planeN)
-		if err != nil {
-			return nil, err
-		}
-		plane := planeN * planeN
-		nplanes := (elems + plane - 1) / plane
-		parts, err := splitPlanePayloads(payload, nplanes)
-		if err != nil {
-			return nil, err
-		}
-		wantBytes, dec := b.planeDec(comp, planeN)
-		for p, part := range parts {
-			if len(part) != wantBytes {
-				return nil, fmt.Errorf("dctc: plane %d payload %d bytes, want %d", p, len(part), wantBytes)
-			}
-		}
-		out := tensor.New(shape...)
-		// Every plane, padded tail included, is decoded into the
-		// scratch before the copy-out, so no zeroing is needed.
-		scratch := getScratchNoZero(nplanes * plane)
-		defer putScratch(scratch)
-		packed := tensor.FromSlice(scratch, nplanes, 1, planeN, planeN)
-		if err := decompressPlanes(ctx, packed, planeN, planeN, parts, dec); err != nil {
-			return nil, err
-		}
-		copy(out.Data(), scratch[:out.Len()])
-		return out, nil
-	default:
-		return nil, fmt.Errorf("dctc: unknown payload mode %d", mode)
-	}
-}
-
-// planeDec returns the fixed per-plane payload size for resolution n
-// and the decode closure that rebuilds a plane's core.Compressed from
-// its raw chunk floats and decompresses it in place — shared by the
-// buffered and streaming decode paths.
-func (b *dctcBackend) planeDec(comp *core.Compressor, n int) (int, func(p int, data []byte, plane *tensor.Tensor) error) {
-	s := b.cfg.Serialization
-	chunkVals := comp.ChunkValues()
-	wantBytes := 4 * s * s * chunkVals
-	chunkShape := append([]int{1, 1}, comp.CompressedPlaneShape()...)
-	dec := func(p int, data []byte, plane *tensor.Tensor) error {
-		if len(data) != wantBytes {
-			return fmt.Errorf("dctc: plane payload %d bytes, want %d", len(data), wantBytes)
-		}
-		// The whole buffer is overwritten by DecodeFloat32s — no-zero
-		// scratch variant.
-		vals := getScratchNoZero(s * s * chunkVals)
-		defer putScratch(vals)
-		tensorio.DecodeFloat32s(vals, data)
-		y := &core.Compressed{Config: b.cfg, BatchSize: 1, Channels: 1, N: n}
-		for ci := 0; ci < s*s; ci++ {
-			y.Chunks = append(y.Chunks, tensor.FromSlice(vals[ci*chunkVals:(ci+1)*chunkVals], chunkShape...))
-		}
-		// Decompress straight into the output plane view — the fast
-		// kernel writes the reconstruction in place, no staging copy.
-		return comp.DecompressInto(plane.Reshape(1, 1, n, n), y)
-	}
-	return wantBytes, dec
-}
-
-// decodeStream decodes a planar dctc record incrementally: the exact
-// payload size is checked against the shape before the output tensor is
-// allocated, then planes stream through one plane-group at a time. The
-// flat mode packs into small (≤256×256) scratch planes, so it simply
-// buffers the record payload and reuses the in-memory path.
-func (b *dctcBackend) decodeStream(ctx context.Context, r *payloadReader, shape []int) (*tensor.Tensor, error) {
-	mode, err := r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("dctc: reading payload mode: %w", err)
-	}
-	if mode != dctcModePlanar {
-		buf := make([]byte, 1+r.len())
-		buf[0] = mode
-		if err := r.readFull(buf[1:]); err != nil {
-			return nil, fmt.Errorf("dctc: buffering non-planar payload: %w", err)
-		}
-		return b.decode(ctx, buf, shape)
-	}
-	n, ok := b.planar(shape)
+	head, batch := []byte{dctcModePlanar}, x
+	n, ok := b.planar(x.Shape())
 	if !ok {
-		return nil, fmt.Errorf("dctc: planar payload but shape %v is not a compatible [BD,C,n,n] batch", shape)
+		if x.Len() == 0 {
+			return nil, fmt.Errorf("dctc: empty tensor")
+		}
+		// Pack the values row-major into n×n planes. The padded tail is
+		// compressed along with the data, so the scratch is zeroed. The
+		// flat header records the exact element count alongside the
+		// plane edge: the plane count alone cannot distinguish claimed
+		// lengths within one padded plane, so without it a corrupted
+		// (v1, un-CRC'd) dims field could round-trip to a silently
+		// wrong tensor.
+		n = b.flatPlaneN(x.Len())
+		scratch := getScratch((x.Len() + n*n - 1) / (n * n) * n * n)
+		defer putScratch(scratch)
+		copy(scratch, x.Data())
+		batch = tensor.FromSlice(scratch, len(scratch)/(n*n), 1, n, n)
+		head = binary.LittleEndian.AppendUint32([]byte{dctcModeFlat}, uint32(n))
+		head = binary.LittleEndian.AppendUint32(head, uint32(x.Len()))
 	}
 	comp, err := b.compilerFor(n)
 	if err != nil {
 		return nil, err
 	}
+	y := comp.AcquireCompressed()
+	defer comp.ReleaseCompressed(y)
+	if err := comp.CompressInto(y, batch); err != nil {
+		return nil, err
+	}
+	planes, cv := batch.Len()/(n*n), comp.ChunkValues()
+	payload := append(make([]byte, 0, len(head)+b.framedSize(comp, planes)), head...)
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(planes))
+	for p := 0; p < planes; p++ {
+		payload = binary.LittleEndian.AppendUint32(payload, uint32(4*len(y.Chunks)*cv))
+	}
+	for p := 0; p < planes; p++ {
+		for _, chunk := range y.Chunks {
+			payload = tensorio.Float32sToBytes(payload, chunk.Data()[p*cv:(p+1)*cv])
+		}
+	}
+	return payload, nil
+}
+
+func (b *dctcBackend) decode(ctx context.Context, payload []byte, shape []int) (*tensor.Tensor, error) {
+	return b.decodeFrom(ctx, bytes.NewReader(payload), len(payload), shape)
+}
+
+// decodeStream decodes a dctc record incrementally through the same path
+// as decode: the payload size, fixed by the shape, is checked before the
+// output tensor is allocated, then planes stream through one plane
+// group at a time.
+func (b *dctcBackend) decodeStream(ctx context.Context, r *payloadReader, shape []int) (*tensor.Tensor, error) {
+	return b.decodeFrom(ctx, r, r.len(), shape)
+}
+
+// decodeFrom decodes a size-byte dctc payload read from src: the mode
+// byte (and, for the flat mode, the plane edge and element count), then
+// the plane-framed planes.
+func (b *dctcBackend) decodeFrom(ctx context.Context, src io.Reader, size int, shape []int) (*tensor.Tensor, error) {
+	var head [9]byte
+	if _, err := io.ReadFull(src, head[:1]); err != nil {
+		return nil, fmt.Errorf("dctc: reading payload mode: %w", err)
+	}
 	elems := 1
 	for _, d := range shape {
 		elems *= d
 	}
-	planes := elems / (n * n)
-	wantBytes, dec := b.planeDec(comp, n)
-	if want := 4 + planes*(4+wantBytes); want != r.len() {
-		return nil, fmt.Errorf("dctc: planar payload %d bytes, want %d for %d planes", r.len(), want, planes)
-	}
-	out := tensor.New(shape...)
-	err = decodePlaneStream(ctx, r, out, n, n, func(p, ln int) error {
-		if ln != wantBytes {
-			return fmt.Errorf("dctc: plane %d payload %d bytes, want %d", p, ln, wantBytes)
+	n, ok := b.planar(shape)
+	switch head[0] {
+	case dctcModePlanar:
+		if !ok {
+			return nil, fmt.Errorf("dctc: planar payload but shape %v is not a compatible [BD,C,n,n] batch", shape)
 		}
-		return nil
-	}, dec)
+	case dctcModeFlat:
+		if _, err := io.ReadFull(src, head[1:]); err != nil {
+			return nil, fmt.Errorf("dctc: flat payload truncated: %w", err)
+		}
+		n = int(binary.LittleEndian.Uint32(head[1:]))
+		if n < 1 || n > 1<<12 {
+			return nil, fmt.Errorf("dctc: implausible flat plane edge %d", n)
+		}
+		if encElems := binary.LittleEndian.Uint32(head[5:]); encElems != uint32(elems) {
+			return nil, fmt.Errorf("dctc: flat payload holds %d values, shape %v implies %d", encElems, shape, elems)
+		}
+	default:
+		return nil, fmt.Errorf("dctc: unknown payload mode %d", head[0])
+	}
+	comp, err := b.compilerFor(n)
 	if err != nil {
 		return nil, err
 	}
+	// Check the exact payload size before allocating the output, so a
+	// tiny corrupted payload claiming a huge shape fails cheaply.
+	planes := (elems + n*n - 1) / (n * n)
+	headLen := 1
+	if head[0] == dctcModeFlat {
+		headLen = len(head)
+	}
+	if want := headLen + b.framedSize(comp, planes); size != want {
+		return nil, fmt.Errorf("dctc: payload %d bytes, want %d for %d planes", size, want, planes)
+	}
+	out := tensor.New(shape...)
+	dst := out.Data()
+	if head[0] == dctcModeFlat {
+		// Every flat plane, padded tail included, is decoded into the
+		// scratch before the copy-out, so no zeroing is needed.
+		dst = getScratchNoZero(planes * n * n)
+		defer putScratch(dst)
+	}
+	if err := b.decodePlanes(ctx, comp, src, dst); err != nil {
+		return nil, err
+	}
+	if head[0] == dctcModeFlat {
+		copy(out.Data(), dst)
+	}
 	return out, nil
+}
+
+// decodePlanes reads a plane frame and its planes from src and
+// decompresses them into out, which holds exactly those planes. The
+// frame must list each plane at the fixed compressed size; planes are
+// then read and decoded a plane group at a time, each group in one
+// batched DecompressInto — the payload stores each plane's s×s chunks
+// together, core.Compressed each chunk's planes together.
+func (b *dctcBackend) decodePlanes(ctx context.Context, comp *core.Compressor, src io.Reader, out []float32) error {
+	n := comp.Resolution()
+	planes := len(out) / (n * n)
+	ss := b.cfg.Serialization * b.cfg.Serialization
+	cv := comp.ChunkValues()
+	planeBytes := 4 * ss * cv
+	frame := getByteScratch(4 + 4*planes)
+	defer putByteScratch(frame)
+	if _, err := io.ReadFull(src, frame); err != nil {
+		return fmt.Errorf("dctc: reading plane frame: %w", err)
+	}
+	if got := binary.LittleEndian.Uint32(frame); got != uint32(planes) {
+		return fmt.Errorf("dctc: payload holds %d planes, shape implies %d", got, planes)
+	}
+	for p := 0; p < planes; p++ {
+		if ln := binary.LittleEndian.Uint32(frame[4+4*p:]); ln != uint32(planeBytes) {
+			return fmt.Errorf("dctc: plane %d payload %d bytes, want %d", p, ln, planeBytes)
+		}
+	}
+	group := min(planes, max(1, planeGroupBytes/planeBytes))
+	buf := getByteScratch(group * planeBytes)
+	defer putByteScratch(buf)
+	vals := getScratchNoZero(group * ss * cv)
+	defer putScratch(vals)
+	chunkShape := append([]int{0, 1}, comp.CompressedPlaneShape()...)
+	for p0 := 0; p0 < planes; p0 += group {
+		g := min(group, planes-p0)
+		if err := ctx.Err(); err != nil {
+			return markErr(ErrCanceled, fmt.Errorf("dctc: decode cancelled before plane %d: %w", p0, err))
+		}
+		if _, err := io.ReadFull(src, buf[:g*planeBytes]); err != nil {
+			return fmt.Errorf("dctc: reading planes [%d,%d): %w", p0, p0+g, err)
+		}
+		y := &core.Compressed{Config: b.cfg, BatchSize: g, Channels: 1, N: n}
+		chunkShape[0] = g
+		for ci := 0; ci < ss; ci++ {
+			chunk := vals[ci*g*cv : (ci+1)*g*cv]
+			for p := 0; p < g; p++ {
+				tensorio.DecodeFloat32s(chunk[p*cv:(p+1)*cv], buf[4*(p*ss+ci)*cv:])
+			}
+			y.Chunks = append(y.Chunks, tensor.FromSlice(chunk, chunkShape...))
+		}
+		if err := comp.DecompressInto(tensor.FromSlice(out[p0*n*n:(p0+g)*n*n], g, 1, n, n), y); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Compiler exposes the compiled core.Compressor behind a dctc codec at
@@ -373,37 +335,9 @@ func Compiler(c Codec, n int) (*core.Compressor, error) {
 	return b.compilerFor(n)
 }
 
-// fastRoundTrip keeps the training experiments on the paper's batched
-// two-matmul path: no payload serialization, the whole batch in one
-// batched multiply.
-func (b *dctcBackend) fastRoundTrip(x *tensor.Tensor) (*tensor.Tensor, int, error) {
-	if n, ok := b.planar(x.Shape()); ok {
-		comp, err := b.compilerFor(n)
-		if err != nil {
-			return nil, 0, err
-		}
-		y, err := comp.Compress(x)
-		if err != nil {
-			return nil, 0, err
-		}
-		back, err := comp.Decompress(y)
-		if err != nil {
-			return nil, 0, err
-		}
-		return back, y.CompressedBytes(), nil
-	}
-	planeN := b.flatPlaneN(x.Len())
-	b.mu.Lock()
-	frt, ok := b.frts[planeN]
-	if !ok {
-		var err error
-		frt, err = core.NewFlatRoundTripper(b.cfg, planeN)
-		if err != nil {
-			b.mu.Unlock()
-			return nil, 0, err
-		}
-		b.frts[planeN] = frt
-	}
-	b.mu.Unlock()
-	return frt.RoundTripTensor(x)
+// framedSize is the plane-framed length of planes compressed planes,
+// each its s×s chunks of raw float32 values.
+func (b *dctcBackend) framedSize(comp *core.Compressor, planes int) int {
+	s := b.cfg.Serialization
+	return 4 + planes*(4+4*s*s*comp.ChunkValues())
 }

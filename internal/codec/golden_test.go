@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"io"
+	"math"
 	"os"
 	"testing"
 
@@ -74,12 +75,19 @@ func TestGoldenContainers(t *testing.T) {
 	}
 }
 
-// TestRoundTripIntoMatchesSerializePath pins the pooled in-place round
-// trip to the serialize path for every conformance spec: identical
-// reconstruction (bit-exact for the fast-path codecs) and identical
-// reported payload size.
+// TestRoundTripIntoMatchesSerializePath pins the fused round trip to
+// the serialize path for every conformance spec, on the planar
+// conformance batch and on a flat shape no plane-based fast path
+// covers: RoundTripInto and Codec.RoundTrip must both report exactly
+// the serialized payload's length and reproduce its decode bit for bit
+// (every family decodes deterministically, so any divergence is a
+// second, different codec hiding behind the fast path).
 func TestRoundTripIntoMatchesSerializePath(t *testing.T) {
-	x := conformanceBatch()
+	flat := tensor.New(5, 7, 9)
+	for i := range flat.Data() {
+		flat.Data()[i] = float32(math.Sin(float64(i) / 11))
+	}
+	inputs := []*tensor.Tensor{conformanceBatch(), flat}
 	for _, tc := range conformanceSpecs {
 		tc := tc
 		t.Run(tc.spec, func(t *testing.T) {
@@ -88,37 +96,45 @@ func TestRoundTripIntoMatchesSerializePath(t *testing.T) {
 				t.Fatal(err)
 			}
 			impl := c.(*codecImpl)
-			// encodePayload/decodePayload run the stage chain (if any) on
-			// top of the backend, so staged specs compare against the
-			// bytes that actually hit the wire.
-			payload, err := impl.encodePayload(context.Background(), x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := impl.decodePayload(context.Background(), payload, x.Shape())
-			if err != nil {
-				t.Fatal(err)
-			}
-			dst := tensor.New(x.Shape()...)
-			n, err := RoundTripInto(c, dst, x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n != len(payload) {
-				t.Errorf("RoundTripInto size %d, serialize path payload %d", n, len(payload))
-			}
-			switch c.Name() {
-			case "zfp", "jpegq", "sz":
-				// These decode deterministically: the in-place path must
-				// agree bit for bit.
-				for i, v := range ref.Data() {
-					if dst.Data()[i] != v {
-						t.Fatalf("position %d: RoundTripInto %g, serialize path %g", i, dst.Data()[i], v)
+			for _, x := range inputs {
+				// encodePayload/decodePayload run the stage chain (if any)
+				// on top of the backend, so staged specs compare against
+				// the bytes that actually hit the wire.
+				payload, err := impl.encodePayload(context.Background(), x)
+				if err != nil {
+					// A shape the family rejects must be rejected by the
+					// fused paths too.
+					if _, err := RoundTripInto(c, tensor.New(x.Shape()...), x); err == nil {
+						t.Errorf("%v: RoundTripInto accepted a shape the serialize path rejects", x.Shape())
 					}
+					if _, _, err := c.RoundTrip(x); err == nil {
+						t.Errorf("%v: RoundTrip accepted a shape the serialize path rejects", x.Shape())
+					}
+					continue
 				}
-			default:
-				if !dst.AllClose(ref, 1e-5) {
-					t.Errorf("RoundTripInto diverges from serialize path (max diff %g)", dst.MaxAbsDiff(ref))
+				ref, err := impl.decodePayload(context.Background(), payload, x.Shape())
+				if err != nil {
+					t.Fatal(err)
+				}
+				dst := tensor.New(x.Shape()...)
+				n, err := RoundTripInto(c, dst, x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rt, rn, err := c.RoundTrip(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != len(payload) || rn != len(payload) {
+					t.Errorf("%v: RoundTripInto size %d, RoundTrip size %d, serialize path payload %d", x.Shape(), n, rn, len(payload))
+				}
+				if !rt.SameShape(x) {
+					t.Errorf("RoundTrip shape %v, want %v", rt.Shape(), x.Shape())
+				}
+				for i, v := range ref.Data() {
+					if math.Float32bits(dst.Data()[i]) != math.Float32bits(v) || math.Float32bits(rt.Data()[i]) != math.Float32bits(v) {
+						t.Fatalf("%v position %d: RoundTripInto %g, RoundTrip %g, serialize path %g", x.Shape(), i, dst.Data()[i], rt.Data()[i], v)
+					}
 				}
 			}
 		})

@@ -101,17 +101,12 @@ func (b *jpegqBackend) planeDec(ch int) func(p int, data []byte, plane *tensor.T
 // serialize path's payload: the plane frame plus each plane's stream.
 func (b *jpegqBackend) fastRoundTripInto(dst, x *tensor.Tensor) (int, error) {
 	// Dim/Dims instead of Shape(): Shape clones its slice, and this
-	// path must stay allocation-free. Shape() is only reached on the
-	// error path, where the clone is harmless.
-	if x.Dims() != 4 {
-		_, _, _, err := b.checkShape(x.Shape())
-		return 0, err
+	// path must stay allocation-free. Shapes checkShape rejects take
+	// the serialize path, which reports the error.
+	if x.Dims() != 4 || x.Dim(2)%jpegq.BlockSize != 0 || x.Dim(3)%jpegq.BlockSize != 0 {
+		return 0, errNoFastPath
 	}
 	h, w := x.Dim(2), x.Dim(3)
-	if h%jpegq.BlockSize != 0 || w%jpegq.BlockSize != 0 {
-		_, _, _, err := b.checkShape(x.Shape())
-		return 0, err
-	}
 	ch := x.Dim(1)
 	planes := x.Dim(0) * ch
 	total := 4 + 4*planes // plane-frame header
@@ -124,16 +119,6 @@ func (b *jpegqBackend) fastRoundTripInto(dst, x *tensor.Tensor) (int, error) {
 		total += n
 	}
 	return total, nil
-}
-
-// fastRoundTrip keeps Codec.RoundTrip off the container path.
-func (b *jpegqBackend) fastRoundTrip(x *tensor.Tensor) (*tensor.Tensor, int, error) {
-	out := tensor.New(x.Shape()...)
-	n, err := b.fastRoundTripInto(out, x)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, n, nil
 }
 
 // decodeStream decodes a jpegq record incrementally, one plane-group at

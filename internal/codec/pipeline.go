@@ -11,11 +11,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file is the shared batch pipeline: every adapter whose codec is
-// plane-independent (all four families — DCT+Chop, ZFP, SZ and JPEG all
-// process trailing 2-D planes independently) fans a tensor's planes
-// across a GOMAXPROCS-bounded worker pool, with sync.Pool-reused
-// float32 scratch buffers for the packing/staging copies.
+// This file is the shared batch pipeline: the plane-independent
+// adapters (ZFP, SZ and JPEG process trailing 2-D planes independently)
+// fan a tensor's planes across a GOMAXPROCS-bounded worker pool, with
+// sync.Pool-reused float32 scratch buffers for the packing/staging
+// copies. DCT+Chop hands whole batches to its compiled compressor,
+// which fans planes across internal/tensor's plane pool instead.
 //
 // Plane-framed payload layout (little-endian):
 //
@@ -28,7 +29,8 @@ import (
 // process confined to fewer Ps than cores does not oversubscribe.
 var maxWorkers = runtime.GOMAXPROCS(0)
 
-// SetMaxWorkers overrides the pipeline worker cap and returns the
+// SetMaxWorkers overrides the pipeline worker cap (not dctc's batched
+// passes, which run on internal/tensor's plane pool) and returns the
 // previous value. n < 1 resets to runtime.GOMAXPROCS(0). Tests pin the
 // cap to 1 to make plane execution order deterministic; restore the
 // returned value when done. Not safe to call concurrently with

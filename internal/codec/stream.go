@@ -5,9 +5,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/telemetry"
@@ -265,10 +267,7 @@ func (sw *StreamWriter) emitRecord(spec string, shape []int, payload []byte) err
 			return err
 		}
 	}
-	marker := byte(recTensor)
-	if specHasStages(spec) {
-		marker = recStaged
-	}
+	marker := recordMarker(spec)
 	recOff := sw.off // offset of the record's marker byte, for the index
 	// Record header: marker..payload-length, then its CRC.
 	hdr := make([]byte, 0, 12+len(spec)+4*len(shape))
@@ -322,6 +321,15 @@ func (sw *StreamWriter) emitRecord(spec string, shape []int, payload []byte) err
 	return nil
 }
 
+// recordMarker is the marker a record with this spec is framed with:
+// 'S' when the spec carries a stage chain, 'T' otherwise.
+func recordMarker(spec string) byte {
+	if specHasStages(spec) {
+		return recStaged
+	}
+	return recTensor
+}
+
 // Close terminates the stream with the end-of-stream marker. With the
 // pipelined engine enabled it first waits for every in-flight record to
 // encode and emit; an engine failure is returned here (and the end
@@ -362,55 +370,30 @@ func (sw *StreamWriter) Close() error {
 // offset; any error other than the clean io.EOF from Next is sticky —
 // a corrupted stream cannot be resynchronized.
 type StreamReader struct {
-	br  *bufio.Reader
-	off int64 // bytes consumed from the underlying stream
-	rec int   // records seen (1-based once Next succeeds)
-	hdr Header
-	cur *payloadReader // pending record payload, nil between records
-	err error          // sticky failure (or io.EOF after the end marker)
-	// sawFooter flips once an index footer has been verified and
-	// skipped; only the end marker may follow it.
-	sawFooter bool
-	// rs is the underlying source when it supports seeking; with a
-	// preloaded index (seekIdx) Skip can then seek past a payload in
-	// O(1) instead of draining its chunks.
-	rs io.ReadSeeker
-	// seekIdx is the index footer's entry table, loaded by a tail probe
-	// at construction (nil when the source is unseekable, the stream
-	// carries no footer, or the footer fails validation — all of which
-	// leave the reader in plain sequential mode).
-	seekIdx []indexEntry
-	// footIdxOff is the stream-relative byte offset of the footer's 'I'
-	// marker: the skip target after the last indexed record.
-	footIdxOff int64
-	// markOff is the stream-relative offset of the pending record's
-	// marker byte, cross-checked against seekIdx before any seek-skip.
-	markOff int64
-	// codecs caches resolved codecs by spec: multi-record streams
-	// typically repeat one spec, and some backends (dctc) compile
-	// per-resolution state that must not be rebuilt per record.
-	codecs map[string]Codec
-	// shared, when non-nil, replaces the per-reader codec cache with the
-	// owning IndexedStream's mutex-guarded one, so the per-seek readers
-	// DecodeAt constructs share compiled codec state (see
-	// stream_index.go).
-	shared *IndexedStream
-	// ra, when non-nil, is the background read-ahead state: the
-	// prefetch goroutine owns every field above and the public methods
+	// The embedded cursor parses the records. With read-ahead enabled
+	// the prefetch goroutine owns it outright and the public methods
 	// serve from ra's queue instead (see stream_parallel.go).
-	ra *readAhead
-
-	// Per-reader statistics (see Stats). Atomics, because in read-ahead
-	// mode the prefetch goroutine updates them while the consumer reads.
-	nRecords      atomic.Int64
-	nChunks       atomic.Int64
-	nPayloadBytes atomic.Int64
-	nDecodedBytes atomic.Int64
-	nCRCFail      atomic.Int64
-	nRAHits       atomic.Int64
-	nRAMiss       atomic.Int64
-	nFooterSkips  atomic.Int64
+	recordCursor
+	ra    *readAhead
+	stats readerStats
 }
+
+// readerStats are one StreamReader's counters (see Stats), indexed by
+// the stat constants. Atomics, because in read-ahead mode the prefetch
+// goroutine updates them while the consumer reads.
+type readerStats [numStats]atomic.Int64
+
+const (
+	statRecords = iota
+	statChunks
+	statPayloadBytes
+	statDecodedBytes
+	statCRCFail
+	statRAHits
+	statRAMiss
+	statFooterSkips
+	numStats
+)
 
 // StreamReaderStats is a point-in-time snapshot of one reader's
 // counters. In read-ahead mode Records/Chunks/PayloadBytes/DecodedBytes
@@ -435,34 +418,35 @@ type StreamReaderStats struct {
 // Stats returns the reader's current statistics. Safe to call
 // concurrently with the read-ahead prefetcher.
 func (sr *StreamReader) Stats() StreamReaderStats {
+	s := &sr.stats
 	return StreamReaderStats{
-		Records:         sr.nRecords.Load(),
-		Chunks:          sr.nChunks.Load(),
-		PayloadBytes:    sr.nPayloadBytes.Load(),
-		DecodedBytes:    sr.nDecodedBytes.Load(),
-		CRCFailures:     sr.nCRCFail.Load(),
-		ReadAheadHits:   sr.nRAHits.Load(),
-		ReadAheadMisses: sr.nRAMiss.Load(),
-		FooterSkips:     sr.nFooterSkips.Load(),
+		Records:         s[statRecords].Load(),
+		Chunks:          s[statChunks].Load(),
+		PayloadBytes:    s[statPayloadBytes].Load(),
+		DecodedBytes:    s[statDecodedBytes].Load(),
+		CRCFailures:     s[statCRCFail].Load(),
+		ReadAheadHits:   s[statRAHits].Load(),
+		ReadAheadMisses: s[statRAMiss].Load(),
+		FooterSkips:     s[statFooterSkips].Load(),
 	}
 }
 
 // NewStreamReader validates the stream header and returns a reader
 // positioned before the first record.
 //
-// When r also implements io.Seeker, the constructor probes the stream
-// tail for the optional index footer before the first sequential read:
-// with the footer loaded, Skip seeks directly past a record's payload
-// instead of draining its chunks. The probe is best-effort — a missing
-// or malformed footer just leaves the reader in plain sequential mode.
+// When r also implements io.Seeker, the constructor loads the stream's
+// optional index footer before the first sequential read: with the
+// footer loaded, Skip seeks directly past a record's payload instead of
+// draining its chunks. The probe is best-effort — a missing or
+// malformed footer just leaves the reader in plain sequential mode.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
-	sr := &StreamReader{codecs: make(map[string]Codec)}
+	sr := &StreamReader{}
+	sr.recordCursor = recordCursor{br: bufio.NewReaderSize(r, 64<<10), codecs: new(codecCache), stats: &sr.stats}
 	if rs, ok := r.(io.ReadSeeker); ok {
-		if err := sr.probeIndex(rs); err != nil {
+		if err := sr.attachIndex(rs); err != nil {
 			return nil, err
 		}
 	}
-	sr.br = bufio.NewReaderSize(r, 64<<10)
 	var fixed [8]byte
 	if err := sr.readFull(fixed[:]); err != nil {
 		return nil, fmt.Errorf("codec: reading stream header: %w", err)
@@ -473,133 +457,266 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	return sr, nil
 }
 
-// readFull reads exactly len(p) bytes, tracking the stream offset.
-func (sr *StreamReader) readFull(p []byte) error {
-	n, err := io.ReadFull(sr.br, p)
-	sr.off += int64(n)
-	return err
+// codecCache resolves codecs by spec for every cursor over one stream:
+// multi-record streams typically repeat one spec, and some backends
+// (dctc) compile per-resolution state that must be built once, not per
+// record or per seek. Safe for concurrent use.
+type codecCache struct {
+	mu sync.RWMutex
+	m  map[string]*codecImpl
 }
 
-// posf builds a position-bearing error and latches it as the reader's
+func (cc *codecCache) lookup(spec string) (*codecImpl, error) {
+	cc.mu.RLock()
+	c, ok := cc.m[spec]
+	cc.mu.RUnlock()
+	if ok {
+		return c, nil
+	}
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if c, ok := cc.m[spec]; ok {
+		return c, nil
+	}
+	built, err := New(spec)
+	if err != nil {
+		return nil, err
+	}
+	if cc.m == nil {
+		cc.m = make(map[string]*codecImpl)
+	}
+	cc.m[spec] = built.(*codecImpl)
+	return cc.m[spec], nil
+}
+
+// recordCursor is the one parser of ACCF v2 records: the sequential
+// StreamReader and its read-ahead prefetcher, IndexedStream's seeks and
+// range decodes, and the index rebuild walk all position and parse
+// records through it. It holds the buffered window over the source, the
+// stream offset and record number every error reports, the pending
+// record's CRC-verified header and chunked payload reader, and the
 // sticky failure.
-func (sr *StreamReader) posf(format string, args ...any) error {
-	err := fmt.Errorf("codec: stream offset %d (record %d): %s", sr.off, sr.rec, fmt.Sprintf(format, args...))
-	sr.err = err
+type recordCursor struct {
+	br  *bufio.Reader
+	off int64 // stream offset of the next unread byte
+	rec int   // records seen (1-based once nextRecord succeeds)
+	hdr Header
+	cur *payloadReader // pending record payload, nil between records
+	err error          // sticky failure (or io.EOF after the end marker)
+	// markOff is the stream offset of the pending record's marker byte.
+	markOff int64
+	// sawFooter flips once an index footer has been passed; only the end
+	// marker may follow it.
+	sawFooter bool
+
+	// src, when non-nil, is the whole stream as an io.ReaderAt of length
+	// size, addressed by stream offset: seek re-windows the cursor
+	// through it. A sequential reader over an unseekable source has none.
+	src  io.ReaderAt
+	size int64
+	// index is the loaded footer's entry table and footOff the footer's
+	// offset: with them skipRecord seeks past payloads (trySeekSkip).
+	index   []indexEntry
+	footOff int64
+	// walk marks the index rebuild: footers and payloads are passed by
+	// their framing alone, never read or CRC-checked.
+	walk bool
+
+	codecs *codecCache
+	stats  *readerStats // the owning StreamReader's; nil for seeks and the rebuild
+}
+
+// attachIndex loads the index footer of a seekable source before the
+// first sequential read, so skipRecord can seek past payloads. The
+// stream starts at the source's current position; a source that is not
+// also an io.ReaderAt is read at offsets by seeking. Any footer failure
+// leaves the cursor sequential — the walk still verifies the footer
+// inline when it reaches the 'I' record — and only failing to restore
+// the source position is fatal.
+func (c *recordCursor) attachIndex(rs io.ReadSeeker) error {
+	base, err := rs.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return nil // claims io.Seeker but cannot seek: stay sequential
+	}
+	if end, err := rs.Seek(0, io.SeekEnd); err == nil {
+		ra, ok := rs.(io.ReaderAt)
+		if !ok {
+			ra = seekReaderAt{rs}
+		}
+		src := io.NewSectionReader(ra, base, end-base)
+		if index, footOff, err := loadIndex(src, end-base); err == nil {
+			c.src, c.size, c.index, c.footOff = src, end-base, index, footOff
+		}
+	}
+	if _, err := rs.Seek(base, io.SeekStart); err != nil {
+		return fmt.Errorf("codec: restoring stream position after index probe: %w", err)
+	}
+	return nil
+}
+
+// seekReaderAt reads an io.ReadSeeker at offsets by seeking first. The
+// cursor that owns it is single-goroutine, so the shared position is
+// never raced.
+type seekReaderAt struct{ rs io.ReadSeeker }
+
+func (s seekReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	if _, err := s.rs.Seek(off, io.SeekStart); err != nil {
+		return 0, err
+	}
+	return io.ReadFull(s.rs, p)
+}
+
+// seek repositions the cursor at stream offset off: a target inside the
+// buffered window is discarded to, anything else re-windows src at off.
+// It is the one positioning step of the index paths — a footer-served
+// Skip, a DecodeAt, and the rebuild walk's payload hops.
+func (c *recordCursor) seek(off int64) {
+	if d := off - c.off; d >= 0 && d < int64(c.br.Buffered()) {
+		c.br.Discard(int(d))
+	} else {
+		c.br.Reset(io.NewSectionReader(c.src, off, c.size-off))
+	}
+	c.off = off
+}
+
+// readFull reads exactly len(p) bytes, tracking the stream offset.
+func (c *recordCursor) readFull(p []byte) error {
+	n, err := io.ReadFull(c.br, p)
+	c.off += int64(n)
 	return err
 }
 
-// poskf is posf with a typed error kind attached (see errors.go): the
-// message is identical, errors.Is additionally matches the kind.
-func (sr *StreamReader) poskf(kind error, format string, args ...any) error {
-	err := markErr(kind, fmt.Errorf("codec: stream offset %d (record %d): %s", sr.off, sr.rec, fmt.Sprintf(format, args...)))
-	sr.err = err
-	return err
+// count adds n to the global reader metric m and to the matching
+// counter of the owning StreamReader, if any.
+func (c *recordCursor) count(stat int, m *telemetry.Counter, n int64) {
+	m.Add(uint64(n))
+	if c.stats != nil {
+		c.stats[stat].Add(n)
+	}
 }
 
-// posw wraps an underlying error with the stream position and latches
-// it, preserving the chain for errors.Is/As.
-func (sr *StreamReader) posw(context string, err error) error {
-	wrapped := fmt.Errorf("codec: stream offset %d (record %d): %s: %w", sr.off, sr.rec, context, err)
-	sr.err = wrapped
-	return wrapped
+// fail prefixes err with the stream position and latches it as the
+// cursor's sticky failure; errors.Is sees through to err's chain.
+func (c *recordCursor) fail(err error) error {
+	c.err = fmt.Errorf("codec: stream offset %d (record %d): %w", c.off, c.rec, err)
+	return c.err
+}
+
+// posf is fail over a formatted message.
+func (c *recordCursor) posf(format string, args ...any) error {
+	return c.fail(fmt.Errorf(format, args...))
+}
+
+// poskf is posf with a typed error kind attached (see errors.go).
+func (c *recordCursor) poskf(kind error, format string, args ...any) error {
+	return c.fail(markErr(kind, fmt.Errorf(format, args...)))
+}
+
+// posw is fail over an underlying error with a context prefix.
+func (c *recordCursor) posw(context string, err error) error {
+	return c.fail(fmt.Errorf("%s: %w", context, err))
+}
+
+// crcFail counts a CRC mismatch and latches it with the ErrCRC kind.
+func (c *recordCursor) crcFail(err error) error {
+	c.count(statCRCFail, streamM.rCRCFail, 1)
+	return c.fail(markErr(ErrCRC, err))
 }
 
 // nextRecord advances to the next record and returns its header. It
 // returns io.EOF (exactly, not wrapped) after a well-formed
 // end-of-stream marker; a stream that simply stops without the marker
 // is a truncation error. An unconsumed previous payload is skipped
-// (CRC-verified) first.
-func (sr *StreamReader) nextRecord() (Header, error) {
-	if sr.err != nil {
-		return Header{}, sr.err
+// first.
+func (c *recordCursor) nextRecord() (Header, error) {
+	if c.err != nil {
+		return Header{}, c.err
 	}
-	if sr.cur != nil {
-		if err := sr.skipRecord(); err != nil {
+	if c.cur != nil {
+		if err := c.skipRecord(); err != nil {
 			return Header{}, err
 		}
 	}
 	var marker byte
 	for {
 		var err error
-		marker, err = sr.br.ReadByte()
+		marker, err = c.br.ReadByte()
 		if err != nil {
-			return Header{}, sr.posw("reading record marker", noEOF(err))
+			return Header{}, c.posw("reading record marker", noEOF(err))
 		}
-		sr.off++
+		c.off++
 		switch marker {
 		case recEnd:
 			// Nothing may follow the end marker: a concatenation or a
 			// duplicated tail is a framing error, not silently ignored.
-			if _, err := sr.br.ReadByte(); err == nil {
-				return Header{}, sr.posf("trailing data after end-of-stream marker")
+			if _, err := c.br.ReadByte(); err == nil {
+				return Header{}, c.posf("trailing data after end-of-stream marker")
 			} else if err != io.EOF {
-				return Header{}, sr.posw("probing for end of stream", err)
+				return Header{}, c.posw("probing for end of stream", err)
 			}
-			sr.err = io.EOF
+			c.err = io.EOF
 			return Header{}, io.EOF
 		case recIndex:
-			// The index footer is for random-access readers; the
-			// sequential reader verifies its CRC and framing, then skips
-			// it. It must be the last record before the end marker.
-			if sr.sawFooter {
-				return Header{}, sr.posf("duplicate index footer")
+			// The index footer is for random-access readers; here it is
+			// verified and passed. It must be the last record before the
+			// end marker.
+			if c.sawFooter {
+				return Header{}, c.posf("duplicate index footer")
 			}
-			if err := sr.skipIndexFooter(); err != nil {
+			if err := c.skipFooter(); err != nil {
 				return Header{}, err
 			}
-			sr.sawFooter = true
+			c.sawFooter = true
 			continue
 		case recTensor, recStaged:
-			if sr.sawFooter {
-				return Header{}, sr.posf("tensor record after index footer")
+			if c.sawFooter {
+				return Header{}, c.posf("tensor record after index footer")
 			}
 		default:
-			return Header{}, sr.posf("bad record marker %#x", marker)
+			return Header{}, c.posf("bad record marker %#x", marker)
 		}
 		break
 	}
-	sr.markOff = sr.off - 1
-	sr.rec++
+	c.markOff = c.off - 1
+	c.rec++
 
 	// Accumulate the variable-length header exactly as written so the
 	// CRC can be verified before the fields are trusted.
 	raw := make([]byte, 3, 64)
 	raw[0] = marker
-	if err := sr.readFull(raw[1:3]); err != nil {
-		return Header{}, sr.posw("reading spec length", noEOF(err))
+	if err := c.readFull(raw[1:3]); err != nil {
+		return Header{}, c.posw("reading spec length", noEOF(err))
 	}
 	specLen := int(binary.LittleEndian.Uint16(raw[1:3]))
 	if specLen == 0 || specLen > maxSpecLen {
-		return Header{}, sr.posf("spec length %d outside [1,%d]", specLen, maxSpecLen)
+		return Header{}, c.posf("spec length %d outside [1,%d]", specLen, maxSpecLen)
 	}
 	raw = append(raw, make([]byte, specLen+1)...)
-	if err := sr.readFull(raw[3:]); err != nil {
-		return Header{}, sr.posw("reading spec", noEOF(err))
+	if err := c.readFull(raw[3:]); err != nil {
+		return Header{}, c.posw("reading spec", noEOF(err))
 	}
 	rank := int(raw[len(raw)-1])
 	if rank == 0 || rank > maxRank {
-		return Header{}, sr.posf("rank %d outside [1,%d]", rank, maxRank)
+		return Header{}, c.posf("rank %d outside [1,%d]", rank, maxRank)
 	}
 	base := len(raw)
 	raw = append(raw, make([]byte, 4*rank+4)...)
-	if err := sr.readFull(raw[base:]); err != nil {
-		return Header{}, sr.posw("reading dims", noEOF(err))
+	if err := c.readFull(raw[base:]); err != nil {
+		return Header{}, c.posw("reading dims", noEOF(err))
 	}
 	var crcBuf [4]byte
-	if err := sr.readFull(crcBuf[:]); err != nil {
-		return Header{}, sr.posw("reading header CRC", noEOF(err))
+	if err := c.readFull(crcBuf[:]); err != nil {
+		return Header{}, c.posw("reading header CRC", noEOF(err))
 	}
 	if want, got := binary.LittleEndian.Uint32(crcBuf[:]), crc32.ChecksumIEEE(raw); want != got {
-		sr.nCRCFail.Add(1)
-		streamM.rCRCFail.Inc()
-		return Header{}, sr.poskf(ErrCRC, "record header CRC mismatch (stored %#x, computed %#x)", want, got)
+		return Header{}, c.crcFail(fmt.Errorf("record header CRC mismatch (stored %#x, computed %#x)", want, got))
 	}
 
 	hdr := Header{Spec: string(raw[3 : 3+specLen])}
 	// The marker and the spec's stage chain must agree — a 'T' record
 	// smuggling a staged spec (or the reverse) is a forgery.
-	if staged := specHasStages(hdr.Spec); staged != (marker == recStaged) {
-		return Header{}, sr.posf("record marker %#x does not match spec %q", marker, hdr.Spec)
+	if marker != recordMarker(hdr.Spec) {
+		return Header{}, c.posf("record marker %#x does not match spec %q", marker, hdr.Spec)
 	}
 	hdr.Shape = make([]int, rank)
 	// The element product accumulates in uint64: dims are validated to
@@ -610,70 +727,95 @@ func (sr *StreamReader) nextRecord() (Header, error) {
 	for i := range hdr.Shape {
 		d := binary.LittleEndian.Uint32(raw[base+4*i:])
 		if d < 1 || d > maxDim {
-			return Header{}, sr.posf("dimension %d outside [1,%d]", d, maxDim)
+			return Header{}, c.posf("dimension %d outside [1,%d]", d, maxDim)
 		}
 		hdr.Shape[i] = int(d)
 		elems *= uint64(d)
 		if elems > maxElems {
-			return Header{}, sr.posf("shape %v exceeds %d elements", hdr.Shape, maxElems)
+			return Header{}, c.posf("shape %v exceeds %d elements", hdr.Shape, maxElems)
 		}
 	}
 	payLen := binary.LittleEndian.Uint32(raw[base+4*rank:])
 	if payLen > maxPayload {
-		return Header{}, sr.posf("payload %d bytes exceeds limit %d", payLen, maxPayload)
+		return Header{}, c.posf("payload %d bytes exceeds limit %d", payLen, maxPayload)
 	}
 	hdr.wireSize = len(raw) + 4
-	sr.hdr = hdr
-	sr.cur = &payloadReader{sr: sr, remaining: int(payLen)}
-	sr.nRecords.Add(1)
-	streamM.rRecords.Inc()
-	// The caller gets its own copy of the shape: the reader keeps using
-	// sr.hdr.Shape for the decode, so a caller mutating the returned
-	// header cannot redirect it (and nothing the reader does later can
+	c.hdr = hdr
+	c.cur = &payloadReader{c: c, remaining: int(payLen)}
+	c.count(statRecords, streamM.rRecords, 1)
+	// The caller gets its own copy of the shape: the cursor keeps using
+	// c.hdr.Shape for the decode, so a caller mutating the returned
+	// header cannot redirect it (and nothing the cursor does later can
 	// touch the caller's slice).
 	ret := hdr
 	ret.Shape = append([]int(nil), hdr.Shape...)
 	return ret, nil
 }
 
-// lookupCodec resolves a codec for spec through the reader's cache — or,
-// for the per-seek readers an IndexedStream constructs, through the
-// stream's shared mutex-guarded cache, so compiled per-resolution codec
-// state is built once no matter how many parallel seeks hit the spec.
-func (sr *StreamReader) lookupCodec(spec string) (Codec, error) {
-	if sr.shared != nil {
-		return sr.shared.lookupCodec(spec)
+// skipFooter passes an index footer whose marker byte was just read. The
+// sequential reader has no use for the table but still enforces its
+// framing and CRC, streaming the body through the CRC in bounded pieces
+// so a forged length never forces a large allocation. The rebuild walk
+// checks the framing structurally only — a corrupt footer is why it
+// runs — and jumps to the end marker.
+func (c *recordCursor) skipFooter() error {
+	var lenBuf [4]byte
+	if err := c.readFull(lenBuf[:]); err != nil {
+		return c.posw("reading index footer length", noEOF(err))
 	}
-	if c, ok := sr.codecs[spec]; ok {
-		return c, nil
+	n := binary.LittleEndian.Uint32(lenBuf[:])
+	if err := checkIndexFraming(n, nil, 0); err != nil {
+		return c.fail(err)
 	}
-	c, err := New(spec)
-	if err != nil {
-		return nil, err
+	if c.walk {
+		end := c.off + int64(n) + indexFooterOverhead - 5 // past body, CRC, size, magic
+		if end != c.size-1 {
+			return c.posf("index footer does not reach the end marker")
+		}
+		c.seek(end)
+		return nil
 	}
-	sr.codecs[spec] = c
-	return c, nil
+	crc := crc32.Update(crc32.ChecksumIEEE([]byte{recIndex}), crc32.IEEETable, lenBuf[:])
+	buf := getByteScratch(32 << 10)
+	defer putByteScratch(buf)
+	for remaining := int64(n); remaining > 0; {
+		k := min(int64(len(buf)), remaining)
+		if err := c.readFull(buf[:k]); err != nil {
+			return c.posw("reading index footer body", noEOF(err))
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, buf[:k])
+		remaining -= k
+	}
+	var trailer [12]byte
+	if err := c.readFull(trailer[:]); err != nil {
+		return c.posw("reading index footer trailer", noEOF(err))
+	}
+	if err := checkIndexFraming(n, trailer[:], crc); errors.Is(err, ErrCRC) {
+		return c.crcFail(err)
+	} else if err != nil {
+		return c.fail(err)
+	}
+	return nil
 }
 
 // decodeRecord decompresses the pending record into a tensor, streaming
 // the payload through at most one plane-group of scratch at a time. The
 // codec is resolved from the record's (CRC-verified) spec.
-func (sr *StreamReader) decodeRecord(ctx context.Context) (*tensor.Tensor, error) {
-	if sr.err != nil {
-		return nil, sr.err
+func (c *recordCursor) decodeRecord(ctx context.Context) (*tensor.Tensor, error) {
+	if c.err != nil {
+		return nil, c.err
 	}
-	if sr.cur == nil {
+	if c.cur == nil {
 		return nil, fmt.Errorf("codec: no pending record (call Next first)")
 	}
 	start := telemetry.NowNanos()
-	c, err := sr.lookupCodec(sr.hdr.Spec)
+	impl, err := c.codecs.lookup(c.hdr.Spec)
 	if err != nil {
-		return nil, sr.posw(fmt.Sprintf("record spec %q", sr.hdr.Spec), err)
+		return nil, c.posw(fmt.Sprintf("record spec %q", c.hdr.Spec), err)
 	}
-	impl := c.(*codecImpl)
 	var out *tensor.Tensor
 	if sd, ok := impl.b.(streamDecoder); ok && len(impl.chain) == 0 {
-		out, err = sd.decodeStream(ctx, sr.cur, sr.hdr.Shape)
+		out, err = sd.decodeStream(ctx, c.cur, c.hdr.Shape)
 	} else {
 		// Staged records (the chain must invert over the whole payload)
 		// and backends without streaming support buffer the one record.
@@ -682,98 +824,85 @@ func (sr *StreamReader) decodeRecord(ctx context.Context) (*tensor.Tensor, error
 		// (CRC-valid) header claiming maxPayload would otherwise force a
 		// 1 GiB allocation before the first truncated chunk could fail.
 		var buf bytes.Buffer
-		if _, err = io.Copy(&buf, sr.cur); err == nil {
-			out, err = impl.decodePayload(ctx, buf.Bytes(), sr.hdr.Shape)
+		if _, err = io.Copy(&buf, c.cur); err == nil {
+			out, err = impl.decodePayload(ctx, buf.Bytes(), c.hdr.Shape)
 		}
 	}
 	if err != nil {
-		if sr.err == nil {
-			return nil, sr.posw("decoding record", err)
+		if c.err == nil {
+			return nil, c.posw("decoding record", err)
 		}
-		return nil, sr.err
+		return nil, c.err
 	}
-	if sr.cur.len() != 0 {
-		return nil, sr.posf("%d trailing payload bytes after decode", sr.cur.len())
+	if c.cur.len() != 0 {
+		return nil, c.posf("%d trailing payload bytes after decode", c.cur.len())
 	}
-	sr.cur = nil
-	sr.nDecodedBytes.Add(int64(out.SizeBytes()))
-	streamM.rDecoded.Add(uint64(out.SizeBytes()))
+	c.cur = nil
+	c.count(statDecodedBytes, streamM.rDecoded, int64(out.SizeBytes()))
 	streamM.rDecodeNs.ObserveSince(start)
 	return out, nil
 }
 
-// skipRecord discards the pending record's payload. With an index
-// footer preloaded from a seekable source it seeks straight to the
-// next record boundary in O(1); otherwise it drains the chunks,
-// verifying every chunk CRC along the way.
-func (sr *StreamReader) skipRecord() error {
-	if sr.err != nil {
-		return sr.err
+// skipRecord discards the pending record's payload: the rebuild walk
+// hops its chunk headers, a cursor with a loaded index seeks straight to
+// the next record in O(1), and otherwise the chunks are drained with
+// every chunk CRC verified along the way.
+func (c *recordCursor) skipRecord() error {
+	if c.err != nil {
+		return c.err
 	}
-	if sr.cur == nil {
+	if c.cur == nil {
 		return nil
 	}
-	if sr.trySeekSkip() {
-		return nil
-	}
-	buf := getByteScratch(32 << 10)
-	defer putByteScratch(buf)
-	for sr.cur.len() > 0 {
-		n := sr.cur.len()
-		if n > len(buf) {
-			n = len(buf)
+	switch {
+	case c.walk:
+		// Hop the chunk headers alone: each chunk length is validated
+		// and its bytes jumped, never read or CRC-checked. A hop past
+		// the end of the stream fails the next read as a truncation.
+		for p := c.cur; p.remaining > 0; p.remaining -= p.chunkLeft {
+			if err := p.nextChunk(); err != nil {
+				return err
+			}
+			c.seek(c.off + int64(p.chunkLeft))
 		}
-		if err := sr.cur.readFull(buf[:n]); err != nil {
-			return err
+	case !c.trySeekSkip():
+		buf := getByteScratch(32 << 10)
+		defer putByteScratch(buf)
+		for c.cur.len() > 0 {
+			if err := c.cur.readFull(buf[:min(c.cur.len(), len(buf))]); err != nil {
+				return err
+			}
 		}
 	}
-	sr.cur = nil
+	c.cur = nil
 	return nil
 }
 
-// trySeekSkip serves a Skip from the preloaded index: the next record's
+// trySeekSkip serves a skip from the loaded index: the next record's
 // offset (or the footer's, after the last record) is in the table, so
-// the pending payload's chunks need not be read at all. Returns false —
-// leaving the payload for the sequential CRC-verifying drain — when no
+// the pending payload's chunks need not be read at all. It returns
+// false — leaving the payload to the CRC-verifying drain — when no
 // index is loaded, the record is beyond the table, or the table
-// disagrees with the record the reader actually parsed. The skipped
+// disagrees with the record the cursor actually parsed. The skipped
 // chunk CRCs go unverified by construction; a lying footer cannot
 // produce wrong output, because whatever the seek lands on must still
 // parse as a record marker with a CRC-verified header.
-func (sr *StreamReader) trySeekSkip() bool {
-	i := sr.rec - 1 // entries are in record order; rec is 1-based
-	if sr.seekIdx == nil || i < 0 || i >= len(sr.seekIdx) {
+func (c *recordCursor) trySeekSkip() bool {
+	i := c.rec - 1 // entries are in record order; rec is 1-based
+	if i < 0 || i >= len(c.index) || c.index[i].off != c.markOff {
 		return false
 	}
-	if sr.seekIdx[i].off != sr.markOff {
+	next := c.footOff
+	if i+1 < len(c.index) {
+		next = c.index[i+1].off
+	}
+	// The gap must at least hold the undelivered payload; anything less
+	// means the table and the stream disagree.
+	if next-c.off < int64(c.cur.len()) {
 		return false
 	}
-	next := sr.footIdxOff
-	if i+1 < len(sr.seekIdx) {
-		next = sr.seekIdx[i+1].off
-	}
-	skip := next - sr.off
-	// The gap must at least hold the undelivered payload plus one chunk
-	// header per pending chunk; anything less means the table and the
-	// stream disagree.
-	if skip < int64(sr.cur.len()) {
-		return false
-	}
-	buffered := int64(sr.br.Buffered())
-	if skip <= buffered {
-		sr.br.Discard(int(skip))
-	} else {
-		// The source sits buffered bytes ahead of the reader's logical
-		// position; seek the difference, then drop the stale buffer.
-		if _, err := sr.rs.Seek(skip-buffered, io.SeekCurrent); err != nil {
-			return false // source untouched on failure: drain instead
-		}
-		sr.br.Reset(sr.rs)
-	}
-	sr.off = next
-	sr.cur = nil
-	sr.nFooterSkips.Add(1)
-	streamM.iFooterSkips.Inc()
+	c.seek(next)
+	c.count(statFooterSkips, streamM.iFooterSkips, 1)
 	return true
 }
 
@@ -791,9 +920,9 @@ func noEOF(err error) error {
 // payloadReader streams one record's chunked payload. It implements
 // io.Reader; bytes flow straight from the underlying stream into the
 // caller's buffer while a running CRC is folded per chunk — the reader
-// itself buffers nothing beyond the stream's bufio window.
+// itself buffers nothing beyond the cursor's window.
 type payloadReader struct {
-	sr        *StreamReader
+	c         *recordCursor
 	remaining int    // payload bytes not yet delivered
 	chunkLeft int    // bytes left in the current chunk
 	crc       uint32 // running CRC of the current chunk
@@ -804,9 +933,26 @@ type payloadReader struct {
 // len reports the payload bytes not yet delivered.
 func (r *payloadReader) len() int { return r.remaining }
 
+// nextChunk reads and validates the next chunk header.
+func (r *payloadReader) nextChunk() error {
+	var ch [8]byte
+	if err := r.c.readFull(ch[:]); err != nil {
+		return r.c.posw("reading chunk header", noEOF(err))
+	}
+	clen := binary.LittleEndian.Uint32(ch[0:])
+	if clen == 0 || clen > maxStreamChunk || uint64(clen) > uint64(r.remaining) {
+		return r.c.posf("chunk length %d outside [1,%d] with %d payload bytes left", clen, maxStreamChunk, r.remaining)
+	}
+	r.chunkLeft = int(clen)
+	r.wantCRC = binary.LittleEndian.Uint32(ch[4:])
+	r.crc = 0
+	r.chunkOff = r.c.off
+	return nil
+}
+
 func (r *payloadReader) Read(p []byte) (int, error) {
-	if r.sr.err != nil {
-		return 0, r.sr.err
+	if r.c.err != nil {
+		return 0, r.c.err
 	}
 	if r.remaining == 0 {
 		return 0, io.EOF
@@ -815,37 +961,21 @@ func (r *payloadReader) Read(p []byte) (int, error) {
 		return 0, nil
 	}
 	if r.chunkLeft == 0 {
-		var ch [8]byte
-		if err := r.sr.readFull(ch[:]); err != nil {
-			return 0, r.sr.posw("reading chunk header", noEOF(err))
+		if err := r.nextChunk(); err != nil {
+			return 0, err
 		}
-		clen := binary.LittleEndian.Uint32(ch[0:])
-		if clen == 0 || clen > maxStreamChunk || uint64(clen) > uint64(r.remaining) {
-			return 0, r.sr.posf("chunk length %d outside [1,%d] with %d payload bytes left", clen, maxStreamChunk, r.remaining)
-		}
-		r.chunkLeft = int(clen)
-		r.wantCRC = binary.LittleEndian.Uint32(ch[4:])
-		r.crc = 0
-		r.chunkOff = r.sr.off
-		r.sr.nChunks.Add(1)
-		streamM.rChunks.Inc()
+		r.c.count(statChunks, streamM.rChunks, 1)
 	}
-	n := len(p)
-	if n > r.chunkLeft {
-		n = r.chunkLeft
-	}
-	if err := r.sr.readFull(p[:n]); err != nil {
-		return 0, r.sr.posw("reading chunk", noEOF(err))
+	n := min(len(p), r.chunkLeft)
+	if err := r.c.readFull(p[:n]); err != nil {
+		return 0, r.c.posw("reading chunk", noEOF(err))
 	}
 	r.crc = crc32.Update(r.crc, crc32.IEEETable, p[:n])
 	r.chunkLeft -= n
 	r.remaining -= n
-	r.sr.nPayloadBytes.Add(int64(n))
-	streamM.rBytes.Add(uint64(n))
+	r.c.count(statPayloadBytes, streamM.rBytes, int64(n))
 	if r.chunkLeft == 0 && r.crc != r.wantCRC {
-		r.sr.nCRCFail.Add(1)
-		streamM.rCRCFail.Inc()
-		return 0, r.sr.poskf(ErrCRC, "chunk at offset %d CRC mismatch (stored %#x, computed %#x)", r.chunkOff, r.wantCRC, r.crc)
+		return 0, r.c.crcFail(fmt.Errorf("chunk at offset %d CRC mismatch (stored %#x, computed %#x)", r.chunkOff, r.wantCRC, r.crc))
 	}
 	return n, nil
 }
@@ -867,7 +997,7 @@ func (r *payloadReader) readFull(p []byte) error {
 		n, err := r.Read(p[off:])
 		if err != nil {
 			if err == io.EOF {
-				return r.sr.poskf(ErrTruncated, "payload truncated: want %d more bytes", len(p)-off)
+				return r.c.poskf(ErrTruncated, "payload truncated: want %d more bytes", len(p)-off)
 			}
 			return err
 		}

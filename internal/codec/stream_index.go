@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -133,126 +134,6 @@ func (sw *StreamWriter) writeIndexFooter() error {
 	return nil
 }
 
-// skipIndexFooter verifies and discards an index footer mid-stream: the
-// sequential reader has no use for the table, but its CRC and framing
-// are still enforced so corruption never passes silently. The marker
-// byte has already been consumed (it is covered by the footer CRC).
-func (sr *StreamReader) skipIndexFooter() error {
-	crc := crc32.ChecksumIEEE([]byte{recIndex})
-	var lenBuf [4]byte
-	if err := sr.readFull(lenBuf[:]); err != nil {
-		return sr.posw("reading index footer length", noEOF(err))
-	}
-	crc = crc32.Update(crc, crc32.IEEETable, lenBuf[:])
-	n := binary.LittleEndian.Uint32(lenBuf[:])
-	if n < 4 || n > maxIndexBody {
-		return sr.posf("index footer body %d bytes outside [4,%d]", n, maxIndexBody)
-	}
-	// Stream the body through the CRC in bounded pieces; the sequential
-	// reader never materializes the table.
-	buf := getByteScratch(32 << 10)
-	remaining := int64(n)
-	for remaining > 0 {
-		k := int64(len(buf))
-		if k > remaining {
-			k = remaining
-		}
-		if err := sr.readFull(buf[:k]); err != nil {
-			putByteScratch(buf)
-			return sr.posw("reading index footer body", noEOF(err))
-		}
-		crc = crc32.Update(crc, crc32.IEEETable, buf[:k])
-		remaining -= k
-	}
-	putByteScratch(buf)
-	var tail [12]byte
-	if err := sr.readFull(tail[:]); err != nil {
-		return sr.posw("reading index footer trailer", noEOF(err))
-	}
-	if want := binary.LittleEndian.Uint32(tail[0:]); want != crc {
-		sr.nCRCFail.Add(1)
-		streamM.rCRCFail.Inc()
-		return sr.poskf(ErrCRC, "index footer CRC mismatch (stored %#x, computed %#x)", want, crc)
-	}
-	if s := binary.LittleEndian.Uint32(tail[4:]); uint64(s) != uint64(n)+indexFooterOverhead {
-		return sr.posf("index footer size %d does not match body length %d", s, n)
-	}
-	if m := binary.LittleEndian.Uint32(tail[8:]); m != indexMagic {
-		return sr.posf("bad index footer magic %#x", m)
-	}
-	return nil
-}
-
-// probeIndex loads the index footer from a seekable source before any
-// sequential read, enabling the O(1) seek path in Skip. The stream may
-// start anywhere in the source (the current position is the stream's
-// byte 0); entry offsets stay stream-relative throughout. Every probe
-// failure — short source, no trailing magic, bad framing or CRC,
-// invalid entries — silently leaves seekIdx nil: the sequential walk
-// still verifies the footer inline when it reaches the 'I' record, so
-// nothing is lost but the fast skips. Only a failure to restore the
-// source position is fatal (the reader would otherwise consume from
-// the wrong offset).
-func (sr *StreamReader) probeIndex(rs io.ReadSeeker) error {
-	base, err := rs.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return nil // claims io.Seeker but cannot seek: stay sequential
-	}
-	sr.rs = rs
-	end, err := rs.Seek(0, io.SeekEnd)
-	probe := func() {
-		if err != nil || end-base < 8+minIndexFooter+1 {
-			return
-		}
-		// Indexed tail: CRC | size S | magic | 'E'; the magic is the
-		// discriminator (see loadFooter, which this mirrors for the
-		// sequential reader).
-		var tail [13]byte
-		if _, err := rs.Seek(end-13, io.SeekStart); err != nil {
-			return
-		}
-		if _, err := io.ReadFull(rs, tail[:]); err != nil {
-			return
-		}
-		if tail[12] != recEnd || binary.LittleEndian.Uint32(tail[8:12]) != indexMagic {
-			return
-		}
-		s := int64(binary.LittleEndian.Uint32(tail[4:8]))
-		if s < minIndexFooter || s-indexFooterOverhead > maxIndexBody {
-			return
-		}
-		footOff := end - 1 - s
-		if footOff < base+8 {
-			return
-		}
-		foot := make([]byte, s)
-		if _, err := rs.Seek(footOff, io.SeekStart); err != nil {
-			return
-		}
-		if _, err := io.ReadFull(rs, foot); err != nil {
-			return
-		}
-		n := int64(binary.LittleEndian.Uint32(foot[1:5]))
-		if foot[0] != recIndex || n != s-indexFooterOverhead {
-			return
-		}
-		if crc32.ChecksumIEEE(foot[:5+n]) != binary.LittleEndian.Uint32(foot[5+n:]) {
-			return
-		}
-		entries, err := parseIndexBody(foot[5:5+n], footOff-base)
-		if err != nil {
-			return
-		}
-		sr.seekIdx = entries
-		sr.footIdxOff = footOff - base
-	}
-	probe()
-	if _, err := rs.Seek(base, io.SeekStart); err != nil {
-		return fmt.Errorf("codec: restoring stream position after index probe: %w", err)
-	}
-	return nil
-}
-
 // checkStreamHeader validates the fixed 8-byte ACCF v2 stream header.
 func checkStreamHeader(fixed []byte) error {
 	if m := binary.LittleEndian.Uint32(fixed[0:]); m != containerMagic {
@@ -267,9 +148,10 @@ func checkStreamHeader(fixed []byte) error {
 	return nil
 }
 
-// errNoFooter signals OpenIndexedStream's internal fallback: the stream
-// carries no loadable footer, so the index must be rebuilt by walking
-// the records. Never returned to callers.
+// errNoFooter marks a stream with no loadable index footer — none at
+// all, or one whose framing, CRC, or entries fail validation — which
+// OpenIndexedStream answers with a rebuild and the sequential reader
+// with a plain walk. Never returned to callers.
 var errNoFooter = errors.New("codec: no index footer")
 
 // IndexedStream is the random-access view of an ACCF v2 stream: a
@@ -282,10 +164,8 @@ type IndexedStream struct {
 	size    int64
 	entries []indexEntry
 	rebuilt bool
-	workers int
-
-	mu     sync.RWMutex
-	codecs map[string]Codec
+	workers atomic.Int64 // DecodeRange's pool cap; 0 = GOMAXPROCS
+	codecs  codecCache
 }
 
 // OpenIndexedStream opens a stream for random access. r must cover the
@@ -309,76 +189,89 @@ func OpenIndexedStream(r io.ReaderAt, size int64) (*IndexedStream, error) {
 	if err := checkStreamHeader(fixed[:]); err != nil {
 		return nil, err
 	}
-	ix := &IndexedStream{r: r, size: size, codecs: make(map[string]Codec)}
-	if err := ix.loadFooter(); err == nil {
-		streamM.iLoads.Inc()
-		return ix, nil
-	} else if !errors.Is(err, errNoFooter) {
-		// A read error from the medium itself (not a malformed footer)
-		// would fail the rebuild too; surface it now.
-		var readErr *indexReadError
-		if errors.As(err, &readErr) {
-			return nil, readErr.err
-		}
+	ix := &IndexedStream{r: r, size: size}
+	entries, _, err := loadIndex(r, size)
+	opened := streamM.iLoads
+	if errors.Is(err, errNoFooter) {
+		entries, err = ix.rebuild()
+		ix.rebuilt, opened = true, streamM.iRebuilds
 	}
-	entries, err := ix.rebuild()
+	// Any other footer error is a read failure of the medium itself,
+	// which would fail the rebuild too.
 	if err != nil {
 		return nil, err
 	}
+	opened.Inc()
 	ix.entries = entries
-	ix.rebuilt = true
-	streamM.iRebuilds.Inc()
 	return ix, nil
 }
 
-// indexReadError distinguishes an I/O failure while probing the footer
-// from a malformed footer: the latter falls back to a rebuild, the
-// former aborts the open.
-type indexReadError struct{ err error }
-
-func (e *indexReadError) Error() string { return e.err.Error() }
-
-// loadFooter probes the stream tail for the footer and, if present,
-// validates and parses it into ix.entries. Any malformation returns an
-// error wrapping errNoFooter, which the caller answers with a rebuild.
-func (ix *IndexedStream) loadFooter() error {
-	if ix.size < 8+minIndexFooter+1 {
-		return errNoFooter
+// loadIndex is the one reader of the index footer, serving both
+// OpenIndexedStream and the sequential reader's footer-served Skip. src
+// holds the whole stream at offsets [0, size) — a stream embedded in a
+// larger source is rebased by an io.SectionReader. It returns the
+// validated entry table and the footer's offset. A missing or malformed
+// footer returns an error wrapping errNoFooter; any other error is an
+// I/O failure of the source.
+func loadIndex(src io.ReaderAt, size int64) ([]indexEntry, int64, error) {
+	if size < 8+minIndexFooter+1 {
+		return nil, 0, errNoFooter
 	}
-	// The stream's last 13 bytes of an indexed stream: CRC | size S |
-	// magic | 'E'. The magic is the discriminator; a plain stream ends
-	// with arbitrary record bytes before its 'E'.
+	// An indexed stream's last 13 bytes are CRC | size S | magic | 'E'.
+	// The magic is the discriminator; a plain stream ends with arbitrary
+	// record bytes before its 'E'.
 	var tail [13]byte
-	if _, err := ix.r.ReadAt(tail[:], ix.size-13); err != nil {
-		return &indexReadError{err: fmt.Errorf("codec: reading stream tail: %w", noEOF(err))}
+	if _, err := src.ReadAt(tail[:], size-13); err != nil {
+		return nil, 0, fmt.Errorf("codec: reading stream tail: %w", noEOF(err))
 	}
 	if tail[12] != recEnd || binary.LittleEndian.Uint32(tail[8:12]) != indexMagic {
-		return errNoFooter
+		return nil, 0, errNoFooter
 	}
-	s := int64(binary.LittleEndian.Uint32(tail[4:8]))
-	if s < minIndexFooter || s-indexFooterOverhead > maxIndexBody {
-		return fmt.Errorf("%w: implausible footer size %d", errNoFooter, s)
-	}
-	footOff := ix.size - 1 - s
-	if footOff < 8 {
-		return fmt.Errorf("%w: footer size %d overruns the stream", errNoFooter, s)
+	s := binary.LittleEndian.Uint32(tail[4:8])
+	n := s - indexFooterOverhead // wraps past maxIndexBody when s < 17
+	footOff := size - 1 - int64(s)
+	if checkIndexFraming(n, nil, 0) != nil || footOff < 8 {
+		return nil, 0, fmt.Errorf("%w: implausible footer size %d", errNoFooter, s)
 	}
 	foot := make([]byte, s)
-	if _, err := ix.r.ReadAt(foot, footOff); err != nil {
-		return &indexReadError{err: fmt.Errorf("codec: reading index footer at offset %d: %w", footOff, noEOF(err))}
+	if _, err := src.ReadAt(foot, footOff); err != nil {
+		return nil, 0, fmt.Errorf("codec: reading index footer at offset %d: %w", footOff, noEOF(err))
 	}
-	n := int64(binary.LittleEndian.Uint32(foot[1:5]))
-	if foot[0] != recIndex || n != s-indexFooterOverhead {
-		return fmt.Errorf("%w: malformed footer framing at offset %d", errNoFooter, footOff)
+	if foot[0] != recIndex || binary.LittleEndian.Uint32(foot[1:5]) != n {
+		return nil, 0, fmt.Errorf("%w: malformed footer framing at offset %d", errNoFooter, footOff)
 	}
-	if got, want := crc32.ChecksumIEEE(foot[:5+n]), binary.LittleEndian.Uint32(foot[5+n:]); got != want {
-		return fmt.Errorf("%w: footer CRC mismatch at offset %d (stored %#x, computed %#x)", errNoFooter, footOff, want, got)
+	if err := checkIndexFraming(n, foot[5+n:], crc32.ChecksumIEEE(foot[:5+n])); err != nil {
+		return nil, 0, fmt.Errorf("%w: %v", errNoFooter, err)
 	}
 	entries, err := parseIndexBody(foot[5:5+n], footOff)
 	if err != nil {
-		return fmt.Errorf("%w: %s", errNoFooter, err)
+		return nil, 0, fmt.Errorf("%w: %v", errNoFooter, err)
 	}
-	ix.entries = entries
+	return entries, footOff, nil
+}
+
+// checkIndexFraming is the footer's framing check, shared by every
+// footer reader: the body length n within [4, maxIndexBody] and, when
+// trailer (the 12 bytes CRC | size S | magic after the body) is given,
+// the stored CRC equal to crc — computed over marker..body — S = n+17,
+// and the "ACCX" magic. The rebuild walk and the sequential skip check
+// n alone before reading anything further.
+func checkIndexFraming(n uint32, trailer []byte, crc uint32) error {
+	if n < 4 || n > maxIndexBody {
+		return fmt.Errorf("index footer body %d bytes outside [4,%d]", n, maxIndexBody)
+	}
+	if trailer == nil {
+		return nil
+	}
+	if want := binary.LittleEndian.Uint32(trailer); want != crc {
+		return markErr(ErrCRC, fmt.Errorf("index footer CRC mismatch (stored %#x, computed %#x)", want, crc))
+	}
+	if s := binary.LittleEndian.Uint32(trailer[4:]); uint64(s) != uint64(n)+indexFooterOverhead {
+		return fmt.Errorf("index footer size %d does not match body length %d", s, n)
+	}
+	if m := binary.LittleEndian.Uint32(trailer[8:]); m != indexMagic {
+		return fmt.Errorf("bad index footer magic %#x", m)
+	}
 	return nil
 }
 
@@ -428,7 +321,7 @@ func parseIndexBody(body []byte, footOff int64) ([]indexEntry, error) {
 		spec := string(body[p : p+specLen])
 		rank := int(body[p+specLen])
 		p += specLen + 1
-		if staged := specHasStages(spec); staged != (marker == recStaged) {
+		if marker != recordMarker(spec) {
 			return nil, fmt.Errorf("codec: index entry %d marker %#x does not match spec %q", i, marker, spec)
 		}
 		if rank == 0 || rank > maxRank {
@@ -460,103 +353,41 @@ func parseIndexBody(body []byte, footOff int64) ([]indexEntry, error) {
 	return entries, nil
 }
 
-// newRecordReader positions a sequential StreamReader at an absolute
-// record offset via an io.SectionReader window, sharing the stream's
-// codec cache. rec seeds the 0-based record count so position-bearing
-// errors report the true record number.
-func (ix *IndexedStream) newRecordReader(off int64, rec, bufSize int) *StreamReader {
-	sec := io.NewSectionReader(ix.r, off, ix.size-off)
-	return &StreamReader{
-		br:     bufio.NewReaderSize(sec, bufSize),
-		off:    off,
-		rec:    rec,
-		shared: ix,
-	}
+// cursor returns a record cursor seeked to stream offset off with rec
+// records behind it, sharing the stream's codec cache.
+func (ix *IndexedStream) cursor(off int64, rec, window int) *recordCursor {
+	c := &recordCursor{br: bufio.NewReaderSize(nil, window), rec: rec, src: ix.r, size: ix.size, codecs: &ix.codecs}
+	c.seek(off)
+	return c
 }
 
-// rebuild reconstructs the index by walking the records sequentially:
-// each header is parsed and CRC-verified through the same code path as
-// the sequential reader, then the payload is skipped by hopping chunk
-// headers — payload bytes themselves are never read, so a rebuild costs
-// O(records + chunks) reads, not O(stream bytes). A footer encountered
-// on the walk is skipped structurally (its length field and position
-// only): a corrupt footer is exactly why the rebuild is running.
+// rebuild reconstructs the index by walking the records on a cursor in
+// walk mode: each header is parsed and CRC-verified exactly as the
+// sequential reader does, then the payload is hopped by its chunk
+// headers — payload bytes are never read, so a rebuild costs
+// O(records + chunks) reads, not O(stream bytes). A footer met on the
+// walk is passed by its framing alone.
 func (ix *IndexedStream) rebuild() ([]indexEntry, error) {
+	// Small window: a rebuild touches one header per record, and the
+	// maximum header is ~300 bytes.
+	c := ix.cursor(8, 0, 512)
+	c.walk = true
 	var entries []indexEntry
-	off := int64(8)
-	sawFooter := false
 	for {
-		if off >= ix.size {
-			return nil, markErr(ErrTruncated, fmt.Errorf("codec: stream offset %d (record %d): missing end-of-stream marker", off, len(entries)))
-		}
-		var mb [1]byte
-		if _, err := ix.r.ReadAt(mb[:], off); err != nil {
-			return nil, fmt.Errorf("codec: stream offset %d (record %d): reading record marker: %w", off, len(entries), noEOF(err))
-		}
-		switch mb[0] {
-		case recEnd:
-			if off != ix.size-1 {
-				return nil, fmt.Errorf("codec: stream offset %d (record %d): trailing data after end-of-stream marker", off+1, len(entries))
-			}
+		hdr, err := c.nextRecord()
+		if err == io.EOF {
 			return entries, nil
-		case recIndex:
-			if sawFooter {
-				return nil, fmt.Errorf("codec: stream offset %d (record %d): duplicate index footer", off+1, len(entries))
-			}
-			var lenBuf [4]byte
-			if _, err := ix.r.ReadAt(lenBuf[:], off+1); err != nil {
-				return nil, fmt.Errorf("codec: stream offset %d (record %d): reading index footer length: %w", off+1, len(entries), noEOF(err))
-			}
-			n := binary.LittleEndian.Uint32(lenBuf[:])
-			if n < 4 || n > maxIndexBody {
-				return nil, fmt.Errorf("codec: stream offset %d (record %d): index footer body %d bytes outside [4,%d]", off+5, len(entries), n, maxIndexBody)
-			}
-			// The footer must run exactly to the end marker.
-			if off+int64(n)+indexFooterOverhead != ix.size-1 {
-				return nil, fmt.Errorf("codec: stream offset %d (record %d): index footer does not reach the end marker", off+5, len(entries))
-			}
-			sawFooter = true
-			off = ix.size - 1
-		case recTensor, recStaged:
-			if sawFooter {
-				return nil, fmt.Errorf("codec: stream offset %d (record %d): tensor record after index footer", off+1, len(entries))
-			}
-			// Small window: a rebuild touches one header per record, and
-			// the maximum header is ~300 bytes.
-			sr := ix.newRecordReader(off, len(entries), 512)
-			hdr, err := sr.nextRecord()
-			if err != nil {
-				return nil, err
-			}
-			payLen := int64(sr.cur.len())
-			entries = append(entries, indexEntry{
-				off:    off,
-				payLen: payLen,
-				marker: mb[0],
-				spec:   hdr.Spec,
-				shape:  hdr.Shape,
-			})
-			// Hop the chunk framing without reading payload bytes.
-			pos := off + int64(hdr.wireSize)
-			for remaining := payLen; remaining > 0; {
-				var ch [8]byte
-				if _, err := ix.r.ReadAt(ch[:], pos); err != nil {
-					return nil, markErr(ErrTruncated, fmt.Errorf("codec: stream offset %d (record %d): reading chunk header: %w", pos, len(entries), noEOF(err)))
-				}
-				clen := binary.LittleEndian.Uint32(ch[0:])
-				if clen == 0 || clen > maxStreamChunk || int64(clen) > remaining {
-					return nil, fmt.Errorf("codec: stream offset %d (record %d): chunk length %d outside [1,%d] with %d payload bytes left", pos+8, len(entries), clen, maxStreamChunk, remaining)
-				}
-				pos += 8 + int64(clen)
-				remaining -= int64(clen)
-			}
-			if pos > ix.size {
-				return nil, markErr(ErrTruncated, fmt.Errorf("codec: stream offset %d (record %d): record overruns the stream", ix.size, len(entries)))
-			}
-			off = pos
-		default:
-			return nil, fmt.Errorf("codec: stream offset %d (record %d): bad record marker %#x", off+1, len(entries), mb[0])
 		}
+		if err != nil {
+			return nil, err
+		}
+		entries = append(entries, indexEntry{
+			off:    c.markOff,
+			payLen: int64(c.cur.len()),
+			marker: recordMarker(hdr.Spec),
+			spec:   hdr.Spec,
+			shape:  hdr.Shape,
+		})
 	}
 }
 
@@ -586,7 +417,7 @@ func (ix *IndexedStream) SetConcurrency(n int) error {
 	if n < 0 {
 		return fmt.Errorf("codec: negative concurrency %d", n)
 	}
-	ix.workers = n
+	ix.workers.Store(int64(n))
 	return nil
 }
 
@@ -606,39 +437,22 @@ func (ix *IndexedStream) DecodeAt(ctx context.Context, i int) (*tensor.Tensor, e
 	// Size the buffered window to the record itself (header + payload +
 	// chunk framing slack), so a seek's reads are proportional to the
 	// record, not to a fixed window that may span half the stream.
-	bufSize := 64 << 10
-	if n := int(e.payLen) + 1024; n < bufSize {
-		bufSize = n
-	}
-	sr := ix.newRecordReader(e.off, i, bufSize)
-	hdr, err := sr.nextRecord()
+	c := ix.cursor(e.off, i, min(64<<10, int(e.payLen)+1024))
+	hdr, err := c.nextRecord()
 	if err != nil {
 		return nil, err
 	}
-	if hdr.Spec != e.spec || int64(sr.cur.len()) != e.payLen || !equalShape(hdr.Shape, e.shape) {
+	if hdr.Spec != e.spec || int64(c.cur.len()) != e.payLen || !slices.Equal(hdr.Shape, e.shape) {
 		return nil, markErr(ErrIndex, fmt.Errorf(
 			"codec: stream offset %d (record %d): index entry disagrees with record header (entry %q %v %d payload bytes, record %q %v %d)",
-			e.off, i+1, e.spec, e.shape, e.payLen, hdr.Spec, hdr.Shape, sr.cur.len()))
+			e.off, i+1, e.spec, e.shape, e.payLen, hdr.Spec, hdr.Shape, c.cur.len()))
 	}
-	out, err := sr.decodeRecord(ctx)
+	out, err := c.decodeRecord(ctx)
 	if err != nil {
 		return nil, err
 	}
 	streamM.iSeekNs.ObserveSince(start)
 	return out, nil
-}
-
-// equalShape reports whether two shapes match exactly.
-func equalShape(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // DecodeRange decodes records [lo, hi) concurrently on a bounded worker
@@ -654,7 +468,7 @@ func (ix *IndexedStream) DecodeRange(ctx context.Context, lo, hi int) ([]*tensor
 	if n == 0 {
 		return nil, ctx.Err()
 	}
-	workers := ix.workers
+	workers := int(ix.workers.Load())
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -710,26 +524,4 @@ func (ix *IndexedStream) DecodeRange(ctx context.Context, lo, hi int) ([]*tensor
 		return nil, firstCancel
 	}
 	return out, nil
-}
-
-// lookupCodec resolves (and caches) a codec by spec under the stream's
-// lock, so concurrent DecodeAt calls share compiled codec state.
-func (ix *IndexedStream) lookupCodec(spec string) (Codec, error) {
-	ix.mu.RLock()
-	c, ok := ix.codecs[spec]
-	ix.mu.RUnlock()
-	if ok {
-		return c, nil
-	}
-	c, err := New(spec)
-	if err != nil {
-		return nil, err
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if prev, ok := ix.codecs[spec]; ok {
-		return prev, nil
-	}
-	ix.codecs[spec] = c
-	return c, nil
 }

@@ -783,3 +783,89 @@ func TestSetIndexLocking(t *testing.T) {
 		t.Fatal("index footer written without SetIndex")
 	}
 }
+
+// TestSetConcurrencyDuringDecodeRange: SetConcurrency may be changed at
+// any time, including while another goroutine is inside DecodeRange —
+// under -race this fails if the worker cap is a plain field.
+func TestSetConcurrencyDuringDecodeRange(t *testing.T) {
+	ctx := context.Background()
+	data, want := writeIndexedStream(t, false)
+	ix, err := OpenIndexedStream(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 20; i++ {
+			if err := ix.SetConcurrency(i % 3); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := 0; i < 20; i++ {
+		outs, err := ix.DecodeRange(ctx, 0, ix.Len())
+		if err != nil {
+			t.Fatalf("DecodeRange %d: %v", i, err)
+		}
+		for j := range outs {
+			requireSameTensor(t, "ranged record", outs[j], want[j])
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFooterAwareSkipRebasedAndAdapted: the footer-served Skip works for
+// a stream embedded at a nonzero offset of its source (entry offsets
+// stay stream-relative) and for an io.ReadSeeker that is not also an
+// io.ReaderAt (read at offsets by seeking), with every decode intact.
+func TestFooterAwareSkipRebasedAndAdapted(t *testing.T) {
+	ctx := context.Background()
+	data, want := writeIndexedStream(t, false)
+	const prefix = 100
+	embedded := append(make([]byte, prefix), data...)
+	for _, tc := range []struct {
+		name string
+		src  func() io.ReadSeeker
+	}{
+		{"embedded", func() io.ReadSeeker {
+			r := bytes.NewReader(embedded)
+			if _, err := r.Seek(prefix, io.SeekStart); err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}},
+		{"seek-only", func() io.ReadSeeker { return struct{ io.ReadSeeker }{bytes.NewReader(data)} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sr, err := NewStreamReader(tc.src())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; ; i++ {
+				if _, err := sr.Next(); err == io.EOF {
+					break
+				} else if err != nil {
+					t.Fatal(err)
+				}
+				if i%2 == 0 {
+					if err := sr.Skip(); err != nil {
+						t.Fatalf("Skip(%d): %v", i, err)
+					}
+					continue
+				}
+				out, err := sr.Decode(ctx)
+				if err != nil {
+					t.Fatalf("Decode(%d): %v", i, err)
+				}
+				requireSameTensor(t, fmt.Sprintf("record %d", i), out, want[i])
+			}
+			if got, skips := sr.Stats().FooterSkips, int64((len(want)+1)/2); got != skips {
+				t.Fatalf("FooterSkips = %d, want %d", got, skips)
+			}
+		})
+	}
+}

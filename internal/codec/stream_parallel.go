@@ -431,11 +431,9 @@ func (sr *StreamReader) Next() (Header, error) {
 	// A non-empty queue means the prefetcher stayed ahead of the
 	// consumer; an empty one means this Next will block on it.
 	if len(sr.ra.ch) > 0 {
-		sr.nRAHits.Add(1)
-		streamM.rRAHits.Inc()
+		sr.count(statRAHits, streamM.rRAHits, 1)
 	} else {
-		sr.nRAMiss.Add(1)
-		streamM.rRAMiss.Inc()
+		sr.count(statRAMiss, streamM.rRAMiss, 1)
 	}
 	ent, ok := <-sr.ra.ch
 	if !ok {

@@ -205,17 +205,14 @@ func (b *zfpBackend) decodePlane(p int, data []byte, plane *tensor.Tensor) error
 // fastRoundTripInto round-trips planar batches through the pooled
 // plane engine without materializing the payload: each plane's bits
 // are written, sealed and decoded in place from the writer's own
-// buffer. Non-planar shapes fall back to the serialize path.
+// buffer. Non-planar shapes take the serialize path.
 func (b *zfpBackend) fastRoundTripInto(dst, x *tensor.Tensor) (int, error) {
 	// Dim/Dims instead of Shape(): Shape clones its slice, and this
 	// path must stay allocation-free.
-	if x.Dims() < 2 || x.Len() == 0 {
-		return slowRoundTripInto(b, dst, x)
+	if x.Dims() < 2 || x.Len() == 0 || x.Dim(-2)%zfp.BlockSize != 0 || x.Dim(-1)%zfp.BlockSize != 0 {
+		return 0, errNoFastPath
 	}
 	h, w := x.Dim(-2), x.Dim(-1)
-	if h%zfp.BlockSize != 0 || w%zfp.BlockSize != 0 {
-		return slowRoundTripInto(b, dst, x)
-	}
 	planes := x.Len() / (h * w)
 	total := 1 + 4 + 4*planes // mode byte + plane-frame header
 	bw := bitstream.GetWriter()
@@ -233,16 +230,6 @@ func (b *zfpBackend) fastRoundTripInto(dst, x *tensor.Tensor) (int, error) {
 		}
 	}
 	return total, nil
-}
-
-// fastRoundTrip keeps Codec.RoundTrip off the container path.
-func (b *zfpBackend) fastRoundTrip(x *tensor.Tensor) (*tensor.Tensor, int, error) {
-	out := tensor.New(x.Shape()...)
-	n, err := b.fastRoundTripInto(out, x)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, n, nil
 }
 
 // decodeStream decodes a planar zfp record incrementally, one

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"expvar"
 	"net/http"
 	"net/http/pprof"
 	"sync"
@@ -12,7 +11,6 @@ import (
 //
 //	/metrics          Prometheus text exposition of the default registry
 //	/debug/telemetry  the JSON snapshot (the same shape Stats/-stats use)
-//	/debug/vars       expvar (including the published acc_telemetry var)
 //	/debug/pprof/...  the standard pprof index, profiles, and trace
 //
 // acc-serve (ROADMAP item 1) mounts this for its ops port; tests and
@@ -20,7 +18,6 @@ import (
 // The handler is read-only and allocation happens per scrape, never on
 // the instrumented hot paths.
 func Handler() http.Handler {
-	PublishExpvar()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -35,7 +32,6 @@ func Handler() http.Handler {
 			Trace []TraceEvent `json:"trace,omitempty"`
 		}{std.Snapshot(), TraceEvents()})
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

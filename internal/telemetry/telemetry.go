@@ -1,6 +1,6 @@
 // Package telemetry is the repository's instrumentation layer: atomic
 // counters and gauges, fixed-bucket log-scale histograms, a named
-// registry with expvar and Prometheus-text exposition, and a lock-free
+// registry with JSON and Prometheus-text exposition, and a lock-free
 // ring-buffer event trace. Everything here is dependency-free (stdlib
 // only) and allocation-free on the hot path: recording a metric is one
 // or two uncontended atomic adds, so instrumented code passes the same
@@ -34,7 +34,7 @@
 //	simd.<pkg>.<tier>_calls          counter
 //
 // The Prometheus encoder sanitizes names to its charset; the JSON
-// snapshot and expvar forms keep them verbatim.
+// snapshot keeps them verbatim.
 package telemetry
 
 import (

@@ -456,9 +456,6 @@ func TestHTTPHandler(t *testing.T) {
 		if snap.Counters["http.test.calls"] == 0 {
 			t.Errorf("/debug/telemetry missing counter:\n%s", body)
 		}
-		if body, _ := get("/debug/vars"); !strings.Contains(body, "acc_telemetry") {
-			t.Errorf("/debug/vars missing published acc_telemetry var:\n%s", body)
-		}
 		if body, _ := get("/debug/pprof/cmdline"); len(body) == 0 {
 			t.Error("/debug/pprof/cmdline empty")
 		}
