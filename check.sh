@@ -19,10 +19,12 @@ go build ./...
 # any reintroduced wrap-around or truncating conversion.
 GOOS=linux GOARCH=386 go build ./...
 GOOS=linux GOARCH=386 go vet ./...
-# ...and run the framing and entropy suites as 32-bit binaries: the
-# index footer loader converts the footer's u64 offsets and lengths,
-# which vet alone cannot check at run time.
-GOOS=linux GOARCH=386 go test -count=1 ./internal/codec/ ./internal/entropy/
+# ...and run the framing, entropy and vle suites (with vle's sz and
+# jpegq callers) as 32-bit binaries: the index footer loader converts
+# the footer's u64 offsets and lengths, and vle checks a header's
+# block count times block size against the destination, products that
+# vet alone cannot check at run time.
+GOOS=linux GOARCH=386 go test -count=1 ./internal/codec/ ./internal/entropy/ ./internal/vle/ ./internal/sz/ ./internal/jpegq/
 # Cross-arch smoke builds for the dispatched kernels: arm64 exercises
 # the non-amd64 stubs (constant-false dispatch), and GOAMD64=v1 checks
 # the amd64 build makes no baseline-ISA assumptions outside the

@@ -103,17 +103,16 @@ type scratch struct {
 	tsym []uint8
 
 	// huf scratch: canonical code-length construction (two-queue Huffman
-	// over frequency-sorted keys), the per-symbol encode table, and the
-	// single- and multi-symbol decode LUTs (see huf.go).
-	hkeys   [256]uint32 // hist<<8 | sym, sorted ascending for the build
-	hfreq   [512]int32  // two-queue node frequencies (leaves + internals)
-	hparent [512]int16
-	hdepth  [512]uint8
-	hcnt    [hufMaxLen + 2]int32 // symbols per code length
-	hlen    [256]uint8           // code length per symbol (0 = absent)
-	henc    [256]uint16          // canonical code<<4 | length
-	hlut1   [hufLutSize]uint16   // symbol<<8 | length per 11-bit probe
-	hlut    [hufLutSize]uint32   // multi-symbol entries (see hufBuildLUT)
+	// over frequency-sorted keys), the canonical code table (encode
+	// table and single-symbol LUT), and the multi-symbol decode LUT (see
+	// huf.go).
+	hkeys  [256]uint32 // hist<<8 | sym, sorted ascending for the build
+	hw     [511]int64  // two-queue node weights (leaves + internals)
+	hdepth [511]uint16
+	hcnt   [hufMaxLen + 2]int32 // symbols per code length
+	hlen   [256]uint8           // code length per symbol (0 = absent)
+	htab   CanonTable
+	hlut   [hufLutSize]uint32 // multi-symbol entries (see hufBuildLUT)
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}

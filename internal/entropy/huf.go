@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"repro/internal/bitstream"
-	"repro/internal/vecops"
 )
 
 // This file is the huff0-style multi-symbol fast path: a canonical
@@ -29,12 +28,14 @@ import (
 //	             [i·segLen, min((i+1)·segLen, rawLen)) with
 //	             segLen = ceil(rawLen/4)
 //
-// Codes are canonical: lengths are assigned by a two-queue Huffman
-// build over (frequency, symbol)-sorted leaves, length-limited to 11
-// bits by the deterministic histogram repair in hufBuildLengths, and
-// code values are assigned in (length, symbol) ascending order. The
-// whole construction is a pure function of the block's histogram —
-// format-defining, shared with the reference oracle.
+// Codes are canonical: lengths are assigned by the two-queue Huffman
+// build (HuffmanDepths, canon.go) over (frequency, symbol)-sorted
+// leaves, length-limited to 11 bits by the deterministic histogram
+// repair in hufBuildLengths, and code values are assigned in (length,
+// symbol) ascending order by CanonTable. The build and the canonical
+// table are shared with internal/vle; the clamp and repair are huf's
+// own. The whole construction is a pure function of the block's
+// histogram — format-defining, shared with the reference oracle.
 //
 // Decoding uses an 11-bit multi-symbol LUT: each probe returns up to
 // two symbols plus the total bit length consumed, and the four streams
@@ -135,32 +136,10 @@ func (s *scratch) hufBuildLengths(nsym int) int {
 	}
 	slices.Sort(s.hkeys[:nsym])
 
-	// Two-queue Huffman build: leaves 0..nsym-1 carry the sorted
-	// frequencies, internal nodes are created in nondecreasing
-	// frequency order, and ties prefer the leaf queue (deterministic,
-	// and biased toward shallower leaves).
 	for i := 0; i < nsym; i++ {
-		s.hfreq[i] = int32(s.hkeys[i] >> 8)
+		s.hw[i] = int64(s.hkeys[i] >> 8)
 	}
-	total := 2*nsym - 1
-	leaf, internal := 0, nsym
-	for created := nsym; created < total; created++ {
-		take := func() int {
-			if leaf < nsym && (internal >= created || s.hfreq[leaf] <= s.hfreq[internal]) {
-				leaf++
-				return leaf - 1
-			}
-			internal++
-			return internal - 1
-		}
-		a, b := take(), take()
-		s.hfreq[created] = s.hfreq[a] + s.hfreq[b]
-		s.hparent[a], s.hparent[b] = int16(created), int16(created)
-	}
-	s.hdepth[total-1] = 0
-	for k := total - 2; k >= 0; k-- {
-		s.hdepth[k] = s.hdepth[s.hparent[k]] + 1
-	}
+	HuffmanDepths(nsym, s.hw[:], s.hdepth[:])
 
 	// Clamp depths to hufMaxLen and repair the length histogram until
 	// the Kraft weights sum exactly to the LUT size again: each step
@@ -237,29 +216,12 @@ func (s *scratch) fseEstimateBody(blockLen, nsym int) int {
 	return 2 + 3*nsym + int((2*int64(tableLog)+estBits+7)/8)
 }
 
-// hufAssignCodes derives the canonical code values from st.hlen and
-// st.hcnt: codes are assigned in (length, symbol) ascending order, the
-// textbook canonical numbering.
-func (s *scratch) hufAssignCodes() {
-	var first [hufMaxLen + 2]uint16
-	code := uint16(0)
-	for l := 1; l <= hufMaxLen; l++ {
-		first[l] = code
-		code = (code + uint16(s.hcnt[l])) << 1
-	}
-	for sym := 0; sym < 256; sym++ {
-		if l := s.hlen[sym]; l > 0 {
-			s.henc[sym] = first[l]<<4 | uint16(l)
-			first[l]++
-		}
-	}
-}
-
 // appendHufBlock emits one huf block from the lengths hufBuildLengths
 // left in the scratch, falling back to raw if the measured size does
 // not beat it.
 func appendHufBlock(dst, block []byte, st *scratch) []byte {
-	st.hufAssignCodes()
+	_ = st.htab.Build(st.hlen[:]) // cannot fail: the lengths are a complete code
+	enc := &st.htab.Enc
 	segLen := (len(block) + 3) / 4
 	var bws [hufNumStreams]*bitstream.Writer
 	var streams [hufNumStreams][]byte
@@ -279,21 +241,21 @@ func appendHufBlock(dst, block []byte, st *scratch) []byte {
 		seg := block[lo:hi]
 		i := 0
 		for ; i+4 <= len(seg); i += 4 {
-			e0, e1 := st.henc[seg[i]], st.henc[seg[i+1]]
-			e2, e3 := st.henc[seg[i+2]], st.henc[seg[i+3]]
-			v := uint64(e0 >> 4)
-			w := uint(e0 & 0xF)
-			v = v<<(e1&0xF) | uint64(e1>>4)
-			w += uint(e1 & 0xF)
-			v = v<<(e2&0xF) | uint64(e2>>4)
-			w += uint(e2 & 0xF)
-			v = v<<(e3&0xF) | uint64(e3>>4)
-			w += uint(e3 & 0xF)
+			e0, e1 := enc[seg[i]], enc[seg[i+1]]
+			e2, e3 := enc[seg[i+2]], enc[seg[i+3]]
+			v := e0 >> 8
+			w := uint(e0 & 0xFF)
+			v = v<<(e1&0xFF) | e1>>8
+			w += uint(e1 & 0xFF)
+			v = v<<(e2&0xFF) | e2>>8
+			w += uint(e2 & 0xFF)
+			v = v<<(e3&0xFF) | e3>>8
+			w += uint(e3 & 0xFF)
 			bw.WriteBits(v, w)
 		}
 		for ; i < len(seg); i++ {
-			e := st.henc[seg[i]]
-			bw.WriteBits(uint64(e>>4), uint(e&0xF))
+			e := enc[seg[i]]
+			bw.WriteBits(e>>8, uint(e&0xFF))
 		}
 		bws[s], streams[s] = bw, bw.Bytes()
 		bodyLen += len(streams[s])
@@ -327,14 +289,10 @@ func appendHufBlock(dst, block []byte, st *scratch) []byte {
 }
 
 // hufParseLens reads a block's nibble-packed code-length table into
-// st.hlen/st.hcnt, rejecting out-of-range lengths and any length set
-// that is not a complete canonical code — the property the decode
-// LUT's total coverage (and thus the loop's in-range guarantee) rests
-// on.
+// st.hlen, rejecting out-of-range lengths and any length set that is
+// not a complete canonical code — the property the decode LUT's total
+// coverage (and thus the loop's in-range guarantee) rests on.
 func (s *scratch) hufParseLens(table []byte) error {
-	for l := range s.hcnt {
-		s.hcnt[l] = 0
-	}
 	kraft := int32(0)
 	for i := 0; i < hufTableBytes; i++ {
 		b := table[i]
@@ -346,7 +304,6 @@ func (s *scratch) hufParseLens(table []byte) error {
 				return fmt.Errorf("entropy: huf code length %d exceeds %d (symbol %d)", l, hufMaxLen, 2*i+half)
 			}
 			if l > 0 {
-				s.hcnt[l]++
 				kraft += 1 << (hufMaxLen - l)
 			}
 		}
@@ -357,33 +314,23 @@ func (s *scratch) hufParseLens(table []byte) error {
 	return nil
 }
 
-// hufBuildLUT builds the decode tables from st.hlen/st.hcnt: first the
-// single-symbol LUT by bulk span fills (one span per code, the
-// canonical layout making every span contiguous), then the
-// multi-symbol LUT by probing the single-symbol table for a second
-// code inside each probe's remainder. Entry layout:
+// hufBuildLUT builds the multi-symbol decode LUT from st.hlen: the
+// shared canonical table supplies the single-symbol LUT, and each probe
+// looks up a second code inside the first one's remainder. Entry
+// layout:
 //
 //	sym2<<24 | sym1<<16 | pair<<15 | totalBits<<8 | len1
 func (s *scratch) hufBuildLUT() {
-	s.hufAssignCodes()
-	for sym := 0; sym < 256; sym++ {
-		l := uint32(s.hlen[sym])
-		if l == 0 {
-			continue
-		}
-		code := uint32(s.henc[sym]) >> 4
-		lo := code << (hufLutBits - l)
-		hi := lo + 1<<(hufLutBits-l)
-		vecops.FillUint16(s.hlut1[lo:hi], uint16(sym)<<8|uint16(l))
-	}
+	_ = s.htab.Build(s.hlen[:]) // cannot fail: hufParseLens checked completeness
+	lut1 := &s.htab.lut
 	for i := 0; i < hufLutSize; i++ {
-		e1 := uint32(s.hlut1[i])
-		l1 := e1 & 0xFF
-		entry := (e1>>8)<<16 | l1<<8 | l1
+		e1 := uint32(lut1[i])
+		l1 := e1 & 0xF
+		entry := (e1>>4)<<16 | l1<<8 | l1
 		if rem := hufLutBits - l1; rem > 0 {
-			e2 := uint32(s.hlut1[(i<<l1)&(hufLutSize-1)])
-			if l2 := e2 & 0xFF; l2 <= rem {
-				entry = (e2>>8)<<24 | (e1>>8)<<16 | 1<<15 | (l1+l2)<<8 | l1
+			e2 := uint32(lut1[(i<<l1)&(hufLutSize-1)])
+			if l2 := e2 & 0xF; l2 <= rem {
+				entry = (e2>>4)<<24 | (e1>>4)<<16 | 1<<15 | (l1+l2)<<8 | l1
 			}
 		}
 		s.hlut[i] = entry
@@ -496,10 +443,10 @@ func (st *scratch) hufDecodeStream(out []byte, stream []byte, i, pos int, buf ui
 				v |= int(stream[p>>3]>>(7-uint(p&7))) & 1
 			}
 		}
-		e := st.hlut1[v]
-		out[i] = byte(e >> 8)
+		e := st.htab.lut[v]
+		out[i] = byte(e >> 4)
 		i++
-		bit += int(e & 0xFF)
+		bit += int(e & 0xF)
 	}
 	return bit <= totalBits
 }

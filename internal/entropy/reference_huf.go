@@ -10,7 +10,7 @@ import (
 // to CompressHuf, and the oracle decoder accepts exactly the inputs the
 // fast path accepts. The format-defining derivations — code lengths
 // (hufBuildLengths), the fse-vs-huf selection estimate
-// (fseEstimateBody), canonical code assignment (hufAssignCodes) — are
+// (fseEstimateBody), canonical code assignment (CanonTable) — are
 // reused directly, like normalize/tableLogFor on the fse side; the
 // encode and decode state machines are re-derived bit-serially: codes
 // written one bit at a time, decode by walking the canonical
@@ -56,7 +56,7 @@ func refCompressHufBlock(dst, block []byte) []byte {
 		return refCompressBlock(dst, block)
 	}
 
-	st.hufAssignCodes()
+	_ = st.htab.Build(st.hlen[:]) // cannot fail: the lengths are a complete code
 	segLen := (len(block) + 3) / 4
 	var streams [hufNumStreams][]byte
 	bodyLen := hufTableBytes + hufJumpBytes
@@ -68,8 +68,8 @@ func refCompressHufBlock(dst, block []byte) []byte {
 		}
 		var bw refBits
 		for _, v := range block[lo:hi] {
-			e := st.henc[v]
-			bw.writeBits(uint64(e>>4), int(e&0xF))
+			e := st.htab.Enc[v]
+			bw.writeBits(e>>8, int(e&0xFF))
 		}
 		streams[s] = bw.pack()
 		bodyLen += len(streams[s])

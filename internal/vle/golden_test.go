@@ -38,7 +38,45 @@ func goldenBlocks() map[string][][]int {
 		}),
 		"single": mk(1, 1, func(b, i int) int { return -7 }),
 		"bigmag": mk(1, 16, func(b, i int) int { return (1 << uint(i)) * (1 - 2*(i%2)) }),
+		"deep":   deepBlocks(),
 	}
+}
+
+// deepBlocks pins codes longer than the decoder's 11-bit LUT. It deals
+// 20 distinct (run, ±1/±2) tokens round-robin into 144 blocks, giving
+// the 21 symbols (EOB included, one per block) the Fibonacci counts
+// F(1)..F(21): Fibonacci weights make the Huffman tree a caterpillar,
+// so the two rarest symbols get 20-bit codes.
+func deepBlocks() [][]int {
+	const nsym, eob = 21, 11 // EOB takes F(12) = 144, the block count
+	fib := make([]int, nsym)
+	fib[0], fib[1] = 1, 1
+	for k := 2; k < nsym; k++ {
+		fib[k] = fib[k-1] + fib[k-2]
+	}
+	blocks := make([][]int, fib[eob])
+	t, j := 0, 0
+	for k := nsym - 1; k >= 0; k-- {
+		if k == eob {
+			continue
+		}
+		run, v := j%15, 1+j/15
+		for n := 0; n < fib[k]; n++ {
+			b := t % len(blocks)
+			blocks[b] = append(blocks[b], make([]int, run)...)
+			blocks[b] = append(blocks[b], v*(1-2*(n%2)))
+			t++
+		}
+		j++
+	}
+	size := 0
+	for _, b := range blocks {
+		size = max(size, len(b))
+	}
+	for b := range blocks {
+		blocks[b] = append(blocks[b], make([]int, size-len(blocks[b]))...)
+	}
+	return blocks
 }
 
 // TestGoldenStreams holds the array-based two-pass coder to the exact

@@ -10,26 +10,34 @@
 // (SG) and zigzag+RLE+Huffman retention on the same coefficient data.
 //
 // The coder is two-pass and table-driven: a histogram pass over the
-// coefficients, a canonical Huffman build on fixed-size arrays, then an
-// emit pass — no token stream is ever materialised. Encoder and Decoder
-// state live in pools, and the flat int32 entry points (AppendFlat /
-// DecodeFlatInto) let callers with pooled buffers compress and
-// decompress without allocating. The byte format is unchanged from the
-// original map-and-token implementation.
+// coefficients, a canonical Huffman build, then an emit pass — no token
+// stream is ever materialised. The Huffman machinery (the two-queue
+// length build and the canonical code table with its decode LUT) is
+// internal/entropy's, shared with the huf backend; this package owns
+// the (run, category) symbol mapping, the magnitude and sign bits and
+// the stream header. Encoder and Decoder state live in pools, and the
+// flat int32 entry points (AppendFlat / DecodeFlatInto) let callers
+// with pooled buffers compress and decompress without allocating. The
+// byte format is unchanged from the original map-and-token
+// implementation.
 package vle
 
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/bitstream"
-	"repro/internal/vecops"
+	"repro/internal/entropy"
 )
 
 // Symbol kinds in the RLE stream. Values are encoded as (run, value)
-// pairs; EOB terminates a block when only zeros remain.
+// pairs; EOB terminates a block when only zeros remain. The Huffman
+// symbol is 0 for EOB, else 1 + run·32 + category, where the category
+// is the magnitude's bit length (0 for a pure maxRun-zero run); the
+// category+1 raw bits that follow hold the magnitude with the sign bit
+// above it.
 const (
 	symEOB = -32768 // end-of-block marker in the symbol alphabet
 	// maxRun caps zero-run length per symbol (longer runs split).
@@ -48,186 +56,27 @@ const alphabetSize = 1 + 15*32 + 64 + 1
 // maxCodeLen is the longest admissible Huffman code.
 const maxCodeLen = 32
 
-// rleToken is one (zero-run, value) pair.
-type rleToken struct {
-	run   int // zeros preceding value, ≤ maxRun
-	value int // nonzero coefficient, or symEOB
-}
-
-// rleEncode converts one zigzagged coefficient block to tokens. The
-// streaming coder inlines this walk; it is kept as the reference
-// tokenizer (and for tests).
-func rleEncode(coeffs []int) []rleToken {
-	var toks []rleToken
-	run := 0
-	last := -1
-	for i, v := range coeffs {
-		if v != 0 {
-			last = i
-		}
-	}
-	for i := 0; i <= last; i++ {
-		v := coeffs[i]
-		if v == 0 {
-			run++
-			if run == maxRun {
-				// Emit a pure-run token for exactly maxRun zeros.
-				toks = append(toks, rleToken{maxRun, 0})
-				run = 0
-			}
-			continue
-		}
-		toks = append(toks, rleToken{run, v})
-		run = 0
-	}
-	toks = append(toks, rleToken{0, symEOB})
-	return toks
-}
-
-// rleDecode expands tokens back to a block of the given size.
-func rleDecode(toks []rleToken, size int) ([]int, int, error) {
-	out := make([]int, size)
-	pos := 0
-	used := 0
-	for _, t := range toks {
-		used++
-		if t.value == symEOB {
-			return out, used, nil
-		}
-		pos += t.run
-		if t.value == 0 { // pure run extension token
-			continue
-		}
-		if pos >= size {
-			return nil, 0, fmt.Errorf("vle: run overflows block (%d ≥ %d)", pos, size)
-		}
-		out[pos] = t.value
-		pos++
-	}
-	return nil, 0, fmt.Errorf("vle: missing end-of-block")
-}
-
-// tokenSymbol maps a token to a Huffman alphabet symbol: the pair
-// (run, value) packed — value bucketed by magnitude category as in JPEG
-// (category = bit length), with the remainder bits written raw.
-func tokenSymbol(t rleToken) (sym int, extra uint64, extraBits uint) {
-	if t.value == symEOB {
-		return 0, 0, 0
-	}
-	if t.value == 0 {
-		// Pure run-extension token: category 0, no extra bits (the
-		// decoder's cat==0 path reads none).
-		return 1 + t.run*32, 0, 0
-	}
-	v := t.value
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	cat := 0
-	for m := v; m > 0; m >>= 1 {
-		cat++
-	}
-	// Symbol packs run (4 bits) and category (5 bits); symbol 0 = EOB.
-	sym = 1 + t.run*32 + cat
-	extra = uint64(v)
-	if neg {
-		extra |= 1 << uint(cat) // sign bit above the magnitude
-	}
-	return sym, extra, uint(cat) + 1
-}
-
-// symbolToken inverts tokenSymbol given the symbol and its extra bits.
-func symbolToken(sym int, read func(bits uint) (uint64, error)) (rleToken, error) {
-	if sym < 0 || sym > maxSymbol {
-		return rleToken{}, fmt.Errorf("vle: symbol %d outside alphabet", sym)
-	}
-	if sym == 0 {
-		return rleToken{0, symEOB}, nil
-	}
-	sym--
-	run := sym / 32
-	cat := sym % 32
-	if cat == 0 {
-		return rleToken{run, 0}, nil
-	}
-	raw, err := read(uint(cat) + 1)
-	if err != nil {
-		return rleToken{}, err
-	}
-	v := int(raw & ((1 << uint(cat)) - 1))
-	if raw&(1<<uint(cat)) != 0 {
-		v = -v
-	}
-	return rleToken{run, v}, nil
-}
-
-// Encoder holds the histogram, canonical code tables and Huffman build
-// scratch on fixed-size arrays so a pooled instance encodes without
-// allocating. The zero value is NOT ready; obtain instances through the
-// package functions, which pool them.
+// Encoder holds the histogram, code lengths, canonical code table and
+// Huffman build scratch on fixed-size arrays so a pooled instance
+// encodes without allocating. The zero value is NOT ready; obtain
+// instances through the package functions, which pool them.
 type Encoder struct {
-	freq   [alphabetSize]int64
-	lens   [alphabetSize]uint8
-	codeOf [alphabetSize]uint32
-	// sorted holds the present symbols ordered by (code length, symbol)
-	// — the canonical order, which is also the header order.
-	sorted [alphabetSize]uint16
-	nsym   int
-	// Huffman build scratch: leaves sorted by (weight, symbol), then a
-	// two-queue merge over index-addressed nodes (ids < nsym are leaves,
-	// ids ≥ nsym internals).
-	leafSym [alphabetSize]uint16
-	leafW   [alphabetSize]int64
-	nleaf   int
-	intW    [alphabetSize]int64
-	left    [2 * alphabetSize]int16
-	right   [2 * alphabetSize]int16
-	stack   [2 * alphabetSize]int16
-	depth   [2 * alphabetSize]uint16
+	freq [alphabetSize]int64
+	lens [alphabetSize]uint8
+	code entropy.CanonTable
+	// Huffman build scratch: present symbols keyed weight<<10 | symbol,
+	// so sorting the keys gives the (weight, symbol) leaf order, then
+	// the two-queue node weights and depths.
+	keys  [alphabetSize]uint64
+	w     [2 * alphabetSize]int64
+	depth [2 * alphabetSize]uint16
 }
 
 var encoderPool = sync.Pool{New: func() any { return &Encoder{} }}
 
-// leafOrder sorts the build leaves by (weight, symbol) — the exact total
-// order the original pointer-based build used, so code assignment (and
-// the byte stream) is unchanged. Pointer-shaped so the sort.Interface
-// conversion does not allocate.
-type leafOrder struct{ e *Encoder }
-
-func (s leafOrder) Len() int { return s.e.nleaf }
-func (s leafOrder) Less(i, j int) bool {
-	if s.e.leafW[i] != s.e.leafW[j] {
-		return s.e.leafW[i] < s.e.leafW[j]
-	}
-	return s.e.leafSym[i] < s.e.leafSym[j]
-}
-func (s leafOrder) Swap(i, j int) {
-	s.e.leafW[i], s.e.leafW[j] = s.e.leafW[j], s.e.leafW[i]
-	s.e.leafSym[i], s.e.leafSym[j] = s.e.leafSym[j], s.e.leafSym[i]
-}
-
-// canonOrder sorts e.sorted by (code length, symbol) — canonical order.
-type canonOrder struct{ e *Encoder }
-
-func (s canonOrder) Len() int { return s.e.nsym }
-func (s canonOrder) Less(i, j int) bool {
-	li, lj := s.e.lens[s.e.sorted[i]], s.e.lens[s.e.sorted[j]]
-	if li != lj {
-		return li < lj
-	}
-	return s.e.sorted[i] < s.e.sorted[j]
-}
-func (s canonOrder) Swap(i, j int) {
-	s.e.sorted[i], s.e.sorted[j] = s.e.sorted[j], s.e.sorted[i]
-}
-
 func (e *Encoder) reset() {
-	for i := range e.freq {
-		e.freq[i] = 0
-		e.lens[i] = 0
-	}
-	e.nsym = 0
+	clear(e.freq[:])
+	clear(e.lens[:])
 }
 
 // countBlock runs the tokenizer over one block, updating the histogram.
@@ -282,14 +131,14 @@ func emitBlock[T ~int | ~int32](e *Encoder, w *bitstream.Writer, coeffs []T) {
 			run++
 			if run == maxRun {
 				sym := 1 + maxRun*32
-				w.WriteBits(uint64(e.codeOf[sym]), uint(e.lens[sym]))
+				w.WriteBits(e.code.Enc[sym]>>8, uint(e.lens[sym]))
 				run = 0
 			}
 			continue
 		}
 		if v == symEOB {
 			// Sentinel collision (see countBlock): coded as EOB.
-			w.WriteBits(uint64(e.codeOf[0]), uint(e.lens[0]))
+			w.WriteBits(e.code.Enc[0]>>8, uint(e.lens[0]))
 			run = 0
 			continue
 		}
@@ -310,129 +159,52 @@ func emitBlock[T ~int | ~int32](e *Encoder, w *bitstream.Writer, coeffs []T) {
 		// Code and extra bits in one word write when they fit.
 		l := uint(e.lens[sym])
 		if l+cat+1 <= 64 {
-			w.WriteBits(uint64(e.codeOf[sym])<<(cat+1)|extra, l+cat+1)
+			w.WriteBits(e.code.Enc[sym]>>8<<(cat+1)|extra, l+cat+1)
 		} else {
-			w.WriteBits(uint64(e.codeOf[sym]), l)
+			w.WriteBits(e.code.Enc[sym]>>8, l)
 			w.WriteBits(extra, cat+1)
 		}
 		run = 0
 	}
-	w.WriteBits(uint64(e.codeOf[0]), uint(e.lens[0])) // EOB
+	w.WriteBits(e.code.Enc[0]>>8, uint(e.lens[0])) // EOB
 }
 
-// build turns the histogram into canonical code tables. It reproduces
-// the original two-queue Huffman construction exactly: leaves sorted by
-// (weight, symbol), ties popped leaf-first, left-then-right depth walk,
-// zero-depth roots promoted to one bit.
+// build turns the histogram into canonical code tables: the shared
+// two-queue build over leaves sorted by (weight, symbol), a lone symbol
+// promoted to one bit, lengths past 32 bits rejected.
 func (e *Encoder) build() error {
 	n := 0
 	for sym, f := range e.freq {
 		if f > 0 {
-			e.leafSym[n] = uint16(sym)
-			e.leafW[n] = f
+			e.keys[n] = uint64(f)<<10 | uint64(sym)
 			n++
 		}
 	}
 	if n == 0 {
 		return fmt.Errorf("vle: empty alphabet")
 	}
-	e.nleaf = n
-	sort.Sort(leafOrder{e})
-	if n == 1 {
-		e.lens[e.leafSym[0]] = 1
-	} else {
-		li, ii, created := 0, 0, 0
-		pop := func() int {
-			if li < n && (ii >= created || e.leafW[li] <= e.intW[ii]) {
-				li++
-				return li - 1
-			}
-			ii++
-			return n + ii - 1
+	slices.Sort(e.keys[:n])
+	for i, k := range e.keys[:n] {
+		e.w[i] = int64(k >> 10)
+	}
+	entropy.HuffmanDepths(n, e.w[:], e.depth[:])
+	for i, k := range e.keys[:n] {
+		d := max(e.depth[i], 1)
+		if d > maxCodeLen {
+			return fmt.Errorf("vle: bad code length %d for symbol %d", d, k&1023)
 		}
-		for remaining := n; remaining > 1; remaining-- {
-			a := pop()
-			b := pop()
-			wa, wb := e.nodeWeight(a, n), e.nodeWeight(b, n)
-			e.intW[created] = wa + wb
-			e.left[created] = int16(a)
-			e.right[created] = int16(b)
-			created++
-		}
-		// Iterative left-first depth walk from the root (last internal).
-		top := 0
-		e.stack[top] = int16(n + created - 1)
-		e.depth[top] = 0
-		top++
-		for top > 0 {
-			top--
-			id := int(e.stack[top])
-			d := e.depth[top]
-			if id < n {
-				if d == 0 {
-					d = 1
-				}
-				if d > maxCodeLen {
-					return fmt.Errorf("vle: bad code length %d for symbol %d", d, e.leafSym[id])
-				}
-				e.lens[e.leafSym[id]] = uint8(d)
-				continue
-			}
-			// Push right first so left pops (and assigns) first,
-			// matching the recursive walk's order.
-			e.stack[top] = e.right[id-n]
-			e.depth[top] = d + 1
-			top++
-			e.stack[top] = e.left[id-n]
-			e.depth[top] = d + 1
-			top++
-		}
+		e.lens[k&1023] = uint8(d)
 	}
-	// Canonical assignment over the present symbols.
-	e.nsym = n
-	for i := 0; i < n; i++ {
-		e.sorted[i] = e.leafSym[i]
-	}
-	sort.Sort(canonOrder{e})
-	var next [maxCodeLen + 2]uint64
-	var countAt [maxCodeLen + 1]int
-	var maxLen uint8
-	for i := 0; i < n; i++ {
-		l := e.lens[e.sorted[i]]
-		countAt[l]++
-		if l > maxLen {
-			maxLen = l
-		}
-	}
-	var code uint64
-	for l := uint(1); l <= uint(maxLen); l++ {
-		next[l] = code
-		code += uint64(countAt[l])
-		code <<= 1
-	}
-	for i := 0; i < n; i++ {
-		sym := e.sorted[i]
-		l := e.lens[sym]
-		e.codeOf[sym] = uint32(next[l])
-		next[l]++
-	}
-	return nil
-}
-
-func (e *Encoder) nodeWeight(id, n int) int64 {
-	if id < n {
-		return e.leafW[id]
-	}
-	return e.intW[id-n]
+	return e.code.Build(e.lens[:])
 }
 
 // writeHeader persists block count, block size and the code lengths.
 func (e *Encoder) writeHeader(w *bitstream.Writer, nblocks, size int) {
 	w.WriteBits(uint64(nblocks), 32)
 	w.WriteBits(uint64(size), 16)
-	w.WriteBits(uint64(e.nsym), 16)
-	for i := 0; i < e.nsym; i++ {
-		sym := e.sorted[i]
+	syms := e.code.Symbols()
+	w.WriteBits(uint64(len(syms)), 16)
+	for _, sym := range syms {
 		w.WriteBits(uint64(sym), 16)
 		w.WriteBits(uint64(e.lens[sym]), 6)
 	}
@@ -487,42 +259,14 @@ func AppendFlat(dst []byte, coeffs []int32, blockSize int) ([]byte, error) {
 	return append(dst, w.Bytes()...), nil
 }
 
-// lutBits sizes the first-level decode table: one 2^11-entry lookup
-// resolves every code up to 11 bits in a single peek.
-const lutBits = 11
-
-// Decoder holds canonical decode tables rebuilt per stream; pooled so
-// steady-state decoding is allocation-free.
+// Decoder holds the canonical decode tables rebuilt per stream; pooled
+// so steady-state decoding is allocation-free.
 type Decoder struct {
-	lens    [maxSymbol + 1]uint8
-	present [maxSymbol + 1]bool
-	codeOf  [maxSymbol + 1]uint64
-	sorted  [maxSymbol + 1]uint16
-	nsym    int
-	countAt [maxCodeLen + 1]int32
-	firstAt [maxCodeLen + 1]uint64
-	indexAt [maxCodeLen + 1]int32
-	maxLen  uint
-	// lut maps the next lutBits bits to sym<<6|len for short codes.
-	lut [1 << lutBits]uint16
+	lens [maxSymbol + 1]uint8
+	code entropy.CanonTable
 }
 
 var decoderPool = sync.Pool{New: func() any { return &Decoder{} }}
-
-// decodeOrder sorts d.sorted by (code length, symbol).
-type decodeOrder struct{ d *Decoder }
-
-func (s decodeOrder) Len() int { return s.d.nsym }
-func (s decodeOrder) Less(i, j int) bool {
-	li, lj := s.d.lens[s.d.sorted[i]], s.d.lens[s.d.sorted[j]]
-	if li != lj {
-		return li < lj
-	}
-	return s.d.sorted[i] < s.d.sorted[j]
-}
-func (s decodeOrder) Swap(i, j int) {
-	s.d.sorted[i], s.d.sorted[j] = s.d.sorted[j], s.d.sorted[i]
-}
 
 // readHeader parses the stream header and builds the decode tables.
 func (d *Decoder) readHeader(r *bitstream.Reader) (nblocks, size int, err error) {
@@ -538,9 +282,7 @@ func (d *Decoder) readHeader(r *bitstream.Reader) (nblocks, size int, err error)
 	if err != nil {
 		return 0, 0, err
 	}
-	for i := range d.present {
-		d.present[i] = false
-	}
+	clear(d.lens[:])
 	for i := 0; i < int(nsym); i++ {
 		sym, err := r.ReadBits(16)
 		if err != nil {
@@ -553,113 +295,22 @@ func (d *Decoder) readHeader(r *bitstream.Reader) (nblocks, size int, err error)
 		if sym > maxSymbol {
 			return 0, 0, fmt.Errorf("vle: symbol %d outside alphabet", sym)
 		}
-		d.present[sym] = true
+		if l == 0 || l > maxCodeLen {
+			return 0, 0, fmt.Errorf("vle: bad code length %d for symbol %d", l, sym)
+		}
 		d.lens[sym] = uint8(l)
 	}
-	if err := d.build(); err != nil {
+	if err := d.code.Build(d.lens[:]); err != nil {
 		return 0, 0, err
 	}
 	return int(nb), int(sz), nil
 }
 
-// build constructs the canonical decode tables (and the fast LUT) from
-// d.present/d.lens.
-func (d *Decoder) build() error {
-	d.nsym = 0
-	for l := range d.countAt {
-		d.countAt[l] = 0
-	}
-	for sym, p := range d.present {
-		if !p {
-			continue
-		}
-		l := d.lens[sym]
-		if l == 0 || l > maxCodeLen {
-			return fmt.Errorf("vle: bad code length %d for symbol %d", l, sym)
-		}
-		d.sorted[d.nsym] = uint16(sym)
-		d.nsym++
-		d.countAt[l]++
-	}
-	sort.Sort(decodeOrder{d})
-	d.maxLen = 0
-	var code uint64
-	var index int32
-	for l := uint(1); l <= maxCodeLen; l++ {
-		d.firstAt[l] = code
-		d.indexAt[l] = index
-		code += uint64(d.countAt[l])
-		index += d.countAt[l]
-		code <<= 1
-		if d.countAt[l] > 0 {
-			d.maxLen = l
-		}
-	}
-	for i := 0; i < d.nsym; i++ {
-		sym := d.sorted[i]
-		l := uint(d.lens[sym])
-		c := d.firstAt[l] + uint64(i) - uint64(d.indexAt[l])
-		d.codeOf[sym] = c
-	}
-	// Fast table: every code of length ≤ lutBits owns a contiguous
-	// 2^(lutBits−l) range of peeked values. A zero entry means "no short
-	// code matches" (len 0 cannot be encoded, so 0 is a safe sentinel).
-	vecops.FillUint16(d.lut[:], 0)
-	for i := 0; i < d.nsym; i++ {
-		sym := d.sorted[i]
-		l := uint(d.lens[sym])
-		if l > lutBits {
-			continue
-		}
-		c := d.codeOf[sym]
-		if c >= 1<<l {
-			// Over-subscribed (hostile) header: the code has overflowed
-			// its length class; leave it to the slow path.
-			continue
-		}
-		base := c << (lutBits - l)
-		span := uint64(1) << (lutBits - l)
-		packed := uint16(sym)<<6 | uint16(l)
-		vecops.FillUint16(d.lut[base:base+span], packed)
-	}
-	return nil
-}
-
-// readSym decodes one symbol: one peek through the LUT for short codes,
-// a per-length canonical scan for the rest.
-func (d *Decoder) readSym(r *bitstream.Reader) (int, error) {
-	if ent := d.lut[r.Peek(lutBits)]; ent != 0 {
-		r.Consume(uint(ent & 63))
-		if r.Overread() {
-			return 0, bitstream.ErrOutOfBits
-		}
-		return int(ent >> 6), nil
-	}
-	code := r.Peek(d.maxLen)
-	for l := uint(1); l <= d.maxLen; l++ {
-		cnt := d.countAt[l]
-		if cnt == 0 {
-			continue
-		}
-		c := code >> (d.maxLen - l)
-		first := d.firstAt[l]
-		if c >= first && c < first+uint64(cnt) {
-			r.Consume(l)
-			if r.Overread() {
-				return 0, bitstream.ErrOutOfBits
-			}
-			return int(d.sorted[d.indexAt[l]+int32(c-first)]), nil
-		}
-	}
-	return 0, fmt.Errorf("vle: invalid Huffman code")
-}
-
-// decodeBlockInto decodes one block's tokens into dst (pre-zeroed),
-// mirroring rleDecode's bounds behaviour.
+// decodeBlockInto decodes one block's tokens into dst (pre-zeroed).
 func (d *Decoder) decodeBlockInto(r *bitstream.Reader, dst []int32) error {
 	pos := 0
 	for {
-		sym, err := d.readSym(r)
+		sym, err := d.code.ReadSym(r)
 		if err != nil {
 			return err
 		}
@@ -740,7 +391,7 @@ func DecodeFlatInto(dst []int32, data []byte, blockSize int) error {
 	if size != blockSize {
 		return fmt.Errorf("vle: stream block size %d, want %d", size, blockSize)
 	}
-	if nblocks < 1 || nblocks*blockSize != len(dst) {
+	if nblocks < 1 || uint64(nblocks)*uint64(blockSize) != uint64(len(dst)) {
 		return fmt.Errorf("vle: stream holds %d×%d values, want %d", nblocks, size, len(dst))
 	}
 	for i := range dst {

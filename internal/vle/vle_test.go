@@ -4,68 +4,85 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bitstream"
 	"repro/internal/tensor"
 )
 
+// roundTrip checks that blocks survive both production paths exactly:
+// Encode/Decode, and AppendFlat/DecodeFlatInto over the same values.
+func roundTrip(t *testing.T, blocks [][]int) {
+	t.Helper()
+	data, err := Encode(blocks)
+	if err != nil {
+		t.Fatalf("%v: %v", blocks, err)
+	}
+	back, err := Decode(data)
+	if err != nil {
+		t.Fatalf("%v: %v", blocks, err)
+	}
+	if len(back) != len(blocks) {
+		t.Fatalf("decoded %d blocks, want %d", len(back), len(blocks))
+	}
+	size := len(blocks[0])
+	flat := make([]int32, 0, len(blocks)*size)
+	for b := range blocks {
+		for i := range blocks[b] {
+			if back[b][i] != blocks[b][i] {
+				t.Fatalf("%v round-tripped to %v", blocks[b], back[b])
+			}
+			flat = append(flat, int32(blocks[b][i]))
+		}
+	}
+	enc, err := AppendFlat(nil, flat, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]int32, len(flat))
+	if err := DecodeFlatInto(dst, enc, size); err != nil {
+		t.Fatal(err)
+	}
+	for i := range flat {
+		if dst[i] != flat[i] {
+			t.Fatalf("flat position %d: %d != %d", i, dst[i], flat[i])
+		}
+	}
+}
+
+// TestRLERoundTrip: zero runs, trailing zeros (end-of-block) and dense
+// blocks survive the run-length stage of the coder.
 func TestRLERoundTrip(t *testing.T) {
-	cases := [][]int{
+	for _, block := range [][]int{
 		{0, 0, 0, 0},
 		{5, 0, 0, -3, 0, 0, 0, 1},
 		{1, 2, 3, 4},
 		{0, 0, 0, 0, 0, 0, 0, 9},
 		make([]int, 64), // all zeros, JPEG-sized
-	}
-	for _, block := range cases {
-		toks := rleEncode(block)
-		back, used, err := rleDecode(toks, len(block))
-		if err != nil {
-			t.Fatalf("%v: %v", block, err)
-		}
-		if used != len(toks) {
-			t.Fatalf("%v: used %d of %d tokens", block, used, len(toks))
-		}
-		for i := range block {
-			if back[i] != block[i] {
-				t.Fatalf("%v round-tripped to %v", block, back)
-			}
-		}
+	} {
+		roundTrip(t, [][]int{block})
 	}
 }
 
 func TestRLELongZeroRuns(t *testing.T) {
 	block := make([]int, 64)
-	block[40] = 7 // 40 zeros then a value: needs run splitting (>15)
-	toks := rleEncode(block)
-	back, _, err := rleDecode(toks, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back[40] != 7 {
-		t.Fatalf("long-run decode: %v", back[35:45])
-	}
+	block[40] = 7 // 40 zeros then a value: needs run splitting (>maxRun)
+	roundTrip(t, [][]int{block})
 }
 
+// TestTokenSymbolRoundTrip: each (run, value) token at the edges of the
+// symbol alphabet maps to a symbol and back. A token is placed as a run
+// of zeros followed by its value; {15, 0} is a pure maxRun-zero run.
 func TestTokenSymbolRoundTrip(t *testing.T) {
-	for _, tok := range []rleToken{
-		{0, symEOB}, {0, 1}, {3, -1}, {15, 1023}, {7, -512}, {15, 0},
+	for _, tok := range [][2]int{
+		{0, 1}, {3, -1}, {15, 1023}, {7, -512}, {0, -1023}, {15, 0},
 	} {
-		sym, extra, bits := tokenSymbol(tok)
-		var pos uint
-		read := func(n uint) (uint64, error) {
-			if n != bits {
-				t.Fatalf("token %v: read %d bits, wrote %d", tok, n, bits)
-			}
-			pos += n
-			return extra, nil
+		block := make([]int, 64)
+		block[tok[0]] = tok[1]
+		if tok[1] == 0 {
+			block[maxRun+1] = 1 // forces the pure run to be emitted
 		}
-		back, err := symbolToken(sym, read)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back != tok {
-			t.Fatalf("token %v → sym %d → %v", tok, sym, back)
-		}
+		roundTrip(t, [][]int{block})
 	}
+	roundTrip(t, [][]int{make([]int, 64)}) // {0, EOB} alone
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -79,23 +96,48 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		}
 		blocks[b] = block
 	}
-	data, err := Encode(blocks)
-	if err != nil {
-		t.Fatal(err)
+	roundTrip(t, blocks)
+}
+
+// forgeStream writes a stream header declaring the given (symbol,
+// length) pairs, followed by the payload bits.
+func forgeStream(nblocks, size int, lens [][2]int, payload ...uint) []byte {
+	w := bitstream.NewWriter()
+	w.WriteBits(uint64(nblocks), 32)
+	w.WriteBits(uint64(size), 16)
+	w.WriteBits(uint64(len(lens)), 16)
+	for _, sl := range lens {
+		w.WriteBits(uint64(sl[0]), 16)
+		w.WriteBits(uint64(sl[1]), 6)
 	}
-	back, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
+	for _, b := range payload {
+		w.WriteBit(b)
 	}
-	if len(back) != len(blocks) {
-		t.Fatalf("decoded %d blocks, want %d", len(back), len(blocks))
+	return w.Bytes()
+}
+
+// TestDecodeRejectsOversubscribedCode: three 1-bit codes have Kraft sum
+// 3/2, so no prefix code assigns them; the header must be rejected
+// rather than decoded with an overflowed code.
+func TestDecodeRejectsOversubscribedCode(t *testing.T) {
+	data := forgeStream(1, 4, [][2]int{{0, 1}, {1, 1}, {2, 1}}, 0)
+	if err := DecodeFlatInto(make([]int32, 4), data, 4); err == nil {
+		t.Fatal("over-subscribed code lengths accepted by DecodeFlatInto")
 	}
-	for b := range blocks {
-		for i := range blocks[b] {
-			if back[b][i] != blocks[b][i] {
-				t.Fatalf("block %d position %d: %d != %d", b, i, back[b][i], blocks[b][i])
-			}
-		}
+	if _, err := Decode(data); err == nil {
+		t.Fatal("over-subscribed code lengths accepted by Decode")
+	}
+}
+
+// TestDecodeFlatIntoBlockCountOverflow: a header claiming 128+2²⁵
+// blocks of 128 values describes 2³²+16384 values, which a 32-bit int
+// product wraps to the 16384 the destination holds. The count check
+// must not wrap.
+func TestDecodeFlatIntoBlockCountOverflow(t *testing.T) {
+	const size = 128
+	data := forgeStream(128+1<<25, size, [][2]int{{0, 1}}, make([]uint, 128)...)
+	if err := DecodeFlatInto(make([]int32, 128*size), data, size); err == nil {
+		t.Fatal("forged block count accepted")
 	}
 }
 
