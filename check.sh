@@ -32,6 +32,13 @@ GOOS=linux GOARCH=386 go test -count=1 ./internal/codec/ ./internal/entropy/ ./i
 GOOS=linux GOARCH=arm64 go build ./...
 GOOS=linux GOARCH=amd64 GOAMD64=v1 go build ./...
 go test -race ./internal/...
+# Time-boxed fuzzing of the decoders whose hot loops run on the
+# bitstream fast path: vle's FuzzDecode holds the fused-table decoder to
+# the symbol-by-symbol reference on every stream, and sz's
+# FuzzDecompress holds Decompress and DecompressInto to the same bits.
+# A first slice of a fuzz run over every Fuzz target.
+go test -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/vle/
+go test -run '^$' -fuzz FuzzDecompress -fuzztime 10s ./internal/sz/
 # Kernel-dispatch suite with SIMD force-disabled: the portable
 # fallbacks must pass the same equivalence/golden tests the vector
 # paths do (on non-AVX2 hosts this is a harmless re-run).

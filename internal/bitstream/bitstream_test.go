@@ -1,6 +1,7 @@
 package bitstream
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -234,5 +235,91 @@ func TestReaderReset(t *testing.T) {
 	v, err := r.ReadBits(16)
 	if err != nil || v != 0x5555 {
 		t.Fatalf("after Reset read %#x (%v)", v, err)
+	}
+}
+
+// TestReaderMatchesBitModel drives every Reader call in random
+// interleavings — strict, Peek/Consume and the Fill/PeekBuffered/
+// ConsumeBuffered fast path — against a bit-indexed model of the same
+// buffer. Fill's word load leaves copies of the following stream bits
+// below the valid ones; no other call may see them as anything but the
+// stream's own bits, and none may see them past the end.
+func TestReaderMatchesBitModel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 2000; trial++ {
+		buf := make([]byte, rng.IntN(40))
+		for i := range buf {
+			buf[i] = byte(rng.Uint32())
+		}
+		total := 8 * len(buf)
+		// bits returns the w bits at pos, zero past the end.
+		bits := func(pos int, w uint) uint64 {
+			var v uint64
+			for k := 0; k < int(w); k++ {
+				b := uint64(0)
+				if i := pos + k; i < total {
+					b = uint64(buf[i/8]>>(7-i%8)) & 1
+				}
+				v = v<<1 | b
+			}
+			return v
+		}
+		r := NewReader(buf)
+		pos := 0
+		for op := 0; op < 60 && !r.Overread(); op++ {
+			switch rng.IntN(6) {
+			case 0:
+				w := uint(rng.IntN(65))
+				v, err := r.ReadBits(w)
+				if pos+int(w) > total {
+					if err != ErrOutOfBits {
+						t.Fatalf("trial %d: ReadBits(%d) at %d/%d: err %v", trial, w, pos, total, err)
+					}
+					continue
+				}
+				if err != nil || v != bits(pos, w) {
+					t.Fatalf("trial %d: ReadBits(%d) at %d = %#x (%v), want %#x", trial, w, pos, v, err, bits(pos, w))
+				}
+				pos += int(w)
+			case 1:
+				w := uint(rng.IntN(57))
+				if v := r.Peek(w); v != bits(pos, w) {
+					t.Fatalf("trial %d: Peek(%d) at %d = %#x, want %#x", trial, w, pos, v, bits(pos, w))
+				}
+			case 2:
+				w := uint(rng.IntN(20))
+				r.Consume(w)
+				if pos+int(w) > total {
+					if !r.Overread() {
+						t.Fatalf("trial %d: Consume(%d) at %d/%d did not set Overread", trial, w, pos, total)
+					}
+					continue
+				}
+				pos += int(w)
+			case 3:
+				n := rng.IntN(70)
+				if err := r.Skip(n); (err != nil) != (pos+n > total) {
+					t.Fatalf("trial %d: Skip(%d) at %d/%d: err %v", trial, n, pos, total, err)
+				}
+				if pos+n <= total {
+					pos += n
+				}
+			default:
+				r.Fill()
+				n := r.Buffered()
+				if n > uint(total-pos) || (n < 56 && total-pos-int(n) >= 64) {
+					t.Fatalf("trial %d: Buffered %d after Fill at %d/%d", trial, n, pos, total)
+				}
+				w := uint(rng.IntN(int(n) + 1))
+				if v := r.PeekBuffered(w); v != bits(pos, w) {
+					t.Fatalf("trial %d: PeekBuffered(%d) at %d = %#x, want %#x", trial, w, pos, v, bits(pos, w))
+				}
+				r.ConsumeBuffered(w)
+				pos += int(w)
+			}
+			if r.Remaining() != total-pos {
+				t.Fatalf("trial %d: Remaining %d, want %d", trial, r.Remaining(), total-pos)
+			}
+		}
 	}
 }

@@ -15,8 +15,10 @@ package sz
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/tensor"
@@ -24,8 +26,9 @@ import (
 )
 
 // Pooled scratch: the residual coder runs per plane inside the codec
-// registry's pipeline, so quantization codes, the reconstruction state
-// and staging byte buffers are all recycled across calls.
+// registry's pipeline, so quantization codes, the encoder's
+// reconstruction state and staging byte buffers are all recycled
+// across calls.
 var (
 	codePool = sync.Pool{New: func() any { return new([]int32) }}
 	f32Pool  = sync.Pool{New: func() any { return new([]float32) }}
@@ -149,59 +152,62 @@ func (c *Codec) Compress(x *tensor.Tensor) ([]byte, error) {
 	return out, nil
 }
 
+// headerLen is the size of a stream's fixed little-endian header:
+// magic, error bound (float32), planes, h, w, code-stream length and
+// raw-value count, four bytes each.
+const headerLen = 28
+
+// header is a stream's parsed fixed header, counts kept as recorded.
+type header struct {
+	eb                            float64
+	planes, h, w, codeLen, rawLen uint32
+}
+
+// parseHeader reads a stream's fixed header and checks its magic.
+func parseHeader(data []byte) (header, error) {
+	if len(data) < headerLen {
+		return header{}, fmt.Errorf("sz: truncated header (%d bytes)", len(data))
+	}
+	if m := binary.LittleEndian.Uint32(data); m != magic {
+		return header{}, fmt.Errorf("sz: bad magic %#x", m)
+	}
+	u := func(off int) uint32 { return binary.LittleEndian.Uint32(data[off:]) }
+	return header{
+		eb:     float64(math.Float32frombits(u(4))),
+		planes: u(8), h: u(12), w: u(16), codeLen: u(20), rawLen: u(24),
+	}, nil
+}
+
+// holds reports whether the stream's planes·h·w cells are exactly n
+// values. The product is taken in 128 bits: a forged plane count must
+// not wrap it onto n, which a 32-bit int product would.
+func (hd header) holds(n int) bool {
+	hi, lo := bits.Mul64(uint64(hd.planes), uint64(hd.h)*uint64(hd.w))
+	return hi == 0 && lo == uint64(n)
+}
+
 // StreamDims reads the plane geometry recorded in a compressed stream's
 // header without decoding it — callers use it to validate a stream
 // against an expected shape before allocating the output.
 func StreamDims(data []byte) (planes, h, w int, err error) {
-	if len(data) < 28 {
-		return 0, 0, 0, fmt.Errorf("sz: truncated header (%d bytes)", len(data))
+	hd, err := parseHeader(data)
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	if binary.LittleEndian.Uint32(data) != magic {
-		return 0, 0, 0, fmt.Errorf("sz: bad magic %#x", binary.LittleEndian.Uint32(data))
-	}
-	planes = int(binary.LittleEndian.Uint32(data[8:]))
-	h = int(binary.LittleEndian.Uint32(data[12:]))
-	w = int(binary.LittleEndian.Uint32(data[16:]))
-	return planes, h, w, nil
+	return int(hd.planes), int(hd.h), int(hd.w), nil
 }
 
 // Decompress reconstructs a tensor of the given shape.
 func (c *Codec) Decompress(data []byte, shape ...int) (*tensor.Tensor, error) {
-	get := func(off int) (uint32, error) {
-		if off+4 > len(data) {
-			return 0, fmt.Errorf("sz: truncated stream at byte %d", off)
-		}
-		return binary.LittleEndian.Uint32(data[off:]), nil
-	}
-	m, err := get(0)
+	hd, err := parseHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	if m != magic {
-		return nil, fmt.Errorf("sz: bad magic %#x", m)
-	}
-	ebBits, err := get(4)
-	if err != nil {
-		return nil, err
-	}
-	eb := float64(math.Float32frombits(ebBits))
-	if eb <= 0 || math.IsNaN(eb) || math.IsInf(eb, 0) {
-		return nil, fmt.Errorf("sz: invalid stored error bound %g", eb)
-	}
-	var planes32, h32, w32, codeLen, rawLen uint32
-	for i, dst := range []*uint32{&planes32, &h32, &w32, &codeLen, &rawLen} {
-		v, err := get(8 + 4*i)
-		if err != nil {
-			return nil, err
-		}
-		*dst = v
-	}
-	planes, h, w := int(planes32), int(h32), int(w32)
 	out := tensor.New(shape...)
-	if out.Dims() < 2 || out.Dim(-2) != h || out.Dim(-1) != w || out.Len() != planes*h*w {
-		return nil, fmt.Errorf("sz: shape %v does not match stream (%d planes of %dx%d)", shape, planes, h, w)
+	if out.Dims() < 2 || uint64(out.Dim(-2)) != uint64(hd.h) || uint64(out.Dim(-1)) != uint64(hd.w) || !hd.holds(out.Len()) {
+		return nil, fmt.Errorf("sz: shape %v does not match stream (%d planes of %dx%d)", shape, hd.planes, hd.h, hd.w)
 	}
-	if err := c.decompressBody(out.Data(), data, eb, planes, h, w, codeLen, rawLen); err != nil {
+	if err := c.decompressBody(out.Data(), data, hd); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -213,65 +219,136 @@ func (c *Codec) Decompress(data []byte, shape ...int) (*tensor.Tensor, error) {
 // counterpart of Decompress used by the codec registry's plane
 // pipeline.
 func (c *Codec) DecompressInto(dst []float32, data []byte, h, w int) error {
-	planes, sh, sw, err := StreamDims(data)
+	hd, err := parseHeader(data)
 	if err != nil {
 		return err
 	}
-	if sh != h || sw != w || planes*h*w != len(dst) {
-		return fmt.Errorf("sz: stream is %d×%dx%d, want %d values of %dx%d", planes, sh, sw, len(dst), h, w)
+	if uint64(h) != uint64(hd.h) || uint64(w) != uint64(hd.w) || !hd.holds(len(dst)) {
+		return fmt.Errorf("sz: stream is %d×%dx%d, want %d values of %dx%d", hd.planes, hd.h, hd.w, len(dst), h, w)
 	}
-	eb := float64(math.Float32frombits(binary.LittleEndian.Uint32(data[4:])))
-	if eb <= 0 || math.IsNaN(eb) || math.IsInf(eb, 0) {
-		return fmt.Errorf("sz: invalid stored error bound %g", eb)
-	}
-	codeLen := binary.LittleEndian.Uint32(data[20:])
-	rawLen := binary.LittleEndian.Uint32(data[24:])
-	return c.decompressBody(dst, data, eb, planes, h, w, codeLen, rawLen)
+	return c.decompressBody(dst, data, hd)
 }
 
 // decompressBody decodes the residual codes and replays the Lorenzo
-// recurrence into dst, reading unpredictable values straight from the
-// raw section (no staging copy).
-func (c *Codec) decompressBody(dst []float32, data []byte, eb float64, planes, h, w int, codeLen, rawLen uint32) error {
-	body := 28
-	if body+int(codeLen) > len(data) {
+// recurrence straight into dst, whose geometry the caller has checked
+// against hd: the predictor reads the cells already reconstructed in
+// dst itself, and unpredictable values come straight from the raw
+// section (no staging copy of either).
+func (c *Codec) decompressBody(dst []float32, data []byte, hd header) error {
+	eb := hd.eb
+	if eb <= 0 || math.IsNaN(eb) || math.IsInf(eb, 0) {
+		return fmt.Errorf("sz: invalid stored error bound %g", eb)
+	}
+	codeEnd := uint64(headerLen) + uint64(hd.codeLen)
+	if codeEnd > uint64(len(data)) {
 		return fmt.Errorf("sz: truncated code stream")
 	}
-	codes, codesBox := getCodes(planes * h * w)
+	h, w := int(hd.h), int(hd.w)
+	codes, codesBox := getCodes(len(dst))
 	defer codePool.Put(codesBox)
-	if err := vle.DecodeFlatInto(codes, data[body:body+int(codeLen)], w); err != nil {
+	err := vle.DecodeFlatInto(codes, data[headerLen:codeEnd], w)
+	if err != nil {
 		return err
 	}
-	rawOff := body + int(codeLen)
-	if rawOff+4*int(rawLen) > len(data) {
+	raws := data[codeEnd:]
+	if uint64(len(raws))/4 < uint64(hd.rawLen) {
 		return fmt.Errorf("sz: truncated raw-value section")
 	}
+	raws = raws[:4*int(hd.rawLen)]
 
 	sentinel := int32(c.Bins + 1)
-	rawIx := 0
-	recon, reconBox := getF32(h * w)
-	defer f32Pool.Put(reconBox)
-	for p := 0; p < planes; p++ {
-		plane := dst[p*h*w : (p+1)*h*w]
-		for i := 0; i < h; i++ {
-			row := codes[(p*h+i)*w : (p*h+i+1)*w]
-			for j := 0; j < w; j++ {
-				q := row[j]
-				if q == sentinel {
-					if rawIx >= int(rawLen) {
-						return fmt.Errorf("sz: raw-value section exhausted")
-					}
-					recon[i*w+j] = math.Float32frombits(binary.LittleEndian.Uint32(data[rawOff+4*rawIx:]))
-					rawIx++
-				} else {
-					pred := lorenzo(recon, i, j, w)
-					recon[i*w+j] = float32(float64(pred) + 2*eb*float64(q))
-				}
-				plane[i*w+j] = recon[i*w+j]
-			}
+	for p := 0; p < len(dst); p += h * w {
+		if raws, err = replayPlane(dst[p:p+h*w], codes[p:p+h*w], w, eb, sentinel, raws); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// replayPlane runs the Lorenzo recurrence over one plane's codes,
+// writing each reconstructed cell to plane and reading its predictor
+// back from there. Every cell computes exactly lorenzo's float32 sum
+// and the encoder's float32(float64(pred) + 2*eb*q), so the output is
+// bit-identical to a cell-by-cell replay, but the rows below the first
+// go in pairs: cell j of the lower row needs only cell j of the upper
+// one, so the two rows' dependency chains overlap in the CPU instead
+// of running back to back. The lower row's raw values start after the
+// upper row's, found by counting the upper row's sentinels. It returns
+// the unread raw values.
+func replayPlane(plane []float32, codes []int32, w int, eb float64, sentinel int32, raws []byte) ([]byte, error) {
+	step := 2 * eb // the encoder's 2*eb*q groups as (2*eb)*q
+	var ok bool
+	// First row: predict 0, then the west neighbour.
+	row, qs := plane[:w], codes[:w]
+	if row[0], raws, ok = cell(qs[0], sentinel, 0, step, raws); !ok {
+		return nil, errRawsExhausted
+	}
+	for j := 1; j < len(row); j++ {
+		if row[j], raws, ok = cell(qs[j], sentinel, row[j-1], step, raws); !ok {
+			return nil, errRawsExhausted
+		}
+	}
+	// Row pairs a, b under row up: the first cell predicts from north,
+	// the rest from west + north − northwest.
+	off := w
+	for ; off+2*w <= len(plane); off += 2 * w {
+		up, a, b := plane[off-w:off], plane[off:off+w], plane[off+w:off+2*w]
+		qa, qb := codes[off:off+w], codes[off+w:off+2*w]
+		na := 0
+		for _, q := range qa {
+			if q == sentinel {
+				na++
+			}
+		}
+		if 4*na > len(raws) {
+			return nil, errRawsExhausted
+		}
+		rb := raws[4*na:]
+		// Row a's raw values were counted above, so only b's can run out.
+		a[0], raws, _ = cell(qa[0], sentinel, up[0], step, raws)
+		if b[0], rb, ok = cell(qb[0], sentinel, a[0], step, rb); !ok {
+			return nil, errRawsExhausted
+		}
+		for j := 1; j < len(a) && j < len(b) && j < len(up); j++ {
+			a[j], raws, _ = cell(qa[j], sentinel, a[j-1]+up[j]-up[j-1], step, raws)
+			if b[j], rb, ok = cell(qb[j], sentinel, b[j-1]+a[j]-a[j-1], step, rb); !ok {
+				return nil, errRawsExhausted
+			}
+		}
+		raws = rb
+	}
+	// A last unpaired row.
+	if off < len(plane) {
+		up, row, qs := plane[off-w:off], plane[off:off+w], codes[off:off+w]
+		if row[0], raws, ok = cell(qs[0], sentinel, up[0], step, raws); !ok {
+			return nil, errRawsExhausted
+		}
+		for j := 1; j < len(row) && j < len(up); j++ {
+			if row[j], raws, ok = cell(qs[j], sentinel, row[j-1]+up[j]-up[j-1], step, raws); !ok {
+				return nil, errRawsExhausted
+			}
+		}
+	}
+	return raws, nil
+}
+
+// cell reconstructs one cell from its code q and Lorenzo prediction,
+// popping a verbatim value off raws for the sentinel code.
+func cell(q, sentinel int32, pred float32, step float64, raws []byte) (float32, []byte, bool) {
+	if q != sentinel {
+		return float32(float64(pred) + step*float64(q)), raws, true
+	}
+	return takeRaw(raws)
+}
+
+var errRawsExhausted = errors.New("sz: raw-value section exhausted")
+
+// takeRaw pops one verbatim float32 off the raw-value section.
+func takeRaw(raws []byte) (float32, []byte, bool) {
+	if len(raws) < 4 {
+		return 0, raws, false
+	}
+	return math.Float32frombits(binary.LittleEndian.Uint32(raws)), raws[4:], true
 }
 
 // RoundTrip compresses and decompresses, returning the reconstruction

@@ -227,3 +227,31 @@ func smooth(r *tensor.RNG, n int) *tensor.Tensor {
 	}
 	return x
 }
+
+// BenchmarkDecompressInto decodes one [4,8,128,128] CloudSeg record
+// at eb=1e-3 plane by plane into a reused output, as the codec
+// registry stores and decodes sz records.
+func BenchmarkDecompressInto(b *testing.B) {
+	c, err := New(1e-3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x, _ := datagen.NewCloudSeg(1, 128, 8).Batch(4)
+	const hw = 128 * 128
+	parts := make([][]byte, x.Len()/hw)
+	for p := range parts {
+		if parts[p], err = c.Compress(tensor.FromSlice(x.Data()[p*hw:(p+1)*hw], 128, 128)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	dst := make([]float32, x.Len())
+	b.SetBytes(int64(4 * len(dst)))
+	b.ResetTimer()
+	for range b.N {
+		for p, part := range parts {
+			if err := c.DecompressInto(dst[p*hw:(p+1)*hw], part, 128, 128); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -7,7 +7,10 @@ import (
 )
 
 // FuzzDecode hardens the Huffman/RLE decoder against arbitrary streams:
-// error or success, never a panic or runaway allocation.
+// error or success, never a panic or runaway allocation. Wherever the
+// header's geometry is small enough to allocate, the flat decoder must
+// also agree with the symbol-by-symbol reference: both fail, or both
+// decode the same values.
 func FuzzDecode(f *testing.F) {
 	rng := tensor.NewRNG(1)
 	blocks := make([][]int, 4)
@@ -31,6 +34,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add(bitflip)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if n, size, ok := headerValues(data); ok {
+			agreeWithReference(t, data, size, n)
+		}
 		blocks, err := Decode(data)
 		if err != nil {
 			return

@@ -15,7 +15,11 @@
 // length build and the canonical code table with its decode LUT) is
 // internal/entropy's, shared with the huf backend; this package owns
 // the (run, category) symbol mapping, the magnitude and sign bits and
-// the stream header. Encoder and Decoder state live in pools, and the
+// the stream header. The decoder adds one table of its own, built from
+// the canonical code per stream: an 11-bit probe that yields a whole
+// (run, value, length) token, so the common short token costs one
+// lookup instead of a symbol decode plus a magnitude read. Encoder and
+// Decoder state live in pools, and the
 // flat int32 entry points (AppendFlat / DecodeFlatInto) let callers
 // with pooled buffers compress and decompress without allocating. The
 // byte format is unchanged from the original map-and-token
@@ -264,7 +268,22 @@ func AppendFlat(dst []byte, coeffs []int32, blockSize int) ([]byte, error) {
 type Decoder struct {
 	lens [maxSymbol + 1]uint8
 	code entropy.CanonTable
+	// fast maps the next fastBits bits of the stream to one whole token
+	// when they hold it: a symbol's code and, for a value symbol, its
+	// magnitude and sign bits too. Entry layout, low to high: 4 bits of
+	// total length (0 = no entry, decode through code.ReadSym), 2 bits
+	// of kind, 8 bits of zero run, 16 bits of the signed value.
+	fast [1 << fastBits]uint32
 }
+
+// The fused decode table's probe width and entry kinds.
+const (
+	fastBits  = 11
+	fastValue = 0 << 4
+	fastEOB   = 1 << 4
+	fastRun   = 2 << 4 // a pure zero run (category 0)
+	fastKind  = 3 << 4
+)
 
 var decoderPool = sync.Pool{New: func() any { return &Decoder{} }}
 
@@ -303,13 +322,82 @@ func (d *Decoder) readHeader(r *bitstream.Reader) (nblocks, size int, err error)
 	if err := d.code.Build(d.lens[:]); err != nil {
 		return 0, 0, err
 	}
+	d.buildFast()
 	return int(nb), int(sz), nil
 }
 
+// buildFast fills the fused table from the canonical code. Codes of at
+// most fastBits bits own consecutive spans from index 0 in canonical
+// order. EOB and pure-run symbols fill their span with one entry; a
+// value symbol whose code, magnitude and sign fit in fastBits splits
+// its span by those extra bits, one entry per value. Everything else —
+// longer codes, wider values, unused code space — stays 0.
+func (d *Decoder) buildFast() {
+	end := uint32(0)
+	for _, sym := range d.code.Symbols() {
+		enc := d.code.Enc[sym]
+		l := uint32(enc & 0xFF)
+		if l > fastBits {
+			break
+		}
+		span := uint32(1) << (fastBits - l)
+		next := end + span
+		run, cat := (uint32(sym)-1)/32, (uint32(sym)-1)%32
+		switch {
+		case sym == 0:
+			fillFast(d.fast[end:next], l|fastEOB)
+		case cat == 0:
+			fillFast(d.fast[end:next], l|fastRun|run<<8)
+		case l+cat+1 <= fastBits:
+			n := l + cat + 1
+			step := uint32(1) << (fastBits - n)
+			for x := uint32(0); x < 1<<(cat+1); x++ {
+				v := int16(x & (1<<cat - 1))
+				if x>>cat != 0 {
+					v = -v
+				}
+				fillFast(d.fast[end+x*step:end+(x+1)*step], n|fastValue|run<<8|uint32(uint16(v))<<16)
+			}
+		default:
+			fillFast(d.fast[end:next], 0)
+		}
+		end = next
+	}
+	fillFast(d.fast[end:], 0)
+}
+
+func fillFast(dst []uint32, v uint32) {
+	for i := range dst {
+		dst[i] = v
+	}
+}
+
 // decodeBlockInto decodes one block's tokens into dst (pre-zeroed).
+// Each token costs one refill and one fused-table probe; a token the
+// table does not hold, or that the stream's remaining bits cannot
+// cover, takes the symbol-then-magnitude path through code.ReadSym,
+// which also reports truncation and invalid codes.
 func (d *Decoder) decodeBlockInto(r *bitstream.Reader, dst []int32) error {
 	pos := 0
 	for {
+		r.Fill()
+		e := d.fast[r.PeekBuffered(fastBits)]
+		if l := uint(e & 15); l != 0 && l <= r.Buffered() {
+			r.ConsumeBuffered(l)
+			pos += int(e >> 8 & 0xFF)
+			switch e & fastKind {
+			case fastEOB:
+				return nil
+			case fastRun:
+				continue
+			}
+			if uint(pos) >= uint(len(dst)) { // pos only grows from 0
+				return fmt.Errorf("vle: run overflows block (%d ≥ %d)", pos, len(dst))
+			}
+			dst[pos] = int32(int16(e >> 16))
+			pos++
+			continue
+		}
 		sym, err := d.code.ReadSym(r)
 		if err != nil {
 			return err
