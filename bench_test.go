@@ -222,8 +222,8 @@ func BenchmarkHostDecompress(b *testing.B) {
 
 // BenchmarkHostRoundTrip512 is the acceptance headline: the fast
 // separable kernel vs the dense fused-matmul reference on the paper's
-// largest resolution. The JSON twin lives in BENCH_seed.json
-// (cmd/acc-bench -hostbench).
+// largest resolution. Profile it with -cpuprofile; e2ebench (README)
+// measures the same kernels end to end.
 func BenchmarkHostRoundTrip512(b *testing.B) {
 	const n = 512
 	comp := mustComp(b, core.Config{ChopFactor: 4, Serialization: 1}, n)

@@ -35,10 +35,13 @@ go test -race ./internal/...
 # Time-boxed fuzzing of the decoders whose hot loops run on the
 # bitstream fast path: vle's FuzzDecode holds the fused-table decoder to
 # the symbol-by-symbol reference on every stream, and sz's
-# FuzzDecompress holds Decompress and DecompressInto to the same bits.
-# A first slice of a fuzz run over every Fuzz target.
+# FuzzDecompress holds Decompress and DecompressInto to the same bits;
+# FuzzContainerDecode feeds mutated containers to the registry decoder,
+# which must return an error or a tensor consistent with the header,
+# never panic or allocate without bound. A first slice of a fuzz run over every Fuzz target.
 go test -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/vle/
 go test -run '^$' -fuzz FuzzDecompress -fuzztime 10s ./internal/sz/
+go test -run '^$' -fuzz '^FuzzContainerDecode$' -fuzztime 10s ./internal/codec/
 # Kernel-dispatch suite with SIMD force-disabled: the portable
 # fallbacks must pass the same equivalence/golden tests the vector
 # paths do (on non-AVX2 hosts this is a harmless re-run).
@@ -46,11 +49,13 @@ ACC_DISABLE_SIMD=1 go test -count=1 \
 	./internal/cpufeat/ ./internal/dct/ ./internal/jpegq/ \
 	./internal/zfp/ ./internal/vecops/ ./internal/vle/ ./internal/entropy/
 
-# The zero-allocation gates skip themselves under -race (the race
-# runtime allocates), so run them again without it: the entropy
-# backend's steady-state pool discipline and the pooled registry round
-# trips must both report 0 allocs/op.
+# The allocation gates skip themselves under -race (the race runtime
+# allocates), so run them again without it: the entropy backend's
+# steady-state pool discipline, core's Into paths (0 allocs/op,
+# RoundTripInto included) and every registry family's pooled round
+# trip, bare and staged, each held to its allocs/op bound.
 go test ./internal/entropy/ -run TestZeroAllocSteadyState -count=1
+go test ./internal/core/ -run TestIntoPathZeroAllocs -count=1
 go test ./internal/codec/ -run TestRoundTripIntoAllocs -count=1
 # Telemetry alloc gates: the instrumented fused round trip must stay
 # 0 allocs/op with telemetry enabled, and the pipelined stream engine
@@ -77,23 +82,5 @@ go test ./internal/codec/ -run 'TestStagedFamilies|TestLosslessExact|TestConform
 # still open (rebuilt index) and — via the pinned golden v2 fixture —
 # stay byte-identical to the pre-index format.
 go test ./internal/codec/ -run 'TestIndexedMatchesSequential|TestIndexedSeekIsO1|TestIndexRebuildFallback|TestGoldenStream' -count=1
-
-# Host-kernel bench smoke: exercises the fast/dense measurement path,
-# the registry-codec round-trip benches, the v2 stream-engine
-# throughput matrix (serial + pipelined writer), and the seek matrix
-# (scan-vs-seek, parallel range decode) end to end. The JSON
-# goes to a temp dir so repeated runs never dirty the working tree; the
-# short benchtime means the numbers are noisy — regenerate with the
-# default benchtime before reading anything into them.
-smokedir=$(mktemp -d)
-trap 'rm -rf "$smokedir"' EXIT
-go run ./cmd/acc-bench -hostbench -benchquick -benchname smoke -benchdir "$smokedir" -benchtime 20ms
-# Regression screen against the pinned baseline. Timing from the smoke
-# run is too noisy to gate on, so slowdowns only print (gate manually
-# with -fail-on-regress on full-benchtime artifacts) — but allocs/op
-# increases beyond pool-warmup jitter are reuse breaks, and the
-# compare hard-fails on them whenever the row ran enough iterations
-# to amortize warmup (tiny-N smoke rows print a note instead).
-go run ./cmd/acc-bench -compare BENCH_pr9.json "$smokedir/BENCH_smoke.json"
 
 echo "check.sh: all green"

@@ -13,29 +13,12 @@
 //	acc-bench -fig17           # scatter/gather vs chop on the IPU
 //	acc-bench -all             # everything
 //	acc-bench -all -csv out/   # additionally write one CSV per figure
-//
-// Host-kernel benchmark mode (no device simulation — measures this
-// machine's fast vs dense compress path and writes BENCH_<name>.json):
-//
-//	acc-bench -hostbench -benchname seed
-//	acc-bench -hostbench -benchquick -benchname smoke -benchtime 20ms
-//
-// Compare mode (diff two hostbench artifacts; see README for how to
-// read the table):
-//
-//	acc-bench -compare BENCH_old.json BENCH_new.json
-//	acc-bench -compare -fail-on-regress -regress-tol 0.10 old.json new.json
-//
-// Either mode accepts -cpuprofile/-memprofile for pprof output.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"repro/internal/accel"
@@ -59,88 +42,15 @@ func main() {
 		overlap = flag.Bool("overlap", false, "pipeline-masking analysis (§4.2.2 samples/s comparison)")
 		all     = flag.Bool("all", false, "run every table and figure")
 		csvDir  = flag.String("csv", "", "directory to write per-figure CSV files")
-
-		compare       = flag.Bool("compare", false, "diff two BENCH_*.json files: acc-bench -compare old.json new.json")
-		regressTol    = flag.Float64("regress-tol", 0.10, "fractional slowdown flagged as a regression in -compare")
-		failOnRegress = flag.Bool("fail-on-regress", false, "exit nonzero if -compare finds timing regressions beyond -regress-tol (allocs/op regressions always fail)")
-
-		hostbench  = flag.Bool("hostbench", false, "measure host fast-vs-dense kernels, write BENCH_<name>.json")
-		benchName  = flag.String("benchname", "host", "hostbench output label (BENCH_<name>.json)")
-		benchDir   = flag.String("benchdir", ".", "directory for the hostbench JSON file")
-		benchQuick = flag.Bool("benchquick", false, "hostbench smoke subset (n=64 only)")
-		benchTime  = flag.String("benchtime", "300ms", "hostbench per-case measurement time")
-
-		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file")
 	)
 	flag.Parse()
 	if *all {
 		*table1, *fig10, *fig11, *fig12, *fig13, *fig14, *fig15, *fig17, *zfp4, *overlap =
 			true, true, true, true, true, true, true, true, true, true
 	}
-	if !(*table1 || *fig10 || *fig11 || *fig12 || *fig13 || *fig14 || *fig15 || *fig17 || *zfp4 || *overlap || *hostbench || *compare) {
+	if !(*table1 || *fig10 || *fig11 || *fig12 || *fig13 || *fig14 || *fig15 || *fig17 || *zfp4 || *overlap) {
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: acc-bench -compare old.json new.json")
-			os.Exit(2)
-		}
-		timeRegs, allocRegs, err := runCompare(flag.Arg(0), flag.Arg(1), *regressTol)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		// Allocs/op increases are deterministic pool/reuse breaks, not
-		// measurement noise, so they fail the compare unconditionally;
-		// timing regressions only fail under -fail-on-regress.
-		if allocRegs > 0 {
-			fmt.Fprintf(os.Stderr, "acc-bench: %d allocs/op regression(s) — failing regardless of -fail-on-regress\n", allocRegs)
-			os.Exit(1)
-		}
-		if timeRegs > 0 && *failOnRegress {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // up-to-date live-object stats
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-		}()
-	}
-
-	if *hostbench {
-		if err := runHostBench(*benchName, *benchDir, *benchTime, !*benchQuick); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 	}
 
 	emit := func(name string, t *report.Table) {
@@ -150,20 +60,10 @@ func main() {
 		}
 		fmt.Println()
 		if *csvDir != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+			if err := report.WriteCSVFile(t, *csvDir, name); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			f, err := os.Create(filepath.Join(*csvDir, name+".csv"))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if err := t.WriteCSV(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			f.Close()
 		}
 	}
 

@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/datagen"
 	"repro/internal/experiments"
@@ -79,17 +78,9 @@ func main() {
 		}
 		fmt.Println()
 		if *csvDir != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+			if err := report.WriteCSVFile(t, *csvDir, name); err != nil {
 				fail(err)
 			}
-			f, err := os.Create(filepath.Join(*csvDir, name+".csv"))
-			if err != nil {
-				fail(err)
-			}
-			if err := t.WriteCSV(f); err != nil {
-				fail(err)
-			}
-			f.Close()
 		}
 	}
 

@@ -45,15 +45,9 @@ type Codec interface {
 	Ratio() float64
 	// Compress encodes x into a self-describing container.
 	Compress(x *tensor.Tensor) ([]byte, error)
-	// CompressCtx is Compress under a context: cancelling ctx aborts the
-	// plane pipeline between planes, returning an error that wraps
-	// ctx.Err().
-	CompressCtx(ctx context.Context, x *tensor.Tensor) ([]byte, error)
 	// Decompress reconstructs a tensor from a container produced by any
 	// codec of the same family; shape and options come from the header.
 	Decompress(data []byte) (*tensor.Tensor, error)
-	// DecompressCtx is Decompress under a context (see CompressCtx).
-	DecompressCtx(ctx context.Context, data []byte) (*tensor.Tensor, error)
 	// RoundTrip compresses then decompresses x, returning the
 	// reconstruction and the compressed payload size in bytes — the
 	// framed payload length, as RoundTripInto reports it.
@@ -159,11 +153,7 @@ func (c *codecImpl) Spec() string   { return c.spec }
 func (c *codecImpl) Ratio() float64 { return c.b.ratio() }
 
 func (c *codecImpl) Compress(x *tensor.Tensor) ([]byte, error) {
-	return c.CompressCtx(context.Background(), x)
-}
-
-func (c *codecImpl) CompressCtx(ctx context.Context, x *tensor.Tensor) ([]byte, error) {
-	payload, err := c.encodePayload(ctx, x)
+	payload, err := c.encodePayload(context.Background(), x)
 	if err != nil {
 		return nil, err
 	}
@@ -175,10 +165,6 @@ func (c *codecImpl) CompressCtx(ctx context.Context, x *tensor.Tensor) ([]byte, 
 }
 
 func (c *codecImpl) Decompress(data []byte) (*tensor.Tensor, error) {
-	return c.DecompressCtx(context.Background(), data)
-}
-
-func (c *codecImpl) DecompressCtx(ctx context.Context, data []byte) (*tensor.Tensor, error) {
 	hdr, payload, err := ReadContainer(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
@@ -203,7 +189,7 @@ func (c *codecImpl) DecompressCtx(ctx context.Context, data []byte) (*tensor.Ten
 		}
 		impl = other.(*codecImpl)
 	}
-	return impl.decodePayload(ctx, payload, hdr.Shape)
+	return impl.decodePayload(context.Background(), payload, hdr.Shape)
 }
 
 // RoundTrip is RoundTripInto into a freshly allocated tensor of x's

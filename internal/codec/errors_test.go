@@ -81,9 +81,9 @@ func TestErrorKindCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = c.CompressCtx(ctx, mkStreamTensor(3, 8, 8))
+	err = NewStreamWriter(io.Discard).WriteTensor(ctx, c, mkStreamTensor(3, 8, 8))
 	if err == nil {
-		t.Fatal("CompressCtx with canceled context succeeded")
+		t.Fatal("WriteTensor with canceled context succeeded")
 	}
 	if !errors.Is(err, ErrCanceled) {
 		t.Errorf("error %v does not match ErrCanceled", err)

@@ -141,19 +141,38 @@ func TestRoundTripIntoMatchesSerializePath(t *testing.T) {
 	}
 }
 
-// TestRoundTripIntoAllocs proves the zfp and jpegq registry round
-// trips allocate nothing at steady state on a single-worker pipeline
-// (the multi-worker pipeline spends a few allocations on the fan-out).
+// TestRoundTripIntoAllocs is the allocs/op gate on the registry round
+// trip: every family bare and through its entropy stages, on one
+// 3-channel 256×256 sample with a single-worker pipeline (the
+// multi-worker pipeline spends a few allocations on the fan-out). Each
+// bound is the steady-state count plus max(4, 10 %) of headroom for
+// pool warm-up jitter; zfp and jpegq allocate nothing at all.
 func TestRoundTripIntoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts only hold without -race")
 	}
 	prev := SetMaxWorkers(1)
 	defer SetMaxWorkers(prev)
-	x := conformanceBatch()
+	x := tensor.NewRNG(1).Uniform(0, 1, 1, 3, 256, 256)
 	dst := tensor.New(x.Shape()...)
-	for _, spec := range []string{"zfp:rate=8", "jpegq:q=50"} {
-		c, err := New(spec)
+	for _, tc := range []struct {
+		spec string
+		max  float64
+	}{
+		{"zfp:rate=8", 0},
+		{"zfp:rate=8+fse", 48},
+		{"jpegq:q=50", 0},
+		{"jpegq:q=50+fse", 45},
+		{"sz:eb=1e-3", 44},
+		{"sz:eb=1e-3+fse", 58},
+		{"dctc:cf=4", 26},
+		{"dctc:cf=4+fse", 33},
+		{"dctc:cf=4+huf", 34},
+		{"lossless:bg=4", 9},
+		{"lossless:bg=4+fse", 32},
+		{"lossless:bg=4+huf", 41},
+	} {
+		c, err := New(tc.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,8 +184,9 @@ func TestRoundTripIntoAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs != 0 {
-			t.Errorf("%s: RoundTripInto allocates %v/op, want 0", spec, allocs)
+		t.Logf("%s: %v allocs/op (bound %v)", tc.spec, allocs, tc.max)
+		if allocs > tc.max {
+			t.Errorf("%s: RoundTripInto allocates %v/op, want ≤ %v", tc.spec, allocs, tc.max)
 		}
 	}
 }

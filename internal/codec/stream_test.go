@@ -217,9 +217,10 @@ func TestPipelineCancellation(t *testing.T) {
 	}
 }
 
-// TestCompressCtxPreCancelled checks the public entry points reject an
-// already-cancelled context without touching a plane.
-func TestCompressCtxPreCancelled(t *testing.T) {
+// TestStreamEntryPointsPreCancelled checks the ctx-taking entry points
+// — the serial StreamWriter.WriteTensor and IndexedStream.DecodeAt —
+// reject an already-cancelled context without touching a plane.
+func TestStreamEntryPointsPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	c, err := New("dctc:cf=4")
@@ -227,15 +228,26 @@ func TestCompressCtxPreCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := mkStreamTensor(4, 1, 16, 16)
-	if _, err := c.CompressCtx(ctx, x); !errors.Is(err, context.Canceled) {
-		t.Fatalf("CompressCtx error %v, want context.Canceled", err)
+	if err := NewStreamWriter(io.Discard).WriteTensor(ctx, c, x); !errors.Is(err, context.Canceled) {
+		t.Fatalf("WriteTensor error %v, want context.Canceled", err)
 	}
-	data, err := c.Compress(x)
+	var buf bytes.Buffer
+	sw := NewStreamWriter(&buf)
+	if err := sw.SetIndex(true); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.WriteTensor(context.Background(), c, x); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := OpenIndexedStream(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.DecompressCtx(ctx, data); !errors.Is(err, context.Canceled) {
-		t.Fatalf("DecompressCtx error %v, want context.Canceled", err)
+	if _, err := ix.DecodeAt(ctx, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("DecodeAt error %v, want context.Canceled", err)
 	}
 }
 

@@ -115,7 +115,7 @@ func TestCodecErrorCounters(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		before := telemetry.Default().Snapshot()
-		if _, err := c.CompressCtx(ctx, mkStreamTensor(2, 16, 16)); err == nil {
+		if err := NewStreamWriter(io.Discard).WriteTensor(ctx, c, mkStreamTensor(2, 16, 16)); err == nil {
 			t.Fatal("canceled compress succeeded")
 		}
 		d := telemetry.Default().Snapshot().Delta(before)

@@ -149,46 +149,60 @@ func TestCompressIntoReshapesDst(t *testing.T) {
 }
 
 // TestIntoPathZeroAllocs is the allocation regression suite: after
-// warm-up, CompressInto and DecompressInto must not allocate at all —
-// the guarantee every steady-state training loop inherits.
+// warm-up, CompressInto, DecompressInto and RoundTripInto must not
+// allocate at all — the guarantee every steady-state training loop
+// inherits.
 func TestIntoPathZeroAllocs(t *testing.T) {
-	const n = 32
 	for _, cfg := range []Config{
 		{ChopFactor: 4, Serialization: 1},
 		{ChopFactor: 4, Serialization: 2},
 		{ChopFactor: 4, Mode: ModeSG, Serialization: 1},
 		{ChopFactor: 2, Mode: ModeSG, Serialization: 2, Transform: TransformZFP4},
 	} {
-		cfg := cfg
 		t.Run(cfg.String(), func(t *testing.T) {
-			c, err := NewCompressor(cfg, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := tensor.NewRNG(11)
-			x := r.Uniform(0, 1, 2, 3, n, n)
-			dst := c.NewCompressed(2, 3)
-			out := tensor.New(2, 3, n, n)
-			// Warm up pools and chunk buffers.
-			if err := c.CompressInto(dst, x); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.DecompressInto(out, dst); err != nil {
-				t.Fatal(err)
-			}
-			if allocs := testing.AllocsPerRun(50, func() {
+			for _, n := range []int{32, 64} {
+				c, err := NewCompressor(cfg, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := tensor.NewRNG(11)
+				x := r.Uniform(0, 1, 2, 3, n, n)
+				dst := c.NewCompressed(2, 3)
+				out := tensor.New(2, 3, n, n)
+				// Warm up pools and chunk buffers.
 				if err := c.CompressInto(dst, x); err != nil {
 					t.Fatal(err)
 				}
-			}); allocs != 0 {
-				t.Errorf("CompressInto allocates %.1f objects/op, want 0", allocs)
-			}
-			if allocs := testing.AllocsPerRun(50, func() {
 				if err := c.DecompressInto(out, dst); err != nil {
 					t.Fatal(err)
 				}
-			}); allocs != 0 {
-				t.Errorf("DecompressInto allocates %.1f objects/op, want 0", allocs)
+				if err := c.RoundTripInto(out, x); err != nil {
+					t.Fatal(err)
+				}
+				if allocs := testing.AllocsPerRun(50, func() {
+					if err := c.CompressInto(dst, x); err != nil {
+						t.Fatal(err)
+					}
+				}); allocs != 0 {
+					t.Errorf("n=%d: CompressInto allocates %.1f objects/op, want 0", n, allocs)
+				}
+				if allocs := testing.AllocsPerRun(50, func() {
+					if err := c.DecompressInto(out, dst); err != nil {
+						t.Fatal(err)
+					}
+				}); allocs != 0 {
+					t.Errorf("n=%d: DecompressInto allocates %.1f objects/op, want 0", n, allocs)
+				}
+				if raceEnabled {
+					continue
+				}
+				if allocs := testing.AllocsPerRun(50, func() {
+					if err := c.RoundTripInto(out, x); err != nil {
+						t.Fatal(err)
+					}
+				}); allocs != 0 {
+					t.Errorf("n=%d: RoundTripInto allocates %.1f objects/op, want 0", n, allocs)
+				}
 			}
 		})
 	}

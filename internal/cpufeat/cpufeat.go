@@ -97,8 +97,8 @@ func applyOverrides(f Features, get func(string) string) Features {
 
 // Summary returns a one-line human-readable description of the active
 // feature set, e.g. "amd64: sse4.1 sse4.2 avx avx2 fma" or
-// "amd64: portable (ACC_DISABLE_SIMD)". Bench artifacts record it so a
-// BENCH_*.json is self-describing about the paths it measured.
+// "amd64: portable", so a log or bug report can say which kernel paths
+// a run could take.
 func Summary() string {
 	var tags []string
 	add := func(on bool, name string) {

@@ -7,6 +7,8 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 )
 
@@ -90,4 +92,23 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// WriteCSVFile writes t as CSV to dir/name.csv, creating dir if
+// needed. The file's Close error is returned too, so a failed final
+// write never leaves a truncated CSV behind a successful exit.
+func WriteCSVFile(t *Table, dir, name string) (err error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(filepath.Join(dir, name+".csv"))
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	return t.WriteCSV(f)
 }

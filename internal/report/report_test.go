@@ -1,6 +1,8 @@
 package report
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -54,6 +56,28 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "CS-2,4,") {
 		t.Fatalf("CSV row %q", lines[1])
+	}
+}
+
+func TestWriteCSVFile(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "nested", "out")
+	if err := WriteCSVFile(sample(), dir, "figx"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "figx.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	if err := sample().WriteCSV(&want); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want.String() {
+		t.Fatalf("file holds\n%s\nwant\n%s", got, want.String())
+	}
+	// A directory that cannot be created is an error, not a silent skip.
+	if err := WriteCSVFile(sample(), filepath.Join(dir, "figx.csv"), "y"); err == nil {
+		t.Fatal("WriteCSVFile under a regular file succeeded")
 	}
 }
 

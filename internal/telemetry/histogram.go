@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"math/bits"
 	"sync/atomic"
@@ -163,28 +162,4 @@ func (s HistogramSnapshot) MarshalJSON() ([]byte, error) {
 		}
 	}
 	return json.Marshal(out)
-}
-
-// UnmarshalJSON inverts MarshalJSON (snapshots round-trip through the
-// BENCH_*.json artifacts).
-func (s *HistogramSnapshot) UnmarshalJSON(data []byte) error {
-	var in histJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	*s = HistogramSnapshot{Count: in.Count, Sum: in.Sum}
-	for _, pair := range in.Buckets {
-		idx := -1
-		for i := 0; i < histBuckets; i++ {
-			if BucketUpper(i) == pair[0] {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			return fmt.Errorf("telemetry: unknown histogram bucket bound %d", pair[0])
-		}
-		s.Buckets[idx] += pair[1]
-	}
-	return nil
 }
