@@ -38,9 +38,15 @@ go test -race ./internal/...
 # FuzzDecompress holds Decompress and DecompressInto to the same bits;
 # FuzzContainerDecode feeds mutated containers to the registry decoder,
 # which must return an error or a tensor consistent with the header,
-# never panic or allocate without bound. A first slice of a fuzz run over every Fuzz target.
+# never panic or allocate without bound. On the encode side, vle's
+# FuzzEncodeDecodeRoundTrip holds the branch-free tokenizer to the
+# reference encoder and requires Encode∘Decode to be the identity,
+# and sz's FuzzCompress holds the two-row quantizer to the cell-by-cell
+# reference byte for byte. A first slice of a fuzz run over every Fuzz target.
 go test -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/vle/
+go test -run '^$' -fuzz '^FuzzEncodeDecodeRoundTrip$' -fuzztime 10s ./internal/vle/
 go test -run '^$' -fuzz FuzzDecompress -fuzztime 10s ./internal/sz/
+go test -run '^$' -fuzz '^FuzzCompress$' -fuzztime 10s ./internal/sz/
 go test -run '^$' -fuzz '^FuzzContainerDecode$' -fuzztime 10s ./internal/codec/
 # Kernel-dispatch suite with SIMD force-disabled: the portable
 # fallbacks must pass the same equivalence/golden tests the vector

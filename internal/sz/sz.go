@@ -88,12 +88,17 @@ func (c *Codec) Compress(x *tensor.Tensor) ([]byte, error) {
 		return nil, fmt.Errorf("sz: empty plane %dx%d", h, w)
 	}
 	planes := x.Len() / (h * w)
-	// The unpredictable sentinel sits just past the code radius.
-	sentinel := c.Bins + 1
 	// Quantize against the bound exactly as the decompressor will see
-	// it (stored as float32); the guard below still enforces the user's
-	// full-precision bound.
+	// it (stored as float32); the guard in cell still enforces the
+	// user's full-precision bound.
 	eb := float64(float32(c.ErrorBound))
+	qz := quantizer{
+		step:  2 * eb,
+		bound: c.ErrorBound,
+		bins:  float64(c.Bins),
+		// The unpredictable sentinel sits just past the code radius.
+		sentinel: int32(c.Bins + 1),
+	}
 
 	// Every cell of recon is written before it is read (the predictor
 	// only looks west/north/northwest), so neither buffer needs zeroing.
@@ -103,32 +108,112 @@ func (c *Codec) Compress(x *tensor.Tensor) ([]byte, error) {
 	defer f32Pool.Put(reconBox)
 	rawsBox := f32Pool.Get().(*[]float32)
 	defer f32Pool.Put(rawsBox)
-	raws := (*rawsBox)[:0]
+	sideBox := f32Pool.Get().(*[]float32)
+	defer f32Pool.Put(sideBox)
+	raws, side := (*rawsBox)[:0], (*sideBox)[:0]
 	for p := 0; p < planes; p++ {
-		plane := x.Data()[p*h*w : (p+1)*h*w]
-		for i := 0; i < h; i++ {
-			row := codes[(p*h+i)*w : (p*h+i+1)*w]
-			for j := 0; j < w; j++ {
-				pred := lorenzo(recon, i, j, w)
-				v := float64(plane[i*w+j])
-				q := math.Round((v - float64(pred)) / (2 * eb))
-				if math.Abs(q) <= float64(c.Bins) {
-					rec := float64(pred) + 2*eb*q
-					// Guard against float32 rounding pushing the
-					// reconstruction outside the bound.
-					if r32 := float32(rec); math.Abs(float64(r32)-v) <= c.ErrorBound {
-						row[j] = int32(q)
-						recon[i*w+j] = r32
-						continue
-					}
-				}
-				row[j] = int32(sentinel)
-				raws = append(raws, plane[i*w+j])
-				recon[i*w+j] = plane[i*w+j]
+		span := x.Data()[p*h*w : (p+1)*h*w]
+		raws, side = qz.plane(recon, span, codes[p*h*w:(p+1)*h*w], w, raws, side)
+	}
+	*rawsBox, *sideBox = raws, side
+	return c.appendStream(codes, raws, planes, h, w)
+}
+
+// quantizer is the Lorenzo residual quantizer's per-stream constants:
+// the bin width 2ε (for the bound as stored), the user's bound, the
+// code radius and the code of an unpredictable cell.
+type quantizer struct {
+	step, bound, bins float64
+	sentinel          int32
+}
+
+// cell quantizes value v against its Lorenzo prediction, returning the
+// code and the reconstruction the decoder will replay, and whether the
+// cell was predictable. An unpredictable cell codes as the sentinel
+// and reconstructs as v itself, stored verbatim.
+func (qz quantizer) cell(v, pred float32) (int32, float32, bool) {
+	x := float64(v)
+	q := math.Round((x - float64(pred)) / qz.step)
+	if math.Abs(q) <= qz.bins {
+		// Guard against float32 rounding pushing the reconstruction
+		// outside the bound.
+		if r32 := float32(float64(pred) + qz.step*q); math.Abs(float64(r32)-x) <= qz.bound {
+			return int32(q), r32, true
+		}
+	}
+	return qz.sentinel, v, false
+}
+
+// plane runs the Lorenzo quantizer over one plane x of width w, writing
+// its codes and its reconstruction recon (the predictor reads only
+// cells already written there), and appending its unpredictable values
+// to raws in cell order. It mirrors replayPlane: every cell computes
+// exactly lorenzo's float32 sum and cell's quantization, so the codes
+// match a cell-by-cell pass, but the rows below the first go in pairs.
+// Cell j of the lower row needs only cells j−1 and j of the upper one,
+// so the two rows' divide → round → reconstruct chains overlap in the
+// CPU. The lower row's raw values wait in side until the upper row is
+// done. It returns raws and side's grown buffers.
+func (qz quantizer) plane(recon, x []float32, codes []int32, w int, raws, side []float32) ([]float32, []float32) {
+	var ok bool
+	// First row: predict 0, then the west neighbour.
+	row, xs, qs := recon[:w], x[:w], codes[:w]
+	if qs[0], row[0], ok = qz.cell(xs[0], 0); !ok {
+		raws = append(raws, xs[0])
+	}
+	for j := 1; j < len(row) && j < len(xs) && j < len(qs); j++ {
+		if qs[j], row[j], ok = qz.cell(xs[j], row[j-1]); !ok {
+			raws = append(raws, xs[j])
+		}
+	}
+	// Row pairs a, b under row up: the first cell predicts from north,
+	// the rest from west + north − northwest, carried in registers.
+	off := w
+	for ; off+2*w <= len(x); off += 2 * w {
+		up, a, b := recon[off-w:off], recon[off:off+w], recon[off+w:off+2*w]
+		xa, xb := x[off:off+w], x[off+w:off+2*w]
+		qa, qb := codes[off:off+w], codes[off+w:off+2*w]
+		side = side[:0]
+		if qa[0], a[0], ok = qz.cell(xa[0], up[0]); !ok {
+			raws = append(raws, xa[0])
+		}
+		if qb[0], b[0], ok = qz.cell(xb[0], a[0]); !ok {
+			side = append(side, xb[0])
+		}
+		nw, aw, bw := up[0], a[0], b[0]
+		for j := 1; j < len(up) && j < len(a) && j < len(b) && j < len(xa) && j < len(xb) && j < len(qa) && j < len(qb); j++ {
+			n := up[j]
+			var ra, rb float32
+			if qa[j], ra, ok = qz.cell(xa[j], aw+n-nw); !ok {
+				raws = append(raws, xa[j])
+			}
+			if qb[j], rb, ok = qz.cell(xb[j], bw+ra-aw); !ok {
+				side = append(side, xb[j])
+			}
+			a[j], b[j] = ra, rb
+			nw, aw, bw = n, ra, rb
+		}
+		raws = append(raws, side...)
+	}
+	// A last unpaired row.
+	if off < len(x) {
+		up, row := recon[off-w:off], recon[off:off+w]
+		xs, qs := x[off:off+w], codes[off:off+w]
+		if qs[0], row[0], ok = qz.cell(xs[0], up[0]); !ok {
+			raws = append(raws, xs[0])
+		}
+		for j := 1; j < len(up) && j < len(row) && j < len(xs) && j < len(qs); j++ {
+			if qs[j], row[j], ok = qz.cell(xs[j], row[j-1]+up[j]-up[j-1]); !ok {
+				raws = append(raws, xs[j])
 			}
 		}
 	}
-	*rawsBox = raws
+	return raws, side
+}
+
+// appendStream codes the planes' quantization codes and frames them,
+// with the raw values, as one stream.
+func (c *Codec) appendStream(codes []int32, raws []float32, planes, h, w int) ([]byte, error) {
 	csBox := bytePool.Get().(*[]byte)
 	defer bytePool.Put(csBox)
 	codeStream, err := vle.AppendFlat((*csBox)[:0], codes, w)
@@ -363,20 +448,4 @@ func (c *Codec) RoundTrip(x *tensor.Tensor) (*tensor.Tensor, int, error) {
 		return nil, 0, err
 	}
 	return out, len(data), nil
-}
-
-// lorenzo is the first-order 2-D Lorenzo predictor over the
-// reconstructed plane: west + north − northwest, degrading gracefully at
-// the plane borders.
-func lorenzo(recon []float32, i, j, w int) float32 {
-	switch {
-	case i == 0 && j == 0:
-		return 0
-	case i == 0:
-		return recon[j-1]
-	case j == 0:
-		return recon[(i-1)*w]
-	default:
-		return recon[i*w+j-1] + recon[(i-1)*w+j] - recon[(i-1)*w+j-1]
-	}
 }

@@ -255,3 +255,29 @@ func BenchmarkDecompressInto(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCompress encodes one [4,8,128,128] CloudSeg record at
+// eb=1e-3 plane by plane, as the codec registry stores sz records: the
+// encode twin of BenchmarkDecompressInto.
+func BenchmarkCompress(b *testing.B) {
+	c, err := New(1e-3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x, _ := datagen.NewCloudSeg(1, 128, 8).Batch(4)
+	const hw = 128 * 128
+	planes := make([]*tensor.Tensor, x.Len()/hw)
+	for p := range planes {
+		planes[p] = tensor.FromSlice(x.Data()[p*hw:(p+1)*hw], 128, 128)
+	}
+	b.SetBytes(int64(4 * x.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for _, plane := range planes {
+			if _, err := c.Compress(plane); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package vle
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/tensor"
@@ -50,7 +51,8 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzEncodeDecodeRoundTrip: whatever integer content the coefficients
-// hold, Encode∘Decode must be the identity.
+// hold, Encode must emit the reference encoder's bytes and
+// Encode∘Decode must be the identity.
 func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 	f.Add(uint64(1), 8, 20)
 	f.Add(uint64(42), 1, 64)
@@ -73,6 +75,9 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 		data, err := Encode(blocks)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want, err := refEncode(blocks); err != nil || !bytes.Equal(data, want) {
+			t.Fatalf("Encode %x, reference %x (err %v)", data, want, err)
 		}
 		back, err := Decode(data)
 		if err != nil {

@@ -108,18 +108,26 @@ func countBlock[T ~int | ~int32](e *Encoder, coeffs []T) {
 			run = 0
 			continue
 		}
-		vv := v
-		if vv < 0 {
-			vv = -vv
-		}
-		var cat int
-		if vv > 0 {
-			cat = bits.Len64(uint64(vv))
-		}
-		e.freq[1+run*32+cat]++
+		_, cat := signMag(v)
+		e.freq[1+run*32+int(cat)]++
 		run = 0
 	}
 	e.freq[0]++ // EOB
+}
+
+// signMag splits a nonzero value into its sign-and-magnitude extra
+// bits (the magnitude, with the sign bit set just above it for a
+// negative value) and its category, the magnitude's bit length —
+// without a branch on the sign, which sz's ± residuals mispredict.
+// The category is taken mod 64: only math.MinInt64, whose magnitude
+// 1<<63 would be category 64, changes, and it gets category 0 and the
+// extra bits 1<<63|1, as the historical encoder (which negated it in
+// place) coded it.
+func signMag(v int64) (extra uint64, cat uint) {
+	s := v >> 63
+	mag := uint64((v ^ s) - s)
+	cat = uint(bits.Len64(mag)) & 63
+	return mag | uint64(s&1)<<cat, cat
 }
 
 // emitBlock re-runs the tokenizer over one block, writing codes.
@@ -146,20 +154,8 @@ func emitBlock[T ~int | ~int32](e *Encoder, w *bitstream.Writer, coeffs []T) {
 			run = 0
 			continue
 		}
-		neg := v < 0
-		vv := v
-		if neg {
-			vv = -vv
-		}
-		var cat uint
-		if vv > 0 {
-			cat = uint(bits.Len64(uint64(vv)))
-		}
+		extra, cat := signMag(v)
 		sym := 1 + run*32 + int(cat)
-		extra := uint64(vv)
-		if neg {
-			extra |= 1 << cat
-		}
 		// Code and extra bits in one word write when they fit.
 		l := uint(e.lens[sym])
 		if l+cat+1 <= 64 {
