@@ -42,12 +42,18 @@ go test -race ./internal/...
 # FuzzEncodeDecodeRoundTrip holds the branch-free tokenizer to the
 # reference encoder and requires Encode∘Decode to be the identity,
 # and sz's FuzzCompress holds the two-row quantizer to the cell-by-cell
-# reference byte for byte. A first slice of a fuzz run over every Fuzz target.
+# reference byte for byte. FuzzStreamDecode and FuzzIndexedStream feed
+# mutated v2 streams to the sequential and the random-access reader;
+# every family decodes records through the same single decoder as
+# containers, so these reach each family's decode too. A first slice of
+# a fuzz run over every Fuzz target.
 go test -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/vle/
 go test -run '^$' -fuzz '^FuzzEncodeDecodeRoundTrip$' -fuzztime 10s ./internal/vle/
 go test -run '^$' -fuzz FuzzDecompress -fuzztime 10s ./internal/sz/
 go test -run '^$' -fuzz '^FuzzCompress$' -fuzztime 10s ./internal/sz/
 go test -run '^$' -fuzz '^FuzzContainerDecode$' -fuzztime 10s ./internal/codec/
+go test -run '^$' -fuzz '^FuzzStreamDecode$' -fuzztime 10s ./internal/codec/
+go test -run '^$' -fuzz '^FuzzIndexedStream$' -fuzztime 10s ./internal/codec/
 # Kernel-dispatch suite with SIMD force-disabled: the portable
 # fallbacks must pass the same equivalence/golden tests the vector
 # paths do (on non-AVX2 hosts this is a harmless re-run).

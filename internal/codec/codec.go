@@ -14,9 +14,9 @@
 //	jpegq:q=50                JPEG-style pipeline at quality factor 50
 //
 // Compress output is a framed container (see container.go) carrying the
-// spec and the tensor shape, so Decode reconstructs the tensor from the
-// bytes alone — no out-of-band configuration. Multi-tensor streams use
-// the ACCF v2 record format (see stream.go).
+// spec and the tensor shape, so DecodeBytes reconstructs the tensor
+// from the bytes alone — no out-of-band configuration. Multi-tensor
+// streams use the ACCF v2 record format (see stream.go).
 package codec
 
 import (
@@ -24,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"sync"
@@ -55,21 +54,18 @@ type Codec interface {
 }
 
 // backend is the family-specific half of a codec: raw payload encode /
-// decode, with framing handled by the shared wrapper. Both halves honor
-// the context for mid-batch cancellation.
+// decode, with framing handled by the shared wrapper. A backend has one
+// decode, fed by a payloadSource: a resident payload (containers,
+// staged payloads, the serialize round trip) and a v2 record's chunked
+// payload reader take the same path through the same checks, and the
+// plane-framed families read their frame through the one
+// readPlaneFrame. Both halves honor the context for mid-batch
+// cancellation.
 type backend interface {
 	name() string
 	ratio() float64
 	encode(ctx context.Context, x *tensor.Tensor) ([]byte, error)
-	decode(ctx context.Context, payload []byte, shape []int) (*tensor.Tensor, error)
-}
-
-// streamDecoder is implemented by backends that can decode their
-// payload incrementally from a v2 record's chunked payload reader,
-// materializing at most one plane-group of compressed bytes at a time.
-// Backends without it fall back to buffering the record payload.
-type streamDecoder interface {
-	decodeStream(ctx context.Context, r *payloadReader, shape []int) (*tensor.Tensor, error)
+	decode(ctx context.Context, src payloadSource, shape []int) (*tensor.Tensor, error)
 }
 
 // fastRoundTripperInto is implemented by backends with a fused round
@@ -165,19 +161,16 @@ func (c *codecImpl) Compress(x *tensor.Tensor) ([]byte, error) {
 }
 
 func (c *codecImpl) Decompress(data []byte) (*tensor.Tensor, error) {
-	hdr, payload, err := ReadContainer(bytes.NewReader(data))
+	hdr, payload, err := readContainerBytes(data)
 	if err != nil {
 		return nil, err
-	}
-	if hdr.wireSize != len(data) {
-		return nil, fmt.Errorf("codec: %d trailing bytes after container", len(data)-hdr.wireSize)
 	}
 	spec, err := ParseSpec(hdr.Spec)
 	if err != nil {
 		return nil, fmt.Errorf("codec: container spec: %w", err)
 	}
 	if spec.Family != c.Name() {
-		return nil, fmt.Errorf("codec: container holds %q data, this codec is %q (use Decode for spec-directed decoding)", spec.Family, c.Name())
+		return nil, fmt.Errorf("codec: container holds %q data, this codec is %q (use DecodeBytes for spec-directed decoding)", spec.Family, c.Name())
 	}
 	// Honor the container's own options (self-describing wins over the
 	// instance's): rebuild when the specs differ.
@@ -319,64 +312,44 @@ func canonicalSpec(family string, b backend, chain []Stage) string {
 	return s
 }
 
-// Decode reads one container from r and reconstructs its tensor, with
-// the codec resolved entirely from the header — the fully
-// self-describing path the CLI decompress mode uses. It returns the
-// tensor and the codec that decoded it.
-func Decode(r io.Reader) (*tensor.Tensor, Codec, error) {
-	return DecodeCtx(context.Background(), r)
-}
-
-// DecodeCtx is Decode under a context: cancelling ctx aborts the plane
-// pipeline between planes.
-func DecodeCtx(ctx context.Context, r io.Reader) (*tensor.Tensor, Codec, error) {
-	hdr, payload, err := ReadContainer(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	c, err := New(hdr.Spec)
-	if err != nil {
-		return nil, nil, fmt.Errorf("codec: container spec %q: %w", hdr.Spec, err)
-	}
-	out, err := c.(*codecImpl).decodePayload(ctx, payload, hdr.Shape)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, c, nil
-}
-
-// DecodeBytes is Decode over an in-memory container. Unlike Decode on a
-// stream, it requires the container to span data exactly — trailing
-// bytes after a single container are rejected.
-func DecodeBytes(data []byte) (*tensor.Tensor, Codec, error) {
-	return DecodeBytesCtx(context.Background(), data)
-}
-
-// DecodeBytesCtx is DecodeBytes under a context.
-func DecodeBytesCtx(ctx context.Context, data []byte) (*tensor.Tensor, Codec, error) {
+// readContainerBytes reads the one container data must hold exactly:
+// trailing bytes after it are rejected.
+func readContainerBytes(data []byte) (Header, []byte, error) {
 	hdr, payload, err := ReadContainer(bytes.NewReader(data))
 	if err != nil {
-		return nil, nil, err
+		return hdr, nil, err
 	}
 	if hdr.wireSize != len(data) {
-		return nil, nil, fmt.Errorf("codec: %d trailing bytes after container", len(data)-hdr.wireSize)
+		return hdr, nil, fmt.Errorf("codec: %d trailing bytes after container", len(data)-hdr.wireSize)
+	}
+	return hdr, payload, nil
+}
+
+// DecodeBytes reconstructs the tensor of the one container data holds,
+// with the codec resolved entirely from the header — the fully
+// self-describing path. Trailing bytes after the container are
+// rejected. It returns the tensor and the codec that decoded it.
+func DecodeBytes(data []byte) (*tensor.Tensor, Codec, error) {
+	hdr, payload, err := readContainerBytes(data)
+	if err != nil {
+		return nil, nil, err
 	}
 	c, err := New(hdr.Spec)
 	if err != nil {
 		return nil, nil, fmt.Errorf("codec: container spec %q: %w", hdr.Spec, err)
 	}
-	out, err := c.(*codecImpl).decodePayload(ctx, payload, hdr.Shape)
+	out, err := c.(*codecImpl).decodePayload(context.Background(), payload, hdr.Shape)
 	if err != nil {
 		return nil, nil, err
 	}
 	return out, c, nil
 }
 
-// DecodeFile is Decode over a container file on disk. The file must
-// hold exactly one container: trailing bytes are rejected (multi-tensor
-// files are ACCF v2 streams — use NewStreamReader). A v1 container's
-// payload is fully resident during decode anyway, so reading the file
-// whole costs no extra peak memory.
+// DecodeFile is DecodeBytes over a container file on disk — the CLI
+// decompress mode. The file must hold exactly one container
+// (multi-tensor files are ACCF v2 streams — use NewStreamReader). A v1
+// container's payload is fully resident during decode anyway, so
+// reading the file whole costs no extra peak memory.
 func DecodeFile(path string) (*tensor.Tensor, Codec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -1,11 +1,9 @@
 package codec
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"sync"
 
 	"repro/internal/codec/tensorio"
@@ -189,134 +187,101 @@ func (b *dctcBackend) encode(ctx context.Context, x *tensor.Tensor) ([]byte, err
 	return payload, nil
 }
 
-func (b *dctcBackend) decode(ctx context.Context, payload []byte, shape []int) (*tensor.Tensor, error) {
-	return b.decodeFrom(ctx, bytes.NewReader(payload), len(payload), shape)
-}
-
-// decodeStream decodes a dctc record incrementally through the same path
-// as decode: the payload size, fixed by the shape, is checked before the
-// output tensor is allocated, then planes stream through one plane
-// group at a time.
-func (b *dctcBackend) decodeStream(ctx context.Context, r *payloadReader, shape []int) (*tensor.Tensor, error) {
-	return b.decodeFrom(ctx, r, r.len(), shape)
-}
-
-// decodeFrom decodes a size-byte dctc payload read from src: the mode
-// byte (and, for the flat mode, the plane edge and element count), then
-// the plane-framed planes.
-func (b *dctcBackend) decodeFrom(ctx context.Context, src io.Reader, size int, shape []int) (*tensor.Tensor, error) {
-	var head [9]byte
-	if _, err := io.ReadFull(src, head[:1]); err != nil {
+// decode reads the mode byte (and, for the flat mode, the plane edge
+// and element count), then the plane-framed planes. The frame must
+// list every plane at the fixed compressed size, which pins the payload
+// size before the output tensor is allocated.
+func (b *dctcBackend) decode(ctx context.Context, src payloadSource, shape []int) (*tensor.Tensor, error) {
+	head, err := src.next(1)
+	if err != nil {
 		return nil, fmt.Errorf("dctc: reading payload mode: %w", err)
 	}
+	mode := head[0]
 	elems := 1
 	for _, d := range shape {
 		elems *= d
 	}
 	n, ok := b.planar(shape)
-	switch head[0] {
+	switch mode {
 	case dctcModePlanar:
 		if !ok {
 			return nil, fmt.Errorf("dctc: planar payload but shape %v is not a compatible [BD,C,n,n] batch", shape)
 		}
 	case dctcModeFlat:
-		if _, err := io.ReadFull(src, head[1:]); err != nil {
+		head, err := src.next(8)
+		if err != nil {
 			return nil, fmt.Errorf("dctc: flat payload truncated: %w", err)
 		}
-		n = int(binary.LittleEndian.Uint32(head[1:]))
+		n = int(binary.LittleEndian.Uint32(head))
 		if n < 1 || n > 1<<12 {
 			return nil, fmt.Errorf("dctc: implausible flat plane edge %d", n)
 		}
-		if encElems := binary.LittleEndian.Uint32(head[5:]); encElems != uint32(elems) {
+		if encElems := binary.LittleEndian.Uint32(head[4:]); encElems != uint32(elems) {
 			return nil, fmt.Errorf("dctc: flat payload holds %d values, shape %v implies %d", encElems, shape, elems)
 		}
 	default:
-		return nil, fmt.Errorf("dctc: unknown payload mode %d", head[0])
+		return nil, fmt.Errorf("dctc: unknown payload mode %d", mode)
 	}
 	comp, err := b.compilerFor(n)
 	if err != nil {
 		return nil, err
 	}
-	// Check the exact payload size before allocating the output, so a
-	// tiny corrupted payload claiming a huge shape fails cheaply.
 	planes := (elems + n*n - 1) / (n * n)
-	headLen := 1
-	if head[0] == dctcModeFlat {
-		headLen = len(head)
+	ss := b.cfg.Serialization * b.cfg.Serialization
+	cv := comp.ChunkValues()
+	frame, err := readPlaneFrame(src, planes, 4*ss*cv, true)
+	if err != nil {
+		return nil, err
 	}
-	if want := headLen + b.framedSize(comp, planes); size != want {
-		return nil, fmt.Errorf("dctc: payload %d bytes, want %d for %d planes", size, want, planes)
-	}
+	defer frame.release()
 	out := tensor.New(shape...)
 	dst := out.Data()
-	if head[0] == dctcModeFlat {
+	if mode == dctcModeFlat {
 		// Every flat plane, padded tail included, is decoded into the
 		// scratch before the copy-out, so no zeroing is needed.
 		dst = getScratchNoZero(planes * n * n)
 		defer putScratch(dst)
 	}
-	if err := b.decodePlanes(ctx, comp, src, dst); err != nil {
-		return nil, err
-	}
-	if head[0] == dctcModeFlat {
-		copy(out.Data(), dst)
-	}
-	return out, nil
-}
-
-// decodePlanes reads a plane frame and its planes from src and
-// decompresses them into out, which holds exactly those planes. The
-// frame must list each plane at the fixed compressed size; planes are
-// then read and decoded a plane group at a time, each group in one
-// batched DecompressInto — the payload stores each plane's s×s chunks
-// together, core.Compressed each chunk's planes together.
-func (b *dctcBackend) decodePlanes(ctx context.Context, comp *core.Compressor, src io.Reader, out []float32) error {
-	n := comp.Resolution()
-	planes := len(out) / (n * n)
-	ss := b.cfg.Serialization * b.cfg.Serialization
-	cv := comp.ChunkValues()
-	planeBytes := 4 * ss * cv
-	frame := getByteScratch(4 + 4*planes)
-	defer putByteScratch(frame)
-	if _, err := io.ReadFull(src, frame); err != nil {
-		return fmt.Errorf("dctc: reading plane frame: %w", err)
-	}
-	if got := binary.LittleEndian.Uint32(frame); got != uint32(planes) {
-		return fmt.Errorf("dctc: payload holds %d planes, shape implies %d", got, planes)
-	}
-	for p := 0; p < planes; p++ {
-		if ln := binary.LittleEndian.Uint32(frame[4+4*p:]); ln != uint32(planeBytes) {
-			return fmt.Errorf("dctc: plane %d payload %d bytes, want %d", p, ln, planeBytes)
-		}
-	}
-	group := min(planes, max(1, planeGroupBytes/planeBytes))
-	buf := getByteScratch(group * planeBytes)
-	defer putByteScratch(buf)
-	vals := getScratchNoZero(group * ss * cv)
-	defer putScratch(vals)
+	// Each group decodes in one batched DecompressInto: the payload
+	// stores each plane's s×s chunks together, core.Compressed each
+	// chunk's planes together.
+	var vals []float32
 	chunkShape := append([]int{0, 1}, comp.CompressedPlaneShape()...)
-	for p0 := 0; p0 < planes; p0 += group {
-		g := min(group, planes-p0)
-		if err := ctx.Err(); err != nil {
-			return markErr(ErrCanceled, fmt.Errorf("dctc: decode cancelled before plane %d: %w", p0, err))
+	for frame.taken < planes {
+		p0, p1, data, err := frame.group(ctx)
+		if err != nil {
+			return nil, err
 		}
-		if _, err := io.ReadFull(src, buf[:g*planeBytes]); err != nil {
-			return fmt.Errorf("dctc: reading planes [%d,%d): %w", p0, p0+g, err)
+		g := p1 - p0
+		if vals == nil {
+			// The first group is the largest: every plane is one size. A
+			// record's reader keeps its staging across records, so a
+			// stream of large planes does not re-take megabytes of
+			// pooled scratch per record.
+			if r, ok := src.(*payloadReader); ok {
+				vals = r.staging(g * ss * cv)
+			} else {
+				vals = getScratchNoZero(g * ss * cv)
+				defer putScratch(vals)
+			}
 		}
 		y := &core.Compressed{Config: b.cfg, BatchSize: g, Channels: 1, N: n}
 		chunkShape[0] = g
 		for ci := 0; ci < ss; ci++ {
 			chunk := vals[ci*g*cv : (ci+1)*g*cv]
 			for p := 0; p < g; p++ {
-				tensorio.DecodeFloat32s(chunk[p*cv:(p+1)*cv], buf[4*(p*ss+ci)*cv:])
+				tensorio.DecodeFloat32s(chunk[p*cv:(p+1)*cv], data[4*(p*ss+ci)*cv:])
 			}
 			y.Chunks = append(y.Chunks, tensor.FromSlice(chunk, chunkShape...))
 		}
-		if err := comp.DecompressInto(tensor.FromSlice(out[p0*n*n:(p0+g)*n*n], g, 1, n, n), y); err != nil {
-			return err
+		if err := comp.DecompressInto(tensor.FromSlice(dst[p0*n*n:p1*n*n], g, 1, n, n), y); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	if mode == dctcModeFlat {
+		copy(out.Data(), dst)
+	}
+	return out, nil
 }
 
 // Compiler exposes the compiled core.Compressor behind a dctc codec at

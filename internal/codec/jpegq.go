@@ -68,20 +68,21 @@ func (b *jpegqBackend) encode(ctx context.Context, x *tensor.Tensor) ([]byte, er
 	})
 }
 
-func (b *jpegqBackend) decode(ctx context.Context, payload []byte, shape []int) (*tensor.Tensor, error) {
+func (b *jpegqBackend) decode(ctx context.Context, src payloadSource, shape []int) (*tensor.Tensor, error) {
 	ch, h, w, err := b.checkShape(shape)
 	if err != nil {
 		return nil, err
 	}
-	if elems := shape[0] * ch * h * w; elems > maxJPEGQExpansion*len(payload) {
-		return nil, fmt.Errorf("jpegq: %d-byte payload implausibly small for %d elements", len(payload), elems)
+	if elems := shape[0] * ch * h * w; elems > maxJPEGQExpansion*src.len() {
+		return nil, fmt.Errorf("jpegq: %d-byte payload implausibly small for %d elements", src.len(), elems)
 	}
-	parts, err := splitPlanePayloads(payload, shape[0]*ch)
+	// jpegq payloads have no mode byte: the plane frame starts at once.
+	frame, err := readPlaneFrame(src, shape[0]*ch, 0, false)
 	if err != nil {
 		return nil, err
 	}
 	out := tensor.New(shape...)
-	if err := decompressPlanes(ctx, out, h, w, parts, b.planeDec(ch)); err != nil {
+	if err := frame.decodePlanes(ctx, out.Data(), h, w, b.planeDec(ch)); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -119,22 +120,4 @@ func (b *jpegqBackend) fastRoundTripInto(dst, x *tensor.Tensor) (int, error) {
 		total += n
 	}
 	return total, nil
-}
-
-// decodeStream decodes a jpegq record incrementally, one plane-group at
-// a time (jpegq payloads have no mode byte — the plane framing starts
-// immediately).
-func (b *jpegqBackend) decodeStream(ctx context.Context, r *payloadReader, shape []int) (*tensor.Tensor, error) {
-	ch, h, w, err := b.checkShape(shape)
-	if err != nil {
-		return nil, err
-	}
-	if elems := shape[0] * ch * h * w; elems > maxJPEGQExpansion*r.len() {
-		return nil, fmt.Errorf("jpegq: %d-byte payload implausibly small for %d elements", r.len(), elems)
-	}
-	out := tensor.New(shape...)
-	if err := decodePlaneStream(ctx, r, out, h, w, nil, b.planeDec(ch)); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

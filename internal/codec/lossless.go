@@ -96,7 +96,11 @@ func (b *losslessBackend) encode(ctx context.Context, x *tensor.Tensor) ([]byte,
 	return out, nil
 }
 
-func (b *losslessBackend) decode(ctx context.Context, payload []byte, shape []int) (*tensor.Tensor, error) {
+// decode takes the whole payload in one view: zero-copy from a
+// resident payload, and from a record once every chunk has arrived,
+// so a forged length fails on the missing bytes before the output is
+// allocated.
+func (b *losslessBackend) decode(ctx context.Context, src payloadSource, shape []int) (*tensor.Tensor, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -104,8 +108,12 @@ func (b *losslessBackend) decode(ctx context.Context, payload []byte, shape []in
 	for _, d := range shape {
 		elems *= d
 	}
-	if len(payload) != 4*elems {
-		return nil, fmt.Errorf("lossless: payload is %d bytes, shape %v needs exactly %d", len(payload), shape, 4*elems)
+	if src.len() != 4*elems {
+		return nil, fmt.Errorf("lossless: payload is %d bytes, shape %v needs exactly %d", src.len(), shape, 4*elems)
+	}
+	payload, err := src.next(4 * elems)
+	if err != nil {
+		return nil, err
 	}
 	out := tensor.New(shape...)
 	data := out.Data()

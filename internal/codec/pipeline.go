@@ -146,23 +146,25 @@ func putScratch(buf []float32) {
 	scratchPool.Put(&buf)
 }
 
-// byteScratchPool recycles byte staging buffers (plane-group reads,
-// length tables) across streaming decodes.
+// byteScratchPool recycles byte staging buffers (plane-frame tables,
+// index-footer reads) across decodes.
 var byteScratchPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// getByteScratch returns a byte buffer of length n with arbitrary
-// contents.
-func getByteScratch(n int) []byte {
+// getByteScratch returns a pooled byte buffer of length n with
+// arbitrary contents. Hand the pointer back to putByteScratch: pooling
+// the pointer itself keeps the round trip allocation-free.
+func getByteScratch(n int) *[]byte {
 	bp := byteScratchPool.Get().(*[]byte)
 	if cap(*bp) < n {
 		*bp = make([]byte, n)
 	}
-	return (*bp)[:n]
+	*bp = (*bp)[:n]
+	return bp
 }
 
 // putByteScratch returns a buffer to the pool.
-func putByteScratch(buf []byte) {
-	byteScratchPool.Put(&buf)
+func putByteScratch(bp *[]byte) {
+	byteScratchPool.Put(bp)
 }
 
 // compressPlanes encodes every h×w plane of x concurrently with enc and
@@ -206,64 +208,152 @@ func compressPlanes(ctx context.Context, x *tensor.Tensor, h, w int, enc func(p 
 	return payload, nil
 }
 
-// splitPlanePayloads validates a plane-framed payload against the
-// expected plane count and returns the per-plane slices (views into
-// payload). Called before any output allocation, so implausible frames
-// fail cheaply. Lengths are validated as uint32 before conversion — on
-// 32-bit platforms a length ≥ 2³¹ must not wrap negative.
-func splitPlanePayloads(payload []byte, wantPlanes int) ([][]byte, error) {
-	if len(payload) < 4 {
-		return nil, fmt.Errorf("codec: plane-framed payload truncated (%d bytes)", len(payload))
+// payloadSource hands a backend its payload front to back. A resident
+// payload (memPayload: v1 containers, staged payloads after their
+// inverse, the serialize round trip) returns zero-copy views; a v2
+// record's payloadReader returns bytes from CRC-checked chunks in a
+// buffer it reuses, so a view is valid only until the next call.
+type payloadSource interface {
+	// len reports the payload bytes not yet taken.
+	len() int
+	// next takes the next n payload bytes.
+	next(n int) ([]byte, error)
+}
+
+// memPayload is a resident payload.
+type memPayload struct{ b []byte }
+
+func (m *memPayload) len() int { return len(m.b) }
+
+func (m *memPayload) next(n int) ([]byte, error) {
+	if n > len(m.b) {
+		return nil, markErr(ErrTruncated, fmt.Errorf("codec: payload truncated: want %d bytes, %d left", n, len(m.b)))
 	}
-	planeCount := binary.LittleEndian.Uint32(payload)
-	if wantPlanes < 0 || planeCount != uint32(wantPlanes) {
-		return nil, fmt.Errorf("codec: payload holds %d planes, shape implies %d", planeCount, wantPlanes)
+	v := m.b[:n:n]
+	m.b = m.b[n:]
+	return v, nil
+}
+
+// planeFrame is a plane-framed payload whose count and length table
+// have been read and checked; the planes themselves are still in src,
+// and group takes them out.
+type planeFrame struct {
+	src    payloadSource
+	planes int
+	taken  int // planes already handed out
+	// ends holds each plane's end offset, relative to the first plane's
+	// first byte, as little-endian u32s (pooled scratch).
+	ends *[]byte
+}
+
+// readPlaneFrame is the one parser of the plane-frame header. It reads
+// the plane count and length table from src and checks them against
+// the shape-implied plane count, the payload size, and the family's
+// per-plane rule — no plane over maxPlane bytes when it is positive,
+// every plane exactly maxPlane bytes when exact — so a corrupt frame
+// fails before the caller allocates its output. Release the frame when
+// done with it.
+func readPlaneFrame(src payloadSource, planes, maxPlane int, exact bool) (planeFrame, error) {
+	head, err := src.next(4)
+	if err != nil {
+		return planeFrame{}, fmt.Errorf("codec: reading plane count: %w", err)
 	}
-	planes := wantPlanes
-	if len(payload) < 4+4*planes {
-		return nil, fmt.Errorf("codec: plane length table truncated")
+	if got := binary.LittleEndian.Uint32(head); got != uint32(planes) {
+		return planeFrame{}, fmt.Errorf("codec: payload holds %d planes, shape implies %d", got, planes)
 	}
-	parts := make([][]byte, planes)
-	off := 4 + 4*planes
+	table, err := src.next(4 * planes)
+	if err != nil {
+		return planeFrame{}, fmt.Errorf("codec: reading plane length table: %w", err)
+	}
+	// The table is validated as uint32s before any conversion: on
+	// 32-bit platforms a length ≥ 2³¹ must not wrap negative.
+	f := planeFrame{src: src, planes: planes, ends: getByteScratch(4 * planes)}
+	rest, ends := uint64(src.len()), *f.ends
+	var end uint64
 	for p := 0; p < planes; p++ {
-		plen32 := binary.LittleEndian.Uint32(payload[4+4*p:])
-		if uint64(plen32) > uint64(len(payload)-off) {
-			return nil, fmt.Errorf("codec: plane %d payload (%d bytes at offset %d) overruns frame", p, plen32, off)
+		n := uint64(binary.LittleEndian.Uint32(table[4*p:]))
+		if exact && n != uint64(maxPlane) {
+			f.release()
+			return planeFrame{}, fmt.Errorf("codec: plane %d payload %d bytes, want %d", p, n, maxPlane)
 		}
-		plen := int(plen32)
-		parts[p] = payload[off : off+plen]
-		off += plen
+		if maxPlane > 0 && n > uint64(maxPlane) {
+			f.release()
+			return planeFrame{}, fmt.Errorf("codec: plane %d payload %d bytes exceeds the %d-byte plane budget", p, n, maxPlane)
+		}
+		if n > rest-end {
+			f.release()
+			return planeFrame{}, fmt.Errorf("codec: plane %d payload (%d bytes at offset %d) overruns frame", p, n, end)
+		}
+		end += n
+		binary.LittleEndian.PutUint32(ends[4*p:], uint32(end))
 	}
-	if off != len(payload) {
-		return nil, fmt.Errorf("codec: %d trailing bytes after plane payloads", len(payload)-off)
+	if end != rest {
+		f.release()
+		return planeFrame{}, fmt.Errorf("codec: %d trailing bytes after plane payloads", rest-end)
 	}
-	return parts, nil
+	return f, nil
 }
 
-// decompressPlanes decodes pre-split plane payloads concurrently into
-// out's h×w planes. dec receives a zero-copy view of plane p; planes
-// are disjoint, so concurrent writes are race-free.
-func decompressPlanes(ctx context.Context, out *tensor.Tensor, h, w int, parts [][]byte, dec func(p int, data []byte, plane *tensor.Tensor) error) error {
-	if want := out.Len() / (h * w); want != len(parts) {
-		return fmt.Errorf("codec: %d plane payloads for %d planes", len(parts), want)
+// release returns the frame's table to the pool.
+func (f *planeFrame) release() { putByteScratch(f.ends) }
+
+// planeStart and planeEnd bound plane p's bytes in a frame's table,
+// relative to the first plane.
+func planeStart(ends []byte, p int) int {
+	if p == 0 {
+		return 0
 	}
-	return decompressPlaneRange(ctx, out, h, w, 0, parts, dec)
+	return planeEnd(ends, p-1)
 }
 
-// decompressPlaneRange decodes parts into out's planes
-// [first, first+len(parts)) — the streaming decoder hands groups of
-// planes through here as their bytes arrive, so out fills incrementally
-// without the whole payload ever being resident.
-func decompressPlaneRange(ctx context.Context, out *tensor.Tensor, h, w, first int, parts [][]byte, dec func(p int, data []byte, plane *tensor.Tensor) error) error {
-	if last := first + len(parts); first < 0 || last > out.Len()/(h*w) {
-		return fmt.Errorf("codec: plane range [%d,%d) outside tensor's %d planes", first, last, out.Len()/(h*w))
+func planeEnd(ends []byte, p int) int { return int(binary.LittleEndian.Uint32(ends[4*p:])) }
+
+// group takes the next plane group from the source: planes [p0, p1)
+// and their bytes. A group holds at most planeGroupBytes, or one plane
+// larger than that, so a streamed record never has more than one group
+// of compressed bytes resident.
+func (f *planeFrame) group(ctx context.Context) (p0, p1 int, data []byte, err error) {
+	if err := ctx.Err(); err != nil {
+		return 0, 0, nil, markErr(ErrCanceled, fmt.Errorf("codec: decode cancelled before plane %d: %w", f.taken, err))
 	}
-	return forEachPlane(ctx, len(parts), func(i int) error {
-		p := first + i
-		plane := tensor.FromSlice(out.Data()[p*h*w:(p+1)*h*w], h, w)
-		if err := dec(p, parts[i], plane); err != nil {
-			return fmt.Errorf("codec: plane %d: %w", p, err)
+	ends := *f.ends
+	p0, p1 = f.taken, f.taken+1
+	base := planeStart(ends, p0)
+	for p1 < f.planes && planeEnd(ends, p1)-base <= planeGroupBytes {
+		p1++
+	}
+	if data, err = f.src.next(planeEnd(ends, p1-1) - base); err != nil {
+		return 0, 0, nil, fmt.Errorf("codec: reading planes [%d,%d): %w", p0, p1, err)
+	}
+	f.taken = p1
+	return p0, p1, data, nil
+}
+
+// decodePlanes decodes every plane into the h×w planes of out, each
+// group's planes concurrently on the worker pool, and releases the
+// frame. dec receives plane p's bytes and a zero-copy view of its
+// output plane; planes are disjoint, so the concurrent writes are
+// race-free.
+func (f *planeFrame) decodePlanes(ctx context.Context, out []float32, h, w int, dec func(p int, data []byte, plane *tensor.Tensor) error) error {
+	defer f.release()
+	ends := *f.ends
+	for f.taken < f.planes {
+		p0, p1, data, err := f.group(ctx)
+		if err != nil {
+			return err
 		}
-		return nil
-	})
+		base := planeStart(ends, p0)
+		err = forEachPlane(ctx, p1-p0, func(i int) error {
+			p := p0 + i
+			plane := tensor.FromSlice(out[p*h*w:(p+1)*h*w], h, w)
+			if err := dec(p, data[planeStart(ends, p)-base:planeEnd(ends, p)-base], plane); err != nil {
+				return fmt.Errorf("codec: plane %d: %w", p, err)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

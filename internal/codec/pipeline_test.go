@@ -58,60 +58,77 @@ func TestPlaneFramingRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, err := splitPlanePayloads(payload, 5)
+	frame, err := readPlaneFrame(&memPayload{b: payload}, 5, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p, part := range parts {
-		if len(part) != p+1 {
-			t.Fatalf("plane %d length %d", p, len(part))
+	defer frame.release()
+	ends, seen := *frame.ends, 0
+	for frame.taken < 5 {
+		p0, p1, data, err := frame.group(context.Background())
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, b := range part {
-			if b != byte(p) {
-				t.Fatalf("plane %d payload corrupted", p)
+		for p := p0; p < p1; p++ {
+			part := data[planeStart(ends, p)-planeStart(ends, p0) : planeEnd(ends, p)-planeStart(ends, p0)]
+			if len(part) != p+1 {
+				t.Fatalf("plane %d length %d", p, len(part))
 			}
+			for _, b := range part {
+				if b != byte(p) {
+					t.Fatalf("plane %d payload corrupted", p)
+				}
+			}
+			seen++
 		}
+	}
+	if seen != 5 {
+		t.Fatalf("frame handed out %d planes, want 5", seen)
 	}
 }
 
-func TestSplitPlanePayloadsRejectsMalformed(t *testing.T) {
-	cases := map[string][]byte{
-		"empty":           {},
-		"short header":    {1, 0},
-		"truncated table": binary.LittleEndian.AppendUint32(nil, 3),
-		"overrun length": func() []byte {
-			b := binary.LittleEndian.AppendUint32(nil, 1)
-			b = binary.LittleEndian.AppendUint32(b, 100)
-			return append(b, 1, 2, 3)
-		}(),
-		"trailing bytes": func() []byte {
-			b := binary.LittleEndian.AppendUint32(nil, 1)
-			b = binary.LittleEndian.AppendUint32(b, 1)
-			return append(b, 1, 2)
-		}(),
+// TestPlaneFrameRejectsMalformed holds the one plane-frame parser to
+// every structural rule: the shape-implied count, a whole length table,
+// lengths inside the payload, no trailing bytes, and the per-plane
+// size rules the families pass in.
+func TestPlaneFrameRejectsMalformed(t *testing.T) {
+	frame := func(lens []uint32, data ...byte) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, uint32(len(lens)))
+		for _, n := range lens {
+			b = binary.LittleEndian.AppendUint32(b, n)
+		}
+		return append(b, data...)
 	}
-	for name, payload := range cases {
-		if _, err := splitPlanePayloads(payload, wantPlanesFor(name)); err == nil {
-			t.Errorf("%s accepted", name)
+	cases := []struct {
+		name     string
+		payload  []byte
+		planes   int
+		maxPlane int
+		exact    bool
+	}{
+		{"empty", []byte{}, 1, 0, false},
+		{"short header", []byte{1, 0}, 1, 0, false},
+		// Each claims the count its header implies, so the failure is
+		// structural.
+		{"truncated table", binary.LittleEndian.AppendUint32(nil, 3), 3, 0, false},
+		{"overrun length", frame([]uint32{100}, 1, 2, 3), 1, 0, false},
+		{"trailing bytes", frame([]uint32{1}, 1, 2), 1, 0, false},
+		{"plane-count mismatch", frame([]uint32{0, 0}), 3, 0, false},
+		{"plane over budget", frame([]uint32{2, 4}, 1, 2, 3, 4, 5, 6), 2, 3, false},
+		{"plane of the wrong fixed size", frame([]uint32{2, 4}, 1, 2, 3, 4, 5, 6), 2, 3, true},
+	}
+	for _, tc := range cases {
+		if _, err := readPlaneFrame(&memPayload{b: tc.payload}, tc.planes, tc.maxPlane, tc.exact); err == nil {
+			t.Errorf("%s accepted", tc.name)
 		}
 	}
-	// Plane-count mismatch against the shape-implied count.
-	good := binary.LittleEndian.AppendUint32(nil, 2)
-	good = binary.LittleEndian.AppendUint32(good, 0)
-	good = binary.LittleEndian.AppendUint32(good, 0)
-	if _, err := splitPlanePayloads(good, 3); err == nil {
-		t.Error("plane-count mismatch accepted")
+	// The rules admit what they should: planes under the budget, and
+	// planes at exactly the fixed size.
+	if _, err := readPlaneFrame(&memPayload{b: frame([]uint32{2, 3}, 1, 2, 3, 4, 5)}, 2, 3, false); err != nil {
+		t.Errorf("planes within the budget rejected: %v", err)
 	}
-}
-
-// wantPlanesFor keeps the malformed-payload cases honest: each claims
-// the count its header would imply, so the failure is structural.
-func wantPlanesFor(name string) int {
-	switch name {
-	case "truncated table":
-		return 3
-	default:
-		return 1
+	if _, err := readPlaneFrame(&memPayload{b: frame([]uint32{3, 3}, 1, 2, 3, 4, 5, 6)}, 2, 3, true); err != nil {
+		t.Errorf("planes of the fixed size rejected: %v", err)
 	}
 }
 

@@ -201,7 +201,7 @@ func (c *codecImpl) decodePayload(ctx context.Context, payload []byte, shape []i
 			c.stageM[i].inverseNs.ObserveSince(ts)
 		}
 	}
-	out, err := c.b.decode(ctx, payload, shape)
+	out, err := c.b.decode(ctx, &memPayload{b: payload}, shape)
 	if err != nil {
 		c.m.countErr(err)
 		return nil, err

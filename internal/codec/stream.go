@@ -2,13 +2,13 @@ package codec
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -503,6 +503,13 @@ type recordCursor struct {
 	hdr Header
 	cur *payloadReader // pending record payload, nil between records
 	err error          // sticky failure (or io.EOF after the end marker)
+	// buf backs the views cur hands out, and vals is decode staging for
+	// them (dctc's group floats). Both are taken from their pools at
+	// first use and kept until the stream ends (or the seek is done), so
+	// the records of one stream reuse them and no GC can take them back
+	// mid-stream; buf grows only as payload bytes arrive.
+	buf  *[]byte
+	vals *[]float32
 	// markOff is the stream offset of the pending record's marker byte.
 	markOff int64
 	// sawFooter flips once an index footer has been passed; only the end
@@ -655,6 +662,7 @@ func (c *recordCursor) nextRecord() (Header, error) {
 				return Header{}, c.posw("probing for end of stream", err)
 			}
 			c.err = io.EOF
+			c.releaseBufs()
 			return Header{}, io.EOF
 		case recIndex:
 			// The index footer is for random-access readers; here it is
@@ -776,8 +784,9 @@ func (c *recordCursor) skipFooter() error {
 		return nil
 	}
 	crc := crc32.Update(crc32.ChecksumIEEE([]byte{recIndex}), crc32.IEEETable, lenBuf[:])
-	buf := getByteScratch(32 << 10)
-	defer putByteScratch(buf)
+	bp := getByteScratch(32 << 10)
+	defer putByteScratch(bp)
+	buf := *bp
 	for remaining := int64(n); remaining > 0; {
 		k := min(int64(len(buf)), remaining)
 		if err := c.readFull(buf[:k]); err != nil {
@@ -798,9 +807,11 @@ func (c *recordCursor) skipFooter() error {
 	return nil
 }
 
-// decodeRecord decompresses the pending record into a tensor, streaming
-// the payload through at most one plane-group of scratch at a time. The
-// codec is resolved from the record's (CRC-verified) spec.
+// decodeRecord decompresses the pending record into a tensor. The codec
+// is resolved from the record's (CRC-verified) spec. An unstaged record
+// decodes straight from its chunked payload, holding at most one plane
+// group of compressed bytes; a staged record is taken whole, because
+// the stage chain inverts over the whole payload.
 func (c *recordCursor) decodeRecord(ctx context.Context) (*tensor.Tensor, error) {
 	if c.err != nil {
 		return nil, c.err
@@ -814,18 +825,12 @@ func (c *recordCursor) decodeRecord(ctx context.Context) (*tensor.Tensor, error)
 		return nil, c.posw(fmt.Sprintf("record spec %q", c.hdr.Spec), err)
 	}
 	var out *tensor.Tensor
-	if sd, ok := impl.b.(streamDecoder); ok && len(impl.chain) == 0 {
-		out, err = sd.decodeStream(ctx, c.cur, c.hdr.Shape)
+	if len(impl.chain) == 0 {
+		out, err = impl.b.decode(ctx, c.cur, c.hdr.Shape)
 	} else {
-		// Staged records (the chain must invert over the whole payload)
-		// and backends without streaming support buffer the one record.
-		// The buffer grows as chunk data actually arrives rather than
-		// being pre-allocated at the claimed payload length: a forged
-		// (CRC-valid) header claiming maxPayload would otherwise force a
-		// 1 GiB allocation before the first truncated chunk could fail.
-		var buf bytes.Buffer
-		if _, err = io.Copy(&buf, c.cur); err == nil {
-			out, err = impl.decodePayload(ctx, buf.Bytes(), c.hdr.Shape)
+		var payload []byte
+		if payload, err = c.cur.next(c.cur.len()); err == nil {
+			out, err = impl.decodePayload(ctx, payload, c.hdr.Shape)
 		}
 	}
 	if err != nil {
@@ -866,10 +871,8 @@ func (c *recordCursor) skipRecord() error {
 			c.seek(c.off + int64(p.chunkLeft))
 		}
 	case !c.trySeekSkip():
-		buf := getByteScratch(32 << 10)
-		defer putByteScratch(buf)
 		for c.cur.len() > 0 {
-			if err := c.cur.readFull(buf[:min(c.cur.len(), len(buf))]); err != nil {
+			if _, err := c.cur.next(min(c.cur.len(), 32<<10)); err != nil {
 				return err
 			}
 		}
@@ -917,10 +920,10 @@ func noEOF(err error) error {
 	return markIOTruncation(err)
 }
 
-// payloadReader streams one record's chunked payload. It implements
-// io.Reader; bytes flow straight from the underlying stream into the
-// caller's buffer while a running CRC is folded per chunk — the reader
-// itself buffers nothing beyond the cursor's window.
+// payloadReader streams one record's chunked payload: the payload
+// source a v2 record hands its backend. Bytes flow from the underlying
+// stream into the cursor's payload buffer while a running CRC is folded
+// per chunk; a chunk whose CRC fails stops the decode at its last byte.
 type payloadReader struct {
 	c         *recordCursor
 	remaining int    // payload bytes not yet delivered
@@ -950,15 +953,11 @@ func (r *payloadReader) nextChunk() error {
 	return nil
 }
 
-func (r *payloadReader) Read(p []byte) (int, error) {
+// read fills p with payload bytes from the current chunk, opening the
+// next chunk when the current one is spent; 0 < len(p) ≤ remaining.
+func (r *payloadReader) read(p []byte) (int, error) {
 	if r.c.err != nil {
 		return 0, r.c.err
-	}
-	if r.remaining == 0 {
-		return 0, io.EOF
-	}
-	if len(p) == 0 {
-		return 0, nil
 	}
 	if r.chunkLeft == 0 {
 		if err := r.nextChunk(); err != nil {
@@ -980,93 +979,56 @@ func (r *payloadReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// ReadByte reads one payload byte.
-func (r *payloadReader) ReadByte() (byte, error) {
-	var b [1]byte
-	if err := r.readFull(b[:]); err != nil {
-		return 0, err
+// next takes the next n payload bytes into the cursor's payload buffer.
+// The buffer grows only as bytes arrive — doubling from 64 KiB — so a
+// forged payload length cannot force an allocation the stream does not
+// back. The view is valid until the next call.
+func (r *payloadReader) next(n int) ([]byte, error) {
+	if n > r.remaining {
+		return nil, r.c.poskf(ErrTruncated, "payload truncated: want %d bytes, %d left", n, r.remaining)
 	}
-	return b[0], nil
+	if r.c.buf == nil {
+		r.c.buf = payloadBufs.Get().(*[]byte)
+	}
+	buf := (*r.c.buf)[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n, max(2*len(buf), 64<<10))-len(buf))
+		}
+		k, err := r.read(buf[len(buf):min(n, cap(buf))])
+		if err != nil {
+			return nil, err
+		}
+		buf = buf[:len(buf)+k]
+	}
+	*r.c.buf = buf
+	return buf, nil
 }
 
-// readFull fills p from the payload, treating a short payload as an
-// error.
-func (r *payloadReader) readFull(p []byte) error {
-	off := 0
-	for off < len(p) {
-		n, err := r.Read(p[off:])
-		if err != nil {
-			if err == io.EOF {
-				return r.c.poskf(ErrTruncated, "payload truncated: want %d more bytes", len(p)-off)
-			}
-			return err
-		}
-		off += n
+// staging returns n floats of the cursor's decode staging.
+func (r *payloadReader) staging(n int) []float32 {
+	if r.c.vals == nil {
+		r.c.vals = scratchPool.Get().(*[]float32)
 	}
-	return nil
+	if cap(*r.c.vals) < n {
+		*r.c.vals = make([]float32, n)
+	}
+	return (*r.c.vals)[:n]
 }
 
-// decodePlaneStream incrementally decodes a plane-framed payload from r
-// into out's h×w planes: the plane length table is read and validated
-// first (checkLen, when non-nil, vets each entry before any plane data
-// arrives), then planes are read and decoded one plane-group at a time
-// — the group buffer is the decoder's only transient allocation.
-func decodePlaneStream(ctx context.Context, r *payloadReader, out *tensor.Tensor, h, w int, checkLen func(p, n int) error, dec func(p int, data []byte, plane *tensor.Tensor) error) error {
-	want := out.Len() / (h * w)
-	var head [4]byte
-	if err := r.readFull(head[:]); err != nil {
-		return fmt.Errorf("codec: reading plane count: %w", err)
+// payloadBufs recycles record cursors' payload buffers across streams
+// and seeks.
+var payloadBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// releaseBufs hands the cursor's payload buffer and staging back to
+// their pools.
+func (c *recordCursor) releaseBufs() {
+	if c.buf != nil {
+		payloadBufs.Put(c.buf)
+		c.buf = nil
 	}
-	if got := binary.LittleEndian.Uint32(head[:]); got != uint32(want) {
-		return fmt.Errorf("codec: payload holds %d planes, shape implies %d", got, want)
+	if c.vals != nil {
+		scratchPool.Put(c.vals)
+		c.vals = nil
 	}
-	table := getByteScratch(4 * want)
-	defer putByteScratch(table)
-	if err := r.readFull(table); err != nil {
-		return fmt.Errorf("codec: reading plane length table: %w", err)
-	}
-	lens := make([]int, want)
-	var total uint64
-	for p := range lens {
-		n32 := binary.LittleEndian.Uint32(table[4*p:])
-		total += uint64(n32)
-		if total > uint64(r.len()) {
-			return fmt.Errorf("codec: plane %d payload (%d bytes) overruns record", p, n32)
-		}
-		lens[p] = int(n32)
-		if checkLen != nil {
-			if err := checkLen(p, lens[p]); err != nil {
-				return err
-			}
-		}
-	}
-	if total != uint64(r.len()) {
-		return fmt.Errorf("codec: %d trailing bytes after plane payloads", uint64(r.len())-total)
-	}
-	for p0 := 0; p0 < want; {
-		gBytes := lens[p0]
-		p1 := p0 + 1
-		for p1 < want && gBytes+lens[p1] <= planeGroupBytes {
-			gBytes += lens[p1]
-			p1++
-		}
-		buf := getByteScratch(gBytes)
-		if err := r.readFull(buf); err != nil {
-			putByteScratch(buf)
-			return fmt.Errorf("codec: reading plane group [%d,%d): %w", p0, p1, err)
-		}
-		parts := make([][]byte, p1-p0)
-		off := 0
-		for i := range parts {
-			parts[i] = buf[off : off+lens[p0+i]]
-			off += lens[p0+i]
-		}
-		err := decompressPlaneRange(ctx, out, h, w, p0, parts, dec)
-		putByteScratch(buf)
-		if err != nil {
-			return err
-		}
-		p0 = p1
-	}
-	return nil
 }

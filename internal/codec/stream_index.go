@@ -438,6 +438,7 @@ func (ix *IndexedStream) DecodeAt(ctx context.Context, i int) (*tensor.Tensor, e
 	// chunk framing slack), so a seek's reads are proportional to the
 	// record, not to a fixed window that may span half the stream.
 	c := ix.cursor(e.off, i, min(64<<10, int(e.payLen)+1024))
+	defer c.releaseBufs()
 	hdr, err := c.nextRecord()
 	if err != nil {
 		return nil, err

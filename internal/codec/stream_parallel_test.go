@@ -168,7 +168,7 @@ func (g *gateBackend) encode(ctx context.Context, x *tensor.Tensor) ([]byte, err
 		return nil, ctx.Err()
 	}
 }
-func (g *gateBackend) decode(ctx context.Context, payload []byte, shape []int) (*tensor.Tensor, error) {
+func (g *gateBackend) decode(ctx context.Context, src payloadSource, shape []int) (*tensor.Tensor, error) {
 	return tensor.New(shape...), nil
 }
 

@@ -320,10 +320,17 @@ func TestStreamDecodeBoundedMemory(t *testing.T) {
 			}
 			t.Fatal(err)
 		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
 		out, err := sr.Decode(ctx)
+		runtime.ReadMemStats(&m1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Past the first record (codec compile, first buffers) a record
+		// should allocate its output tensor and little else.
+		t.Logf("record %d: %d KB allocated (output %d KB), %d GCs",
+			decoded, (m1.TotalAlloc-m0.TotalAlloc)>>10, out.SizeBytes()>>10, m1.NumGC-m0.NumGC)
 		if out.Len() != x.Len() {
 			t.Fatalf("record %d: %d elements, want %d", decoded, out.Len(), x.Len())
 		}
@@ -334,9 +341,9 @@ func TestStreamDecodeBoundedMemory(t *testing.T) {
 		t.Fatalf("decoded %d records, want %d", decoded, records)
 	}
 	alloc := after.TotalAlloc - before.TotalAlloc
-	// Budget: the four output tensors (unavoidable) plus pooled
-	// plane-group/plane scratch and slack. Buffering even one record's
-	// payload adds 28 MB; buffering each adds ≥ 112 MB.
+	// Budget: the four output tensors (unavoidable) plus the reader's
+	// plane-group buffer and staging, and slack. Buffering even one
+	// record's payload adds 28 MB; buffering each adds ≥ 112 MB.
 	budget := uint64(outBytes) + 48<<20
 	t.Logf("decoded %d MB across %d records with %d MB total allocation (budget %d MB)",
 		outBytes>>20, records, alloc>>20, budget>>20)

@@ -62,24 +62,6 @@ func (b *szBackend) encode(ctx context.Context, x *tensor.Tensor) ([]byte, error
 	return append([]byte{mode}, framed...), nil
 }
 
-// planeGeometry resolves the plane size for a payload mode and target
-// shape, shared by the buffered and streaming decode paths.
-func (b *szBackend) planeGeometry(mode byte, shape []int) (h, w, elems int, err error) {
-	elems = 1
-	for _, d := range shape {
-		elems *= d
-	}
-	switch {
-	case mode == szModePlanar && len(shape) >= 2:
-		h, w = shape[len(shape)-2], shape[len(shape)-1]
-	case mode == szModeFlat && len(shape) == 1:
-		h, w = 1, elems
-	default:
-		return 0, 0, 0, fmt.Errorf("sz: payload mode %d does not match shape %v", mode, shape)
-	}
-	return h, w, elems, nil
-}
-
 // planeDec returns the per-plane decode closure: it re-validates the
 // plane stream's recorded geometry (the sz stream is itself
 // self-describing) before decompressing into the output plane.
@@ -97,58 +79,30 @@ func (b *szBackend) planeDec(h, w int) func(p int, data []byte, plane *tensor.Te
 	}
 }
 
-func (b *szBackend) decode(ctx context.Context, payload []byte, shape []int) (*tensor.Tensor, error) {
-	if len(payload) < 1 {
-		return nil, fmt.Errorf("sz: empty payload")
-	}
-	mode, payload := payload[0], payload[1:]
-	h, w, elems, err := b.planeGeometry(mode, shape)
-	if err != nil {
-		return nil, err
-	}
-	parts, err := splitPlanePayloads(payload, elems/(h*w))
-	if err != nil {
-		return nil, err
-	}
-	// Validate each plane stream's recorded geometry before allocating.
-	for p, part := range parts {
-		planes, sh, sw, err := sz.StreamDims(part)
-		if err != nil {
-			return nil, fmt.Errorf("sz: plane %d: %w", p, err)
-		}
-		if planes != 1 || sh != h || sw != w {
-			return nil, fmt.Errorf("sz: plane %d stream is %d×%dx%d, want 1×%dx%d", p, planes, sh, sw, h, w)
-		}
-	}
-	out := tensor.New(shape...)
-	view := out
-	if mode == szModeFlat {
-		view = out.Reshape(1, w)
-	}
-	if err := decompressPlanes(ctx, view, h, w, parts, b.planeDec(h, w)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// decodeStream decodes an sz record incrementally, one plane-group at a
-// time. Per-plane geometry validation happens as each group's streams
-// arrive (the shape itself is CRC-protected by the v2 record header).
-func (b *szBackend) decodeStream(ctx context.Context, r *payloadReader, shape []int) (*tensor.Tensor, error) {
-	mode, err := r.ReadByte()
+func (b *szBackend) decode(ctx context.Context, src payloadSource, shape []int) (*tensor.Tensor, error) {
+	head, err := src.next(1)
 	if err != nil {
 		return nil, fmt.Errorf("sz: reading payload mode: %w", err)
 	}
-	h, w, _, err := b.planeGeometry(mode, shape)
+	elems := 1
+	for _, d := range shape {
+		elems *= d
+	}
+	var h, w int
+	switch mode := head[0]; {
+	case mode == szModePlanar && len(shape) >= 2:
+		h, w = shape[len(shape)-2], shape[len(shape)-1]
+	case mode == szModeFlat && len(shape) == 1:
+		h, w = 1, elems
+	default:
+		return nil, fmt.Errorf("sz: payload mode %d does not match shape %v", mode, shape)
+	}
+	frame, err := readPlaneFrame(src, elems/(h*w), 0, false)
 	if err != nil {
 		return nil, err
 	}
 	out := tensor.New(shape...)
-	view := out
-	if mode == szModeFlat {
-		view = out.Reshape(1, w)
-	}
-	if err := decodePlaneStream(ctx, r, view, h, w, nil, b.planeDec(h, w)); err != nil {
+	if err := frame.decodePlanes(ctx, out.Data(), h, w, b.planeDec(h, w)); err != nil {
 		return nil, err
 	}
 	return out, nil

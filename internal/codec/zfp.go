@@ -109,73 +109,58 @@ func (b *zfpBackend) encode(ctx context.Context, x *tensor.Tensor) ([]byte, erro
 	return append(head, framed...), nil
 }
 
-func (b *zfpBackend) decode(ctx context.Context, payload []byte, shape []int) (*tensor.Tensor, error) {
-	if len(payload) < 1 {
-		return nil, fmt.Errorf("zfp: empty payload")
+func (b *zfpBackend) decode(ctx context.Context, src payloadSource, shape []int) (*tensor.Tensor, error) {
+	head, err := src.next(1)
+	if err != nil {
+		return nil, fmt.Errorf("zfp: reading payload mode: %w", err)
 	}
-	mode, payload := payload[0], payload[1:]
+	mode := head[0]
 	elems := 1
 	for _, d := range shape {
 		elems *= d
 	}
+	// The fixed rate is a per-plane byte budget, not an exact size:
+	// encodeBlock stops early on all-zero bit-plane tails, so real
+	// payloads may come in under it (never over).
 	switch mode {
 	case zfpModePlanar:
 		h, w, ok := planarHW(shape, zfp.BlockSize)
 		if !ok {
 			return nil, fmt.Errorf("zfp: planar payload but shape %v has no %d-aligned planes", shape, zfp.BlockSize)
 		}
-		parts, err := splitPlanePayloads(payload, elems/(h*w))
+		frame, err := readPlaneFrame(src, elems/(h*w), b.codec.CompressedBytes(1, h, w), false)
 		if err != nil {
 			return nil, err
 		}
-		// The fixed rate is a per-plane byte budget, not an exact size:
-		// encodeBlock stops early on all-zero bit-plane tails, so real
-		// payloads may come in under it (never over).
-		want := b.codec.CompressedBytes(1, h, w)
-		for p, part := range parts {
-			if len(part) > want {
-				return nil, fmt.Errorf("zfp: plane %d payload %d bytes exceeds the %d-byte budget at rate %g", p, len(part), want, b.codec.Rate)
-			}
-		}
 		out := tensor.New(shape...)
-		if err := decompressPlanes(ctx, out, h, w, parts, b.decodePlane); err != nil {
+		if err := frame.decodePlanes(ctx, out.Data(), h, w, b.decodePlane); err != nil {
 			return nil, err
 		}
 		return out, nil
 	case zfpModeFlat:
-		if len(payload) < 8 {
-			return nil, fmt.Errorf("zfp: flat payload truncated")
+		head, err := src.next(8)
+		if err != nil {
+			return nil, fmt.Errorf("zfp: flat payload truncated: %w", err)
 		}
-		planeN := int(binary.LittleEndian.Uint32(payload))
-		encElems := binary.LittleEndian.Uint32(payload[4:])
-		payload = payload[8:]
+		planeN := int(binary.LittleEndian.Uint32(head))
 		if planeN < zfp.BlockSize || planeN > 1<<12 || planeN%zfp.BlockSize != 0 {
 			return nil, fmt.Errorf("zfp: implausible flat plane edge %d", planeN)
 		}
-		if encElems != uint32(elems) {
+		if encElems := binary.LittleEndian.Uint32(head[4:]); encElems != uint32(elems) {
 			return nil, fmt.Errorf("zfp: flat payload holds %d values, shape %v implies %d", encElems, shape, elems)
 		}
 		plane := planeN * planeN
 		nplanes := (elems + plane - 1) / plane
-		// Split and length-check every plane before allocating output
-		// or scratch, so implausible frames fail cheaply.
-		parts, err := splitPlanePayloads(payload, nplanes)
+		frame, err := readPlaneFrame(src, nplanes, b.codec.CompressedBytes(1, planeN, planeN), false)
 		if err != nil {
 			return nil, err
-		}
-		want := b.codec.CompressedBytes(1, planeN, planeN)
-		for p, part := range parts {
-			if len(part) > want {
-				return nil, fmt.Errorf("zfp: plane %d payload %d bytes exceeds the %d-byte budget at rate %g", p, len(part), want, b.codec.Rate)
-			}
 		}
 		out := tensor.New(shape...)
 		// Every plane, padded tail included, is decoded into the
 		// scratch before the copy-out, so no zeroing is needed.
 		scratch := getScratchNoZero(nplanes * plane)
 		defer putScratch(scratch)
-		packed := tensor.FromSlice(scratch, nplanes, planeN, planeN)
-		if err := decompressPlanes(ctx, packed, planeN, planeN, parts, b.decodePlane); err != nil {
+		if err := frame.decodePlanes(ctx, scratch, planeN, planeN, b.decodePlane); err != nil {
 			return nil, err
 		}
 		copy(out.Data(), scratch[:out.Len()])
@@ -230,48 +215,4 @@ func (b *zfpBackend) fastRoundTripInto(dst, x *tensor.Tensor) (int, error) {
 		}
 	}
 	return total, nil
-}
-
-// decodeStream decodes a planar zfp record incrementally, one
-// plane-group at a time; the fixed rate makes the exact payload size
-// checkable against the shape before the output tensor is allocated.
-// Flat records pack into small (≤256×256) scratch planes and fall back
-// to the buffered path.
-func (b *zfpBackend) decodeStream(ctx context.Context, r *payloadReader, shape []int) (*tensor.Tensor, error) {
-	mode, err := r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("zfp: reading payload mode: %w", err)
-	}
-	if mode != zfpModePlanar {
-		buf := make([]byte, 1+r.len())
-		buf[0] = mode
-		if err := r.readFull(buf[1:]); err != nil {
-			return nil, fmt.Errorf("zfp: buffering non-planar payload: %w", err)
-		}
-		return b.decode(ctx, buf, shape)
-	}
-	h, w, ok := planarHW(shape, zfp.BlockSize)
-	if !ok {
-		return nil, fmt.Errorf("zfp: planar payload but shape %v has no %d-aligned planes", shape, zfp.BlockSize)
-	}
-	elems := 1
-	for _, d := range shape {
-		elems *= d
-	}
-	planes := elems / (h * w)
-	want := b.codec.CompressedBytes(1, h, w)
-	if maxTotal := 4 + planes*(4+want); r.len() > maxTotal {
-		return nil, fmt.Errorf("zfp: planar payload %d bytes exceeds %d-byte budget for %d planes", r.len(), maxTotal, planes)
-	}
-	out := tensor.New(shape...)
-	err = decodePlaneStream(ctx, r, out, h, w, func(p, ln int) error {
-		if ln > want {
-			return fmt.Errorf("zfp: plane %d payload %d bytes exceeds the %d-byte budget at rate %g", p, ln, want, b.codec.Rate)
-		}
-		return nil
-	}, b.decodePlane)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
