@@ -31,6 +31,11 @@ GOOS=linux GOARCH=386 go test -count=1 ./internal/codec/ ./internal/entropy/ ./i
 # runtime-gated kernels.
 GOOS=linux GOARCH=arm64 go build ./...
 GOOS=linux GOARCH=amd64 GOAMD64=v1 go build ./...
+# The library serves no HTTP: net/http would double every binary and pprof's import mounts handlers on the host's DefaultServeMux.
+if go list -deps ./cmd/... ./examples/... ./internal/... | grep -qx 'net/http\|net/http/pprof'; then
+	echo "check.sh: net/http is linked into the library or its binaries" >&2
+	exit 1
+fi
 go test -race ./internal/...
 # Time-boxed fuzzing of the decoders whose hot loops run on the
 # bitstream fast path: vle's FuzzDecode holds the fused-table decoder to

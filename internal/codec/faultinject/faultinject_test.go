@@ -184,9 +184,6 @@ func buildStream(t *testing.T, parallel, indexed bool) []byte {
 		if err := sw.SetConcurrency(4); err != nil {
 			t.Fatalf("SetConcurrency: %v", err)
 		}
-		if err := sw.SetMaxInFlightBytes(4 << 10); err != nil {
-			t.Fatalf("SetMaxInFlightBytes: %v", err)
-		}
 	}
 	if indexed {
 		if err := sw.SetIndex(true); err != nil {

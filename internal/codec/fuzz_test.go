@@ -293,9 +293,7 @@ func FuzzStreamDecode(f *testing.F) {
 	if err := pw.SetConcurrency(4); err != nil {
 		f.Fatal(err)
 	}
-	if err := pw.SetMaxInFlightBytes(8 << 10); err != nil {
-		f.Fatal(err)
-	}
+	pw.eng.budget = 8 << 10
 	img := tensor.New(1, 1, 8, 8)
 	for i := range img.Data() {
 		img.Data()[i] = float32(i%17) / 17

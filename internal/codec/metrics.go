@@ -133,18 +133,16 @@ func stageMetricsFor(name string) *stageMetrics {
 	return m
 }
 
-// streamM is the stream engine's global metric set; per-writer and
-// per-reader views come from the engines' own atomics via Stats().
-// Writer gauges aggregate across concurrently open writers (in-flight
-// deltas add; the budget gauge is last-writer-wins) — see DESIGN.md §7
-// for the semantics.
+// streamM is the stream engine's metric set, the one place stream
+// events are counted; tests and tools take per-run figures as a
+// Snapshot Delta. Writer gauges aggregate across concurrently open
+// writers (in-flight deltas add) — see DESIGN.md §7.
 var streamM = struct {
 	wAdmitted *telemetry.Counter   // records accepted by WriteTensor
 	wRecords  *telemetry.Counter   // records emitted to the sink
 	wBytesIn  *telemetry.Counter   // uncompressed bytes admitted
 	wBytesOut *telemetry.Counter   // encoded payload bytes emitted
 	wInflight *telemetry.Gauge     // bytes admitted but not yet emitted
-	wBudget   *telemetry.Gauge     // SetMaxInFlightBytes budget
 	wWorkers  *telemetry.Gauge     // encode workers currently busy
 	wEncodeNs *telemetry.Histogram // per-record encode latency
 
@@ -169,7 +167,6 @@ var streamM = struct {
 	wBytesIn:  telemetry.NewCounter("stream.writer.uncompressed_bytes"),
 	wBytesOut: telemetry.NewCounter("stream.writer.payload_bytes"),
 	wInflight: telemetry.NewGauge("stream.writer.inflight_bytes"),
-	wBudget:   telemetry.NewGauge("stream.writer.budget_bytes"),
 	wWorkers:  telemetry.NewGauge("stream.writer.busy_workers"),
 	wEncodeNs: telemetry.NewHistogram("stream.writer.encode_ns"),
 

@@ -103,16 +103,21 @@ func isStageSep(s string, i int) bool {
 	return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 }
 
+// stageCut returns the index of the '+' that starts s's stage chain, or
+// -1 when s has none.
+func stageCut(s string) int {
+	for i := 0; i < len(s); i++ {
+		if isStageSep(s, i) {
+			return i
+		}
+	}
+	return -1
+}
+
 // splitSpecStages splits a spec string into its family half and stage
 // tokens: "dctc:cf=4+fse" → ("dctc:cf=4", ["fse"]).
 func splitSpecStages(s string) (string, []string) {
-	cut := -1
-	for i := 0; i < len(s); i++ {
-		if isStageSep(s, i) {
-			cut = i
-			break
-		}
-	}
+	cut := stageCut(s)
 	if cut < 0 {
 		return s, nil
 	}
@@ -131,11 +136,9 @@ func splitSpecStages(s string) (string, []string) {
 // specHasStages reports whether a spec string carries a stage chain —
 // the predicate that picks the staged container version and record
 // marker. It must agree with ParseSpec's grammar, so it shares
-// splitSpecStages rather than searching for '+' directly.
-func specHasStages(spec string) bool {
-	_, stages := splitSpecStages(spec)
-	return len(stages) > 0
-}
+// splitSpecStages' cut rather than searching for '+' directly; unlike a
+// full split it allocates nothing, and it runs once per record.
+func specHasStages(spec string) bool { return stageCut(spec) >= 0 }
 
 // stagedSizeHint bounds the plausible pre-stage payload size for a
 // tensor shape: no family's serialized payload comes near 8 bytes per

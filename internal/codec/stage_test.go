@@ -69,6 +69,12 @@ func TestStageSpecParsing(t *testing.T) {
 	if _, err := New(c.Spec()); err != nil {
 		t.Fatalf("canonical spec does not rebuild: %v", err)
 	}
+	// The record-marker predicate agrees with the split.
+	for spec, want := range map[string]bool{"sz:eb=1e+3": false, "zfp:rate=8": false, "dctc:cf=4,sg+fse": true, "lossless:bg=4+huf": true} {
+		if got := specHasStages(spec); got != want {
+			t.Errorf("specHasStages(%q) = %v, want %v", spec, got, want)
+		}
+	}
 
 	if _, err := New("zfp:rate=8+nope"); err == nil || !strings.Contains(err.Error(), `"nope"`) || !strings.Contains(err.Error(), "fse") {
 		t.Errorf("unknown stage error should name it and list registered stages: %v", err)

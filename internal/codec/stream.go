@@ -88,6 +88,11 @@ const planeGroupBytes = 1 << 20
 // SetConcurrency enables the pipelined engine: records encode on a
 // worker pool and are emitted strictly in WriteTensor order, producing
 // a byte-identical stream (see stream_parallel.go).
+//
+// A failed write to w poisons the writer in either mode: every later
+// WriteTensor and Close returns the first failure, and Close writes no
+// index footer and no end marker, so the truncation is visible to
+// readers.
 type StreamWriter struct {
 	w       io.Writer
 	chunk   int
@@ -110,61 +115,19 @@ type StreamWriter struct {
 	indexOn bool
 	index   []indexEntry
 
-	// Per-writer statistics (see Stats). These count unconditionally —
-	// they are plain atomics with no allocation — while the matching
-	// global telemetry metrics honor the telemetry enable switch.
-	admitted atomic.Int64 // records accepted by WriteTensor
-	bytesIn  atomic.Int64 // uncompressed bytes admitted
-	bytesOut atomic.Int64 // encoded payload bytes emitted
+	// err is the writer's sticky failure as the caller's goroutine sees
+	// it: a serial record write, the engine's first failure once Close
+	// has drained it, or a write of Close's tail. While the engine runs
+	// it latches its own failures (swEngine.err).
+	err error
 }
 
-// StreamWriterStats is a point-in-time snapshot of one writer's
-// counters and back-pressure state. With the pipelined engine enabled,
-// RecordsAdmitted can lead RecordsEmitted by up to the job quota;
-// InFlightBytes is the uncompressed bytes of records admitted but not
-// yet emitted, bounded by BudgetBytes (see SetMaxInFlightBytes) except
-// that one oversized record may exceed the budget while alone in the
-// pipeline. For the serial writer the three engine fields are zero.
-type StreamWriterStats struct {
-	RecordsAdmitted   int64
-	RecordsEmitted    int64
-	UncompressedBytes int64
-	PayloadBytes      int64
-	InFlightBytes     int64
-	MaxInFlightBytes  int64 // high-water mark of InFlightBytes
-	BudgetBytes       int64
-}
-
-// Stats returns the writer's current statistics. Safe to call
-// concurrently with WriteTensor, including from other goroutines while
-// the pipelined engine is running.
-func (sw *StreamWriter) Stats() StreamWriterStats {
-	s := StreamWriterStats{
-		RecordsAdmitted:   sw.admitted.Load(),
-		RecordsEmitted:    sw.records.Load(),
-		UncompressedBytes: sw.bytesIn.Load(),
-		PayloadBytes:      sw.bytesOut.Load(),
-	}
-	if sw.eng != nil {
-		sw.eng.mu.Lock()
-		s.InFlightBytes = sw.eng.inflight
-		s.MaxInFlightBytes = sw.eng.maxInFlight
-		s.BudgetBytes = sw.eng.budget
-		sw.eng.mu.Unlock()
-	}
-	return s
-}
-
-// noteAdmitted records one accepted record and returns its 1-based
-// sequence number (the trace record id). Called by the serial
-// WriteTensor path and by the engine once admission succeeds.
-func (sw *StreamWriter) noteAdmitted(cost int64) int64 {
-	seq := sw.admitted.Add(1)
-	sw.bytesIn.Add(cost)
+// noteAdmitted counts one accepted record of cost uncompressed bytes.
+// Called by the serial WriteTensor path and by the engine once
+// admission succeeds.
+func noteAdmitted(cost int64) {
 	streamM.wAdmitted.Inc()
 	streamM.wBytesIn.Add(uint64(cost))
-	telemetry.TraceRecord(seq, telemetry.PhaseAdmitted)
-	return seq
 }
 
 // NewStreamWriter returns a StreamWriter targeting w. The stream header
@@ -232,6 +195,9 @@ func (sw *StreamWriter) WriteTensor(ctx context.Context, c Codec, x *tensor.Tens
 	if sw.closed {
 		return fmt.Errorf("codec: stream writer is closed")
 	}
+	if sw.err != nil {
+		return sw.err
+	}
 	sw.locked = true
 	impl, ok := c.(*codecImpl)
 	if !ok {
@@ -244,13 +210,13 @@ func (sw *StreamWriter) WriteTensor(ctx context.Context, c Codec, x *tensor.Tens
 	if sw.eng != nil {
 		return sw.eng.submit(ctx, impl, shape, x)
 	}
-	seq := sw.noteAdmitted(int64(x.SizeBytes()))
+	noteAdmitted(int64(x.SizeBytes()))
 	payload, err := impl.encodePayload(ctx, x)
 	if err != nil {
 		return err
 	}
-	telemetry.TraceRecord(seq, telemetry.PhaseEncoded)
-	return sw.emitRecord(impl.spec, shape, payload)
+	sw.err = sw.emitRecord(impl.spec, shape, payload)
+	return sw.err
 }
 
 // emitRecord frames one encoded payload as a tensor record: the lazily
@@ -311,13 +277,9 @@ func (sw *StreamWriter) emitRecord(spec string, shape []int, payload []byte) err
 			shape:  append([]int(nil), shape...),
 		})
 	}
-	seq := sw.records.Add(1)
-	sw.bytesOut.Add(int64(len(payload)))
+	sw.records.Add(1)
 	streamM.wRecords.Inc()
 	streamM.wBytesOut.Add(uint64(len(payload)))
-	// Emission is strictly in admission order, so the emitted record's
-	// sequence number equals the running emit count.
-	telemetry.TraceRecord(seq, telemetry.PhaseEmitted)
 	return nil
 }
 
@@ -339,12 +301,24 @@ func (sw *StreamWriter) Close() error {
 	if sw.closed {
 		return nil
 	}
+	if sw.err != nil {
+		return sw.err
+	}
 	if sw.eng != nil {
-		if err := sw.eng.drain(); err != nil {
-			sw.closed = true
-			return err
+		if sw.err = sw.eng.drain(); sw.err != nil {
+			return sw.err
 		}
 	}
+	if sw.err = sw.finish(); sw.err != nil {
+		return sw.err
+	}
+	sw.closed = true
+	return nil
+}
+
+// finish writes the stream's tail: the header of an empty stream, the
+// index footer when enabled, and the end-of-stream marker.
+func (sw *StreamWriter) finish() error {
 	if !sw.started {
 		if err := sw.writeStreamHeader(); err != nil {
 			return err
@@ -359,7 +333,6 @@ func (sw *StreamWriter) Close() error {
 		return fmt.Errorf("codec: writing end-of-stream marker: %w", err)
 	}
 	sw.off++
-	sw.closed = true
 	return nil
 }
 
@@ -374,61 +347,7 @@ type StreamReader struct {
 	// the prefetch goroutine owns it outright and the public methods
 	// serve from ra's queue instead (see stream_parallel.go).
 	recordCursor
-	ra    *readAhead
-	stats readerStats
-}
-
-// readerStats are one StreamReader's counters (see Stats), indexed by
-// the stat constants. Atomics, because in read-ahead mode the prefetch
-// goroutine updates them while the consumer reads.
-type readerStats [numStats]atomic.Int64
-
-const (
-	statRecords = iota
-	statChunks
-	statPayloadBytes
-	statDecodedBytes
-	statCRCFail
-	statRAHits
-	statRAMiss
-	statFooterSkips
-	numStats
-)
-
-// StreamReaderStats is a point-in-time snapshot of one reader's
-// counters. In read-ahead mode Records/Chunks/PayloadBytes/DecodedBytes
-// track the background prefetcher, so they can lead the records the
-// consumer has taken from Next; ReadAheadHits counts Next calls served
-// without blocking on the prefetcher, ReadAheadMisses the calls that
-// had to wait (both zero without SetReadAhead). FooterSkips counts the
-// Skips served by an index-footer seek: those records' payload chunks
-// are never read, so they appear in none of Chunks, PayloadBytes, or
-// CRCFailures.
-type StreamReaderStats struct {
-	Records         int64
-	Chunks          int64
-	PayloadBytes    int64
-	DecodedBytes    int64
-	CRCFailures     int64
-	ReadAheadHits   int64
-	ReadAheadMisses int64
-	FooterSkips     int64
-}
-
-// Stats returns the reader's current statistics. Safe to call
-// concurrently with the read-ahead prefetcher.
-func (sr *StreamReader) Stats() StreamReaderStats {
-	s := &sr.stats
-	return StreamReaderStats{
-		Records:         s[statRecords].Load(),
-		Chunks:          s[statChunks].Load(),
-		PayloadBytes:    s[statPayloadBytes].Load(),
-		DecodedBytes:    s[statDecodedBytes].Load(),
-		CRCFailures:     s[statCRCFail].Load(),
-		ReadAheadHits:   s[statRAHits].Load(),
-		ReadAheadMisses: s[statRAMiss].Load(),
-		FooterSkips:     s[statFooterSkips].Load(),
-	}
+	ra *readAhead
 }
 
 // NewStreamReader validates the stream header and returns a reader
@@ -441,7 +360,7 @@ func (sr *StreamReader) Stats() StreamReaderStats {
 // malformed footer just leaves the reader in plain sequential mode.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	sr := &StreamReader{}
-	sr.recordCursor = recordCursor{br: bufio.NewReaderSize(r, 64<<10), codecs: new(codecCache), stats: &sr.stats}
+	sr.recordCursor = recordCursor{br: bufio.NewReaderSize(r, 64<<10), codecs: new(codecCache)}
 	if rs, ok := r.(io.ReadSeeker); ok {
 		if err := sr.attachIndex(rs); err != nil {
 			return nil, err
@@ -530,7 +449,6 @@ type recordCursor struct {
 	walk bool
 
 	codecs *codecCache
-	stats  *readerStats // the owning StreamReader's; nil for seeks and the rebuild
 }
 
 // attachIndex loads the index footer of a seekable source before the
@@ -593,15 +511,6 @@ func (c *recordCursor) readFull(p []byte) error {
 	return err
 }
 
-// count adds n to the global reader metric m and to the matching
-// counter of the owning StreamReader, if any.
-func (c *recordCursor) count(stat int, m *telemetry.Counter, n int64) {
-	m.Add(uint64(n))
-	if c.stats != nil {
-		c.stats[stat].Add(n)
-	}
-}
-
 // fail prefixes err with the stream position and latches it as the
 // cursor's sticky failure; errors.Is sees through to err's chain.
 func (c *recordCursor) fail(err error) error {
@@ -626,7 +535,7 @@ func (c *recordCursor) posw(context string, err error) error {
 
 // crcFail counts a CRC mismatch and latches it with the ErrCRC kind.
 func (c *recordCursor) crcFail(err error) error {
-	c.count(statCRCFail, streamM.rCRCFail, 1)
+	streamM.rCRCFail.Inc()
 	return c.fail(markErr(ErrCRC, err))
 }
 
@@ -750,7 +659,7 @@ func (c *recordCursor) nextRecord() (Header, error) {
 	hdr.wireSize = len(raw) + 4
 	c.hdr = hdr
 	c.cur = &payloadReader{c: c, remaining: int(payLen)}
-	c.count(statRecords, streamM.rRecords, 1)
+	streamM.rRecords.Inc()
 	// The caller gets its own copy of the shape: the cursor keeps using
 	// c.hdr.Shape for the decode, so a caller mutating the returned
 	// header cannot redirect it (and nothing the cursor does later can
@@ -843,7 +752,7 @@ func (c *recordCursor) decodeRecord(ctx context.Context) (*tensor.Tensor, error)
 		return nil, c.posf("%d trailing payload bytes after decode", c.cur.len())
 	}
 	c.cur = nil
-	c.count(statDecodedBytes, streamM.rDecoded, int64(out.SizeBytes()))
+	streamM.rDecoded.Add(uint64(out.SizeBytes()))
 	streamM.rDecodeNs.ObserveSince(start)
 	return out, nil
 }
@@ -905,7 +814,7 @@ func (c *recordCursor) trySeekSkip() bool {
 		return false
 	}
 	c.seek(next)
-	c.count(statFooterSkips, streamM.iFooterSkips, 1)
+	streamM.iFooterSkips.Inc()
 	return true
 }
 
@@ -963,7 +872,7 @@ func (r *payloadReader) read(p []byte) (int, error) {
 		if err := r.nextChunk(); err != nil {
 			return 0, err
 		}
-		r.c.count(statChunks, streamM.rChunks, 1)
+		streamM.rChunks.Inc()
 	}
 	n := min(len(p), r.chunkLeft)
 	if err := r.c.readFull(p[:n]); err != nil {
@@ -972,7 +881,7 @@ func (r *payloadReader) read(p []byte) (int, error) {
 	r.crc = crc32.Update(r.crc, crc32.IEEETable, p[:n])
 	r.chunkLeft -= n
 	r.remaining -= n
-	r.c.count(statPayloadBytes, streamM.rBytes, int64(n))
+	streamM.rBytes.Add(uint64(n))
 	if r.chunkLeft == 0 && r.crc != r.wantCRC {
 		return 0, r.c.crcFail(fmt.Errorf("chunk at offset %d CRC mismatch (stored %#x, computed %#x)", r.chunkOff, r.wantCRC, r.crc))
 	}

@@ -287,7 +287,9 @@ func parseIndexBody(body []byte, footOff int64) ([]indexEntry, error) {
 	}
 	entries := make([]indexEntry, 0, count)
 	p := 4
-	prev := int64(7) // records start at offset 8, strictly increasing
+	prev := int64(7)              // records start at offset 8, strictly increasing
+	spec := ""                    // the previous entry's: a stream's records mostly share one
+	dims := make([]int, 0, count) // every entry's shape, back to back
 	for i := 0; i < int(count); i++ {
 		if len(body)-p < minIndexEntry {
 			return nil, fmt.Errorf("codec: index entry %d truncated", i)
@@ -318,7 +320,9 @@ func parseIndexBody(body []byte, footOff int64) ([]indexEntry, error) {
 		if len(body)-p < specLen+1 {
 			return nil, fmt.Errorf("codec: index entry %d truncated", i)
 		}
-		spec := string(body[p : p+specLen])
+		if string(body[p:p+specLen]) != spec {
+			spec = string(body[p : p+specLen])
+		}
 		rank := int(body[p+specLen])
 		p += specLen + 1
 		if marker != recordMarker(spec) {
@@ -330,19 +334,20 @@ func parseIndexBody(body []byte, footOff int64) ([]indexEntry, error) {
 		if len(body)-p < 4*rank {
 			return nil, fmt.Errorf("codec: index entry %d truncated", i)
 		}
-		shape := make([]int, rank)
+		start := len(dims)
 		elems := uint64(1)
-		for k := range shape {
+		for k := 0; k < rank; k++ {
 			d := binary.LittleEndian.Uint32(body[p+4*k:])
 			if d < 1 || d > maxDim {
 				return nil, fmt.Errorf("codec: index entry %d dimension %d outside [1,%d]", i, d, maxDim)
 			}
-			shape[k] = int(d)
+			dims = append(dims, int(d))
 			elems *= uint64(d)
 			if elems > maxElems {
-				return nil, fmt.Errorf("codec: index entry %d shape %v exceeds %d elements", i, shape, maxElems)
+				return nil, fmt.Errorf("codec: index entry %d shape %v exceeds %d elements", i, dims[start:], maxElems)
 			}
 		}
+		shape := dims[start:len(dims):len(dims)]
 		p += 4 * rank
 		entries = append(entries, indexEntry{off: off, payLen: int64(pay64), marker: marker, spec: spec, shape: shape})
 		prev = off

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -514,12 +515,12 @@ func TestHeaderShapeNoAliasing(t *testing.T) {
 }
 
 // TestSkipUnderReadAheadStats: skipping prefetched records keeps the
-// reader's statistics consistent — every Next call that touched the
-// queue counts as exactly one hit or miss, prefetcher-side record
-// counts are exact, and nothing double-counts or wedges. Run with -race
-// (the suite default) this also exercises the consumer/prefetcher
-// boundary.
+// reader counters consistent — every Next call that touched the queue
+// counts as exactly one hit or miss, prefetcher-side record counts are
+// exact, and nothing double-counts or wedges. Run with -race (the suite
+// default) this also exercises the consumer/prefetcher boundary.
 func TestSkipUnderReadAheadStats(t *testing.T) {
+	counted := countingOn(t)
 	ctx := context.Background()
 	const records = 8
 	var buf bytes.Buffer
@@ -536,6 +537,7 @@ func TestSkipUnderReadAheadStats(t *testing.T) {
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
+	before := telemetry.Default().Snapshot()
 	sr, err := NewStreamReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -543,7 +545,7 @@ func TestSkipUnderReadAheadStats(t *testing.T) {
 	if err := sr.SetReadAhead(ctx, 2); err != nil {
 		t.Fatal(err)
 	}
-	nexts := 0
+	nexts := uint64(0)
 	for i := 0; ; i++ {
 		_, err := sr.Next()
 		if err == io.EOF {
@@ -564,14 +566,7 @@ func TestSkipUnderReadAheadStats(t *testing.T) {
 			}
 		}
 	}
-	stats := sr.Stats()
-	if stats.Records != records {
-		t.Fatalf("Records = %d, want %d", stats.Records, records)
-	}
-	if got := stats.ReadAheadHits + stats.ReadAheadMisses; got != int64(nexts) {
-		t.Fatalf("hits(%d)+misses(%d) = %d, want one per Next = %d",
-			stats.ReadAheadHits, stats.ReadAheadMisses, got, nexts)
-	}
+	atEOF := telemetry.Default().Snapshot()
 	// Post-EOF calls must not move the counters.
 	if _, err := sr.Next(); err != io.EOF {
 		t.Fatalf("Next after EOF: %v", err)
@@ -579,8 +574,19 @@ func TestSkipUnderReadAheadStats(t *testing.T) {
 	if err := sr.Skip(); err != io.EOF {
 		t.Fatalf("Skip after EOF: %v", err)
 	}
-	after := sr.Stats()
-	if after.ReadAheadHits+after.ReadAheadMisses != stats.ReadAheadHits+stats.ReadAheadMisses {
+	if !counted {
+		t.Skip("telemetry compiled out (acc_notelemetry)")
+	}
+	d := atEOF.Delta(before).Counters
+	if got := d["stream.reader.records"]; got != records {
+		t.Fatalf("records = %d, want %d", got, records)
+	}
+	hits, misses := d["stream.reader.readahead_hits"], d["stream.reader.readahead_misses"]
+	if hits+misses != nexts {
+		t.Fatalf("hits(%d)+misses(%d) = %d, want one per Next = %d", hits, misses, hits+misses, nexts)
+	}
+	post := countersSince(atEOF)
+	if post["stream.reader.readahead_hits"]+post["stream.reader.readahead_misses"] != 0 {
 		t.Fatal("post-EOF Next/Skip moved the hit/miss counters")
 	}
 }
@@ -608,20 +614,22 @@ func forgeEntryOffset(tb testing.TB, data []byte, idx int, delta uint64) []byte 
 
 // TestFooterAwareSkip: with a seekable source and an index footer, Skip
 // seeks past payloads in O(1) — the skipped chunks are never read, so
-// they stay out of the chunk/byte stats — while unseekable sources keep
-// the CRC-verifying drain. A forged footer may cost a fast skip or kill
-// the stream with a position-bearing error, but never yields wrong
-// output.
+// their corruption goes unseen and they stay out of the chunk/byte
+// counters — while unseekable sources keep the CRC-verifying drain. A
+// forged footer may cost a fast skip or kill the stream with a
+// position-bearing error, but never yields wrong output.
 func TestFooterAwareSkip(t *testing.T) {
+	counted := countingOn(t)
 	ctx := context.Background()
 	data, want := writeIndexedStream(t, false)
 
 	type result struct {
-		outs  map[int]*tensor.Tensor
-		stats StreamReaderStats
+		outs   map[int]*tensor.Tensor
+		counts map[string]uint64 // stream counters the run moved
 	}
 	run := func(t *testing.T, r io.Reader) result {
 		t.Helper()
+		before := telemetry.Default().Snapshot()
 		sr, err := NewStreamReader(r)
 		if err != nil {
 			t.Fatal(err)
@@ -650,47 +658,53 @@ func TestFooterAwareSkip(t *testing.T) {
 			}
 			res.outs[i] = out
 		}
-		res.stats = sr.Stats()
+		res.counts = countersSince(before)
 		return res
 	}
 
 	seek := run(t, bytes.NewReader(data))                       // seekable: tail probe loads the footer
 	drain := run(t, struct{ io.Reader }{bytes.NewReader(data)}) // unseekable: sequential drain
 
-	skips := int64((len(want) + 1) / 2)
-	if seek.stats.FooterSkips != skips {
-		t.Errorf("seekable reader FooterSkips = %d, want %d", seek.stats.FooterSkips, skips)
-	}
-	if drain.stats.FooterSkips != 0 {
-		t.Errorf("unseekable reader FooterSkips = %d, want 0", drain.stats.FooterSkips)
-	}
-	// Stats exactness: the drain reads (and counts) every chunk of every
-	// record; the seek path must count only the decoded records' chunks.
-	if drain.stats.Chunks < int64(len(want)) {
-		t.Fatalf("drain path saw %d chunks across %d records", drain.stats.Chunks, len(want))
-	}
-	if seek.stats.Chunks >= drain.stats.Chunks {
-		t.Errorf("seek path counted %d chunks, drain %d: skipped chunks leaked into the stats", seek.stats.Chunks, drain.stats.Chunks)
-	}
-	if seek.stats.PayloadBytes >= drain.stats.PayloadBytes {
-		t.Errorf("seek path counted %d payload bytes, drain %d", seek.stats.PayloadBytes, drain.stats.PayloadBytes)
-	}
-	if seek.stats.Records != int64(len(want)) || drain.stats.Records != int64(len(want)) {
-		t.Errorf("Records = %d (seek) / %d (drain), want %d", seek.stats.Records, drain.stats.Records, len(want))
-	}
 	// Decodes after a seek-skip are unaffected.
 	for i, out := range seek.outs {
 		requireSameTensor(t, fmt.Sprintf("record %d after seek-skip", i), out, want[i])
 		requireSameTensor(t, fmt.Sprintf("record %d drain/seek agreement", i), out, drain.outs[i])
 	}
 
+	// A footer-served Skip reads none of the skipped payload: with record
+	// 0's last payload byte flipped, the seekable reader still passes it,
+	// while the drain must read it and fail that chunk's CRC.
+	ix, err := OpenIndexedStream(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := append([]byte(nil), data...)
+	corrupt[ix.entries[1].off-1] ^= 0xFF
+	sr, err := NewStreamReader(bytes.NewReader(corrupt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sr.Skip(); err != nil {
+		t.Fatalf("footer-served Skip over a corrupt payload: %v", err)
+	}
+	sr, err = NewStreamReader(struct{ io.Reader }{bytes.NewReader(corrupt)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sr.Skip(); !errors.Is(err, ErrCRC) {
+		t.Fatalf("draining Skip over a corrupt payload: err %v, want a CRC failure", err)
+	}
+
 	// Forged footer, case 1: the entry for the record being skipped lies
 	// about its own offset. The marker-offset cross-check rejects the
 	// seek and the CRC-verifying drain takes over; everything decodes.
 	f0 := run(t, bytes.NewReader(forgeEntryOffset(t, data, 0, 3)))
-	if f0.stats.FooterSkips != skips-1 {
-		t.Errorf("forged-entry0 FooterSkips = %d, want %d (record 0 must fall back to the drain)", f0.stats.FooterSkips, skips-1)
-	}
 	for i, out := range f0.outs {
 		requireSameTensor(t, fmt.Sprintf("record %d under forged entry0", i), out, want[i])
 	}
@@ -698,7 +712,7 @@ func TestFooterAwareSkip(t *testing.T) {
 	// Forged footer, case 2: the *next* record's entry lies, so the seek
 	// lands inside record 1's header. The next read must die on a
 	// position-bearing framing error — wrong output is not an option.
-	sr, err := NewStreamReader(bytes.NewReader(forgeEntryOffset(t, data, 1, 3)))
+	sr, err = NewStreamReader(bytes.NewReader(forgeEntryOffset(t, data, 1, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -710,6 +724,37 @@ func TestFooterAwareSkip(t *testing.T) {
 	}
 	if _, err := sr.Next(); err == nil || !strings.Contains(err.Error(), "offset") {
 		t.Fatalf("Next after a forged-offset seek: err %v, want a position-bearing error", err)
+	}
+
+	if !counted {
+		t.Skip("telemetry compiled out (acc_notelemetry)")
+	}
+	const skipsName = "stream.index.footer_skips"
+	skips := uint64((len(want) + 1) / 2)
+	if got := seek.counts[skipsName]; got != skips {
+		t.Errorf("seekable reader footer_skips = %d, want %d", got, skips)
+	}
+	if got := drain.counts[skipsName]; got != 0 {
+		t.Errorf("unseekable reader footer_skips = %d, want 0", got)
+	}
+	if got := f0.counts[skipsName]; got != skips-1 {
+		t.Errorf("forged-entry0 footer_skips = %d, want %d (record 0 must fall back to the drain)", got, skips-1)
+	}
+	// Counter exactness: the drain reads (and counts) every chunk of
+	// every record; the seek path must count only the decoded records'
+	// chunks.
+	seekChunks, drainChunks := seek.counts["stream.reader.chunks"], drain.counts["stream.reader.chunks"]
+	if drainChunks < uint64(len(want)) {
+		t.Fatalf("drain path saw %d chunks across %d records", drainChunks, len(want))
+	}
+	if seekChunks >= drainChunks {
+		t.Errorf("seek path counted %d chunks, drain %d: skipped chunks leaked into the counters", seekChunks, drainChunks)
+	}
+	if s, d := seek.counts["stream.reader.payload_bytes"], drain.counts["stream.reader.payload_bytes"]; s >= d {
+		t.Errorf("seek path counted %d payload bytes, drain %d", s, d)
+	}
+	if s, d := seek.counts["stream.reader.records"], drain.counts["stream.reader.records"]; s != uint64(len(want)) || d != uint64(len(want)) {
+		t.Errorf("records = %d (seek) / %d (drain), want %d", s, d, len(want))
 	}
 }
 
@@ -823,6 +868,7 @@ func TestSetConcurrencyDuringDecodeRange(t *testing.T) {
 // stay stream-relative) and for an io.ReadSeeker that is not also an
 // io.ReaderAt (read at offsets by seeking), with every decode intact.
 func TestFooterAwareSkipRebasedAndAdapted(t *testing.T) {
+	counted := countingOn(t)
 	ctx := context.Background()
 	data, want := writeIndexedStream(t, false)
 	const prefix = 100
@@ -841,6 +887,7 @@ func TestFooterAwareSkipRebasedAndAdapted(t *testing.T) {
 		{"seek-only", func() io.ReadSeeker { return struct{ io.ReadSeeker }{bytes.NewReader(data)} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			before := telemetry.Default().Snapshot()
 			sr, err := NewStreamReader(tc.src())
 			if err != nil {
 				t.Fatal(err)
@@ -863,8 +910,11 @@ func TestFooterAwareSkipRebasedAndAdapted(t *testing.T) {
 				}
 				requireSameTensor(t, fmt.Sprintf("record %d", i), out, want[i])
 			}
-			if got, skips := sr.Stats().FooterSkips, int64((len(want)+1)/2); got != skips {
-				t.Fatalf("FooterSkips = %d, want %d", got, skips)
+			if !counted {
+				return
+			}
+			if got, skips := countersSince(before)["stream.index.footer_skips"], uint64((len(want)+1)/2); got != skips {
+				t.Fatalf("footer_skips = %d, want %d", got, skips)
 			}
 		})
 	}

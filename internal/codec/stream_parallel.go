@@ -42,9 +42,11 @@ const defaultMaxInFlightBytes = 64 << 20
 // With the engine enabled, WriteTensor returns as soon as the record is
 // admitted: encode errors surface on a later WriteTensor or on Close,
 // and the caller must not mutate a submitted tensor until Close
-// returns. Any error poisons the writer (the same sticky contract as
-// the reader): every subsequent call returns the first failure and the
-// end-of-stream marker is withheld.
+// returns. WriteTensor blocks while the admitted but unemitted records
+// hold 64 MiB of uncompressed input, so a slow sink pushes back instead
+// of growing the heap. Any error poisons the writer (the same sticky
+// contract as the reader): every subsequent call returns the first
+// failure and the end-of-stream marker is withheld.
 func (sw *StreamWriter) SetConcurrency(n int) error {
 	if sw.locked || sw.closed {
 		return fmt.Errorf("codec: SetConcurrency must be called before the first WriteTensor")
@@ -56,32 +58,8 @@ func (sw *StreamWriter) SetConcurrency(n int) error {
 		sw.eng = nil
 		return nil
 	}
-	budget := int64(defaultMaxInFlightBytes)
-	if sw.eng != nil {
-		budget = sw.eng.budget
-	}
-	sw.eng = &swEngine{sw: sw, workers: n, budget: budget}
+	sw.eng = &swEngine{sw: sw, workers: n, budget: defaultMaxInFlightBytes}
 	sw.eng.cond = sync.NewCond(&sw.eng.mu)
-	return nil
-}
-
-// SetMaxInFlightBytes caps the uncompressed bytes of records the
-// pipelined writer holds between admission and emission — the
-// back-pressure knob: when a slow sink stalls the emitter, WriteTensor
-// blocks instead of queueing unboundedly. A record larger than the cap
-// is still admitted, but only once it is alone in the pipeline.
-// Must be called before the first WriteTensor; no-op without
-// SetConcurrency.
-func (sw *StreamWriter) SetMaxInFlightBytes(n int64) error {
-	if sw.locked || sw.closed {
-		return fmt.Errorf("codec: SetMaxInFlightBytes must be called before the first WriteTensor")
-	}
-	if n < 1 {
-		return fmt.Errorf("codec: non-positive in-flight byte budget %d", n)
-	}
-	if sw.eng != nil {
-		sw.eng.budget = n
-	}
 	return nil
 }
 
@@ -93,7 +71,6 @@ type swJob struct {
 	spec    string
 	shape   []int
 	cost    int64
-	seq     int64 // 1-based admission sequence (the trace record id)
 	payload []byte
 	err     error
 	done    chan struct{} // closed by the worker that finishes the job
@@ -103,7 +80,7 @@ type swJob struct {
 type swEngine struct {
 	sw      *StreamWriter
 	workers int   // requested; 0 = GOMAXPROCS at start
-	budget  int64 // max in-flight uncompressed bytes
+	budget  int64 // max in-flight uncompressed bytes; defaultMaxInFlightBytes
 
 	running  bool
 	work     chan *swJob   // claimed by encode workers
@@ -144,10 +121,9 @@ func (e *swEngine) start() {
 	e.stop = make(chan struct{})
 	e.emitDone = make(chan struct{})
 	e.wg.Add(w)
-	streamM.wBudget.Set(e.budget)
 	// pprof labels tag the engine's goroutines in CPU and goroutine
-	// profiles, so encode work is attributable per role under
-	// /debug/pprof even when the stack alone is ambiguous.
+	// profiles, so encode work is attributable per role even when the
+	// stack alone is ambiguous.
 	for i := 0; i < w; i++ {
 		go pprof.Do(context.Background(), pprof.Labels("acc_role", "stream-encode-worker"), func(context.Context) { e.worker() })
 	}
@@ -191,9 +167,9 @@ func (e *swEngine) submit(ctx context.Context, impl *codecImpl, shape []int, x *
 		spec:  impl.spec,
 		shape: shape,
 		cost:  cost,
-		seq:   e.sw.noteAdmitted(cost),
 		done:  make(chan struct{}),
 	}
+	noteAdmitted(cost)
 	// Both sends are guaranteed non-blocking: the slot acquired above
 	// bounds outstanding jobs to the channels' capacity.
 	e.pending <- job
@@ -283,9 +259,6 @@ func (e *swEngine) worker() {
 		streamM.wWorkers.Add(-1)
 		if err == nil && len(payload) > maxPayload {
 			err = fmt.Errorf("codec: payload %d bytes exceeds limit %d", len(payload), maxPayload)
-		}
-		if err == nil {
-			telemetry.TraceRecord(job.seq, telemetry.PhaseEncoded)
 		}
 		job.payload, job.err = payload, err
 		close(job.done)
@@ -431,9 +404,9 @@ func (sr *StreamReader) Next() (Header, error) {
 	// A non-empty queue means the prefetcher stayed ahead of the
 	// consumer; an empty one means this Next will block on it.
 	if len(sr.ra.ch) > 0 {
-		sr.count(statRAHits, streamM.rRAHits, 1)
+		streamM.rRAHits.Inc()
 	} else {
-		sr.count(statRAMiss, streamM.rRAMiss, 1)
+		streamM.rRAMiss.Inc()
 	}
 	ent, ok := <-sr.ra.ch
 	if !ok {

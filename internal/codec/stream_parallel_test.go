@@ -70,9 +70,7 @@ func TestParallelStreamWriterByteIdentical(t *testing.T) {
 			if err := pw.SetConcurrency(workers); err != nil {
 				t.Fatal(err)
 			}
-			if err := pw.SetMaxInFlightBytes(8 << 10); err != nil {
-				t.Fatal(err)
-			}
+			pw.eng.budget = 8 << 10
 			writeParallelStream(t, pw)
 			if !bytes.Equal(par.Bytes(), serial.Bytes()) {
 				t.Fatalf("parallel stream (%d bytes) differs from serial stream (%d bytes)", par.Len(), serial.Len())
@@ -112,9 +110,7 @@ func TestStreamWriterBackPressure(t *testing.T) {
 	if err := sw.SetConcurrency(4); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.SetMaxInFlightBytes(budget); err != nil {
-		t.Fatal(err)
-	}
+	sw.eng.budget = budget
 	ctx := context.Background()
 	const records = 12
 	for i := 0; i < records; i++ {
@@ -279,7 +275,7 @@ func TestParallelStreamWriterSinkError(t *testing.T) {
 }
 
 // TestStreamWriterConfigAfterStart locks the configuration window:
-// concurrency and budget are immutable once the first record is in.
+// concurrency is immutable once the first record is in.
 func TestStreamWriterConfigAfterStart(t *testing.T) {
 	c, err := New("sz:eb=1e-3")
 	if err != nil {
@@ -295,9 +291,6 @@ func TestStreamWriterConfigAfterStart(t *testing.T) {
 	}
 	if err := sw.SetConcurrency(4); err == nil {
 		t.Fatal("SetConcurrency after first WriteTensor succeeded")
-	}
-	if err := sw.SetMaxInFlightBytes(1 << 20); err == nil {
-		t.Fatal("SetMaxInFlightBytes after first WriteTensor succeeded")
 	}
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)

@@ -191,6 +191,72 @@ func TestStreamWriterLifecycle(t *testing.T) {
 	}
 }
 
+// flakySink fails its failAt-th Write (1-based) once and accepts every
+// other Write: a sink that recovers must not let a writer carry on past
+// a torn record.
+type flakySink struct {
+	buf    bytes.Buffer
+	writes int
+	failAt int
+}
+
+func (s *flakySink) Write(p []byte) (int, error) {
+	s.writes++
+	if s.writes == s.failAt {
+		return 0, errors.New("transient")
+	}
+	return s.buf.Write(p)
+}
+
+// TestStreamWriterSinkErrorSticky: a failed sink write poisons the
+// serial writer as it does the pipelined one. Every later WriteTensor
+// and Close returns the first failure and writes nothing — no further
+// record, no index footer, no end marker — so a reader sees a truncated
+// record, never the next record's bytes read as its payload.
+func TestStreamWriterSinkErrorSticky(t *testing.T) {
+	ctx := context.Background()
+	c, err := New("zfp:rate=8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := mkStreamTensor(3, 8, 8)
+	// Writes: stream header, record header, chunk header, chunk body.
+	sink := &flakySink{failAt: 4}
+	sw := NewStreamWriter(sink)
+	if err := sw.SetIndex(true); err != nil {
+		t.Fatal(err)
+	}
+	first := sw.WriteTensor(ctx, c, x)
+	if first == nil {
+		t.Fatal("WriteTensor into a failing sink returned nil")
+	}
+	written := sink.buf.Len()
+	for i := 0; i < 2; i++ {
+		if err := sw.WriteTensor(ctx, c, x); err != first {
+			t.Fatalf("WriteTensor %d after the sink failure: %v, want the first failure %v", i, err, first)
+		}
+	}
+	if err := sw.Close(); err != first {
+		t.Fatalf("Close after the sink failure: %v, want the first failure %v", err, first)
+	}
+	if sink.buf.Len() != written {
+		t.Fatalf("poisoned writer wrote %d more bytes", sink.buf.Len()-written)
+	}
+	if sw.Records() != 0 {
+		t.Fatalf("Records() = %d after a failed record, want 0", sw.Records())
+	}
+	sr, err := NewStreamReader(bytes.NewReader(sink.buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sr.Decode(ctx); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("Decode of the torn record: err %v, want a truncation", err)
+	}
+}
+
 // TestPipelineCancellation is the mid-flight abort contract: cancelling
 // the context during a 64-plane compression stops the pipeline before
 // it claims every plane, and the error satisfies errors.Is(...,

@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"testing"
 
@@ -126,8 +127,26 @@ func TestCodecErrorCounters(t *testing.T) {
 	})
 }
 
-// TestStreamWriterStatsSerial checks per-writer stats on the serial path.
+// countingOn forces telemetry on for the rest of the test and reports
+// whether it records: false under -tags acc_notelemetry, where callers
+// skip their counter assertions after checking behavior.
+func countingOn(t *testing.T) bool {
+	t.Helper()
+	prev := telemetry.SetEnabled(true)
+	t.Cleanup(func() { telemetry.SetEnabled(prev) })
+	return telemetry.Enabled()
+}
+
+// countersSince returns the registry counters that moved since before.
+func countersSince(before telemetry.Snapshot) map[string]uint64 {
+	return telemetry.Default().Snapshot().Delta(before).Counters
+}
+
+// TestStreamWriterStatsSerial checks the stream.writer counters a
+// serial write run moves, and that it leaves the engine's in-flight
+// gauge alone.
 func TestStreamWriterStatsSerial(t *testing.T) {
+	counted := countingOn(t)
 	c, err := New("zfp:rate=8")
 	if err != nil {
 		t.Fatal(err)
@@ -136,6 +155,7 @@ func TestStreamWriterStatsSerial(t *testing.T) {
 	sw := NewStreamWriter(&buf)
 	x := mkStreamTensor(3, 16, 16)
 	const n = 3
+	before := telemetry.Default().Snapshot()
 	for i := 0; i < n; i++ {
 		if err := sw.WriteTensor(context.Background(), c, x); err != nil {
 			t.Fatal(err)
@@ -144,24 +164,35 @@ func TestStreamWriterStatsSerial(t *testing.T) {
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s := sw.Stats()
-	if s.RecordsAdmitted != n || s.RecordsEmitted != n {
-		t.Errorf("admitted/emitted = %d/%d, want %d/%d", s.RecordsAdmitted, s.RecordsEmitted, n, n)
+	after := telemetry.Default().Snapshot()
+	if sw.Records() != n {
+		t.Errorf("Records() = %d, want %d", sw.Records(), n)
 	}
-	if want := int64(n * x.SizeBytes()); s.UncompressedBytes != want {
-		t.Errorf("UncompressedBytes = %d, want %d", s.UncompressedBytes, want)
+	if !counted {
+		t.Skip("telemetry compiled out (acc_notelemetry)")
 	}
-	if s.PayloadBytes <= 0 || s.PayloadBytes >= int64(buf.Len()) {
-		t.Errorf("PayloadBytes = %d, want in (0, %d)", s.PayloadBytes, buf.Len())
+	d := after.Delta(before).Counters
+	if a, e := d["stream.writer.records_admitted"], d["stream.writer.records_emitted"]; a != n || e != n {
+		t.Errorf("admitted/emitted = %d/%d, want %d/%d", a, e, n, n)
 	}
-	if s.InFlightBytes != 0 || s.BudgetBytes != 0 {
-		t.Errorf("serial writer reports engine gauges: %+v", s)
+	if got, want := d["stream.writer.uncompressed_bytes"], uint64(n*x.SizeBytes()); got != want {
+		t.Errorf("uncompressed_bytes = %d, want %d", got, want)
+	}
+	if got := d["stream.writer.payload_bytes"]; got == 0 || got >= uint64(buf.Len()) {
+		t.Errorf("payload_bytes = %d, want in (0, %d)", got, buf.Len())
+	}
+	const inflight = "stream.writer.inflight_bytes"
+	if before.Gauges[inflight] != after.Gauges[inflight] {
+		t.Errorf("serial writer moved %s: %d -> %d", inflight, before.Gauges[inflight], after.Gauges[inflight])
 	}
 }
 
-// TestStreamWriterStatsPipelined checks the engine gauges: budget set,
-// in-flight drained to zero at Close, high-water mark recorded.
+// TestStreamWriterStatsPipelined checks the engine's accounting: every
+// admitted record is emitted, the in-flight bytes drain to zero at
+// Close (in the engine and in the gauge), and the high-water mark
+// covers at least one record.
 func TestStreamWriterStatsPipelined(t *testing.T) {
+	counted := countingOn(t)
 	c, err := New("zfp:rate=8")
 	if err != nil {
 		t.Fatal(err)
@@ -171,11 +202,9 @@ func TestStreamWriterStatsPipelined(t *testing.T) {
 	if err := sw.SetConcurrency(2); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.SetMaxInFlightBytes(1 << 20); err != nil {
-		t.Fatal(err)
-	}
 	x := mkStreamTensor(3, 16, 16)
 	const n = 5
+	before := telemetry.Default().Snapshot()
 	for i := 0; i < n; i++ {
 		if err := sw.WriteTensor(context.Background(), c, x); err != nil {
 			t.Fatal(err)
@@ -184,24 +213,34 @@ func TestStreamWriterStatsPipelined(t *testing.T) {
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s := sw.Stats()
-	if s.RecordsAdmitted != n || s.RecordsEmitted != n {
-		t.Errorf("admitted/emitted = %d/%d, want %d/%d", s.RecordsAdmitted, s.RecordsEmitted, n, n)
+	after := telemetry.Default().Snapshot()
+	if sw.Records() != n {
+		t.Errorf("Records() = %d, want %d", sw.Records(), n)
 	}
-	if s.InFlightBytes != 0 {
-		t.Errorf("InFlightBytes = %d after Close, want 0", s.InFlightBytes)
+	if sw.eng.inflight != 0 {
+		t.Errorf("engine holds %d in-flight bytes after Close, want 0", sw.eng.inflight)
 	}
-	if s.BudgetBytes != 1<<20 {
-		t.Errorf("BudgetBytes = %d, want %d", s.BudgetBytes, 1<<20)
+	if hi := sw.eng.maxInFlightBytes(); hi < int64(x.SizeBytes()) {
+		t.Errorf("in-flight high-water mark = %d, want >= one record (%d)", hi, x.SizeBytes())
 	}
-	if s.MaxInFlightBytes < int64(x.SizeBytes()) {
-		t.Errorf("MaxInFlightBytes = %d, want >= one record (%d)", s.MaxInFlightBytes, x.SizeBytes())
+	if !counted {
+		t.Skip("telemetry compiled out (acc_notelemetry)")
+	}
+	d := after.Delta(before).Counters
+	if a, e := d["stream.writer.records_admitted"], d["stream.writer.records_emitted"]; a != n || e != n {
+		t.Errorf("admitted/emitted = %d/%d, want %d/%d", a, e, n, n)
+	}
+	const inflight = "stream.writer.inflight_bytes"
+	if before.Gauges[inflight] != after.Gauges[inflight] {
+		t.Errorf("%s did not drain at Close: %d -> %d", inflight, before.Gauges[inflight], after.Gauges[inflight])
 	}
 }
 
-// TestStreamReaderStats checks reader-side counting, including the
-// read-ahead hit/miss split and CRC-failure accounting.
+// TestStreamReaderStats checks the stream.reader counters a read run
+// moves, including the read-ahead hit/miss split and CRC-failure
+// accounting.
 func TestStreamReaderStats(t *testing.T) {
+	counted := countingOn(t)
 	ctx := context.Background()
 	c, err := New("zfp:rate=8")
 	if err != nil {
@@ -222,10 +261,12 @@ func TestStreamReaderStats(t *testing.T) {
 	good := buf.Bytes()
 
 	t.Run("plain", func(t *testing.T) {
+		before := telemetry.Default().Snapshot()
 		sr, err := NewStreamReader(bytes.NewReader(good))
 		if err != nil {
 			t.Fatal(err)
 		}
+		records := 0
 		for {
 			if _, err := sr.Next(); err == io.EOF {
 				break
@@ -235,29 +276,37 @@ func TestStreamReaderStats(t *testing.T) {
 			if _, err := sr.Decode(ctx); err != nil {
 				t.Fatal(err)
 			}
+			records++
 		}
-		s := sr.Stats()
-		if s.Records != n {
-			t.Errorf("Records = %d, want %d", s.Records, n)
+		if records != n {
+			t.Fatalf("read %d records, want %d", records, n)
 		}
-		if s.Chunks < n {
-			t.Errorf("Chunks = %d, want >= %d", s.Chunks, n)
+		if !counted {
+			t.Skip("telemetry compiled out (acc_notelemetry)")
 		}
-		if s.PayloadBytes <= 0 || s.PayloadBytes >= int64(len(good)) {
-			t.Errorf("PayloadBytes = %d, want in (0, %d)", s.PayloadBytes, len(good))
+		d := countersSince(before)
+		if got := d["stream.reader.records"]; got != n {
+			t.Errorf("records = %d, want %d", got, n)
 		}
-		if want := int64(n * x.SizeBytes()); s.DecodedBytes != want {
-			t.Errorf("DecodedBytes = %d, want %d", s.DecodedBytes, want)
+		if got := d["stream.reader.chunks"]; got < n {
+			t.Errorf("chunks = %d, want >= %d", got, n)
 		}
-		if s.CRCFailures != 0 {
-			t.Errorf("CRCFailures = %d, want 0", s.CRCFailures)
+		if got := d["stream.reader.payload_bytes"]; got == 0 || got >= uint64(len(good)) {
+			t.Errorf("payload_bytes = %d, want in (0, %d)", got, len(good))
 		}
-		if s.ReadAheadHits != 0 || s.ReadAheadMisses != 0 {
-			t.Errorf("read-ahead counters moved without read-ahead: %+v", s)
+		if got, want := d["stream.reader.decoded_bytes"], uint64(n*x.SizeBytes()); got != want {
+			t.Errorf("decoded_bytes = %d, want %d", got, want)
+		}
+		if got := d["stream.reader.crc_failures"]; got != 0 {
+			t.Errorf("crc_failures = %d, want 0", got)
+		}
+		if h, m := d["stream.reader.readahead_hits"], d["stream.reader.readahead_misses"]; h != 0 || m != 0 {
+			t.Errorf("read-ahead counters moved without read-ahead: hits %d, misses %d", h, m)
 		}
 	})
 
 	t.Run("readahead", func(t *testing.T) {
+		before := telemetry.Default().Snapshot()
 		sr, err := NewStreamReader(bytes.NewReader(good))
 		if err != nil {
 			t.Fatal(err)
@@ -265,7 +314,7 @@ func TestStreamReaderStats(t *testing.T) {
 		if err := sr.SetReadAhead(ctx, 2); err != nil {
 			t.Fatal(err)
 		}
-		reads := int64(0)
+		reads := uint64(0)
 		for {
 			if _, err := sr.Next(); err == io.EOF {
 				reads++
@@ -278,11 +327,17 @@ func TestStreamReaderStats(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		s := sr.Stats()
-		if s.Records != n {
-			t.Errorf("Records = %d, want %d", s.Records, n)
+		if reads != n+1 {
+			t.Fatalf("%d Next calls, want %d", reads, n+1)
 		}
-		if got := s.ReadAheadHits + s.ReadAheadMisses; got != reads {
+		if !counted {
+			t.Skip("telemetry compiled out (acc_notelemetry)")
+		}
+		d := countersSince(before)
+		if got := d["stream.reader.records"]; got != n {
+			t.Errorf("records = %d, want %d", got, n)
+		}
+		if got := d["stream.reader.readahead_hits"] + d["stream.reader.readahead_misses"]; got != reads {
 			t.Errorf("hits+misses = %d, want %d (one per Next)", got, reads)
 		}
 	})
@@ -290,6 +345,7 @@ func TestStreamReaderStats(t *testing.T) {
 	t.Run("crc-failure", func(t *testing.T) {
 		data := append([]byte(nil), good...)
 		data[len(data)-2] ^= 0xFF
+		before := telemetry.Default().Snapshot()
 		sr, err := NewStreamReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
@@ -307,59 +363,14 @@ func TestStreamReaderStats(t *testing.T) {
 				break
 			}
 		}
-		if decodeErr == nil {
-			t.Fatal("corrupted stream read cleanly")
+		if !errors.Is(decodeErr, ErrCRC) {
+			t.Fatalf("corrupted stream: err %v, want a CRC failure", decodeErr)
 		}
-		if s := sr.Stats(); s.CRCFailures != 1 {
-			t.Errorf("CRCFailures = %d, want 1", s.CRCFailures)
+		if !counted {
+			t.Skip("telemetry compiled out (acc_notelemetry)")
 		}
-	})
-}
-
-// TestStreamTraceLifecycle checks every record leaves admitted →
-// encoded → emitted events in the trace ring, on both the serial and
-// the pipelined path.
-func TestStreamTraceLifecycle(t *testing.T) {
-	withTelemetry(t, true, func() {
-		prevTrace := telemetry.SetTraceEnabled(true)
-		defer telemetry.SetTraceEnabled(prevTrace)
-		for _, conc := range []int{0, 3} {
-			telemetry.ResetTrace()
-			c, err := New("zfp:rate=8")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			sw := NewStreamWriter(&buf)
-			if conc > 0 {
-				if err := sw.SetConcurrency(conc); err != nil {
-					t.Fatal(err)
-				}
-			}
-			x := mkStreamTensor(3, 16, 16)
-			const n = 4
-			for i := 0; i < n; i++ {
-				if err := sw.WriteTensor(context.Background(), c, x); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := sw.Close(); err != nil {
-				t.Fatal(err)
-			}
-			phases := map[int64]map[string]bool{}
-			for _, ev := range telemetry.TraceEvents() {
-				if phases[ev.Record] == nil {
-					phases[ev.Record] = map[string]bool{}
-				}
-				phases[ev.Record][ev.Phase] = true
-			}
-			for rec := int64(1); rec <= n; rec++ {
-				for _, ph := range []string{"admitted", "encoded", "emitted"} {
-					if !phases[rec][ph] {
-						t.Errorf("conc=%d: record %d missing %q event (events: %v)", conc, rec, ph, phases[rec])
-					}
-				}
-			}
+		if got := countersSince(before)["stream.reader.crc_failures"]; got != 1 {
+			t.Errorf("crc_failures = %d, want 1", got)
 		}
 	})
 }

@@ -12,9 +12,6 @@ func xgetbv() (eax, edx uint32)
 
 // CPUID.1:ECX feature bits.
 const (
-	cpuidSSE41   = 1 << 19
-	cpuidSSE42   = 1 << 20
-	cpuidFMA     = 1 << 12
 	cpuidOSXSAVE = 1 << 27
 	cpuidAVX     = 1 << 28
 )
@@ -28,8 +25,8 @@ const (
 // XCR0 state-component bits: SSE (XMM) and AVX (YMM) state.
 const xcr0AVXState = 0x6
 
-// detect probes the hardware via CPUID. AVX/AVX2 additionally require
-// the OS to save YMM state across context switches (OSXSAVE set and
+// detect probes the hardware via CPUID. AVX2 additionally requires AVX
+// and the OS to save YMM state across context switches (OSXSAVE set and
 // XCR0 enabling XMM+YMM), exactly the check the runtime and
 // klauspost/cpuid perform.
 func detect() Features {
@@ -39,9 +36,6 @@ func detect() Features {
 		return f
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
-	f.SSE41 = ecx1&cpuidSSE41 != 0
-	f.SSE42 = ecx1&cpuidSSE42 != 0
-
 	var ebx7 uint32
 	if maxLeaf >= 7 {
 		_, ebx7, _, _ = cpuid(7, 0)
@@ -55,10 +49,6 @@ func detect() Features {
 		lo, _ := xgetbv()
 		osAVX = lo&xcr0AVXState == xcr0AVXState
 	}
-	if osAVX {
-		f.AVX = ecx1&cpuidAVX != 0
-		f.FMA = ecx1&cpuidFMA != 0
-		f.AVX2 = f.AVX && ebx7&cpuidAVX2 != 0
-	}
+	f.AVX2 = osAVX && ecx1&cpuidAVX != 0 && ebx7&cpuidAVX2 != 0
 	return f
 }

@@ -15,11 +15,6 @@ func publishFeatureGauges() {
 			g.Set(0)
 		}
 	}
-	set("sse41", active.SSE41)
-	set("sse42", active.SSE42)
-	set("avx", active.AVX)
 	set("avx2", active.AVX2)
-	set("fma", active.FMA)
 	set("bmi2", active.BMI2)
-	set("neon", active.NEON)
 }

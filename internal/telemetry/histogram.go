@@ -41,8 +41,7 @@ func bucketIndex(v int64) int {
 	return i
 }
 
-// BucketUpper returns the inclusive upper bound of bucket i (the "le"
-// edge the Prometheus encoder publishes).
+// BucketUpper returns the inclusive upper bound of bucket i.
 func BucketUpper(i int) uint64 {
 	if i <= 0 {
 		return 0

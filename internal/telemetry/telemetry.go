@@ -1,11 +1,11 @@
 // Package telemetry is the repository's instrumentation layer: atomic
-// counters and gauges, fixed-bucket log-scale histograms, a named
-// registry with JSON and Prometheus-text exposition, and a lock-free
-// ring-buffer event trace. Everything here is dependency-free (stdlib
-// only) and allocation-free on the hot path: recording a metric is one
-// or two uncontended atomic adds, so instrumented code passes the same
-// 0 allocs/op gates as uninstrumented code and never changes the bytes
-// it produces.
+// counters and gauges, fixed-bucket log-scale histograms, and a named
+// registry whose snapshots serialize to JSON and render as a human
+// table. Everything here is dependency-free (stdlib only) and
+// allocation-free on the hot path: recording a metric is one or two
+// uncontended atomic adds, so instrumented code passes the same 0
+// allocs/op gates as uninstrumented code and never changes the bytes it
+// produces.
 //
 // # Enable/disable switches
 //
@@ -19,8 +19,8 @@
 //     behind it — is dead-coded out of the binary entirely.
 //
 // Metric values are monotonic from process start; there is no reset.
-// Consumers that want per-run deltas (the stream engines' Stats, the
-// bench harness) snapshot before and after.
+// Consumers that want per-run deltas (tests, the bench harness)
+// snapshot before and after and take the Delta.
 //
 // # Naming scheme
 //
@@ -32,9 +32,6 @@
 //	stage.<name>.forward_ns          histogram
 //	stream.writer.inflight_bytes     gauge
 //	simd.<pkg>.<tier>_calls          counter
-//
-// The Prometheus encoder sanitizes names to its charset; the JSON
-// snapshot keeps them verbatim.
 package telemetry
 
 import (
@@ -50,7 +47,6 @@ var on atomic.Bool
 
 func init() {
 	on.Store(compiled && !envDisabled(os.Getenv("ACC_TELEMETRY")))
-	traceOn.Store(compiled && envSet(os.Getenv("ACC_TRACE")))
 }
 
 // envDisabled reports whether an ACC_TELEMETRY value asks for
@@ -61,12 +57,6 @@ func envDisabled(v string) bool {
 		return true
 	}
 	return false
-}
-
-// envSet reports whether an opt-in variable (ACC_TRACE) is set to a
-// truthy value.
-func envSet(v string) bool {
-	return v != "" && !envDisabled(v)
 }
 
 // Enabled reports whether instrumentation is recording. When the

@@ -2,9 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
-	"io"
 	"math"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -245,116 +243,6 @@ func TestWriteHuman(t *testing.T) {
 	})
 }
 
-func TestWritePrometheus(t *testing.T) {
-	withEnabled(t, true, func() {
-		r := NewRegistry()
-		r.Counter("codec.zfp:rate=8.compress_calls").Add(7)
-		r.Gauge("stream.writer.inflight_bytes").Set(12)
-		h := r.Histogram("stage.fse.forward_ns")
-		h.Observe(3)
-		h.Observe(100)
-		var b strings.Builder
-		if err := r.WritePrometheus(&b); err != nil {
-			t.Fatal(err)
-		}
-		out := b.String()
-		for _, want := range []string{
-			"# TYPE acc_codec_zfp_rate_8_compress_calls counter",
-			"acc_codec_zfp_rate_8_compress_calls 7",
-			"# TYPE acc_stream_writer_inflight_bytes gauge",
-			"acc_stream_writer_inflight_bytes 12",
-			"# TYPE acc_stage_fse_forward_ns histogram",
-			`acc_stage_fse_forward_ns_bucket{le="+Inf"} 2`,
-			"acc_stage_fse_forward_ns_sum 103",
-			"acc_stage_fse_forward_ns_count 2",
-		} {
-			if !strings.Contains(out, want) {
-				t.Errorf("prometheus output missing %q:\n%s", want, out)
-			}
-		}
-		// Bucket counts must be cumulative.
-		if !strings.Contains(out, `acc_stage_fse_forward_ns_bucket{le="3"} 1`) {
-			t.Errorf("missing cumulative bucket for value 3:\n%s", out)
-		}
-	})
-}
-
-func TestPromName(t *testing.T) {
-	cases := map[string]string{
-		"codec.zfp:rate=8.compress_calls": "acc_codec_zfp_rate_8_compress_calls",
-		"simple":                          "acc_simple",
-		"a..b":                            "acc_a_b",
-		"trailing.":                       "acc_trailing",
-	}
-	for in, want := range cases {
-		if got := promName(in); got != want {
-			t.Errorf("promName(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-func TestTraceRing(t *testing.T) {
-	withEnabled(t, true, func() {
-		prev := SetTraceEnabled(true)
-		defer SetTraceEnabled(prev)
-		ResetTrace()
-		defer ResetTrace()
-		TraceRecord(1, PhaseAdmitted)
-		TraceRecord(1, PhaseEncoded)
-		TraceRecord(1, PhaseEmitted)
-		TraceRecord(2, PhaseAdmitted)
-		evs := TraceEvents()
-		if len(evs) != 4 {
-			t.Fatalf("got %d events, want 4", len(evs))
-		}
-		if evs[0].Record != 1 || evs[0].Phase != "admitted" {
-			t.Errorf("first event = %+v", evs[0])
-		}
-		if evs[3].Record != 2 || evs[3].Phase != "admitted" {
-			t.Errorf("last event = %+v", evs[3])
-		}
-		for _, e := range evs {
-			if e.UnixNanos == 0 {
-				t.Error("event missing timestamp")
-			}
-		}
-	})
-}
-
-func TestTraceRingWraps(t *testing.T) {
-	withEnabled(t, true, func() {
-		prev := SetTraceEnabled(true)
-		defer SetTraceEnabled(prev)
-		ResetTrace()
-		defer ResetTrace()
-		total := traceRingSize + 100
-		for i := 0; i < total; i++ {
-			TraceRecord(int64(i), PhaseAdmitted)
-		}
-		evs := TraceEvents()
-		if len(evs) != traceRingSize {
-			t.Fatalf("got %d events, want ring size %d", len(evs), traceRingSize)
-		}
-		if evs[0].Record != int64(total-traceRingSize) {
-			t.Errorf("oldest surviving record = %d, want %d", evs[0].Record, total-traceRingSize)
-		}
-		if evs[len(evs)-1].Record != int64(total-1) {
-			t.Errorf("newest record = %d, want %d", evs[len(evs)-1].Record, total-1)
-		}
-	})
-}
-
-func TestTraceDisabledByDefault(t *testing.T) {
-	withEnabled(t, true, func() {
-		ResetTrace()
-		defer ResetTrace()
-		TraceRecord(9, PhaseAdmitted)
-		if evs := TraceEvents(); len(evs) != 0 {
-			t.Errorf("trace recorded %d events while disabled", len(evs))
-		}
-	})
-}
-
 // TestConcurrentWriters hammers one counter, gauge, and histogram from
 // many goroutines; run under -race this is the data-race gate, and the
 // totals prove no increment is lost.
@@ -410,54 +298,12 @@ func TestRecordingAllocs(t *testing.T) {
 				h.Observe(42)
 				start := NowNanos()
 				h.ObserveSince(start)
-				TraceRecord(1, PhaseAdmitted)
 			})
 			if allocs != 0 {
 				t.Errorf("enabled=%v: recording allocates %v/op, want 0", enabled, allocs)
 			}
 		})
 	}
-}
-
-func TestHTTPHandler(t *testing.T) {
-	withEnabled(t, true, func() {
-		NewCounter("http.test.calls").Add(5)
-		srv := httptest.NewServer(Handler())
-		defer srv.Close()
-		get := func(path string) (string, string) {
-			t.Helper()
-			resp, err := srv.Client().Get(srv.URL + path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			body, err := io.ReadAll(resp.Body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp.StatusCode != 200 {
-				t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-			}
-			return string(body), resp.Header.Get("Content-Type")
-		}
-		if body, _ := get("/metrics"); !strings.Contains(body, "acc_http_test_calls 5") {
-			t.Errorf("/metrics missing counter:\n%s", body)
-		}
-		body, ctype := get("/debug/telemetry")
-		if !strings.Contains(ctype, "application/json") {
-			t.Errorf("/debug/telemetry content type %q", ctype)
-		}
-		var snap Snapshot
-		if err := json.Unmarshal([]byte(body), &snap); err != nil {
-			t.Fatalf("/debug/telemetry is not a JSON snapshot: %v", err)
-		}
-		if snap.Counters["http.test.calls"] == 0 {
-			t.Errorf("/debug/telemetry missing counter:\n%s", body)
-		}
-		if body, _ := get("/debug/pprof/cmdline"); len(body) == 0 {
-			t.Error("/debug/pprof/cmdline empty")
-		}
-	})
 }
 
 func TestSetEnabledRoundTrip(t *testing.T) {
@@ -488,11 +334,5 @@ func TestEnvSwitchParsing(t *testing.T) {
 		if envDisabled(on) {
 			t.Errorf("envDisabled(%q) = true, want false", on)
 		}
-	}
-	if envSet("") || envSet("0") {
-		t.Error("envSet must be false for empty/disabled values")
-	}
-	if !envSet("1") {
-		t.Error("envSet(\"1\") must be true")
 	}
 }

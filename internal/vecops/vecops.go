@@ -11,7 +11,8 @@ import "sync"
 
 // fillThreshold is the slice length below which the portable loop is
 // used even when vector kernels are available — the call and
-// broadcast overhead dominates tiny spans.
+// broadcast overhead dominates tiny spans. Such fills count as neither
+// path (see metrics.go).
 const fillThreshold = 32
 
 // FillUint16 sets every element of dst to v.
@@ -21,7 +22,9 @@ func FillUint16(dst []uint16, v uint16) {
 		fillUint16AVX2(&dst[0], len(dst), v)
 		return
 	}
-	simdPortableCalls.Inc()
+	if !simdOn {
+		simdPortableCalls.Inc()
+	}
 	for i := range dst {
 		dst[i] = v
 	}
@@ -80,7 +83,9 @@ func FillBytes(dst []byte, v byte) {
 		fillBytesAVX2(&dst[0], len(dst), v)
 		return
 	}
-	simdPortableCalls.Inc()
+	if !simdOn {
+		simdPortableCalls.Inc()
+	}
 	for i := range dst {
 		dst[i] = v
 	}
