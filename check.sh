@@ -50,8 +50,12 @@ go test -race ./internal/...
 # reference byte for byte. FuzzStreamDecode and FuzzIndexedStream feed
 # mutated v2 streams to the sequential and the random-access reader;
 # every family decodes records through the same single decoder as
-# containers, so these reach each family's decode too. A first slice of
-# a fuzz run over every Fuzz target.
+# containers, so these reach each family's decode too. entropy's
+# FuzzDecode holds the block decoder to the bit-serial oracle on
+# arbitrary bytes, FuzzHufRoundTrip holds CompressHuf to its oracle
+# encoder, and FuzzRoundTrip holds the fse block encoder CompressHuf
+# calls to the oracle's. A first slice of a fuzz run over every Fuzz
+# target (10 of 13).
 go test -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/vle/
 go test -run '^$' -fuzz '^FuzzEncodeDecodeRoundTrip$' -fuzztime 10s ./internal/vle/
 go test -run '^$' -fuzz FuzzDecompress -fuzztime 10s ./internal/sz/
@@ -59,6 +63,9 @@ go test -run '^$' -fuzz '^FuzzCompress$' -fuzztime 10s ./internal/sz/
 go test -run '^$' -fuzz '^FuzzContainerDecode$' -fuzztime 10s ./internal/codec/
 go test -run '^$' -fuzz '^FuzzStreamDecode$' -fuzztime 10s ./internal/codec/
 go test -run '^$' -fuzz '^FuzzIndexedStream$' -fuzztime 10s ./internal/codec/
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/entropy/
+go test -run '^$' -fuzz '^FuzzHufRoundTrip$' -fuzztime 10s ./internal/entropy/
+go test -run '^$' -fuzz '^FuzzRoundTrip$' -fuzztime 10s ./internal/entropy/
 # Kernel-dispatch suite with SIMD force-disabled: the portable
 # fallbacks must pass the same equivalence/golden tests the vector
 # paths do (on non-AVX2 hosts this is a harmless re-run).
@@ -88,10 +95,12 @@ ACC_TELEMETRY=0 go test ./internal/codec/ -run 'TestGolden|TestConformanceRoundT
 go build -tags acc_notelemetry ./...
 go test -tags acc_notelemetry ./internal/telemetry/ ./internal/codec/ -count=1
 
-# Stage-pipeline conformance: every registered family must round-trip
-# both bare and through the "+fse" entropy stage, with the staged
-# decode bit-identical to the unstaged one (and exact for lossless).
-go test ./internal/codec/ -run 'TestStagedFamilies|TestLosslessExact|TestConformanceRoundTrip' -count=1
+# Entropy-stage conformance: every registered family must round-trip
+# both bare and through the "+huf" entropy stage, with the staged
+# decode bit-identical to the unstaged one (and exact for lossless);
+# the recorded "+fse" payloads must decode to the same bits on every
+# read path, and every write entry must refuse "+fse".
+go test ./internal/codec/ -run 'TestStagedFamilies|TestLosslessExact|TestConformanceRoundTrip|TestGoldenFSEDecodes|TestFSEIsDecodeOnly' -count=1
 
 # Index conformance: seeking through the footer (DecodeAt and parallel
 # DecodeRange) must decode tensor-identically to the sequential reader,

@@ -4,11 +4,15 @@
 // batches on the host or on any of the simulated accelerators.
 //
 // The codec is picked by a spec string ("family:key=val,flag" with an
-// optional "+stage" chain appended — "+fse" runs the shared entropy
-// backend over the payload):
+// optional "+huf" appended, which runs the shared entropy backend over
+// the payload):
 //
 //	dctc:cf=4,s=2,sg   zfp:rate=8   sz:eb=1e-3   jpegq:q=50
-//	dctc:cf=4+fse      lossless:bg=4+fse
+//	dctc:cf=4+huf      lossless:bg=4+huf
+//
+// Files written with the retired "+fse" stage still decompress; "+huf"
+// writes the same block format and picks fse blocks itself wherever
+// they are smaller, so "+fse" is decode-only.
 //
 // Input format for compress/roundtrip: raw little-endian float32
 // values of a [BD, C, n, n] batch (dimensions given by flags).
@@ -269,10 +273,10 @@ func newCodec(spec string, cf int, sg bool, serial int, transform string) codec.
 }
 
 // specHelp renders the spec grammar with the live registry contents:
-// every family with its valid option keys, and the registered stages.
+// every family with its valid option keys, and the entropy stage.
 func specHelp(spec string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "  spec grammar: family[:key=val|flag,...][+stage...], e.g. %q or %q\n", "dctc:cf=4,s=2+fse", "lossless:bg=4+fse")
+	fmt.Fprintf(&b, "  spec grammar: family[:key=val|flag,...][+huf], e.g. %q or %q\n", "dctc:cf=4,s=2+huf", "lossless:bg=4+huf")
 	b.WriteString("  families:\n")
 	for _, fam := range codec.Families() {
 		keys, err := codec.ValidKeys(fam)
@@ -281,7 +285,7 @@ func specHelp(spec string) string {
 		}
 		fmt.Fprintf(&b, "    %-10s keys %v\n", fam, keys)
 	}
-	fmt.Fprintf(&b, "  stages: %v (appended with '+', no options)", codec.StageNames())
+	b.WriteString("  stage: +huf, the entropy coder (+fse is decode-only: +huf emits fse blocks where they are smaller)")
 	if family, _, ok := strings.Cut(spec, ":"); ok {
 		if keys, err := codec.ValidKeys(family); err == nil {
 			fmt.Fprintf(&b, "\n  %s accepts: %v", family, keys)

@@ -97,7 +97,7 @@ func RoundTripInto(c Codec, dst, x *tensor.Tensor) (int, error) {
 	}
 	start := telemetry.NowNanos()
 	n, err := 0, errNoFastPath
-	if fast, ok := impl.b.(fastRoundTripperInto); ok && len(impl.chain) == 0 {
+	if fast, ok := impl.b.(fastRoundTripperInto); ok && impl.stage == "" {
 		n, err = fast.fastRoundTripInto(dst, x)
 	}
 	switch err {
@@ -128,20 +128,18 @@ func RoundTripInto(c Codec, dst, x *tensor.Tensor) (int, error) {
 	return n, nil
 }
 
-// codecImpl frames a backend plus its stage chain behind the Codec
-// interface. The chain is applied to the backend's payload in order on
-// encode and in reverse on decode (see stage.go); an empty chain keeps
-// every path — and every wire byte — identical to the pre-stage codec.
+// codecImpl frames a backend plus its optional entropy stage behind
+// the Codec interface (see stage.go); without a stage every path — and
+// every wire byte — is identical to the pre-stage codec.
 type codecImpl struct {
 	spec  string
 	b     backend
-	chain []Stage
+	stage string // "", "huf", or the decode-only "fse"
 
 	// Metric handles, resolved once at construction (see metrics.go).
 	// Nil on hand-constructed impls in tests: every recording call is
 	// nil-safe, so unwired codecs simply record nothing.
-	m      *codecMetrics
-	stageM []*stageMetrics
+	m *codecMetrics
 }
 
 func (c *codecImpl) Name() string   { return c.b.name() }
@@ -255,20 +253,8 @@ func newCodec(spec string) (Codec, error) {
 	if err := opts.finish(); err != nil {
 		return nil, err
 	}
-	chain := make([]Stage, 0, len(parsed.Stages))
-	for _, name := range parsed.Stages {
-		st, err := newStage(name)
-		if err != nil {
-			return nil, err
-		}
-		chain = append(chain, st)
-	}
-	impl := &codecImpl{spec: canonicalSpec(parsed.Family, b, chain), b: b, chain: chain}
+	impl := &codecImpl{spec: canonicalSpec(parsed.Family, b, parsed.Stage), b: b, stage: parsed.Stage}
 	impl.m = metricsFor(impl.spec)
-	impl.stageM = make([]*stageMetrics, len(chain))
-	for i, st := range chain {
-		impl.stageM[i] = stageMetricsFor(st.Name())
-	}
 	return impl, nil
 }
 
@@ -297,17 +283,17 @@ func ValidKeys(family string) ([]string, error) {
 // canonicalizer lets a backend print its canonical option string.
 type canonicalizer interface{ canonical() string }
 
-// canonicalSpec renders the spec that exactly rebuilds b and its stage
-// chain.
-func canonicalSpec(family string, b backend, chain []Stage) string {
+// canonicalSpec renders the spec that exactly rebuilds b and its
+// stage.
+func canonicalSpec(family string, b backend, stage string) string {
 	s := family
 	if c, ok := b.(canonicalizer); ok {
 		if opts := c.canonical(); opts != "" {
 			s = family + ":" + opts
 		}
 	}
-	for _, st := range chain {
-		s += "+" + st.Spec()
+	if stage != "" {
+		s += "+" + stage
 	}
 	return s
 }

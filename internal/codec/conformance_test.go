@@ -28,14 +28,15 @@ var conformanceSpecs = []struct {
 	{"jpegq:q=50", 20, 0},
 	// Staged variants: the entropy stage must be error-transparent, so
 	// each inherits its base spec's floors.
-	{"dctc:cf=4+fse", 20, 0},
-	{"zfp:rate=8+fse", 30, 0},
-	{"sz:eb=1e-3+fse", 40, 1e-3},
-	{"jpegq:q=50+fse", 20, 0},
 	{"dctc:cf=4+huf", 20, 0},
 	{"zfp:rate=8+huf", 30, 0},
 	{"sz:eb=1e-3+huf", 40, 1e-3},
 	{"jpegq:q=50+huf", 20, 0},
+	// …and at a second option point per family.
+	{"dctc:cf=4,sg+huf", 15, 0},
+	{"zfp:rate=16+huf", 30, 0},
+	{"sz:eb=1e-2+huf", 30, 1e-2},
+	{"jpegq:q=90+huf", 20, 0},
 	// Bit-exact family: any finite floor holds; 140 dB is far above
 	// every lossy codec and PSNR may legitimately return +Inf here.
 	{"lossless:bg=4+huf", 140, 0},
@@ -150,11 +151,12 @@ func TestConformanceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStageBackendEquivalence pairs "+fse" against "+huf" across all
-// five families: both stages are lossless payload transforms, so the
-// decoded tensors must be bit-identical — equal to each other and (for
-// the lossless family) to the original, arbitrary NaN payloads
-// included.
+// TestStageBackendEquivalence pairs each family's bare spec against
+// its "+huf" spec: the entropy stage is a lossless payload transform,
+// so the decoded tensors must be bit-identical — equal to each other
+// and (for the lossless family) to the original, arbitrary NaN payloads
+// included. Retired "+fse" payloads are held to the same bits by
+// TestGoldenFSEDecodes.
 func TestStageBackendEquivalence(t *testing.T) {
 	smooth := conformanceBatch()
 
@@ -206,11 +208,11 @@ func TestStageBackendEquivalence(t *testing.T) {
 				}
 				return back
 			}
-			viaFSE, viaHUF := decode("+fse"), decode("+huf")
-			fb, hb := viaFSE.Data(), viaHUF.Data()
-			for i := range fb {
-				if math.Float32bits(fb[i]) != math.Float32bits(hb[i]) {
-					t.Fatalf("element %d: +fse decodes %08x, +huf decodes %08x", i, math.Float32bits(fb[i]), math.Float32bits(hb[i]))
+			bare, viaHUF := decode(""), decode("+huf")
+			bb, hb := bare.Data(), viaHUF.Data()
+			for i := range bb {
+				if math.Float32bits(bb[i]) != math.Float32bits(hb[i]) {
+					t.Fatalf("element %d: bare decodes %08x, +huf decodes %08x", i, math.Float32bits(bb[i]), math.Float32bits(hb[i]))
 				}
 			}
 			if tc.exact {

@@ -28,7 +28,7 @@ const (
 	containerMagic   = 0x46434341 // "ACCF" on disk
 	containerVersion = 1
 	// containerVersionStaged marks a container whose spec carries a
-	// stage chain ("family:…+stage"): the layout is identical to v1, but
+	// stage ("family:…+stage"): the layout is identical to v1, but
 	// pre-stage readers must fail on the version instead of handing a
 	// staged payload to a family decoder. (Version 2 is the record
 	// stream; see stream.go.) Unstaged specs keep writing version 1, so
@@ -97,8 +97,12 @@ func validateFrame(spec string, shape []int, payloadLen int) error {
 	return nil
 }
 
-// WriteContainer frames a payload under the given spec and shape.
+// WriteContainer frames a payload under the given spec and shape. A
+// "+fse" spec is refused with ErrBadSpec: that stage is decode-only.
 func WriteContainer(w io.Writer, spec string, shape []int, payload []byte) (int64, error) {
+	if _, stage := splitSpecStage(spec); stage == "fse" {
+		return 0, errFSEWrite
+	}
 	if err := validateFrame(spec, shape, len(payload)); err != nil {
 		return 0, err
 	}
@@ -147,7 +151,7 @@ func ReadContainer(r io.Reader) (Header, []byte, error) {
 		return hdr, nil, markIOTruncation(fmt.Errorf("codec: reading spec: %w", err))
 	}
 	hdr.Spec = string(spec)
-	// The version byte and the spec's stage chain must agree: a v1
+	// The version byte and the spec's stage must agree: a v1
 	// frame smuggling a staged spec (or the reverse) is a forgery, not
 	// a decodable container.
 	if staged := specHasStages(hdr.Spec); staged != (version == containerVersionStaged) {

@@ -278,9 +278,9 @@ func entropyBlockRegions(c *cursor, prefix string, end int) ([]Region, error) {
 	return regs, nil
 }
 
-// specStaged reports whether a spec string carries a stage chain
-// ("base+stage..."). Re-derived independently of internal/codec: a '+'
-// separates stages only when followed by an ASCII letter, so float
+// specStaged reports whether a spec string carries a stage suffix
+// ("base+stage"). Re-derived independently of internal/codec: a '+'
+// separates the stage only when followed by an ASCII letter, so float
 // option values such as "sz:eb=1e+3" do not count.
 func specStaged(spec string) bool {
 	for i := 0; i < len(spec)-1; i++ {

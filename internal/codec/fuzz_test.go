@@ -32,6 +32,18 @@ func wideTensor(n int) *tensor.Tensor {
 	return x
 }
 
+// reframe returns container data with its payload replaced by mut (of
+// the same length) and the payload CRC recomputed, so a mutation
+// reaches the payload decoder instead of the CRC check. Unlike
+// WriteContainer it also frames the decode-only "+fse" specs.
+func reframe(data, mut []byte) []byte {
+	out := append([]byte(nil), data...)
+	off := len(out) - len(mut)
+	copy(out[off:], mut)
+	binary.LittleEndian.PutUint32(out[off-4:], crc32.ChecksumIEEE(mut))
+	return out
+}
+
 // FuzzContainerDecode hardens the self-describing decode path — header
 // parsing, spec resolution, plane framing, and every family's payload
 // decoder — against arbitrary byte streams: error or success, never a
@@ -70,12 +82,14 @@ func FuzzContainerDecode(f *testing.F) {
 	f.Add([]byte("ACCF"))
 	f.Add([]byte{0x41, 0x43, 0x43, 0x46, 1, 0, 0xFF, 0xFF})
 
-	// Staged (v3) seeds: every family through the "+fse" entropy stage,
-	// plus variants whose entropy block header and normalized-count table
-	// are corrupted *below* a valid container frame (CRC recomputed via
-	// WriteContainer), so the fuzzer starts inside the entropy parser
-	// instead of bouncing off the container CRC.
-	for _, spec := range []string{"dctc:cf=4+fse", "zfp:rate=8+fse", "sz:eb=1e-2+fse", "jpegq:q=50+fse", "lossless:bg=4+fse", "lossless:bg=1", "dctc:cf=4+huf", "jpegq:q=50+huf"} {
+	// Staged (v3) seeds: every family through the "+huf" entropy stage,
+	// and the recorded "+fse" containers (a decode-only stage, so its
+	// seeds come from the golden fixture), plus variants whose entropy
+	// block header and table are corrupted *below* a valid container
+	// frame (CRC recomputed), so the fuzzer starts inside the entropy
+	// parser instead of bouncing off the container CRC.
+	containers, _ := loadGoldenFSE(f)
+	for _, spec := range []string{"dctc:cf=4+huf", "zfp:rate=8+huf", "sz:eb=1e-2+huf", "jpegq:q=50+huf", "lossless:bg=4+huf", "lossless:bg=1"} {
 		c, err := New(spec)
 		if err != nil {
 			f.Fatal(err)
@@ -84,35 +98,25 @@ func FuzzContainerDecode(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
+		containers = append(containers, data)
+	}
+	for _, data := range containers {
 		f.Add(data)
 		f.Add(data[:len(data)-1])
-		if !specHasStages(spec) {
-			continue
-		}
-		regs, err := faultinject.V1Regions(data)
-		if err != nil {
-			f.Fatal(err)
-		}
 		hdr, payload, err := ReadContainer(bytes.NewReader(data))
 		if err != nil {
 			f.Fatal(err)
 		}
-		for _, r := range regs {
-			if r.Name != "payload.staged" {
-				continue
-			}
-			// The entropy stream leads with the block header (mode byte,
-			// raw length) and the FSE table (tableLog, nsym, counts):
-			// corrupt each of the first bytes in turn.
-			for off := 0; off < len(payload) && off < 12; off++ {
-				mut := append([]byte(nil), payload...)
-				mut[off] ^= 0xFF
-				var buf bytes.Buffer
-				if _, err := WriteContainer(&buf, hdr.Spec, hdr.Shape, mut); err != nil {
-					f.Fatal(err)
-				}
-				f.Add(buf.Bytes())
-			}
+		if !specHasStages(hdr.Spec) {
+			continue
+		}
+		// The entropy stream leads with the block header (mode byte,
+		// raw length) and the block's table: corrupt each of the first
+		// bytes in turn.
+		for off := 0; off < len(payload) && off < 12; off++ {
+			mut := append([]byte(nil), payload...)
+			mut[off] ^= 0xFF
+			f.Add(reframe(data, mut))
 		}
 	}
 
@@ -137,7 +141,7 @@ func FuzzContainerDecode(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		hdr, payload, err := ReadContainer(bytes.NewReader(data))
+		_, payload, err := ReadContainer(bytes.NewReader(data))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -158,11 +162,7 @@ func FuzzContainerDecode(f *testing.F) {
 			hufSeeds++
 			mut := append([]byte(nil), payload...)
 			mut[r.Off-payOff] ^= 0xFF
-			var buf bytes.Buffer
-			if _, err := WriteContainer(&buf, hdr.Spec, hdr.Shape, mut); err != nil {
-				f.Fatal(err)
-			}
-			f.Add(buf.Bytes())
+			f.Add(reframe(data, mut))
 		}
 		if hufSeeds == 0 {
 			f.Fatalf("%s: wide tensor produced no huf blocks", spec)
@@ -322,14 +322,14 @@ func FuzzStreamDecode(f *testing.F) {
 	f.Add(pflip)
 
 	// Staged ('S'-record) seeds: a stream mixing staged and plain
-	// records through both writer paths, plus a variant whose first
-	// staged chunk has its entropy table corrupted with the chunk CRC
-	// recomputed, so corruption reaches the entropy parser rather than
-	// the CRC check.
+	// records, and the recorded stream of "+fse" records, plus variants
+	// whose staged chunks have their entropy table corrupted with the
+	// chunk CRC recomputed, so corruption reaches the entropy parser
+	// rather than the CRC check.
 	var stb bytes.Buffer
 	stw := NewStreamWriter(&stb)
 	stw.SetChunkSize(4 << 10)
-	for _, spec := range []string{"dctc:cf=4+fse", "sz:eb=1e-2", "lossless:bg=4+fse", "dctc:cf=4+huf", "lossless:bg=4+huf"} {
+	for _, spec := range []string{"sz:eb=1e-2+huf", "sz:eb=1e-2", "lossless:bg=2+huf", "dctc:cf=4+huf", "lossless:bg=4+huf"} {
 		c, err := New(spec)
 		if err != nil {
 			f.Fatal(err)
@@ -348,12 +348,14 @@ func FuzzStreamDecode(f *testing.F) {
 	if err := stw.Close(); err != nil {
 		f.Fatal(err)
 	}
-	staged := stb.Bytes()
-	f.Add(staged)
-	f.Add(staged[:len(staged)/2])
-	if regs, err := faultinject.V2Regions(staged); err != nil {
-		f.Fatal(err)
-	} else {
+	_, fseStream := loadGoldenFSE(f)
+	for _, staged := range [][]byte{stb.Bytes(), fseStream} {
+		f.Add(staged)
+		f.Add(staged[:len(staged)/2])
+		regs, err := faultinject.V2Regions(staged)
+		if err != nil {
+			f.Fatal(err)
+		}
 		for _, r := range regs {
 			if !strings.HasSuffix(r.Name, "chunk0.data") {
 				continue
@@ -431,7 +433,7 @@ func buildIndexedSeed(f *testing.F, x *tensor.Tensor) []byte {
 	if err := sw.SetIndex(true); err != nil {
 		f.Fatal(err)
 	}
-	for _, spec := range []string{"sz:eb=1e-2", "dctc:cf=4+fse"} {
+	for _, spec := range []string{"sz:eb=1e-2", "dctc:cf=4+huf"} {
 		c, err := New(spec)
 		if err != nil {
 			f.Fatal(err)
@@ -482,6 +484,11 @@ func FuzzIndexedStream(f *testing.F) {
 	iflip := append([]byte(nil), indexed...)
 	iflip[len(iflip)-20] ^= 0x01
 	f.Add(iflip)
+	// The recorded indexed stream of "+fse" records, whole and with its
+	// first entry forged.
+	_, fseStream := loadGoldenFSE(f)
+	f.Add(fseStream)
+	f.Add(forgeIndexOffset(f, fseStream, 3))
 	// A footer-less stream (exercises the rebuild walk).
 	var plain bytes.Buffer
 	pw := NewStreamWriter(&plain)

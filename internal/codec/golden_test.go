@@ -8,8 +8,10 @@ import (
 	"io"
 	"math"
 	"os"
+	"strings"
 	"testing"
 
+	"repro/internal/codec/faultinject"
 	"repro/internal/tensor"
 )
 
@@ -97,7 +99,7 @@ func TestRoundTripIntoMatchesSerializePath(t *testing.T) {
 			}
 			impl := c.(*codecImpl)
 			for _, x := range inputs {
-				// encodePayload/decodePayload run the stage chain (if any)
+				// encodePayload/decodePayload run the entropy stage (if any)
 				// on top of the backend, so staged specs compare against
 				// the bytes that actually hit the wire.
 				payload, err := impl.encodePayload(context.Background(), x)
@@ -142,7 +144,7 @@ func TestRoundTripIntoMatchesSerializePath(t *testing.T) {
 }
 
 // TestRoundTripIntoAllocs is the allocs/op gate on the registry round
-// trip: every family bare and through its entropy stages, on one
+// trip: every family bare and through the entropy stage, on one
 // 3-channel 256×256 sample with a single-worker pipeline (the
 // multi-worker pipeline spends a few allocations on the fan-out). Each
 // bound is the steady-state count plus max(4, 10 %) of headroom for
@@ -160,16 +162,14 @@ func TestRoundTripIntoAllocs(t *testing.T) {
 		max  float64
 	}{
 		{"zfp:rate=8", 0},
-		{"zfp:rate=8+fse", 48},
+		{"zfp:rate=8+huf", 51},
 		{"jpegq:q=50", 0},
-		{"jpegq:q=50+fse", 45},
+		{"jpegq:q=50+huf", 46},
 		{"sz:eb=1e-3", 44},
-		{"sz:eb=1e-3+fse", 58},
+		{"sz:eb=1e-3+huf", 59},
 		{"dctc:cf=4", 26},
-		{"dctc:cf=4+fse", 33},
 		{"dctc:cf=4+huf", 34},
 		{"lossless:bg=4", 9},
-		{"lossless:bg=4+fse", 32},
 		{"lossless:bg=4+huf", 41},
 	} {
 		c, err := New(tc.spec)
@@ -284,6 +284,199 @@ func TestGoldenHufContainers(t *testing.T) {
 			}
 		})
 	}
+}
+
+// goldenFSETensor regenerates the input golden_fse.json was recorded
+// from: four levels in runs of 64 elements, from integer arithmetic
+// only, so the input is the same on every platform and the recorded
+// payloads hold fse blocks, not just raw ones.
+func goldenFSETensor(shape ...int) *tensor.Tensor {
+	x := tensor.New(shape...)
+	d := x.Data()
+	for i := range d {
+		d[i] = float32((i/64)%4) / 4
+	}
+	return x
+}
+
+// goldenFSEFixture is testdata/golden_fse.json (see TestGoldenFSEDecodes).
+type goldenFSEFixture struct {
+	Containers []struct {
+		Name  string `json:"name"`
+		Shape []int  `json:"shape"`
+		Hex   string `json:"hex"`
+	} `json:"containers"`
+	Stream struct {
+		Records []struct {
+			Spec  string `json:"spec"`
+			Shape []int  `json:"shape"`
+		} `json:"records"`
+		Hex string `json:"hex"`
+	} `json:"stream"`
+}
+
+func readGoldenFSE(tb testing.TB) goldenFSEFixture {
+	tb.Helper()
+	raw, err := os.ReadFile("testdata/golden_fse.json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var fixture goldenFSEFixture
+	if err := json.Unmarshal(raw, &fixture); err != nil {
+		tb.Fatal(err)
+	}
+	return fixture
+}
+
+// loadGoldenFSE returns the recorded "+fse" containers and indexed
+// stream as bytes — the only source of "+fse" payloads now that no
+// writer produces them.
+func loadGoldenFSE(tb testing.TB) (containers [][]byte, stream []byte) {
+	tb.Helper()
+	fixture := readGoldenFSE(tb)
+	for _, c := range fixture.Containers {
+		data, err := hex.DecodeString(c.Hex)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		containers = append(containers, data)
+	}
+	stream, err := hex.DecodeString(fixture.Stream.Hex)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return containers, stream
+}
+
+// TestGoldenFSEDecodes holds the decode-only "+fse" stage to payloads
+// the retired fse-only encoder wrote. testdata/golden_fse.json was
+// recorded from that encoder before it was removed, so it cannot be
+// regenerated: containers for every family (lossless at bg=1/2/4, and
+// a 68 KiB bg=1 payload spanning two entropy blocks) and one indexed
+// v2 stream of 'S' records covering every family. Every entry must
+// decode — containers through DecodeBytes, records through
+// StreamReader and IndexedStream.DecodeAt — to the bits of the bare
+// spec's decode and of a fresh "+huf" round trip of the same input,
+// and lossless entries to the input's exact bits.
+func TestGoldenFSEDecodes(t *testing.T) {
+	fixture := readGoldenFSE(t)
+	if len(fixture.Containers) != 8 || len(fixture.Stream.Records) != 5 {
+		t.Fatalf("fixture holds %d containers and %d records, want 8 and 5", len(fixture.Containers), len(fixture.Stream.Records))
+	}
+	// want returns the bits every path must decode an fse entry to.
+	want := func(t *testing.T, spec string, shape []int) *tensor.Tensor {
+		t.Helper()
+		base, stage := splitSpecStage(spec)
+		if stage != "fse" {
+			t.Fatalf("fixture entry %q is not an fse entry", spec)
+		}
+		x := goldenFSETensor(shape...)
+		var ref *tensor.Tensor
+		for _, s := range []string{base, base + "+huf"} {
+			c, err := New(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := c.Compress(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, _, err := DecodeBytes(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = out
+			} else if !bitsEqual(ref, out) {
+				t.Fatalf("%s and %s decode to different bits", base, s)
+			}
+		}
+		if strings.HasPrefix(spec, "lossless") && !bitsEqual(ref, x) {
+			t.Fatalf("%s does not reproduce its input exactly", base)
+		}
+		return ref
+	}
+
+	fseBlocks := 0
+	for _, tc := range fixture.Containers {
+		t.Run(tc.Name, func(t *testing.T) {
+			data, err := hex.DecodeString(tc.Hex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, c, err := DecodeBytes(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasSuffix(c.Spec(), "+fse") {
+				t.Errorf("container decoded with spec %q", c.Spec())
+			}
+			if !bitsEqual(out, want(t, tc.Name, tc.Shape)) {
+				t.Error("fse container decodes to different bits than the bare and +huf decodes")
+			}
+			regs, err := faultinject.V1Regions(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range regs {
+				if strings.HasSuffix(r.Name, ".fse-table") {
+					fseBlocks++
+				}
+			}
+		})
+	}
+	if fseBlocks == 0 {
+		t.Error("no fixture container holds an fse block")
+	}
+
+	t.Run("stream", func(t *testing.T) {
+		ctx := context.Background()
+		data, err := hex.DecodeString(fixture.Stream.Hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs := make([]*tensor.Tensor, len(fixture.Stream.Records))
+		sr, err := NewStreamReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rec := range fixture.Stream.Records {
+			hdr, err := sr.Next()
+			if err != nil {
+				t.Fatalf("record %d: %v", i, err)
+			}
+			if !strings.HasSuffix(hdr.Spec, "+fse") {
+				t.Fatalf("record %d: spec %q", i, hdr.Spec)
+			}
+			out, err := sr.Decode(ctx)
+			if err != nil {
+				t.Fatalf("record %d (%s): %v", i, rec.Spec, err)
+			}
+			refs[i] = want(t, rec.Spec, rec.Shape)
+			if !bitsEqual(out, refs[i]) {
+				t.Errorf("record %d (%s): StreamReader decode differs", i, rec.Spec)
+			}
+		}
+		if _, err := sr.Next(); err != io.EOF {
+			t.Fatalf("after last record: %v, want EOF", err)
+		}
+		ix, err := OpenIndexedStream(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ix.Rebuilt() || ix.Len() != len(refs) {
+			t.Fatalf("index rebuilt=%v with %d entries, want the footer's %d", ix.Rebuilt(), ix.Len(), len(refs))
+		}
+		for i, ref := range refs {
+			out, err := ix.DecodeAt(ctx, i)
+			if err != nil {
+				t.Fatalf("DecodeAt(%d): %v", i, err)
+			}
+			if !bitsEqual(out, ref) {
+				t.Errorf("DecodeAt(%d): decode differs", i)
+			}
+		}
+	})
 }
 
 // goldenStreamRecords is the fixed record sequence of the recorded v2

@@ -19,9 +19,10 @@ import (
 // (bg=4: lane k holds byte k of every value). Grouping same-significance
 // bytes — in the spirit of ZipNN's exponent/mantissa split — turns the
 // highly skewed sign+exponent byte and the near-uniform mantissa bytes
-// into separate runs, which is exactly the layout the "+fse" entropy
-// stage compresses well; "lossless:bg=4+fse" is the intended full spec.
-// Alone, the family is a ratio-1 identity with exact round-trip.
+// into separate runs, which is exactly the layout the "+huf" entropy
+// stage compresses well, coding each lane as its own block sequence;
+// "lossless:bg=4+huf" is the intended full spec. Alone, the family is a
+// ratio-1 identity with exact round-trip.
 type losslessBackend struct {
 	bg int
 }
@@ -41,18 +42,6 @@ func (b *losslessBackend) ratio() float64 { return 1 }
 
 func (b *losslessBackend) canonical() string {
 	return fmt.Sprintf("bg=%d", b.bg)
-}
-
-// payloadSegments marks the byte-group lane boundaries for segment-
-// aware entropy stages: lane k occupies [k·n/bg, (k+1)·n/bg), so each
-// lane's run of same-significance bytes gets its own block statistics
-// instead of blocks straddling an exponent/mantissa boundary.
-func (b *losslessBackend) payloadSegments(payloadLen int) []int {
-	bounds := make([]int, b.bg)
-	for i := range bounds {
-		bounds[i] = (i + 1) * payloadLen / b.bg
-	}
-	return bounds
 }
 
 func (b *losslessBackend) encode(ctx context.Context, x *tensor.Tensor) ([]byte, error) {

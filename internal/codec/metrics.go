@@ -7,8 +7,8 @@ import (
 )
 
 // This file wires the codec layer into internal/telemetry. Metric
-// handles are resolved once — per spec at New, per stage at chain
-// construction, once at init for the stream engine — so the hot paths
+// handles are resolved once — per spec at New, once at init for the
+// entropy stage and the stream engine — so the hot paths
 // record through pre-fetched pointers (one or two atomic adds each) and
 // stay 0 allocs/op. Every recording call is gated on the global
 // telemetry switch; with ACC_TELEMETRY=0 (or -tags acc_notelemetry)
@@ -21,7 +21,7 @@ import (
 //	codec.<spec>.input_bytes / payload_bytes    (live ratio = in/payload)
 //	codec.<spec>.decode_bytes / output_bytes
 //	codec.<spec>.errors.{crc,truncated,bad_spec,canceled,other}
-//	stage.<name>.forward_ns / inverse_ns
+//	stage.huf.forward_ns / inverse_ns            (legacy +fse decodes included)
 //	stream.writer.* / stream.reader.*           (see stream metrics below)
 //
 // input_bytes/payload_bytes tick on every encode-equivalent operation —
@@ -106,31 +106,15 @@ func (m *codecMetrics) countErr(err error) {
 	}
 }
 
-// stageMetrics is one stage name's timing pair; resolved per chain slot
-// at codec construction.
-type stageMetrics struct {
+// stageM times the entropy stage. A legacy "+fse" payload decodes
+// through the same entropy decoder as "+huf", so its inverse is timed
+// in the same histogram.
+var stageM = struct {
 	forwardNs *telemetry.Histogram
 	inverseNs *telemetry.Histogram
-}
-
-var (
-	stageMetricsMu sync.Mutex
-	stageMetricsBy = map[string]*stageMetrics{}
-)
-
-// stageMetricsFor returns the metric pair for a stage name.
-func stageMetricsFor(name string) *stageMetrics {
-	stageMetricsMu.Lock()
-	defer stageMetricsMu.Unlock()
-	if m, ok := stageMetricsBy[name]; ok {
-		return m
-	}
-	m := &stageMetrics{
-		forwardNs: telemetry.NewHistogram("stage." + name + ".forward_ns"),
-		inverseNs: telemetry.NewHistogram("stage." + name + ".inverse_ns"),
-	}
-	stageMetricsBy[name] = m
-	return m
+}{
+	forwardNs: telemetry.NewHistogram("stage.huf.forward_ns"),
+	inverseNs: telemetry.NewHistogram("stage.huf.inverse_ns"),
 }
 
 // streamM is the stream engine's metric set, the one place stream

@@ -7,20 +7,21 @@ import (
 	"strings"
 )
 
-// Spec is a parsed codec spec string:
-// "family:key=val,key=val,flag+stage+stage". Bare keys (no '=') are
-// boolean flags; "+name" suffixes (a '+' followed by a letter, so
-// numeric values like eb=1e+3 are safe) name pipeline stages applied to
-// the encoded payload in order.
+// Spec is a parsed codec spec string: "family:key=val,key=val,flag+stage".
+// Bare keys (no '=') are boolean flags; the optional "+name" suffix (a
+// '+' followed by a letter, so numeric values like eb=1e+3 are safe)
+// names the entropy stage applied to the encoded payload: "huf", or
+// "fse", which decodes but cannot be written (see stage.go).
 type Spec struct {
 	Family string
-	Stages []string
+	Stage  string
 	kv     map[string]string
 }
 
 // ParseSpec splits a spec string into family, options, and stage
-// suffixes. It rejects empty families, empty keys, and duplicate keys,
-// naming the offender. Failures carry the ErrBadSpec kind.
+// suffix. It rejects empty families, empty keys, duplicate keys, and
+// any stage suffix other than one "huf" or "fse", naming the offender.
+// Failures carry the ErrBadSpec kind.
 func ParseSpec(s string) (Spec, error) {
 	spec, err := parseSpec(s)
 	if err != nil {
@@ -30,18 +31,19 @@ func ParseSpec(s string) (Spec, error) {
 }
 
 func parseSpec(s string) (Spec, error) {
-	base, stages := splitSpecStages(strings.TrimSpace(s))
-	for _, st := range stages {
-		if strings.TrimSpace(st) == "" {
-			return Spec{}, fmt.Errorf("codec: empty stage name in %q", s)
-		}
+	base, stage := splitSpecStage(strings.TrimSpace(s))
+	switch {
+	case stageCut(stage) >= 0:
+		return Spec{}, fmt.Errorf("codec: %q chains stages; a spec takes at most one", s)
+	case stage != "" && stage != "huf" && stage != "fse":
+		return Spec{}, fmt.Errorf("codec: unknown stage %q (want huf; fse is decode-only)", stage)
 	}
 	family, rest, hasOpts := strings.Cut(base, ":")
 	family = strings.TrimSpace(family)
 	if family == "" {
 		return Spec{}, fmt.Errorf("codec: empty spec string")
 	}
-	spec := Spec{Family: family, Stages: stages, kv: map[string]string{}}
+	spec := Spec{Family: family, Stage: stage, kv: map[string]string{}}
 	if !hasOpts {
 		return spec, nil
 	}

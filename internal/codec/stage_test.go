@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"strings"
@@ -13,7 +15,7 @@ import (
 )
 
 // stagedRepSpecs maps every registered family to a representative spec,
-// used to assert the whole registry composes with the "+fse" stage.
+// used to assert the whole registry composes with the "+huf" stage.
 func stagedRepSpecs(t *testing.T) map[string]string {
 	t.Helper()
 	reps := map[string]string{
@@ -32,58 +34,129 @@ func stagedRepSpecs(t *testing.T) map[string]string {
 }
 
 // TestStageSpecParsing pins the grammar: '+' splits only before a
-// letter, canonical specs round-trip, and bad chains fail with the
-// stage (or its valid alternatives) named.
+// letter, canonical specs round-trip, a spec takes at most one stage
+// ("huf", or the decode-only "fse"), and anything else fails with
+// ErrBadSpec naming the offender.
 func TestStageSpecParsing(t *testing.T) {
 	// A '+' inside a numeric option value is not a separator.
 	s, err := ParseSpec("sz:eb=1e+3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Family != "sz" || len(s.Stages) != 0 {
-		t.Fatalf("sz:eb=1e+3 parsed as family %q stages %v", s.Family, s.Stages)
+	if s.Family != "sz" || s.Stage != "" {
+		t.Fatalf("sz:eb=1e+3 parsed as family %q stage %q", s.Family, s.Stage)
 	}
 	c, err := New("sz:eb=1e+3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Spec(); strings.Contains(got, "+f") || !strings.HasPrefix(got, "sz:") {
+	if got := c.Spec(); strings.Contains(got, "+h") || !strings.HasPrefix(got, "sz:") {
 		t.Fatalf("canonical spec %q", got)
 	}
 
-	s, err = ParseSpec("dctc:cf=4,sg+fse")
+	s, err = ParseSpec("dctc:cf=4,sg+huf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Family != "dctc" || len(s.Stages) != 1 || s.Stages[0] != "fse" {
-		t.Fatalf("parsed family %q stages %v", s.Family, s.Stages)
+	if s.Family != "dctc" || s.Stage != "huf" {
+		t.Fatalf("parsed family %q stage %q", s.Family, s.Stage)
 	}
-	c, err = New("dctc:cf=4+fse")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Spec(); got != "dctc:cf=4+fse" {
-		t.Fatalf("canonical staged spec %q, want dctc:cf=4+fse", got)
-	}
-	// The canonical spec rebuilds the same codec.
-	if _, err := New(c.Spec()); err != nil {
-		t.Fatalf("canonical spec does not rebuild: %v", err)
+	// The decode-only stage still parses and builds: old streams name it.
+	for _, spec := range []string{"dctc:cf=4+huf", "dctc:cf=4+fse"} {
+		c, err = New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Spec(); got != spec {
+			t.Fatalf("canonical staged spec %q, want %q", got, spec)
+		}
+		// The canonical spec rebuilds the same codec.
+		if _, err := New(c.Spec()); err != nil {
+			t.Fatalf("canonical spec does not rebuild: %v", err)
+		}
 	}
 	// The record-marker predicate agrees with the split.
-	for spec, want := range map[string]bool{"sz:eb=1e+3": false, "zfp:rate=8": false, "dctc:cf=4,sg+fse": true, "lossless:bg=4+huf": true} {
+	for spec, want := range map[string]bool{"sz:eb=1e+3": false, "zfp:rate=8": false, "dctc:cf=4,sg+huf": true, "lossless:bg=4+fse": true} {
 		if got := specHasStages(spec); got != want {
 			t.Errorf("specHasStages(%q) = %v, want %v", spec, got, want)
 		}
 	}
 
-	if _, err := New("zfp:rate=8+nope"); err == nil || !strings.Contains(err.Error(), `"nope"`) || !strings.Contains(err.Error(), "fse") {
-		t.Errorf("unknown stage error should name it and list registered stages: %v", err)
+	for spec, name := range map[string]string{
+		"zfp:rate=8+nope":        `"nope"`,
+		"zfp:rate=8+fse:level=3": `"fse:level=3"`,
+		"zfp:rate=8+huf+huf":     "at most one",
+		"zfp:rate=8+fse+huf":     "at most one",
+	} {
+		if _, err := ParseSpec(spec); !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), name) {
+			t.Errorf("ParseSpec(%q): %v, want ErrBadSpec naming %s", spec, err, name)
+		}
+		if _, err := New(spec); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("New(%q): %v, want ErrBadSpec", spec, err)
+		}
 	}
-	if _, err := New("zfp:rate=8+fse:level=3"); err == nil || !strings.Contains(err.Error(), "no options") {
-		t.Errorf("stage options must be rejected: %v", err)
+}
+
+// TestFSEIsDecodeOnly holds every write entry to refusing a "+fse"
+// codec: each returns ErrBadSpec naming "+huf" and leaves its sink
+// empty, while the same entries accept the "+huf" codec.
+func TestFSEIsDecodeOnly(t *testing.T) {
+	ctx := context.Background()
+	x := conformanceBatch()
+	fse, err := New("dctc:cf=4+fse")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if names := StageNames(); len(names) == 0 || names[0] != "fse" {
-		t.Errorf("StageNames() = %v", names)
+	refused := func(entry string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), `"+huf"`) {
+			t.Errorf("%s with +fse: %v, want ErrBadSpec naming +huf", entry, err)
+		}
+	}
+	data, err := fse.Compress(x)
+	refused("Compress", err)
+	if data != nil {
+		t.Errorf("Compress with +fse returned %d bytes", len(data))
+	}
+	_, err = RoundTripInto(fse, tensor.New(x.Shape()...), x)
+	refused("RoundTripInto", err)
+	_, _, err = fse.RoundTrip(x)
+	refused("RoundTrip", err)
+
+	var sink bytes.Buffer
+	_, err = WriteContainer(&sink, fse.Spec(), x.Shape(), []byte{0, 1, 2})
+	refused("WriteContainer", err)
+	if sink.Len() != 0 {
+		t.Errorf("WriteContainer with +fse wrote %d bytes", sink.Len())
+	}
+	for _, workers := range []int{1, 3} {
+		var sink bytes.Buffer
+		sw := NewStreamWriter(&sink)
+		if workers > 1 {
+			if err := sw.SetConcurrency(workers); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err := sw.WriteTensor(ctx, fse, x)
+		if workers > 1 {
+			// The pipelined writer may accept the record and report the
+			// encode failure only at Close, which also stops its workers.
+			if cerr := sw.Close(); err == nil {
+				err = cerr
+			}
+		}
+		refused(fmt.Sprintf("StreamWriter.WriteTensor (%d workers)", workers), err)
+		if sink.Len() != 0 {
+			t.Errorf("StreamWriter (%d workers) with +fse wrote %d bytes", workers, sink.Len())
+		}
+	}
+
+	huf, err := New("dctc:cf=4+huf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := huf.Compress(x); err != nil {
+		t.Errorf("Compress with +huf: %v", err)
 	}
 }
 
@@ -101,7 +174,7 @@ func TestValidKeys(t *testing.T) {
 }
 
 // TestStagedFamilies is the registry-wide staged conformance check:
-// every family round-trips with and without "+fse", and the staged
+// every family round-trips with and without "+huf", and the staged
 // reconstruction is bit-identical to the unstaged one — the entropy
 // stage must be invisible to the decoded values.
 func TestStagedFamilies(t *testing.T) {
@@ -112,7 +185,7 @@ func TestStagedFamilies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			staged, err := New(base + "+fse")
+			staged, err := New(base + "+huf")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,10 +205,10 @@ func TestStagedFamilies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := base + "+fse"; decoded.Spec() != want {
+			if want := base + "+huf"; decoded.Spec() != want {
 				// Canonical form may reorder options; just require the
 				// stage suffix survived the wire.
-				if !strings.HasSuffix(decoded.Spec(), "+fse") {
+				if !strings.HasSuffix(decoded.Spec(), "+huf") {
 					t.Errorf("staged container decoded with spec %q", decoded.Spec())
 				}
 			}
@@ -193,7 +266,7 @@ func TestLosslessExact(t *testing.T) {
 			d[i] = float32(math.Sin(float64(i))) * float32(rng%1000)
 		}
 	}
-	for _, spec := range []string{"lossless", "lossless:bg=1", "lossless:bg=2", "lossless:bg=4", "lossless:bg=4+fse", "lossless:bg=1+fse"} {
+	for _, spec := range []string{"lossless", "lossless:bg=1", "lossless:bg=2", "lossless:bg=4", "lossless:bg=4+huf", "lossless:bg=1+huf"} {
 		c, err := New(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -230,10 +303,10 @@ func TestLosslessExact(t *testing.T) {
 	}
 }
 
-// TestLosslessFSEShrinksWeights checks the headline ZipNN-style claim:
+// TestLosslessHufShrinksWeights checks the headline ZipNN-style claim:
 // on realistic weight-like data (smooth magnitudes → skewed exponent
 // lane) the byte-group transpose plus entropy stage beats raw size.
-func TestLosslessFSEShrinksWeights(t *testing.T) {
+func TestLosslessHufShrinksWeights(t *testing.T) {
 	x := tensor.New(64, 1024)
 	d := x.Data()
 	rng := uint64(0x9e3779b97f4a7c15)
@@ -245,7 +318,7 @@ func TestLosslessFSEShrinksWeights(t *testing.T) {
 		s := float64(rng%1000)/1000 + float64((rng>>10)%1000)/1000 - 1
 		d[i] = float32(s * 0.05)
 	}
-	c, err := New("lossless:bg=4+fse")
+	c, err := New("lossless:bg=4+huf")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,18 +327,18 @@ func TestLosslessFSEShrinksWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n >= x.SizeBytes() {
-		t.Errorf("lossless+fse on weight-like data: %d bytes vs raw %d", n, x.SizeBytes())
+		t.Errorf("lossless+huf on weight-like data: %d bytes vs raw %d", n, x.SizeBytes())
 	}
 }
 
 // TestStagedStream runs staged records through the v2 stream engine
 // with the pipelined writer and read-ahead reader, mixed with unstaged
-// records — the stage chain must ride SetConcurrency/SetReadAhead
+// records — the entropy stage must ride SetConcurrency/SetReadAhead
 // unchanged, and markers must match the specs.
 func TestStagedStream(t *testing.T) {
 	ctx := context.Background()
 	x := conformanceBatch()
-	specs := []string{"dctc:cf=4+fse", "zfp:rate=8", "lossless:bg=4+fse", "sz:eb=1e-3+fse"}
+	specs := []string{"dctc:cf=4+huf", "zfp:rate=8", "lossless:bg=4+huf", "sz:eb=1e-3+huf"}
 	codecs := make([]Codec, len(specs))
 	for i, s := range specs {
 		c, err := New(s)
@@ -301,7 +374,7 @@ func TestStagedStream(t *testing.T) {
 	}
 
 	// Marker check: staged specs must ride 'S' records, unstaged 'T'.
-	if n := bytes.Count(serial, []byte("dctc:cf=4+fse")); n != 1 {
+	if n := bytes.Count(serial, []byte("dctc:cf=4+huf")); n != 1 {
 		t.Fatalf("spec appears %d times in stream", n)
 	}
 	for i, c := range codecs {
@@ -311,7 +384,7 @@ func TestStagedStream(t *testing.T) {
 		}
 		marker := serial[idx-3] // marker, then u16 spec length, then spec
 		want := byte(recTensor)
-		if len(c.(*codecImpl).chain) > 0 {
+		if c.(*codecImpl).stage != "" {
 			want = recStaged
 		}
 		if marker != want {
@@ -371,7 +444,7 @@ func TestStagedStream(t *testing.T) {
 func TestStagedMarkerForgery(t *testing.T) {
 	ctx := context.Background()
 	x := conformanceBatch()
-	c, err := New("dctc:cf=4+fse")
+	c, err := New("dctc:cf=4+huf")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +494,7 @@ func TestStagedMarkerForgery(t *testing.T) {
 func TestStagedContainerVersion(t *testing.T) {
 	x := conformanceBatch()
 	plain, _ := New("zfp:rate=8")
-	staged, _ := New("zfp:rate=8+fse")
+	staged, _ := New("zfp:rate=8+huf")
 	pd, err := plain.Compress(x)
 	if err != nil {
 		t.Fatal(err)
@@ -437,7 +510,7 @@ func TestStagedContainerVersion(t *testing.T) {
 		t.Errorf("staged container version %d", v)
 	}
 	// Forge the version field down to 1: the spec still carries the
-	// chain, so the reader must reject the mismatch.
+	// stage, so the reader must reject the mismatch.
 	forged := append([]byte(nil), sd...)
 	forged[4] = containerVersion
 	if _, _, err := DecodeBytes(forged); err == nil || !strings.Contains(err.Error(), "does not match spec") {
@@ -457,7 +530,7 @@ func TestStagedContainerVersion(t *testing.T) {
 // silently, and never panic.
 func TestStagedCorruptPayload(t *testing.T) {
 	x := conformanceBatch()
-	c, err := New("dctc:cf=4+fse")
+	c, err := New("dctc:cf=4+huf")
 	if err != nil {
 		t.Fatal(err)
 	}

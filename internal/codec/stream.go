@@ -31,7 +31,7 @@ import (
 //	  6   2   reserved (0)
 //	record, repeated:
 //	  +0  1   marker: 'T' (0x54) tensor record, 'S' (0x53) staged
-//	          tensor record (spec carries a "+stage" chain), 'E' (0x45)
+//	          tensor record (spec carries a "+stage" suffix), 'E' (0x45)
 //	          end of stream
 //	tensor record, after the marker:
 //	  +0  2   spec length L
@@ -56,7 +56,7 @@ const (
 	recTensor = 0x54 // 'T'
 	recEnd    = 0x45 // 'E'
 	// recStaged ('S') frames a tensor record whose spec carries a stage
-	// chain ("family:…+stage"). The record layout after the marker is
+	// ("family:…+stage"). The record layout after the marker is
 	// identical to 'T'; the distinct marker makes pre-stage readers fail
 	// on "bad record marker" instead of feeding an entropy-coded payload
 	// to a family decoder. Unstaged records keep the 'T' marker, so
@@ -284,7 +284,7 @@ func (sw *StreamWriter) emitRecord(spec string, shape []int, payload []byte) err
 }
 
 // recordMarker is the marker a record with this spec is framed with:
-// 'S' when the spec carries a stage chain, 'T' otherwise.
+// 'S' when the spec carries a stage, 'T' otherwise.
 func recordMarker(spec string) byte {
 	if specHasStages(spec) {
 		return recStaged
@@ -630,7 +630,7 @@ func (c *recordCursor) nextRecord() (Header, error) {
 	}
 
 	hdr := Header{Spec: string(raw[3 : 3+specLen])}
-	// The marker and the spec's stage chain must agree — a 'T' record
+	// The marker and the spec's stage must agree — a 'T' record
 	// smuggling a staged spec (or the reverse) is a forgery.
 	if marker != recordMarker(hdr.Spec) {
 		return Header{}, c.posf("record marker %#x does not match spec %q", marker, hdr.Spec)
@@ -720,7 +720,7 @@ func (c *recordCursor) skipFooter() error {
 // is resolved from the record's (CRC-verified) spec. An unstaged record
 // decodes straight from its chunked payload, holding at most one plane
 // group of compressed bytes; a staged record is taken whole, because
-// the stage chain inverts over the whole payload.
+// the entropy stage decodes the whole payload.
 func (c *recordCursor) decodeRecord(ctx context.Context) (*tensor.Tensor, error) {
 	if c.err != nil {
 		return nil, c.err
@@ -734,7 +734,7 @@ func (c *recordCursor) decodeRecord(ctx context.Context) (*tensor.Tensor, error)
 		return nil, c.posw(fmt.Sprintf("record spec %q", c.hdr.Spec), err)
 	}
 	var out *tensor.Tensor
-	if len(impl.chain) == 0 {
+	if impl.stage == "" {
 		out, err = impl.b.decode(ctx, c.cur, c.hdr.Shape)
 	} else {
 		var payload []byte

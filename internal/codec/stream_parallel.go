@@ -65,7 +65,7 @@ func (sw *StreamWriter) SetConcurrency(n int) error {
 
 // swJob is one record moving through the pipelined writer.
 type swJob struct {
-	c       *codecImpl // full codec: workers run the stage chain too
+	c       *codecImpl // full codec: workers run the entropy stage too
 	ctx     context.Context
 	x       *tensor.Tensor
 	spec    string

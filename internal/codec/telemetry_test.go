@@ -53,7 +53,7 @@ func encodeAll(t *testing.T, specs []string, x *tensor.Tensor) []byte {
 // TestTelemetryByteNeutral proves instrumentation never changes output
 // bytes: the same inputs encode identically with telemetry on and off.
 func TestTelemetryByteNeutral(t *testing.T) {
-	specs := []string{"dctc:cf=4", "zfp:rate=8", "jpegq:q=50", "sz:eb=1e-3", "lossless:bg=4+fse"}
+	specs := []string{"dctc:cf=4", "zfp:rate=8", "jpegq:q=50", "sz:eb=1e-3", "lossless:bg=4+huf"}
 	x := conformanceBatch()
 	var on, off []byte
 	withTelemetry(t, true, func() { on = encodeAll(t, specs, x) })

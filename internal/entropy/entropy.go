@@ -1,13 +1,14 @@
 // Package entropy is the shared table-driven entropy backend for the
-// codec stage pipeline: a tANS/FSE-style coder (histogram → normalized
-// power-of-two table → two-state interleaved encode/decode) over byte
-// payloads, in the style of klauspost/compress's FSE/huff0 but built on
-// this repository's word-at-a-time internal/bitstream.
+// codec's entropy stage: per block, a tANS/FSE-style coder (histogram →
+// normalized power-of-two table → two-state interleaved encode/decode)
+// or a 4-stream canonical Huffman coder (huf.go) over byte payloads, in
+// the style of klauspost/compress's FSE/huff0 but built on this
+// repository's word-at-a-time internal/bitstream.
 //
 // The coder is byte-oriented and payload-agnostic: any codec family's
 // serialized payload — quantized DCT coefficient bytes, zfp bit-planes,
 // sz/jpegq Huffman streams, lossless byte-group lanes — can be appended
-// through it as a container stage ("+fse" in a codec spec). Streams are
+// through it as a container stage ("+huf" in a codec spec). Streams are
 // framed as independent blocks so encode scratch stays bounded no
 // matter how large the payload is:
 //
@@ -32,15 +33,17 @@
 // valid table never indexes out of range; truncation surfaces on the
 // reader's sticky overread flag.
 //
-// Compress never fails and never expands a payload by more than the
-// per-block framing overhead: blocks whose fse body would match or
-// exceed the raw bytes are stored raw. Both directions run with zero
-// heap allocations at steady state when the caller reuses dst buffers
-// (scratch is pooled via sync.Pool).
+// CompressHuf is the one encoder. It picks the cheapest block mode per
+// block, never fails, and never expands a payload by more than the
+// per-block framing overhead: a block whose coded body would match or
+// exceed the raw bytes is stored raw. An fse-only encoder, the codec's
+// retired "+fse" stage, wrote the same block format with modes 0–2
+// only, so its streams decode here unchanged. Both directions run with
+// zero heap allocations at steady state when the caller reuses dst
+// buffers (scratch is pooled via sync.Pool).
 //
-// ReferenceCompress and ReferenceDecompress are the slow, obviously
-// correct bit-serial implementations of the same format, kept as the
-// equivalence oracle for this fast path — the same idiom as
+// The package's tests hold the fast paths to slow, obviously correct
+// bit-serial implementations of the same format — the same idiom as
 // core.CompressDense for the fast DCT kernel.
 package entropy
 
@@ -133,33 +136,6 @@ func (s *scratch) sized(tableSize, blockLen int) {
 		s.chunks = make([]uint16, blockLen+2)
 	}
 	s.chunks = s.chunks[:0]
-}
-
-// Compress appends the entropy-coded form of src to dst and returns the
-// extended slice. It never fails: incompressible blocks are stored raw,
-// so the output is at most a few framing bytes per 64 KiB block larger
-// than src. Reusing dst across calls makes the steady state
-// allocation-free.
-func Compress(dst, src []byte) []byte {
-	st := getScratch()
-	for len(src) > 0 {
-		n := len(src)
-		if n > maxBlock {
-			n = maxBlock
-		}
-		dst = compressBlock(dst, src[:n], st)
-		src = src[n:]
-	}
-	putScratch(st)
-	return dst
-}
-
-// CompressedIsSmaller reports whether Compress would shrink src. It is
-// a convenience for callers that want to branch without keeping the
-// output (the encode still runs).
-func CompressedIsSmaller(src []byte) bool {
-	out := Compress(nil, src)
-	return len(out) < len(src)
 }
 
 // histogram fills s.hist and s.syms for block, returning the number of
@@ -297,27 +273,10 @@ func appendBlockHeader(dst []byte, mode byte, rawLen int) []byte {
 	return binary.AppendUvarint(dst, uint64(rawLen))
 }
 
-// compressBlock encodes one ≤ maxBlock slice as a raw, rle, or fse
-// block, whichever is smallest.
-func compressBlock(dst, block []byte, st *scratch) []byte {
-	nsym := st.histogram(block)
-	if nsym == 1 {
-		backendRLE.Inc()
-		dst = appendBlockHeader(dst, modeRLE, len(block))
-		return append(dst, block[0])
-	}
-	if len(block) < minCompressBlock {
-		backendRaw.Inc()
-		dst = appendBlockHeader(dst, modeRaw, len(block))
-		return append(dst, block...)
-	}
-	return appendFSEBlock(dst, block, st, nsym)
-}
-
 // appendFSEBlock runs the fse encoder over one block (histogram already
 // taken), falling back to a raw block when the coded form would not
-// shrink it. Shared by the fse-only Compress path and the selecting
-// CompressHuf path.
+// shrink it. CompressHuf calls it for the blocks its size estimate
+// gives to fse.
 func appendFSEBlock(dst, block []byte, st *scratch, nsym int) []byte {
 	tableLog := tableLogFor(len(block), nsym)
 	size := 1 << tableLog
@@ -390,8 +349,8 @@ func uvarintLen(v uint64) int {
 // Decompress appends the decoded form of src to dst, returning the
 // extended slice. Corrupt input — bad modes, impossible tables,
 // truncated bitstreams, length overflows — returns an error; a
-// successful decode is exactly the bytes Compress consumed. Reusing dst
-// across calls makes the steady state allocation-free.
+// successful decode is exactly the bytes the encoder consumed. Reusing
+// dst across calls makes the steady state allocation-free.
 func Decompress(dst, src []byte) ([]byte, error) {
 	return DecompressCap(dst, src, maxInt)
 }

@@ -18,6 +18,29 @@ func (r *testRNG) next() uint64 {
 	return x
 }
 
+// fseCompress frames src as fse-only blocks, the way the codec's
+// retired "+fse" stage did: ≤ maxBlock blocks, each rle for a single
+// symbol, raw below minCompressBlock, and otherwise appendFSEBlock —
+// the fse block encoder CompressHuf still calls. The tests hold it to
+// refFSECompress block for block.
+func fseCompress(dst, src []byte) []byte {
+	st := getScratch()
+	defer putScratch(st)
+	for len(src) > 0 {
+		block := src[:min(len(src), maxBlock)]
+		src = src[len(block):]
+		switch nsym := st.histogram(block); {
+		case nsym == 1:
+			dst = append(appendBlockHeader(dst, modeRLE, len(block)), block[0])
+		case len(block) < minCompressBlock:
+			dst = append(appendBlockHeader(dst, modeRaw, len(block)), block...)
+		default:
+			dst = appendFSEBlock(dst, block, st, nsym)
+		}
+	}
+	return dst
+}
+
 // corpus returns named byte patterns spanning the coder's block modes:
 // rle, raw (short and incompressible), fse (skewed, text-like,
 // exponent-heavy), and multi-block sizes straddling maxBlock.
@@ -83,7 +106,7 @@ func corpus() map[string][]byte {
 
 func TestRoundTrip(t *testing.T) {
 	for name, src := range corpus() {
-		comp := Compress(nil, src)
+		comp := fseCompress(nil, src)
 		got, err := Decompress(nil, comp)
 		if err != nil {
 			t.Fatalf("%s: decompress: %v", name, err)
@@ -104,8 +127,8 @@ func TestRoundTrip(t *testing.T) {
 // the other's output.
 func TestReferenceEquivalence(t *testing.T) {
 	for name, src := range corpus() {
-		fast := Compress(nil, src)
-		ref := ReferenceCompress(src)
+		fast := fseCompress(nil, src)
+		ref := refFSECompress(src)
 		if !bytes.Equal(fast, ref) {
 			t.Fatalf("%s: fast and reference compressed bytes differ (%d vs %d bytes)", name, len(fast), len(ref))
 		}
@@ -122,7 +145,7 @@ func TestReferenceEquivalence(t *testing.T) {
 func TestSkewedDataShrinks(t *testing.T) {
 	for _, name := range []string{"skewed-4k", "skewed-1blk", "text", "rle"} {
 		src := corpus()[name]
-		comp := Compress(nil, src)
+		comp := fseCompress(nil, src)
 		if len(comp) >= len(src) {
 			t.Errorf("%s: expected compression, got %d -> %d bytes", name, len(src), len(comp))
 		}
@@ -133,7 +156,7 @@ func TestSkewedDataShrinks(t *testing.T) {
 // fails to decode (the body-length framing catches all of them), on
 // both the fast path and the oracle.
 func TestTruncatedStream(t *testing.T) {
-	comp := Compress(nil, corpus()["skewed-4k"])
+	comp := fseCompress(nil, corpus()["skewed-4k"])
 	for cut := 1; cut < len(comp); cut += 97 {
 		if _, err := Decompress(nil, comp[:cut]); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded without error", cut, len(comp))
@@ -148,7 +171,7 @@ func TestTruncatedStream(t *testing.T) {
 // requires the fast path and the oracle to agree exactly: both error,
 // or both succeed with identical output.
 func TestCorruptAgreement(t *testing.T) {
-	comp := Compress(nil, corpus()["skewed-4k"])
+	comp := fseCompress(nil, corpus()["skewed-4k"])
 	mut := make([]byte, len(comp))
 	for pos := 0; pos < len(comp); pos += 13 {
 		for _, flip := range []byte{0x01, 0x80, 0xFF} {
@@ -197,7 +220,7 @@ func TestCorruptRejected(t *testing.T) {
 // before any oversized append.
 func TestDecompressCap(t *testing.T) {
 	src := corpus()["skewed-4k"]
-	comp := Compress(nil, src)
+	comp := fseCompress(nil, src)
 	if _, err := DecompressCap(nil, comp, len(src)); err != nil {
 		t.Fatalf("cap == decoded size must succeed: %v", err)
 	}
@@ -218,14 +241,14 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		t.Skip("race instrumentation allocates; alloc counts only hold without -race")
 	}
 	src := corpus()["skewed-4k"]
-	dst := Compress(nil, src)
+	dst := fseCompress(nil, src)
 	comp := append([]byte(nil), dst...)
 	out, err := Decompress(nil, comp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		dst = Compress(dst[:0], src)
+		dst = fseCompress(dst[:0], src)
 		out, err = Decompress(out[:0], comp)
 		if err != nil {
 			t.Fatal(err)
@@ -243,7 +266,7 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		comp := Compress(nil, data)
+		comp := fseCompress(nil, data)
 		got, err := Decompress(nil, comp)
 		if err != nil {
 			t.Fatalf("decompress own output: %v", err)
@@ -252,7 +275,7 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatal("round trip mismatch")
 		}
 		if len(data) <= 4096 {
-			if ref := ReferenceCompress(data); !bytes.Equal(comp, ref) {
+			if ref := refFSECompress(data); !bytes.Equal(comp, ref) {
 				t.Fatal("fast and reference compressed bytes differ")
 			}
 		}
@@ -262,7 +285,7 @@ func FuzzRoundTrip(f *testing.F) {
 func FuzzDecode(f *testing.F) {
 	for _, src := range corpus() {
 		if len(src) > 0 && len(src) <= 8192 {
-			f.Add(Compress(nil, src))
+			f.Add(fseCompress(nil, src))
 		}
 	}
 	f.Add([]byte{modeFSE, 0x20, 8, 5, 1, 0, 16, 0, 1, 16, 0, 0xAA, 0xBB})
@@ -296,12 +319,12 @@ func BenchmarkCompressSkewed(b *testing.B) {
 	b.SetBytes(int64(len(src)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = Compress(dst[:0], src)
+		dst = fseCompress(dst[:0], src)
 	}
 }
 
 func BenchmarkDecompressSkewed(b *testing.B) {
-	comp := Compress(nil, corpus()["skewed-1blk"])
+	comp := fseCompress(nil, corpus()["skewed-1blk"])
 	src := corpus()["skewed-1blk"]
 	var dst []byte
 	var err error

@@ -64,14 +64,12 @@ const (
 	hufNumStreams = 4
 )
 
-// CompressHuf appends the multi-symbol entropy-coded form of src to
-// dst and returns the extended slice. It frames src exactly like
-// Compress — independent ≤ 64 KiB blocks — but per block picks the
-// cheapest of raw, rle, fse, and the 4-stream canonical-Huffman (huf)
-// representation, so Decompress reads its output unchanged. It never
-// fails and never expands a payload by more than the per-block framing
-// overhead. Reusing dst across calls makes the steady state
-// allocation-free.
+// CompressHuf appends the entropy-coded form of src to dst and returns
+// the extended slice. It frames src as independent ≤ 64 KiB blocks and
+// per block picks the cheapest of raw, rle, fse, and the 4-stream
+// canonical-Huffman (huf) representation. It never fails and never
+// expands a payload by more than the per-block framing overhead.
+// Reusing dst across calls makes the steady state allocation-free.
 func CompressHuf(dst, src []byte) []byte {
 	st := getScratch()
 	for len(src) > 0 {
@@ -380,15 +378,19 @@ func decodeHufBody(dst, body []byte, rawLen int, st *scratch) ([]byte, error) {
 	// probe per stream per iteration) while every stream has ≥ 8
 	// readable source bytes and ≥ 2 writable output bytes; the portable
 	// per-stream loop finishes each stream from wherever the kernel
-	// stopped (or does everything when the kernel is unavailable).
+	// stopped, or does everything when the kernel is off or the block
+	// is too short for it (counted apart: the kernel was on but skipped).
 	var pos, oi [hufNumStreams]int
 	var buf [hufNumStreams]uint64
 	var cnt [hufNumStreams]uint
-	if hufSIMD() && hufKernelViable(&srcs, &outs) {
+	switch {
+	case !hufSIMD():
+		hufPortableCalls.Inc()
+	case hufKernelViable(&srcs, &outs):
 		hufVectorCalls.Inc()
 		hufDecode4(st, &srcs, &outs, &pos, &oi, &buf, &cnt)
-	} else {
-		hufPortableCalls.Inc()
+	default:
+		hufKernelSkipped.Inc()
 	}
 	for s := 0; s < hufNumStreams; s++ {
 		if !st.hufDecodeStream(outs[s], srcs[s], oi[s], pos[s], buf[s], cnt[s]) {

@@ -2,7 +2,7 @@
 
 package entropy
 
-// hufSIMD reports whether the 4-stream AVX2 huf decode kernel is
+// hufSIMD reports whether the 4-stream BMI2 huf decode kernel is
 // available; on non-amd64 (or purego) builds it never is and the
 // portable per-stream loop does all the work.
 func hufSIMD() bool { return false }

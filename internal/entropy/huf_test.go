@@ -3,6 +3,8 @@ package entropy
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 // hufCorpus extends the shared corpus with byte-group-lane shapes —
@@ -153,6 +155,63 @@ func TestHufSIMDEquivalence(t *testing.T) {
 	}
 }
 
+// shortHufBlock is a 224-byte block that selects huf mode although its
+// last stream is too short for the 4-stream kernel: the block is 75 %
+// zeros (a 1-bit code) plus 56 singletons, and its last quarter is all
+// zeros, so stream 3 codes to 7 bytes, below the kernel's 8-byte entry
+// bound. The 57-symbol fse table alone costs 173 bytes, so huf wins.
+func shortHufBlock() []byte {
+	b := make([]byte, 0, 224)
+	for i := 0; i < 56; i++ {
+		b = append(b, 0, 0, byte(1+i))
+	}
+	return append(b, make([]byte, 56)...)
+}
+
+// TestHufKernelPathCounters pins what the simd.entropy.* counters say
+// ran: a block the kernel cannot take counts as kernel_skipped while
+// the kernel is on, and only a kernel that is off counts as portable.
+func TestHufKernelPathCounters(t *testing.T) {
+	short := CompressHuf(nil, shortHufBlock())
+	if modes := hufBlockModes(t, short); len(modes) != 1 || modes[0] != modeHUF {
+		t.Fatalf("short block modes %v, want one huf block", modes)
+	}
+	long := CompressHuf(nil, hufCorpus()["mantissa-lane"][:maxBlock])
+	if modes := hufBlockModes(t, long); len(modes) != 1 || modes[0] != modeHUF {
+		t.Fatalf("long block modes %v, want one huf block", modes)
+	}
+	if !telemetry.Enabled() {
+		t.Skip("telemetry disabled")
+	}
+	prev := SetSIMD(true)
+	defer SetSIMD(prev)
+	counts := func(comp []byte) [3]uint64 {
+		t.Helper()
+		before := [3]uint64{hufVectorCalls.Value(), hufPortableCalls.Value(), hufKernelSkipped.Value()}
+		if _, err := Decompress(nil, comp); err != nil {
+			t.Fatal(err)
+		}
+		return [3]uint64{hufVectorCalls.Value() - before[0], hufPortableCalls.Value() - before[1], hufKernelSkipped.Value() - before[2]}
+	}
+	// {vector, portable, kernel_skipped} per decode.
+	if hufSIMD() {
+		if got := counts(short); got != [3]uint64{0, 0, 1} {
+			t.Errorf("kernel on, short block: counts %v, want kernel_skipped only", got)
+		}
+		if got := counts(long); got != [3]uint64{1, 0, 0} {
+			t.Errorf("kernel on, long block: counts %v, want vector only", got)
+		}
+	} else {
+		t.Log("no BMI2 kernel on this host: checking the portable counts only")
+	}
+	SetSIMD(false)
+	for name, comp := range map[string][]byte{"short": short, "long": long} {
+		if got := counts(comp); got != [3]uint64{0, 1, 0} {
+			t.Errorf("kernel off, %s block: counts %v, want portable only", name, got)
+		}
+	}
+}
+
 func TestHufShrinksWideAlphabet(t *testing.T) {
 	c := hufCorpus()
 	for _, name := range []string{"mantissa-lane", "text", "exp-heavy"} {
@@ -163,7 +222,7 @@ func TestHufShrinksWideAlphabet(t *testing.T) {
 		}
 		// The selector must never do worse than the fse-only path by
 		// more than the per-block mode slack.
-		fse := Compress(nil, src)
+		fse := fseCompress(nil, src)
 		if len(comp) > len(fse) {
 			t.Errorf("%s: huf-selected stream (%d bytes) larger than fse-only (%d bytes)", name, len(comp), len(fse))
 		}
@@ -359,7 +418,7 @@ func BenchmarkDecompressHufWide(b *testing.B) {
 // is measured against.
 func BenchmarkDecompressFSEWide(b *testing.B) {
 	src := hufCorpus()["mantissa-lane"][:maxBlock]
-	comp := Compress(nil, src)
+	comp := fseCompress(nil, src)
 	var dst []byte
 	var err error
 	b.SetBytes(int64(len(src)))

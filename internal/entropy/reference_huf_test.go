@@ -6,9 +6,9 @@ import (
 )
 
 // Bit-serial oracle for the huf (mode 3) block format, mirroring
-// reference.go's role for fse: ReferenceCompressHuf is byte-identical
-// to CompressHuf, and the oracle decoder accepts exactly the inputs the
-// fast path accepts. The format-defining derivations — code lengths
+// reference_test.go's role for fse: ReferenceCompressHuf is
+// byte-identical to CompressHuf, and the oracle decoder accepts exactly
+// the inputs the fast path accepts. The format-defining derivations — code lengths
 // (hufBuildLengths), the fse-vs-huf selection estimate
 // (fseEstimateBody), canonical code assignment (CanonTable) — are
 // reused directly, like normalize/tableLogFor on the fse side; the

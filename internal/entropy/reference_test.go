@@ -8,8 +8,8 @@ import (
 // This file is the slow, obviously-correct bit-serial implementation of
 // the package's block format, kept as the equivalence oracle for the
 // table-driven fast path — the same idiom as core.CompressDense for the
-// fast DCT kernel. ReferenceCompress produces byte-identical output to
-// Compress, and ReferenceDecompress accepts exactly the inputs
+// fast DCT kernel. refFSECompress produces byte-identical output to
+// fseCompress, and ReferenceDecompress accepts exactly the inputs
 // Decompress accepts (the two may differ only in error wording). The
 // shared format-defining pieces — histogram/normalize, tableLogFor,
 // spreadStep, the block framing constants — are reused directly; the
@@ -17,15 +17,12 @@ import (
 // symbol tables, per-bit I/O, linear searches instead of packed lookup
 // tables.
 
-// ReferenceCompress encodes src with the bit-serial oracle encoder. The
-// output is byte-identical to Compress(nil, src).
-func ReferenceCompress(src []byte) []byte {
+// refFSECompress encodes src with the bit-serial oracle's fse-only
+// block encoder. The output is byte-identical to fseCompress(nil, src).
+func refFSECompress(src []byte) []byte {
 	var dst []byte
 	for len(src) > 0 {
-		n := len(src)
-		if n > maxBlock {
-			n = maxBlock
-		}
+		n := min(len(src), maxBlock)
 		dst = refCompressBlock(dst, src[:n])
 		src = src[n:]
 	}
