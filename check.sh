@@ -54,8 +54,11 @@ go test -race ./internal/...
 # FuzzDecode holds the block decoder to the bit-serial oracle on
 # arbitrary bytes, FuzzHufRoundTrip holds CompressHuf to its oracle
 # encoder, and FuzzRoundTrip holds the fse block encoder CompressHuf
-# calls to the oracle's. A first slice of a fuzz run over every Fuzz
-# target (10 of 13).
+# calls to the oracle's. zfp's FuzzDecompress feeds arbitrary streams
+# to the bit-plane decoder, which must return finite floats or an
+# error, and FuzzRoundTripError holds the reconstruction error of any
+# finite block within its bound. A first slice of a fuzz run over every
+# Fuzz target in the repository (12 of 12).
 go test -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/vle/
 go test -run '^$' -fuzz '^FuzzEncodeDecodeRoundTrip$' -fuzztime 10s ./internal/vle/
 go test -run '^$' -fuzz FuzzDecompress -fuzztime 10s ./internal/sz/
@@ -66,6 +69,8 @@ go test -run '^$' -fuzz '^FuzzIndexedStream$' -fuzztime 10s ./internal/codec/
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/entropy/
 go test -run '^$' -fuzz '^FuzzHufRoundTrip$' -fuzztime 10s ./internal/entropy/
 go test -run '^$' -fuzz '^FuzzRoundTrip$' -fuzztime 10s ./internal/entropy/
+go test -run '^$' -fuzz '^FuzzDecompress$' -fuzztime 10s ./internal/zfp/
+go test -run '^$' -fuzz '^FuzzRoundTripError$' -fuzztime 10s ./internal/zfp/
 # Kernel-dispatch suite with SIMD force-disabled: the portable
 # fallbacks must pass the same equivalence/golden tests the vector
 # paths do (on non-AVX2 hosts this is a harmless re-run).

@@ -1,11 +1,13 @@
 package repro
 
 import (
-	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/accel/platforms"
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/experiments"
@@ -128,41 +130,53 @@ func TestAllCompressorsOnSameScientificData(t *testing.T) {
 }
 
 func TestCompressedFileInterchange(t *testing.T) {
-	// Compress on one "machine", serialize, deserialize, decompress
-	// with a freshly compiled compressor — the acc-compress CLI flow.
+	// Compress on one "machine", write the container to a file, decode
+	// it with a codec built fresh from its header — the acc-compress
+	// CLI flow — and match the reconstruction of a core compressor
+	// configured directly. The zfp4 transform must survive the trip.
 	gen := datagen.NewClassify(5, 32, 10)
 	x, _ := gen.Batch(4)
-	cfg := core.Config{ChopFactor: 3, Serialization: 2}
-	src, err := core.NewCompressor(cfg, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y, err := src.Compress(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := y.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := core.ReadCompressed(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst, err := core.NewCompressor(parsed.Config, parsed.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := dst.Decompress(parsed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := src.RoundTrip(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !restored.Equal(direct) {
-		t.Fatal("file interchange changed the reconstruction")
+	for _, tc := range []struct {
+		spec string
+		cfg  core.Config
+	}{
+		{"dctc:cf=3,s=2", core.Config{ChopFactor: 3, Serialization: 2}},
+		{"dctc:cf=3,s=2,transform=zfp4", core.Config{ChopFactor: 3, Serialization: 2, Transform: core.TransformZFP4}},
+	} {
+		src, err := codec.New(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := src.Compress(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "batch.accf")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fromFile, c, err := codec.DecodeFile(path)
+		if err != nil {
+			t.Fatalf("%s: DecodeFile: %v", tc.spec, err)
+		}
+		if c.Spec() != src.Spec() {
+			t.Fatalf("%s: header rebuilt codec %q, want %q", tc.spec, c.Spec(), src.Spec())
+		}
+		fromBytes, _, err := codec.DecodeBytes(data)
+		if err != nil {
+			t.Fatalf("%s: DecodeBytes: %v", tc.spec, err)
+		}
+		comp, err := core.NewCompressor(tc.cfg, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := comp.RoundTrip(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !fromFile.Equal(direct) || !fromBytes.Equal(direct) {
+			t.Fatalf("%s: file interchange changed the reconstruction", tc.spec)
+		}
 	}
 }
 

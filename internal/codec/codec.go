@@ -298,19 +298,6 @@ func canonicalSpec(family string, b backend, stage string) string {
 	return s
 }
 
-// readContainerBytes reads the one container data must hold exactly:
-// trailing bytes after it are rejected.
-func readContainerBytes(data []byte) (Header, []byte, error) {
-	hdr, payload, err := ReadContainer(bytes.NewReader(data))
-	if err != nil {
-		return hdr, nil, err
-	}
-	if hdr.wireSize != len(data) {
-		return hdr, nil, fmt.Errorf("codec: %d trailing bytes after container", len(data)-hdr.wireSize)
-	}
-	return hdr, payload, nil
-}
-
 // DecodeBytes reconstructs the tensor of the one container data holds,
 // with the codec resolved entirely from the header — the fully
 // self-describing path. Trailing bytes after the container are

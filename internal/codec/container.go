@@ -1,12 +1,12 @@
 package codec
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
+	"strconv"
 )
 
 // The framed container makes every compressed stream self-describing:
@@ -24,6 +24,9 @@ import (
 //	…       4         payload length P
 //	…       4         CRC32 (IEEE) of the payload
 //	…       P         codec-specific payload
+//
+// Offsets 6 through the payload length are the frame head, which v2
+// stream records and index-footer entries carry too (see frameHead).
 const (
 	containerMagic   = 0x46434341 // "ACCF" on disk
 	containerVersion = 1
@@ -52,12 +55,6 @@ const (
 type Header struct {
 	Spec  string
 	Shape []int
-
-	// wireSize is the exact on-wire byte count of the frame this header
-	// was parsed from (v1 container: header + payload; v2 record: header
-	// only). The exact-length decode paths use it to reject trailing
-	// garbage after a supposedly single container.
-	wireSize int
 }
 
 // Elems returns the product of the header's dimensions.
@@ -69,32 +66,128 @@ func (h Header) Elems() int {
 	return n
 }
 
-// validateFrame checks the spec/shape/payload-length limits shared by
-// the v1 container writer and the v2 stream record writer.
-func validateFrame(spec string, shape []int, payloadLen int) error {
-	if len(spec) == 0 || len(spec) > maxSpecLen {
-		return fmt.Errorf("codec: spec length %d outside [1,%d]", len(spec), maxSpecLen)
+// frameHead is the header every ACCF frame carries — v1/v3 containers,
+// v2 stream records and index-footer entries — after its own magic,
+// version or marker:
+//
+//	u16 spec length L, L spec bytes, u8 rank R, R × u32 dims,
+//	u32 payload length P (absent when lenAhead)
+//
+// An index entry carries its payload length as a u64 ahead of its
+// marker instead, and sets lenAhead.
+type frameHead struct {
+	Header
+	payLen uint64
+	// staged is what the frame's version or marker says: that the spec
+	// carries a stage. A head whose spec disagrees is a forgery.
+	staged   bool
+	lenAhead bool
+}
+
+// appendFrameHead appends h's frame head to dst; it is the one writer of
+// the layout. The appended bytes are read back through readFrameHead, so
+// a writer accepts exactly what every reader accepts, and a field too
+// wide for its wire slot fails the comparison instead of wrapping.
+func appendFrameHead(dst []byte, h frameHead) ([]byte, error) {
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(h.Spec)))
+	dst = append(dst, h.Spec...)
+	dst = append(dst, byte(len(h.Shape)))
+	for _, d := range h.Shape {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(d))
 	}
-	if len(shape) == 0 || len(shape) > maxRank {
-		return fmt.Errorf("codec: rank %d outside [1,%d]", len(shape), maxRank)
+	if !h.lenAhead {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(h.payLen))
 	}
-	// The element product accumulates in uint64: each factor is ≤ 2²⁴ and
-	// the running product ≤ 2²⁸, so the intermediate can reach 2⁵², which
-	// a 32-bit int would wrap straight past the maxElems check.
+	var dims [maxRank]int
+	back := h
+	back.Shape = dims[:0]
+	src := memPayload{dst[start:]}
+	back, err := readFrameHead(src.next, back, nil)
+	if err == nil && (back.Spec != h.Spec || !slices.Equal(back.Shape, h.Shape) || back.payLen != h.payLen || src.len() != 0) {
+		err = fmt.Errorf("spec of %d bytes, rank %d or payload of %d bytes does not fit the frame head", len(h.Spec), len(h.Shape), h.payLen)
+	}
+	if err != nil {
+		return dst[:start], fmt.Errorf("codec: %w", err)
+	}
+	return dst, nil
+}
+
+// readFrameHead parses a frame head from next, which returns the next n
+// bytes as a view valid until its next call, and checks it against the
+// frame limits; it is the one reader of the layout and the one place the
+// limits are checked. The spec and rank are checked before the bytes
+// they count are read, so a forged length never drives a large read. On
+// entry h.Spec is the previous frame's spec, kept when the bytes match
+// so a run of frames with one spec allocates it once; the dims are
+// appended to h.Shape, and the parsed head is returned. seal, when
+// given, authenticates the head bytes once all are read and before any
+// field past the rank is trusted. Its errors format copies of h's spec
+// and shape, never h's own, so the callers' buffers stay off the heap.
+func readFrameHead(next func(int) ([]byte, error), h frameHead, seal func() error) (frameHead, error) {
+	b, err := next(2)
+	if err != nil {
+		return h, fmt.Errorf("reading spec length: %w", err)
+	}
+	specLen := int(binary.LittleEndian.Uint16(b))
+	if specLen == 0 || specLen > maxSpecLen {
+		return h, fmt.Errorf("spec length %d outside [1,%d]", specLen, maxSpecLen)
+	}
+	if b, err = next(specLen + 1); err != nil {
+		return h, fmt.Errorf("reading spec: %w", err)
+	}
+	if string(b[:specLen]) != h.Spec {
+		h.Spec = string(b[:specLen])
+	}
+	rank := int(b[specLen])
+	if rank == 0 || rank > maxRank {
+		return h, fmt.Errorf("rank %d outside [1,%d]", rank, maxRank)
+	}
+	n := 4 * rank
+	if !h.lenAhead {
+		n += 4
+	}
+	if b, err = next(n); err != nil {
+		return h, fmt.Errorf("reading dims: %w", err)
+	}
+	start := len(h.Shape)
+	h.Shape = slices.Grow(h.Shape, rank)
+	for i := 0; i < rank; i++ {
+		h.Shape = append(h.Shape, int(binary.LittleEndian.Uint32(b[4*i:])))
+	}
+	if !h.lenAhead {
+		h.payLen = uint64(binary.LittleEndian.Uint32(b[4*rank:]))
+	}
+	if seal != nil {
+		if err := seal(); err != nil {
+			return h, err
+		}
+	}
+	if specHasStages(h.Spec) != h.staged {
+		mark := "unstaged"
+		if h.staged {
+			mark = "staged"
+		}
+		return h, fmt.Errorf("%s frame mark does not match spec %s", mark, strconv.Quote(h.Spec))
+	}
+	// The element product accumulates in uint64: each factor is checked
+	// to ≤ 2²⁴ and the running product to ≤ 2²⁸ before the next multiply,
+	// so the intermediate stays ≤ 2⁵², which a 32-bit int would wrap
+	// straight past the maxElems check. A dim ≥ 2³¹ converts to a
+	// negative int on 32-bit hosts, which the lower bound rejects.
 	elems := uint64(1)
-	for _, d := range shape {
+	for _, d := range h.Shape[start:] {
 		if d < 1 || d > maxDim {
-			return fmt.Errorf("codec: dimension %d outside [1,%d]", d, maxDim)
+			return h, fmt.Errorf("dimension %d outside [1,%d]", d, maxDim)
 		}
-		elems *= uint64(d)
-		if elems > maxElems {
-			return fmt.Errorf("codec: shape %v exceeds %d elements", shape, maxElems)
+		if elems *= uint64(d); elems > maxElems {
+			return h, fmt.Errorf("shape %v exceeds %d elements", slices.Clone(h.Shape[start:]), maxElems)
 		}
 	}
-	if payloadLen > maxPayload {
-		return fmt.Errorf("codec: payload %d bytes exceeds limit %d", payloadLen, maxPayload)
+	if h.payLen > maxPayload {
+		return h, fmt.Errorf("payload %d bytes exceeds limit %d", h.payLen, maxPayload)
 	}
-	return nil
+	return h, nil
 }
 
 // WriteContainer frames a payload under the given spec and shape. A
@@ -103,109 +196,86 @@ func WriteContainer(w io.Writer, spec string, shape []int, payload []byte) (int6
 	if _, stage := splitSpecStage(spec); stage == "fse" {
 		return 0, errFSEWrite
 	}
-	if err := validateFrame(spec, shape, len(payload)); err != nil {
-		return 0, err
-	}
+	h := frameHead{Header: Header{Spec: spec, Shape: shape}, payLen: uint64(len(payload)), staged: specHasStages(spec)}
 	version := uint16(containerVersion)
-	if specHasStages(spec) {
+	if h.staged {
 		version = containerVersionStaged
 	}
 	buf := make([]byte, 0, 16+len(spec)+4*len(shape)+len(payload))
 	buf = binary.LittleEndian.AppendUint32(buf, containerMagic)
 	buf = binary.LittleEndian.AppendUint16(buf, version)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(spec)))
-	buf = append(buf, spec...)
-	buf = append(buf, byte(len(shape)))
-	for _, d := range shape {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
+	buf, err := appendFrameHead(buf, h)
+	if err != nil {
+		return 0, err
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
 	buf = append(buf, payload...)
 	n, err := w.Write(buf)
 	return int64(n), err
 }
 
-// ReadContainer parses one container from r, verifying magic, version,
-// header plausibility, and the payload CRC.
+// ReadContainer parses exactly one container from r, verifying magic,
+// version, header plausibility, and the payload CRC. It reads no byte
+// past the container, so containers written back to back read back one
+// call at a time.
 func ReadContainer(r io.Reader) (Header, []byte, error) {
-	br := bufio.NewReader(r)
-	var hdr Header
-	var fixed [8]byte
-	if _, err := io.ReadFull(br, fixed[:]); err != nil {
-		return hdr, nil, markIOTruncation(fmt.Errorf("codec: reading container header: %w", err))
+	return readContainer(func(n int) ([]byte, error) {
+		// Grow as bytes arrive — doubling from 64 KiB — so a forged
+		// payload length fails at the end of r, not at an allocation of
+		// the claimed size.
+		var b []byte
+		for len(b) < n {
+			k := min(n, max(2*len(b), 64<<10))
+			b = slices.Grow(b, k-len(b))
+			m, err := io.ReadFull(r, b[len(b):k])
+			b = b[:len(b)+m]
+			if err != nil {
+				return nil, markIOTruncation(err)
+			}
+		}
+		return b, nil
+	})
+}
+
+// readContainerBytes reads the one container data must hold exactly,
+// in place: the payload is a view of data, and trailing bytes after the
+// container are rejected.
+func readContainerBytes(data []byte) (Header, []byte, error) {
+	src := memPayload{data}
+	hdr, payload, err := readContainer(src.next)
+	if err == nil && src.len() != 0 {
+		err = fmt.Errorf("codec: %d trailing bytes after container", src.len())
 	}
-	if m := binary.LittleEndian.Uint32(fixed[0:]); m != containerMagic {
-		return hdr, nil, fmt.Errorf("codec: bad magic %#x (not an ACCF container)", m)
-	}
-	version := binary.LittleEndian.Uint16(fixed[4:])
-	if version != containerVersion && version != containerVersionStaged {
-		return hdr, nil, fmt.Errorf("codec: unsupported container version %d", version)
-	}
-	specLen := int(binary.LittleEndian.Uint16(fixed[6:]))
-	if specLen == 0 || specLen > maxSpecLen {
-		return hdr, nil, fmt.Errorf("codec: spec length %d outside [1,%d]", specLen, maxSpecLen)
-	}
-	spec := make([]byte, specLen)
-	if _, err := io.ReadFull(br, spec); err != nil {
-		return hdr, nil, markIOTruncation(fmt.Errorf("codec: reading spec: %w", err))
-	}
-	hdr.Spec = string(spec)
-	// The version byte and the spec's stage must agree: a v1
-	// frame smuggling a staged spec (or the reverse) is a forgery, not
-	// a decodable container.
-	if staged := specHasStages(hdr.Spec); staged != (version == containerVersionStaged) {
-		return hdr, nil, fmt.Errorf("codec: container version %d does not match spec %q", version, hdr.Spec)
-	}
-	rank, err := br.ReadByte()
+	return hdr, payload, err
+}
+
+// readContainer parses one container from next (see readFrameHead).
+func readContainer(next func(int) ([]byte, error)) (Header, []byte, error) {
+	b, err := next(6)
 	if err != nil {
-		return hdr, nil, markIOTruncation(fmt.Errorf("codec: reading rank: %w", err))
+		return Header{}, nil, fmt.Errorf("codec: reading container header: %w", err)
 	}
-	if rank == 0 || int(rank) > maxRank {
-		return hdr, nil, fmt.Errorf("codec: rank %d outside [1,%d]", rank, maxRank)
+	if m := binary.LittleEndian.Uint32(b); m != containerMagic {
+		return Header{}, nil, fmt.Errorf("codec: bad magic %#x (not an ACCF container)", m)
 	}
-	dims := make([]byte, 4*int(rank))
-	if _, err := io.ReadFull(br, dims); err != nil {
-		return hdr, nil, markIOTruncation(fmt.Errorf("codec: reading dims: %w", err))
+	version := binary.LittleEndian.Uint16(b[4:])
+	if version != containerVersion && version != containerVersionStaged {
+		return Header{}, nil, fmt.Errorf("codec: unsupported container version %d", version)
 	}
-	hdr.Shape = make([]int, rank)
-	// uint64 accumulator for the same 32-bit wrap reason as validateFrame:
-	// the intermediate product can reach 2⁵² before the bound check.
-	elems := uint64(1)
-	for i := range hdr.Shape {
-		d := int(binary.LittleEndian.Uint32(dims[4*i:]))
-		if d < 1 || d > maxDim {
-			return hdr, nil, fmt.Errorf("codec: dimension %d outside [1,%d]", d, maxDim)
-		}
-		hdr.Shape[i] = d
-		elems *= uint64(d)
-		if elems > maxElems {
-			return hdr, nil, fmt.Errorf("codec: shape %v exceeds %d elements", hdr.Shape, maxElems)
-		}
+	h, err := readFrameHead(next, frameHead{staged: version == containerVersionStaged}, nil)
+	if err != nil {
+		return Header{}, nil, fmt.Errorf("codec: %w", err)
 	}
-	var trailer [8]byte
-	if _, err := io.ReadFull(br, trailer[:]); err != nil {
-		return hdr, nil, markIOTruncation(fmt.Errorf("codec: reading payload header: %w", err))
+	if b, err = next(4); err != nil {
+		return Header{}, nil, fmt.Errorf("codec: reading payload CRC: %w", err)
 	}
-	// Validate the claimed length as uint32 before converting: on 32-bit
-	// platforms int(uint32 ≥ 2³¹) wraps negative, which would slip past
-	// a signed upper-bound check.
-	payLen32 := binary.LittleEndian.Uint32(trailer[0:])
-	wantCRC := binary.LittleEndian.Uint32(trailer[4:])
-	if payLen32 > maxPayload {
-		return hdr, nil, fmt.Errorf("codec: payload %d bytes exceeds limit %d", payLen32, maxPayload)
+	wantCRC := binary.LittleEndian.Uint32(b)
+	payload, err := next(int(h.payLen))
+	if err != nil {
+		return Header{}, nil, fmt.Errorf("codec: reading %d-byte payload: %w", h.payLen, err)
 	}
-	payLen := int(payLen32)
-	// Copy incrementally rather than pre-allocating the claimed length,
-	// so truncated streams fail before a large allocation.
-	var payBuf bytes.Buffer
-	if _, err := io.CopyN(&payBuf, br, int64(payLen)); err != nil {
-		return hdr, nil, markIOTruncation(fmt.Errorf("codec: reading %d-byte payload: %w", payLen, err))
-	}
-	payload := payBuf.Bytes()
 	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-		return hdr, nil, markErr(ErrCRC, fmt.Errorf("codec: payload CRC mismatch (stored %#x, computed %#x)", wantCRC, got))
+		return Header{}, nil, markErr(ErrCRC, fmt.Errorf("codec: payload CRC mismatch (stored %#x, computed %#x)", wantCRC, got))
 	}
-	hdr.wireSize = 17 + specLen + 4*int(rank) + payLen
-	return hdr, payload, nil
+	return h.Header, payload, nil
 }

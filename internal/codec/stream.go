@@ -104,6 +104,9 @@ type StreamWriter struct {
 	locked  bool
 	records atomic.Int64
 	eng     *swEngine
+	// head is WriteTensor's scratch for a record's frame head, checked
+	// before the encode. Owned by the caller's goroutine, like locked.
+	head []byte
 
 	// off is the running byte offset of the stream: every write to w
 	// passes through writeStreamHeader, emitRecord, or Close, each of
@@ -204,17 +207,20 @@ func (sw *StreamWriter) WriteTensor(ctx context.Context, c Codec, x *tensor.Tens
 		return fmt.Errorf("codec: %T is not a registry codec", c)
 	}
 	shape := x.Shape()
-	if err := validateFrame(impl.spec, shape, 0); err != nil {
+	// Check the head before encoding: a shape no reader accepts fails
+	// here, without poisoning the writer.
+	var err error
+	if sw.head, err = appendFrameHead(sw.head[:0], frameHead{Header: Header{Spec: impl.spec, Shape: shape}, staged: specHasStages(impl.spec)}); err != nil {
 		return err
 	}
 	if sw.eng != nil {
 		return sw.eng.submit(ctx, impl, shape, x)
 	}
-	noteAdmitted(int64(x.SizeBytes()))
 	payload, err := impl.encodePayload(ctx, x)
 	if err != nil {
 		return err
 	}
+	noteAdmitted(int64(x.SizeBytes()))
 	sw.err = sw.emitRecord(impl.spec, shape, payload)
 	return sw.err
 }
@@ -225,27 +231,21 @@ func (sw *StreamWriter) WriteTensor(ctx context.Context, c Codec, x *tensor.Tens
 // ordered emitter call this, so their byte output is identical by
 // construction.
 func (sw *StreamWriter) emitRecord(spec string, shape []int, payload []byte) error {
-	if len(payload) > maxPayload {
-		return fmt.Errorf("codec: payload %d bytes exceeds limit %d", len(payload), maxPayload)
+	marker := recordMarker(spec)
+	// Record header: marker..payload-length, then its CRC.
+	hdr := make([]byte, 1, 12+len(spec)+4*len(shape))
+	hdr[0] = marker
+	hdr, err := appendFrameHead(hdr, frameHead{Header: Header{Spec: spec, Shape: shape}, payLen: uint64(len(payload)), staged: marker == recStaged})
+	if err != nil {
+		return err
 	}
+	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
 	if !sw.started {
 		if err := sw.writeStreamHeader(); err != nil {
 			return err
 		}
 	}
-	marker := recordMarker(spec)
 	recOff := sw.off // offset of the record's marker byte, for the index
-	// Record header: marker..payload-length, then its CRC.
-	hdr := make([]byte, 0, 12+len(spec)+4*len(shape))
-	hdr = append(hdr, marker)
-	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(spec)))
-	hdr = append(hdr, spec...)
-	hdr = append(hdr, byte(len(shape)))
-	for _, d := range shape {
-		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(d))
-	}
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(payload)))
-	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
 	if _, err := sw.w.Write(hdr); err != nil {
 		return fmt.Errorf("codec: writing record header: %w", err)
 	}
@@ -431,6 +431,8 @@ type recordCursor struct {
 	vals *[]float32
 	// markOff is the stream offset of the pending record's marker byte.
 	markOff int64
+	// headCRC accumulates the CRC of the record header being parsed.
+	headCRC uint32
 	// sawFooter flips once an index footer has been passed; only the end
 	// marker may follow it.
 	sawFooter bool
@@ -555,13 +557,13 @@ func (c *recordCursor) nextRecord() (Header, error) {
 	}
 	var marker byte
 	for {
-		var err error
-		marker, err = c.br.ReadByte()
+		// The marker opens the CRC-protected record header.
+		c.headCRC = 0
+		b, err := c.headBytes(1)
 		if err != nil {
-			return Header{}, c.posw("reading record marker", noEOF(err))
+			return Header{}, c.posw("reading record marker", err)
 		}
-		c.off++
-		switch marker {
+		switch marker = b[0]; marker {
 		case recEnd:
 			// Nothing may follow the end marker: a concatenation or a
 			// duplicated tail is a framing error, not silently ignored.
@@ -596,77 +598,54 @@ func (c *recordCursor) nextRecord() (Header, error) {
 	}
 	c.markOff = c.off - 1
 	c.rec++
-
-	// Accumulate the variable-length header exactly as written so the
-	// CRC can be verified before the fields are trusted.
-	raw := make([]byte, 3, 64)
-	raw[0] = marker
-	if err := c.readFull(raw[1:3]); err != nil {
-		return Header{}, c.posw("reading spec length", noEOF(err))
+	// The head is read straight from the buffered window, folded into the
+	// header CRC as it passes, and sealed by the stored CRC before any
+	// field past the rank is trusted. The cursor's previous spec and
+	// shape are the parse's starting point, so records sharing a spec
+	// reuse its string and every record reuses the shape's backing.
+	h, err := readFrameHead(c.headBytes, frameHead{Header: Header{Spec: c.hdr.Spec, Shape: c.hdr.Shape[:0]}, staged: marker == recStaged}, c.sealHead)
+	if err != nil {
+		return Header{}, c.fail(err)
 	}
-	specLen := int(binary.LittleEndian.Uint16(raw[1:3]))
-	if specLen == 0 || specLen > maxSpecLen {
-		return Header{}, c.posf("spec length %d outside [1,%d]", specLen, maxSpecLen)
-	}
-	raw = append(raw, make([]byte, specLen+1)...)
-	if err := c.readFull(raw[3:]); err != nil {
-		return Header{}, c.posw("reading spec", noEOF(err))
-	}
-	rank := int(raw[len(raw)-1])
-	if rank == 0 || rank > maxRank {
-		return Header{}, c.posf("rank %d outside [1,%d]", rank, maxRank)
-	}
-	base := len(raw)
-	raw = append(raw, make([]byte, 4*rank+4)...)
-	if err := c.readFull(raw[base:]); err != nil {
-		return Header{}, c.posw("reading dims", noEOF(err))
-	}
-	var crcBuf [4]byte
-	if err := c.readFull(crcBuf[:]); err != nil {
-		return Header{}, c.posw("reading header CRC", noEOF(err))
-	}
-	if want, got := binary.LittleEndian.Uint32(crcBuf[:]), crc32.ChecksumIEEE(raw); want != got {
-		return Header{}, c.crcFail(fmt.Errorf("record header CRC mismatch (stored %#x, computed %#x)", want, got))
-	}
-
-	hdr := Header{Spec: string(raw[3 : 3+specLen])}
-	// The marker and the spec's stage must agree — a 'T' record
-	// smuggling a staged spec (or the reverse) is a forgery.
-	if marker != recordMarker(hdr.Spec) {
-		return Header{}, c.posf("record marker %#x does not match spec %q", marker, hdr.Spec)
-	}
-	hdr.Shape = make([]int, rank)
-	// The element product accumulates in uint64: dims are validated to
-	// ≤ 2²⁴ and the running product to ≤ 2²⁸ before each multiply, so the
-	// intermediate stays ≤ 2⁵², which a 32-bit int would wrap straight
-	// past the maxElems check.
-	elems := uint64(1)
-	for i := range hdr.Shape {
-		d := binary.LittleEndian.Uint32(raw[base+4*i:])
-		if d < 1 || d > maxDim {
-			return Header{}, c.posf("dimension %d outside [1,%d]", d, maxDim)
-		}
-		hdr.Shape[i] = int(d)
-		elems *= uint64(d)
-		if elems > maxElems {
-			return Header{}, c.posf("shape %v exceeds %d elements", hdr.Shape, maxElems)
-		}
-	}
-	payLen := binary.LittleEndian.Uint32(raw[base+4*rank:])
-	if payLen > maxPayload {
-		return Header{}, c.posf("payload %d bytes exceeds limit %d", payLen, maxPayload)
-	}
-	hdr.wireSize = len(raw) + 4
-	c.hdr = hdr
-	c.cur = &payloadReader{c: c, remaining: int(payLen)}
+	c.hdr = h.Header
+	c.cur = &payloadReader{c: c, remaining: int(h.payLen)}
 	streamM.rRecords.Inc()
 	// The caller gets its own copy of the shape: the cursor keeps using
 	// c.hdr.Shape for the decode, so a caller mutating the returned
 	// header cannot redirect it (and nothing the cursor does later can
 	// touch the caller's slice).
-	ret := hdr
-	ret.Shape = append([]int(nil), hdr.Shape...)
+	ret := h.Header
+	ret.Shape = append([]int(nil), h.Shape...)
 	return ret, nil
+}
+
+// headBytes is the byte source of a record's frame head: n bytes viewed
+// in the buffered window (valid until the next read) and folded into
+// the header CRC.
+func (c *recordCursor) headBytes(n int) ([]byte, error) {
+	b, err := c.br.Peek(n)
+	if err != nil {
+		return nil, noEOF(err)
+	}
+	c.br.Discard(n)
+	c.off += int64(n)
+	c.headCRC = crc32.Update(c.headCRC, crc32.IEEETable, b)
+	return b, nil
+}
+
+// sealHead checks the record header's stored CRC against the bytes the
+// head was parsed from.
+func (c *recordCursor) sealHead() error {
+	crc := c.headCRC
+	b, err := c.headBytes(4)
+	if err != nil {
+		return fmt.Errorf("reading header CRC: %w", err)
+	}
+	if want := binary.LittleEndian.Uint32(b); want != crc {
+		streamM.rCRCFail.Inc()
+		return markErr(ErrCRC, fmt.Errorf("record header CRC mismatch (stored %#x, computed %#x)", want, crc))
+	}
+	return nil
 }
 
 // skipFooter passes an index footer whose marker byte was just read. The

@@ -99,11 +99,10 @@ func encodeIndexFooter(entries []indexEntry) ([]byte, error) {
 		body = binary.LittleEndian.AppendUint64(body, uint64(e.off))
 		body = binary.LittleEndian.AppendUint64(body, uint64(e.payLen))
 		body = append(body, e.marker)
-		body = binary.LittleEndian.AppendUint16(body, uint16(len(e.spec)))
-		body = append(body, e.spec...)
-		body = append(body, byte(len(e.shape)))
-		for _, d := range e.shape {
-			body = binary.LittleEndian.AppendUint32(body, uint32(d))
+		var err error
+		body, err = appendFrameHead(body, frameHead{Header: Header{Spec: e.spec, Shape: e.shape}, payLen: uint64(e.payLen), staged: e.marker == recStaged, lenAhead: true})
+		if err != nil {
+			return nil, err
 		}
 	}
 	if len(body) > maxIndexBody {
@@ -286,19 +285,20 @@ func parseIndexBody(body []byte, footOff int64) ([]indexEntry, error) {
 		return nil, fmt.Errorf("codec: index claims %d entries in a %d-byte body", count, len(body))
 	}
 	entries := make([]indexEntry, 0, count)
-	p := 4
-	prev := int64(7)              // records start at offset 8, strictly increasing
-	spec := ""                    // the previous entry's: a stream's records mostly share one
-	dims := make([]int, 0, count) // every entry's shape, back to back
+	src := memPayload{body[4:]}
+	prev := int64(7) // records start at offset 8, strictly increasing
+	// Every entry's shape lands back to back in h.Shape, and h.Spec
+	// carries the previous entry's spec: a stream's records mostly share
+	// one, so the table parses without a per-entry allocation.
+	h := frameHead{Header: Header{Shape: make([]int, 0, count)}, lenAhead: true}
 	for i := 0; i < int(count); i++ {
-		if len(body)-p < minIndexEntry {
+		b, err := src.next(17) // offset, payload length, marker
+		if err != nil {
 			return nil, fmt.Errorf("codec: index entry %d truncated", i)
 		}
-		off64 := binary.LittleEndian.Uint64(body[p:])
-		pay64 := binary.LittleEndian.Uint64(body[p+8:])
-		marker := body[p+16]
-		specLen := int(binary.LittleEndian.Uint16(body[p+17:]))
-		p += 19
+		off64 := binary.LittleEndian.Uint64(b)
+		h.payLen = binary.LittleEndian.Uint64(b[8:])
+		marker := b[16]
 		// footOff ≥ 8 and fits int64, so the unsigned comparison both
 		// bounds the offset and licenses the conversion.
 		if off64 >= uint64(footOff) {
@@ -308,52 +308,20 @@ func parseIndexBody(body []byte, footOff int64) ([]indexEntry, error) {
 		if off <= prev {
 			return nil, fmt.Errorf("codec: index entry %d offset %d not increasing past %d", i, off, prev)
 		}
-		if pay64 > maxPayload {
-			return nil, fmt.Errorf("codec: index entry %d payload %d bytes exceeds limit %d", i, pay64, maxPayload)
-		}
 		if marker != recTensor && marker != recStaged {
 			return nil, fmt.Errorf("codec: index entry %d bad record marker %#x", i, marker)
 		}
-		if specLen == 0 || specLen > maxSpecLen {
-			return nil, fmt.Errorf("codec: index entry %d spec length %d outside [1,%d]", i, specLen, maxSpecLen)
+		h.staged = marker == recStaged
+		start := len(h.Shape)
+		if h, err = readFrameHead(src.next, h, nil); err != nil {
+			return nil, fmt.Errorf("codec: index entry %d: %w", i, err)
 		}
-		if len(body)-p < specLen+1 {
-			return nil, fmt.Errorf("codec: index entry %d truncated", i)
-		}
-		if string(body[p:p+specLen]) != spec {
-			spec = string(body[p : p+specLen])
-		}
-		rank := int(body[p+specLen])
-		p += specLen + 1
-		if marker != recordMarker(spec) {
-			return nil, fmt.Errorf("codec: index entry %d marker %#x does not match spec %q", i, marker, spec)
-		}
-		if rank == 0 || rank > maxRank {
-			return nil, fmt.Errorf("codec: index entry %d rank %d outside [1,%d]", i, rank, maxRank)
-		}
-		if len(body)-p < 4*rank {
-			return nil, fmt.Errorf("codec: index entry %d truncated", i)
-		}
-		start := len(dims)
-		elems := uint64(1)
-		for k := 0; k < rank; k++ {
-			d := binary.LittleEndian.Uint32(body[p+4*k:])
-			if d < 1 || d > maxDim {
-				return nil, fmt.Errorf("codec: index entry %d dimension %d outside [1,%d]", i, d, maxDim)
-			}
-			dims = append(dims, int(d))
-			elems *= uint64(d)
-			if elems > maxElems {
-				return nil, fmt.Errorf("codec: index entry %d shape %v exceeds %d elements", i, dims[start:], maxElems)
-			}
-		}
-		shape := dims[start:len(dims):len(dims)]
-		p += 4 * rank
-		entries = append(entries, indexEntry{off: off, payLen: int64(pay64), marker: marker, spec: spec, shape: shape})
+		shape := h.Shape[start:len(h.Shape):len(h.Shape)]
+		entries = append(entries, indexEntry{off: off, payLen: int64(h.payLen), marker: marker, spec: h.Spec, shape: shape})
 		prev = off
 	}
-	if p != len(body) {
-		return nil, fmt.Errorf("codec: %d trailing bytes after index entries", len(body)-p)
+	if src.len() != 0 {
+		return nil, fmt.Errorf("codec: %d trailing bytes after index entries", src.len())
 	}
 	return entries, nil
 }

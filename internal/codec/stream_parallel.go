@@ -257,9 +257,6 @@ func (e *swEngine) worker() {
 		payload, err := job.c.encodePayload(job.ctx, job.x)
 		streamM.wEncodeNs.ObserveSince(ts)
 		streamM.wWorkers.Add(-1)
-		if err == nil && len(payload) > maxPayload {
-			err = fmt.Errorf("codec: payload %d bytes exceeds limit %d", len(payload), maxPayload)
-		}
 		job.payload, job.err = payload, err
 		close(job.done)
 		if err != nil {

@@ -187,6 +187,34 @@ func TestStreamWriterStatsSerial(t *testing.T) {
 	}
 }
 
+// TestFailedEncodeNotAdmitted: a serial record whose encode fails (jpegq
+// needs sides that are multiples of 8) is neither counted as admitted
+// nor written.
+func TestFailedEncodeNotAdmitted(t *testing.T) {
+	counted := countingOn(t)
+	c, err := New("jpegq:q=50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	sw := NewStreamWriter(&buf)
+	before := telemetry.Default().Snapshot()
+	if err := sw.WriteTensor(context.Background(), c, mkStreamTensor(2, 3, 15, 15)); err == nil {
+		t.Fatal("jpegq encoded a 15×15 plane")
+	}
+	after := telemetry.Default().Snapshot()
+	if buf.Len() != 0 {
+		t.Errorf("failed record left %d bytes in the sink", buf.Len())
+	}
+	if !counted {
+		t.Skip("telemetry compiled out (acc_notelemetry)")
+	}
+	d := after.Delta(before).Counters
+	if a, b := d["stream.writer.records_admitted"], d["stream.writer.uncompressed_bytes"]; a != 0 || b != 0 {
+		t.Errorf("failed record counted: records_admitted +%d, uncompressed_bytes +%d", a, b)
+	}
+}
+
 // TestStreamWriterStatsPipelined checks the engine's accounting: every
 // admitted record is emitted, the in-flight bytes drain to zero at
 // Close (in the engine and in the gauge), and the high-water mark

@@ -1,13 +1,6 @@
 package core
 
-import (
-	"encoding/binary"
-	"fmt"
-	"io"
-	"math"
-
-	"repro/internal/tensor"
-)
+import "repro/internal/tensor"
 
 // Compressed is the output of Compressor.Compress: one payload tensor
 // per spatial chunk (s×s chunks for partial serialization; exactly one
@@ -39,123 +32,4 @@ func (c *Compressed) OriginalBytes() int {
 // it equals Config.Ratio() up to block-count rounding.
 func (c *Compressed) EffectiveRatio() float64 {
 	return float64(c.OriginalBytes()) / float64(c.CompressedBytes())
-}
-
-// serializedMagic identifies the on-disk format of WriteTo/ReadFrom.
-const serializedMagic = 0x44435443 // "DCTC"
-
-// WriteTo serializes the compressed payload (little-endian) so the CLI
-// can persist compressed datasets. Layout: magic, config, dims, then
-// each chunk's raw float32 data.
-func (c *Compressed) WriteTo(w io.Writer) (int64, error) {
-	var n int64
-	write := func(v uint32) error {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += 4
-		return nil
-	}
-	header := []uint32{
-		serializedMagic,
-		uint32(c.Config.ChopFactor),
-		uint32(c.Config.Mode),
-		uint32(c.Config.Serialization),
-		uint32(c.BatchSize),
-		uint32(c.Channels),
-		uint32(c.N),
-		uint32(len(c.Chunks)),
-	}
-	for _, h := range header {
-		if err := write(h); err != nil {
-			return n, err
-		}
-	}
-	for _, chunk := range c.Chunks {
-		shape := chunk.Shape()
-		if err := write(uint32(len(shape))); err != nil {
-			return n, err
-		}
-		for _, d := range shape {
-			if err := write(uint32(d)); err != nil {
-				return n, err
-			}
-		}
-		for _, v := range chunk.Data() {
-			if err := write(math.Float32bits(v)); err != nil {
-				return n, err
-			}
-		}
-	}
-	return n, nil
-}
-
-// ReadCompressed deserializes a payload written by WriteTo.
-func ReadCompressed(r io.Reader) (*Compressed, error) {
-	read := func() (uint32, error) {
-		var v uint32
-		err := binary.Read(r, binary.LittleEndian, &v)
-		return v, err
-	}
-	magic, err := read()
-	if err != nil {
-		return nil, fmt.Errorf("core: reading magic: %w", err)
-	}
-	if magic != serializedMagic {
-		return nil, fmt.Errorf("core: bad magic %#x", magic)
-	}
-	var h [7]uint32
-	for i := range h {
-		if h[i], err = read(); err != nil {
-			return nil, fmt.Errorf("core: reading header: %w", err)
-		}
-	}
-	c := &Compressed{
-		Config: Config{
-			ChopFactor:    int(h[0]),
-			Mode:          Mode(h[1]),
-			Serialization: int(h[2]),
-		},
-		BatchSize: int(h[3]),
-		Channels:  int(h[4]),
-		N:         int(h[5]),
-	}
-	nchunks := int(h[6])
-	const maxChunks = 1 << 16
-	if nchunks <= 0 || nchunks > maxChunks {
-		return nil, fmt.Errorf("core: implausible chunk count %d", nchunks)
-	}
-	for i := 0; i < nchunks; i++ {
-		rank, err := read()
-		if err != nil {
-			return nil, fmt.Errorf("core: chunk %d rank: %w", i, err)
-		}
-		if rank == 0 || rank > 8 {
-			return nil, fmt.Errorf("core: chunk %d implausible rank %d", i, rank)
-		}
-		shape := make([]int, rank)
-		total := 1
-		for d := range shape {
-			v, err := read()
-			if err != nil {
-				return nil, fmt.Errorf("core: chunk %d shape: %w", i, err)
-			}
-			shape[d] = int(v)
-			total *= int(v)
-		}
-		const maxElems = 1 << 28
-		if total < 0 || total > maxElems {
-			return nil, fmt.Errorf("core: chunk %d implausible size %d", i, total)
-		}
-		data := make([]float32, total)
-		for j := range data {
-			v, err := read()
-			if err != nil {
-				return nil, fmt.Errorf("core: chunk %d data: %w", i, err)
-			}
-			data[j] = math.Float32frombits(v)
-		}
-		c.Chunks = append(c.Chunks, tensor.FromSlice(data, shape...))
-	}
-	return c, nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -365,59 +364,6 @@ func TestBatchAndChannelParallelism(t *testing.T) {
 		if d := out.Index(0).MaxAbsDiff(whole.Index(b)); d > 1e-6 {
 			t.Fatalf("sample %d differs when compressed alone: %g", b, d)
 		}
-	}
-}
-
-func TestCompressedSerializationRoundTrip(t *testing.T) {
-	for _, cfg := range []Config{
-		{ChopFactor: 4, Serialization: 1},
-		{ChopFactor: 3, Serialization: 2},
-		{ChopFactor: 5, Mode: ModeSG, Serialization: 1},
-	} {
-		c := mustCompressor(t, cfg, 32)
-		r := tensor.NewRNG(12)
-		x := r.Uniform(-1, 1, 2, 2, 32, 32)
-		y, err := c.Compress(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if _, err := y.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadCompressed(&buf)
-		if err != nil {
-			t.Fatalf("%v: ReadCompressed: %v", cfg, err)
-		}
-		if back.Config != y.Config || back.N != y.N || len(back.Chunks) != len(y.Chunks) {
-			t.Fatalf("%v: header mismatch", cfg)
-		}
-		for i := range y.Chunks {
-			if !back.Chunks[i].Equal(y.Chunks[i]) {
-				t.Fatalf("%v: chunk %d payload mismatch", cfg, i)
-			}
-		}
-		// And the deserialized payload must decompress identically.
-		a1, err := c.Decompress(y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a2, err := c.Decompress(back)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !a1.Equal(a2) {
-			t.Fatalf("%v: decompression differs after serialization", cfg)
-		}
-	}
-}
-
-func TestReadCompressedRejectsGarbage(t *testing.T) {
-	if _, err := ReadCompressed(bytes.NewReader([]byte{1, 2, 3})); err == nil {
-		t.Fatal("short input must fail")
-	}
-	if _, err := ReadCompressed(bytes.NewReader(make([]byte, 64))); err == nil {
-		t.Fatal("zero magic must fail")
 	}
 }
 
