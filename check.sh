@@ -37,6 +37,12 @@ if go list -deps ./cmd/... ./examples/... ./internal/... | grep -qx 'net/http\|n
 	exit 1
 fi
 go test -race ./internal/...
+# Fan-out suite at one and four Ps: every indexed loop runs on tensor's
+# plane pool under SetMaxWorkers' cap, so the pool, forEachPlane, the
+# cap, DecodeRange, the matmuls and core's Into paths run once on the
+# serial fallback and once on a pool wider than a small host.
+go test -count=1 -cpu 1,4 -run 'Parallel|ForEachPlane|SetMaxWorkers|DecodeRange|IndexedMatchesSequential|Into|MatMul' \
+	./internal/tensor/ ./internal/codec/ ./internal/core/
 # Time-boxed fuzzing of the decoders whose hot loops run on the
 # bitstream fast path: vle's FuzzDecode holds the fused-table decoder to
 # the symbol-by-symbol reference on every stream, and sz's

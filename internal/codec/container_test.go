@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -137,19 +138,34 @@ func TestReadContainerBytesInPlace(t *testing.T) {
 	if &got[0] != &data[len(data)-len(payload)] {
 		t.Error("payload is a copy, not a view of the container bytes")
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	// Bytes are read over plain loops, before AllocsPerRun: its
+	// GOMAXPROCS(1)-and-back can make the runtime start an OS thread,
+	// whose m and g structs (~5 KiB) land in the process-wide TotalAlloc.
+	// A thread starts once and is then reused, so the least of three
+	// windows is the function's own figure.
+	const runs = 20
+	perOp := uint64(math.MaxUint64)
+	for w := 0; w < 3; w++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, _, err := readContainerBytes(data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perOp = min(perOp, (after.TotalAlloc-before.TotalAlloc)/runs)
+	}
+	if perOp > 256 {
+		t.Errorf("readContainerBytes: %d B/op on a %d-byte payload, want ≤ 256", perOp, len(payload))
+	}
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, _, err := readContainerBytes(data); err != nil {
 			t.Fatal(err)
 		}
 	})
-	runtime.ReadMemStats(&after)
 	if allocs > 2 {
 		t.Errorf("readContainerBytes: %.0f allocs/op, want ≤ 2 (the spec string and the shape)", allocs)
-	}
-	if perOp := (after.TotalAlloc - before.TotalAlloc) / 21; perOp > 256 {
-		t.Errorf("readContainerBytes: %d B/op on a %d-byte payload, want ≤ 256", perOp, len(payload))
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -13,10 +13,10 @@ import (
 
 // This file is the shared batch pipeline: the plane-independent
 // adapters (ZFP, SZ and JPEG process trailing 2-D planes independently)
-// fan a tensor's planes across a GOMAXPROCS-bounded worker pool, with
-// sync.Pool-reused float32 scratch buffers for the packing/staging
-// copies. DCT+Chop hands whole batches to its compiled compressor,
-// which fans planes across internal/tensor's plane pool instead.
+// fan a tensor's planes out on internal/tensor's plane pool — the one
+// pool DCT+Chop's batched passes and IndexedStream.DecodeRange use too,
+// under the one cap SetMaxWorkers sets — with sync.Pool-reused float32
+// scratch buffers for the packing/staging copies.
 //
 // Plane-framed payload layout (little-endian):
 //
@@ -24,95 +24,69 @@ import (
 //	u32 × count  per-plane payload lengths
 //	concatenated per-plane payloads
 
-// maxWorkers bounds pipeline concurrency. It tracks the scheduler's
-// actual parallelism budget — runtime.GOMAXPROCS(0), not NumCPU — so a
-// process confined to fewer Ps than cores does not oversubscribe.
-var maxWorkers = runtime.GOMAXPROCS(0)
+// SetMaxWorkers caps how many goroutines every plane loop uses — the
+// plane-framed families', dctc's batched passes and the matmuls — and
+// returns the previous cap. n < 1 restores the default, one worker per
+// runtime.GOMAXPROCS(0), which reads back as 0. Tests pin the cap to 1
+// to make plane execution order deterministic; restore the returned
+// value when done. Safe to call while compressions are in flight.
+func SetMaxWorkers(n int) int { return tensor.SetMaxWorkers(n) }
 
-// SetMaxWorkers overrides the pipeline worker cap (not dctc's batched
-// passes, which run on internal/tensor's plane pool) and returns the
-// previous value. n < 1 resets to runtime.GOMAXPROCS(0). Tests pin the
-// cap to 1 to make plane execution order deterministic; restore the
-// returned value when done. Not safe to call concurrently with
-// in-flight compressions.
-func SetMaxWorkers(n int) int {
-	prev := maxWorkers
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	maxWorkers = n
-	return prev
+// planeLoop is forEachPlane's job on the plane pool. Pooled with its
+// error slots, so a loop allocates nothing.
+type planeLoop struct {
+	ctx  context.Context
+	fn   func(p int) error
+	errs []error // one slot per plane, written only by the plane's runner
+	ran  atomic.Int64
 }
 
-// forEachPlane runs fn(p) for p in [0, planes) on a bounded worker
-// pool. Every claimed plane runs to completion and errors are collected
-// per plane, so the same bad input always reports the lowest-indexed
-// failing plane regardless of worker scheduling. Cancelling ctx is the
-// one early exit: workers stop claiming planes and the context error is
-// returned (wrapped, satisfying errors.Is) unless a plane that already
-// ran failed first.
+var planeLoops = sync.Pool{New: func() any { return new(planeLoop) }}
+
+// RunPlane runs plane p unless ctx has been cancelled.
+func (l *planeLoop) RunPlane(p int) {
+	if l.ctx.Err() != nil {
+		return
+	}
+	l.ran.Add(1)
+	l.errs[p] = l.fn(p)
+}
+
+// forEachPlane runs fn(p) for p in [0, planes) on the plane pool. Every
+// plane runs to completion and errors are collected per plane, so the
+// same bad input always reports the lowest-indexed failing plane
+// regardless of worker scheduling. Cancelling ctx is the one early
+// exit: planes not yet started are skipped and the context error is
+// returned (wrapped, satisfying errors.Is) unless a plane that ran
+// failed.
 func forEachPlane(ctx context.Context, planes int, fn func(p int) error) error {
 	if planes <= 0 {
 		return nil
 	}
-	// context.Background and friends have a nil Done channel; skip the
-	// per-plane cancellation checks entirely for them.
-	cancellable := ctx.Done() != nil
-	if cancellable && ctx.Err() != nil {
-		return markErr(ErrCanceled, fmt.Errorf("codec: plane pipeline: %w", ctx.Err()))
+	if err := ctx.Err(); err != nil {
+		return markErr(ErrCanceled, fmt.Errorf("codec: plane pipeline: %w", err))
 	}
-	workers := maxWorkers
-	if workers > planes {
-		workers = planes
-	}
-	if workers <= 1 {
-		for p := 0; p < planes; p++ {
-			if cancellable && ctx.Err() != nil {
-				return markErr(ErrCanceled, fmt.Errorf("codec: plane pipeline cancelled before plane %d: %w", p, ctx.Err()))
-			}
-			if err := fn(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	// Each worker writes only the slots it claimed; wg.Wait orders every
-	// write before the scan below, so the slice needs no further locking.
-	errs := make([]error, planes)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if cancellable && ctx.Err() != nil {
-					return
-				}
-				p := int(next.Add(1)) - 1
-				if p >= planes {
-					return
-				}
-				errs[p] = fn(p)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	l := planeLoops.Get().(*planeLoop)
+	l.ctx, l.fn = ctx, fn
+	l.errs = slices.Grow(l.errs[:0], planes)[:planes]
+	l.ran.Store(0)
+	tensor.ParallelPlanes(planes, l)
+	var err error
+	for _, e := range l.errs {
+		if e != nil {
+			err = e
+			break
 		}
 	}
-	if cancellable {
-		if err := ctx.Err(); err != nil {
-			claimed := int(next.Load())
-			if claimed > planes {
-				claimed = planes
-			}
-			return markErr(ErrCanceled, fmt.Errorf("codec: plane pipeline cancelled after claiming %d of %d planes: %w", claimed, planes, err))
-		}
+	ran := l.ran.Load()
+	clear(l.errs)
+	l.ctx, l.fn = nil, nil
+	planeLoops.Put(l)
+	if err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil {
+		return markErr(ErrCanceled, fmt.Errorf("codec: plane pipeline cancelled after running %d of %d planes: %w", ran, planes, err))
 	}
 	return nil
 }
@@ -330,7 +304,7 @@ func (f *planeFrame) group(ctx context.Context) (p0, p1 int, data []byte, err er
 }
 
 // decodePlanes decodes every plane into the h×w planes of out, each
-// group's planes concurrently on the worker pool, and releases the
+// group's planes concurrently on the plane pool, and releases the
 // frame. dec receives plane p's bytes and a zero-copy view of its
 // output plane; planes are disjoint, so the concurrent writes are
 // race-free.

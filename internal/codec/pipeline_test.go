@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -259,4 +260,65 @@ func TestGetScratchNoZero(t *testing.T) {
 			t.Fatal("no-zero scratch was cleared")
 		}
 	}
+}
+
+// TestSetMaxWorkersDuringFanOut moves the cap while an sz encode, a
+// dctc encode and a DecodeRange are running: the cap is one atomic
+// value, so under -race this reports nothing, and every decode still
+// matches.
+func TestSetMaxWorkersDuringFanOut(t *testing.T) {
+	defer SetMaxWorkers(SetMaxWorkers(0))
+	data, want := writeIndexedStream(t, false)
+	ix, err := OpenIndexedStream(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.NewRNG(3).Uniform(0, 1, 4, 3, 32, 32)
+	stop := make(chan struct{})
+	setter := make(chan struct{})
+	go func() {
+		defer close(setter)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			SetMaxWorkers(i % 3)
+			runtime.Gosched()
+		}
+	}()
+	errs := make(chan error, 3)
+	for _, spec := range []string{"sz:eb=1e-3", "dctc:cf=4"} {
+		go func() {
+			c, err := New(spec)
+			for i := 0; i < 10 && err == nil; i++ {
+				_, err = c.Compress(x)
+			}
+			errs <- err
+		}()
+	}
+	go func() {
+		for i := 0; i < 10; i++ {
+			outs, err := ix.DecodeRange(context.Background(), 0, ix.Len())
+			if err != nil {
+				errs <- err
+				return
+			}
+			for j := range outs {
+				if !outs[j].Equal(want[j]) {
+					errs <- fmt.Errorf("DecodeRange record %d differs", j)
+					return
+				}
+			}
+		}
+		errs <- nil
+	}()
+	for i := 0; i < 3; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	<-setter
 }

@@ -10,7 +10,6 @@ import (
 	"io"
 	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/telemetry"
@@ -163,7 +162,7 @@ type IndexedStream struct {
 	size    int64
 	entries []indexEntry
 	rebuilt bool
-	workers atomic.Int64 // DecodeRange's pool cap; 0 = GOMAXPROCS
+	workers atomic.Int64 // DecodeRange's width; 0 = GOMAXPROCS
 	codecs  codecCache
 }
 
@@ -382,9 +381,9 @@ func (ix *IndexedStream) Header(i int) (Header, error) {
 	return Header{Spec: e.spec, Shape: append([]int(nil), e.shape...)}, nil
 }
 
-// SetConcurrency caps DecodeRange's worker pool. n == 0 (the default)
-// means one worker per runtime.GOMAXPROCS(0); n ≥ 1 sets an explicit
-// cap. Unlike the sequential engines this may be changed at any time —
+// SetConcurrency sets how many records DecodeRange decodes at once on
+// the plane pool. n == 0 (the default) means one per
+// runtime.GOMAXPROCS(0); n ≥ 1 sets the width explicitly. Unlike the sequential engines this may be changed at any time —
 // it only affects subsequent DecodeRange calls.
 func (ix *IndexedStream) SetConcurrency(n int) error {
 	if n < 0 {
@@ -429,11 +428,40 @@ func (ix *IndexedStream) DecodeAt(ctx context.Context, i int) (*tensor.Tensor, e
 	return out, nil
 }
 
-// DecodeRange decodes records [lo, hi) concurrently on a bounded worker
-// pool (see SetConcurrency) and returns them in record order. On
-// failure the in-flight decodes are cancelled and the lowest-indexed
-// causal error is returned (cancellation fallout from sibling workers
-// does not mask it).
+// rangeJob is DecodeRange's job on the plane pool: pool index i decodes
+// record lo+i into its slot.
+type rangeJob struct {
+	ix     *IndexedStream
+	ctx    context.Context
+	cancel context.CancelFunc
+	lo     int
+	out    []*tensor.Tensor
+	errs   []error
+}
+
+// RunPlane decodes one record; a failure cancels the records not yet
+// started.
+func (j *rangeJob) RunPlane(i int) {
+	if j.ctx.Err() != nil {
+		return
+	}
+	t, err := j.ix.DecodeAt(j.ctx, j.lo+i)
+	if err != nil {
+		j.errs[i] = err
+		j.cancel()
+		return
+	}
+	j.out[i] = t
+	streamM.iRangeRecords.Inc()
+}
+
+// DecodeRange decodes records [lo, hi) concurrently on the plane pool,
+// one record per pool index at the width SetConcurrency sets, and
+// returns them in record order. Each record's own plane loop then finds
+// the pool busy and runs serially, so parallelism is never nested. On
+// failure the records not yet started are cancelled and the
+// lowest-indexed causal error is returned (cancellation fallout from
+// sibling records does not mask it).
 func (ix *IndexedStream) DecodeRange(ctx context.Context, lo, hi int) ([]*tensor.Tensor, error) {
 	if lo < 0 || hi > len(ix.entries) || lo > hi {
 		return nil, fmt.Errorf("codec: record range [%d,%d) outside [0,%d)", lo, hi, len(ix.entries))
@@ -442,45 +470,20 @@ func (ix *IndexedStream) DecodeRange(ctx context.Context, lo, hi int) ([]*tensor
 	if n == 0 {
 		return nil, ctx.Err()
 	}
-	workers := int(ix.workers.Load())
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
+	width := int(ix.workers.Load())
+	if width == 0 {
+		width = runtime.GOMAXPROCS(0)
 	}
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	out := make([]*tensor.Tensor, n)
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || wctx.Err() != nil {
-					return
-				}
-				t, err := ix.DecodeAt(wctx, lo+i)
-				if err != nil {
-					errs[i] = err
-					cancel()
-					return
-				}
-				out[i] = t
-				streamM.iRangeRecords.Inc()
-			}
-		}()
-	}
-	wg.Wait()
+	j := &rangeJob{ix: ix, ctx: wctx, cancel: cancel, lo: lo,
+		out: make([]*tensor.Tensor, n), errs: make([]error, n)}
+	tensor.ParallelPlanesWidth(n, width, j)
 	// Deterministic error selection: prefer the lowest-indexed causal
 	// failure; a sibling's cancellation fallout only surfaces when no
-	// worker recorded anything else.
+	// record failed otherwise.
 	var firstCancel error
-	for _, err := range errs {
+	for _, err := range j.errs {
 		if err == nil {
 			continue
 		}
@@ -497,5 +500,5 @@ func (ix *IndexedStream) DecodeRange(ctx context.Context, lo, hi int) ([]*tensor
 	if firstCancel != nil {
 		return nil, firstCancel
 	}
-	return out, nil
+	return j.out, nil
 }

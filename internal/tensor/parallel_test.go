@@ -3,6 +3,7 @@ package tensor
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestBatchedMatMulInto(t *testing.T) {
@@ -126,5 +127,33 @@ func TestParallelPlanesAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ParallelPlanes allocates %.1f objects per round, want 0", allocs)
+	}
+}
+
+// rendezvousJob's two planes each wait for the other to start, so both
+// meet only when they run at the same time.
+type rendezvousJob struct {
+	started [2]chan struct{}
+	met     atomic.Int32
+}
+
+func (j *rendezvousJob) RunPlane(p int) {
+	close(j.started[p])
+	select {
+	case <-j.started[1-p]:
+		j.met.Add(1)
+	case <-time.After(5 * time.Second):
+	}
+}
+
+// TestParallelPlanesWidthOverridesCap: a width the caller names is the
+// round's own — DecodeRange's records run that wide — and is not held
+// to SetMaxWorkers' cap, which binds only rounds that name none.
+func TestParallelPlanesWidthOverridesCap(t *testing.T) {
+	defer SetMaxWorkers(SetMaxWorkers(1))
+	j := &rendezvousJob{started: [2]chan struct{}{make(chan struct{}), make(chan struct{})}}
+	ParallelPlanesWidth(2, 2, j)
+	if got := j.met.Load(); got != 2 {
+		t.Fatalf("a width-2 round under cap 1 ran its planes one at a time (%d of 2 met)", got)
 	}
 }
