@@ -39,44 +39,14 @@ fi
 go test -race ./internal/...
 # Fan-out suite at one and four Ps: every indexed loop runs on tensor's
 # plane pool under SetMaxWorkers' cap, so the pool, forEachPlane, the
-# cap, DecodeRange, the matmuls and core's Into paths run once on the
-# serial fallback and once on a pool wider than a small host.
-go test -count=1 -cpu 1,4 -run 'Parallel|ForEachPlane|SetMaxWorkers|DecodeRange|IndexedMatchesSequential|Into|MatMul' \
+# cap, DecodeRange, the stream writer's rounds, the matmuls and core's
+# Into paths run once on the serial fallback and once on a pool wider
+# than a small host.
+go test -count=1 -cpu 1,4 -run 'Parallel|ForEachPlane|SetMaxWorkers|DecodeRange|IndexedMatchesSequential|StreamWriter|Into|MatMul' \
 	./internal/tensor/ ./internal/codec/ ./internal/core/
-# Time-boxed fuzzing of the decoders whose hot loops run on the
-# bitstream fast path: vle's FuzzDecode holds the fused-table decoder to
-# the symbol-by-symbol reference on every stream, and sz's
-# FuzzDecompress holds Decompress and DecompressInto to the same bits;
-# FuzzContainerDecode feeds mutated containers to the registry decoder,
-# which must return an error or a tensor consistent with the header,
-# never panic or allocate without bound. On the encode side, vle's
-# FuzzEncodeDecodeRoundTrip holds the branch-free tokenizer to the
-# reference encoder and requires Encode∘Decode to be the identity,
-# and sz's FuzzCompress holds the two-row quantizer to the cell-by-cell
-# reference byte for byte. FuzzStreamDecode and FuzzIndexedStream feed
-# mutated v2 streams to the sequential and the random-access reader;
-# every family decodes records through the same single decoder as
-# containers, so these reach each family's decode too. entropy's
-# FuzzDecode holds the block decoder to the bit-serial oracle on
-# arbitrary bytes, FuzzHufRoundTrip holds CompressHuf to its oracle
-# encoder, and FuzzRoundTrip holds the fse block encoder CompressHuf
-# calls to the oracle's. zfp's FuzzDecompress feeds arbitrary streams
-# to the bit-plane decoder, which must return finite floats or an
-# error, and FuzzRoundTripError holds the reconstruction error of any
-# finite block within its bound. A first slice of a fuzz run over every
-# Fuzz target in the repository (12 of 12).
-go test -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/vle/
-go test -run '^$' -fuzz '^FuzzEncodeDecodeRoundTrip$' -fuzztime 10s ./internal/vle/
-go test -run '^$' -fuzz FuzzDecompress -fuzztime 10s ./internal/sz/
-go test -run '^$' -fuzz '^FuzzCompress$' -fuzztime 10s ./internal/sz/
-go test -run '^$' -fuzz '^FuzzContainerDecode$' -fuzztime 10s ./internal/codec/
-go test -run '^$' -fuzz '^FuzzStreamDecode$' -fuzztime 10s ./internal/codec/
-go test -run '^$' -fuzz '^FuzzIndexedStream$' -fuzztime 10s ./internal/codec/
-go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/entropy/
-go test -run '^$' -fuzz '^FuzzHufRoundTrip$' -fuzztime 10s ./internal/entropy/
-go test -run '^$' -fuzz '^FuzzRoundTrip$' -fuzztime 10s ./internal/entropy/
-go test -run '^$' -fuzz '^FuzzDecompress$' -fuzztime 10s ./internal/zfp/
-go test -run '^$' -fuzz '^FuzzRoundTripError$' -fuzztime 10s ./internal/zfp/
+# A first slice of a fuzz run over every Fuzz target in the repository
+# (12 of 12, 10 s each; fuzz.sh says what each one holds).
+FUZZTIME=10s sh fuzz.sh
 # Kernel-dispatch suite with SIMD force-disabled: the portable
 # fallbacks must pass the same equivalence/golden tests the vector
 # paths do (on non-AVX2 hosts this is a harmless re-run).
@@ -93,9 +63,9 @@ go test ./internal/entropy/ -run TestZeroAllocSteadyState -count=1
 go test ./internal/core/ -run TestIntoPathZeroAllocs -count=1
 go test ./internal/codec/ -run TestRoundTripIntoAllocs -count=1
 # Telemetry alloc gates: the instrumented fused round trip must stay
-# 0 allocs/op with telemetry enabled, and the pipelined stream engine
-# must allocate no more with it on than off.
-go test ./internal/codec/ -run 'TestInstrumentedRoundTripIntoAllocs|TestStreamEngineTelemetryAllocNeutral' -count=1
+# 0 allocs/op with telemetry enabled, and the stream writer, at rounds
+# of two, must allocate exactly as much with it on as off.
+go test ./internal/codec/ -run 'TestInstrumentedRoundTripIntoAllocs|TestStreamWriterTelemetryAllocNeutral' -count=1
 
 # Telemetry neutrality: the golden byte streams and conformance suite
 # must pass identically with instrumentation on and off (the in-process

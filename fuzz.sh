@@ -1,0 +1,44 @@
+#!/bin/sh
+# Time-boxed fuzzing of every Fuzz target in the repository (12 of 12),
+# each for $FUZZTIME (default 10s): FUZZTIME=5m sh fuzz.sh runs a longer
+# campaign. Run from the repo root; exits nonzero on the first failure.
+#
+# vle's FuzzDecode holds the fused-table decoder to the symbol-by-symbol
+# reference on every stream, and sz's FuzzDecompress holds Decompress
+# and DecompressInto to the same bits; FuzzContainerDecode feeds mutated
+# containers to the registry decoder, which must return an error or a
+# tensor consistent with the header, never panic or allocate without
+# bound. On the encode side, vle's FuzzEncodeDecodeRoundTrip holds the
+# branch-free tokenizer to the reference encoder and requires
+# Encode∘Decode to be the identity, and sz's FuzzCompress holds the
+# two-row quantizer to the cell-by-cell reference byte for byte.
+# FuzzStreamDecode and FuzzIndexedStream feed mutated v2 streams to the
+# sequential and the random-access reader; every family decodes records
+# through the same single decoder as containers, so these reach each
+# family's decode too. entropy's FuzzDecode holds the block decoder to
+# the bit-serial oracle on arbitrary bytes, FuzzHufRoundTrip holds
+# CompressHuf to its oracle encoder, and FuzzRoundTrip holds the fse
+# block encoder CompressHuf calls to the oracle's. zfp's FuzzDecompress
+# feeds arbitrary streams to the bit-plane decoder, which must return
+# finite floats or an error, and FuzzRoundTripError holds the
+# reconstruction error of any finite block within its bound.
+set -eu
+cd "$(dirname "$0")"
+
+t=${FUZZTIME:-10s}
+fuzz() {
+	go test -run '^$' -fuzz "^$1\$" -fuzztime "$t" "$2"
+}
+
+fuzz FuzzDecode ./internal/vle/
+fuzz FuzzEncodeDecodeRoundTrip ./internal/vle/
+fuzz FuzzDecompress ./internal/sz/
+fuzz FuzzCompress ./internal/sz/
+fuzz FuzzContainerDecode ./internal/codec/
+fuzz FuzzStreamDecode ./internal/codec/
+fuzz FuzzIndexedStream ./internal/codec/
+fuzz FuzzDecode ./internal/entropy/
+fuzz FuzzHufRoundTrip ./internal/entropy/
+fuzz FuzzRoundTrip ./internal/entropy/
+fuzz FuzzDecompress ./internal/zfp/
+fuzz FuzzRoundTripError ./internal/zfp/

@@ -179,7 +179,7 @@ func requireRegions(t *testing.T, regions []faultinject.Region, want ...string) 
 
 // buildStream assembles a five-record v2 stream spanning several codec
 // families (and both plane framings). With parallel set, the records
-// run through the pipelined writer instead of the serial path; with
+// run through rounds of four instead of rounds of one; with
 // indexed set, the writer appends the index footer.
 func buildStream(t *testing.T, parallel, indexed bool) []byte {
 	t.Helper()
@@ -294,9 +294,9 @@ func TestV2FaultInjection(t *testing.T) {
 	t.Logf("verified %d mutants across %d regions", mutants, len(regions))
 }
 
-// TestV2ParallelWriterFraming cross-checks the pipelined stream writer
-// against this package's independent reading of the wire format: the
-// parallel writer's output must be byte-identical to the serial
+// TestV2ParallelWriterFraming cross-checks the stream writer at rounds
+// of four against this package's independent reading of the wire
+// format: its output must be byte-identical to the serial
 // writer's, scan to exactly the same structural regions, and decode
 // cleanly through the read-ahead reader.
 func TestV2ParallelWriterFraming(t *testing.T) {

@@ -283,9 +283,10 @@ func FuzzStreamDecode(f *testing.F) {
 	f.Add([]byte{0x41, 0x43, 0x43, 0x46, 2, 0, 0, 0, 'E'})
 	f.Add([]byte{0x41, 0x43, 0x43, 0x46, 2, 0, 0, 0, 'T', 0xFF, 0xFF})
 
-	// Pipelined-writer seeds: the same records through the concurrent
-	// engine (byte-identical by contract, but seeded independently so a
-	// framing regression in either path surfaces here), plus a jpegq
+	// Pipelined-writer seeds: the same records through rounds of four
+	// under a tight budget (byte-identical by contract, but seeded
+	// independently so a framing regression in either path surfaces
+	// here), plus a jpegq
 	// record and the minimum chunk size to vary the chunk framing.
 	var pbuf bytes.Buffer
 	pw := NewStreamWriter(&pbuf)
@@ -293,7 +294,7 @@ func FuzzStreamDecode(f *testing.F) {
 	if err := pw.SetConcurrency(4); err != nil {
 		f.Fatal(err)
 	}
-	pw.eng.budget = 8 << 10
+	pw.budget = 8 << 10
 	img := tensor.New(1, 1, 8, 8)
 	for i := range img.Data() {
 		img.Data()[i] = float32(i%17) / 17

@@ -126,8 +126,7 @@ var streamM = struct {
 	wRecords  *telemetry.Counter   // records emitted to the sink
 	wBytesIn  *telemetry.Counter   // uncompressed bytes admitted
 	wBytesOut *telemetry.Counter   // encoded payload bytes emitted
-	wInflight *telemetry.Gauge     // bytes admitted but not yet emitted
-	wWorkers  *telemetry.Gauge     // encode workers currently busy
+	wInflight *telemetry.Gauge     // bytes admitted to an open round
 	wEncodeNs *telemetry.Histogram // per-record encode latency
 
 	rRecords  *telemetry.Counter // records parsed (header verified)
@@ -143,7 +142,6 @@ var streamM = struct {
 	iRebuilds     *telemetry.Counter   // indexes rebuilt by sequential header walk
 	iSeeks        *telemetry.Counter   // DecodeAt calls (incl. those fanned out by DecodeRange)
 	iRangeRecords *telemetry.Counter   // records decoded through DecodeRange
-	iFooterSkips  *telemetry.Counter   // sequential Skips served by a footer seek
 	iSeekNs       *telemetry.Histogram // per-record seek+decode latency
 }{
 	wAdmitted: telemetry.NewCounter("stream.writer.records_admitted"),
@@ -151,7 +149,6 @@ var streamM = struct {
 	wBytesIn:  telemetry.NewCounter("stream.writer.uncompressed_bytes"),
 	wBytesOut: telemetry.NewCounter("stream.writer.payload_bytes"),
 	wInflight: telemetry.NewGauge("stream.writer.inflight_bytes"),
-	wWorkers:  telemetry.NewGauge("stream.writer.busy_workers"),
 	wEncodeNs: telemetry.NewHistogram("stream.writer.encode_ns"),
 
 	rRecords:  telemetry.NewCounter("stream.reader.records"),
@@ -167,6 +164,5 @@ var streamM = struct {
 	iRebuilds:     telemetry.NewCounter("stream.index.rebuilds"),
 	iSeeks:        telemetry.NewCounter("stream.index.seeks"),
 	iRangeRecords: telemetry.NewCounter("stream.index.range_records"),
-	iFooterSkips:  telemetry.NewCounter("stream.index.footer_skips"),
 	iSeekNs:       telemetry.NewHistogram("stream.index.seek_ns"),
 }

@@ -139,8 +139,8 @@ func TestFSEIsDecodeOnly(t *testing.T) {
 		}
 		err := sw.WriteTensor(ctx, fse, x)
 		if workers > 1 {
-			// The pipelined writer may accept the record and report the
-			// encode failure only at Close, which also stops its workers.
+			// A record that does not close its round is only admitted:
+			// its encode failure surfaces at Close, which closes the round.
 			if cerr := sw.Close(); err == nil {
 				err = cerr
 			}
@@ -331,8 +331,8 @@ func TestLosslessHufShrinksWeights(t *testing.T) {
 	}
 }
 
-// TestStagedStream runs staged records through the v2 stream engine
-// with the pipelined writer and read-ahead reader, mixed with unstaged
+// TestStagedStream runs staged records through the v2 stream writer at
+// rounds of four and the read-ahead reader, mixed with unstaged
 // records — the entropy stage must ride SetConcurrency/SetReadAhead
 // unchanged, and markers must match the specs.
 func TestStagedStream(t *testing.T) {

@@ -8,9 +8,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
@@ -82,71 +82,69 @@ const (
 const planeGroupBytes = 1 << 20
 
 // StreamWriter frames a sequence of tensors as ACCF v2 records on w.
-// By default records are encoded serially as WriteTensor is called,
-// buffering one record's payload at a time (peak memory is bounded by
-// the largest single tensor's payload), never the stream.
-// SetConcurrency enables the pipelined engine: records encode on a
-// worker pool and are emitted strictly in WriteTensor order, producing
-// a byte-identical stream (see stream_parallel.go).
+// WriteTensor admits each record into a round; the call that closes a
+// round encodes its records on the plane pool and emits them in
+// WriteTensor order (see SetConcurrency). By default a round holds one
+// record, so each record is encoded and written before WriteTensor
+// returns, and the writer buffers one record's payload at a time, never
+// the stream.
 //
-// A failed write to w poisons the writer in either mode: every later
+// A failed encode or write to w poisons the writer: every later
 // WriteTensor and Close returns the first failure, and Close writes no
 // index footer and no end marker, so the truncation is visible to
 // readers.
 type StreamWriter struct {
-	w       io.Writer
-	chunk   int
+	w     io.Writer
+	chunk int
+	// started flips on the first WriteTensor and freezes configuration.
 	started bool
 	closed  bool
-	// locked flips on the first WriteTensor and freezes configuration.
-	// It is owned by the caller's goroutine — unlike started, which the
-	// pipelined engine's emitter goroutine writes.
-	locked  bool
-	records atomic.Int64
-	eng     *swEngine
+	records int
 	// head is WriteTensor's scratch for a record's frame head, checked
-	// before the encode. Owned by the caller's goroutine, like locked.
+	// before the record is admitted.
 	head []byte
 
-	// off is the running byte offset of the stream: every write to w
-	// passes through writeStreamHeader, emitRecord, or Close, each of
-	// which advances it. With the pipelined engine only the emitter
-	// goroutine touches it mid-stream; Close reads it after drain.
+	// width is the round size SetConcurrency sets (0 = GOMAXPROCS until
+	// the first WriteTensor resolves it), and budget caps the
+	// uncompressed bytes a round holds; inflight is what the open round
+	// holds and maxInFlight its high-water mark.
+	width       int
+	budget      int64
+	round       writeRound
+	inflight    int64
+	maxInFlight int64
+
+	// off is the running byte offset of the stream, 0 until the stream
+	// header is written: every write to w passes through
+	// writeStreamHeader, emitRecord, or finish, each of which advances it.
 	off int64
 	// indexOn, set by SetIndex, makes Close emit the index footer;
 	// emitRecord accumulates one index entry per record while it is set.
 	indexOn bool
 	index   []indexEntry
 
-	// err is the writer's sticky failure as the caller's goroutine sees
-	// it: a serial record write, the engine's first failure once Close
-	// has drained it, or a write of Close's tail. While the engine runs
-	// it latches its own failures (swEngine.err).
+	// err is the writer's sticky failure: a record's encode, a write to
+	// w, or a write of Close's tail.
 	err error
 }
 
-// noteAdmitted counts one accepted record of cost uncompressed bytes.
-// Called by the serial WriteTensor path and by the engine once
-// admission succeeds.
-func noteAdmitted(cost int64) {
-	streamM.wAdmitted.Inc()
-	streamM.wBytesIn.Add(uint64(cost))
-}
+// defaultMaxInFlightBytes bounds the uncompressed bytes of one round.
+// 64 MiB keeps a handful of large training batches in a round without
+// letting a wide round grow the heap unboundedly.
+const defaultMaxInFlightBytes = 64 << 20
 
 // NewStreamWriter returns a StreamWriter targeting w. The stream header
 // is written lazily on the first record (or Close).
 func NewStreamWriter(w io.Writer) *StreamWriter {
-	return &StreamWriter{w: w, chunk: defaultStreamChunk}
+	return &StreamWriter{w: w, chunk: defaultStreamChunk, width: 1, budget: defaultMaxInFlightBytes}
 }
 
 // SetChunkSize overrides the payload chunk size, clamped to
 // [4 KiB, 64 MiB]. Smaller chunks localize corruption and lower the
 // reader's transient buffer; larger chunks shave framing overhead.
-// Must be called before the first WriteTensor (later calls are
-// ignored: with the pipelined engine the emitter goroutine owns the
-// chunk size once records are in flight).
+// Must be called before the first WriteTensor; later calls are ignored.
 func (sw *StreamWriter) SetChunkSize(n int) {
-	if sw.locked {
+	if sw.started {
 		return
 	}
 	if n < minStreamChunk {
@@ -158,10 +156,36 @@ func (sw *StreamWriter) SetChunkSize(n int) {
 	sw.chunk = n
 }
 
-// Records reports how many tensor records have been written. With the
-// pipelined engine enabled this counts emitted records, which may trail
+// SetConcurrency sets the writer's round size: how many records are
+// admitted before the WriteTensor call that closes the round encodes
+// them together on the plane pool, one record per pool index. n == 1
+// (the default) encodes and writes each record in its own WriteTensor
+// call; n == 0 means runtime.GOMAXPROCS(0) at the first WriteTensor.
+// Must be called before the first WriteTensor.
+//
+// With n > 1, WriteTensor returns after admitting a record that does
+// not close its round: that record's encode error surfaces on the call
+// that closes the round or on Close, and the caller must not mutate an
+// admitted tensor until Close returns. A round also closes early when
+// the next record would push its uncompressed bytes past 64 MiB, so a
+// wide round cannot grow the heap without bound; a record larger than
+// that goes in a round of its own. The stream is byte-identical at
+// every n.
+func (sw *StreamWriter) SetConcurrency(n int) error {
+	if sw.started || sw.closed {
+		return fmt.Errorf("codec: SetConcurrency must be called before the first WriteTensor")
+	}
+	if n < 0 {
+		return fmt.Errorf("codec: negative concurrency %d", n)
+	}
+	sw.width = n
+	return nil
+}
+
+// Records reports how many tensor records have been written. With a
+// round size above one this counts emitted records, which may trail
 // WriteTensor calls until Close.
-func (sw *StreamWriter) Records() int { return int(sw.records.Load()) }
+func (sw *StreamWriter) Records() int { return sw.records }
 
 // SetIndex enables (or disables) the index footer: with it on, Close
 // emits a CRC-protected table of every record's byte offset, payload
@@ -171,7 +195,7 @@ func (sw *StreamWriter) Records() int { return int(sw.records.Load()) }
 // it, and streams written without it are byte-identical to pre-index
 // writers. Must be called before the first WriteTensor.
 func (sw *StreamWriter) SetIndex(on bool) error {
-	if sw.locked || sw.closed {
+	if sw.started || sw.closed {
 		return fmt.Errorf("codec: SetIndex must be called before the first WriteTensor")
 	}
 	sw.indexOn = on
@@ -187,7 +211,6 @@ func (sw *StreamWriter) writeStreamHeader() error {
 		return fmt.Errorf("codec: writing stream header: %w", err)
 	}
 	sw.off += int64(len(hdr))
-	sw.started = true
 	return nil
 }
 
@@ -201,35 +224,93 @@ func (sw *StreamWriter) WriteTensor(ctx context.Context, c Codec, x *tensor.Tens
 	if sw.err != nil {
 		return sw.err
 	}
-	sw.locked = true
+	if !sw.started {
+		sw.started = true
+		if sw.width == 0 {
+			sw.width = runtime.GOMAXPROCS(0)
+		}
+	}
 	impl, ok := c.(*codecImpl)
 	if !ok {
 		return fmt.Errorf("codec: %T is not a registry codec", c)
 	}
 	shape := x.Shape()
-	// Check the head before encoding: a shape no reader accepts fails
+	// Check the head before admitting: a shape no reader accepts fails
 	// here, without poisoning the writer.
 	var err error
 	if sw.head, err = appendFrameHead(sw.head[:0], frameHead{Header: Header{Spec: impl.spec, Shape: shape}, staged: specHasStages(impl.spec)}); err != nil {
 		return err
 	}
-	if sw.eng != nil {
-		return sw.eng.submit(ctx, impl, shape, x)
+	cost := int64(x.SizeBytes())
+	if len(sw.round.recs) > 0 && sw.inflight+cost > sw.budget {
+		if err := sw.flush(); err != nil {
+			return err
+		}
 	}
-	payload, err := impl.encodePayload(ctx, x)
-	if err != nil {
-		return err
+	sw.round.recs = append(sw.round.recs, pendingRecord{ctx: ctx, c: impl, x: x, shape: shape})
+	sw.inflight += cost
+	sw.maxInFlight = max(sw.maxInFlight, sw.inflight)
+	streamM.wInflight.Add(cost)
+	if len(sw.round.recs) < sw.width {
+		return nil
 	}
-	noteAdmitted(int64(x.SizeBytes()))
-	sw.err = sw.emitRecord(impl.spec, shape, payload)
+	return sw.flush()
+}
+
+// pendingRecord is one admitted record: its encode inputs, then the
+// encode's result.
+type pendingRecord struct {
+	ctx     context.Context
+	c       *codecImpl // full codec: the encode runs the entropy stage too
+	x       *tensor.Tensor
+	shape   []int
+	payload []byte
+	err     error
+}
+
+// writeRound is the writer's job on the plane pool: pool index i
+// encodes the round's record i into its slot. The writer keeps one and
+// reuses its slots, so closing a round allocates nothing to fan out.
+type writeRound struct{ recs []pendingRecord }
+
+// RunPlane encodes one record.
+func (r *writeRound) RunPlane(i int) {
+	p := &r.recs[i]
+	ts := telemetry.NowNanos()
+	p.payload, p.err = p.c.encodePayload(p.ctx, p.x)
+	streamM.wEncodeNs.ObserveSince(ts)
+}
+
+// flush closes the round: its records encode on the plane pool, at
+// most width at once, and each record's own plane loop then finds the
+// pool busy and runs serially, so parallelism is never nested. The
+// records are then emitted in WriteTensor order on the caller's
+// goroutine; the first failure in that order poisons the writer and
+// nothing after it is written. A record counts as admitted only once
+// its encode succeeded.
+func (sw *StreamWriter) flush() error {
+	recs := sw.round.recs
+	tensor.ParallelPlanesWidth(len(recs), sw.width, &sw.round)
+	for i := range recs {
+		p := &recs[i]
+		if sw.err == nil {
+			if sw.err = p.err; sw.err == nil {
+				streamM.wAdmitted.Inc()
+				streamM.wBytesIn.Add(uint64(p.x.SizeBytes()))
+				sw.err = sw.emitRecord(p.c.spec, p.shape, p.payload)
+			}
+		}
+		recs[i] = pendingRecord{} // drop the tensor and payload
+	}
+	sw.round.recs = recs[:0]
+	streamM.wInflight.Add(-sw.inflight)
+	sw.inflight = 0
 	return sw.err
 }
 
 // emitRecord frames one encoded payload as a tensor record: the lazily
 // written stream header, the CRC-protected record header, then the
-// chunked payload. Both the serial path and the pipelined engine's
-// ordered emitter call this, so their byte output is identical by
-// construction.
+// chunked payload.
 func (sw *StreamWriter) emitRecord(spec string, shape []int, payload []byte) error {
 	marker := recordMarker(spec)
 	// Record header: marker..payload-length, then its CRC.
@@ -240,7 +321,7 @@ func (sw *StreamWriter) emitRecord(spec string, shape []int, payload []byte) err
 		return err
 	}
 	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
-	if !sw.started {
+	if sw.off == 0 {
 		if err := sw.writeStreamHeader(); err != nil {
 			return err
 		}
@@ -277,7 +358,7 @@ func (sw *StreamWriter) emitRecord(spec string, shape []int, payload []byte) err
 			shape:  append([]int(nil), shape...),
 		})
 	}
-	sw.records.Add(1)
+	sw.records++
 	streamM.wRecords.Inc()
 	streamM.wBytesOut.Add(uint64(len(payload)))
 	return nil
@@ -292,11 +373,11 @@ func recordMarker(spec string) byte {
 	return recTensor
 }
 
-// Close terminates the stream with the end-of-stream marker. With the
-// pipelined engine enabled it first waits for every in-flight record to
-// encode and emit; an engine failure is returned here (and the end
-// marker withheld, so the truncation is visible to readers). It does
-// not close the underlying writer.
+// Close terminates the stream with the end-of-stream marker, after
+// encoding and emitting the last, partial round. A failure — that
+// round's or an earlier one — is returned here and the end marker
+// withheld, so the truncation is visible to readers. It does not close
+// the underlying writer.
 func (sw *StreamWriter) Close() error {
 	if sw.closed {
 		return nil
@@ -304,10 +385,8 @@ func (sw *StreamWriter) Close() error {
 	if sw.err != nil {
 		return sw.err
 	}
-	if sw.eng != nil {
-		if sw.err = sw.eng.drain(); sw.err != nil {
-			return sw.err
-		}
+	if err := sw.flush(); err != nil {
+		return err
 	}
 	if sw.err = sw.finish(); sw.err != nil {
 		return sw.err
@@ -319,7 +398,7 @@ func (sw *StreamWriter) Close() error {
 // finish writes the stream's tail: the header of an empty stream, the
 // index footer when enabled, and the end-of-stream marker.
 func (sw *StreamWriter) finish() error {
-	if !sw.started {
+	if sw.off == 0 {
 		if err := sw.writeStreamHeader(); err != nil {
 			return err
 		}
@@ -352,20 +431,9 @@ type StreamReader struct {
 
 // NewStreamReader validates the stream header and returns a reader
 // positioned before the first record.
-//
-// When r also implements io.Seeker, the constructor loads the stream's
-// optional index footer before the first sequential read: with the
-// footer loaded, Skip seeks directly past a record's payload instead of
-// draining its chunks. The probe is best-effort — a missing or
-// malformed footer just leaves the reader in plain sequential mode.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	sr := &StreamReader{}
 	sr.recordCursor = recordCursor{br: bufio.NewReaderSize(r, 64<<10), codecs: new(codecCache)}
-	if rs, ok := r.(io.ReadSeeker); ok {
-		if err := sr.attachIndex(rs); err != nil {
-			return nil, err
-		}
-	}
 	var fixed [8]byte
 	if err := sr.readFull(fixed[:]); err != nil {
 		return nil, fmt.Errorf("codec: reading stream header: %w", err)
@@ -439,13 +507,9 @@ type recordCursor struct {
 
 	// src, when non-nil, is the whole stream as an io.ReaderAt of length
 	// size, addressed by stream offset: seek re-windows the cursor
-	// through it. A sequential reader over an unseekable source has none.
+	// through it. The sequential StreamReader has none.
 	src  io.ReaderAt
 	size int64
-	// index is the loaded footer's entry table and footOff the footer's
-	// offset: with them skipRecord seeks past payloads (trySeekSkip).
-	index   []indexEntry
-	footOff int64
 	// walk marks the index rebuild: footers and payloads are passed by
 	// their framing alone, never read or CRC-checked.
 	walk bool
@@ -453,50 +517,10 @@ type recordCursor struct {
 	codecs *codecCache
 }
 
-// attachIndex loads the index footer of a seekable source before the
-// first sequential read, so skipRecord can seek past payloads. The
-// stream starts at the source's current position; a source that is not
-// also an io.ReaderAt is read at offsets by seeking. Any footer failure
-// leaves the cursor sequential — the walk still verifies the footer
-// inline when it reaches the 'I' record — and only failing to restore
-// the source position is fatal.
-func (c *recordCursor) attachIndex(rs io.ReadSeeker) error {
-	base, err := rs.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return nil // claims io.Seeker but cannot seek: stay sequential
-	}
-	if end, err := rs.Seek(0, io.SeekEnd); err == nil {
-		ra, ok := rs.(io.ReaderAt)
-		if !ok {
-			ra = seekReaderAt{rs}
-		}
-		src := io.NewSectionReader(ra, base, end-base)
-		if index, footOff, err := loadIndex(src, end-base); err == nil {
-			c.src, c.size, c.index, c.footOff = src, end-base, index, footOff
-		}
-	}
-	if _, err := rs.Seek(base, io.SeekStart); err != nil {
-		return fmt.Errorf("codec: restoring stream position after index probe: %w", err)
-	}
-	return nil
-}
-
-// seekReaderAt reads an io.ReadSeeker at offsets by seeking first. The
-// cursor that owns it is single-goroutine, so the shared position is
-// never raced.
-type seekReaderAt struct{ rs io.ReadSeeker }
-
-func (s seekReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	if _, err := s.rs.Seek(off, io.SeekStart); err != nil {
-		return 0, err
-	}
-	return io.ReadFull(s.rs, p)
-}
-
 // seek repositions the cursor at stream offset off: a target inside the
 // buffered window is discarded to, anything else re-windows src at off.
-// It is the one positioning step of the index paths — a footer-served
-// Skip, a DecodeAt, and the rebuild walk's payload hops.
+// It is the one positioning step of the index paths — a DecodeAt and
+// the rebuild walk's payload hops.
 func (c *recordCursor) seek(off int64) {
 	if d := off - c.off; d >= 0 && d < int64(c.br.Buffered()) {
 		c.br.Discard(int(d))
@@ -737,8 +761,7 @@ func (c *recordCursor) decodeRecord(ctx context.Context) (*tensor.Tensor, error)
 }
 
 // skipRecord discards the pending record's payload: the rebuild walk
-// hops its chunk headers, a cursor with a loaded index seeks straight to
-// the next record in O(1), and otherwise the chunks are drained with
+// hops its chunk headers, and otherwise the chunks are drained with
 // every chunk CRC verified along the way.
 func (c *recordCursor) skipRecord() error {
 	if c.err != nil {
@@ -747,8 +770,7 @@ func (c *recordCursor) skipRecord() error {
 	if c.cur == nil {
 		return nil
 	}
-	switch {
-	case c.walk:
+	if c.walk {
 		// Hop the chunk headers alone: each chunk length is validated
 		// and its bytes jumped, never read or CRC-checked. A hop past
 		// the end of the stream fails the next read as a truncation.
@@ -758,7 +780,7 @@ func (c *recordCursor) skipRecord() error {
 			}
 			c.seek(c.off + int64(p.chunkLeft))
 		}
-	case !c.trySeekSkip():
+	} else {
 		for c.cur.len() > 0 {
 			if _, err := c.cur.next(min(c.cur.len(), 32<<10)); err != nil {
 				return err
@@ -767,34 +789,6 @@ func (c *recordCursor) skipRecord() error {
 	}
 	c.cur = nil
 	return nil
-}
-
-// trySeekSkip serves a skip from the loaded index: the next record's
-// offset (or the footer's, after the last record) is in the table, so
-// the pending payload's chunks need not be read at all. It returns
-// false — leaving the payload to the CRC-verifying drain — when no
-// index is loaded, the record is beyond the table, or the table
-// disagrees with the record the cursor actually parsed. The skipped
-// chunk CRCs go unverified by construction; a lying footer cannot
-// produce wrong output, because whatever the seek lands on must still
-// parse as a record marker with a CRC-verified header.
-func (c *recordCursor) trySeekSkip() bool {
-	i := c.rec - 1 // entries are in record order; rec is 1-based
-	if i < 0 || i >= len(c.index) || c.index[i].off != c.markOff {
-		return false
-	}
-	next := c.footOff
-	if i+1 < len(c.index) {
-		next = c.index[i+1].off
-	}
-	// The gap must at least hold the undelivered payload; anything less
-	// means the table and the stream disagree.
-	if next-c.off < int64(c.cur.len()) {
-		return false
-	}
-	c.seek(next)
-	streamM.iFooterSkips.Inc()
-	return true
 }
 
 // noEOF maps a bare io.EOF to io.ErrUnexpectedEOF: inside a record (or

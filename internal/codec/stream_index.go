@@ -118,8 +118,8 @@ func encodeIndexFooter(entries []indexEntry) ([]byte, error) {
 }
 
 // writeIndexFooter emits the accumulated index as the stream's last
-// record before the end marker. Called by Close with the pipelined
-// engine already drained, so sw.index and sw.off are settled.
+// record before the end marker. Called by Close after the last round
+// is emitted, so sw.index and sw.off are settled.
 func (sw *StreamWriter) writeIndexFooter() error {
 	foot, err := encodeIndexFooter(sw.index)
 	if err != nil {
@@ -204,13 +204,11 @@ func OpenIndexedStream(r io.ReaderAt, size int64) (*IndexedStream, error) {
 	return ix, nil
 }
 
-// loadIndex is the one reader of the index footer, serving both
-// OpenIndexedStream and the sequential reader's footer-served Skip. src
-// holds the whole stream at offsets [0, size) — a stream embedded in a
-// larger source is rebased by an io.SectionReader. It returns the
-// validated entry table and the footer's offset. A missing or malformed
-// footer returns an error wrapping errNoFooter; any other error is an
-// I/O failure of the source.
+// loadIndex is the one reader of the index footer, for
+// OpenIndexedStream. src holds the whole stream at offsets [0, size).
+// It returns the validated entry table and the footer's offset. A
+// missing or malformed footer returns an error wrapping errNoFooter;
+// any other error is an I/O failure of the source.
 func loadIndex(src io.ReaderAt, size int64) ([]indexEntry, int64, error) {
 	if size < 8+minIndexFooter+1 {
 		return nil, 0, errNoFooter

@@ -5,10 +5,8 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"io"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -129,10 +127,10 @@ func TestIndexFooterRoundTrip(t *testing.T) {
 	}
 }
 
-// TestIndexedParallelWriterByteIdentical: the pipelined writer with the
-// index enabled produces byte-identical output to the serial writer —
-// offsets accumulated through the emitter goroutine match the serial
-// path's exactly.
+// TestIndexedParallelWriterByteIdentical: a writer with rounds of four
+// and the index enabled produces byte-identical output to the serial
+// writer — offsets accumulated as each round is emitted match the
+// serial path's exactly.
 func TestIndexedParallelWriterByteIdentical(t *testing.T) {
 	serial, _ := writeIndexedStream(t, false)
 	parallel, _ := writeIndexedStream(t, true)
@@ -591,173 +589,6 @@ func TestSkipUnderReadAheadStats(t *testing.T) {
 	}
 }
 
-// forgeEntryOffset shifts index entry idx's offset field by delta and
-// recomputes the footer CRC: a structurally valid footer that lies
-// about where a record starts.
-func forgeEntryOffset(tb testing.TB, data []byte, idx int, delta uint64) []byte {
-	tb.Helper()
-	mut := append([]byte(nil), data...)
-	s := binary.LittleEndian.Uint32(mut[len(mut)-9:])
-	footOff := len(mut) - 1 - int(s)
-	n := int(binary.LittleEndian.Uint32(mut[footOff+1:]))
-	p := footOff + 5 + 4 // past marker, body length, entry count
-	for i := 0; i < idx; i++ {
-		specLen := int(binary.LittleEndian.Uint16(mut[p+17:]))
-		rank := int(mut[p+19+specLen])
-		p += 19 + specLen + 1 + 4*rank
-	}
-	off := binary.LittleEndian.Uint64(mut[p:])
-	binary.LittleEndian.PutUint64(mut[p:], off+delta)
-	binary.LittleEndian.PutUint32(mut[footOff+5+n:], crc32.ChecksumIEEE(mut[footOff:footOff+5+n]))
-	return mut
-}
-
-// TestFooterAwareSkip: with a seekable source and an index footer, Skip
-// seeks past payloads in O(1) — the skipped chunks are never read, so
-// their corruption goes unseen and they stay out of the chunk/byte
-// counters — while unseekable sources keep the CRC-verifying drain. A
-// forged footer may cost a fast skip or kill the stream with a
-// position-bearing error, but never yields wrong output.
-func TestFooterAwareSkip(t *testing.T) {
-	counted := countingOn(t)
-	ctx := context.Background()
-	data, want := writeIndexedStream(t, false)
-
-	type result struct {
-		outs   map[int]*tensor.Tensor
-		counts map[string]uint64 // stream counters the run moved
-	}
-	run := func(t *testing.T, r io.Reader) result {
-		t.Helper()
-		before := telemetry.Default().Snapshot()
-		sr, err := NewStreamReader(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := result{outs: map[int]*tensor.Tensor{}}
-		for i := 0; ; i++ {
-			_, err := sr.Next()
-			if err == io.EOF {
-				if i != len(want) {
-					t.Fatalf("reader saw %d records, want %d", i, len(want))
-				}
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i%2 == 0 {
-				if err := sr.Skip(); err != nil {
-					t.Fatalf("Skip(%d): %v", i, err)
-				}
-				continue
-			}
-			out, err := sr.Decode(ctx)
-			if err != nil {
-				t.Fatalf("Decode(%d): %v", i, err)
-			}
-			res.outs[i] = out
-		}
-		res.counts = countersSince(before)
-		return res
-	}
-
-	seek := run(t, bytes.NewReader(data))                       // seekable: tail probe loads the footer
-	drain := run(t, struct{ io.Reader }{bytes.NewReader(data)}) // unseekable: sequential drain
-
-	// Decodes after a seek-skip are unaffected.
-	for i, out := range seek.outs {
-		requireSameTensor(t, fmt.Sprintf("record %d after seek-skip", i), out, want[i])
-		requireSameTensor(t, fmt.Sprintf("record %d drain/seek agreement", i), out, drain.outs[i])
-	}
-
-	// A footer-served Skip reads none of the skipped payload: with record
-	// 0's last payload byte flipped, the seekable reader still passes it,
-	// while the drain must read it and fail that chunk's CRC.
-	ix, err := OpenIndexedStream(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	corrupt := append([]byte(nil), data...)
-	corrupt[ix.entries[1].off-1] ^= 0xFF
-	sr, err := NewStreamReader(bytes.NewReader(corrupt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sr.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sr.Skip(); err != nil {
-		t.Fatalf("footer-served Skip over a corrupt payload: %v", err)
-	}
-	sr, err = NewStreamReader(struct{ io.Reader }{bytes.NewReader(corrupt)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sr.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sr.Skip(); !errors.Is(err, ErrCRC) {
-		t.Fatalf("draining Skip over a corrupt payload: err %v, want a CRC failure", err)
-	}
-
-	// Forged footer, case 1: the entry for the record being skipped lies
-	// about its own offset. The marker-offset cross-check rejects the
-	// seek and the CRC-verifying drain takes over; everything decodes.
-	f0 := run(t, bytes.NewReader(forgeEntryOffset(t, data, 0, 3)))
-	for i, out := range f0.outs {
-		requireSameTensor(t, fmt.Sprintf("record %d under forged entry0", i), out, want[i])
-	}
-
-	// Forged footer, case 2: the *next* record's entry lies, so the seek
-	// lands inside record 1's header. The next read must die on a
-	// position-bearing framing error — wrong output is not an option.
-	sr, err = NewStreamReader(bytes.NewReader(forgeEntryOffset(t, data, 1, 3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sr.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sr.Skip(); err != nil { // the seek itself cannot tell
-		t.Fatalf("Skip toward a forged target: %v", err)
-	}
-	if _, err := sr.Next(); err == nil || !strings.Contains(err.Error(), "offset") {
-		t.Fatalf("Next after a forged-offset seek: err %v, want a position-bearing error", err)
-	}
-
-	if !counted {
-		t.Skip("telemetry compiled out (acc_notelemetry)")
-	}
-	const skipsName = "stream.index.footer_skips"
-	skips := uint64((len(want) + 1) / 2)
-	if got := seek.counts[skipsName]; got != skips {
-		t.Errorf("seekable reader footer_skips = %d, want %d", got, skips)
-	}
-	if got := drain.counts[skipsName]; got != 0 {
-		t.Errorf("unseekable reader footer_skips = %d, want 0", got)
-	}
-	if got := f0.counts[skipsName]; got != skips-1 {
-		t.Errorf("forged-entry0 footer_skips = %d, want %d (record 0 must fall back to the drain)", got, skips-1)
-	}
-	// Counter exactness: the drain reads (and counts) every chunk of
-	// every record; the seek path must count only the decoded records'
-	// chunks.
-	seekChunks, drainChunks := seek.counts["stream.reader.chunks"], drain.counts["stream.reader.chunks"]
-	if drainChunks < uint64(len(want)) {
-		t.Fatalf("drain path saw %d chunks across %d records", drainChunks, len(want))
-	}
-	if seekChunks >= drainChunks {
-		t.Errorf("seek path counted %d chunks, drain %d: skipped chunks leaked into the counters", seekChunks, drainChunks)
-	}
-	if s, d := seek.counts["stream.reader.payload_bytes"], drain.counts["stream.reader.payload_bytes"]; s >= d {
-		t.Errorf("seek path counted %d payload bytes, drain %d", s, d)
-	}
-	if s, d := seek.counts["stream.reader.records"], drain.counts["stream.reader.records"]; s != uint64(len(want)) || d != uint64(len(want)) {
-		t.Errorf("records = %d (seek) / %d (drain), want %d", s, d, len(want))
-	}
-}
-
 // TestDecodeRangeCancellation: a cancelled context aborts the fan-out
 // with a cancellation-kinded error.
 func TestDecodeRangeCancellation(t *testing.T) {
@@ -860,62 +691,5 @@ func TestSetConcurrencyDuringDecodeRange(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestFooterAwareSkipRebasedAndAdapted: the footer-served Skip works for
-// a stream embedded at a nonzero offset of its source (entry offsets
-// stay stream-relative) and for an io.ReadSeeker that is not also an
-// io.ReaderAt (read at offsets by seeking), with every decode intact.
-func TestFooterAwareSkipRebasedAndAdapted(t *testing.T) {
-	counted := countingOn(t)
-	ctx := context.Background()
-	data, want := writeIndexedStream(t, false)
-	const prefix = 100
-	embedded := append(make([]byte, prefix), data...)
-	for _, tc := range []struct {
-		name string
-		src  func() io.ReadSeeker
-	}{
-		{"embedded", func() io.ReadSeeker {
-			r := bytes.NewReader(embedded)
-			if _, err := r.Seek(prefix, io.SeekStart); err != nil {
-				t.Fatal(err)
-			}
-			return r
-		}},
-		{"seek-only", func() io.ReadSeeker { return struct{ io.ReadSeeker }{bytes.NewReader(data)} }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			before := telemetry.Default().Snapshot()
-			sr, err := NewStreamReader(tc.src())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; ; i++ {
-				if _, err := sr.Next(); err == io.EOF {
-					break
-				} else if err != nil {
-					t.Fatal(err)
-				}
-				if i%2 == 0 {
-					if err := sr.Skip(); err != nil {
-						t.Fatalf("Skip(%d): %v", i, err)
-					}
-					continue
-				}
-				out, err := sr.Decode(ctx)
-				if err != nil {
-					t.Fatalf("Decode(%d): %v", i, err)
-				}
-				requireSameTensor(t, fmt.Sprintf("record %d", i), out, want[i])
-			}
-			if !counted {
-				return
-			}
-			if got, skips := countersSince(before)["stream.index.footer_skips"], uint64((len(want)+1)/2); got != skips {
-				t.Fatalf("footer_skips = %d, want %d", got, skips)
-			}
-		})
 	}
 }

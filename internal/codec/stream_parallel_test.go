@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,9 +14,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// parallelCases mixes codec families, shapes, and payload sizes so the
-// pipelined writer is exercised across records that encode at very
-// different speeds (ordering would scramble under a naive pool).
+// parallelCases mixes codec families, shapes, and payload sizes so a
+// round's records encode at very different speeds (ordering would
+// scramble under a naive pool).
 var parallelCases = []struct {
 	spec  string
 	shape []int
@@ -52,10 +53,9 @@ func writeParallelStream(t *testing.T, sw *StreamWriter) {
 	}
 }
 
-// TestParallelStreamWriterByteIdentical is the tentpole contract: the
-// pipelined writer's output must equal the serial writer's byte for
-// byte, across worker counts and under a byte budget tight enough to
-// force back-pressure mid-stream.
+// TestParallelStreamWriterByteIdentical: a writer with wide rounds must
+// produce the serial writer's stream byte for byte, across round sizes
+// and under a byte budget tight enough to close rounds early mid-stream.
 func TestParallelStreamWriterByteIdentical(t *testing.T) {
 	var serial bytes.Buffer
 	sw := NewStreamWriter(&serial)
@@ -70,7 +70,7 @@ func TestParallelStreamWriterByteIdentical(t *testing.T) {
 			if err := pw.SetConcurrency(workers); err != nil {
 				t.Fatal(err)
 			}
-			pw.eng.budget = 8 << 10
+			pw.budget = 8 << 10
 			writeParallelStream(t, pw)
 			if !bytes.Equal(par.Bytes(), serial.Bytes()) {
 				t.Fatalf("parallel stream (%d bytes) differs from serial stream (%d bytes)", par.Len(), serial.Len())
@@ -82,8 +82,7 @@ func TestParallelStreamWriterByteIdentical(t *testing.T) {
 	}
 }
 
-// slowSink delays every Write, modeling a saturated disk or socket so
-// the emitter falls behind the encoders.
+// slowSink delays every Write, modeling a saturated disk or socket.
 type slowSink struct {
 	delay time.Duration
 	buf   bytes.Buffer
@@ -94,10 +93,10 @@ func (s *slowSink) Write(p []byte) (int, error) {
 	return s.buf.Write(p)
 }
 
-// TestStreamWriterBackPressure drives the pipelined writer into a slow
-// sink with a small in-flight budget and verifies the admission gate
-// held: the engine's high-water mark never exceeded the budget, i.e. a
-// stalled emitter blocks WriteTensor instead of queueing payloads.
+// TestStreamWriterBackPressure drives a writer with rounds of four into
+// a slow sink with a small in-flight budget and verifies the budget
+// held: the high-water mark of a round's uncompressed bytes never
+// exceeded it, i.e. a round closes early instead of queueing records.
 func TestStreamWriterBackPressure(t *testing.T) {
 	c, err := New("zfp:rate=8")
 	if err != nil {
@@ -110,7 +109,7 @@ func TestStreamWriterBackPressure(t *testing.T) {
 	if err := sw.SetConcurrency(4); err != nil {
 		t.Fatal(err)
 	}
-	sw.eng.budget = budget
+	sw.budget = budget
 	ctx := context.Background()
 	const records = 12
 	for i := 0; i < records; i++ {
@@ -121,7 +120,7 @@ func TestStreamWriterBackPressure(t *testing.T) {
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	hi := sw.eng.maxInFlightBytes()
+	hi := sw.maxInFlight
 	if hi > budget {
 		t.Fatalf("in-flight high-water mark %d bytes exceeds the %d-byte budget", hi, budget)
 	}
@@ -145,9 +144,9 @@ func TestStreamWriterBackPressure(t *testing.T) {
 	}
 }
 
-// gateBackend is a test backend whose encode blocks until the job's
+// gateBackend is a test backend whose encode blocks until the record's
 // context dies or the gate opens, counting encode starts — the probe
-// for "workers stop claiming work after a failure".
+// for "no encode starts after a failure".
 type gateBackend struct {
 	starts atomic.Int64
 	gate   chan struct{}
@@ -168,11 +167,12 @@ func (g *gateBackend) decode(ctx context.Context, src payloadSource, shape []int
 	return tensor.New(shape...), nil
 }
 
-// TestParallelStreamWriterCancellation cancels the context while the
-// pipeline is saturated and verifies the abort contract: blocked and
-// subsequent WriteTensor calls fail with an error wrapping
-// context.Canceled, the error is sticky through Close, workers stop
-// starting encodes, and nothing is written after the failure.
+// TestParallelStreamWriterCancellation cancels the context while a
+// round's encodes are parked and verifies the abort contract: the
+// WriteTensor that closed the round fails with an error wrapping
+// context.Canceled, the error is sticky through later WriteTensor calls
+// and Close, no more than one round of encodes ever starts, and nothing
+// is written after the failure.
 func TestParallelStreamWriterCancellation(t *testing.T) {
 	g := &gateBackend{gate: make(chan struct{})}
 	c := &codecImpl{spec: "dctc:cf=4", b: g}
@@ -187,45 +187,71 @@ func TestParallelStreamWriterCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	// Fill the pipeline: the job quota is 2×workers, so these all admit
-	// without blocking while every encode sits parked on the gate.
-	for i := 0; i < 2*workers; i++ {
+	// Records that do not close the round are only admitted.
+	for i := 0; i < workers-1; i++ {
 		if err := sw.WriteTensor(ctx, c, x); err != nil {
 			t.Fatalf("record %d admitted with error: %v", i, err)
 		}
 	}
-	// The next submission blocks on the quota; cancel while it waits.
+	if n := g.starts.Load(); n != 0 {
+		t.Fatalf("%d encodes started before the round closed", n)
+	}
+	// The next record closes the round, whose encodes park on the gate;
+	// cancel while they wait.
 	errCh := make(chan error, 1)
 	go func() {
 		errCh <- sw.WriteTensor(ctx, c, x)
 	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	if err := <-errCh; !errors.Is(err, context.Canceled) {
-		t.Fatalf("blocked WriteTensor returned %v, want context.Canceled", err)
-	}
-	// The sticky failure must surface on later calls and on Close.
-	var stickyErr error
-	for i := 0; i < 100; i++ {
-		if stickyErr = sw.WriteTensor(context.Background(), c, x); stickyErr != nil {
-			break
-		}
+	for g.starts.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if !errors.Is(stickyErr, context.Canceled) {
-		t.Fatalf("WriteTensor after cancellation returned %v, want sticky context.Canceled", stickyErr)
+	cancel()
+	if err := <-errCh; !errors.Is(err, context.Canceled) || ErrorKind(err) != "canceled" {
+		t.Fatalf("round-closing WriteTensor returned %v (kind %q), want a canceled error wrapping context.Canceled", err, ErrorKind(err))
+	}
+	// The sticky failure must surface on later calls and on Close.
+	if err := sw.WriteTensor(context.Background(), c, x); !errors.Is(err, context.Canceled) {
+		t.Fatalf("WriteTensor after cancellation returned %v, want sticky context.Canceled", err)
 	}
 	if err := sw.Close(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Close returned %v, want sticky context.Canceled", err)
 	}
-	// Workers claimed at most the encodes that had started before the
-	// cancellation; the quota'd tail jobs were aborted unencoded.
 	if n := g.starts.Load(); n > workers {
-		t.Fatalf("%d encodes started; want at most %d (workers must stop claiming after the failure)", n, workers)
+		t.Fatalf("%d encodes started; want at most one round of %d", n, workers)
 	}
 	// The poisoned stream carries no end marker (truncation is visible).
 	if buf.Len() != 0 && buf.Bytes()[buf.Len()-1] == recEnd {
 		t.Fatal("poisoned stream ends with a clean end-of-stream marker")
+	}
+}
+
+// TestAbandonedStreamWriterLeaksNothing: a writer dropped without Close
+// leaves no goroutine behind at any round size. The records of an open
+// round are plain slots, not work parked on channels, so the writer and
+// its tensors are garbage once the caller lets go of them.
+func TestAbandonedStreamWriterLeaksNothing(t *testing.T) {
+	c, err := New("zfp:rate=8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := mkStreamTensor(4, 16, 16)
+	abandon := func(n int) int {
+		sw := NewStreamWriter(io.Discard)
+		if err := sw.SetConcurrency(n); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if err := sw.WriteTensor(context.Background(), c, x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return runtime.NumGoroutine()
+	}
+	// The serial run also spawns the plane pool's persistent workers,
+	// which live for the process by design.
+	serial := abandon(1)
+	if got := abandon(4); got > serial {
+		t.Fatalf("abandoned writer with rounds of 4 left %d goroutines running, the serial writer %d", got, serial)
 	}
 }
 
@@ -243,8 +269,8 @@ func (s *errSink) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestParallelStreamWriterSinkError verifies a sink failure poisons the
-// pipelined writer exactly like an encode failure.
+// TestParallelStreamWriterSinkError verifies a sink failure poisons a
+// writer with rounds of three exactly like an encode failure.
 func TestParallelStreamWriterSinkError(t *testing.T) {
 	c, err := New("zfp:rate=8")
 	if err != nil {

@@ -161,6 +161,38 @@ func TestStreamSkip(t *testing.T) {
 		t.Fatalf("Next at end: %v, want io.EOF", err)
 	}
 	_ = hdr
+
+	// A skip reads every chunk of the skipped payload and verifies its
+	// CRC: with record 0's last payload byte flipped, both an explicit
+	// Skip and the auto-skip in Next fail on that chunk.
+	sr, err = NewStreamReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := sr.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	corrupt := append([]byte(nil), buf.Bytes()...)
+	corrupt[sr.markOff-1] ^= 0xFF // the byte before record 1's marker
+	for _, explicit := range []bool{true, false} {
+		sr, err := NewStreamReader(bytes.NewReader(corrupt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sr.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if explicit {
+			err = sr.Skip()
+		} else {
+			_, err = sr.Next()
+		}
+		if !errors.Is(err, ErrCRC) {
+			t.Fatalf("skipping a corrupt payload (explicit Skip %v): err %v, want a CRC failure", explicit, err)
+		}
+	}
 }
 
 // TestStreamWriterLifecycle covers close-twice, write-after-close, and
@@ -209,7 +241,7 @@ func (s *flakySink) Write(p []byte) (int, error) {
 }
 
 // TestStreamWriterSinkErrorSticky: a failed sink write poisons the
-// serial writer as it does the pipelined one. Every later WriteTensor
+// serial writer as it does one with wide rounds. Every later WriteTensor
 // and Close returns the first failure and writes nothing — no further
 // record, no index footer, no end marker — so a reader sees a truncated
 // record, never the next record's bytes read as its payload.

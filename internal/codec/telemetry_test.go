@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -143,8 +145,8 @@ func countersSince(before telemetry.Snapshot) map[string]uint64 {
 }
 
 // TestStreamWriterStatsSerial checks the stream.writer counters a
-// serial write run moves, and that it leaves the engine's in-flight
-// gauge alone.
+// serial write run moves, and that it leaves the in-flight gauge where
+// it found it.
 func TestStreamWriterStatsSerial(t *testing.T) {
 	counted := countingOn(t)
 	c, err := New("zfp:rate=8")
@@ -187,38 +189,50 @@ func TestStreamWriterStatsSerial(t *testing.T) {
 	}
 }
 
-// TestFailedEncodeNotAdmitted: a serial record whose encode fails (jpegq
-// needs sides that are multiples of 8) is neither counted as admitted
-// nor written.
+// TestFailedEncodeNotAdmitted: a record whose encode fails (jpegq needs
+// sides that are multiples of 8) is neither counted as admitted nor
+// written, whether it fails in its own WriteTensor (rounds of one) or
+// at Close, which closes a partial round of two.
 func TestFailedEncodeNotAdmitted(t *testing.T) {
 	counted := countingOn(t)
 	c, err := New("jpegq:q=50")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	sw := NewStreamWriter(&buf)
-	before := telemetry.Default().Snapshot()
-	if err := sw.WriteTensor(context.Background(), c, mkStreamTensor(2, 3, 15, 15)); err == nil {
-		t.Fatal("jpegq encoded a 15×15 plane")
-	}
-	after := telemetry.Default().Snapshot()
-	if buf.Len() != 0 {
-		t.Errorf("failed record left %d bytes in the sink", buf.Len())
-	}
-	if !counted {
-		t.Skip("telemetry compiled out (acc_notelemetry)")
-	}
-	d := after.Delta(before).Counters
-	if a, b := d["stream.writer.records_admitted"], d["stream.writer.uncompressed_bytes"]; a != 0 || b != 0 {
-		t.Errorf("failed record counted: records_admitted +%d, uncompressed_bytes +%d", a, b)
+	for _, width := range []int{1, 2} {
+		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
+			var buf bytes.Buffer
+			sw := NewStreamWriter(&buf)
+			if err := sw.SetConcurrency(width); err != nil {
+				t.Fatal(err)
+			}
+			before := telemetry.Default().Snapshot()
+			err := sw.WriteTensor(context.Background(), c, mkStreamTensor(2, 3, 15, 15))
+			if width == 1 && err == nil {
+				t.Fatal("jpegq encoded a 15×15 plane")
+			}
+			if cerr := sw.Close(); cerr == nil {
+				t.Fatal("Close after a failed encode returned nil")
+			}
+			after := telemetry.Default().Snapshot()
+			if buf.Len() != 0 {
+				t.Errorf("failed record left %d bytes in the sink", buf.Len())
+			}
+			if !counted {
+				t.Skip("telemetry compiled out (acc_notelemetry)")
+			}
+			d := after.Delta(before).Counters
+			if a, b := d["stream.writer.records_admitted"], d["stream.writer.uncompressed_bytes"]; a != 0 || b != 0 {
+				t.Errorf("failed record counted: records_admitted +%d, uncompressed_bytes +%d", a, b)
+			}
+		})
 	}
 }
 
-// TestStreamWriterStatsPipelined checks the engine's accounting: every
-// admitted record is emitted, the in-flight bytes drain to zero at
-// Close (in the engine and in the gauge), and the high-water mark
-// covers at least one record.
+// TestStreamWriterStatsPipelined checks the accounting of rounds of
+// two: every admitted record is emitted, the in-flight bytes drain to
+// zero at Close (in the writer and in the gauge), and the high-water
+// mark covers at least one record.
 func TestStreamWriterStatsPipelined(t *testing.T) {
 	counted := countingOn(t)
 	c, err := New("zfp:rate=8")
@@ -245,10 +259,10 @@ func TestStreamWriterStatsPipelined(t *testing.T) {
 	if sw.Records() != n {
 		t.Errorf("Records() = %d, want %d", sw.Records(), n)
 	}
-	if sw.eng.inflight != 0 {
-		t.Errorf("engine holds %d in-flight bytes after Close, want 0", sw.eng.inflight)
+	if sw.inflight != 0 {
+		t.Errorf("writer holds %d in-flight bytes after Close, want 0", sw.inflight)
 	}
-	if hi := sw.eng.maxInFlightBytes(); hi < int64(x.SizeBytes()) {
+	if hi := sw.maxInFlight; hi < int64(x.SizeBytes()) {
 		t.Errorf("in-flight high-water mark = %d, want >= one record (%d)", hi, x.SizeBytes())
 	}
 	if !counted {
@@ -435,12 +449,12 @@ func TestInstrumentedRoundTripIntoAllocs(t *testing.T) {
 	})
 }
 
-// TestStreamEngineTelemetryAllocNeutral is the alloc-regression gate
-// for the pipelined stream engine: a full write run with telemetry
-// enabled must allocate no more than the same run with it disabled
-// (the engine itself allocates — jobs, channels, goroutines — but the
-// instrumentation must add zero).
-func TestStreamEngineTelemetryAllocNeutral(t *testing.T) {
+// TestStreamWriterTelemetryAllocNeutral is the alloc-regression gate
+// for the stream writer: a full write run in rounds of two with
+// telemetry enabled must allocate exactly as much as the same run with
+// it disabled (the writer itself allocates — payloads, record headers —
+// but the instrumentation must add zero).
+func TestStreamWriterTelemetryAllocNeutral(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under -race")
 	}
@@ -470,18 +484,24 @@ func TestStreamEngineTelemetryAllocNeutral(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Stray allocations — a sync.Pool refill after a GC or on another P,
+	// a runtime background goroutine — only ever add to a count, so the
+	// least of several measurements is the writer's exact count and the
+	// gate needs no slack. GC is held off so pools keep their contents.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	measure := func(on bool) float64 {
 		prev := telemetry.SetEnabled(on)
 		defer telemetry.SetEnabled(prev)
-		run() // warm pools and the engine's lazy setup
-		return testing.AllocsPerRun(10, run)
+		run() // warm the pools
+		least := testing.AllocsPerRun(10, run)
+		for i := 0; i < 4; i++ {
+			least = min(least, testing.AllocsPerRun(10, run))
+		}
+		return least
 	}
 	off := measure(false)
 	on := measure(true)
-	// Goroutine scheduling makes engine runs noisy by a few allocations;
-	// the gate is that instrumentation adds nothing beyond that noise.
-	const slack = 4
-	if on > off+slack {
-		t.Errorf("telemetry adds allocations to the stream engine: on=%.1f off=%.1f", on, off)
+	if on > off {
+		t.Errorf("telemetry adds allocations to the stream writer: on=%.1f off=%.1f", on, off)
 	}
 }
