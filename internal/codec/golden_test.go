@@ -162,15 +162,15 @@ func TestRoundTripIntoAllocs(t *testing.T) {
 		max  float64
 	}{
 		{"zfp:rate=8", 0},
-		{"zfp:rate=8+huf", 51},
+		{"zfp:rate=8+huf", 46},
 		{"jpegq:q=50", 0},
-		{"jpegq:q=50+huf", 46},
+		{"jpegq:q=50+huf", 43},
 		{"sz:eb=1e-3", 44},
-		{"sz:eb=1e-3+huf", 59},
+		{"sz:eb=1e-3+huf", 49},
 		{"dctc:cf=4", 26},
-		{"dctc:cf=4+huf", 34},
+		{"dctc:cf=4+huf", 27},
 		{"lossless:bg=4", 9},
-		{"lossless:bg=4+huf", 41},
+		{"lossless:bg=4+huf", 15},
 	} {
 		c, err := New(tc.spec)
 		if err != nil {

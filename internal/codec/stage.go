@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/entropy"
 	"repro/internal/telemetry"
@@ -149,9 +150,17 @@ func (c *codecImpl) encodePayload(ctx context.Context, x *tensor.Tensor) ([]byte
 	return payload, nil
 }
 
+// stageBufs recycles the entropy step's decoded payloads across
+// decodes: the buffer is needed only until the family decoder has
+// copied the payload into its output tensor.
+var stageBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // decodePayload undoes the entropy step, then runs the family decoder
 // — the decompress-side metric choke point. "+huf" and the legacy
-// "+fse" payloads share one block format and one decoder.
+// "+fse" payloads share one block format and one decoder. The entropy
+// output lands in a pooled buffer, sized once from the block headers;
+// no family decoder keeps a view of its payload past decode, so the
+// buffer goes back to the pool when decode returns.
 func (c *codecImpl) decodePayload(ctx context.Context, payload []byte, shape []int) (*tensor.Tensor, error) {
 	start := telemetry.NowNanos()
 	inBytes := len(payload)
@@ -159,7 +168,11 @@ func (c *codecImpl) decodePayload(ctx context.Context, payload []byte, shape []i
 		err := ctx.Err()
 		ts := telemetry.NowNanos()
 		if err == nil {
-			payload, err = entropy.DecompressCap(nil, payload, stagedSizeHint(shape))
+			bp := stageBufs.Get().(*[]byte)
+			defer stageBufs.Put(bp)
+			if payload, err = entropy.DecompressCap((*bp)[:0], payload, stagedSizeHint(shape)); err == nil {
+				*bp = payload
+			}
 		}
 		if err != nil {
 			c.m.countErr(err)

@@ -7,7 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -224,6 +226,175 @@ func TestStagedFamilies(t *testing.T) {
 				t.Error("instance Decompress differs from registry Decode")
 			}
 		})
+	}
+}
+
+// TestStagedPoolNoAliasing guards the pooled entropy output: decoding
+// payload B through the same codec reuses the buffer payload A was
+// decoded into, so a family decoder that kept a view of its payload
+// would see A's tensor change. Every family's decoded A must survive B
+// unchanged and equal a fresh decode.
+func TestStagedPoolNoAliasing(t *testing.T) {
+	prev := SetMaxWorkers(1)
+	defer SetMaxWorkers(prev)
+	a := conformanceBatch()
+	b := a.Clone()
+	for i, v := range b.Data() {
+		b.Data()[i] = 1 - v
+	}
+	for fam, base := range stagedRepSpecs(t) {
+		t.Run(fam, func(t *testing.T) {
+			c, err := New(base + "+huf")
+			if err != nil {
+				t.Fatal(err)
+			}
+			dataA, err := c.Compress(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dataB, err := c.Compress(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outA, err := c.Decompress(dataA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snapshot := outA.Clone()
+			for k := 0; k < 3; k++ {
+				if _, err := c.Decompress(dataB); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bitsEqual(outA, snapshot) {
+				t.Fatal("decoding payload B changed the tensor decoded from payload A")
+			}
+			fresh, _, err := DecodeBytes(dataA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bitsEqual(outA, fresh) {
+				t.Fatal("payload A's first decode differs from a fresh decode")
+			}
+		})
+	}
+}
+
+// TestStagedDecodeAllocBytes is the byte-volume gate on staged
+// lossless decode: the entropy output is sized once from its block
+// headers into a pooled buffer, so the container, sequential-stream
+// and indexed paths each allocate little beyond the output tensor —
+// at most 1.2 bytes per output byte on a 2 MiB weight-like matrix.
+// Like testing.AllocsPerRun it measures at GOMAXPROCS=1: a goroutine
+// that migrates between Ps misses its P's pooled buffer, which would
+// count a pool miss as a steady-state allocation.
+func TestStagedDecodeAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc volumes only hold without -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	prev := SetMaxWorkers(1)
+	defer SetMaxWorkers(prev)
+	ctx := context.Background()
+	x := tensor.NewRNG(7).Normal(0, 0.02, 1, 1, 512, 1024)
+	c, err := New("lossless:bg=4+huf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	container, err := c.Compress(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const records = 4
+	var buf bytes.Buffer
+	sw := NewStreamWriter(&buf)
+	if err := sw.SetIndex(true); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < records; i++ {
+		if err := sw.WriteTensor(ctx, c, x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stream := buf.Bytes()
+	ix, err := OpenIndexedStream(bytes.NewReader(stream), int64(len(stream)))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Each pass decodes every record once; the first pass warms the
+	// pools and codec caches and is not measured.
+	paths := []struct {
+		name string
+		pass func() ([]*tensor.Tensor, error)
+	}{
+		{"Decompress", func() ([]*tensor.Tensor, error) {
+			out, err := c.Decompress(container)
+			return []*tensor.Tensor{out}, err
+		}},
+		{"StreamReader.Decode", func() ([]*tensor.Tensor, error) {
+			sr, err := NewStreamReader(bytes.NewReader(stream))
+			if err != nil {
+				return nil, err
+			}
+			var outs []*tensor.Tensor
+			for {
+				if _, err := sr.Next(); err == io.EOF {
+					return outs, nil
+				} else if err != nil {
+					return nil, err
+				}
+				out, err := sr.Decode(ctx)
+				if err != nil {
+					return nil, err
+				}
+				outs = append(outs, out)
+			}
+		}},
+		{"IndexedStream.DecodeAt", func() ([]*tensor.Tensor, error) {
+			var outs []*tensor.Tensor
+			for i := 0; i < ix.Len(); i++ {
+				out, err := ix.DecodeAt(ctx, i)
+				if err != nil {
+					return nil, err
+				}
+				outs = append(outs, out)
+			}
+			return outs, nil
+		}},
+	}
+	for _, p := range paths {
+		outs, err := p.pass()
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		for _, out := range outs {
+			if !bitsEqual(out, x) {
+				t.Fatalf("%s: decode is not exact", p.name)
+			}
+		}
+		const passes = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		outBytes := 0
+		for k := 0; k < passes; k++ {
+			outs, err := p.pass()
+			if err != nil {
+				t.Fatalf("%s: %v", p.name, err)
+			}
+			for _, out := range outs {
+				outBytes += out.SizeBytes()
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(outBytes)
+		t.Logf("%s: %.3f B allocated per output byte", p.name, perByte)
+		if perByte > 1.2 {
+			t.Errorf("%s allocates %.3f B per output byte, want ≤ 1.2", p.name, perByte)
+		}
 	}
 }
 

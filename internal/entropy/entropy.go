@@ -170,9 +170,10 @@ func tableLogFor(blockLen, nsym int) int {
 
 // normalize scales the histogram of the present symbols to sum exactly
 // 1<<tableLog with every present count ≥ 1, filling s.norm and s.cum.
-// The largest-remainder rounding plus the deterministic fix-up loops
-// below are format-defining: the reference implementation must produce
-// the identical table, so both paths share this function.
+// Each count is floored to c·target/total (raised to 1 if zero), then a
+// deterministic repair closes the drift. The table is format-defining:
+// refNormalize (reference_test.go) is the one-step-at-a-time oracle
+// this must match.
 func (s *scratch) normalize(blockLen, nsym, tableLog int) {
 	target := int32(1) << tableLog
 	total := int64(blockLen)
@@ -186,9 +187,9 @@ func (s *scratch) normalize(blockLen, nsym, tableLog int) {
 		s.norm[s.syms[i]] = uint16(n)
 		sum += n
 	}
-	// Deterministic drift repair: shrink the largest counts while over
-	// target, grow the largest while under. Ties break on the lower
-	// symbol value, so the result is a pure function of the histogram.
+	// Over target (only when many counts were raised to 1): shrink the
+	// largest count above 1 by one, ties to the lower symbol, until the
+	// sum fits.
 	for sum > target {
 		best := -1
 		var bestN uint16
@@ -200,16 +201,17 @@ func (s *scratch) normalize(blockLen, nsym, tableLog int) {
 		s.norm[s.syms[best]]--
 		sum--
 	}
-	for sum < target {
+	// Under target: the largest count, ties to the lower symbol, takes
+	// the whole shortfall. Raising it keeps it the strict maximum, so
+	// this is the same table as granting the counts one at a time.
+	if sum < target {
 		best := 0
-		bestN := s.norm[s.syms[0]]
 		for i := 1; i < nsym; i++ {
-			if n := s.norm[s.syms[i]]; n > bestN {
-				best, bestN = i, n
+			if s.norm[s.syms[i]] > s.norm[s.syms[best]] {
+				best = i
 			}
 		}
-		s.norm[s.syms[best]]++
-		sum++
+		s.norm[s.syms[best]] += uint16(target - sum)
 	}
 	s.cum[0] = 0
 	for i := 0; i < nsym; i++ {
@@ -363,9 +365,17 @@ const maxInt = int(^uint(0) >> 1)
 // per byte, so callers that know a plausible decoded size (a container
 // stage inverting a payload for a known tensor shape) should pass it
 // here and fail before the allocation, not after.
+//
+// The output is sized once: a walk of the block headers adds up the
+// raw lengths the blocks claim, and dst grows by that total before any
+// block decodes, so a nil dst costs one allocation and a dst with that
+// much spare capacity costs none. The walk stops ahead of a block whose
+// claim would pass limit, so a stream claiming more than limit fails on
+// the bound having allocated only the blocks that fit.
 func DecompressCap(dst, src []byte, limit int) ([]byte, error) {
 	st := getScratch()
 	defer putScratch(st)
+	dst = slices.Grow(dst, claimedLen(src, limit))
 	produced := 0
 	for len(src) > 0 {
 		var err error
@@ -379,17 +389,67 @@ func DecompressCap(dst, src []byte, limit int) ([]byte, error) {
 	return dst, nil
 }
 
+// claimedLen walks src's block headers and returns the raw bytes they
+// claim, stopping ahead of the first block it cannot parse or whose
+// claim would pass limit. Raw and rle bodies are skipped by their known
+// sizes, fse and huf bodies by their uvarint body length. It reports
+// no errors: the decode loop rejects the block the walk stopped at with
+// its own message, so on every stream that decodes the result is the
+// decoded length.
+func claimedLen(src []byte, limit int) int {
+	total := 0
+	for len(src) > 0 {
+		mode, rawLen, rest, ok := parseBlockHeader(src)
+		if !ok {
+			return total
+		}
+		var body int
+		switch mode {
+		case modeRaw:
+			body = rawLen
+		case modeRLE:
+			body = 1
+		case modeFSE, modeHUF:
+			n, used := binary.Uvarint(rest)
+			if used <= 0 || n > uint64(len(rest)-used) {
+				return total
+			}
+			body = used + int(n)
+		default:
+			return total
+		}
+		if body > len(rest) || rawLen > limit-total {
+			return total
+		}
+		total += rawLen
+		src = rest[body:]
+	}
+	return total
+}
+
+// parseBlockHeader splits off a block's mode and raw length; ok is
+// false when the header is truncated or claims more than maxBlock.
+func parseBlockHeader(src []byte) (mode byte, rawLen int, rest []byte, ok bool) {
+	if len(src) < 2 {
+		return 0, 0, nil, false
+	}
+	n, used := binary.Uvarint(src[1:])
+	if used <= 0 || n > maxBlock {
+		return 0, 0, nil, false
+	}
+	return src[0], int(n), src[1+used:], true
+}
+
 // blockHeader parses a block's mode, raw length, and remaining input.
 func blockHeader(src []byte) (mode byte, rawLen int, rest []byte, err error) {
 	if len(src) < 2 {
 		return 0, 0, nil, fmt.Errorf("entropy: truncated block header (%d bytes)", len(src))
 	}
-	mode = src[0]
-	n, used := binary.Uvarint(src[1:])
-	if used <= 0 || n > maxBlock {
+	mode, rawLen, rest, ok := parseBlockHeader(src)
+	if !ok {
 		return 0, 0, nil, fmt.Errorf("entropy: bad block length")
 	}
-	return mode, int(n), src[1+used:], nil
+	return mode, rawLen, rest, nil
 }
 
 func decompressBlock(dst, src []byte, st *scratch, limit int) ([]byte, []byte, int, error) {
@@ -400,10 +460,8 @@ func decompressBlock(dst, src []byte, st *scratch, limit int) ([]byte, []byte, i
 	if rawLen > limit {
 		return nil, nil, 0, fmt.Errorf("entropy: block claims %d bytes, exceeding the caller's %d-byte output bound", rawLen, limit)
 	}
-	// The block's exact output size is known up front, so one Grow here
-	// replaces the per-append growth ladder in every body decoder (the
-	// claimed rawLen is already capped by the caller's bound above).
-	dst = slices.Grow(dst, rawLen)
+	// DecompressCap sized dst from the block headers, so every append
+	// and Grow below stays within its capacity.
 	switch mode {
 	case modeRaw:
 		if len(src) < rawLen {

@@ -2,6 +2,8 @@ package entropy
 
 import (
 	"bytes"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -234,6 +236,152 @@ func TestDecompressCap(t *testing.T) {
 	}
 }
 
+// TestNormalizeMatchesReference holds normalize's one-step drift
+// repair to refNormalize's count-at-a-time loops on random histograms
+// and on adversarial ones: near-uniform wide alphabets (every floor
+// rounds down, the largest under-target shortfall), a few dominant
+// symbols beside many singletons (every singleton raised to 1, over
+// target), and alphabets exactly filling the table.
+func TestNormalizeMatchesReference(t *testing.T) {
+	rng := testRNG(0x243f6a8885a308d3)
+	type histo struct {
+		name   string
+		counts []int32 // by symbol value; 0 = absent
+	}
+	var cases []histo
+	for i := 0; i < 300; i++ {
+		counts := make([]int32, 256)
+		nsym := 2 + int(rng.next()%255)
+		for k := 0; k < nsym; k++ {
+			counts[rng.next()%256] += 1 + int32(rng.next()%2000)
+		}
+		cases = append(cases, histo{"random", counts})
+	}
+	for _, per := range []int32{1, 3, 255, 256, 257, 1000} {
+		counts := make([]int32, 256)
+		for v := range counts {
+			counts[v] = per + int32(rng.next()%3)
+		}
+		cases = append(cases, histo{"near-uniform", counts})
+	}
+	for _, singles := range []int{31, 100, 200, 254} {
+		counts := make([]int32, 256)
+		counts[0], counts[200] = 60000, 3000
+		for k := 1; k <= singles; k++ {
+			counts[k] = 1
+		}
+		cases = append(cases, histo{"singletons", counts})
+	}
+	for _, tc := range cases {
+		fast, ref := new(scratch), new(scratch)
+		blockLen, nsym := 0, 0
+		for v, c := range tc.counts {
+			fast.hist[v], ref.hist[v] = c, c
+			if c > 0 {
+				fast.syms[nsym], ref.syms[nsym] = uint8(v), uint8(v)
+				blockLen += int(c)
+				nsym++
+			}
+		}
+		for tl := minTableLog; tl <= maxTableLog; tl++ {
+			if 1<<tl < nsym {
+				continue
+			}
+			fast.normalize(blockLen, nsym, tl)
+			refNormalize(ref, blockLen, nsym, tl)
+			if fast.norm != ref.norm || fast.cum != ref.cum {
+				t.Fatalf("%s histogram (%d symbols, %d bytes), table log %d: normalize differs from the reference", tc.name, nsym, blockLen, tl)
+			}
+			if got := fast.cum[nsym]; got != 1<<tl {
+				t.Fatalf("%s histogram, table log %d: counts sum %d", tc.name, tl, got)
+			}
+		}
+	}
+}
+
+// mixedStream concatenates CompressHuf streams (blocks are
+// self-delimiting) into one multi-block stream holding raw, rle, fse
+// and huf blocks, and returns it with the bytes it decodes to.
+func mixedStream(t *testing.T) (comp, raw []byte) {
+	t.Helper()
+	c := hufCorpus()
+	for _, name := range []string{"uniform-4k", "rle-2block", "skewed-4k", "mantissa-lane"} {
+		comp = CompressHuf(comp, c[name])
+		raw = append(raw, c[name]...)
+	}
+	seen := map[byte]bool{}
+	for _, m := range hufBlockModes(t, comp) {
+		seen[m] = true
+	}
+	for _, m := range []byte{modeRaw, modeRLE, modeFSE, modeHUF} {
+		if !seen[m] {
+			t.Fatalf("mixed stream has no mode-%d block", m)
+		}
+	}
+	return comp, raw
+}
+
+// TestDecompressCapSizesOnce holds the decode to one output
+// allocation: the block-header walk sizes dst before any block
+// decodes, so a nil dst costs exactly one allocation and a dst with
+// exactly the decoded capacity costs none.
+func TestDecompressCapSizesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc counts only hold without -race")
+	}
+	comp, raw := mixedStream(t)
+	if got := claimedLen(comp, maxInt); got != len(raw) {
+		t.Fatalf("header walk claims %d bytes, stream decodes to %d", got, len(raw))
+	}
+	var out []byte
+	var err error
+	if nilAllocs := testing.AllocsPerRun(20, func() {
+		out, err = DecompressCap(nil, comp, len(raw))
+	}); nilAllocs != 1 {
+		t.Errorf("DecompressCap(nil, …) allocates %v/op, want 1", nilAllocs)
+	}
+	if err != nil || !bytes.Equal(out, raw) {
+		t.Fatalf("nil-dst decode: err=%v, equal=%v", err, bytes.Equal(out, raw))
+	}
+	dst := make([]byte, 0, len(raw))
+	if exactAllocs := testing.AllocsPerRun(20, func() {
+		out, err = DecompressCap(dst, comp, len(raw))
+	}); exactAllocs != 0 {
+		t.Errorf("DecompressCap into an exact-capacity dst allocates %v/op, want 0", exactAllocs)
+	}
+	if err != nil || !bytes.Equal(out, raw) {
+		t.Fatalf("exact-capacity decode: err=%v, equal=%v", err, bytes.Equal(out, raw))
+	}
+}
+
+// TestDecompressCapClaimsPastLimit feeds a stream whose blocks claim
+// far more than the bound: the decode must fail on the bound having
+// allocated at most the blocks that fit, never the claimed total.
+func TestDecompressCapClaimsPastLimit(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc volumes only hold without -race")
+	}
+	var bomb []byte
+	for i := 0; i < 64; i++ {
+		bomb = append(appendBlockHeader(bomb, modeRLE, maxBlock), 7)
+	}
+	claimed := 64 * maxBlock
+	limit := 3*maxBlock + 100
+	if got := claimedLen(bomb, limit); got != 3*maxBlock {
+		t.Fatalf("header walk under a %d-byte bound claims %d bytes, want the %d that fit", limit, got, 3*maxBlock)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecompressCap(nil, bomb, limit)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "output bound") {
+		t.Fatalf("got err=%v, want the output-bound error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(limit)+64<<10 {
+		t.Errorf("bound error after allocating %d bytes; the blocks claim %d, the bound is %d", got, claimed, limit)
+	}
+}
+
 // TestZeroAllocSteadyState is the alloc-regression gate check.sh runs:
 // with reused dst buffers, encode and decode must not allocate.
 func TestZeroAllocSteadyState(t *testing.T) {
@@ -300,6 +448,9 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fast, fastErr := Decompress(nil, data)
+		if fastErr == nil && len(fast) != claimedLen(data, maxInt) {
+			t.Fatalf("decoded %d bytes, header walk claims %d", len(fast), claimedLen(data, maxInt))
+		}
 		if len(data) > 1<<16 {
 			return // keep the bit-serial oracle affordable
 		}

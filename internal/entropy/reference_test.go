@@ -11,8 +11,9 @@ import (
 // fast DCT kernel. refFSECompress produces byte-identical output to
 // fseCompress, and ReferenceDecompress accepts exactly the inputs
 // Decompress accepts (the two may differ only in error wording). The
-// shared format-defining pieces — histogram/normalize, tableLogFor,
-// spreadStep, the block framing constants — are reused directly; the
+// shared format-defining pieces — histogram, tableLogFor, spreadStep,
+// the block framing constants — are reused directly; normalization
+// runs refNormalize, which repairs the drift one count at a time; the
 // state machine itself is re-derived from first principles: explicit
 // symbol tables, per-bit I/O, linear searches instead of packed lookup
 // tables.
@@ -67,6 +68,50 @@ func buildRefTable(st *scratch, nsym, tableLog int) *refTable {
 	return t
 }
 
+// refNormalize is the oracle for scratch.normalize: the same floored
+// counts, with the drift repaired one count per step — shrink the
+// largest count above 1 while over target, grow the largest while
+// under, ties to the lower symbol — rescanning every present symbol
+// each step. It fills st.norm and st.cum.
+func refNormalize(st *scratch, blockLen, nsym, tableLog int) {
+	target := int32(1) << tableLog
+	var sum int32
+	for i := 0; i < nsym; i++ {
+		n := int32(int64(st.hist[st.syms[i]]) * int64(target) / int64(blockLen))
+		if n == 0 {
+			n = 1
+		}
+		st.norm[st.syms[i]] = uint16(n)
+		sum += n
+	}
+	for sum > target {
+		best := -1
+		var bestN uint16
+		for i := 0; i < nsym; i++ {
+			if n := st.norm[st.syms[i]]; n > 1 && (best < 0 || n > bestN) {
+				best, bestN = i, n
+			}
+		}
+		st.norm[st.syms[best]]--
+		sum--
+	}
+	for sum < target {
+		best := 0
+		bestN := st.norm[st.syms[0]]
+		for i := 1; i < nsym; i++ {
+			if n := st.norm[st.syms[i]]; n > bestN {
+				best, bestN = i, n
+			}
+		}
+		st.norm[st.syms[best]]++
+		sum++
+	}
+	st.cum[0] = 0
+	for i := 0; i < nsym; i++ {
+		st.cum[i+1] = st.cum[i] + int32(st.norm[st.syms[i]])
+	}
+}
+
 // refBits collects single bits and packs them MSB-first, zero-padded to
 // a byte — the Writer's layout, one bit at a time.
 type refBits struct{ bits []uint8 }
@@ -100,7 +145,7 @@ func refCompressBlock(dst, block []byte) []byte {
 	tableLog := tableLogFor(len(block), nsym)
 	size := 1 << tableLog
 	st.sized(size, len(block))
-	st.normalize(len(block), nsym, tableLog)
+	refNormalize(st, len(block), nsym, tableLog)
 	t := buildRefTable(st, nsym, tableLog)
 
 	// Encode backwards, alternating two states by symbol-index parity.
