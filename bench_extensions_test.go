@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -51,8 +50,8 @@ func BenchmarkColorspace(b *testing.B) {
 	}
 }
 
-// BenchmarkCompressionTargets measures the three future-work targets'
-// host-side cost on a realistic small layer.
+// BenchmarkCompressionTargets measures the activation and gradient
+// future-work targets' host-side cost on a realistic small layer.
 func BenchmarkCompressionTargets(b *testing.B) {
 	rng := tensor.NewRNG(1)
 	rt, err := core.NewFlatRoundTripper(core.Config{ChopFactor: 5, Serialization: 1}, 16)
@@ -75,19 +74,6 @@ func BenchmarkCompressionTargets(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p.Grad.Fill(0.1)
 			opt.Step([]*nn.Param{p})
-		}
-	})
-	b.Run("weights", func(b *testing.B) {
-		model := nn.NewSequential(
-			nn.NewConv2d(rng, "c1", 3, 8, 3, 1, 1),
-			nn.NewConv2d(rng, "c2", 8, 16, 3, 1, 1),
-			nn.NewLinear(rng, "fc", 256, 10),
-		)
-		for i := 0; i < b.N; i++ {
-			var buf bytes.Buffer
-			if _, _, err := nn.SaveCheckpoint(&buf, model.Params(), rt); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 }

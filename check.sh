@@ -39,10 +39,10 @@ fi
 go test -race ./internal/...
 # Fan-out suite at one and four Ps: every indexed loop runs on tensor's
 # plane pool under SetMaxWorkers' cap, so the pool, forEachPlane, the
-# cap, DecodeRange, the stream writer's rounds, the matmuls and core's
-# Into paths run once on the serial fallback and once on a pool wider
-# than a small host.
-go test -count=1 -cpu 1,4 -run 'Parallel|ForEachPlane|SetMaxWorkers|DecodeRange|IndexedMatchesSequential|StreamWriter|Into|MatMul' \
+# cap, DecodeRange, the stream writer's rounds, the stream reader's
+# rounds, the matmuls and core's Into paths run once on the serial
+# fallback and once on a pool wider than a small host.
+go test -count=1 -cpu 1,4 -run 'Parallel|ForEachPlane|SetMaxWorkers|DecodeRange|IndexedMatchesSequential|StreamWriter|ReadAhead|AbandonedStreamReader|Into|MatMul' \
 	./internal/tensor/ ./internal/codec/ ./internal/core/
 # A first slice of a fuzz run over every Fuzz target in the repository
 # (12 of 12, 10 s each; fuzz.sh says what each one holds).

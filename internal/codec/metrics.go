@@ -134,8 +134,6 @@ var streamM = struct {
 	rBytes    *telemetry.Counter // payload bytes delivered
 	rDecoded  *telemetry.Counter // uncompressed bytes decoded
 	rCRCFail  *telemetry.Counter // CRC mismatches (header or chunk)
-	rRAHits   *telemetry.Counter // Next served without waiting
-	rRAMiss   *telemetry.Counter // Next had to wait on the prefetcher
 	rDecodeNs *telemetry.Histogram
 
 	iLoads        *telemetry.Counter   // index footers loaded by OpenIndexedStream
@@ -156,8 +154,6 @@ var streamM = struct {
 	rBytes:    telemetry.NewCounter("stream.reader.payload_bytes"),
 	rDecoded:  telemetry.NewCounter("stream.reader.decoded_bytes"),
 	rCRCFail:  telemetry.NewCounter("stream.reader.crc_failures"),
-	rRAHits:   telemetry.NewCounter("stream.reader.readahead_hits"),
-	rRAMiss:   telemetry.NewCounter("stream.reader.readahead_misses"),
 	rDecodeNs: telemetry.NewHistogram("stream.reader.decode_ns"),
 
 	iLoads:        telemetry.NewCounter("stream.index.footer_loads"),

@@ -29,12 +29,13 @@ func encodeRaw(t *testing.T, spec string, x *tensor.Tensor) []byte {
 
 // decodeEveryPath frames payload as a v1 container and as the record of
 // an indexed v2 stream (CRCs computed over the bytes as given), then
-// decodes it through DecodeBytes, StreamReader.Decode and
-// IndexedStream.DecodeAt. It returns each path's tensor and error.
-func decodeEveryPath(t *testing.T, spec string, shape []int, payload []byte) ([3]*tensor.Tensor, [3]error) {
+// decodes it through DecodeBytes, StreamReader.Decode,
+// IndexedStream.DecodeAt and the read-ahead StreamReader. It returns
+// each path's tensor and error.
+func decodeEveryPath(t *testing.T, spec string, shape []int, payload []byte) ([4]*tensor.Tensor, [4]error) {
 	t.Helper()
-	var outs [3]*tensor.Tensor
-	var errs [3]error
+	var outs [4]*tensor.Tensor
+	var errs [4]error
 	ctx := context.Background()
 
 	var v1 bytes.Buffer
@@ -69,13 +70,24 @@ func decodeEveryPath(t *testing.T, spec string, shape []int, payload []byte) ([3
 		t.Fatal(err)
 	}
 	outs[2], errs[2] = ix.DecodeAt(ctx, 0)
+
+	ra, err := NewStreamReader(bytes.NewReader(v2.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ra.SetReadAhead(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, errs[3] = ra.Next(); errs[3] == nil {
+		outs[3], errs[3] = ra.Decode(ctx)
+	}
 	return outs, errs
 }
 
-var pathNames = [3]string{"DecodeBytes", "StreamReader.Decode", "IndexedStream.DecodeAt"}
+var pathNames = [4]string{"DecodeBytes", "StreamReader.Decode", "IndexedStream.DecodeAt", "read-ahead StreamReader"}
 
 // TestPayloadPathsAgree decodes pristine payloads of every family and
-// framing mode through the three entry points: a resident container
+// framing mode through the four entry points: a resident container
 // payload and a chunked record payload take the one decoder, so the
 // tensors must match bit for bit.
 func TestPayloadPathsAgree(t *testing.T) {
@@ -104,11 +116,42 @@ func TestPayloadPathsAgree(t *testing.T) {
 				t.Fatalf("%s %v: %s: %v", tc.spec, tc.shape, pathNames[i], err)
 			}
 		}
-		for i := 1; i < 3; i++ {
+		for i := 1; i < len(outs); i++ {
 			for j, v := range outs[0].Data() {
 				if math.Float32bits(v) != math.Float32bits(outs[i].Data()[j]) {
 					t.Fatalf("%s %v: %s differs from %s at %d", tc.spec, tc.shape, pathNames[i], pathNames[0], j)
 				}
+			}
+		}
+	}
+}
+
+// TestSZBoundHoldsOnEOBCode: sz inputs with a residual that quantizes
+// to −32768, the value vle codes as its end-of-block marker — a plane
+// built to hit it and the random field that found the collision — hold
+// the bound on every decode path and through RoundTripInto.
+func TestSZBoundHoldsOnEOBCode(t *testing.T) {
+	const spec, eb = "sz:eb=1e-5", 1e-5
+	planted := tensor.New(3, 4)
+	planted.Data()[3] = float32(-32768 * 2 * float64(float32(eb)))
+	for _, x := range []*tensor.Tensor{planted, tensor.NewRNG(0xf9a1da63ae68f55).Uniform(-3, 3, 12, 12)} {
+		outs, errs := decodeEveryPath(t, spec, x.Shape(), encodeRaw(t, spec, x))
+		c, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := tensor.New(x.Shape()...)
+		_, err = RoundTripInto(c, dst, x)
+		for i, out := range append(outs[:], dst) {
+			path := "RoundTripInto"
+			if i < len(pathNames) {
+				path, err = pathNames[i], errs[i]
+			}
+			if err != nil {
+				t.Fatalf("%v: %s: %v", x.Shape(), path, err)
+			}
+			if d := out.MaxAbsDiff(x); d > eb {
+				t.Errorf("%v: %s: max error %g past the %g bound", x.Shape(), path, d, eb)
 			}
 		}
 	}
@@ -132,7 +175,7 @@ func shiftPlane0(payload []byte, off int, n int32) []byte {
 
 // TestMalformedFrameRejectedOnEveryPath frames each malformed payload
 // as a v1 container and as a CRC-valid v2 record: the checks live in
-// the one decoder, so all three entry points must reject it.
+// the one decoder, so all four entry points must reject it.
 func TestMalformedFrameRejectedOnEveryPath(t *testing.T) {
 	sz := encodeRaw(t, "sz:eb=1e-3", tensor.NewRNG(1).Uniform(0, 1, 3, 5, 7))
 	zfpPlanar := encodeRaw(t, "zfp:rate=8", tensor.NewRNG(2).Uniform(0, 1, 3, 8, 8))
@@ -219,25 +262,44 @@ func TestForgedClaimFailsBeforeAllocation(t *testing.T) {
 		{"sz table", "sz:eb=1e-3", []int{1 << 20, 4, 4}, 1 + 4 + (1<<20)*(4+8), szHead[:present]},
 		{"lossless lanes", "lossless:bg=4", []int{16 << 20}, 64 << 20, make([]byte, present)},
 	} {
-		sr, err := NewStreamReader(bytes.NewReader(forgeRecord(t, tc.spec, tc.shape, tc.claimed, tc.present)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sr.Next(); err != nil {
-			t.Fatalf("%s: forged header rejected: %v", tc.name, err)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		out, err := sr.Decode(context.Background())
-		runtime.ReadMemStats(&after)
-		if err == nil {
-			t.Fatalf("%s: decoded a %v tensor from %d of %d claimed bytes", tc.name, out.Shape(), present, tc.claimed)
-		}
-		if !errors.Is(err, ErrTruncated) {
-			t.Errorf("%s: error %v does not match ErrTruncated", tc.name, err)
-		}
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
-			t.Errorf("%s: decode allocated %d KB before failing, want < 1 MiB", tc.name, alloc>>10)
+		for _, readAhead := range []bool{false, true} {
+			name := tc.name
+			sr, err := NewStreamReader(bytes.NewReader(forgeRecord(t, tc.spec, tc.shape, tc.claimed, tc.present)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The read-ahead reader reads and decodes inside Next; the
+			// synchronous one parses the header there and decodes in
+			// Decode.
+			decode := func() (*tensor.Tensor, error) {
+				if _, err := sr.Next(); err != nil {
+					return nil, err
+				}
+				return sr.Decode(context.Background())
+			}
+			if readAhead {
+				name += " (read-ahead)"
+				if err := sr.SetReadAhead(context.Background(), 2); err != nil {
+					t.Fatal(err)
+				}
+			} else if _, err := sr.Next(); err != nil {
+				t.Fatalf("%s: forged header rejected: %v", name, err)
+			} else {
+				decode = func() (*tensor.Tensor, error) { return sr.Decode(context.Background()) }
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			out, err := decode()
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("%s: decoded a %v tensor from %d of %d claimed bytes", name, out.Shape(), present, tc.claimed)
+			}
+			if !errors.Is(err, ErrTruncated) {
+				t.Errorf("%s: error %v does not match ErrTruncated", name, err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+				t.Errorf("%s: decode allocated %d KB before failing, want < 1 MiB", name, alloc>>10)
+			}
 		}
 	}
 }

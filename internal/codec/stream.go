@@ -418,15 +418,16 @@ func (sw *StreamWriter) finish() error {
 // StreamReader decodes an ACCF v2 stream record by record: Next parses
 // and returns the next record's header, then Decode (or Skip) consumes
 // its payload. Peak extra memory during Decode is one plane-group
-// buffer, not the record payload. All errors carry the stream byte
+// buffer, not the record payload (with read-ahead, a round's payloads
+// are resident; see SetReadAhead). All errors carry the stream byte
 // offset; any error other than the clean io.EOF from Next is sticky —
 // a corrupted stream cannot be resynchronized.
 type StreamReader struct {
 	// The embedded cursor parses the records. With read-ahead enabled
-	// the prefetch goroutine owns it outright and the public methods
-	// serve from ra's queue instead (see stream_parallel.go).
+	// only round reads use it, and the public methods serve from the
+	// round (see stream_parallel.go).
 	recordCursor
-	ra *readAhead
+	round readRound
 }
 
 // NewStreamReader validates the stream header and returns a reader
@@ -477,7 +478,7 @@ func (cc *codecCache) lookup(spec string) (*codecImpl, error) {
 }
 
 // recordCursor is the one parser of ACCF v2 records: the sequential
-// StreamReader and its read-ahead prefetcher, IndexedStream's seeks and
+// StreamReader and its read-ahead rounds, IndexedStream's seeks and
 // range decodes, and the index rebuild walk all position and parse
 // records through it. It holds the buffered window over the source, the
 // stream offset and record number every error reports, the pending

@@ -3,160 +3,206 @@ package codec
 import (
 	"context"
 	"fmt"
-	"io"
-	"runtime/pprof"
 
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
-// This file holds the StreamReader's read-ahead: one prefetch goroutine
-// runs the parse→CRC-verify→decode pipeline ahead of the consumer, so
-// record N+1 decodes while the caller is still working on record N. It
-// changes no wire byte: records are parsed by the same cursor as the
-// synchronous reader's.
+// This file holds the StreamReader's read-ahead: rounds of records read
+// on the caller's goroutine and decoded together on the plane pool, the
+// reader's mirror of StreamWriter.flush. It changes no wire byte:
+// records are parsed by the same cursor as the synchronous reader's.
 
-// raEntry is one prefetched record: its header and decoded tensor, or
-// the error that ended the stream (io.EOF for a clean end).
-type raEntry struct {
-	hdr Header
-	out *tensor.Tensor
-	err error
+// readRound is the read-ahead reader's job on the plane pool: pool
+// index i decodes the round's record i in its slot. The reader keeps
+// one and reuses its slots and their payload buffers, so a round
+// allocates nothing to fan out.
+type readRound struct {
+	ctx    context.Context
+	depth  int   // round size; 0 while read-ahead is off
+	budget int64 // cap on a round's claimed uncompressed bytes
+	// recs[:n] are the round's records, recs[at] the next one Next
+	// serves. A round that stopped on a failure (io.EOF at the end
+	// marker) ends in a slot holding only that error.
+	recs  []roundRecord
+	n, at int
+	// ahead is the header of a record parsed but left for the next
+	// round, because it would have passed the budget.
+	ahead Header
+	cur   *roundRecord // served by Next, pending Decode or Skip
+	err   error        // sticky: the error Next served
 }
 
-// readAhead is the prefetch state. Once enabled, the prefetch goroutine
-// owns the StreamReader's parsing fields outright and the public
-// methods serve from the queue, so there is no shared mutable state.
-type readAhead struct {
-	ch  chan raEntry
-	cur *raEntry // delivered by Next, pending Decode/Skip
-	err error    // consumer-side sticky error (io.EOF after clean end)
+// roundRecord is one record of a round: its header, codec and payload,
+// the stream position its errors report, then its decode.
+type roundRecord struct {
+	hdr      Header
+	impl     *codecImpl
+	payload  []byte
+	off, rec int64
+	out      *tensor.Tensor
+	err      error
 }
 
-// SetReadAhead enables background prefetch: a goroutine parses,
-// CRC-verifies and decodes up to depth records ahead of the consumer,
-// overlapping record N+1's verify+decode with the caller's processing
-// of record N. Must be called before the first Next.
+// SetReadAhead makes the reader work in rounds of depth records: when
+// Next finds no decoded record waiting, it reads the next round's
+// records on the caller's goroutine, every header and chunk CRC
+// checked, then decodes them together on the plane pool, one record per
+// pool index, and serves them in stream order. A round also stops early
+// when the next record would push its claimed uncompressed bytes past
+// 64 MiB; a record larger than that is read in a round of its own.
+// depth < 1 means 1. Must be called before the first Next.
 //
-// ctx governs the background decodes; cancelling it aborts the
-// prefetcher (in-flight Next/Decode calls then return an error wrapping
-// ctx.Err()). The ctx passed to Decode is still checked, but the decode
-// work itself has already happened under this one. The error contract
-// is unchanged: Next returns exactly io.EOF at a clean end of stream,
-// and any other error is sticky.
+// ctx governs the rounds: once it is cancelled, the next round fails
+// with an error wrapping ctx.Err(), while records already decoded are
+// still served. The ctx passed to Decode is still checked, but the
+// decode work has already happened under this one. The error contract
+// is the synchronous reader's: Next returns exactly io.EOF at a clean
+// end of stream; a parse, CRC or decode failure at a record is served
+// after the records before it, carries its stream offset, and is
+// sticky.
 func (sr *StreamReader) SetReadAhead(ctx context.Context, depth int) error {
-	if sr.ra != nil {
+	if sr.round.depth != 0 {
 		return fmt.Errorf("codec: read-ahead already enabled")
 	}
 	if sr.rec != 0 || sr.cur != nil || sr.err != nil {
 		return fmt.Errorf("codec: SetReadAhead must be called before the first Next")
 	}
-	if depth < 1 {
-		depth = 1
-	}
-	sr.ra = &readAhead{ch: make(chan raEntry, depth)}
-	go pprof.Do(context.Background(), pprof.Labels("acc_role", "stream-readahead"), func(context.Context) { sr.prefetch(ctx) })
+	sr.round = readRound{ctx: ctx, depth: max(depth, 1), budget: defaultMaxInFlightBytes}
 	return nil
 }
 
-// prefetch runs the parse→decode loop ahead of the consumer, ending on
-// the first error (io.EOF included) or when ctx is cancelled.
-func (sr *StreamReader) prefetch(ctx context.Context) {
-	defer close(sr.ra.ch)
-	for {
-		hdr, err := sr.nextRecord()
-		if err == nil {
-			if cerr := ctx.Err(); cerr != nil {
-				err = fmt.Errorf("codec: read-ahead aborted: %w", cerr)
+// readRound reads the next round's records and decodes them on the
+// plane pool.
+func (sr *StreamReader) readRound() {
+	r := &sr.round
+	r.n, r.at = 0, 0
+	err := r.ctx.Err()
+	if err != nil {
+		err = fmt.Errorf("codec: read-ahead aborted: %w", err)
+	}
+	for claimed := int64(0); err == nil && r.n < r.depth; r.n++ {
+		if sr.cur == nil {
+			if r.ahead, err = sr.nextRecord(); err != nil {
+				break
 			}
 		}
-		var out *tensor.Tensor
-		if err == nil {
-			out, err = sr.decodeRecord(ctx)
-			if err == nil {
-				select {
-				case sr.ra.ch <- raEntry{hdr: hdr, out: out}:
-					continue
-				case <-ctx.Done():
-					return
-				}
-			}
+		if claimed += 4 * int64(sr.hdr.Elems()); r.n > 0 && claimed > r.budget {
+			break
 		}
-		select {
-		case sr.ra.ch <- raEntry{err: err}:
-		case <-ctx.Done():
+		if r.n == len(r.recs) {
+			r.recs = append(r.recs, roundRecord{})
 		}
+		p := &r.recs[r.n]
+		p.hdr = r.ahead
+		if p.impl, err = sr.codecs.lookup(sr.hdr.Spec); err != nil {
+			err = sr.posw(fmt.Sprintf("record spec %q", sr.hdr.Spec), err)
+			break
+		}
+		// The payload lands in the cursor's buffer, which grows only as
+		// bytes arrive; the slot takes it and gives the cursor its own.
+		var b []byte
+		if b, err = sr.cur.next(sr.cur.len()); err != nil {
+			break
+		}
+		p.payload, *sr.buf = b, p.payload[:0]
+		sr.cur = nil
+		p.off, p.rec = sr.off, int64(sr.rec)
+	}
+	tensor.ParallelPlanesWidth(r.n, r.depth, r)
+	if err != nil {
+		r.recs = append(r.recs[:r.n], roundRecord{err: err})
+		r.n++
+	}
+}
+
+// RunPlane decodes one record from its resident payload: an unstaged
+// one straight through its family decoder, as decodeRecord does, a
+// staged one through decodePayload.
+func (r *readRound) RunPlane(i int) {
+	p := &r.recs[i]
+	start := telemetry.NowNanos()
+	if p.impl.stage == "" {
+		p.out, p.err = p.impl.b.decode(r.ctx, &memPayload{b: p.payload}, p.hdr.Shape)
+	} else {
+		p.out, p.err = p.impl.decodePayload(r.ctx, p.payload, p.hdr.Shape)
+	}
+	if p.err != nil {
+		p.err = fmt.Errorf("codec: stream offset %d (record %d): decoding record: %w", p.off, p.rec, p.err)
 		return
+	}
+	streamM.rDecoded.Add(uint64(p.out.SizeBytes()))
+	streamM.rDecodeNs.ObserveSince(start)
+}
+
+// drop forgets the pending record.
+func (r *readRound) drop() {
+	if r.cur != nil {
+		r.cur.out, r.cur = nil, nil
 	}
 }
 
 // Next advances to the next record and returns its header; see
-// nextRecord for the error contract. In read-ahead mode the record —
-// already decoded in the background — is served from the prefetch
-// queue, and an unconsumed previous record is dropped (its CRCs were
-// verified during the prefetch decode).
+// nextRecord for the error contract. With read-ahead the record is
+// served from the current round, read and decoded first if none is
+// left, and an unconsumed previous record is dropped (its CRCs were
+// verified when its round was read).
 func (sr *StreamReader) Next() (Header, error) {
-	if sr.ra == nil {
+	r := &sr.round
+	if r.depth == 0 {
 		return sr.nextRecord()
 	}
-	if sr.ra.err != nil {
-		return Header{}, sr.ra.err
+	if r.err != nil {
+		return Header{}, r.err
 	}
-	sr.ra.cur = nil
-	// A non-empty queue means the prefetcher stayed ahead of the
-	// consumer; an empty one means this Next will block on it.
-	if len(sr.ra.ch) > 0 {
-		streamM.rRAHits.Inc()
-	} else {
-		streamM.rRAMiss.Inc()
+	r.drop()
+	if r.at == r.n {
+		sr.readRound()
 	}
-	ent, ok := <-sr.ra.ch
-	if !ok {
-		// Prefetcher aborted by its context before reporting an error.
-		sr.ra.err = fmt.Errorf("codec: read-ahead aborted: %w", context.Canceled)
-		return Header{}, sr.ra.err
+	p := &r.recs[r.at]
+	r.at++
+	if p.err != nil {
+		r.err = p.err
+		clear(r.recs) // the reader is done: drop what it holds
+		return Header{}, r.err
 	}
-	if ent.err != nil {
-		sr.ra.err = ent.err
-		if ent.err == io.EOF {
-			return Header{}, io.EOF
-		}
-		return Header{}, ent.err
-	}
-	sr.ra.cur = &ent
-	return ent.hdr, nil
+	r.cur = p
+	return p.hdr, nil
 }
 
 // Decode decompresses the pending record into a tensor; see
-// decodeRecord. In read-ahead mode the decode already happened in the
-// background and the tensor is handed over directly.
+// decodeRecord. With read-ahead the record was decoded with its round
+// and the tensor is handed over.
 func (sr *StreamReader) Decode(ctx context.Context) (*tensor.Tensor, error) {
-	if sr.ra == nil {
+	r := &sr.round
+	if r.depth == 0 {
 		return sr.decodeRecord(ctx)
 	}
-	if sr.ra.err != nil {
-		return nil, sr.ra.err
+	if r.err != nil {
+		return nil, r.err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if sr.ra.cur == nil {
+	if r.cur == nil {
 		return nil, fmt.Errorf("codec: no pending record (call Next first)")
 	}
-	out := sr.ra.cur.out
-	sr.ra.cur = nil
+	out := r.cur.out
+	r.drop()
 	return out, nil
 }
 
-// Skip discards the pending record's payload; see skipRecord. In
-// read-ahead mode the record was already decoded and CRC-verified, so
-// Skip just drops it.
+// Skip discards the pending record's payload; see skipRecord. With
+// read-ahead the record was already read and CRC-verified with its
+// round, so Skip just drops it.
 func (sr *StreamReader) Skip() error {
-	if sr.ra == nil {
+	r := &sr.round
+	if r.depth == 0 {
 		return sr.skipRecord()
 	}
-	if sr.ra.err != nil {
-		return sr.ra.err
+	if r.err != nil {
+		return r.err
 	}
-	sr.ra.cur = nil
+	r.drop()
 	return nil
 }

@@ -255,6 +255,104 @@ func TestAbandonedStreamWriterLeaksNothing(t *testing.T) {
 	}
 }
 
+// nopPlanes is a plane job that does nothing.
+type nopPlanes struct{}
+
+func (nopPlanes) RunPlane(int) {}
+
+// TestAbandonedStreamReaderLeaksNothing: a read-ahead reader dropped
+// mid-stream with a live context leaves no more goroutines behind than
+// the synchronous reader. A round is read and decoded inside Next, so
+// between calls nothing runs on the reader's behalf.
+func TestAbandonedStreamReaderLeaksNothing(t *testing.T) {
+	var buf bytes.Buffer
+	writeParallelStream(t, NewStreamWriter(&buf))
+	abandon := func(depth int) {
+		sr, err := NewStreamReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if depth > 0 {
+			if err := sr.SetReadAhead(context.Background(), depth); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := sr.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A round of four decodes on the plane pool's persistent workers,
+	// which live for the process by design: spawn them before counting.
+	tensor.ParallelPlanesWidth(4, 4, nopPlanes{})
+	abandon(0)
+	serial := runtime.NumGoroutine()
+	abandon(4)
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > serial; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("abandoned read-ahead reader left %d goroutines running, the synchronous reader %d", runtime.NumGoroutine(), serial)
+		}
+	}
+}
+
+// TestReadAheadBudgetSplitsRounds reads parallelCases at a depth of
+// four under a budget of a few records' uncompressed bytes: rounds
+// close early, leaving a parsed header for the next round, never hold
+// more than the budget unless they hold one record, and serve what the
+// synchronous reader decodes.
+func TestReadAheadBudgetSplitsRounds(t *testing.T) {
+	var buf bytes.Buffer
+	writeParallelStream(t, NewStreamWriter(&buf))
+	ctx := context.Background()
+	read := func(depth int) (outs []*tensor.Tensor, rounds int) {
+		sr, err := NewStreamReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const budget = 8 << 10
+		if depth > 0 {
+			if err := sr.SetReadAhead(ctx, depth); err != nil {
+				t.Fatal(err)
+			}
+			sr.round.budget = budget
+		}
+		for {
+			if _, err := sr.Next(); err == io.EOF {
+				return outs, rounds
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			if r := &sr.round; r.depth > 0 && r.at == 1 {
+				rounds++
+				claimed := 0
+				for _, p := range r.recs[:r.n] {
+					claimed += 4 * p.hdr.Elems()
+				}
+				if r.n > 1 && claimed > budget {
+					t.Fatalf("round %d holds %d records, %d claimed bytes, past the %d-byte budget", rounds, r.n, claimed, budget)
+				}
+			}
+			out, err := sr.Decode(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs = append(outs, out)
+		}
+	}
+	want, _ := read(0)
+	got, rounds := read(4)
+	if minRounds := (len(parallelCases) + 3) / 4; rounds <= minRounds {
+		t.Fatalf("%d rounds for %d records at depth 4: the budget closed none early", rounds, len(parallelCases))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("read-ahead served %d records, the synchronous reader %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bitsEqual(got[i], want[i]) {
+			t.Fatalf("record %d differs from the synchronous reader's", i)
+		}
+	}
+}
+
 // errSink fails after n bytes, modeling a full disk mid-stream.
 type errSink struct {
 	n       int

@@ -279,8 +279,7 @@ func TestStreamWriterStatsPipelined(t *testing.T) {
 }
 
 // TestStreamReaderStats checks the stream.reader counters a read run
-// moves, including the read-ahead hit/miss split and CRC-failure
-// accounting.
+// moves, with and without read-ahead, and CRC-failure accounting.
 func TestStreamReaderStats(t *testing.T) {
 	counted := countingOn(t)
 	ctx := context.Background()
@@ -342,9 +341,6 @@ func TestStreamReaderStats(t *testing.T) {
 		if got := d["stream.reader.crc_failures"]; got != 0 {
 			t.Errorf("crc_failures = %d, want 0", got)
 		}
-		if h, m := d["stream.reader.readahead_hits"], d["stream.reader.readahead_misses"]; h != 0 || m != 0 {
-			t.Errorf("read-ahead counters moved without read-ahead: hits %d, misses %d", h, m)
-		}
 	})
 
 	t.Run("readahead", func(t *testing.T) {
@@ -379,8 +375,8 @@ func TestStreamReaderStats(t *testing.T) {
 		if got := d["stream.reader.records"]; got != n {
 			t.Errorf("records = %d, want %d", got, n)
 		}
-		if got := d["stream.reader.readahead_hits"] + d["stream.reader.readahead_misses"]; got != reads {
-			t.Errorf("hits+misses = %d, want %d (one per Next)", got, reads)
+		if got, want := d["stream.reader.decoded_bytes"], uint64(n*x.SizeBytes()); got != want {
+			t.Errorf("decoded_bytes = %d, want %d", got, want)
 		}
 	})
 

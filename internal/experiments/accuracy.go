@@ -37,16 +37,6 @@ func Baseline() Transform {
 	}
 }
 
-// FromSpec builds a Transform from any registered codec spec string
-// ("dctc:cf=4,sg", "zfp:rate=8", …), labeled with the canonical spec.
-func FromSpec(spec string) (Transform, error) {
-	c, err := codec.New(spec)
-	if err != nil {
-		return Transform{}, err
-	}
-	return Transform{Label: c.Spec(), Ratio: c.Ratio(), Apply: applyCodec(c)}, nil
-}
-
 // applyCodec adapts a registry codec's round trip (which takes the
 // serialization-free batched path for dctc) to the Transform signature.
 func applyCodec(c codec.Codec) func(x *tensor.Tensor) (*tensor.Tensor, error) {

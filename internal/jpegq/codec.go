@@ -34,7 +34,9 @@ func NewCodec(quality int) (*Codec, error) {
 
 const codecMagic = 0x4A504751 // "JPGQ"
 
-// Compress encodes the batch, returning the byte stream.
+// Compress encodes the batch, returning the byte stream. A coefficient
+// that quantizes to −32768, vle's end-of-block value, fails the encode
+// rather than being clamped: only a pixel far outside [0,1] reaches it.
 func (c *Codec) Compress(x *tensor.Tensor) ([]byte, error) {
 	if x.Dims() != 4 {
 		return nil, fmt.Errorf("jpegq: need [BD,C,n,n], got %v", x.Shape())

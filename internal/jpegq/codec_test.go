@@ -134,3 +134,25 @@ func TestCodecGrayscale(t *testing.T) {
 		t.Fatalf("grayscale PSNR %g", metrics.PSNR(noisy, out))
 	}
 }
+
+// TestEOBValueCoefficientFails: a block whose DC coefficient quantizes
+// to −32768, vle's end-of-block value, fails Compress and RoundTripPlane
+// instead of decoding as an early block end. At quality 100 every step
+// is 1, so a flat block of level-shifted value −4096 has DC 8·(−4096).
+func TestEOBValueCoefficientFails(t *testing.T) {
+	c, err := NewCodec(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.Full(float32(-3968.0/255), 1, 1, 8, 8)
+	if _, err := c.Compress(x); err == nil {
+		t.Fatal("Compress coded a -32768 coefficient")
+	}
+	if _, err := c.RoundTripPlane(make([]float32, 64), x.Data(), 8, 8, 0); err == nil {
+		t.Fatal("RoundTripPlane coded a -32768 coefficient")
+	}
+	// One step less negative codes.
+	if _, err := c.Compress(tensor.Full(float32(-3967.875/255), 1, 1, 8, 8)); err != nil {
+		t.Fatalf("DC -32767: %v", err)
+	}
+}

@@ -79,35 +79,6 @@ func (s *Sigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // Params returns nil: Sigmoid has no parameters.
 func (s *Sigmoid) Params() []*Param { return nil }
 
-// Tanh is the hyperbolic-tangent activation.
-type Tanh struct {
-	out *tensor.Tensor
-}
-
-// NewTanh returns a Tanh layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Forward computes tanh(x).
-func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := x.Apply(func(v float32) float32 { return float32(math.Tanh(float64(v))) })
-	t.out = out
-	return out
-}
-
-// Backward multiplies by 1−tanh²(x).
-func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := grad.Clone()
-	d := out.Data()
-	o := t.out.Data()
-	for i := range d {
-		d[i] *= 1 - o[i]*o[i]
-	}
-	return out
-}
-
-// Params returns nil: Tanh has no parameters.
-func (t *Tanh) Params() []*Param { return nil }
-
 // Flatten reshapes [BD, ...] to [BD, rest].
 type Flatten struct {
 	inShape []int

@@ -12,8 +12,9 @@ import (
 
 // refCompress is the cell-by-cell reference for Compress: one pass
 // over every plane in row-major order, each cell predicted by lorenzo
-// and quantized in place, its raw value appended as it is met. It
-// frames the result through the same appendStream.
+// and quantized in place, its raw value appended as it is met (a code
+// of −32768, vle's end-of-block value, goes raw too). It frames the
+// result through the same appendStream.
 func refCompress(c *Codec, x *tensor.Tensor) ([]byte, error) {
 	h, w := x.Dim(-2), x.Dim(-1)
 	planes := x.Len() / (h * w)
@@ -30,7 +31,7 @@ func refCompress(c *Codec, x *tensor.Tensor) ([]byte, error) {
 				pred := lorenzo(recon, i, j, w)
 				v := float64(plane[i*w+j])
 				q := math.Round((v - float64(pred)) / (2 * eb))
-				if math.Abs(q) <= float64(c.Bins) {
+				if math.Abs(q) <= float64(c.Bins) && q != math.MinInt16 {
 					rec := float64(pred) + 2*eb*q
 					if r32 := float32(rec); math.Abs(float64(r32)-v) <= c.ErrorBound {
 						row[j] = int32(q)
@@ -64,7 +65,9 @@ func lorenzo(recon []float32, i, j, w int) float32 {
 }
 
 // requireReference compresses x through Compress and refCompress and
-// requires the same bytes.
+// requires the same bytes, and a decode that holds the bound: every
+// value within ErrorBound of its original, or bit for bit the same
+// (NaN and the infinities are stored verbatim).
 func requireReference(t *testing.T, c *Codec, x *tensor.Tensor) {
 	t.Helper()
 	got, err := c.Compress(x)
@@ -78,6 +81,17 @@ func requireReference(t *testing.T, c *Codec, x *tensor.Tensor) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("shape %v, eb %g, bins %d: Compress differs from the cell-by-cell reference (len %d vs %d)",
 			x.Shape(), c.ErrorBound, c.Bins, len(got), len(want))
+	}
+	out, err := c.Decompress(got, x.Shape()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range out.Data() {
+		u := x.Data()[i]
+		if math.Float32bits(u) != math.Float32bits(v) && !(math.Abs(float64(v)-float64(u)) <= c.ErrorBound) {
+			t.Fatalf("shape %v, eb %g, bins %d: cell %d decodes to %g from %g, past the bound",
+				x.Shape(), c.ErrorBound, c.Bins, i, v, u)
+		}
 	}
 }
 

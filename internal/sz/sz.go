@@ -130,11 +130,12 @@ type quantizer struct {
 // cell quantizes value v against its Lorenzo prediction, returning the
 // code and the reconstruction the decoder will replay, and whether the
 // cell was predictable. An unpredictable cell codes as the sentinel
-// and reconstructs as v itself, stored verbatim.
+// and reconstructs as v itself, stored verbatim. So does a cell whose
+// code would be −32768, which vle refuses as its end-of-block value.
 func (qz quantizer) cell(v, pred float32) (int32, float32, bool) {
 	x := float64(v)
 	q := math.Round((x - float64(pred)) / qz.step)
-	if math.Abs(q) <= qz.bins {
+	if math.Abs(q) <= qz.bins && q != math.MinInt16 {
 		// Guard against float32 rounding pushing the reconstruction
 		// outside the bound.
 		if r32 := float32(float64(pred) + qz.step*q); math.Abs(float64(r32)-x) <= qz.bound {

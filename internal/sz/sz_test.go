@@ -163,6 +163,28 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
+// TestEOBCodeHoldsBound: a residual that quantizes to exactly −32768,
+// the value vle codes as its end-of-block marker, is stored verbatim,
+// so the bound holds — on a plane built to hit it and on the random
+// field that found the collision (there a row's last cell hit it, its
+// row decoded as ending early and every later row one row late).
+func TestEOBCodeHoldsBound(t *testing.T) {
+	const eb = 1e-5
+	step := 2 * float64(float32(eb))
+	planted := tensor.New(3, 4)
+	planted.Data()[3] = float32(-32768 * step) // predicted by its west neighbour, 0
+	if q := math.Round(float64(planted.Data()[3]) / step); q != math.MinInt16 {
+		t.Fatalf("planted cell quantizes to %g, want -32768", q)
+	}
+	c, err := New(eb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []*tensor.Tensor{planted, tensor.NewRNG(0xf9a1da63ae68f55).Uniform(-3, 3, 12, 12)} {
+		requireReference(t, c, x)
+	}
+}
+
 // Property: the error bound holds for arbitrary data and bounds.
 func TestErrorBoundProperty(t *testing.T) {
 	f := func(seed uint64, rawEB uint8) bool {

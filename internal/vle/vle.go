@@ -83,8 +83,14 @@ func (e *Encoder) reset() {
 	clear(e.lens[:])
 }
 
+// errEOBValue refuses the value −32768: the historical encoder coded it
+// as the end-of-block marker, so it decoded as an early block end and
+// every later block one block late.
+var errEOBValue = fmt.Errorf("vle: value %d collides with the end-of-block marker", symEOB)
+
 // countBlock runs the tokenizer over one block, updating the histogram.
-func countBlock[T ~int | ~int32](e *Encoder, coeffs []T) {
+// It refuses a block holding −32768 (errEOBValue).
+func countBlock[T ~int | ~int32](e *Encoder, coeffs []T) error {
 	last := len(coeffs) - 1
 	for last >= 0 && coeffs[last] == 0 {
 		last--
@@ -101,18 +107,14 @@ func countBlock[T ~int | ~int32](e *Encoder, coeffs []T) {
 			continue
 		}
 		if v == symEOB {
-			// Historical sentinel collision: −32768 is indistinguishable
-			// from the end-of-block marker, so it was (and still is)
-			// coded as one. Kept for byte-identical streams.
-			e.freq[0]++
-			run = 0
-			continue
+			return errEOBValue
 		}
 		_, cat := signMag(v)
 		e.freq[1+run*32+int(cat)]++
 		run = 0
 	}
 	e.freq[0]++ // EOB
+	return nil
 }
 
 // signMag splits a nonzero value into its sign-and-magnitude extra
@@ -130,7 +132,8 @@ func signMag(v int64) (extra uint64, cat uint) {
 	return mag | uint64(s&1)<<cat, cat
 }
 
-// emitBlock re-runs the tokenizer over one block, writing codes.
+// emitBlock re-runs the tokenizer over one block countBlock accepted,
+// writing codes.
 func emitBlock[T ~int | ~int32](e *Encoder, w *bitstream.Writer, coeffs []T) {
 	last := len(coeffs) - 1
 	for last >= 0 && coeffs[last] == 0 {
@@ -146,12 +149,6 @@ func emitBlock[T ~int | ~int32](e *Encoder, w *bitstream.Writer, coeffs []T) {
 				w.WriteBits(e.code.Enc[sym]>>8, uint(e.lens[sym]))
 				run = 0
 			}
-			continue
-		}
-		if v == symEOB {
-			// Sentinel collision (see countBlock): coded as EOB.
-			w.WriteBits(e.code.Enc[0]>>8, uint(e.lens[0]))
-			run = 0
 			continue
 		}
 		extra, cat := signMag(v)
@@ -211,7 +208,8 @@ func (e *Encoder) writeHeader(w *bitstream.Writer, nblocks, size int) {
 }
 
 // Encode compresses blocks of zigzagged integer coefficients with
-// RLE + canonical Huffman. All blocks must have the same length.
+// RLE + canonical Huffman. All blocks must have the same length, and no
+// value may be −32768, the end-of-block marker's value.
 func Encode(blocks [][]int) ([]byte, error) {
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("vle: no blocks")
@@ -220,7 +218,9 @@ func Encode(blocks [][]int) ([]byte, error) {
 	defer encoderPool.Put(e)
 	e.reset()
 	for _, b := range blocks {
-		countBlock(e, b)
+		if err := countBlock(e, b); err != nil {
+			return nil, err
+		}
 	}
 	if err := e.build(); err != nil {
 		return nil, err
@@ -245,7 +245,9 @@ func AppendFlat(dst []byte, coeffs []int32, blockSize int) ([]byte, error) {
 	defer encoderPool.Put(e)
 	e.reset()
 	for off := 0; off < len(coeffs); off += blockSize {
-		countBlock(e, coeffs[off:off+blockSize])
+		if err := countBlock(e, coeffs[off:off+blockSize]); err != nil {
+			return nil, err
+		}
 	}
 	if err := e.build(); err != nil {
 		return nil, err
