@@ -428,7 +428,7 @@ func BenchmarkAblationRetention(b *testing.B) {
 		order := dct.ZigZag(8)
 		var ratio float64
 		for i := 0; i < b.N; i++ {
-			var blocks [][]int
+			var coeffs []int32
 			block := tensor.New(8, 8)
 			for s := 0; s < x.Dim(0); s++ {
 				for c := 0; c < x.Dim(1); c++ {
@@ -440,16 +440,14 @@ func BenchmarkAblationRetention(b *testing.B) {
 								}
 							}
 							q := jpegq.QuantizeBlock(dct.Apply2D(block), table)
-							zz := make([]int, 64)
-							for k, ix := range order {
-								zz[k] = q[ix]
+							for _, ix := range order {
+								coeffs = append(coeffs, int32(q[ix]))
 							}
-							blocks = append(blocks, zz)
 						}
 					}
 				}
 			}
-			data, err := vle.Encode(blocks)
+			data, err := vle.AppendFlat(nil, coeffs, 64)
 			if err != nil {
 				b.Fatal(err)
 			}

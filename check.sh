@@ -60,11 +60,13 @@ ACC_DISABLE_SIMD=1 go test -count=1 \
 # RoundTripInto included) and every registry family's pooled round
 # trip, bare and staged, each held to its allocs/op bound; the entropy
 # decode's one output allocation (and no more than the bound on a
-# stream claiming past it), and staged lossless decode's bytes per
-# output byte on the container, stream and indexed paths.
+# stream claiming past it), staged lossless decode's bytes per output
+# byte on the container, stream and indexed paths, and staged lossless
+# encode's bytes per input byte through WriteTensor, Compress and
+# RoundTripInto.
 go test ./internal/entropy/ -run 'TestZeroAllocSteadyState|TestDecompressCapSizesOnce|TestDecompressCapClaimsPastLimit' -count=1
 go test ./internal/core/ -run TestIntoPathZeroAllocs -count=1
-go test ./internal/codec/ -run 'TestRoundTripIntoAllocs|TestStagedDecodeAllocBytes' -count=1
+go test ./internal/codec/ -run 'TestRoundTripIntoAllocs|TestStagedDecodeAllocBytes|TestStagedEncodeAllocBytes' -count=1
 # Telemetry alloc gates: the instrumented fused round trip must stay
 # 0 allocs/op with telemetry enabled, and the stream writer, at rounds
 # of two, must allocate exactly as much with it on as off.

@@ -20,7 +20,6 @@
 package codec
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -109,7 +108,7 @@ func RoundTripInto(c Codec, dst, x *tensor.Tensor) (int, error) {
 		impl.m.payloadBytes.Add(uint64(n))
 	case errNoFastPath:
 		ctx := context.Background()
-		payload, err := impl.encodePayload(ctx, x)
+		payload, err := impl.encodePayload(ctx, nil, x)
 		if err != nil {
 			return 0, err
 		}
@@ -147,15 +146,11 @@ func (c *codecImpl) Spec() string   { return c.spec }
 func (c *codecImpl) Ratio() float64 { return c.b.ratio() }
 
 func (c *codecImpl) Compress(x *tensor.Tensor) ([]byte, error) {
-	payload, err := c.encodePayload(context.Background(), x)
+	payload, err := c.encodePayload(context.Background(), nil, x)
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if _, err := WriteContainer(&buf, c.spec, x.Shape(), payload); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return appendContainer(nil, c.spec, x.Shape(), payload)
 }
 
 func (c *codecImpl) Decompress(data []byte) (*tensor.Tensor, error) {

@@ -193,25 +193,36 @@ func readFrameHead(next func(int) ([]byte, error), h frameHead, seal func() erro
 // WriteContainer frames a payload under the given spec and shape. A
 // "+fse" spec is refused with ErrBadSpec: that stage is decode-only.
 func WriteContainer(w io.Writer, spec string, shape []int, payload []byte) (int64, error) {
+	buf, err := appendContainer(nil, spec, shape, payload)
+	if err != nil {
+		return 0, err
+	}
+	n, err := w.Write(buf)
+	return int64(n), err
+}
+
+// appendContainer appends the container framing payload to dst, grown
+// once for the whole container: magic, version, frame head, payload CRC
+// and payload. It is WriteContainer's body, and Compress's whole
+// output.
+func appendContainer(dst []byte, spec string, shape []int, payload []byte) ([]byte, error) {
 	if _, stage := splitSpecStage(spec); stage == "fse" {
-		return 0, errFSEWrite
+		return nil, errFSEWrite
 	}
 	h := frameHead{Header: Header{Spec: spec, Shape: shape}, payLen: uint64(len(payload)), staged: specHasStages(spec)}
 	version := uint16(containerVersion)
 	if h.staged {
 		version = containerVersionStaged
 	}
-	buf := make([]byte, 0, 16+len(spec)+4*len(shape)+len(payload))
-	buf = binary.LittleEndian.AppendUint32(buf, containerMagic)
-	buf = binary.LittleEndian.AppendUint16(buf, version)
-	buf, err := appendFrameHead(buf, h)
+	dst = slices.Grow(dst, 17+len(spec)+4*len(shape)+len(payload))
+	dst = binary.LittleEndian.AppendUint32(dst, containerMagic)
+	dst = binary.LittleEndian.AppendUint16(dst, version)
+	dst, err := appendFrameHead(dst, h)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	buf = append(buf, payload...)
-	n, err := w.Write(buf)
-	return int64(n), err
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...), nil
 }
 
 // ReadContainer parses exactly one container from r, verifying magic,

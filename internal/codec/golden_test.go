@@ -102,7 +102,7 @@ func TestRoundTripIntoMatchesSerializePath(t *testing.T) {
 				// encodePayload/decodePayload run the entropy stage (if any)
 				// on top of the backend, so staged specs compare against
 				// the bytes that actually hit the wire.
-				payload, err := impl.encodePayload(context.Background(), x)
+				payload, err := impl.encodePayload(context.Background(), nil, x)
 				if err != nil {
 					// A shape the family rejects must be rejected by the
 					// fused paths too.
@@ -170,7 +170,7 @@ func TestRoundTripIntoAllocs(t *testing.T) {
 		{"dctc:cf=4", 26},
 		{"dctc:cf=4+huf", 27},
 		{"lossless:bg=4", 9},
-		{"lossless:bg=4+huf", 15},
+		{"lossless:bg=4+huf", 12},
 	} {
 		c, err := New(tc.spec)
 		if err != nil {

@@ -45,6 +45,13 @@ func (b *losslessBackend) canonical() string {
 }
 
 func (b *losslessBackend) encode(ctx context.Context, x *tensor.Tensor) ([]byte, error) {
+	return b.group(ctx, nil, x)
+}
+
+// group writes x's byte-group transpose into buf, grown to 4 bytes per
+// element when it is short, and returns it. A staged encode passes a
+// pooled buffer: the lanes are read only by the entropy step.
+func (b *losslessBackend) group(ctx context.Context, buf []byte, x *tensor.Tensor) ([]byte, error) {
 	if x.Len() == 0 {
 		return nil, fmt.Errorf("lossless: empty tensor")
 	}
@@ -53,7 +60,10 @@ func (b *losslessBackend) encode(ctx context.Context, x *tensor.Tensor) ([]byte,
 	}
 	elems := x.Len()
 	data := x.Data()
-	out := make([]byte, 4*elems)
+	if cap(buf) < 4*elems {
+		buf = make([]byte, 4*elems)
+	}
+	out := buf[:4*elems]
 	// One flat loop per bg: the lane slices are hoisted and every
 	// element is split with shifts only, so the transpose runs at
 	// memory speed instead of re-slicing per element.

@@ -20,7 +20,7 @@ func encodeRaw(t *testing.T, spec string, x *tensor.Tensor) []byte {
 	if err != nil {
 		t.Fatalf("New(%q): %v", spec, err)
 	}
-	payload, err := c.(*codecImpl).encodePayload(context.Background(), x)
+	payload, err := c.(*codecImpl).encodePayload(context.Background(), nil, x)
 	if err != nil {
 		t.Fatalf("encode %q: %v", spec, err)
 	}

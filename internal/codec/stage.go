@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/entropy"
@@ -93,43 +94,56 @@ func stagedSizeHint(shape []int) int {
 	return hint
 }
 
-// stageDst sizes a destination buffer for an entropy-coded payload:
-// the coder never expands a block by more than its framing overhead
-// (≤ 4 bytes per 64 KiB block plus slack for the last short block), so
-// one up-front allocation replaces the append-growth ladder.
-func stageDst(payloadLen int) []byte {
-	return make([]byte, 0, payloadLen+4*(payloadLen>>16)+16)
+// hufEncode appends the entropy-coded form of a family payload to dst.
+// A lossless payload is bg byte-group lanes with distinct statistics,
+// so each lane restarts the block sequence: per-lane tables instead of
+// blocks straddling an exponent/mantissa boundary. Entropy blocks are
+// self-delimiting, so the concatenated lanes decode as one stream. The
+// coder never expands a block by more than its framing overhead (≤ 4
+// bytes per 64 KiB block, plus slack for each lane's last short block),
+// so dst grows once, up front, instead of along the append ladder.
+func hufEncode(dst []byte, lanes int, payload []byte) []byte {
+	n := len(payload) + 4*lanes
+	dst = slices.Grow(dst, n+4*(n>>16)+16)
+	lane := len(payload) / lanes // a lossless payload is 4 bytes per element: bg divides it
+	for off := 0; off < len(payload); off += lane {
+		dst = entropy.CompressHuf(dst, payload[off:off+lane])
+	}
+	return dst
 }
 
-// hufEncode entropy-codes a family payload. A lossless payload is bg
-// byte-group lanes with distinct statistics, so each lane restarts the
-// block sequence: per-lane tables instead of blocks straddling an
-// exponent/mantissa boundary. Entropy blocks are self-delimiting, so
-// the concatenated lanes decode as one stream.
-func hufEncode(b backend, payload []byte) []byte {
-	lanes := 1
-	if lb, ok := b.(*losslessBackend); ok {
-		lanes = lb.bg // the payload is 4 bytes per element: bg divides it
-	}
-	out := stageDst(len(payload) + 4*lanes)
-	lane := len(payload) / lanes
-	for off := 0; off < len(payload); off += lane {
-		out = entropy.CompressHuf(out, payload[off:off+lane])
-	}
-	return out
-}
+// groupBufs recycles a staged lossless encode's byte-group transpose:
+// the lanes are needed only until the entropy step returns.
+var groupBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // encodePayload runs the family encoder, then the entropy step. It is
 // the compress-side choke point: every Compress, stream record encode,
 // and staged round trip passes through here, so a "+fse" codec fails
 // here before any byte reaches a sink.
-func (c *codecImpl) encodePayload(ctx context.Context, x *tensor.Tensor) ([]byte, error) {
+//
+// A staged codec appends its entropy output to dst, which the caller
+// owns: nil for a fresh buffer, or a buffer kept across calls (a
+// StreamWriter round slot). The family payload it codes is scratch,
+// pooled for lossless. An unstaged codec returns the family encoder's
+// own fresh payload and ignores dst.
+func (c *codecImpl) encodePayload(ctx context.Context, dst []byte, x *tensor.Tensor) ([]byte, error) {
 	if c.stage == "fse" {
 		c.m.countErr(errFSEWrite)
 		return nil, errFSEWrite
 	}
 	start := telemetry.NowNanos()
-	payload, err := c.b.encode(ctx, x)
+	lb, grouped := c.b.(*losslessBackend)
+	var payload []byte
+	var err error
+	if c.stage == "huf" && grouped {
+		bp := groupBufs.Get().(*[]byte)
+		defer groupBufs.Put(bp)
+		if payload, err = lb.group(ctx, *bp, x); err == nil {
+			*bp = payload
+		}
+	} else {
+		payload, err = c.b.encode(ctx, x)
+	}
 	if err != nil {
 		c.m.countErr(err)
 		return nil, err
@@ -140,7 +154,11 @@ func (c *codecImpl) encodePayload(ctx context.Context, x *tensor.Tensor) ([]byte
 			return nil, fmt.Errorf("codec: stage huf forward: %w", err)
 		}
 		ts := telemetry.NowNanos()
-		payload = hufEncode(c.b, payload)
+		lanes := 1
+		if grouped {
+			lanes = lb.bg
+		}
+		payload = hufEncode(dst, lanes, payload)
 		stageM.forwardNs.ObserveSince(ts)
 	}
 	c.m.compressCalls.Inc()

@@ -398,6 +398,71 @@ func TestStagedDecodeAllocBytes(t *testing.T) {
 	}
 }
 
+// TestStagedEncodeAllocBytes is the byte-volume gate on staged
+// lossless encode: the byte-group transpose lands in a pooled buffer,
+// a StreamWriter's round slot keeps its entropy output buffer across
+// records, and Compress sizes its container once. Bounds, in bytes
+// allocated per input byte on a 2 MiB weight-like matrix at steady
+// state: WriteTensor 0.05 (nothing per record but framing), Compress
+// 2.0 (the entropy output and the container) and RoundTripInto 2.1 (the
+// entropy output and the decoded tensor). It measures at GOMAXPROCS=1
+// for the reason TestStagedDecodeAllocBytes gives.
+func TestStagedEncodeAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc volumes only hold without -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	prev := SetMaxWorkers(1)
+	defer SetMaxWorkers(prev)
+	ctx := context.Background()
+	x := tensor.NewRNG(7).Normal(0, 0.02, 1, 1, 512, 1024)
+	dst := tensor.New(x.Shape()...)
+	c, err := New("lossless:bg=4+huf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := NewStreamWriter(io.Discard)
+	if err := sw.SetIndex(true); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		bound float64
+		call  func() error
+	}{
+		{"StreamWriter.WriteTensor", 0.05, func() error { return sw.WriteTensor(ctx, c, x) }},
+		{"Compress", 2.0, func() error { _, err := c.Compress(x); return err }},
+		{"RoundTripInto", 2.1, func() error { _, err := RoundTripInto(c, dst, x); return err }},
+	} {
+		// The first calls warm the pools and the writer's slot.
+		for k := 0; k < 2; k++ {
+			if err := tc.call(); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		const calls = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for k := 0; k < calls; k++ {
+			if err := tc.call(); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(calls*x.SizeBytes())
+		t.Logf("%s: %.3f B allocated per input byte (bound %.2f)", tc.name, perByte, tc.bound)
+		if perByte > tc.bound {
+			t.Errorf("%s allocates %.3f B per input byte, want ≤ %.2f", tc.name, perByte, tc.bound)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bitsEqual(dst, x) {
+		t.Fatal("RoundTripInto is not exact")
+	}
+}
+
 // bitsEqual compares two tensors bit-for-bit (NaN patterns included).
 func bitsEqual(a, b *tensor.Tensor) bool {
 	if !a.SameShape(b) {

@@ -247,7 +247,11 @@ func (sw *StreamWriter) WriteTensor(ctx context.Context, c Codec, x *tensor.Tens
 			return err
 		}
 	}
-	sw.round.recs = append(sw.round.recs, pendingRecord{ctx: ctx, c: impl, x: x, shape: shape})
+	// The slot keeps its payload buffer from earlier rounds.
+	sw.round.recs = slices.Grow(sw.round.recs, 1)
+	sw.round.recs = sw.round.recs[:len(sw.round.recs)+1]
+	p := &sw.round.recs[len(sw.round.recs)-1]
+	p.ctx, p.c, p.x, p.shape = ctx, impl, x, shape
 	sw.inflight += cost
 	sw.maxInFlight = max(sw.maxInFlight, sw.inflight)
 	streamM.wInflight.Add(cost)
@@ -271,13 +275,17 @@ type pendingRecord struct {
 // writeRound is the writer's job on the plane pool: pool index i
 // encodes the round's record i into its slot. The writer keeps one and
 // reuses its slots, so closing a round allocates nothing to fan out.
+// A staged record's entropy output lands in its slot's payload buffer,
+// which the slot keeps for the next round's record: the sink has
+// copied the bytes once Write returns (an io.Writer must not retain
+// them), so the writer owns the buffer again after emitRecord.
 type writeRound struct{ recs []pendingRecord }
 
 // RunPlane encodes one record.
 func (r *writeRound) RunPlane(i int) {
 	p := &r.recs[i]
 	ts := telemetry.NowNanos()
-	p.payload, p.err = p.c.encodePayload(p.ctx, p.x)
+	p.payload, p.err = p.c.encodePayload(p.ctx, p.payload[:0], p.x)
 	streamM.wEncodeNs.ObserveSince(ts)
 }
 
@@ -300,7 +308,13 @@ func (sw *StreamWriter) flush() error {
 				sw.err = sw.emitRecord(p.c.spec, p.shape, p.payload)
 			}
 		}
-		recs[i] = pendingRecord{} // drop the tensor and payload
+		// Drop the tensor; keep a staged payload's buffer. An unstaged
+		// payload is the family encoder's own and goes with the record.
+		var keep []byte
+		if p.c.stage != "" {
+			keep = p.payload[:0]
+		}
+		recs[i] = pendingRecord{payload: keep}
 	}
 	sw.round.recs = recs[:0]
 	streamM.wInflight.Add(-sw.inflight)
@@ -863,9 +877,15 @@ func (r *payloadReader) read(p []byte) (int, error) {
 }
 
 // next takes the next n payload bytes into the cursor's payload buffer.
-// The buffer grows only as bytes arrive — doubling from 64 KiB — so a
-// forged payload length cannot force an allocation the stream does not
-// back. The view is valid until the next call.
+// The view is valid until the next call.
+//
+// The sequential reader's source has no known size, so a header's
+// payload length cannot license an allocation: its buffer grows only as
+// bytes arrive — doubling from 64 KiB — and a forged length fails on
+// the missing bytes first. A seek's cursor (src set) reads a record
+// whose payload length the index bounded at open by the bytes up to
+// the next record, and DecodeAt matched against the record header: the
+// stream backs the claim, so the buffer is sized once.
 func (r *payloadReader) next(n int) ([]byte, error) {
 	if n > r.remaining {
 		return nil, r.c.poskf(ErrTruncated, "payload truncated: want %d bytes, %d left", n, r.remaining)
@@ -874,6 +894,9 @@ func (r *payloadReader) next(n int) ([]byte, error) {
 		r.c.buf = payloadBufs.Get().(*[]byte)
 	}
 	buf := (*r.c.buf)[:0]
+	if r.c.src != nil {
+		buf = slices.Grow(buf, n)
+	}
 	for len(buf) < n {
 		if len(buf) == cap(buf) {
 			buf = slices.Grow(buf, min(n, max(2*len(buf), 64<<10))-len(buf))

@@ -273,8 +273,9 @@ func checkIndexFraming(n uint32, trailer []byte, crc uint32) error {
 
 // parseIndexBody decodes and validates the footer's entry table.
 // footOff is where the footer starts: every record the table describes
-// must lie in [8, footOff). All wire fields are validated as unsigned
-// before any int conversion.
+// must lie in [8, footOff), and an entry claiming more payload than the
+// bytes up to the next record fails with ErrIndex. All wire fields are
+// validated as unsigned before any int conversion.
 func parseIndexBody(body []byte, footOff int64) ([]indexEntry, error) {
 	count := binary.LittleEndian.Uint32(body[0:4])
 	// Bound the claimed count against the body before allocating.
@@ -319,6 +320,18 @@ func parseIndexBody(body []byte, footOff int64) ([]indexEntry, error) {
 	}
 	if src.len() != 0 {
 		return nil, fmt.Errorf("codec: %d trailing bytes after index entries", src.len())
+	}
+	// A record's payload lies between its offset and the next record (the
+	// footer, for the last): a seek sizes its payload buffer from the
+	// entry, so no entry may claim more than those bytes.
+	for i, e := range entries {
+		end := footOff
+		if i+1 < len(entries) {
+			end = entries[i+1].off
+		}
+		if e.payLen > end-e.off {
+			return nil, markErr(ErrIndex, fmt.Errorf("codec: index entry %d claims %d payload bytes in the %d bytes before the next record", i, e.payLen, end-e.off))
+		}
 	}
 	return entries, nil
 }

@@ -375,9 +375,11 @@ func TestForgedIndexEntries(t *testing.T) {
 		return ix
 	}
 
-	// Offset into another record's payload: the bytes there are not a
-	// CRC-valid record header.
-	ix := forge(func(es []indexEntry) { es[1].off = real[0].off + 40 })
+	// Offset past a record's marker, by less than the bytes its header
+	// and chunk framing add to its payload, so every entry still fits
+	// before the next: the bytes there are not a CRC-valid record header.
+	framing := real[2].off - real[1].off - real[1].payLen
+	ix := forge(func(es []indexEntry) { es[1].off = real[1].off + framing/2 })
 	if ix.Rebuilt() {
 		t.Fatal("statically plausible forged footer unexpectedly rejected at load")
 	}
@@ -428,18 +430,68 @@ func TestForgedIndexEntries(t *testing.T) {
 		}
 	}
 
-	// Statically invalid table (offsets out of order): rejected at load,
-	// rebuilt, and every record still decodes correctly.
-	ix = forge(func(es []indexEntry) { es[0].off, es[1].off = es[1].off, es[0].off })
-	if !ix.Rebuilt() {
-		t.Fatal("out-of-order offsets accepted at load")
+	// Statically invalid tables: rejected at load, rebuilt, and every
+	// record still decodes correctly. Offsets out of order; an offset
+	// into the previous record's payload, which leaves that record fewer
+	// bytes than its payload; a payload length running past the next
+	// record, or past the footer for the last one.
+	last := len(real) - 1
+	_, footOff, err := loadIndex(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range streamCases {
-		out, err := ix.DecodeAt(ctx, i)
-		if err != nil {
-			t.Fatalf("rebuilt-after-forgery DecodeAt(%d): %v", i, err)
+	for name, mutate := range map[string]func(es []indexEntry){
+		"out-of-order offsets":      func(es []indexEntry) { es[0].off, es[1].off = es[1].off, es[0].off },
+		"offset inside a payload":   func(es []indexEntry) { es[1].off = real[0].off + 40 },
+		"payload past the next":     func(es []indexEntry) { es[0].payLen = real[1].off - real[0].off + 1 },
+		"payload past the footer":   func(es []indexEntry) { es[last].payLen = footOff - real[last].off + 1 },
+		"payload beyond any stream": func(es []indexEntry) { es[1].payLen = maxPayload },
+	} {
+		ix = forge(mutate)
+		if !ix.Rebuilt() {
+			t.Fatalf("%s: forged footer accepted at load", name)
 		}
-		requireSameTensor(t, "rebuilt-after-forgery record", out, want[i])
+		for i := range streamCases {
+			out, err := ix.DecodeAt(ctx, i)
+			if err != nil {
+				t.Fatalf("%s: rebuilt-after-forgery DecodeAt(%d): %v", name, i, err)
+			}
+			requireSameTensor(t, "rebuilt-after-forgery record", out, want[i])
+		}
+	}
+}
+
+// TestIndexEntryPayloadBoundedByGap: the index parser rejects, with
+// ErrIndex, an entry whose payload length runs past the next record's
+// offset (the footer's, for the last entry), and accepts one that
+// fills its gap exactly.
+func TestIndexEntryPayloadBoundedByGap(t *testing.T) {
+	data, _ := writeIndexedStream(t, false)
+	entries, footOff, err := loadIndex(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parse := func(es []indexEntry) error {
+		t.Helper()
+		foot, err := encodeIndexFooter(es)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = parseIndexBody(foot[5:len(foot)-12], footOff)
+		return err
+	}
+	last := len(entries) - 1
+	for i, end := range []int64{entries[1].off, footOff} {
+		k := []int{0, last}[i]
+		es := append([]indexEntry(nil), entries...)
+		es[k].payLen = end - es[k].off
+		if err := parse(es); err != nil {
+			t.Fatalf("entry %d filling its gap exactly: %v", k, err)
+		}
+		es[k].payLen++
+		if err := parse(es); !errors.Is(err, ErrIndex) {
+			t.Fatalf("entry %d one byte past its gap: err %v, want ErrIndex", k, err)
+		}
 	}
 }
 

@@ -16,12 +16,16 @@ import (
 
 // parallelCases mixes codec families, shapes, and payload sizes so a
 // round's records encode at very different speeds (ordering would
-// scramble under a naive pool).
+// scramble under a naive pool). The staged records land in round
+// slots that earlier records, staged or not and larger or smaller,
+// used before them.
 var parallelCases = []struct {
 	spec  string
 	shape []int
 }{
 	{"dctc:cf=4", []int{2, 1, 16, 16}},
+	{"lossless:bg=4+huf", []int{4, 32, 32}},
+	{"lossless:bg=4+huf", []int{100}},
 	{"zfp:rate=8", []int{3, 8, 8}},
 	{"sz:eb=1e-3", []int{3, 5, 7}},
 	{"jpegq:q=50", []int{1, 2, 8, 8}},
@@ -29,7 +33,8 @@ var parallelCases = []struct {
 	{"zfp:rate=8", []int{4, 32, 32}},
 	{"sz:eb=1e-3", []int{64}},
 	{"zfp:rate=8", []int{100}},
-	{"dctc:cf=4", []int{1, 1, 32, 32}},
+	{"dctc:cf=4+huf", []int{1, 1, 32, 32}},
+	{"lossless:bg=2+huf", []int{4, 32, 32}},
 	{"jpegq:q=90", []int{2, 1, 8, 8}},
 	{"sz:eb=1e-2", []int{5, 6, 6}},
 	{"zfp:rate=16", []int{2, 16, 16}},
@@ -61,6 +66,32 @@ func TestParallelStreamWriterByteIdentical(t *testing.T) {
 	sw := NewStreamWriter(&serial)
 	sw.SetChunkSize(4 << 10)
 	writeParallelStream(t, sw)
+	// Each serial record decodes to what a round trip of its tensor
+	// decodes to.
+	sr, err := NewStreamReader(bytes.NewReader(serial.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tc := range parallelCases {
+		c, err := New(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := c.RoundTrip(mkStreamTensor(tc.shape...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sr.Next(); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		got, err := sr.Decode(context.Background())
+		if err != nil {
+			t.Fatalf("record %d (%s): %v", i, tc.spec, err)
+		}
+		if !bitsEqual(got, want) {
+			t.Fatalf("record %d (%s) decodes unlike its container", i, tc.spec)
+		}
+	}
 
 	for _, workers := range []int{0, 2, 4, 7} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

@@ -116,6 +116,9 @@ type scratch struct {
 	hlen   [256]uint8           // code length per symbol (0 = absent)
 	htab   CanonTable
 	hlut   [hufLutSize]uint32 // multi-symbol entries (see hufBuildLUT)
+	// hbuf is the huf encoder's stream buffer (see hufEncodeStreams),
+	// grown once to the largest block's bound and kept with the scratch.
+	hbuf []byte
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-
-	"repro/internal/bitstream"
 )
 
 // This file is the huff0-style multi-symbol fast path: a canonical
@@ -218,52 +216,11 @@ func (s *scratch) fseEstimateBody(blockLen, nsym int) int {
 // left in the scratch, falling back to raw if the measured size does
 // not beat it.
 func appendHufBlock(dst, block []byte, st *scratch) []byte {
-	_ = st.htab.Build(st.hlen[:]) // cannot fail: the lengths are a complete code
-	enc := &st.htab.Enc
-	segLen := (len(block) + 3) / 4
-	var bws [hufNumStreams]*bitstream.Writer
-	var streams [hufNumStreams][]byte
-	bodyLen := hufTableBytes + hufJumpBytes
-	for s := 0; s < hufNumStreams; s++ {
-		lo := s * segLen
-		hi := lo + segLen
-		if hi > len(block) {
-			hi = len(block)
-		}
-		bw := bitstream.GetWriter()
-		bw.Grow(hi - lo + 16) // streams beyond raw size fall back below
-		// Four symbols per WriteBits call: codes cap at 11 bits, so a
-		// quad is ≤ 44 bits and fits one accumulator push, amortizing
-		// the writer's bounds/flush logic. Bit order is identical to
-		// the one-symbol loop (each code lands above the next).
-		seg := block[lo:hi]
-		i := 0
-		for ; i+4 <= len(seg); i += 4 {
-			e0, e1 := enc[seg[i]], enc[seg[i+1]]
-			e2, e3 := enc[seg[i+2]], enc[seg[i+3]]
-			v := e0 >> 8
-			w := uint(e0 & 0xFF)
-			v = v<<(e1&0xFF) | e1>>8
-			w += uint(e1 & 0xFF)
-			v = v<<(e2&0xFF) | e2>>8
-			w += uint(e2 & 0xFF)
-			v = v<<(e3&0xFF) | e3>>8
-			w += uint(e3 & 0xFF)
-			bw.WriteBits(v, w)
-		}
-		for ; i < len(seg); i++ {
-			e := enc[seg[i]]
-			bw.WriteBits(e>>8, uint(e&0xFF))
-		}
-		bws[s], streams[s] = bw, bw.Bytes()
-		bodyLen += len(streams[s])
-	}
+	streams, ends := st.hufEncodeStreams(block)
+	bodyLen := hufTableBytes + hufJumpBytes + len(streams)
 
 	headLen := 1 + uvarintLen(uint64(len(block))) + uvarintLen(uint64(bodyLen))
 	if headLen+bodyLen >= 1+uvarintLen(uint64(len(block)))+len(block) {
-		for s := 0; s < hufNumStreams; s++ {
-			bitstream.PutWriter(bws[s])
-		}
 		backendRaw.Inc()
 		dst = appendBlockHeader(dst, modeRaw, len(block))
 		return append(dst, block...)
@@ -275,15 +232,78 @@ func appendHufBlock(dst, block []byte, st *scratch) []byte {
 	for i := 0; i < hufTableBytes; i++ {
 		dst = append(dst, st.hlen[2*i]|st.hlen[2*i+1]<<4)
 	}
+	prev := 0
 	for s := 0; s < hufNumStreams-1; s++ {
-		n := len(streams[s]) // ≤ 16384 symbols × 11 bits: fits u16
+		n := ends[s] - prev // ≤ 16384 symbols × 11 bits: fits u16
 		dst = append(dst, byte(n), byte(n>>8))
+		prev = ends[s]
 	}
+	return append(dst, streams...)
+}
+
+// hufEncodeStreams codes block's four streams, with the canonical codes
+// of the lengths in st.hlen, back to back into st.hbuf. It returns the
+// streams in wire order and the end offset of each.
+func (st *scratch) hufEncodeStreams(block []byte) ([]byte, [hufNumStreams]int) {
+	_ = st.htab.Build(st.hlen[:]) // cannot fail: the lengths are a complete code
+	segLen := (len(block) + 3) / 4
+	// A stream holds at most segLen·11 bits, padding included, and its
+	// last 8-byte store reaches at most 8 bytes past its end.
+	if need := hufNumStreams * (segLen*hufMaxLen/8 + 16); cap(st.hbuf) < need {
+		st.hbuf = make([]byte, need)
+	}
+	out := st.hbuf[:cap(st.hbuf)]
+	var ends [hufNumStreams]int
+	pos := 0
 	for s := 0; s < hufNumStreams; s++ {
-		dst = append(dst, streams[s]...)
-		bitstream.PutWriter(bws[s])
+		lo := s * segLen
+		hi := min(lo+segLen, len(block))
+		pos += hufEmitStream(out[pos:], block[lo:hi], &st.htab.Enc)
+		ends[s] = pos
 	}
-	return dst
+	return out[:pos], ends
+}
+
+// hufEmitStream codes seg into out as one MSB-first stream, zero-padded
+// to a byte, and returns the stream's length. out must hold the
+// stream's bytes plus 8 bytes of slack for the final store.
+//
+// acc holds the pending bits left-aligned: its top n bits, n ≤ 7
+// between quads. Codes cap at 11 bits, so a quad adds at most 44 bits
+// and one big-endian store after each quad flushes every whole byte;
+// the partial byte then moves back to the top. Each code lands just
+// below the one before it, which is the wire's bit order.
+func hufEmitStream(out, seg []byte, enc *[canonMaxSyms]uint64) int {
+	var acc uint64
+	var n uint
+	pos, i := 0, 0
+	for ; i+4 <= len(seg); i += 4 {
+		q := seg[i : i+4 : i+4]
+		e := enc[q[0]]
+		n += uint(e & 0xFF)
+		acc |= e >> 8 << ((64 - n) & 63)
+		e = enc[q[1]]
+		n += uint(e & 0xFF)
+		acc |= e >> 8 << ((64 - n) & 63)
+		e = enc[q[2]]
+		n += uint(e & 0xFF)
+		acc |= e >> 8 << ((64 - n) & 63)
+		e = enc[q[3]]
+		n += uint(e & 0xFF)
+		acc |= e >> 8 << ((64 - n) & 63)
+		binary.BigEndian.PutUint64(out[pos:], acc)
+		pos += int(n >> 3)
+		acc <<= n & 56
+		n &= 7
+	}
+	for _, v := range seg[i:] {
+		e := enc[v]
+		n += uint(e & 0xFF)
+		acc |= e >> 8 << ((64 - n) & 63)
+	}
+	// The final store carries the last partial byte.
+	binary.BigEndian.PutUint64(out[pos:], acc)
+	return pos + int(n+7)>>3
 }
 
 // hufParseLens reads a block's nibble-packed code-length table into

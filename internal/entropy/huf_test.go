@@ -2,6 +2,7 @@ package entropy
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -128,6 +129,102 @@ func TestHufReferenceEquivalence(t *testing.T) {
 			t.Fatalf("%s: reference decode mismatch", name)
 		}
 	}
+}
+
+// tailAlphabets draws blocks of n bytes from the alphabets the huf
+// tail sweep runs over: two symbols (1-bit codes, so most streams end
+// mid-byte), Fibonacci and geometric weights whose deepest codes need
+// the clamp to 11 bits on a full block, and a wide mantissa-like lane.
+func tailAlphabets(n int) map[string][]byte {
+	rng := testRNG(0x9e3779b97f4a7c15 ^ uint64(n))
+	draw := func(weights []uint64) []byte {
+		var total uint64
+		for _, w := range weights {
+			total += w
+		}
+		out := make([]byte, n)
+		for i := range out {
+			r := rng.next() % total
+			sym := 0
+			for r >= weights[sym] {
+				r -= weights[sym]
+				sym++
+			}
+			out[i] = byte(17 * sym) // spread the symbols over the byte range
+		}
+		return out
+	}
+	fib := []uint64{1, 1}
+	for len(fib) < 22 {
+		fib = append(fib, fib[len(fib)-1]+fib[len(fib)-2])
+	}
+	geo := make([]uint64, 24)
+	for k := range geo {
+		geo[k] = 1 << (23 - k)
+	}
+	wide := make([]byte, n)
+	for i := range wide {
+		wide[i] = byte((rng.next()&0xFF + rng.next()&0xFF + rng.next()&0xFF) / 3)
+	}
+	return map[string][]byte{
+		"two-symbol": draw([]uint64{3, 1}),
+		"fibonacci":  draw(fib),
+		"geometric":  draw(geo),
+		"wide":       wide,
+	}
+}
+
+// TestHufEncodeTailsMatchReference sweeps the huf emitter over every
+// stream tail: block lengths 32…300 give segments of every length mod
+// 4 with every final partial byte, and 65533…65536 do the same at the
+// full block size. At each length the four streams are compared with
+// the bit-serial oracle's byte for byte (whether or not huf wins the
+// block's selection), and the whole CompressHuf output with
+// ReferenceCompressHuf's.
+func TestHufEncodeTailsMatchReference(t *testing.T) {
+	var lengths []int
+	for n := 32; n <= 300; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, maxBlock-3, maxBlock-2, maxBlock-1, maxBlock)
+	hufBlocks, maxLen := 0, uint8(0)
+	for _, n := range lengths {
+		for name, block := range tailAlphabets(n) {
+			st := new(scratch)
+			if nsym := st.histogram(block); nsym >= 2 {
+				st.hufBuildLengths(nsym)
+				maxLen = max(maxLen, slices.Max(st.hlen[:]))
+				got, ends := st.hufEncodeStreams(block)
+				want := refHufStreams(block, st.hlen[:])
+				off := 0
+				for s, stream := range want {
+					if ends[s] != off+len(stream) || !bytes.Equal(got[off:ends[s]], stream) {
+						t.Fatalf("%s, %d bytes: stream %d differs from the oracle's (ends at %d, oracle's at %d)", name, n, s, ends[s], off+len(stream))
+					}
+					off += len(stream)
+				}
+				if len(got) != off {
+					t.Fatalf("%s, %d bytes: %d stream bytes, oracle has %d", name, n, len(got), off)
+				}
+			}
+			fast := CompressHuf(nil, block)
+			if ref := ReferenceCompressHuf(block); !bytes.Equal(fast, ref) {
+				t.Fatalf("%s, %d bytes: fast and reference compressed bytes differ (%d vs %d bytes)", name, n, len(fast), len(ref))
+			}
+			if bytes.Contains(hufBlockModes(t, fast), []byte{modeHUF}) {
+				hufBlocks++
+			}
+		}
+	}
+	// The sweep must reach the emitter through the selection too, and
+	// with codes at the length cap.
+	if hufBlocks == 0 {
+		t.Fatal("no block in the sweep selected huf")
+	}
+	if maxLen != hufMaxLen {
+		t.Fatalf("longest code in the sweep is %d bits, want %d", maxLen, hufMaxLen)
+	}
+	t.Logf("%d of %d blocks selected huf", hufBlocks, 4*len(lengths))
 }
 
 // TestHufSIMDEquivalence decodes every corpus stream with the 4-stream

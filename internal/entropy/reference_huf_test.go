@@ -56,23 +56,10 @@ func refCompressHufBlock(dst, block []byte) []byte {
 		return refCompressBlock(dst, block)
 	}
 
-	_ = st.htab.Build(st.hlen[:]) // cannot fail: the lengths are a complete code
-	segLen := (len(block) + 3) / 4
-	var streams [hufNumStreams][]byte
+	streams := refHufStreams(block, st.hlen[:])
 	bodyLen := hufTableBytes + hufJumpBytes
-	for s := 0; s < hufNumStreams; s++ {
-		lo := s * segLen
-		hi := lo + segLen
-		if hi > len(block) {
-			hi = len(block)
-		}
-		var bw refBits
-		for _, v := range block[lo:hi] {
-			e := st.htab.Enc[v]
-			bw.writeBits(e>>8, int(e&0xFF))
-		}
-		streams[s] = bw.pack()
-		bodyLen += len(streams[s])
+	for _, stream := range streams {
+		bodyLen += len(stream)
 	}
 
 	headLen := 1 + uvarintLen(uint64(len(block))) + uvarintLen(uint64(bodyLen))
@@ -94,6 +81,29 @@ func refCompressHufBlock(dst, block []byte) []byte {
 		dst = append(dst, streams[s]...)
 	}
 	return dst
+}
+
+// refHufStreams codes block's four streams bit-serially with the
+// canonical codes of the lengths hlen.
+func refHufStreams(block []byte, hlen []uint8) [hufNumStreams][]byte {
+	var tab CanonTable
+	_ = tab.Build(hlen) // cannot fail: the lengths are a complete code
+	segLen := (len(block) + 3) / 4
+	var streams [hufNumStreams][]byte
+	for s := 0; s < hufNumStreams; s++ {
+		lo := s * segLen
+		hi := lo + segLen
+		if hi > len(block) {
+			hi = len(block)
+		}
+		var bw refBits
+		for _, v := range block[lo:hi] {
+			e := tab.Enc[v]
+			bw.writeBits(e>>8, int(e&0xFF))
+		}
+		streams[s] = bw.pack()
+	}
+	return streams
 }
 
 // refDecodeHufBody decodes one huf body bit-serially: per output byte,

@@ -19,9 +19,9 @@
 // the canonical code per stream: an 11-bit probe that yields a whole
 // (run, value, length) token, so the common short token costs one
 // lookup instead of a symbol decode plus a magnitude read. Encoder and
-// Decoder state live in pools, and the
-// flat int32 entry points (AppendFlat / DecodeFlatInto) let callers
-// with pooled buffers compress and decompress without allocating. The
+// Decoder state live in pools, and the two entry points work on flat
+// int32 blocks (AppendFlat / DecodeFlatInto), so callers with pooled
+// buffers compress and decompress without allocating. The
 // byte format is unchanged from the original map-and-token
 // implementation.
 package vle
@@ -207,35 +207,9 @@ func (e *Encoder) writeHeader(w *bitstream.Writer, nblocks, size int) {
 	}
 }
 
-// Encode compresses blocks of zigzagged integer coefficients with
-// RLE + canonical Huffman. All blocks must have the same length, and no
-// value may be −32768, the end-of-block marker's value.
-func Encode(blocks [][]int) ([]byte, error) {
-	if len(blocks) == 0 {
-		return nil, fmt.Errorf("vle: no blocks")
-	}
-	e := encoderPool.Get().(*Encoder)
-	defer encoderPool.Put(e)
-	e.reset()
-	for _, b := range blocks {
-		if err := countBlock(e, b); err != nil {
-			return nil, err
-		}
-	}
-	if err := e.build(); err != nil {
-		return nil, err
-	}
-	w := bitstream.NewWriter()
-	e.writeHeader(w, len(blocks), len(blocks[0]))
-	for _, b := range blocks {
-		emitBlock(e, w, b)
-	}
-	return w.Bytes(), nil
-}
-
 // AppendFlat compresses len(coeffs)/blockSize equal-size blocks stored
-// back to back in a flat int32 buffer, appending the encoded stream
-// (identical to Encode's) to dst. It allocates nothing beyond dst's
+// back to back in a flat int32 buffer, appending the encoded stream to
+// dst. It allocates nothing beyond dst's
 // growth, so callers with capacity-managed buffers run allocation-free.
 func AppendFlat(dst []byte, coeffs []int32, blockSize int) ([]byte, error) {
 	if blockSize < 1 || len(coeffs) == 0 || len(coeffs)%blockSize != 0 {
@@ -425,45 +399,7 @@ func (d *Decoder) decodeBlockInto(r *bitstream.Reader, dst []int32) error {
 	}
 }
 
-// maxBlockSize bounds a decoded block against hostile headers.
-const maxBlockSize = 1 << 14
-
-// Decode reverses Encode.
-func Decode(data []byte) ([][]int, error) {
-	d := decoderPool.Get().(*Decoder)
-	defer decoderPool.Put(d)
-	r := bitstream.NewReader(data)
-	nblocks, size, err := d.readHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	// Sanity bounds against hostile headers: every block costs at least
-	// one bit (its EOB symbol), so the stream length caps the count.
-	if nblocks < 1 || nblocks > r.Remaining() {
-		return nil, fmt.Errorf("vle: implausible block count %d for %d remaining bits", nblocks, r.Remaining())
-	}
-	if size < 1 || size > maxBlockSize {
-		return nil, fmt.Errorf("vle: implausible block size %d", size)
-	}
-	out := make([][]int, 0, min(nblocks, 1024))
-	row := make([]int32, size)
-	for b := 0; b < nblocks; b++ {
-		for i := range row {
-			row[i] = 0
-		}
-		if err := d.decodeBlockInto(r, row); err != nil {
-			return nil, err
-		}
-		block := make([]int, size)
-		for i, v := range row {
-			block[i] = int(v)
-		}
-		out = append(out, block)
-	}
-	return out, nil
-}
-
-// DecodeFlatInto decodes a stream produced by AppendFlat (or Encode)
+// DecodeFlatInto decodes a stream produced by AppendFlat
 // into dst, which must hold exactly nblocks·blockSize elements matching
 // the stream header. It allocates nothing.
 func DecodeFlatInto(dst []int32, data []byte, blockSize int) error {

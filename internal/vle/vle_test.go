@@ -1,6 +1,7 @@
 package vle
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -8,8 +9,74 @@ import (
 	"repro/internal/tensor"
 )
 
-// roundTrip checks that blocks survive both production paths exactly:
-// Encode/Decode, and AppendFlat/DecodeFlatInto over the same values.
+// Encode compresses blocks of zigzagged integer coefficients with
+// RLE + canonical Huffman. All blocks must have the same length, and no
+// value may be −32768, the end-of-block marker's value. It is the
+// tests' one-slice-per-block view of the coder: its stream is
+// AppendFlat's over the same values, and Decode reverses both.
+func Encode(blocks [][]int) ([]byte, error) {
+	if len(blocks) == 0 {
+		return nil, fmt.Errorf("vle: no blocks")
+	}
+	e := encoderPool.Get().(*Encoder)
+	defer encoderPool.Put(e)
+	e.reset()
+	for _, b := range blocks {
+		if err := countBlock(e, b); err != nil {
+			return nil, err
+		}
+	}
+	if err := e.build(); err != nil {
+		return nil, err
+	}
+	w := bitstream.NewWriter()
+	e.writeHeader(w, len(blocks), len(blocks[0]))
+	for _, b := range blocks {
+		emitBlock(e, w, b)
+	}
+	return w.Bytes(), nil
+}
+
+// maxBlockSize bounds a decoded block against hostile headers.
+const maxBlockSize = 1 << 14
+
+// Decode reverses Encode.
+func Decode(data []byte) ([][]int, error) {
+	d := decoderPool.Get().(*Decoder)
+	defer decoderPool.Put(d)
+	r := bitstream.NewReader(data)
+	nblocks, size, err := d.readHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	// Sanity bounds against hostile headers: every block costs at least
+	// one bit (its EOB symbol), so the stream length caps the count.
+	if nblocks < 1 || nblocks > r.Remaining() {
+		return nil, fmt.Errorf("vle: implausible block count %d for %d remaining bits", nblocks, r.Remaining())
+	}
+	if size < 1 || size > maxBlockSize {
+		return nil, fmt.Errorf("vle: implausible block size %d", size)
+	}
+	out := make([][]int, 0, min(nblocks, 1024))
+	row := make([]int32, size)
+	for b := 0; b < nblocks; b++ {
+		for i := range row {
+			row[i] = 0
+		}
+		if err := d.decodeBlockInto(r, row); err != nil {
+			return nil, err
+		}
+		block := make([]int, size)
+		for i, v := range row {
+			block[i] = int(v)
+		}
+		out = append(out, block)
+	}
+	return out, nil
+}
+
+// roundTrip checks that blocks survive both paths exactly: Encode/Decode,
+// and AppendFlat/DecodeFlatInto over the same values.
 func roundTrip(t *testing.T, blocks [][]int) {
 	t.Helper()
 	data, err := Encode(blocks)
