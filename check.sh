@@ -19,12 +19,14 @@ go build ./...
 # any reintroduced wrap-around or truncating conversion.
 GOOS=linux GOARCH=386 go build ./...
 GOOS=linux GOARCH=386 go vet ./...
-# ...and run the framing, entropy and vle suites (with vle's sz and
-# jpegq callers) as 32-bit binaries: the index footer loader converts
-# the footer's u64 offsets and lengths, and vle checks a header's
-# block count times block size against the destination, products that
-# vet alone cannot check at run time.
-GOOS=linux GOARCH=386 go test -count=1 ./internal/codec/ ./internal/entropy/ ./internal/vle/ ./internal/sz/ ./internal/jpegq/
+# ...and run the framing, entropy, vle and vecops suites (with vle's sz
+# and jpegq callers) as 32-bit binaries: the index footer loader
+# converts the footer's u64 offsets and lengths, and vle checks a
+# header's block count times block size against the destination,
+# products that vet alone cannot check at run time; vecops' byte-group
+# lanes run their portable, endian-neutral loops there, held to the
+# layout's definition by the same parity tests the AVX2 kernels pass.
+GOOS=linux GOARCH=386 go test -count=1 ./internal/codec/ ./internal/entropy/ ./internal/vle/ ./internal/sz/ ./internal/jpegq/ ./internal/vecops/
 # Cross-arch smoke builds for the dispatched kernels: arm64 exercises
 # the non-amd64 stubs (constant-false dispatch), and GOAMD64=v1 checks
 # the amd64 build makes no baseline-ISA assumptions outside the
@@ -45,14 +47,18 @@ go test -race ./internal/...
 go test -count=1 -cpu 1,4 -run 'Parallel|ForEachPlane|SetMaxWorkers|DecodeRange|IndexedMatchesSequential|StreamWriter|ReadAhead|AbandonedStreamReader|Into|MatMul' \
 	./internal/tensor/ ./internal/codec/ ./internal/core/
 # A first slice of a fuzz run over every Fuzz target in the repository
-# (12 of 12, 10 s each; fuzz.sh says what each one holds).
+# (13 of 13, 10 s each; fuzz.sh says what each one holds).
 FUZZTIME=10s sh fuzz.sh
 # Kernel-dispatch suite with SIMD force-disabled: the portable
 # fallbacks must pass the same equivalence/golden tests the vector
-# paths do (on non-AVX2 hosts this is a harmless re-run).
+# paths do (on non-AVX2 hosts this is a harmless re-run). The codec
+# slice runs lossless' byte-group lanes on the portable loops end to
+# end: exact round trips, every golden container and stream, and every
+# family staged through "+huf".
 ACC_DISABLE_SIMD=1 go test -count=1 \
 	./internal/cpufeat/ ./internal/dct/ ./internal/jpegq/ \
 	./internal/zfp/ ./internal/vecops/ ./internal/vle/ ./internal/entropy/
+ACC_DISABLE_SIMD=1 go test -count=1 ./internal/codec/ -run 'TestLosslessExact|TestGolden|TestStagedFamilies'
 
 # The allocation gates skip themselves under -race (the race runtime
 # allocates), so run them again without it: the entropy backend's

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Time-boxed fuzzing of every Fuzz target in the repository (12 of 12),
+# Time-boxed fuzzing of every Fuzz target in the repository (13 of 13),
 # each for $FUZZTIME (default 10s): FUZZTIME=5m sh fuzz.sh runs a longer
 # campaign. Run from the repo root; exits nonzero on the first failure.
 #
@@ -21,7 +21,9 @@
 # block encoder CompressHuf calls to the oracle's. zfp's FuzzDecompress
 # feeds arbitrary streams to the bit-plane decoder, which must return
 # finite floats or an error, and FuzzRoundTripError holds the
-# reconstruction error of any finite block within its bound.
+# reconstruction error of any finite block within its bound. vecops'
+# FuzzLanes holds the AVX2 byte-group lane kernels to the portable
+# loops on arbitrary bytes and requires join∘split to keep every bit.
 set -eu
 cd "$(dirname "$0")"
 
@@ -42,3 +44,4 @@ fuzz FuzzHufRoundTrip ./internal/entropy/
 fuzz FuzzRoundTrip ./internal/entropy/
 fuzz FuzzDecompress ./internal/zfp/
 fuzz FuzzRoundTripError ./internal/zfp/
+fuzz FuzzLanes ./internal/vecops/

@@ -2,11 +2,10 @@ package codec
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/tensor"
+	"repro/internal/vecops"
 )
 
 // losslessBackend is the exact (bit-preserving) codec family for
@@ -16,7 +15,8 @@ import (
 //
 // It performs no quantization at all: the payload is the float32
 // stream's little-endian bytes, transposed into bg byte-group lanes
-// (bg=4: lane k holds byte k of every value). Grouping same-significance
+// (bg=4: lane k holds byte k of every value) by vecops.SplitLanes and
+// back by vecops.JoinLanes, which own the layout. Grouping same-significance
 // bytes — in the spirit of ZipNN's exponent/mantissa split — turns the
 // highly skewed sign+exponent byte and the near-uniform mantissa bytes
 // into separate runs, which is exactly the layout the "+huf" entropy
@@ -59,39 +59,11 @@ func (b *losslessBackend) group(ctx context.Context, buf []byte, x *tensor.Tenso
 		return nil, err
 	}
 	elems := x.Len()
-	data := x.Data()
 	if cap(buf) < 4*elems {
 		buf = make([]byte, 4*elems)
 	}
 	out := buf[:4*elems]
-	// One flat loop per bg: the lane slices are hoisted and every
-	// element is split with shifts only, so the transpose runs at
-	// memory speed instead of re-slicing per element.
-	switch b.bg {
-	case 4:
-		l0, l1 := out[:elems], out[elems:2*elems]
-		l2, l3 := out[2*elems:3*elems], out[3*elems:4*elems]
-		for i, v := range data {
-			bits := math.Float32bits(v)
-			l0[i] = byte(bits)
-			l1[i] = byte(bits >> 8)
-			l2[i] = byte(bits >> 16)
-			l3[i] = byte(bits >> 24)
-		}
-	case 2:
-		l0, l1 := out[:2*elems], out[2*elems:4*elems]
-		for i, v := range data {
-			bits := math.Float32bits(v)
-			l0[2*i] = byte(bits)
-			l0[2*i+1] = byte(bits >> 8)
-			l1[2*i] = byte(bits >> 16)
-			l1[2*i+1] = byte(bits >> 24)
-		}
-	default: // bg=1: the little-endian byte stream unchanged
-		for i, v := range data {
-			binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(v))
-		}
-	}
+	vecops.SplitLanes(out, x.Data(), b.bg)
 	return out, nil
 }
 
@@ -115,29 +87,6 @@ func (b *losslessBackend) decode(ctx context.Context, src payloadSource, shape [
 		return nil, err
 	}
 	out := tensor.New(shape...)
-	data := out.Data()
-	// Element-outer assembly, one flat loop per bg: every value is
-	// reconstructed as a uint32 and stored exactly once, so arbitrary
-	// bit patterns (NaN payloads included) survive bit-for-bit.
-	switch b.bg {
-	case 4:
-		l0, l1 := payload[:elems], payload[elems:2*elems]
-		l2, l3 := payload[2*elems:3*elems], payload[3*elems:4*elems]
-		for i := range data {
-			bits := uint32(l0[i]) | uint32(l1[i])<<8 | uint32(l2[i])<<16 | uint32(l3[i])<<24
-			data[i] = math.Float32frombits(bits)
-		}
-	case 2:
-		l0, l1 := payload[:2*elems], payload[2*elems:4*elems]
-		for i := range data {
-			bits := uint32(l0[2*i]) | uint32(l0[2*i+1])<<8 |
-				uint32(l1[2*i])<<16 | uint32(l1[2*i+1])<<24
-			data[i] = math.Float32frombits(bits)
-		}
-	default: // bg=1
-		for i := range data {
-			data[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
-		}
-	}
+	vecops.JoinLanes(out.Data(), payload, b.bg)
 	return out, nil
 }

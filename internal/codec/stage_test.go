@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/tensor"
+	"repro/internal/vecops"
 )
 
 // stagedRepSpecs maps every registered family to a representative spec,
@@ -483,25 +484,7 @@ func bitsEqual(a, b *tensor.Tensor) bool {
 // exact to the bit.
 func TestLosslessExact(t *testing.T) {
 	x := tensor.New(2, 3, 16, 16)
-	d := x.Data()
-	rng := uint64(0x243f6a8885a308d3)
-	for i := range d {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		switch i % 7 {
-		case 0:
-			d[i] = math.Float32frombits(uint32(rng)) // arbitrary bits (NaNs included)
-		case 1:
-			d[i] = float32(math.Inf(1))
-		case 2:
-			d[i] = math.Float32frombits(1 + uint32(rng)%100) // denormal
-		case 3:
-			d[i] = math.Float32frombits(0x80000000) // -0
-		default:
-			d[i] = float32(math.Sin(float64(i))) * float32(rng%1000)
-		}
-	}
+	fillExactPatterns(x.Data())
 	for _, spec := range []string{"lossless", "lossless:bg=1", "lossless:bg=2", "lossless:bg=4", "lossless:bg=4+huf", "lossless:bg=1+huf"} {
 		c, err := New(spec)
 		if err != nil {
@@ -536,6 +519,74 @@ func TestLosslessExact(t *testing.T) {
 	}
 	if _, err := New("lossless:bg=3"); err == nil || !strings.Contains(err.Error(), `"bg"`) {
 		t.Errorf("bg=3 must be rejected: %v", err)
+	}
+}
+
+// fillExactPatterns fills d with values a numeric path would not keep
+// bit for bit: arbitrary bits (NaNs included), +Inf, denormals and −0
+// between ordinary values.
+func fillExactPatterns(d []float32) {
+	rng := uint64(0x243f6a8885a308d3)
+	for i := range d {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		switch i % 7 {
+		case 0:
+			d[i] = math.Float32frombits(uint32(rng)) // arbitrary bits (NaNs included)
+		case 1:
+			d[i] = float32(math.Inf(1))
+		case 2:
+			d[i] = math.Float32frombits(1 + uint32(rng)%100) // denormal
+		case 3:
+			d[i] = math.Float32frombits(0x80000000) // -0
+		default:
+			d[i] = float32(math.Sin(float64(i))) * float32(rng%1000)
+		}
+	}
+}
+
+// TestLosslessSIMDParity: the byte-group lanes write the same bytes and
+// decode the same bits with the vector kernels on and off, for every
+// bg, bare and staged, on a record shorter than one 32-value kernel
+// step, a ragged one and checkpoint's largest matrix.
+func TestLosslessSIMDParity(t *testing.T) {
+	defer vecops.SetSIMD(true)
+	modes := []bool{false}
+	if vecops.SIMDAvailable() {
+		modes = append(modes, true)
+	}
+	for _, shape := range [][]int{{8}, {3, 11}, {1, 1, 512, 1024}} {
+		x := tensor.New(shape...)
+		fillExactPatterns(x.Data())
+		for _, spec := range []string{"lossless:bg=1", "lossless:bg=2", "lossless:bg=4", "lossless:bg=1+huf", "lossless:bg=2+huf", "lossless:bg=4+huf"} {
+			c, err := New(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var streams [][]byte
+			for _, simd := range modes {
+				vecops.SetSIMD(simd)
+				data, err := c.Compress(x)
+				if err != nil {
+					t.Fatalf("%s %v simd=%v: %v", spec, shape, simd, err)
+				}
+				streams = append(streams, data)
+			}
+			if len(streams) == 2 && !bytes.Equal(streams[0], streams[1]) {
+				t.Fatalf("%s %v: the container differs with SIMD on and off", spec, shape)
+			}
+			for _, simd := range modes {
+				vecops.SetSIMD(simd)
+				back, _, err := DecodeBytes(streams[0])
+				if err != nil {
+					t.Fatalf("%s %v simd=%v: %v", spec, shape, simd, err)
+				}
+				if !bitsEqual(x, back) {
+					t.Errorf("%s %v simd=%v: reconstruction is not bit-exact", spec, shape, simd)
+				}
+			}
+		}
 	}
 }
 

@@ -110,6 +110,7 @@ type scratch struct {
 	// table and single-symbol LUT), and the multi-symbol decode LUT (see
 	// huf.go).
 	hkeys  [256]uint32 // hist<<8 | sym, sorted ascending for the build
+	hsort  [256]uint32 // the keys between the two radix passes
 	hw     [511]int64  // two-queue node weights (leaves + internals)
 	hdepth [511]uint16
 	hcnt   [hufMaxLen + 2]int32 // symbols per code length

@@ -124,13 +124,32 @@ func compressHufBlock(dst, block []byte, st *scratch) []byte {
 // is format-defining and shared with the reference oracle. Requires
 // nsym ≥ 2.
 func (s *scratch) hufBuildLengths(nsym int) int {
-	// Leaves sorted by (frequency, symbol) ascending: block length caps
-	// at 1<<16, so hist<<8|sym is collision-free in a uint32.
+	// Leaves sorted by (frequency, symbol) ascending, as hist<<8|sym.
+	// Block length caps at 1<<16 and nsym ≥ 2, so every frequency fits
+	// in 16 bits: a stable two-pass radix sort on its low then its high
+	// byte, over the ascending symbol list, gives exactly that order.
+	var lo, hi [256]int32
+	for i := 0; i < nsym; i++ {
+		f := s.hist[s.syms[i]]
+		lo[byte(f)]++
+		hi[byte(f>>8)]++
+	}
+	var sumLo, sumHi int32
+	for b := range lo {
+		lo[b], sumLo = sumLo, sumLo+lo[b]
+		hi[b], sumHi = sumHi, sumHi+hi[b]
+	}
 	for i := 0; i < nsym; i++ {
 		sym := s.syms[i]
-		s.hkeys[i] = uint32(s.hist[sym])<<8 | uint32(sym)
+		f := s.hist[sym]
+		s.hsort[lo[byte(f)]] = uint32(f)<<8 | uint32(sym)
+		lo[byte(f)]++
 	}
-	slices.Sort(s.hkeys[:nsym])
+	for _, k := range s.hsort[:nsym] {
+		b := byte(k >> 16)
+		s.hkeys[hi[b]] = k
+		hi[b]++
+	}
 
 	for i := 0; i < nsym; i++ {
 		s.hw[i] = int64(s.hkeys[i] >> 8)

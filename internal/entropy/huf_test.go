@@ -2,6 +2,7 @@ package entropy
 
 import (
 	"bytes"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -225,6 +226,48 @@ func TestHufEncodeTailsMatchReference(t *testing.T) {
 		t.Fatalf("longest code in the sweep is %d bits, want %d", maxLen, hufMaxLen)
 	}
 	t.Logf("%d of %d blocks selected huf", hufBlocks, 4*len(lengths))
+}
+
+// TestHufLengthSortOrder holds hufBuildLengths' radix sort to the
+// (frequency, symbol) order a comparison sort gives, on which the code
+// lengths and so the wire bytes depend: frequencies tied in their low
+// or their high byte, frequencies up to the 16-bit cap, and 2 to 256
+// symbols.
+func TestHufLengthSortOrder(t *testing.T) {
+	rng := testRNG(0x3c6ef372fe94f82b)
+	blocks := [][]byte{append(bytes.Repeat([]byte{9}, maxBlock-1), 200)}
+	for _, n := range []int{2, 300, 4096, maxBlock} {
+		for _, mask := range []uint64{1, 0x0F, 0xFF} {
+			uniform, wide, geometric := make([]byte, n), make([]byte, n), make([]byte, n)
+			for i := 0; i < n; i++ {
+				uniform[i] = byte(rng.next() & mask)
+				wide[i] = byte((rng.next()&mask + rng.next()&mask + rng.next()&mask) / 3)
+				geometric[i] = byte(bits.TrailingZeros64(rng.next()) * 7)
+			}
+			blocks = append(blocks, uniform, wide, geometric)
+		}
+	}
+	sorted := 0
+	for _, block := range blocks {
+		st := new(scratch)
+		nsym := st.histogram(block)
+		if nsym < 2 {
+			continue
+		}
+		st.hufBuildLengths(nsym)
+		want := make([]uint32, nsym)
+		for i, sym := range st.syms[:nsym] {
+			want[i] = uint32(st.hist[sym])<<8 | uint32(sym)
+		}
+		slices.Sort(want)
+		if !slices.Equal(st.hkeys[:nsym], want) {
+			t.Fatalf("%d bytes, %d symbols: leaves in order %x, want %x", len(block), nsym, st.hkeys[:nsym], want)
+		}
+		sorted++
+	}
+	if sorted < len(blocks)/2 {
+		t.Fatalf("only %d of %d blocks reached the sort", sorted, len(blocks))
+	}
 }
 
 // TestHufSIMDEquivalence decodes every corpus stream with the 4-stream

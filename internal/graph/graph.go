@@ -306,25 +306,3 @@ func (g *Graph) OutputBytes() int {
 	}
 	return b
 }
-
-// ConstBytes sums the compile-time constant footprints (the fused
-// matrices that must be resident on-chip).
-func (g *Graph) ConstBytes() int {
-	b := 0
-	for _, n := range g.Nodes {
-		if n.Kind == OpConst {
-			b += n.Bytes()
-		}
-	}
-	return b
-}
-
-// OpCounts tallies nodes by kind (the device compilers' support check
-// and the kernel-count term of the cost models).
-func (g *Graph) OpCounts() map[OpKind]int {
-	m := make(map[OpKind]int)
-	for _, n := range g.Nodes {
-		m[n.Kind]++
-	}
-	return m
-}

@@ -3,7 +3,6 @@ package jpegq
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/tensor"
 	"repro/internal/vle"
@@ -193,30 +192,4 @@ func (c *Codec) tables(channels int) ([][64]int, error) {
 		out[cc] = t
 	}
 	return out, nil
-}
-
-// PSNRAtQuality is a convenience for quality-sweep studies: compress at
-// the given quality and report (PSNR, compression ratio).
-func PSNRAtQuality(x *tensor.Tensor, quality int) (psnr, ratio float64, err error) {
-	c, err := NewCodec(quality)
-	if err != nil {
-		return 0, 0, err
-	}
-	out, bytes, err := c.RoundTrip(x)
-	if err != nil {
-		return 0, 0, err
-	}
-	mse := 0.0
-	xd, od := x.Data(), out.Data()
-	for i := range xd {
-		d := float64(xd[i]) - float64(od[i])
-		mse += d * d
-	}
-	mse /= float64(len(xd))
-	if mse == 0 {
-		psnr = math.Inf(1)
-	} else {
-		psnr = -10 * math.Log10(mse)
-	}
-	return psnr, float64(x.SizeBytes()) / float64(bytes), nil
 }

@@ -1,6 +1,7 @@
 package jpegq
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/datagen"
@@ -100,6 +101,32 @@ func TestCodecHeaderRejectsGarbage(t *testing.T) {
 	if _, err := Decompress(data[:30]); err == nil {
 		t.Fatal("truncated body must fail")
 	}
+}
+
+// PSNRAtQuality compresses x at the given quality and reports (PSNR,
+// compression ratio): TestPSNRAtQuality's probe of the quality sweep.
+func PSNRAtQuality(x *tensor.Tensor, quality int) (psnr, ratio float64, err error) {
+	c, err := NewCodec(quality)
+	if err != nil {
+		return 0, 0, err
+	}
+	out, bytes, err := c.RoundTrip(x)
+	if err != nil {
+		return 0, 0, err
+	}
+	mse := 0.0
+	xd, od := x.Data(), out.Data()
+	for i := range xd {
+		d := float64(xd[i]) - float64(od[i])
+		mse += d * d
+	}
+	mse /= float64(len(xd))
+	if mse == 0 {
+		psnr = math.Inf(1)
+	} else {
+		psnr = -10 * math.Log10(mse)
+	}
+	return psnr, float64(x.SizeBytes()) / float64(bytes), nil
 }
 
 func TestPSNRAtQuality(t *testing.T) {

@@ -91,22 +91,13 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// HistogramSnapshot is a frozen histogram: mergeable, comparable, and
-// JSON-serializable. Buckets share the fixed log₂ layout, so Merge is
-// element-wise addition.
+// HistogramSnapshot is a frozen histogram: comparable and
+// JSON-serializable. Buckets share the fixed log₂ layout, so two
+// snapshots merge by element-wise addition.
 type HistogramSnapshot struct {
 	Count   uint64
 	Sum     int64
 	Buckets [histBuckets]uint64
-}
-
-// Merge adds other into s.
-func (s *HistogramSnapshot) Merge(other HistogramSnapshot) {
-	s.Count += other.Count
-	s.Sum += other.Sum
-	for i := range s.Buckets {
-		s.Buckets[i] += other.Buckets[i]
-	}
 }
 
 // Mean returns the average observed value, or 0 for an empty snapshot.

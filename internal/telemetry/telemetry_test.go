@@ -138,6 +138,15 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 	})
 }
 
+// Merge adds other into s.
+func (s *HistogramSnapshot) Merge(other HistogramSnapshot) {
+	s.Count += other.Count
+	s.Sum += other.Sum
+	for i := range s.Buckets {
+		s.Buckets[i] += other.Buckets[i]
+	}
+}
+
 func TestHistogramMerge(t *testing.T) {
 	withEnabled(t, true, func() {
 		r := NewRegistry()

@@ -1,7 +1,9 @@
 // Package vecops provides small dispatched vector primitives shared by
 // the entropy coders: bulk fills used by the Huffman LUT construction
 // (internal/vle, internal/entropy) and RLE expansion, plus the
-// histogram accumulation feeding entropy table builds. Like the other
+// histogram accumulation feeding entropy table builds; and the
+// byte-group lane transposes of the lossless codec family
+// (SplitLanes, JoinLanes). Like the other
 // kernel packages, the portable Go loop is both the fallback and the
 // oracle: the vector paths produce identical memory contents, so
 // callers see no behavioral difference beyond speed.
