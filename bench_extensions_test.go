@@ -7,13 +7,12 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/accel/graphcore"
+	"repro/internal/codec"
 	"repro/internal/colorspace"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/nn"
-	"repro/internal/sz"
 	"repro/internal/tensor"
-	"repro/internal/zfp"
 )
 
 // Extension benches: the future-work features layered on the paper's
@@ -54,7 +53,7 @@ func BenchmarkColorspace(b *testing.B) {
 // future-work targets' host-side cost on a realistic small layer.
 func BenchmarkCompressionTargets(b *testing.B) {
 	rng := tensor.NewRNG(1)
-	rt, err := core.NewFlatRoundTripper(core.Config{ChopFactor: 5, Serialization: 1}, 16)
+	rt, err := codec.New("dctc:cf=5,planen=16")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -107,17 +106,6 @@ func BenchmarkClusterScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkAutotune measures the quality-driven configuration search.
-func BenchmarkAutotune(b *testing.B) {
-	r := tensor.NewRNG(3)
-	sample := r.Uniform(0, 1, 4, 3, 32, 32)
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.ChooseChopFactor(sample, 20, core.Config{Serialization: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkErrorBoundedBaselines compares the host reference codecs
 // (§2.2's two design philosophies) against DCT+Chop on micrograph-like
 // data, reporting achieved compression ratio.
@@ -136,36 +124,23 @@ func BenchmarkErrorBoundedBaselines(b *testing.B) {
 		}
 		b.ReportMetric(ratio, "ratio")
 	})
-	b.Run("sz-eb1e-2", func(b *testing.B) {
-		codec, err := sz.New(1e-2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(x.SizeBytes()))
-		var ratio float64
-		for i := 0; i < b.N; i++ {
-			data, err := codec.Compress(x)
+	// The host reference codecs' ratios count their registry containers.
+	for _, bc := range []struct{ name, spec string }{{"sz-eb1e-2", "sz:eb=1e-2"}, {"zfp-rate8", "zfp:rate=8"}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c, err := codec.New(bc.spec)
 			if err != nil {
 				b.Fatal(err)
 			}
-			ratio = float64(x.SizeBytes()) / float64(len(data))
-		}
-		b.ReportMetric(ratio, "ratio")
-	})
-	b.Run("zfp-rate8", func(b *testing.B) {
-		codec, err := zfp.New(8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(x.SizeBytes()))
-		var ratio float64
-		for i := 0; i < b.N; i++ {
-			data, err := codec.Compress(x)
-			if err != nil {
-				b.Fatal(err)
+			b.SetBytes(int64(x.SizeBytes()))
+			var ratio float64
+			for i := 0; i < b.N; i++ {
+				data, err := c.Compress(x)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ratio = float64(x.SizeBytes()) / float64(len(data))
 			}
-			ratio = float64(x.SizeBytes()) / float64(len(data))
-		}
-		b.ReportMetric(ratio, "ratio")
-	})
+			b.ReportMetric(ratio, "ratio")
+		})
+	}
 }

@@ -4,14 +4,15 @@
 // two wrappers this library provides for those targets on a small
 // training run: compressed activation checkpoints (COMET/ActNN-style
 // recompute-from-lossy) and compressed gradients with damped error
-// feedback (3LC-style), both driven by the same DCT+Chop core.
+// feedback (3LC-style), both driven by the same registry codec
+// (dctc:cf=5,planen=16): any codec.New codec is an nn.RoundTripper.
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/codec"
 	"repro/internal/datagen"
 	"repro/internal/metrics"
 	"repro/internal/nn"
@@ -24,7 +25,7 @@ func main() {
 	trainX, trainY := gen.Batch(128)
 	testX, testY := gen.Batch(64)
 
-	rt, err := core.NewFlatRoundTripper(core.Config{ChopFactor: 5, Serialization: 1}, 16)
+	rt, err := codec.New("dctc:cf=5,planen=16")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,9 +74,9 @@ func main() {
 		fmt.Println()
 	}
 
-	fmt.Println("\nBoth targets reuse the training-data compressor unchanged: the")
-	fmt.Println("FlatRoundTripper packs any tensor into the compiled static plane")
-	fmt.Println("shape, which is what the accelerators' fixed-size constraint allows.")
+	fmt.Println("\nBoth targets reuse the training-data codec unchanged: its flat path")
+	fmt.Println("packs any tensor into the compiled static plane shape, which is what")
+	fmt.Println("the accelerators' fixed-size constraint allows.")
 }
 
 // buildModel assembles a small CNN; when rt is non-nil the convolutions

@@ -8,11 +8,10 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/metrics"
-	"repro/internal/sz"
-	"repro/internal/zfp"
 )
 
 func main() {
@@ -37,11 +36,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		codec, err := zfp.New(32 / cr)
+		zc, err := codec.New(fmt.Sprintf("zfp:rate=%g", 32/cr))
 		if err != nil {
 			log.Fatal(err)
 		}
-		zfpOut, zfpBytes, err := codec.RoundTrip(noisy)
+		zfpOut, zfpBytes, err := zc.RoundTrip(noisy)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -56,11 +55,11 @@ func main() {
 	// ratio floats with the data.
 	fmt.Println("\nerror-bounded (SZ-style) on the same data:")
 	for _, eb := range []float64{0.05, 0.01, 0.001} {
-		codec, err := sz.New(eb)
+		sc, err := codec.New(fmt.Sprintf("sz:eb=%g", eb))
 		if err != nil {
 			log.Fatal(err)
 		}
-		out, bytes, err := codec.RoundTrip(noisy)
+		out, bytes, err := sc.RoundTrip(noisy)
 		if err != nil {
 			log.Fatal(err)
 		}

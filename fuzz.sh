@@ -4,8 +4,9 @@
 # campaign. Run from the repo root; exits nonzero on the first failure.
 #
 # vle's FuzzDecode holds the fused-table decoder to the symbol-by-symbol
-# reference on every stream, and sz's FuzzDecompress holds Decompress
-# and DecompressInto to the same bits; FuzzContainerDecode feeds mutated
+# reference on every stream, and sz's FuzzDecompress feeds arbitrary
+# bytes to DecompressInto at the geometry StreamDims reads from them,
+# which must fail or write every cell; FuzzContainerDecode feeds mutated
 # containers to the registry decoder, which must return an error or a
 # tensor consistent with the header, never panic or allocate without
 # bound. On the encode side, vle's FuzzEncodeDecodeRoundTrip holds the
@@ -19,8 +20,8 @@
 # the bit-serial oracle on arbitrary bytes, FuzzHufRoundTrip holds
 # CompressHuf to its oracle encoder, and FuzzRoundTrip holds the fse
 # block encoder CompressHuf calls to the oracle's. zfp's FuzzDecompress
-# feeds arbitrary streams to the bit-plane decoder, which must return
-# finite floats or an error, and FuzzRoundTripError holds the
+# feeds arbitrary streams to DecodePlane on an 8×8 plane, which must
+# return finite floats or an error, and FuzzRoundTripError holds the
 # reconstruction error of any finite block within its bound. vecops'
 # FuzzLanes holds the AVX2 byte-group lane kernels to the portable
 # loops on arbitrary bytes and requires join∘split to keep every bit.

@@ -13,9 +13,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/nn"
-	"repro/internal/sz"
 	"repro/internal/tensor"
-	"repro/internal/zfp"
 )
 
 // These integration tests exercise the whole stack end to end — data
@@ -101,7 +99,7 @@ func TestAllCompressorsOnSameScientificData(t *testing.T) {
 		t.Fatalf("chop ratio %g, want exactly 4 (fixed at compile time)", y.EffectiveRatio())
 	}
 
-	zc, err := zfp.New(8)
+	zc, err := codec.New("zfp:rate=8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +114,7 @@ func TestAllCompressorsOnSameScientificData(t *testing.T) {
 		t.Fatal("ZFP reconstruction implausibly bad")
 	}
 
-	sc, err := sz.New(0.01)
+	sc, err := codec.New("sz:eb=0.01")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/tensor"
 )
@@ -268,6 +269,43 @@ func TestConformanceNonPlaneShapes(t *testing.T) {
 	}
 	if _, err := jq.Compress(tensor.New(7, 13)); err == nil || !strings.Contains(err.Error(), "[BD,C,n,n]") {
 		t.Errorf("jpegq non-image error: %v", err)
+	}
+}
+
+// TestDCTCFlatMatchesPaddedPlanes holds dctc's flat path to its
+// definition: a rank-1 tensor round-trips exactly as core's compressor
+// round-trips its values packed row-major into zero-padded planeN×planeN
+// planes, bit for bit, at lengths below, at and across a plane.
+func TestDCTCFlatMatchesPaddedPlanes(t *testing.T) {
+	c, err := New("dctc:cf=4,planen=16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := core.NewCompressor(core.Config{ChopFactor: 4, Serialization: 1}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := tensor.NewRNG(1)
+	for _, n := range []int{1, 7, 256, 300, 1000} {
+		x := r.Uniform(-1, 1, n)
+		got, _, err := c.RoundTrip(x)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		packed := tensor.New((n+255)/256, 1, 16, 16)
+		copy(packed.Data(), x.Data())
+		want, err := comp.RoundTrip(packed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.SameShape(x) {
+			t.Fatalf("n=%d: shape %v", n, got.Shape())
+		}
+		for i, v := range got.Data() {
+			if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
+				t.Fatalf("n=%d value %d: %g, padded planes give %g", n, i, v, want.Data()[i])
+			}
+		}
 	}
 }
 

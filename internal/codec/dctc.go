@@ -20,8 +20,9 @@ import (
 // compressed in one batched pass and the payload is each plane's raw
 // float32 chunk data (size known from the config, so no per-plane
 // headers). Every other shape takes the flat path — values are packed
-// row-major into planeN×planeN planes with a zero-padded tail, exactly
-// the FlatRoundTripper packing — marked by the payload's mode byte.
+// row-major into planeN×planeN planes with a zero-padded tail, so any
+// tensor (an activation, a gradient) meets the compiled plane shape —
+// marked by the payload's mode byte.
 //
 // dctc has no fused fastRoundTripInto: its round trips take the
 // batched serialize path (DESIGN.md §5 records why).

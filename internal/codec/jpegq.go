@@ -14,8 +14,8 @@ import (
 // The codec is image-specific: it requires [BD, C, n, n] batches with
 // values nominally in [0,1] and block-aligned resolutions. Channel 0
 // of every sample quantizes with the luminance table and the remaining
-// channels with chrominance, exactly as the whole-batch jpegq.Codec
-// does; each plane is a standalone RLE+Huffman stream on the shared
+// channels with chrominance, as jpegq.Codec.TableFor assigns them;
+// each plane is a standalone RLE+Huffman stream on the shared
 // pipeline.
 type jpegqBackend struct {
 	codec *jpegq.Codec

@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"testing"
-
-	"repro/internal/tensor"
 )
 
 func TestCompressorAccessors(t *testing.T) {
@@ -12,9 +10,6 @@ func TestCompressorAccessors(t *testing.T) {
 	c := mustCompressor(t, cfg, 32)
 	if c.Config() != cfg {
 		t.Fatalf("Config() = %v", c.Config())
-	}
-	if c.Resolution() != 32 {
-		t.Fatalf("Resolution = %d", c.Resolution())
 	}
 	shape := c.CompressedPlaneShape()
 	if len(shape) != 2 || shape[0] != 16 || shape[1] != 16 {
@@ -35,45 +30,6 @@ func TestCompressorAccessors(t *testing.T) {
 	}
 	if len(sg.TriangleIndices()) != 96 {
 		t.Fatalf("SG triangle indices %d", len(sg.TriangleIndices()))
-	}
-}
-
-func TestFlatRoundTripperAccessors(t *testing.T) {
-	cfg := Config{ChopFactor: 4, Serialization: 1}
-	rt, err := NewFlatRoundTripper(cfg, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.Config() != cfg {
-		t.Fatalf("Config = %v", rt.Config())
-	}
-	if rt.PlaneBytes() != 4*16*16 {
-		t.Fatalf("PlaneBytes = %d", rt.PlaneBytes())
-	}
-	if _, err := NewFlatRoundTripper(cfg, 17); err == nil {
-		t.Fatal("plane size not divisible by block must fail")
-	}
-}
-
-func TestFlatRoundTripperTensor(t *testing.T) {
-	rt, err := NewFlatRoundTripper(Config{ChopFactor: 8, Serialization: 1}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := tensor.NewRNG(1)
-	x := r.Uniform(-1, 1, 3, 5, 7) // deliberately non-plane shape
-	out, bytes, err := rt.RoundTripTensor(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.SameShape(x) {
-		t.Fatalf("shape %v", out.Shape())
-	}
-	if bytes <= 0 {
-		t.Fatalf("bytes %d", bytes)
-	}
-	if d := out.MaxAbsDiff(x); d > 1e-4 {
-		t.Fatalf("CF=8 tensor round trip error %g", d)
 	}
 }
 

@@ -124,9 +124,6 @@ func triangleFlatIndices(cf, nblks int) []int {
 // Config returns the compressor's configuration.
 func (c *Compressor) Config() Config { return c.cfg }
 
-// Resolution returns the compiled input resolution n.
-func (c *Compressor) Resolution() int { return c.n }
-
 // CompressedPlaneShape reports the per-chunk compressed layout: for chop
 // mode an m×m matrix, for SG a flat vector of triangle values.
 func (c *Compressor) CompressedPlaneShape() []int {

@@ -53,22 +53,21 @@ func TestRatioFormulas(t *testing.T) {
 			t.Errorf("chop CF=%d ratio %g, want %g", cf, got, want)
 		}
 	}
-	// SG: 64/(CF(CF+1)/2), improvement factor 2CF/(CF+1).
+	// SG: 64/(CF(CF+1)/2), improvement factor 2CF/(CF+1) — §3.5.2's
+	// 1.33× at CF=2 to 1.75× at CF=7.
 	for cf := 1; cf <= 8; cf++ {
 		chop := Config{ChopFactor: cf, Serialization: 1}.Ratio()
 		sg := Config{ChopFactor: cf, Mode: ModeSG, Serialization: 1}.Ratio()
-		if math.Abs(sg/chop-SGRatioGain(cf)) > 1e-9 {
-			t.Errorf("CF=%d: SG gain %g, want %g", cf, sg/chop, SGRatioGain(cf))
+		if want := sgRatioGain(cf); math.Abs(sg/chop-want) > 1e-9 {
+			t.Errorf("CF=%d: SG gain %g, want %g", cf, sg/chop, want)
 		}
 	}
-	// §3.5.2: SG improves CR by 1.3–1.75× over chop for CF ∈ [2,7] —
-	// wait, gain 2CF/(CF+1) at CF=2 is 1.33, at CF=7 is 1.75.
-	if g := SGRatioGain(2); math.Abs(g-4.0/3) > 1e-9 {
-		t.Errorf("SGRatioGain(2) = %g", g)
-	}
-	if g := SGRatioGain(7); math.Abs(g-1.75) > 1e-9 {
-		t.Errorf("SGRatioGain(7) = %g", g)
-	}
+}
+
+// sgRatioGain is the CR improvement factor of SG over plain chop at the
+// same CF: 2·CF/(CF+1) (§3.5.2).
+func sgRatioGain(cf int) float64 {
+	return 2 * float64(cf) / float64(cf+1)
 }
 
 func TestCompressShapes(t *testing.T) {
@@ -251,8 +250,8 @@ func TestSGPayloadSmaller(t *testing.T) {
 			t.Fatal(err)
 		}
 		gain := float64(yc.CompressedBytes()) / float64(ys.CompressedBytes())
-		if math.Abs(gain-SGRatioGain(cf)) > 1e-9 {
-			t.Fatalf("CF=%d: SG payload gain %g, want %g", cf, gain, SGRatioGain(cf))
+		if math.Abs(gain-sgRatioGain(cf)) > 1e-9 {
+			t.Fatalf("CF=%d: SG payload gain %g, want %g", cf, gain, sgRatioGain(cf))
 		}
 	}
 }

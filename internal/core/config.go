@@ -141,12 +141,6 @@ func (c Config) Ratio() float64 {
 	}
 }
 
-// SGRatioGain returns the CR improvement factor of SG over plain chop at
-// the same CF: 2·CF/(CF+1) (§3.5.2).
-func SGRatioGain(cf int) float64 {
-	return 2 * float64(cf) / float64(cf+1)
-}
-
 // CompressFLOPs returns the total floating-point operations to compress
 // a BD×C×n×n batch at this configuration (Eq. 5 per plane-chunk for the
 // DCT-8 transform, the dense fused form for ZFP-4, times the number of

@@ -54,9 +54,6 @@ func NewClassify(seed uint64, n, classes int) *Classify {
 	return &Classify{rng: tensor.NewRNG(seed), n: n, classes: classes}
 }
 
-// Classes returns the number of classes.
-func (c *Classify) Classes() int { return c.classes }
-
 // Batch returns bd images [bd, 3, n, n] with values in roughly [0,1]
 // and their labels.
 func (c *Classify) Batch(bd int) (*tensor.Tensor, []int) {

@@ -336,17 +336,3 @@ func min(a, b int) int {
 	}
 	return b
 }
-
-// ChopZFP4 returns the future-work ZFP-block-transform round trip at
-// the given chop factor (block size 4, CR = 16/CF²).
-func ChopZFP4(cf, n int) (Transform, error) {
-	c, err := dctcAt(fmt.Sprintf("dctc:cf=%d,transform=zfp4", cf), n)
-	if err != nil {
-		return Transform{}, err
-	}
-	return Transform{
-		Label: fmt.Sprintf("zfp4 %.2f", c.Ratio()),
-		Ratio: c.Ratio(),
-		Apply: applyCodec(c),
-	}, nil
-}

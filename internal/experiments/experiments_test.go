@@ -292,11 +292,11 @@ func TestPipelineOverlapMasksCompression(t *testing.T) {
 func TestZFP4TransformInTraining(t *testing.T) {
 	// The future-work transform slots into the accuracy harness too.
 	o := tinyOpts()
-	tr, err := ChopZFP4(2, o.N)
+	c, err := dctcAt("dctc:cf=2,transform=zfp4", o.N)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunClassify(tr, o)
+	res, err := RunClassify(Transform{Label: "zfp4", Ratio: c.Ratio(), Apply: applyCodec(c)}, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,12 +20,34 @@ func TestCodecValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Compress(tensor.New(8, 8)); err == nil {
-		t.Fatal("2-D input must be rejected")
+	if _, err := c.EncodePlane(tensor.New(1, 8, 8), 0); err == nil {
+		t.Fatal("3-D input must be rejected")
 	}
-	if _, err := c.Compress(tensor.New(1, 1, 12, 12)); err == nil {
+	if _, err := c.EncodePlane(tensor.New(12, 12), 0); err == nil {
 		t.Fatal("non-multiple-of-8 must be rejected")
 	}
+	if err := c.DecodePlane(nil, tensor.New(12, 12), 0); err == nil {
+		t.Fatal("non-multiple-of-8 output must be rejected")
+	}
+}
+
+// roundTripPlanes round-trips every plane of a [BD, C, n, n] batch
+// through RoundTripPlane with its channel's table, as the registry's
+// jpegq family does, returning the reconstruction and the planes'
+// summed stream bytes.
+func roundTripPlanes(t testing.TB, c *Codec, x *tensor.Tensor) (*tensor.Tensor, int) {
+	t.Helper()
+	ch, h, w := x.Dim(1), x.Dim(2), x.Dim(3)
+	out := tensor.New(x.Shape()...)
+	total := 0
+	for p := 0; p < x.Len()/(h*w); p++ {
+		n, err := c.RoundTripPlane(out.Data()[p*h*w:(p+1)*h*w], x.Data()[p*h*w:(p+1)*h*w], h, w, p%ch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += n
+	}
+	return out, total
 }
 
 func TestCodecRoundTripQuality(t *testing.T) {
@@ -38,13 +60,7 @@ func TestCodecRoundTripQuality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, bytes, err := c.RoundTrip(imgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !out.SameShape(imgs) {
-			t.Fatalf("shape %v", out.Shape())
-		}
+		out, bytes := roundTripPlanes(t, c, imgs)
 		p := metrics.PSNR(imgs, out)
 		ratio := float64(imgs.SizeBytes()) / float64(bytes)
 		if p < prevPSNR {
@@ -70,50 +86,41 @@ func TestCodecBeatsChopOnRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, bytes, err := c.RoundTrip(imgs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, bytes := roundTripPlanes(t, c, imgs)
 	ratio := float64(imgs.SizeBytes()) / float64(bytes)
 	if ratio < 4 {
 		t.Fatalf("JPEG q=35 ratio %g does not beat chop's fixed 4", ratio)
 	}
 }
 
-func TestCodecHeaderRejectsGarbage(t *testing.T) {
-	if _, err := Decompress([]byte{1, 2, 3}); err == nil {
-		t.Fatal("short stream must fail")
-	}
-	if _, err := Decompress(make([]byte, 64)); err == nil {
-		t.Fatal("zero magic must fail")
-	}
-	// Valid header, truncated body.
-	gen := datagen.NewClassify(2, 16, 10)
-	imgs, _ := gen.Batch(1)
+func TestDecodePlaneRejectsGarbage(t *testing.T) {
 	c, err := NewCodec(50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := c.Compress(imgs)
+	if err := c.DecodePlane([]byte{1, 2, 3}, tensor.New(8, 8), 0); err == nil {
+		t.Fatal("short stream must fail")
+	}
+	gen := datagen.NewClassify(2, 16, 10)
+	imgs, _ := gen.Batch(1)
+	plane := tensor.FromSlice(imgs.Data()[:16*16], 16, 16)
+	data, err := c.EncodePlane(plane, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decompress(data[:30]); err == nil {
+	if err := c.DecodePlane(data[:len(data)/2], tensor.New(16, 16), 0); err == nil {
 		t.Fatal("truncated body must fail")
 	}
 }
 
 // PSNRAtQuality compresses x at the given quality and reports (PSNR,
 // compression ratio): TestPSNRAtQuality's probe of the quality sweep.
-func PSNRAtQuality(x *tensor.Tensor, quality int) (psnr, ratio float64, err error) {
+func PSNRAtQuality(t testing.TB, x *tensor.Tensor, quality int) (psnr, ratio float64, err error) {
 	c, err := NewCodec(quality)
 	if err != nil {
 		return 0, 0, err
 	}
-	out, bytes, err := c.RoundTrip(x)
-	if err != nil {
-		return 0, 0, err
-	}
+	out, bytes := roundTripPlanes(t, c, x)
 	mse := 0.0
 	xd, od := x.Data(), out.Data()
 	for i := range xd {
@@ -132,11 +139,11 @@ func PSNRAtQuality(x *tensor.Tensor, quality int) (psnr, ratio float64, err erro
 func TestPSNRAtQuality(t *testing.T) {
 	gen := datagen.NewClassify(5, 16, 10)
 	imgs, _ := gen.Batch(2)
-	p10, r10, err := PSNRAtQuality(imgs, 10)
+	p10, r10, err := PSNRAtQuality(t, imgs, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p90, r90, err := PSNRAtQuality(imgs, 90)
+	p90, r90, err := PSNRAtQuality(t, imgs, 90)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,33 +160,31 @@ func TestCodecGrayscale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := c.RoundTrip(noisy)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, _ := roundTripPlanes(t, c, noisy)
 	if metrics.PSNR(noisy, out) < 25 {
 		t.Fatalf("grayscale PSNR %g", metrics.PSNR(noisy, out))
 	}
 }
 
 // TestEOBValueCoefficientFails: a block whose DC coefficient quantizes
-// to −32768, vle's end-of-block value, fails Compress and RoundTripPlane
-// instead of decoding as an early block end. At quality 100 every step
-// is 1, so a flat block of level-shifted value −4096 has DC 8·(−4096).
+// to −32768, vle's end-of-block value, fails EncodePlane and
+// RoundTripPlane instead of decoding as an early block end. At quality
+// 100 every step is 1, so a flat block of level-shifted value −4096 has
+// DC 8·(−4096).
 func TestEOBValueCoefficientFails(t *testing.T) {
 	c, err := NewCodec(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := tensor.Full(float32(-3968.0/255), 1, 1, 8, 8)
-	if _, err := c.Compress(x); err == nil {
-		t.Fatal("Compress coded a -32768 coefficient")
+	x := tensor.Full(float32(-3968.0/255), 8, 8)
+	if _, err := c.EncodePlane(x, 0); err == nil {
+		t.Fatal("EncodePlane coded a -32768 coefficient")
 	}
 	if _, err := c.RoundTripPlane(make([]float32, 64), x.Data(), 8, 8, 0); err == nil {
 		t.Fatal("RoundTripPlane coded a -32768 coefficient")
 	}
 	// One step less negative codes.
-	if _, err := c.Compress(tensor.Full(float32(-3967.875/255), 1, 1, 8, 8)); err != nil {
+	if _, err := c.EncodePlane(tensor.Full(float32(-3967.875/255), 8, 8), 0); err != nil {
 		t.Fatalf("DC -32767: %v", err)
 	}
 }

@@ -56,32 +56,16 @@ func TestGoldenStreams(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Each case is one plane through the registry's per-plane
+			// entry points, quantized with channel 1's table.
 			x := goldenInput(tc.Shape...)
-			var got []byte
-			switch len(tc.Shape) {
-			case 4: // whole-batch Compress
-				got, err = c.Compress(x)
-				if err != nil {
-					t.Fatal(err)
-				}
-				back, err := Decompress(want)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if back.Len() != x.Len() {
-					t.Fatalf("decoded %d elements, want %d", back.Len(), x.Len())
-				}
-			case 2: // per-plane registry entry point (channel 1)
-				got, err = c.EncodePlane(x, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out := tensor.New(tc.Shape...)
-				if err := c.DecodePlane(want, out, 1); err != nil {
-					t.Fatal(err)
-				}
-			default:
-				t.Fatalf("unexpected golden shape %v", tc.Shape)
+			got, err := c.EncodePlane(x, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := tensor.New(tc.Shape...)
+			if err := c.DecodePlane(want, out, 1); err != nil {
+				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("compressed bytes diverge from recorded stream (len %d vs %d)", len(got), len(want))

@@ -43,9 +43,6 @@ var chrominance = [64]int{
 // LuminanceTable returns a copy of the base luminance table.
 func LuminanceTable() [64]int { return luminance }
 
-// ChrominanceTable returns a copy of the base chrominance table.
-func ChrominanceTable() [64]int { return chrominance }
-
 // ScaleTable applies the libjpeg quality-factor scaling to a base table:
 // lower quality factor ⇒ larger divisors ⇒ more zeros after rounding.
 func ScaleTable(base [64]int, quality int) ([64]int, error) {
@@ -86,15 +83,6 @@ func QuantizeBlock(d *tensor.Tensor, table [64]int) [64]int {
 		} else {
 			out[i] = int(q - 0.5)
 		}
-	}
-	return out
-}
-
-// DequantizeBlock multiplies quantized coefficients back by the table.
-func DequantizeBlock(q [64]int, table [64]int) *tensor.Tensor {
-	out := tensor.New(BlockSize, BlockSize)
-	for i, v := range q {
-		out.Data()[i] = float32(v * table[i])
 	}
 	return out
 }

@@ -23,9 +23,6 @@ func MSE(a, b *tensor.Tensor) float64 {
 	return s / float64(len(ad))
 }
 
-// RMSE returns the root mean squared error.
-func RMSE(a, b *tensor.Tensor) float64 { return math.Sqrt(MSE(a, b)) }
-
 // MaxError returns the largest absolute pointwise error.
 func MaxError(a, b *tensor.Tensor) float64 { return a.MaxAbsDiff(b) }
 

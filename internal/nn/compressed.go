@@ -5,12 +5,13 @@ import (
 )
 
 // RoundTripper is the lossy compress→decompress interface the
-// compression-target wrappers consume (core.FlatRoundTripper satisfies
-// it via an adapter; tests inject fakes).
+// compression-target wrappers consume. It is exactly codec.Codec's
+// RoundTrip, so every registry codec drives them as it is; tests inject
+// fakes.
 type RoundTripper interface {
-	// RoundTrip returns the lossy reconstruction of values and the
-	// compressed payload size in bytes.
-	RoundTrip(values []float32) ([]float32, int, error)
+	// RoundTrip returns the lossy reconstruction of x, in x's shape, and
+	// the compressed payload size in bytes.
+	RoundTrip(x *tensor.Tensor) (*tensor.Tensor, int, error)
 }
 
 // CheckpointCompress implements the paper's future-work *activation*
@@ -24,7 +25,9 @@ type RoundTripper interface {
 // The forward *output* is exact; only the gradient is computed from the
 // lossy activation, which is precisely the error mode activation
 // compression introduces ("data loss can lead to incorrectly calculated
-// gradients", §3.1).
+// gradients", §3.1). The activation round-trips as a rank-1 view of its
+// values, so a dctc codec packs it into its flat planes whatever the
+// layer's shape.
 type CheckpointCompress struct {
 	Inner Layer
 	RT    RoundTripper
@@ -33,8 +36,7 @@ type CheckpointCompress struct {
 	RawBytes        int
 	CompressedBytes int
 
-	stored   []float32
-	shape    []int
+	stored   *tensor.Tensor
 	trained  bool
 	rtFailed error
 }
@@ -49,13 +51,12 @@ func (c *CheckpointCompress) Forward(x *tensor.Tensor, train bool) *tensor.Tenso
 	out := c.Inner.Forward(x, train)
 	c.trained = train
 	if train {
-		vals, bytes, err := c.RT.RoundTrip(x.Data())
+		rec, bytes, err := c.RT.RoundTrip(tensor.FromSlice(x.Data(), x.Len()))
 		if err != nil {
 			c.rtFailed = err
 			return out
 		}
-		c.stored = vals
-		c.shape = x.Shape()
+		c.stored = tensor.FromSlice(rec.Data(), x.Shape()...)
 		c.RawBytes += x.SizeBytes()
 		c.CompressedBytes += bytes
 	}
@@ -70,8 +71,7 @@ func (c *CheckpointCompress) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		panic("nn: CheckpointCompress forward round-trip failed: " + c.rtFailed.Error())
 	}
 	if c.trained && c.stored != nil {
-		restored := tensor.FromSlice(c.stored, c.shape...)
-		c.Inner.Forward(restored, true)
+		c.Inner.Forward(c.stored, true)
 	}
 	return c.Inner.Backward(grad)
 }
@@ -91,7 +91,8 @@ func (c *CheckpointCompress) SavingsRatio() float64 {
 // (§6, and the distributed-training motivation of §2.2): every
 // parameter gradient is round-tripped through the lossy compressor
 // before the wrapped optimizer consumes it, simulating a compressed
-// all-reduce. Stats record the traffic saved.
+// all-reduce. Stats record the traffic saved. Like CheckpointCompress
+// it round-trips a rank-1 view of the values.
 //
 // Because DCT+Chop is a projection, naively compressing each step's
 // gradient would permanently lose the components in the chop's kernel
@@ -179,11 +180,12 @@ func (g *GradCompressOptimizer) Step(params []*Param) {
 			offset = (g.step * 9973) % len(payload)
 			payload = rotated(payload, offset)
 		}
-		vals, bytes, err := g.RT.RoundTrip(payload)
+		rec, bytes, err := g.RT.RoundTrip(tensor.FromSlice(payload, len(payload)))
 		if err != nil {
 			g.Err = err
 			panic("nn: GradCompressOptimizer: " + err.Error())
 		}
+		vals := rec.Data()
 		if offset != 0 {
 			vals = rotated(vals, len(vals)-offset)
 		}

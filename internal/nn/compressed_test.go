@@ -1,77 +1,94 @@
 package nn
 
 import (
-	"math"
+	"fmt"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/codec"
 	"repro/internal/tensor"
 )
+
+// Every registry codec is a RoundTripper as it is, with no adapter.
+var _ RoundTripper = codec.Codec(nil)
 
 // identityRT is a lossless RoundTripper fake with a fixed claimed ratio.
 type identityRT struct{ calls int }
 
-func (i *identityRT) RoundTrip(values []float32) ([]float32, int, error) {
+func (i *identityRT) RoundTrip(x *tensor.Tensor) (*tensor.Tensor, int, error) {
 	i.calls++
-	out := make([]float32, len(values))
-	copy(out, values)
-	return out, len(values), nil // "compressed" to 1 byte per value
+	return x.Clone(), x.Len(), nil // "compressed" to 1 byte per value
 }
 
+// dctRT is the registry's DCT+Chop codec at chop factor cf on 16×16
+// flat planes.
 func dctRT(t *testing.T, cf int) RoundTripper {
 	t.Helper()
-	rt, err := core.NewFlatRoundTripper(core.Config{ChopFactor: cf, Serialization: 1}, 16)
+	rt, err := codec.New(fmt.Sprintf("dctc:cf=%d,planen=16", cf))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rt
 }
 
-func TestFlatRoundTripperArbitraryShapes(t *testing.T) {
-	rt, err := core.NewFlatRoundTripper(core.Config{ChopFactor: 8, Serialization: 1}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := tensor.NewRNG(1)
-	for _, n := range []int{1, 7, 256, 300, 1000} {
-		vals := r.Uniform(-1, 1, n).Data()
-		back, bytes, err := rt.RoundTrip(vals)
+// TestRegistryCodecsDriveCompressionTargets trains the stripes model
+// with compressed activations and compressed gradients through registry
+// codecs of two families. dctc's payload size is a function of the
+// shape alone, so there each wrapper's byte count must equal the
+// codec's own figure for the rank-1 views it round-trips; zfp's
+// bit-plane coder ends a block early where the planes run out, so there
+// the counts need only show compression.
+func TestRegistryCodecsDriveCompressionTargets(t *testing.T) {
+	for _, tc := range []struct {
+		spec       string
+		fixedBytes bool
+	}{{"dctc:cf=6,planen=16", true}, {"zfp:rate=16", false}} {
+		rt, err := codec.New(tc.spec)
 		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
+			t.Fatal(err)
 		}
-		if len(back) != n {
-			t.Fatalf("n=%d: got %d values back", n, len(back))
+		rng := tensor.NewRNG(5)
+		conv := NewCheckpointCompress(NewConv2d(rng, "c1", 1, 4, 3, 1, 1), rt)
+		model := NewSequential(conv, NewReLU(), NewMaxPool2d(2), NewFlatten(), NewLinear(rng, "fc", 4*4*4, 2))
+		opt := NewGradCompressOptimizer(NewAdam(0.01), rt)
+		const steps = 80
+		var loss float64
+		for step := 0; step < steps; step++ {
+			x, labels := stripeBatch(rng, 16)
+			logits := model.Forward(x, true)
+			var grad *tensor.Tensor
+			loss, grad = SoftmaxCrossEntropy(logits, labels)
+			model.ZeroGrad()
+			model.Backward(grad)
+			opt.Step(model.Params())
 		}
-		if bytes <= 0 {
-			t.Fatalf("n=%d: compressed bytes %d", n, bytes)
+		if loss > 0.3 {
+			t.Fatalf("%s: training did not converge: loss %g", tc.spec, loss)
 		}
-		// CF=8 is lossless up to float32 rounding.
-		for i := range vals {
-			if math.Abs(float64(back[i]-vals[i])) > 1e-4 {
-				t.Fatalf("n=%d index %d: %g != %g", n, i, back[i], vals[i])
+		// A small parameter pads out a whole flat plane, so only the
+		// activations must come out smaller than they went in.
+		if conv.SavingsRatio() <= 1 || opt.CompressedBytes == 0 {
+			t.Fatalf("%s: activation savings %g, gradient bytes %d", tc.spec, conv.SavingsRatio(), opt.CompressedBytes)
+		}
+		if !tc.fixedBytes {
+			continue
+		}
+		framed := func(n int) int {
+			_, bytes, err := rt.RoundTrip(tensor.New(n))
+			if err != nil {
+				t.Fatal(err)
 			}
+			return bytes
 		}
-	}
-}
-
-func TestFlatRoundTripperCompression(t *testing.T) {
-	rt, err := core.NewFlatRoundTripper(core.Config{ChopFactor: 4, Serialization: 1}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := make([]float32, 1024)
-	for i := range vals {
-		vals[i] = float32(i % 10)
-	}
-	_, bytes, err := rt.RoundTrip(vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes*4 != 4*1024 {
-		t.Fatalf("CF=4 payload %d bytes, want 1/4 of %d", bytes, 4*1024)
-	}
-	if _, _, err := rt.RoundTrip(nil); err == nil {
-		t.Fatal("empty input must be rejected")
+		if want := steps * framed(16*8*8); conv.CompressedBytes != want {
+			t.Fatalf("%s: activation bytes %d, want %d", tc.spec, conv.CompressedBytes, want)
+		}
+		want := 0
+		for _, p := range model.Params() {
+			want += steps * framed(p.Grad.Len())
+		}
+		if opt.CompressedBytes != want {
+			t.Fatalf("%s: gradient bytes %d, want %d", tc.spec, opt.CompressedBytes, want)
+		}
 	}
 }
 
@@ -132,8 +149,12 @@ func TestCheckpointCompressLossyGradientsApproximate(t *testing.T) {
 	if diff > 0.9*wNormPlain {
 		t.Fatalf("gradient error %g too large vs norm %g", diff, wNormPlain)
 	}
-	if r := wrapped.SavingsRatio(); math.Abs(r-64.0/36) > 1e-6 {
-		t.Fatalf("savings ratio %g, want %g", r, 64.0/36)
+	// The 512 activations fill two 16×16 flat planes. The framed
+	// payload is a 9-byte head (mode, plane edge, value count), the
+	// plane count, and per plane its length and its 12×12 chop of
+	// float32s: 9 + 4 + 2·(4 + 576) = 1173 bytes.
+	if wrapped.RawBytes != 2048 || wrapped.CompressedBytes != 1173 {
+		t.Fatalf("activation bytes %d → %d, want 2048 → 1173", wrapped.RawBytes, wrapped.CompressedBytes)
 	}
 }
 
@@ -203,8 +224,7 @@ func stripeBatch(rng *tensor.RNG, bd int) (*tensor.Tensor, []int) {
 
 func TestGradCompressOptimizer(t *testing.T) {
 	rng := tensor.NewRNG(6)
-	// 256 values fill the adapter's 16×16 plane exactly, so the payload
-	// accounting is padding-free.
+	// 256 values fill one 16×16 flat plane exactly.
 	p := NewParam("p", rng.Uniform(-1, 1, 256))
 	p.Grad.CopyFrom(rng.Uniform(-1, 1, 256))
 	gradBefore := p.Grad.Clone()
@@ -228,8 +248,10 @@ func TestGradCompressOptimizer(t *testing.T) {
 	if cos < 0.2 {
 		t.Fatalf("compressed gradient direction cosine %g too low", cos)
 	}
-	if opt.SavingsRatio() != 4 {
-		t.Fatalf("savings ratio %g, want 4", opt.SavingsRatio())
+	// The framed payload: a 9-byte head, the plane count, the plane's
+	// length and its 8×8 chop of float32s, 9 + 4 + 4 + 256 = 273 bytes.
+	if opt.RawBytes != 1024 || opt.CompressedBytes != 273 {
+		t.Fatalf("gradient bytes %d → %d, want 1024 → 273", opt.RawBytes, opt.CompressedBytes)
 	}
 }
 

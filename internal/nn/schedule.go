@@ -59,23 +59,3 @@ func SetLR(opt Optimizer, lr float64) error {
 	}
 	return nil
 }
-
-// ClipGradNorm rescales all gradients so their global L2 norm does not
-// exceed maxNorm, returning the pre-clip norm. A standard stabilizer
-// for the compressed-gradient training path, where chop error can spike
-// individual steps.
-func ClipGradNorm(params []*Param, maxNorm float64) float64 {
-	var sq float64
-	for _, p := range params {
-		n := p.Grad.Norm2()
-		sq += n * n
-	}
-	norm := math.Sqrt(sq)
-	if norm > maxNorm && norm > 0 {
-		scale := float32(maxNorm / norm)
-		for _, p := range params {
-			p.Grad.ScaleInPlace(scale)
-		}
-	}
-	return norm
-}

@@ -63,34 +63,6 @@ func TestSetLR(t *testing.T) {
 	}
 }
 
-func TestClipGradNorm(t *testing.T) {
-	rng := tensor.NewRNG(1)
-	a := NewParam("a", rng.Uniform(-1, 1, 10))
-	b := NewParam("b", rng.Uniform(-1, 1, 10))
-	a.Grad.Fill(3)
-	b.Grad.Fill(4)
-	// Global norm = sqrt(10·9 + 10·16) = sqrt(250).
-	pre := ClipGradNorm([]*Param{a, b}, 1)
-	if math.Abs(pre-math.Sqrt(250)) > 1e-4 {
-		t.Fatalf("pre-clip norm %g", pre)
-	}
-	var sq float64
-	for _, p := range []*Param{a, b} {
-		n := p.Grad.Norm2()
-		sq += n * n
-	}
-	if math.Abs(math.Sqrt(sq)-1) > 1e-4 {
-		t.Fatalf("post-clip norm %g, want 1", math.Sqrt(sq))
-	}
-	// Below the threshold nothing changes.
-	a.Grad.Fill(0.01)
-	b.Grad.Fill(0.01)
-	ClipGradNorm([]*Param{a, b}, 10)
-	if a.Grad.Data()[0] != 0.01 {
-		t.Fatal("clip must not touch small gradients")
-	}
-}
-
 func TestScheduledTrainingImproves(t *testing.T) {
 	// Cosine-annealed SGD on the stripes task: end-to-end use of the
 	// scheduler API.
@@ -116,7 +88,6 @@ func TestScheduledTrainingImproves(t *testing.T) {
 			loss, grad = SoftmaxCrossEntropy(logits, labels)
 			model.ZeroGrad()
 			model.Backward(grad)
-			ClipGradNorm(model.Params(), 5)
 			opt.Step(model.Params())
 		}
 	}

@@ -283,27 +283,10 @@ func StreamDims(data []byte) (planes, h, w int, err error) {
 	return int(hd.planes), int(hd.h), int(hd.w), nil
 }
 
-// Decompress reconstructs a tensor of the given shape.
-func (c *Codec) Decompress(data []byte, shape ...int) (*tensor.Tensor, error) {
-	hd, err := parseHeader(data)
-	if err != nil {
-		return nil, err
-	}
-	out := tensor.New(shape...)
-	if out.Dims() < 2 || uint64(out.Dim(-2)) != uint64(hd.h) || uint64(out.Dim(-1)) != uint64(hd.w) || !hd.holds(out.Len()) {
-		return nil, fmt.Errorf("sz: shape %v does not match stream (%d planes of %dx%d)", shape, hd.planes, hd.h, hd.w)
-	}
-	if err := c.decompressBody(out.Data(), data, hd); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DecompressInto reconstructs a stream straight into dst (length
-// planes·h·w as recorded in the stream header, which must also match
-// the caller's expected plane geometry). It is the allocation-free
-// counterpart of Decompress used by the codec registry's plane
-// pipeline.
+// DecompressInto reconstructs a Compress stream straight into dst
+// (length planes·h·w as recorded in the stream header, which must also
+// match the caller's expected plane geometry). It allocates no output:
+// the codec registry's plane pipeline decodes into its own tensor.
 func (c *Codec) DecompressInto(dst []float32, data []byte, h, w int) error {
 	hd, err := parseHeader(data)
 	if err != nil {
@@ -435,18 +418,4 @@ func takeRaw(raws []byte) (float32, []byte, bool) {
 		return 0, raws, false
 	}
 	return math.Float32frombits(binary.LittleEndian.Uint32(raws)), raws[4:], true
-}
-
-// RoundTrip compresses and decompresses, returning the reconstruction
-// and compressed size.
-func (c *Codec) RoundTrip(x *tensor.Tensor) (*tensor.Tensor, int, error) {
-	data, err := c.Compress(x)
-	if err != nil {
-		return nil, 0, err
-	}
-	out, err := c.Decompress(data, x.Shape()...)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, len(data), nil
 }

@@ -4,17 +4,21 @@ import (
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/bitstream"
 	"repro/internal/tensor"
 )
 
 // TestGoldenStreams holds the batched word-at-a-time coder to the exact
 // bytes the original bit-by-bit coder produced for fixed tensors, and
-// requires those bytes to decode back identically.
+// requires those bytes to decode back identically. A multi-plane case
+// codes its planes in order through one writer and decodes them through
+// one reader, as the bytes were recorded.
 func TestGoldenStreams(t *testing.T) {
 	raw, err := os.ReadFile("testdata/golden_v1.json")
 	if err != nil {
@@ -42,26 +46,35 @@ func TestGoldenStreams(t *testing.T) {
 				t.Fatal(err)
 			}
 			x := goldenTensor(tc.Shape...)
-			data, err := c.Compress(x)
-			if err != nil {
-				t.Fatal(err)
+			h, w := x.Dim(-2), x.Dim(-1)
+			planes := x.Len() / (h * w)
+			bw := bitstream.NewWriter()
+			for p := 0; p < planes; p++ {
+				c.EncodePlane(bw, x.Data()[p*h*w:(p+1)*h*w], h, w)
 			}
 			want, err := hex.DecodeString(tc.Hex)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(data, want) {
+			if data := bw.Bytes(); !bytes.Equal(data, want) {
 				t.Fatalf("compressed bytes diverge from recorded stream (len %d vs %d)", len(data), len(want))
 			}
-			out, err := c.Decompress(want, tc.Shape...)
-			if err != nil {
-				t.Fatal(err)
+			out := tensor.New(tc.Shape...)
+			br := bitstream.NewReader(want)
+			for p := 0; p < planes; p++ {
+				if err := c.DecodePlane(br, out.Data()[p*h*w:(p+1)*h*w], h, w); err != nil {
+					t.Fatal(err)
+				}
 			}
-			// The codec is deterministic: re-compressing the
-			// reconstruction of the recorded bytes must also match a
-			// fresh roundtrip of the reconstruction.
-			if out.Len() != x.Len() {
-				t.Fatalf("decoded %d elements, want %d", out.Len(), x.Len())
+			// The recorded bytes decode exactly as each plane's own
+			// stream does.
+			for p := 0; p < planes; p++ {
+				plane, _ := roundTrip(t, c, tensor.FromSlice(x.Data()[p*h*w:(p+1)*h*w], h, w))
+				for i, v := range plane.Data() {
+					if got := out.Data()[p*h*w+i]; math.Float32bits(got) != math.Float32bits(v) {
+						t.Fatalf("plane %d value %d: %g from the recorded stream, %g from its own", p, i, got, v)
+					}
+				}
 			}
 		})
 	}

@@ -21,7 +21,6 @@ import (
 	"math/bits"
 
 	"repro/internal/bitstream"
-	"repro/internal/tensor"
 )
 
 // BlockSize is the codec's block edge (4×4 blocks, as in 2-D ZFP).
@@ -65,31 +64,14 @@ func (c *Codec) blockBits() int {
 	return int(math.Round(c.Rate * blockValues))
 }
 
-// CompressedBytes returns the exact stream size Compress produces for
-// planes h×w planes — the codec is fixed-rate, so the size is a pure
-// function of the geometry. Callers use it to pre-validate payloads.
+// CompressedBytes returns the fixed-rate budget of planes h×w planes:
+// the most EncodePlane writes for them, a pure function of the
+// geometry. A block whose bit planes run out first writes less, so a
+// stream may come in under it, never over. Callers use it to
+// pre-validate payloads.
 func (c *Codec) CompressedBytes(planes, h, w int) int {
 	blocks := planes * (h / BlockSize) * (w / BlockSize)
 	return (blocks*c.blockBits() + 7) / 8
-}
-
-// Compress encodes every 2-D plane of a [..., h, w] tensor. h and w must
-// be multiples of 4 (the harness pads otherwise).
-func (c *Codec) Compress(x *tensor.Tensor) ([]byte, error) {
-	if x.Dims() < 2 {
-		return nil, fmt.Errorf("zfp: need at least 2-D input, got %v", x.Shape())
-	}
-	h := x.Dim(-2)
-	w := x.Dim(-1)
-	if h%BlockSize != 0 || w%BlockSize != 0 {
-		return nil, fmt.Errorf("zfp: plane %dx%d not a multiple of %d", h, w, BlockSize)
-	}
-	planes := x.Len() / (h * w)
-	bw := bitstream.NewWriter()
-	for p := 0; p < planes; p++ {
-		c.EncodePlane(bw, x.Data()[p*h*w:(p+1)*h*w], h, w)
-	}
-	return bw.Bytes(), nil
 }
 
 // EncodePlane writes every 4×4 block of one h×w plane (len h·w, h and w
@@ -109,25 +91,6 @@ func (c *Codec) EncodePlane(bw *bitstream.Writer, plane []float32, h, w int) {
 	}
 }
 
-// Decompress reconstructs a tensor of the given shape from Compress
-// output.
-func (c *Codec) Decompress(data []byte, shape ...int) (*tensor.Tensor, error) {
-	out := tensor.New(shape...)
-	h := out.Dim(-2)
-	w := out.Dim(-1)
-	if h%BlockSize != 0 || w%BlockSize != 0 {
-		return nil, fmt.Errorf("zfp: plane %dx%d not a multiple of %d", h, w, BlockSize)
-	}
-	planes := out.Len() / (h * w)
-	br := bitstream.NewReader(data)
-	for p := 0; p < planes; p++ {
-		if err := c.DecodePlane(br, out.Data()[p*h*w:(p+1)*h*w], h, w); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // DecodePlane reads every 4×4 block of one h×w plane from br into
 // plane. Like EncodePlane it allocates nothing.
 func (c *Codec) DecodePlane(br *bitstream.Reader, plane []float32, h, w int) error {
@@ -145,20 +108,6 @@ func (c *Codec) DecodePlane(br *bitstream.Reader, plane []float32, h, w int) err
 		}
 	}
 	return nil
-}
-
-// RoundTrip compresses and decompresses x, returning the reconstruction
-// and the compressed size in bytes.
-func (c *Codec) RoundTrip(x *tensor.Tensor) (*tensor.Tensor, int, error) {
-	data, err := c.Compress(x)
-	if err != nil {
-		return nil, 0, err
-	}
-	out, err := c.Decompress(data, x.Shape()...)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, len(data), nil
 }
 
 // encodeBlock writes one 4×4 block at the fixed budget.

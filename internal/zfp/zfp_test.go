@@ -5,9 +5,35 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bitstream"
 	"repro/internal/metrics"
 	"repro/internal/tensor"
 )
+
+// encode codes one h×w plane, a 2-D tensor, and returns its stream.
+func encode(c *Codec, x *tensor.Tensor) []byte {
+	bw := bitstream.NewWriter()
+	c.EncodePlane(bw, x.Data(), x.Dim(0), x.Dim(1))
+	return bw.Bytes()
+}
+
+// decode reconstructs an h×w plane from an EncodePlane stream.
+func decode(c *Codec, data []byte, h, w int) (*tensor.Tensor, error) {
+	out := tensor.New(h, w)
+	return out, c.DecodePlane(bitstream.NewReader(data), out.Data(), h, w)
+}
+
+// roundTrip codes and decodes one h×w plane, returning the
+// reconstruction and the stream's length in bytes.
+func roundTrip(t testing.TB, c *Codec, x *tensor.Tensor) (*tensor.Tensor, int) {
+	t.Helper()
+	data := encode(c, x)
+	out, err := decode(c, data, x.Dim(0), x.Dim(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, len(data)
+}
 
 func TestNewValidatesRate(t *testing.T) {
 	for _, r := range []float64{0, 0.5, 33, -1} {
@@ -92,10 +118,7 @@ func TestHighRateNearLossless(t *testing.T) {
 	}
 	rng := tensor.NewRNG(3)
 	x := rng.Uniform(-1, 1, 16, 16)
-	out, _, err := c.RoundTrip(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, _ := roundTrip(t, c, x)
 	if d := out.MaxAbsDiff(x); d > 1e-5 {
 		t.Fatalf("rate-32 round trip error %g", d)
 	}
@@ -110,10 +133,7 @@ func TestQualityImprovesWithRate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, _, err := c.RoundTrip(x)
-		if err != nil {
-			t.Fatal(err)
-		}
+		out, _ := roundTrip(t, c, x)
 		p := metrics.PSNR(x, out)
 		if p < prev {
 			t.Fatalf("rate %g: PSNR %g dropped below %g", rate, p, prev)
@@ -129,16 +149,13 @@ func TestCompressedSizeBounded(t *testing.T) {
 	// Fixed-rate budget: compressed bytes never exceed rate/32 of the
 	// input (group flags can only shrink it).
 	rng := tensor.NewRNG(5)
-	x := rng.Uniform(-1, 1, 2, 3, 16, 16)
+	x := rng.Uniform(-1, 1, 96, 16)
 	for _, rate := range []float64{2, 4, 8} {
 		c, err := New(rate)
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := c.Compress(x)
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := encode(c, x)
 		bound := float64(x.Len())*rate/8 + 8
 		if float64(len(data)) > bound {
 			t.Fatalf("rate %g: %d bytes exceeds budget %g", rate, len(data), bound)
@@ -152,10 +169,7 @@ func TestAllZeroBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := tensor.New(8, 8)
-	out, n, err := c.RoundTrip(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, n := roundTrip(t, c, x)
 	if out.MaxAbs() != 0 {
 		t.Fatal("zero input must reconstruct to zero")
 	}
@@ -170,10 +184,7 @@ func TestConstantBlockReconstructsWell(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := tensor.Full(3.25, 8, 8)
-	out, _, err := c.RoundTrip(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, _ := roundTrip(t, c, x)
 	// A constant block is pure LL energy: even 4 bits/value suffices.
 	if d := out.MaxAbsDiff(x); d > 0.01 {
 		t.Fatalf("constant block error %g at rate 4", d)
@@ -186,31 +197,23 @@ func TestMultiPlaneTensor(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := tensor.NewRNG(6)
-	x := rng.Uniform(0, 1, 2, 3, 8, 8) // 6 planes
-	out, _, err := c.RoundTrip(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.SameShape(x) {
-		t.Fatalf("shape %v", out.Shape())
+	x := rng.Uniform(0, 1, 2, 3, 8, 8) // 6 planes, each its own stream
+	out := tensor.New(x.Shape()...)
+	for p := 0; p < 6; p++ {
+		plane, _ := roundTrip(t, c, tensor.FromSlice(x.Data()[p*64:(p+1)*64], 8, 8))
+		copy(out.Data()[p*64:], plane.Data())
 	}
 	if metrics.PSNR(x, out) < 20 {
 		t.Fatalf("multi-plane PSNR %g too low", metrics.PSNR(x, out))
 	}
 }
 
-func TestRejectsBadShapes(t *testing.T) {
+func TestRejectsTruncatedStream(t *testing.T) {
 	c, err := New(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Compress(tensor.New(7, 8)); err == nil {
-		t.Fatal("non-multiple-of-4 plane must be rejected")
-	}
-	if _, err := c.Compress(tensor.New(8)); err == nil {
-		t.Fatal("1-D input must be rejected")
-	}
-	if _, err := c.Decompress([]byte{1, 2}, 8, 8); err == nil {
+	if _, err := decode(c, []byte{1, 2}, 8, 8); err == nil {
 		t.Fatal("truncated stream must be rejected")
 	}
 }
@@ -226,10 +229,7 @@ func TestLargeDynamicRange(t *testing.T) {
 	vals := []float32{1e-20, 1e20, -1e10, 3.14, 0, -1e-10, 42, 1e5,
 		-2, 7e7, 1e-5, -9e9, 0.5, -0.25, 6e6, -3e3}
 	copy(x.Data(), vals)
-	out, _, err := c.RoundTrip(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, _ := roundTrip(t, c, x)
 	for _, v := range out.Data() {
 		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
 			t.Fatal("non-finite reconstruction")
@@ -251,10 +251,7 @@ func TestErrorBoundedProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := tensor.NewRNG(seed)
 		x := rng.Uniform(-4, 4, 8, 8)
-		out, _, err := c.RoundTrip(x)
-		if err != nil {
-			return false
-		}
+		out, _ := roundTrip(t, c, x)
 		// 16 bits/value on an 8-magnitude range: max error well under 1%.
 		return out.MaxAbsDiff(x) < 0.04
 	}
