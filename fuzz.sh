@@ -3,6 +3,11 @@
 # each for $FUZZTIME (default 10s): FUZZTIME=5m sh fuzz.sh runs a longer
 # campaign. Run from the repo root; exits nonzero on the first failure.
 #
+# Each new interesting input is minimized for at most 1s. Go's default
+# is 60 s, longer than a 10 s slice: a target that finds an input early
+# then spends the rest of its slice minimizing it and executes nothing
+# new.
+#
 # vle's FuzzDecode holds the fused-table decoder to the symbol-by-symbol
 # reference on every stream, and sz's FuzzDecompress feeds arbitrary
 # bytes to DecompressInto at the geometry StreamDims reads from them,
@@ -11,8 +16,10 @@
 # tensor consistent with the header, never panic or allocate without
 # bound. On the encode side, vle's FuzzEncodeDecodeRoundTrip holds the
 # branch-free tokenizer to the reference encoder and requires
-# Encode∘Decode to be the identity, and sz's FuzzCompress holds the
-# two-row quantizer to the cell-by-cell reference byte for byte.
+# Encode∘Decode to be the identity and FlatLen to size AppendFlat's
+# stream, and sz's FuzzCompress holds the two-row quantizer to the
+# cell-by-cell reference byte for byte and RoundTripPlane to the
+# stream's decode and length.
 # FuzzStreamDecode and FuzzIndexedStream feed mutated v2 streams to the
 # sequential and the random-access reader; every family decodes records
 # through the same single decoder as containers, so these reach each
@@ -30,7 +37,7 @@ cd "$(dirname "$0")"
 
 t=${FUZZTIME:-10s}
 fuzz() {
-	go test -run '^$' -fuzz "^$1\$" -fuzztime "$t" "$2"
+	go test -run '^$' -fuzz "^$1\$" -fuzztime "$t" -fuzzminimizetime 1s "$2"
 }
 
 fuzz FuzzDecode ./internal/vle/

@@ -83,9 +83,12 @@ var errNoFastPath = errors.New("codec: no fused round trip for this shape")
 
 // RoundTripInto compresses and decompresses x into dst, which must
 // have x's element count, returning the compressed payload size — the
-// length of the framed payload Compress would carry. Codecs with a
-// fused path (zfp, jpegq) allocate nothing at steady state; others, and
-// every staged codec, serialize, decode and copy.
+// length of the framed payload Compress would carry. dst may be x
+// itself, round-tripping it in place, but must not otherwise overlap
+// it. Codecs with a fused path (zfp, jpegq, sz) allocate nothing at
+// steady state on one worker; jpegq and sz size their vle streams
+// without coding them. Others, and every staged codec, serialize,
+// decode and copy.
 func RoundTripInto(c Codec, dst, x *tensor.Tensor) (int, error) {
 	if dst.Len() != x.Len() {
 		return 0, fmt.Errorf("codec: RoundTripInto dst holds %d values, x holds %d", dst.Len(), x.Len())

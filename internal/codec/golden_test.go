@@ -79,17 +79,26 @@ func TestGoldenContainers(t *testing.T) {
 
 // TestRoundTripIntoMatchesSerializePath pins the fused round trip to
 // the serialize path for every conformance spec, on the planar
-// conformance batch and on a flat shape no plane-based fast path
-// covers: RoundTripInto and Codec.RoundTrip must both report exactly
-// the serialized payload's length and reproduce its decode bit for bit
+// conformance batch, on a shape no block-aligned fast path covers, on
+// rank-1 vectors — one wider than vle's 16-bit block field, which sz
+// must refuse on every path — and on signed zeros, NaN and a tiny
+// residual (sz's −0 codes): RoundTripInto, into a second tensor and in place
+// (dst == x), and Codec.RoundTrip must all report exactly the
+// serialized payload's length and reproduce its decode bit for bit
 // (every family decodes deterministically, so any divergence is a
 // second, different codec hiding behind the fast path).
 func TestRoundTripIntoMatchesSerializePath(t *testing.T) {
 	flat := tensor.New(5, 7, 9)
+	vec, wide := tensor.New(37), tensor.New(1<<16)
 	for i := range flat.Data() {
 		flat.Data()[i] = float32(math.Sin(float64(i) / 11))
 	}
-	inputs := []*tensor.Tensor{conformanceBatch(), flat}
+	for _, v := range []*tensor.Tensor{vec, wide} {
+		for i := range v.Data() {
+			v.Data()[i] = float32(math.Cos(float64(i) / 5))
+		}
+	}
+	inputs := []*tensor.Tensor{conformanceBatch(), flat, vec, wide, signedZeros()}
 	for _, tc := range conformanceSpecs {
 		tc := tc
 		t.Run(tc.spec, func(t *testing.T) {
@@ -109,6 +118,16 @@ func TestRoundTripIntoMatchesSerializePath(t *testing.T) {
 					if _, err := RoundTripInto(c, tensor.New(x.Shape()...), x); err == nil {
 						t.Errorf("%v: RoundTripInto accepted a shape the serialize path rejects", x.Shape())
 					}
+					// Refused in place, x must come back untouched.
+					inPlace := x.Clone()
+					if _, err := RoundTripInto(c, inPlace, inPlace); err == nil {
+						t.Errorf("%v: in-place RoundTripInto accepted a shape the serialize path rejects", x.Shape())
+					}
+					for i, v := range x.Data() {
+						if math.Float32bits(inPlace.Data()[i]) != math.Float32bits(v) {
+							t.Fatalf("%v position %d: a refused in-place RoundTripInto changed %g to %g", x.Shape(), i, v, inPlace.Data()[i])
+						}
+					}
 					if _, _, err := c.RoundTrip(x); err == nil {
 						t.Errorf("%v: RoundTrip accepted a shape the serialize path rejects", x.Shape())
 					}
@@ -127,15 +146,21 @@ func TestRoundTripIntoMatchesSerializePath(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if n != len(payload) || rn != len(payload) {
-					t.Errorf("%v: RoundTripInto size %d, RoundTrip size %d, serialize path payload %d", x.Shape(), n, rn, len(payload))
+				inPlace := x.Clone()
+				pn, err := RoundTripInto(c, inPlace, inPlace)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != len(payload) || rn != len(payload) || pn != len(payload) {
+					t.Errorf("%v: RoundTripInto size %d (in place %d), RoundTrip size %d, serialize path payload %d", x.Shape(), n, pn, rn, len(payload))
 				}
 				if !rt.SameShape(x) {
 					t.Errorf("RoundTrip shape %v, want %v", rt.Shape(), x.Shape())
 				}
 				for i, v := range ref.Data() {
-					if math.Float32bits(dst.Data()[i]) != math.Float32bits(v) || math.Float32bits(rt.Data()[i]) != math.Float32bits(v) {
-						t.Fatalf("%v position %d: RoundTripInto %g, RoundTrip %g, serialize path %g", x.Shape(), i, dst.Data()[i], rt.Data()[i], v)
+					want := math.Float32bits(v)
+					if math.Float32bits(dst.Data()[i]) != want || math.Float32bits(rt.Data()[i]) != want || math.Float32bits(inPlace.Data()[i]) != want {
+						t.Fatalf("%v position %d: RoundTripInto %g (in place %g), RoundTrip %g, serialize path %g", x.Shape(), i, dst.Data()[i], inPlace.Data()[i], rt.Data()[i], v)
 					}
 				}
 			}
@@ -143,12 +168,23 @@ func TestRoundTripIntoMatchesSerializePath(t *testing.T) {
 	}
 }
 
+// signedZeros is a [2,4] plane on which sz:eb=1e-3 meets a zero
+// prediction and a zero code: the NaN predicts nothing, so cell 1's −0
+// is stored raw, and cell 2's −1e-9 quantizes to a −0 code under that
+// −0 prediction. The decoder replays the code as the integer 0, adding
+// +0, so cells 2 and 3 decode to +0; a fused round trip that added
+// step·(−0) would write −0 there.
+func signedZeros() *tensor.Tensor {
+	nz := float32(math.Copysign(0, -1))
+	return tensor.FromSlice([]float32{float32(math.NaN()), nz, -1e-9, -1e-9, 0.5, nz, -1e-9, 2}, 2, 4)
+}
+
 // TestRoundTripIntoAllocs is the allocs/op gate on the registry round
 // trip: every family bare and through the entropy stage, on one
 // 3-channel 256×256 sample with a single-worker pipeline (the
 // multi-worker pipeline spends a few allocations on the fan-out). Each
 // bound is the steady-state count plus max(4, 10 %) of headroom for
-// pool warm-up jitter; zfp and jpegq allocate nothing at all.
+// pool warm-up jitter; zfp, jpegq and sz allocate nothing at all.
 func TestRoundTripIntoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts only hold without -race")
@@ -162,11 +198,11 @@ func TestRoundTripIntoAllocs(t *testing.T) {
 		max  float64
 	}{
 		{"zfp:rate=8", 0},
-		{"zfp:rate=8+huf", 46},
+		{"zfp:rate=8+huf", 27},
 		{"jpegq:q=50", 0},
-		{"jpegq:q=50+huf", 43},
-		{"sz:eb=1e-3", 44},
-		{"sz:eb=1e-3+huf", 49},
+		{"jpegq:q=50+huf", 24},
+		{"sz:eb=1e-3", 0},
+		{"sz:eb=1e-3+huf", 30},
 		{"dctc:cf=4", 26},
 		{"dctc:cf=4+huf", 27},
 		{"lossless:bg=4", 9},

@@ -63,8 +63,8 @@ func (b *jpegqBackend) encode(ctx context.Context, x *tensor.Tensor) ([]byte, er
 	if err != nil {
 		return nil, err
 	}
-	return compressPlanes(ctx, x, h, w, func(p int, plane *tensor.Tensor) ([]byte, error) {
-		return b.codec.EncodePlane(plane, p%ch)
+	return compressPlanes(ctx, x.Data(), h, w, func(p int, plane []float32) ([]byte, error) {
+		return b.codec.EncodePlane(plane, h, w, p%ch)
 	})
 }
 
@@ -82,24 +82,24 @@ func (b *jpegqBackend) decode(ctx context.Context, src payloadSource, shape []in
 		return nil, err
 	}
 	out := tensor.New(shape...)
-	if err := frame.decodePlanes(ctx, out.Data(), h, w, b.planeDec(ch)); err != nil {
+	if err := frame.decodePlanes(ctx, out.Data(), h, w, b.planeDec(ch, h, w)); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// planeDec returns the per-plane decode closure; the channel index
-// picks the quantization table, exactly as in encode.
-func (b *jpegqBackend) planeDec(ch int) func(p int, data []byte, plane *tensor.Tensor) error {
-	return func(p int, data []byte, plane *tensor.Tensor) error {
-		return b.codec.DecodePlane(data, plane, p%ch)
+// planeDec returns the decoder of h×w planes; the channel index picks
+// the quantization table, exactly as in encode.
+func (b *jpegqBackend) planeDec(ch, h, w int) func(p int, data []byte, plane []float32) error {
+	return func(p int, data []byte, plane []float32) error {
+		return b.codec.DecodePlane(data, plane, h, w, p%ch)
 	}
 }
 
 // fastRoundTripInto round-trips every plane through the codec's pooled
-// quantize→entropy→reconstruct path; the compressed bytes never leave
-// the entropy coder's pooled buffers. The reported size matches the
-// serialize path's payload: the plane frame plus each plane's stream.
+// quantize→dequantize path: each plane's vle stream is sized with
+// vle.FlatLen and never coded. The reported size matches the serialize
+// path's payload: the plane frame plus each plane's stream.
 func (b *jpegqBackend) fastRoundTripInto(dst, x *tensor.Tensor) (int, error) {
 	// Dim/Dims instead of Shape(): Shape clones its slice, and this
 	// path must stay allocation-free. Shapes checkShape rejects take

@@ -202,7 +202,7 @@ func TestMalformedFrameRejectedOnEveryPath(t *testing.T) {
 		// Rate 8 fills each plane's budget exactly, so one byte more is over.
 		{"zfp planar plane over the rate budget", "zfp:rate=8", []int{3, 8, 8}, shiftPlane0(zfpPlanar, 1, 1)},
 		{"zfp flat plane over the rate budget", "zfp:rate=8,planen=8", []int{100}, shiftPlane0(zfpFlat, 9, 1)},
-		{"sz plane whose StreamDims disagree", "sz:eb=1e-3", []int{3, 5, 7},
+		{"sz plane whose recorded geometry disagrees", "sz:eb=1e-3", []int{3, 5, 7},
 			// Well framed, but every plane stream records 7×5.
 			encodeRaw(t, "sz:eb=1e-3", tensor.NewRNG(5).Uniform(0, 1, 3, 7, 5))},
 		{"jpegq payload too small to be plausible", "jpegq:q=50", []int{64, 1, 64, 64}, func() []byte {

@@ -142,22 +142,21 @@ func putByteScratch(bp *[]byte) {
 }
 
 // compressPlanes encodes every h×w plane of x concurrently with enc and
-// assembles the plane-framed payload. Plane p is the zero-copy view of
-// x.Data()[p·h·w : (p+1)·h·w] shaped [h, w]. A tensor whose length is
-// not a whole number of planes is an error — silently truncating the
-// tail would decode to a different tensor.
-func compressPlanes(ctx context.Context, x *tensor.Tensor, h, w int, enc func(p int, plane *tensor.Tensor) ([]byte, error)) ([]byte, error) {
+// assembles the plane-framed payload. enc receives plane p as the
+// zero-copy view x[p·h·w : (p+1)·h·w]. A length that is not a whole
+// number of planes is an error — silently truncating the tail would
+// decode to a different tensor.
+func compressPlanes(ctx context.Context, x []float32, h, w int, enc func(p int, plane []float32) ([]byte, error)) ([]byte, error) {
 	if h < 1 || w < 1 {
 		return nil, fmt.Errorf("codec: invalid plane size %d×%d", h, w)
 	}
-	if x.Len()%(h*w) != 0 {
-		return nil, fmt.Errorf("codec: tensor length %d is not a whole number of %d×%d planes (%d trailing values)", x.Len(), h, w, x.Len()%(h*w))
+	if len(x)%(h*w) != 0 {
+		return nil, fmt.Errorf("codec: tensor length %d is not a whole number of %d×%d planes (%d trailing values)", len(x), h, w, len(x)%(h*w))
 	}
-	planes := x.Len() / (h * w)
+	planes := len(x) / (h * w)
 	parts := make([][]byte, planes)
 	err := forEachPlane(ctx, planes, func(p int) error {
-		plane := tensor.FromSlice(x.Data()[p*h*w:(p+1)*h*w], h, w)
-		out, err := enc(p, plane)
+		out, err := enc(p, x[p*h*w:(p+1)*h*w])
 		if err != nil {
 			return fmt.Errorf("codec: plane %d: %w", p, err)
 		}
@@ -305,10 +304,10 @@ func (f *planeFrame) group(ctx context.Context) (p0, p1 int, data []byte, err er
 
 // decodePlanes decodes every plane into the h×w planes of out, each
 // group's planes concurrently on the plane pool, and releases the
-// frame. dec receives plane p's bytes and a zero-copy view of its
-// output plane; planes are disjoint, so the concurrent writes are
-// race-free.
-func (f *planeFrame) decodePlanes(ctx context.Context, out []float32, h, w int, dec func(p int, data []byte, plane *tensor.Tensor) error) error {
+// frame. dec receives plane p's bytes and the zero-copy view
+// out[p·h·w : (p+1)·h·w] of its output plane; planes are disjoint, so
+// the concurrent writes are race-free.
+func (f *planeFrame) decodePlanes(ctx context.Context, out []float32, h, w int, dec func(p int, data []byte, plane []float32) error) error {
 	defer f.release()
 	ends := *f.ends
 	for f.taken < f.planes {
@@ -319,8 +318,7 @@ func (f *planeFrame) decodePlanes(ctx context.Context, out []float32, h, w int, 
 		base := planeStart(ends, p0)
 		err = forEachPlane(ctx, p1-p0, func(i int) error {
 			p := p0 + i
-			plane := tensor.FromSlice(out[p*h*w:(p+1)*h*w], h, w)
-			if err := dec(p, data[planeStart(ends, p)-base:planeEnd(ends, p)-base], plane); err != nil {
+			if err := dec(p, data[planeStart(ends, p)-base:planeEnd(ends, p)-base], out[p*h*w:(p+1)*h*w]); err != nil {
 				return fmt.Errorf("codec: plane %d: %w", p, err)
 			}
 			return nil

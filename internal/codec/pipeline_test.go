@@ -48,7 +48,7 @@ func TestPlaneFramingRoundTrip(t *testing.T) {
 	for i := range x.Data() {
 		x.Data()[i] = float32(i)
 	}
-	payload, err := compressPlanes(context.Background(), x, 4, 4, func(p int, plane *tensor.Tensor) ([]byte, error) {
+	payload, err := compressPlanes(context.Background(), x.Data(), 4, 4, func(p int, plane []float32) ([]byte, error) {
 		// Variable-length per-plane payload: p+1 copies of byte p.
 		out := make([]byte, p+1)
 		for i := range out {
@@ -231,7 +231,7 @@ func TestForEachPlaneLowestIndexedError(t *testing.T) {
 // of planes must be rejected, not silently truncated.
 func TestCompressPlanesRaggedLength(t *testing.T) {
 	x := tensor.New(100)
-	_, err := compressPlanes(context.Background(), x, 3, 3, func(p int, plane *tensor.Tensor) ([]byte, error) {
+	_, err := compressPlanes(context.Background(), x.Data(), 3, 3, func(p int, plane []float32) ([]byte, error) {
 		return []byte{0}, nil
 	})
 	if err == nil {

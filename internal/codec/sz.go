@@ -3,6 +3,8 @@ package codec
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/sz"
 	"repro/internal/tensor"
@@ -41,42 +43,29 @@ func (b *szBackend) canonical() string {
 	return fmt.Sprintf("eb=%g", b.codec.ErrorBound)
 }
 
+// szPlanes returns x's payload mode and plane geometry: its trailing
+// 2-D planes, or one 1×len plane for a rank-1 tensor. Dim/Dims instead
+// of Shape(): Shape clones its slice, and the fused path must stay
+// allocation-free.
+func szPlanes(x *tensor.Tensor) (mode byte, h, w int) {
+	if x.Dims() >= 2 {
+		return szModePlanar, x.Dim(-2), x.Dim(-1)
+	}
+	return szModeFlat, 1, x.Len()
+}
+
 func (b *szBackend) encode(ctx context.Context, x *tensor.Tensor) ([]byte, error) {
 	if x.Len() == 0 {
 		return nil, fmt.Errorf("sz: empty tensor")
 	}
-	mode := byte(szModePlanar)
-	h, w := 0, 0
-	if x.Dims() >= 2 {
-		h, w = x.Dim(-2), x.Dim(-1)
-	} else {
-		mode, h, w = szModeFlat, 1, x.Len()
-		x = x.Reshape(1, w)
-	}
-	framed, err := compressPlanes(ctx, x, h, w, func(p int, plane *tensor.Tensor) ([]byte, error) {
-		return b.codec.Compress(plane)
+	mode, h, w := szPlanes(x)
+	framed, err := compressPlanes(ctx, x.Data(), h, w, func(p int, plane []float32) ([]byte, error) {
+		return b.codec.EncodePlane(plane, h, w)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return append([]byte{mode}, framed...), nil
-}
-
-// planeDec returns the per-plane decode closure: it re-validates the
-// plane stream's recorded geometry (the sz stream is itself
-// self-describing) before decompressing into the output plane.
-func (b *szBackend) planeDec(h, w int) func(p int, data []byte, plane *tensor.Tensor) error {
-	return func(p int, data []byte, plane *tensor.Tensor) error {
-		planes, sh, sw, err := sz.StreamDims(data)
-		if err != nil {
-			return err
-		}
-		if planes != 1 || sh != h || sw != w {
-			return fmt.Errorf("sz: stream is %d×%dx%d, want 1×%dx%d", planes, sh, sw, h, w)
-		}
-		// Decode straight into the output plane — no staging tensor.
-		return b.codec.DecompressInto(plane.Data(), data, h, w)
-	}
 }
 
 func (b *szBackend) decode(ctx context.Context, src payloadSource, shape []int) (*tensor.Tensor, error) {
@@ -102,8 +91,66 @@ func (b *szBackend) decode(ctx context.Context, src payloadSource, shape []int) 
 		return nil, err
 	}
 	out := tensor.New(shape...)
-	if err := frame.decodePlanes(ctx, out.Data(), h, w, b.planeDec(h, w)); err != nil {
+	// Each plane decodes straight into the output — no staging tensor.
+	// DecompressInto checks the plane stream's own recorded geometry
+	// against one h×w plane first.
+	err = frame.decodePlanes(ctx, out.Data(), h, w, func(p int, data []byte, plane []float32) error {
+		return b.codec.DecompressInto(plane, data, h, w)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// szRoundTrip is fastRoundTripInto's job on the plane pool: plane p of
+// x round-trips into plane p of dst, and its stream length adds to
+// bytes. Pooled with run, its runPlane method value bound once, so a
+// round trip allocates nothing.
+type szRoundTrip struct {
+	codec  *sz.Codec
+	dst, x []float32
+	h, w   int
+	bytes  atomic.Int64
+	run    func(p int) error
+}
+
+var szRoundTrips = sync.Pool{New: func() any {
+	j := new(szRoundTrip)
+	j.run = j.runPlane
+	return j
+}}
+
+func (j *szRoundTrip) runPlane(p int) error {
+	n := j.h * j.w
+	size, err := j.codec.RoundTripPlane(j.dst[p*n:(p+1)*n], j.x[p*n:(p+1)*n], j.h, j.w)
+	if err != nil {
+		return fmt.Errorf("codec: plane %d: %w", p, err)
+	}
+	j.bytes.Add(int64(size))
+	return nil
+}
+
+// fastRoundTripInto round-trips every plane, planar and flat layouts
+// alike, through sz's RoundTripPlane on the plane pool: no vle stream
+// is coded or decoded, and no payload is framed. The reported size
+// matches the serialize path's payload: the mode byte, the plane frame
+// and each plane's stream.
+func (b *szBackend) fastRoundTripInto(dst, x *tensor.Tensor) (int, error) {
+	if x.Len() == 0 {
+		return 0, errNoFastPath // encode reports the error
+	}
+	_, h, w := szPlanes(x)
+	planes := x.Len() / (h * w)
+	j := szRoundTrips.Get().(*szRoundTrip)
+	j.codec, j.dst, j.x, j.h, j.w = b.codec, dst.Data(), x.Data(), h, w
+	j.bytes.Store(0)
+	err := forEachPlane(context.Background(), planes, j.run)
+	total := 1 + 4 + 4*planes + int(j.bytes.Load())
+	j.codec, j.dst, j.x = nil, nil, nil
+	szRoundTrips.Put(j)
+	if err != nil {
+		return 0, err
+	}
+	return total, nil
 }

@@ -81,7 +81,7 @@ func (b *zfpBackend) encode(ctx context.Context, x *tensor.Tensor) ([]byte, erro
 		return nil, fmt.Errorf("zfp: empty tensor")
 	}
 	if h, w, ok := planarHW(x.Shape(), zfp.BlockSize); ok {
-		framed, err := compressPlanes(ctx, x, h, w, b.encodePlane)
+		framed, err := compressPlanes(ctx, x.Data(), h, w, b.planeEnc(h, w))
 		if err != nil {
 			return nil, err
 		}
@@ -95,8 +95,7 @@ func (b *zfpBackend) encode(ctx context.Context, x *tensor.Tensor) ([]byte, erro
 	scratch := getScratch(nplanes * plane)
 	defer putScratch(scratch)
 	copy(scratch, x.Data())
-	packed := tensor.FromSlice(scratch, nplanes, planeN, planeN)
-	framed, err := compressPlanes(ctx, packed, planeN, planeN, b.encodePlane)
+	framed, err := compressPlanes(ctx, scratch, planeN, planeN, b.planeEnc(planeN, planeN))
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +132,7 @@ func (b *zfpBackend) decode(ctx context.Context, src payloadSource, shape []int)
 			return nil, err
 		}
 		out := tensor.New(shape...)
-		if err := frame.decodePlanes(ctx, out.Data(), h, w, b.decodePlane); err != nil {
+		if err := frame.decodePlanes(ctx, out.Data(), h, w, b.planeDec(h, w)); err != nil {
 			return nil, err
 		}
 		return out, nil
@@ -160,7 +159,7 @@ func (b *zfpBackend) decode(ctx context.Context, src payloadSource, shape []int)
 		// scratch before the copy-out, so no zeroing is needed.
 		scratch := getScratchNoZero(nplanes * plane)
 		defer putScratch(scratch)
-		if err := frame.decodePlanes(ctx, scratch, planeN, planeN, b.decodePlane); err != nil {
+		if err := frame.decodePlanes(ctx, scratch, planeN, planeN, b.planeDec(planeN, planeN)); err != nil {
 			return nil, err
 		}
 		copy(out.Data(), scratch[:out.Len()])
@@ -170,21 +169,27 @@ func (b *zfpBackend) decode(ctx context.Context, src payloadSource, shape []int)
 	}
 }
 
-// encodePlane compresses one plane on a pooled bit writer; the only
-// per-plane allocation is the payload hand-off copy itself.
-func (b *zfpBackend) encodePlane(p int, plane *tensor.Tensor) ([]byte, error) {
-	bw := bitstream.GetWriter()
-	defer bitstream.PutWriter(bw)
-	b.codec.EncodePlane(bw, plane.Data(), plane.Dim(0), plane.Dim(1))
-	return append([]byte(nil), bw.Bytes()...), nil
+// planeEnc returns the encoder of h×w planes: each compresses on a
+// pooled bit writer, and the only per-plane allocation is the payload
+// hand-off copy itself.
+func (b *zfpBackend) planeEnc(h, w int) func(p int, plane []float32) ([]byte, error) {
+	return func(p int, plane []float32) ([]byte, error) {
+		bw := bitstream.GetWriter()
+		defer bitstream.PutWriter(bw)
+		b.codec.EncodePlane(bw, plane, h, w)
+		return append([]byte(nil), bw.Bytes()...), nil
+	}
 }
 
-// decodePlane decompresses one plane's stream straight into the
-// caller's plane — a stack reader, no staging tensor, no copy.
-func (b *zfpBackend) decodePlane(p int, data []byte, plane *tensor.Tensor) error {
-	var br bitstream.Reader
-	br.Reset(data)
-	return b.codec.DecodePlane(&br, plane.Data(), plane.Dim(0), plane.Dim(1))
+// planeDec returns the decoder of h×w planes: each decompresses its
+// stream straight into the caller's plane — a stack reader, no staging
+// tensor, no copy.
+func (b *zfpBackend) planeDec(h, w int) func(p int, data []byte, plane []float32) error {
+	return func(p int, data []byte, plane []float32) error {
+		var br bitstream.Reader
+		br.Reset(data)
+		return b.codec.DecodePlane(&br, plane, h, w)
+	}
 }
 
 // fastRoundTripInto round-trips planar batches through the pooled

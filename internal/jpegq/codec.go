@@ -3,7 +3,6 @@ package jpegq
 import (
 	"fmt"
 
-	"repro/internal/tensor"
 	"repro/internal/vle"
 )
 
@@ -42,19 +41,28 @@ func (c *Codec) TableFor(channel int) ([64]int, error) {
 	return ScaleTable(base, c.Quality)
 }
 
-// EncodePlane encodes one h×w plane (values in [0,1], dims multiples of
-// 8) as a standalone RLE+Huffman stream quantized with the table for
-// the given channel index — the plane-parallel entry point the codec
-// registry's pipeline uses. A coefficient that quantizes to −32768,
-// vle's end-of-block value, fails the encode rather than being clamped:
-// only a pixel far outside [0,1] reaches it.
-func (c *Codec) EncodePlane(plane *tensor.Tensor, channel int) ([]byte, error) {
-	if plane.Dims() != 2 {
-		return nil, fmt.Errorf("jpegq: EncodePlane needs a 2-D plane, got %v", plane.Shape())
+// checkPlane validates a plane of n values as h×w with both dims
+// multiples of 8.
+func checkPlane(n, h, w int) error {
+	if h < 1 || w < 1 || n != h*w {
+		return fmt.Errorf("jpegq: %d values are not one %dx%d plane", n, h, w)
 	}
-	h, w := plane.Dim(0), plane.Dim(1)
 	if h%BlockSize != 0 || w%BlockSize != 0 {
-		return nil, fmt.Errorf("jpegq: plane %dx%d not a multiple of %d", h, w, BlockSize)
+		return fmt.Errorf("jpegq: plane %dx%d not a multiple of %d", h, w, BlockSize)
+	}
+	return nil
+}
+
+// EncodePlane encodes one h×w plane, stored row-major in plane (values
+// in [0,1], dims multiples of 8), as a standalone RLE+Huffman stream
+// quantized with the table for the given channel index — the
+// plane-parallel entry point the codec registry's pipeline uses. A
+// coefficient vle refuses — −32768, its end-of-block value, or one
+// past ±(2³¹−1) — fails the encode rather than being clamped: only a
+// pixel far outside [0,1] reaches it.
+func (c *Codec) EncodePlane(plane []float32, h, w, channel int) ([]byte, error) {
+	if err := checkPlane(len(plane), h, w); err != nil {
+		return nil, err
 	}
 	table, err := c.TableFor(channel)
 	if err != nil {
@@ -62,19 +70,15 @@ func (c *Codec) EncodePlane(plane *tensor.Tensor, channel int) ([]byte, error) {
 	}
 	coeffs, coeffsBox := getCoeffs((h / BlockSize) * (w / BlockSize) * 64)
 	defer putCoeffs(coeffsBox)
-	quantizePlane(coeffs, plane.Data(), h, w, &table)
+	quantizePlane(coeffs, plane, h, w, &table)
 	return vle.AppendFlat(nil, coeffs, 64)
 }
 
-// DecodePlane reconstructs one plane from an EncodePlane stream,
-// writing into the caller's plane tensor.
-func (c *Codec) DecodePlane(data []byte, plane *tensor.Tensor, channel int) error {
-	if plane.Dims() != 2 {
-		return fmt.Errorf("jpegq: DecodePlane needs a 2-D plane, got %v", plane.Shape())
-	}
-	h, w := plane.Dim(0), plane.Dim(1)
-	if h%BlockSize != 0 || w%BlockSize != 0 {
-		return fmt.Errorf("jpegq: plane %dx%d not a multiple of %d", h, w, BlockSize)
+// DecodePlane reconstructs one h×w plane from an EncodePlane stream,
+// writing into plane.
+func (c *Codec) DecodePlane(data []byte, plane []float32, h, w, channel int) error {
+	if err := checkPlane(len(plane), h, w); err != nil {
+		return err
 	}
 	table, err := c.TableFor(channel)
 	if err != nil {
@@ -85,6 +89,6 @@ func (c *Codec) DecodePlane(data []byte, plane *tensor.Tensor, channel int) erro
 	if err := vle.DecodeFlatInto(coeffs, data, 64); err != nil {
 		return err
 	}
-	dequantizePlane(plane.Data(), coeffs, h, w, &table)
+	dequantizePlane(plane, coeffs, h, w, &table)
 	return nil
 }

@@ -20,14 +20,17 @@ func TestCodecValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.EncodePlane(tensor.New(1, 8, 8), 0); err == nil {
-		t.Fatal("3-D input must be rejected")
+	if _, err := c.EncodePlane(make([]float32, 2*64), 8, 8, 0); err == nil {
+		t.Fatal("input that is not one plane must be rejected")
 	}
-	if _, err := c.EncodePlane(tensor.New(12, 12), 0); err == nil {
+	if _, err := c.EncodePlane(make([]float32, 144), 12, 12, 0); err == nil {
 		t.Fatal("non-multiple-of-8 must be rejected")
 	}
-	if err := c.DecodePlane(nil, tensor.New(12, 12), 0); err == nil {
+	if err := c.DecodePlane(nil, make([]float32, 144), 12, 12, 0); err == nil {
 		t.Fatal("non-multiple-of-8 output must be rejected")
+	}
+	if _, err := c.RoundTripPlane(make([]float32, 64), make([]float32, 128), 8, 16, 0); err == nil {
+		t.Fatal("output shorter than the plane must be rejected")
 	}
 }
 
@@ -98,17 +101,16 @@ func TestDecodePlaneRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.DecodePlane([]byte{1, 2, 3}, tensor.New(8, 8), 0); err == nil {
+	if err := c.DecodePlane([]byte{1, 2, 3}, make([]float32, 64), 8, 8, 0); err == nil {
 		t.Fatal("short stream must fail")
 	}
 	gen := datagen.NewClassify(2, 16, 10)
 	imgs, _ := gen.Batch(1)
-	plane := tensor.FromSlice(imgs.Data()[:16*16], 16, 16)
-	data, err := c.EncodePlane(plane, 0)
+	data, err := c.EncodePlane(imgs.Data()[:16*16], 16, 16, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.DecodePlane(data[:len(data)/2], tensor.New(16, 16), 0); err == nil {
+	if err := c.DecodePlane(data[:len(data)/2], make([]float32, 16*16), 16, 16, 0); err == nil {
 		t.Fatal("truncated body must fail")
 	}
 }
@@ -170,21 +172,25 @@ func TestCodecGrayscale(t *testing.T) {
 // to −32768, vle's end-of-block value, fails EncodePlane and
 // RoundTripPlane instead of decoding as an early block end. At quality
 // 100 every step is 1, so a flat block of level-shifted value −4096 has
-// DC 8·(−4096).
+// DC 8·(−4096). So does a pixel of 1e12, whose DC is past the int32
+// range and converts to math.MinInt32, which vle would code as a pure
+// zero run.
 func TestEOBValueCoefficientFails(t *testing.T) {
 	c, err := NewCodec(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := tensor.Full(float32(-3968.0/255), 8, 8)
-	if _, err := c.EncodePlane(x, 0); err == nil {
-		t.Fatal("EncodePlane coded a -32768 coefficient")
-	}
-	if _, err := c.RoundTripPlane(make([]float32, 64), x.Data(), 8, 8, 0); err == nil {
-		t.Fatal("RoundTripPlane coded a -32768 coefficient")
+	for _, v := range []float32{-3968.0 / 255, 1e12} {
+		x := tensor.Full(v, 8, 8).Data()
+		if _, err := c.EncodePlane(x, 8, 8, 0); err == nil {
+			t.Fatalf("EncodePlane coded a flat %g block", v)
+		}
+		if _, err := c.RoundTripPlane(make([]float32, 64), x, 8, 8, 0); err == nil {
+			t.Fatalf("RoundTripPlane coded a flat %g block", v)
+		}
 	}
 	// One step less negative codes.
-	if _, err := c.EncodePlane(tensor.Full(float32(-3967.875/255), 8, 8), 0); err != nil {
+	if _, err := c.EncodePlane(tensor.Full(float32(-3967.875/255), 8, 8).Data(), 8, 8, 0); err != nil {
 		t.Fatalf("DC -32767: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package jpegq
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/dct"
@@ -170,16 +171,20 @@ func getCoeffs(n int) ([]int32, *[]int32) {
 
 func putCoeffs(bp *[]int32) { coeffPool.Put(bp) }
 
-// encBufPool recycles entropy-stream buffers for RoundTripPlane, whose
-// compressed bytes never escape.
-var encBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
 // RoundTripPlane compresses one h×w plane (values in [0,1], dims
 // multiples of 8) and reconstructs it into out, returning the
-// compressed size in bytes. in and out may alias. All scratch —
-// coefficients, entropy buffers, Huffman state — is pooled, so
-// steady-state round trips allocate nothing.
+// compressed size in bytes. in and out may alias. It codes no vle
+// stream: vle is lossless on every coefficient it accepts, so the
+// plane dequantizes from the quantized coefficients themselves and
+// vle.FlatLen sizes the stream. All scratch is pooled, so steady-state
+// round trips allocate nothing.
 func (c *Codec) RoundTripPlane(out, in []float32, h, w, channel int) (int, error) {
+	if err := checkPlane(len(in), h, w); err != nil {
+		return 0, err
+	}
+	if len(out) != len(in) {
+		return 0, fmt.Errorf("jpegq: %d-value plane into %d values", len(in), len(out))
+	}
 	table, err := c.TableFor(channel)
 	if err != nil {
 		return 0, err
@@ -187,16 +192,10 @@ func (c *Codec) RoundTripPlane(out, in []float32, h, w, channel int) (int, error
 	coeffs, coeffsBox := getCoeffs((h / BlockSize) * (w / BlockSize) * 64)
 	defer putCoeffs(coeffsBox)
 	quantizePlane(coeffs, in, h, w, &table)
-	bp := encBufPool.Get().(*[]byte)
-	defer encBufPool.Put(bp)
-	enc, err := vle.AppendFlat((*bp)[:0], coeffs, 64)
+	n, err := vle.FlatLen(coeffs, 64)
 	if err != nil {
 		return 0, err
 	}
-	*bp = enc
-	if err := vle.DecodeFlatInto(coeffs, enc, 64); err != nil {
-		return 0, err
-	}
 	dequantizePlane(out, coeffs, h, w, &table)
-	return len(enc), nil
+	return n, nil
 }

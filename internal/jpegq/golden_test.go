@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -59,12 +61,12 @@ func TestGoldenStreams(t *testing.T) {
 			// Each case is one plane through the registry's per-plane
 			// entry points, quantized with channel 1's table.
 			x := goldenInput(tc.Shape...)
-			got, err := c.EncodePlane(x, 1)
+			h, w := x.Dim(0), x.Dim(1)
+			got, err := c.EncodePlane(x.Data(), h, w, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out := tensor.New(tc.Shape...)
-			if err := c.DecodePlane(want, out, 1); err != nil {
+			if err := c.DecodePlane(want, make([]float32, h*w), h, w, 1); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
@@ -74,36 +76,39 @@ func TestGoldenStreams(t *testing.T) {
 	}
 }
 
-// TestRoundTripPlaneMatchesDecodePlane pins the pooled in-place round
-// trip to the serialize-and-decode path: same bytes, same
-// reconstruction, zero steady-state allocations.
+// TestRoundTripPlaneMatchesDecodePlane pins the pooled round trip, into
+// a second plane and in place, to the serialize-and-decode path: same
+// size, same reconstruction bits, zero steady-state allocations.
 func TestRoundTripPlaneMatchesDecodePlane(t *testing.T) {
 	const h, w = 16, 24
 	c, err := NewCodec(65)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := goldenInput(h, w)
-	enc, err := c.EncodePlane(x, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := tensor.New(h, w)
-	if err := c.DecodePlane(enc, ref, 1); err != nil {
-		t.Fatal(err)
-	}
 	in := goldenInput(h, w).Data()
-	out := make([]float32, h*w)
-	size, err := c.RoundTripPlane(out, in, h, w, 1)
+	enc, err := c.EncodePlane(in, h, w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if size != len(enc) {
-		t.Fatalf("RoundTripPlane size %d, EncodePlane size %d", size, len(enc))
+	ref := make([]float32, h*w)
+	if err := c.DecodePlane(enc, ref, h, w, 1); err != nil {
+		t.Fatal(err)
 	}
-	for i, v := range ref.Data() {
-		if out[i] != v {
-			t.Fatalf("position %d: RoundTripPlane %g, DecodePlane %g", i, out[i], v)
+	out := make([]float32, h*w)
+	inPlace := slices.Clone(in)
+	for _, io := range []struct{ dst, src []float32 }{{out, in}, {inPlace, inPlace}} {
+		dst := io.dst
+		size, err := c.RoundTripPlane(dst, io.src, h, w, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if size != len(enc) {
+			t.Fatalf("RoundTripPlane size %d, EncodePlane size %d", size, len(enc))
+		}
+		for i, v := range ref {
+			if math.Float32bits(dst[i]) != math.Float32bits(v) {
+				t.Fatalf("position %d: RoundTripPlane %g, DecodePlane %g", i, dst[i], v)
+			}
 		}
 	}
 	if raceEnabled {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
@@ -95,6 +96,46 @@ func requireReference(t *testing.T, c *Codec, x *tensor.Tensor) {
 	}
 }
 
+// requireRoundTripPlane round-trips every plane of x through
+// RoundTripPlane, into a second buffer and in place, and requires the
+// bits DecompressInto makes of that plane's Compress stream and that
+// stream's length; EncodePlane must emit the same stream.
+func requireRoundTripPlane(t *testing.T, c *Codec, x *tensor.Tensor) {
+	t.Helper()
+	h, w := x.Dim(-2), x.Dim(-1)
+	for p := 0; p < x.Len()/(h*w); p++ {
+		src := x.Data()[p*h*w : (p+1)*h*w]
+		data, err := c.Compress(tensor.FromSlice(src, h, w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if enc, err := c.EncodePlane(src, h, w); err != nil || !bytes.Equal(enc, data) {
+			t.Fatalf("plane %d: EncodePlane differs from Compress (err %v)", p, err)
+		}
+		want := make([]float32, h*w)
+		if err := c.DecompressInto(want, data, h, w); err != nil {
+			t.Fatal(err)
+		}
+		inPlace := slices.Clone(src)
+		for _, io := range []struct{ dst, src []float32 }{{make([]float32, h*w), src}, {inPlace, inPlace}} {
+			n, err := c.RoundTripPlane(io.dst, io.src, h, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != len(data) {
+				t.Fatalf("shape %v, eb %g, bins %d, plane %d: RoundTripPlane size %d, stream %d bytes",
+					x.Shape(), c.ErrorBound, c.Bins, p, n, len(data))
+			}
+			for i, v := range want {
+				if math.Float32bits(io.dst[i]) != math.Float32bits(v) {
+					t.Fatalf("shape %v, eb %g, bins %d, plane %d cell %d: RoundTripPlane %#08x, DecompressInto %#08x",
+						x.Shape(), c.ErrorBound, c.Bins, p, i, math.Float32bits(io.dst[i]), math.Float32bits(v))
+				}
+			}
+		}
+	}
+}
+
 // fuzzField builds planes of h×w cells: a smooth wave from seed plus
 // uniform noise of amplitude 10^(noise%10−8), then patch applied as
 // 6-byte groups of (little-endian uint16 cell index mod n, float32
@@ -125,7 +166,8 @@ func patchCell(idx int, v float32) []byte {
 // FuzzCompress holds the two-row quantizer to the cell-by-cell
 // reference: on any field, bound and code radius, Compress must emit
 // exactly refCompress's bytes — the same codes, and the raw values in
-// the same cell order.
+// the same cell order — and RoundTripPlane must reproduce each plane's
+// decode bit for bit and its stream's length.
 func FuzzCompress(f *testing.F) {
 	// Row 0 runs alone and the rows below it go in pairs, so an even
 	// height leaves the last row unpaired and an odd one pairs every
@@ -175,6 +217,7 @@ func FuzzCompress(f *testing.F) {
 		c.Bins = []int{1 << 16, 1, 7, 255}[binsSel%4]
 		x := fuzzField(seed, int(planes), int(h), int(w), noise, patch)
 		requireReference(t, c, x)
+		requireRoundTripPlane(t, c, x)
 	})
 }
 
@@ -188,5 +231,7 @@ func TestCompressMatchesReference(t *testing.T) {
 	}
 	x, _ := datagen.NewCloudSeg(1, 128, 8).Batch(4)
 	requireReference(t, c, x)
+	requireRoundTripPlane(t, c, x)
 	requireReference(t, c, goldenTensor(3, 17, 31))
+	requireRoundTripPlane(t, c, goldenTensor(3, 17, 31))
 }

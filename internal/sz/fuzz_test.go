@@ -8,8 +8,17 @@ import (
 	"repro/internal/tensor"
 )
 
+// streamDims reads the plane geometry recorded in a stream's header.
+func streamDims(data []byte) (planes, h, w int, err error) {
+	hd, err := parseHeader(data)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	return int(hd.planes), int(hd.h), int(hd.w), nil
+}
+
 // FuzzDecompress hardens the SZ stream decoder: arbitrary bytes, decoded
-// by DecompressInto at the geometry StreamDims reads from their header,
+// by DecompressInto at the geometry streamDims reads from their header,
 // must produce an error or a reconstruction, never a panic. A decode
 // that succeeds must write every cell: it runs twice, into destinations
 // pre-filled with two different marker patterns, and both must hold the
@@ -38,7 +47,7 @@ func FuzzDecompress(f *testing.F) {
 	f.Add(special)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		planes, h, w, err := StreamDims(data)
+		planes, h, w, err := streamDims(data)
 		if err != nil {
 			return
 		}

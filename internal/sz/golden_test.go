@@ -82,8 +82,8 @@ func TestGoldenStreams(t *testing.T) {
 	}
 }
 
-// TestDecompressIntoAllocs proves the decode path is allocation-free at
-// steady state.
+// TestDecompressIntoAllocs proves the decode path and the fused round
+// trip are allocation-free at steady state.
 func TestDecompressIntoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts only hold without -race")
@@ -108,5 +108,17 @@ func TestDecompressIntoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("DecompressInto allocates %v/op, want 0", allocs)
+	}
+	plane := x.Data()[:16*16]
+	if _, err := c.RoundTripPlane(dst[:16*16], plane, 16, 16); err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(20, func() {
+		if _, err := c.RoundTripPlane(dst[:16*16], plane, 16, 16); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("RoundTripPlane allocates %v/op, want 0", allocs)
 	}
 }

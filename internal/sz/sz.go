@@ -83,40 +83,63 @@ func (c *Codec) Compress(x *tensor.Tensor) ([]byte, error) {
 	if x.Dims() < 2 {
 		return nil, fmt.Errorf("sz: need at least 2-D input, got %v", x.Shape())
 	}
-	h, w := x.Dim(-2), x.Dim(-1)
+	return c.compress(x.Data(), x.Dim(-2), x.Dim(-1))
+}
+
+// EncodePlane encodes one h×w plane, stored row-major in src, as the
+// stream Compress makes of it — the registry's per-plane entry point.
+func (c *Codec) EncodePlane(src []float32, h, w int) ([]byte, error) {
+	if h < 1 || w < 1 || len(src) != h*w {
+		return nil, fmt.Errorf("sz: %d values are not one %dx%d plane", len(src), h, w)
+	}
+	return c.compress(src, h, w)
+}
+
+// compress encodes the len(x)/(h·w) h×w planes of x as one stream.
+func (c *Codec) compress(x []float32, h, w int) ([]byte, error) {
 	if h == 0 || w == 0 {
 		return nil, fmt.Errorf("sz: empty plane %dx%d", h, w)
 	}
-	planes := x.Len() / (h * w)
-	// Quantize against the bound exactly as the decompressor will see
-	// it (stored as float32); the guard in cell still enforces the
-	// user's full-precision bound.
-	eb := float64(float32(c.ErrorBound))
-	qz := quantizer{
-		step:  2 * eb,
-		bound: c.ErrorBound,
-		bins:  float64(c.Bins),
-		// The unpredictable sentinel sits just past the code radius.
-		sentinel: int32(c.Bins + 1),
-	}
-
+	planes := len(x) / (h * w)
+	qz := c.quantizer()
 	// Every cell of recon is written before it is read (the predictor
 	// only looks west/north/northwest), so neither buffer needs zeroing.
 	codes, codesBox := getCodes(planes * h * w)
 	defer codePool.Put(codesBox)
 	recon, reconBox := getF32(h * w)
 	defer f32Pool.Put(reconBox)
-	rawsBox := f32Pool.Get().(*[]float32)
+	raws, rawsBox, sideBox := qz.run(recon, x[:planes*h*w], codes, h, w)
 	defer f32Pool.Put(rawsBox)
-	sideBox := f32Pool.Get().(*[]float32)
 	defer f32Pool.Put(sideBox)
-	raws, side := (*rawsBox)[:0], (*sideBox)[:0]
-	for p := 0; p < planes; p++ {
-		span := x.Data()[p*h*w : (p+1)*h*w]
-		raws, side = qz.plane(recon, span, codes[p*h*w:(p+1)*h*w], w, raws, side)
-	}
-	*rawsBox, *sideBox = raws, side
 	return c.appendStream(codes, raws, planes, h, w)
+}
+
+// RoundTripPlane compresses one h×w plane src and writes the stream's
+// reconstruction into dst, bit for bit what DecompressInto makes of
+// Compress's stream, returning that stream's length. It codes no vle
+// stream and decodes none: the quantizer's own reconstruction is the
+// decoder's, and vle is lossless, so vle.FlatLen sizes the stream from
+// the codes alone. dst may be src itself, round-tripping the plane in
+// place, but must not otherwise overlap it. The quantizer writes dst as
+// it goes, so every geometry the stream refuses is refused first: a
+// failed call leaves dst as it was.
+func (c *Codec) RoundTripPlane(dst, src []float32, h, w int) (int, error) {
+	if h < 1 || w < 1 || len(src) != h*w || len(dst) != h*w {
+		return 0, fmt.Errorf("sz: %d values into %d are not one %dx%d plane", len(src), len(dst), h, w)
+	}
+	if w > vle.MaxFlatBlock {
+		return 0, fmt.Errorf("sz: row of %d values is wider than a vle block (%d)", w, vle.MaxFlatBlock)
+	}
+	codes, codesBox := getCodes(h * w)
+	defer codePool.Put(codesBox)
+	raws, rawsBox, sideBox := c.quantizer().run(dst, src, codes, h, w)
+	defer f32Pool.Put(rawsBox)
+	defer f32Pool.Put(sideBox)
+	n, err := vle.FlatLen(codes, w)
+	if err != nil {
+		return 0, err
+	}
+	return headerLen + n + 4*len(raws), nil
 }
 
 // quantizer is the Lorenzo residual quantizer's per-stream constants:
@@ -127,18 +150,52 @@ type quantizer struct {
 	sentinel          int32
 }
 
+// quantizer returns c's quantizer. It quantizes against the bound
+// exactly as the decompressor will see it (stored as float32); the
+// guard in cell still enforces the user's full-precision bound.
+func (c *Codec) quantizer() quantizer {
+	return quantizer{
+		step:  2 * float64(float32(c.ErrorBound)),
+		bound: c.ErrorBound,
+		bins:  float64(c.Bins),
+		// The unpredictable sentinel sits just past the code radius.
+		sentinel: int32(c.Bins + 1),
+	}
+}
+
+// run quantizes the len(x)/(h·w) h×w planes of x into codes, each
+// plane reconstructed in turn in the one plane recon, and returns their
+// unpredictable values in cell order. The raw values and the pair
+// loop's side buffer are pooled: hand both boxes back to f32Pool once
+// raws is used.
+func (qz quantizer) run(recon, x []float32, codes []int32, h, w int) (raws []float32, rawsBox, sideBox *[]float32) {
+	rawsBox = f32Pool.Get().(*[]float32)
+	sideBox = f32Pool.Get().(*[]float32)
+	raws, side := (*rawsBox)[:0], (*sideBox)[:0]
+	for p := 0; p < len(x); p += h * w {
+		raws, side = qz.plane(recon, x[p:p+h*w], codes[p:p+h*w], w, raws, side)
+	}
+	*rawsBox, *sideBox = raws, side
+	return raws, rawsBox, sideBox
+}
+
 // cell quantizes value v against its Lorenzo prediction, returning the
 // code and the reconstruction the decoder will replay, and whether the
 // cell was predictable. An unpredictable cell codes as the sentinel
 // and reconstructs as v itself, stored verbatim. So does a cell whose
 // code would be −32768, which vle refuses as its end-of-block value.
+//
+// The reconstruction is the decoder's arithmetic to the bit: the code
+// travels as an int32, so a −0 from math.Round decodes as +0, and
+// step·(q+0) adds +0 where step·q would add −0 (the sum differs only
+// in the sign of a zero prediction; the code is the same either way).
 func (qz quantizer) cell(v, pred float32) (int32, float32, bool) {
 	x := float64(v)
 	q := math.Round((x - float64(pred)) / qz.step)
 	if math.Abs(q) <= qz.bins && q != math.MinInt16 {
 		// Guard against float32 rounding pushing the reconstruction
 		// outside the bound.
-		if r32 := float32(float64(pred) + qz.step*q); math.Abs(float64(r32)-x) <= qz.bound {
+		if r32 := float32(float64(pred) + qz.step*(q+0)); math.Abs(float64(r32)-x) <= qz.bound {
 			return int32(q), r32, true
 		}
 	}
@@ -270,17 +327,6 @@ func parseHeader(data []byte) (header, error) {
 func (hd header) holds(n int) bool {
 	hi, lo := bits.Mul64(uint64(hd.planes), uint64(hd.h)*uint64(hd.w))
 	return hi == 0 && lo == uint64(n)
-}
-
-// StreamDims reads the plane geometry recorded in a compressed stream's
-// header without decoding it — callers use it to validate a stream
-// against an expected shape before allocating the output.
-func StreamDims(data []byte) (planes, h, w int, err error) {
-	hd, err := parseHeader(data)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return int(hd.planes), int(hd.h), int(hd.w), nil
 }
 
 // DecompressInto reconstructs a Compress stream straight into dst

@@ -2,6 +2,7 @@ package sz
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -137,6 +138,26 @@ func TestDecompressValidation(t *testing.T) {
 	}
 	if _, err := c.Compress(tensor.New(8)); err == nil {
 		t.Fatal("1-D input must be rejected")
+	}
+	if _, err := c.EncodePlane(x.Data(), 4, 8); err == nil {
+		t.Fatal("EncodePlane of more than one plane must be rejected")
+	}
+	if _, err := c.RoundTripPlane(make([]float32, 32), x.Data(), 8, 8); err == nil {
+		t.Fatal("RoundTripPlane into a short plane must be rejected")
+	}
+	row := make([]float32, 1<<16)
+	for i := range row {
+		row[i] = float32(math.Cos(float64(i) / 5))
+	}
+	inPlace := slices.Clone(row)
+	if _, err := c.RoundTripPlane(inPlace, inPlace, 1, 1<<16); err == nil {
+		t.Fatal("RoundTripPlane of a row wider than vle's block field must fail, as Compress does")
+	}
+	if !slices.Equal(inPlace, row) {
+		t.Fatal("a refused in-place RoundTripPlane must leave its plane untouched")
+	}
+	if _, err := c.EncodePlane(make([]float32, 1<<16), 1, 1<<16); err == nil {
+		t.Fatal("EncodePlane of a row wider than vle's block field must fail")
 	}
 }
 

@@ -125,12 +125,13 @@ func refEncode[T ~int | ~int32](blocks [][]T) ([]byte, error) {
 
 // requireReferenceBytes codes blocks through Encode, through
 // AppendFlat when every value fits an int32, and through the
-// reference: all must agree byte for byte, or, when a block holds
-// −32768, Encode and AppendFlat must refuse it.
+// reference: all must agree byte for byte, and FlatLen must give the
+// stream's length. When a block holds a value the coder refuses
+// (refusal), Encode, AppendFlat and FlatLen must refuse it.
 func requireReferenceBytes(t *testing.T, name string, blocks [][]int) {
 	t.Helper()
-	if holdsEOBValue(blocks) {
-		requireEOBRefused(t, name, blocks)
+	if err := refusal(blocks); err != nil {
+		requireRefused(t, name, blocks, err)
 		return
 	}
 	want, err := refEncode(blocks)
@@ -144,14 +145,9 @@ func requireReferenceBytes(t *testing.T, name string, blocks [][]int) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s: Encode %x, reference %x", name, got, want)
 	}
-	flat := make([]int32, 0, len(blocks)*len(blocks[0]))
-	for _, b := range blocks {
-		for _, v := range b {
-			if int(int32(v)) != v {
-				return
-			}
-			flat = append(flat, int32(v))
-		}
+	flat, ok := flatten(blocks)
+	if !ok {
+		return
 	}
 	got, err = AppendFlat([]byte{0xA5}, flat, len(blocks[0]))
 	if err != nil {
@@ -160,41 +156,68 @@ func requireReferenceBytes(t *testing.T, name string, blocks [][]int) {
 	if got[0] != 0xA5 || !bytes.Equal(got[1:], want) {
 		t.Fatalf("%s: AppendFlat %x, reference %x", name, got[1:], want)
 	}
+	if n, err := FlatLen(flat, len(blocks[0])); err != nil || n != len(want) {
+		t.Fatalf("%s: FlatLen %d (err %v), stream %d bytes", name, n, err, len(want))
+	}
 }
 
-// holdsEOBValue reports whether a block holds −32768.
-func holdsEOBValue(blocks [][]int) bool {
-	for _, b := range blocks {
-		if slices.Contains(b, symEOB) {
-			return true
-		}
-	}
-	return false
-}
-
-// requireEOBRefused: Encode and AppendFlat refuse blocks holding
-// −32768 with errEOBValue.
-func requireEOBRefused(t *testing.T, name string, blocks [][]int) {
-	t.Helper()
-	if _, err := Encode(blocks); !errors.Is(err, errEOBValue) {
-		t.Fatalf("%s: Encode returned %v, want the end-of-block collision refused", name, err)
-	}
-	var flat []int32
+// flatten lays blocks back to back as int32s, reporting false when a
+// value does not fit one.
+func flatten(blocks [][]int) ([]int32, bool) {
+	flat := make([]int32, 0, len(blocks)*len(blocks[0]))
 	for _, b := range blocks {
 		for _, v := range b {
+			if int(int32(v)) != v {
+				return nil, false
+			}
 			flat = append(flat, int32(v))
 		}
 	}
-	if _, err := AppendFlat(nil, flat, len(blocks[0])); !errors.Is(err, errEOBValue) {
-		t.Fatalf("%s: AppendFlat returned %v, want the end-of-block collision refused", name, err)
+	return flat, true
+}
+
+// refusal is the error the coder refuses blocks with: errEOBValue for
+// −32768 and errWideValue for a nonzero value outside ±(2³¹−1),
+// whichever comes first, or nil when it codes them.
+func refusal(blocks [][]int) error {
+	for _, b := range blocks {
+		for _, v := range b {
+			switch {
+			case v == symEOB:
+				return errEOBValue
+			case v > math.MaxInt32 || v < -math.MaxInt32:
+				return errWideValue
+			}
+		}
+	}
+	return nil
+}
+
+// requireRefused: Encode, and AppendFlat and FlatLen when every value
+// fits an int32, refuse blocks with want.
+func requireRefused(t *testing.T, name string, blocks [][]int, want error) {
+	t.Helper()
+	if _, err := Encode(blocks); !errors.Is(err, want) {
+		t.Fatalf("%s: Encode returned %v, want %v", name, err, want)
+	}
+	flat, ok := flatten(blocks)
+	if !ok {
+		return
+	}
+	if _, err := AppendFlat(nil, flat, len(blocks[0])); !errors.Is(err, want) {
+		t.Fatalf("%s: AppendFlat returned %v, want %v", name, err, want)
+	}
+	if _, err := FlatLen(flat, len(blocks[0])); !errors.Is(err, want) {
+		t.Fatalf("%s: FlatLen returned %v, want %v", name, err, want)
 	}
 }
 
 // TestEncodeMatchesReference: the branch-free tokenizer codes the
-// sign and category edge cases — 0, ±1, the int32 extremes, zero runs
-// around the 15-zero split, all-zero blocks — and random two-sided
-// codes exactly as the reference does, and refuses −32768, the
-// end-of-block collision, wherever it falls.
+// sign and category edge cases — 0, ±1, ±(2³¹−1), zero runs around the
+// 15-zero split, all-zero blocks — and random two-sided codes exactly
+// as the reference does, and refuses −32768, the end-of-block
+// collision, and math.MinInt32, whose category-32 symbol is a pure
+// zero run's, wherever they fall.
 func TestEncodeMatchesReference(t *testing.T) {
 	edges := []int{0, 1, -1, math.MaxInt32, -math.MaxInt32, math.MinInt32, symEOB, 2, -2, 32767, -32767, 65535, -65536}
 	for _, v := range edges {
@@ -231,9 +254,10 @@ func TestEncodeMatchesReference(t *testing.T) {
 }
 
 // TestEncodeMinInt64Pinned: math.MinInt64, whose magnitude overflows
-// int64, codes as the historical encoder coded it — category 0, extra
-// bits 1<<63|1 — pinned to the recorded stream and to the reference.
-// Only a 64-bit int can hold it.
+// int64, is refused like every value wider than 31 bits. The historical
+// encoder, pinned here through the reference to its recorded stream,
+// gave it category 0 and so a pure zero run's symbol: that stream does
+// not decode to its input. Only a 64-bit int can hold it.
 func TestEncodeMinInt64Pinned(t *testing.T) {
 	if strconv.IntSize < 64 {
 		t.Skip("math.MinInt64 needs a 64-bit int")
@@ -241,13 +265,61 @@ func TestEncodeMinInt64Pinned(t *testing.T) {
 	v := int64(math.MinInt64) // a variable: the constant overflows a 32-bit int
 	minInt := int(v)
 	blocks := [][]int{{minInt, 0, 5, minInt, -3}, {0, 0, minInt}}
-	got, err := Encode(blocks)
+	requireReferenceBytes(t, "math.MinInt64", blocks)
+	const recorded = "000000020005000500000800042004108000c300240df57b94"
+	data, err := refEncode(blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const recorded = "000000020005000500000800042004108000c300240df57b94"
-	if hex.EncodeToString(got) != recorded {
-		t.Fatalf("Encode %x, recorded %s", got, recorded)
+	if hex.EncodeToString(data) != recorded {
+		t.Fatalf("reference %x, recorded %s", data, recorded)
 	}
-	requireReferenceBytes(t, "math.MinInt64", blocks)
+	if back, err := Decode(data); err == nil && slices.Equal(back[0], blocks[0]) {
+		t.Fatalf("recorded stream decodes to its input %v", back[0])
+	}
+}
+
+// TestWideValueRefused: math.MinInt32 has category 32, so after r
+// zeros its symbol is a pure run of r+1 zeros. The historical encoder
+// coded it so, and its stream decodes without an error to other
+// values; AppendFlat and FlatLen refuse it.
+func TestWideValueRefused(t *testing.T) {
+	flat := make([]int32, 64)
+	flat[0], flat[1] = math.MinInt32, 5
+	if _, err := AppendFlat(nil, flat, 64); !errors.Is(err, errWideValue) {
+		t.Fatalf("AppendFlat returned %v, want %v", err, errWideValue)
+	}
+	if _, err := FlatLen(flat, 64); !errors.Is(err, errWideValue) {
+		t.Fatalf("FlatLen returned %v, want %v", err, errWideValue)
+	}
+	data, err := refEncode([][]int32{flat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := make([]int32, 64)
+	if err := DecodeFlatInto(back, data, 64); err == nil && slices.Equal(back, flat) {
+		t.Fatal("the historical stream decodes to its input")
+	}
+}
+
+// TestFlatBlockSizeLimit: the header holds the block size in 16 bits,
+// so AppendFlat and FlatLen refuse a wider block rather than write a
+// stream that names another size.
+func TestFlatBlockSizeLimit(t *testing.T) {
+	flat := make([]int32, MaxFlatBlock+1)
+	flat[7] = 3
+	if _, err := AppendFlat(nil, flat, len(flat)); err == nil {
+		t.Fatal("AppendFlat accepted a block wider than the header's field")
+	}
+	if _, err := FlatLen(flat, len(flat)); err == nil {
+		t.Fatal("FlatLen accepted a block wider than the header's field")
+	}
+	data, err := AppendFlat(nil, flat[:MaxFlatBlock], MaxFlatBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := make([]int32, MaxFlatBlock)
+	if err := DecodeFlatInto(back, data, MaxFlatBlock); err != nil || !slices.Equal(back, flat[:MaxFlatBlock]) {
+		t.Fatalf("widest block does not round-trip (err %v)", err)
+	}
 }

@@ -51,8 +51,9 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzEncodeDecodeRoundTrip: whatever integer content the coefficients
-// hold, Encode must emit the reference encoder's bytes and
-// Encode∘Decode must be the identity.
+// hold, Encode and AppendFlat must emit the reference encoder's bytes,
+// FlatLen must give their length, and Encode∘Decode must be the
+// identity.
 func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 	f.Add(uint64(1), 8, 20)
 	f.Add(uint64(42), 1, 64)
@@ -78,6 +79,13 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 		}
 		if want, err := refEncode(blocks); err != nil || !bytes.Equal(data, want) {
 			t.Fatalf("Encode %x, reference %x (err %v)", data, want, err)
+		}
+		flat, _ := flatten(blocks)
+		if got, err := AppendFlat(nil, flat, size); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("AppendFlat %x, Encode %x (err %v)", got, data, err)
+		}
+		if n, err := FlatLen(flat, size); err != nil || n != len(data) {
+			t.Fatalf("FlatLen %d (err %v), stream %d bytes", n, err, len(data))
 		}
 		back, err := Decode(data)
 		if err != nil {

@@ -119,12 +119,14 @@ func TestGoldenStreams(t *testing.T) {
 			}
 			encode := func() ([]byte, error) { return Encode(blocks) }
 			encodeFlat := func() ([]byte, error) { return AppendFlat(nil, flat, size) }
-			if holdsEOBValue(blocks) {
+			if err := refusal(blocks); err != nil {
 				// Both encoders refuse −32768 now; the historical
 				// encoder still reproduces the recorded stream.
-				requireEOBRefused(t, tc.Name, blocks)
+				requireRefused(t, tc.Name, blocks, err)
 				encode = func() ([]byte, error) { return refEncode(blocks) }
 				encodeFlat = encode
+			} else if n, err := FlatLen(flat, size); err != nil || n != len(want) {
+				t.Fatalf("FlatLen %d (err %v), recorded stream %d bytes", n, err, len(want))
 			}
 			got, err := encode()
 			if err != nil {

@@ -19,14 +19,16 @@
 // the canonical code per stream: an 11-bit probe that yields a whole
 // (run, value, length) token, so the common short token costs one
 // lookup instead of a symbol decode plus a magnitude read. Encoder and
-// Decoder state live in pools, and the two entry points work on flat
-// int32 blocks (AppendFlat / DecodeFlatInto), so callers with pooled
+// Decoder state live in pools, and the entry points work on flat int32
+// blocks (AppendFlat / DecodeFlatInto, and FlatLen, which sizes
+// AppendFlat's stream without emitting it), so callers with pooled
 // buffers compress and decompress without allocating. The
 // byte format is unchanged from the original map-and-token
 // implementation.
 package vle
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -48,14 +50,16 @@ const (
 	maxRun = 15
 )
 
-// maxSymbol bounds the decodable alphabet: runs ≤ 15, categories ≤ 31.
+// maxSymbol bounds the alphabet: runs ≤ 15, categories ≤ 31. The
+// encoder refuses wider values, so it never counts a symbol past it.
 const maxSymbol = 1 + 15*32 + 31
 
-// alphabetSize bounds the encoder-side symbol space. Values wider than
-// 31 bits produce categories up to 64, yielding symbols past maxSymbol;
-// the original encoder emitted them (and decoders reject them), so the
-// histogram must have room.
-const alphabetSize = 1 + 15*32 + 64 + 1
+// alphabetSize is the symbol space's size.
+const alphabetSize = maxSymbol + 1
+
+// MaxFlatBlock is the largest block size the header's 16-bit field
+// holds.
+const MaxFlatBlock = 1<<16 - 1
 
 // maxCodeLen is the longest admissible Huffman code.
 const maxCodeLen = 32
@@ -88,8 +92,15 @@ func (e *Encoder) reset() {
 // every later block one block late.
 var errEOBValue = fmt.Errorf("vle: value %d collides with the end-of-block marker", symEOB)
 
+// errWideValue refuses a nonzero value whose magnitude is wider than
+// 31 bits: its category, 32 and up, would make its symbol another
+// token's (math.MinInt32 after r zeros codes as a pure run of
+// r+1), so it would decode as something else.
+var errWideValue = errors.New("vle: value outside ±(2³¹−1)")
+
 // countBlock runs the tokenizer over one block, updating the histogram.
-// It refuses a block holding −32768 (errEOBValue).
+// It refuses a block holding −32768 (errEOBValue) or a value wider than
+// 31 bits (errWideValue).
 func countBlock[T ~int | ~int32](e *Encoder, coeffs []T) error {
 	last := len(coeffs) - 1
 	for last >= 0 && coeffs[last] == 0 {
@@ -110,6 +121,9 @@ func countBlock[T ~int | ~int32](e *Encoder, coeffs []T) error {
 			return errEOBValue
 		}
 		_, cat := signMag(v)
+		if cat > 31 {
+			return errWideValue
+		}
 		e.freq[1+run*32+int(cat)]++
 		run = 0
 	}
@@ -121,14 +135,10 @@ func countBlock[T ~int | ~int32](e *Encoder, coeffs []T) error {
 // bits (the magnitude, with the sign bit set just above it for a
 // negative value) and its category, the magnitude's bit length —
 // without a branch on the sign, which sz's ± residuals mispredict.
-// The category is taken mod 64: only math.MinInt64, whose magnitude
-// 1<<63 would be category 64, changes, and it gets category 0 and the
-// extra bits 1<<63|1, as the historical encoder (which negated it in
-// place) coded it.
 func signMag(v int64) (extra uint64, cat uint) {
 	s := v >> 63
 	mag := uint64((v ^ s) - s)
-	cat = uint(bits.Len64(mag)) & 63
+	cat = uint(bits.Len64(mag))
 	return mag | uint64(s&1)<<cat, cat
 }
 
@@ -207,25 +217,39 @@ func (e *Encoder) writeHeader(w *bitstream.Writer, nblocks, size int) {
 	}
 }
 
+// prepare is AppendFlat's and FlatLen's shared first pass: it checks
+// the block geometry, counts every block's tokens and builds the
+// canonical code, on a pooled Encoder the caller hands back to
+// encoderPool.
+func prepare(coeffs []int32, blockSize int) (*Encoder, error) {
+	if blockSize < 1 || blockSize > MaxFlatBlock || len(coeffs) == 0 || len(coeffs)%blockSize != 0 {
+		return nil, fmt.Errorf("vle: flat buffer %d not a multiple of a block size %d in [1, %d]", len(coeffs), blockSize, MaxFlatBlock)
+	}
+	e := encoderPool.Get().(*Encoder)
+	e.reset()
+	for off := 0; off < len(coeffs); off += blockSize {
+		if err := countBlock(e, coeffs[off:off+blockSize]); err != nil {
+			encoderPool.Put(e)
+			return nil, err
+		}
+	}
+	if err := e.build(); err != nil {
+		encoderPool.Put(e)
+		return nil, err
+	}
+	return e, nil
+}
+
 // AppendFlat compresses len(coeffs)/blockSize equal-size blocks stored
 // back to back in a flat int32 buffer, appending the encoded stream to
 // dst. It allocates nothing beyond dst's
 // growth, so callers with capacity-managed buffers run allocation-free.
 func AppendFlat(dst []byte, coeffs []int32, blockSize int) ([]byte, error) {
-	if blockSize < 1 || len(coeffs) == 0 || len(coeffs)%blockSize != 0 {
-		return nil, fmt.Errorf("vle: flat buffer %d not a multiple of block size %d", len(coeffs), blockSize)
-	}
-	e := encoderPool.Get().(*Encoder)
-	defer encoderPool.Put(e)
-	e.reset()
-	for off := 0; off < len(coeffs); off += blockSize {
-		if err := countBlock(e, coeffs[off:off+blockSize]); err != nil {
-			return nil, err
-		}
-	}
-	if err := e.build(); err != nil {
+	e, err := prepare(coeffs, blockSize)
+	if err != nil {
 		return nil, err
 	}
+	defer encoderPool.Put(e)
 	w := bitstream.GetWriter()
 	defer bitstream.PutWriter(w)
 	e.writeHeader(w, len(coeffs)/blockSize, blockSize)
@@ -233,6 +257,31 @@ func AppendFlat(dst []byte, coeffs []int32, blockSize int) ([]byte, error) {
 		emitBlock(e, w, coeffs[off:off+blockSize])
 	}
 	return append(dst, w.Bytes()...), nil
+}
+
+// FlatLen is len(AppendFlat(nil, coeffs, blockSize)), with the same
+// errors, computed without coding the stream: the header's 64 bits and
+// 22 per present symbol, then each symbol's count times its code length
+// plus, for a value symbol, its category+1 magnitude and sign bits,
+// rounded up to whole bytes.
+func FlatLen(coeffs []int32, blockSize int) (int, error) {
+	e, err := prepare(coeffs, blockSize)
+	if err != nil {
+		return 0, err
+	}
+	defer encoderPool.Put(e)
+	nbits := uint64(64)
+	for sym, f := range e.freq {
+		if f == 0 {
+			continue
+		}
+		n := 22 + uint64(f)*uint64(e.lens[sym])
+		if cat := (sym - 1) % 32; sym != 0 && cat != 0 {
+			n += uint64(f) * uint64(cat+1)
+		}
+		nbits += n
+	}
+	return int((nbits + 7) / 8), nil
 }
 
 // Decoder holds the canonical decode tables rebuilt per stream; pooled
