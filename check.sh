@@ -54,11 +54,13 @@ FUZZTIME=10s sh fuzz.sh
 # paths do (on non-AVX2 hosts this is a harmless re-run). The codec
 # slice runs lossless' byte-group lanes on the portable loops end to
 # end: exact round trips, every golden container and stream, and every
-# family staged through "+huf".
+# family staged through "+huf"; and the plane engine's fused zfp and
+# jpegq round trips on their portable kernels, held to the serialize
+# path and to their alloc bounds.
 ACC_DISABLE_SIMD=1 go test -count=1 \
 	./internal/cpufeat/ ./internal/dct/ ./internal/jpegq/ \
 	./internal/zfp/ ./internal/vecops/ ./internal/vle/ ./internal/entropy/
-ACC_DISABLE_SIMD=1 go test -count=1 ./internal/codec/ -run 'TestLosslessExact|TestGolden|TestStagedFamilies'
+ACC_DISABLE_SIMD=1 go test -count=1 ./internal/codec/ -run 'TestLosslessExact|TestGolden|TestStagedFamilies|TestRoundTripInto'
 
 # The allocation gates skip themselves under -race (the race runtime
 # allocates), so run them again without it: the entropy backend's

@@ -21,7 +21,6 @@ package codec
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -67,28 +66,16 @@ type backend interface {
 	decode(ctx context.Context, src payloadSource, shape []int) (*tensor.Tensor, error)
 }
 
-// fastRoundTripperInto is implemented by backends with a fused round
-// trip: compress and decompress x into dst without materializing the
-// serialized payload, using pooled scratch only (zero allocations per
-// call on a single-worker pipeline). The size it reports is the framed
-// payload length — exactly len(encode(x)). A backend returns
-// errNoFastPath for shapes its fused path does not cover; those, and
-// every staged codec, take the serialize path instead.
-type fastRoundTripperInto interface {
-	fastRoundTripInto(dst, x *tensor.Tensor) (int, error)
-}
-
-// errNoFastPath is fastRoundTripInto's "not for this shape" answer.
-var errNoFastPath = errors.New("codec: no fused round trip for this shape")
-
 // RoundTripInto compresses and decompresses x into dst, which must
 // have x's element count, returning the compressed payload size — the
 // length of the framed payload Compress would carry. dst may be x
 // itself, round-tripping it in place, but must not otherwise overlap
-// it. Codecs with a fused path (zfp, jpegq, sz) allocate nothing at
-// steady state on one worker; jpegq and sz size their vle streams
-// without coding them. Others, and every staged codec, serialize,
-// decode and copy.
+// it. An unstaged plane family (zfp, jpegq, sz) takes the plane
+// engine's fused path for every shape it lays out, and allocates
+// nothing at steady state on one worker; jpegq and sz size their vle
+// streams without coding them. A shape the family refuses fails with
+// the error encode gives. dctc, lossless and every staged codec
+// serialize, decode and copy.
 func RoundTripInto(c Codec, dst, x *tensor.Tensor) (int, error) {
 	if dst.Len() != x.Len() {
 		return 0, fmt.Errorf("codec: RoundTripInto dst holds %d values, x holds %d", dst.Len(), x.Len())
@@ -98,18 +85,19 @@ func RoundTripInto(c Codec, dst, x *tensor.Tensor) (int, error) {
 		return 0, fmt.Errorf("codec: %T is not a registry codec", c)
 	}
 	start := telemetry.NowNanos()
-	n, err := 0, errNoFastPath
-	if fast, ok := impl.b.(fastRoundTripperInto); ok && impl.stage == "" {
-		n, err = fast.fastRoundTripInto(dst, x)
-	}
-	switch err {
-	case nil:
+	var n int
+	if f, ok := impl.b.(planeFamily); ok && impl.stage == "" {
+		var err error
+		if n, err = planeRoundTrip(f, dst, x); err != nil {
+			impl.m.countErr(err)
+			return 0, err
+		}
 		// The fused path bypasses encodePayload/decodePayload, so it is
 		// counted here; the serialize path counts at those choke points
 		// and must not double-count.
 		impl.m.inputBytes.Add(uint64(x.SizeBytes()))
 		impl.m.payloadBytes.Add(uint64(n))
-	case errNoFastPath:
+	} else {
 		ctx := context.Background()
 		payload, err := impl.encodePayload(ctx, nil, x)
 		if err != nil {
@@ -121,9 +109,6 @@ func RoundTripInto(c Codec, dst, x *tensor.Tensor) (int, error) {
 		}
 		copy(dst.Data(), out.Data())
 		n = len(payload)
-	default:
-		impl.m.countErr(err)
-		return n, err
 	}
 	impl.m.roundTripCalls.Inc()
 	impl.m.roundTripNs.ObserveSince(start)

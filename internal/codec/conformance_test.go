@@ -1,6 +1,9 @@
 package codec
 
 import (
+	"context"
+	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/tensor"
+	"repro/internal/vle"
 )
 
 // conformanceSpecs is every registered family/variant the suite
@@ -358,5 +362,33 @@ func TestDecodeFile(t *testing.T) {
 	}
 	if decoded.Spec() != c.Spec() || !back.SameShape(x) {
 		t.Fatalf("spec %q shape %v", decoded.Spec(), back.Shape())
+	}
+}
+
+// TestSZRefusesWideRowsOnce: vle holds a block size in 16 bits and sz
+// codes each row as one block, so sz's layout refuses a row wider than
+// vle.MaxFlatBlock before anything is quantized. Compress,
+// StreamWriter.WriteTensor and RoundTripInto refuse it with the one
+// error, which names the limit.
+func TestSZRefusesWideRowsOnce(t *testing.T) {
+	c, err := New("sz:eb=1e-3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("sz: row of 70000 values is wider than a vle block (%d)", vle.MaxFlatBlock)
+	for _, shape := range [][]int{{70000}, {2, 70000}} {
+		x := tensor.New(shape...)
+		_, cerr := c.Compress(x)
+		sw := NewStreamWriter(io.Discard)
+		if err := sw.SetConcurrency(1); err != nil {
+			t.Fatal(err)
+		}
+		werr := sw.WriteTensor(context.Background(), c, x)
+		_, rerr := RoundTripInto(c, tensor.New(shape...), x)
+		for name, err := range map[string]error{"Compress": cerr, "WriteTensor": werr, "RoundTripInto": rerr} {
+			if err == nil || err.Error() != want {
+				t.Errorf("%v: %s error %v, want %q", shape, name, err, want)
+			}
+		}
 	}
 }

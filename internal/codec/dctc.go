@@ -16,16 +16,17 @@ import (
 // keys optional).
 //
 // Image batches [BD, C, n, n] whose resolution satisfies the config's
-// block/serialization divisibility take the planar path: the batch is
+// block/serialization divisibility take the planar layout: the batch is
 // compressed in one batched pass and the payload is each plane's raw
-// float32 chunk data (size known from the config, so no per-plane
-// headers). Every other shape takes the flat path — values are packed
-// row-major into planeN×planeN planes with a zero-padded tail, so any
-// tensor (an activation, a gradient) meets the compiled plane shape —
-// marked by the payload's mode byte.
+// float32 chunk data (size known from the config, so every plane is
+// framed at one fixed size). Every other shape takes the padded layout
+// — values are packed row-major into planeN×planeN planes with a
+// zero-padded tail, so any tensor (an activation, a gradient) meets the
+// compiled plane shape. The head is the plane engine's (pipeline.go).
 //
-// dctc has no fused fastRoundTripInto: its round trips take the
-// batched serialize path (DESIGN.md §5 records why).
+// dctc is not a plane family: its planes go through core in batches,
+// and its round trips take the batched serialize path (DESIGN.md §5
+// records why).
 type dctcBackend struct {
 	cfg    core.Config
 	planeN int // flat-path plane edge (0 = auto)
@@ -33,11 +34,6 @@ type dctcBackend struct {
 	mu    sync.Mutex
 	comps map[int]*core.Compressor // compiled per resolution or flat plane edge
 }
-
-const (
-	dctcModePlanar = 0
-	dctcModeFlat   = 1
-)
 
 func init() {
 	register("dctc", func(o *Options) (backend, error) {
@@ -113,28 +109,15 @@ func (b *dctcBackend) compilerFor(n int) (*core.Compressor, error) {
 	return c, nil
 }
 
-// planar reports whether shape takes the planar path, returning n.
-func (b *dctcBackend) planar(shape []int) (int, bool) {
-	if len(shape) != 4 || shape[2] != shape[3] {
-		return 0, false
+// layout is dctc's layout of shape s: the tensor's own n×n planes when
+// it is a compatible [BD,C,n,n] batch, else padded planes whose edge is
+// the spec's planen or the smallest legal multiple of blocksize·s that
+// covers the values.
+func (b *dctcBackend) layout(s planeShape) planeLayout {
+	if s.rank == 4 && s.h == s.w && b.cfg.Validate(s.h) == nil {
+		return planarLayout(modePlanar, s.h, s.w, s.n)
 	}
-	n := shape[2]
-	return n, b.cfg.Validate(n) == nil
-}
-
-// flatPlaneN picks the flat-path plane edge for a value count: the
-// spec's planen when set, else the smallest legal multiple of
-// blocksize·s whose square covers the values, capped at 256.
-func (b *dctcBackend) flatPlaneN(values int) int {
-	if b.planeN != 0 {
-		return b.planeN
-	}
-	step := b.cfg.Transform.BlockSizeOf() * b.cfg.Serialization
-	n := step
-	for n*n < values && n+step <= 256 {
-		n += step
-	}
-	return n
+	return paddedLayout(flatEdge(b.planeN, b.cfg.Transform.BlockSizeOf()*b.cfg.Serialization, s.n), s.n)
 }
 
 // encode compresses every plane in one batched CompressInto on the
@@ -144,28 +127,17 @@ func (b *dctcBackend) encode(ctx context.Context, x *tensor.Tensor) ([]byte, err
 	if err := ctx.Err(); err != nil {
 		return nil, markErr(ErrCanceled, fmt.Errorf("dctc: encode cancelled: %w", err))
 	}
-	head, batch := []byte{dctcModePlanar}, x
-	n, ok := b.planar(x.Shape())
-	if !ok {
-		if x.Len() == 0 {
-			return nil, fmt.Errorf("dctc: empty tensor")
-		}
-		// Pack the values row-major into n×n planes. The padded tail is
-		// compressed along with the data, so the scratch is zeroed. The
-		// flat header records the exact element count alongside the
-		// plane edge: the plane count alone cannot distinguish claimed
-		// lengths within one padded plane, so without it a corrupted
-		// (v1, un-CRC'd) dims field could round-trip to a silently
-		// wrong tensor.
-		n = b.flatPlaneN(x.Len())
-		scratch := getScratch((x.Len() + n*n - 1) / (n * n) * n * n)
-		defer putScratch(scratch)
-		copy(scratch, x.Data())
-		batch = tensor.FromSlice(scratch, len(scratch)/(n*n), 1, n, n)
-		head = binary.LittleEndian.AppendUint32([]byte{dctcModeFlat}, uint32(n))
-		head = binary.LittleEndian.AppendUint32(head, uint32(x.Len()))
+	l := b.layout(tensorShape(x))
+	if l.edge > 0 && l.n == 0 {
+		return nil, fmt.Errorf("dctc: empty tensor")
 	}
-	comp, err := b.compilerFor(n)
+	vals, sp := l.values(x.Data(), true)
+	defer putScratch(sp)
+	batch := x
+	if sp != nil {
+		batch = tensor.FromSlice(vals, l.planes, 1, l.h, l.w)
+	}
+	comp, err := b.compilerFor(l.h)
 	if err != nil {
 		return nil, err
 	}
@@ -174,13 +146,14 @@ func (b *dctcBackend) encode(ctx context.Context, x *tensor.Tensor) ([]byte, err
 	if err := comp.CompressInto(y, batch); err != nil {
 		return nil, err
 	}
-	planes, cv := batch.Len()/(n*n), comp.ChunkValues()
-	payload := append(make([]byte, 0, len(head)+b.framedSize(comp, planes)), head...)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(planes))
-	for p := 0; p < planes; p++ {
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(4*len(y.Chunks)*cv))
+	cv := comp.ChunkValues()
+	planeBytes := 4 * len(y.Chunks) * cv
+	payload := l.appendHead(make([]byte, 0, l.payloadLen(l.planes*planeBytes)))
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(l.planes))
+	for p := 0; p < l.planes; p++ {
+		payload = binary.LittleEndian.AppendUint32(payload, uint32(planeBytes))
 	}
-	for p := 0; p < planes; p++ {
+	for p := 0; p < l.planes; p++ {
 		for _, chunk := range y.Chunks {
 			payload = tensorio.Float32sToBytes(payload, chunk.Data()[p*cv:(p+1)*cv])
 		}
@@ -188,67 +161,38 @@ func (b *dctcBackend) encode(ctx context.Context, x *tensor.Tensor) ([]byte, err
 	return payload, nil
 }
 
-// decode reads the mode byte (and, for the flat mode, the plane edge
-// and element count), then the plane-framed planes. The frame must
-// list every plane at the fixed compressed size, which pins the payload
-// size before the output tensor is allocated.
+// decode checks the head against the shape's layout, then reads the
+// plane frame, which must list every plane at the fixed compressed
+// size: that pins the payload size before the output tensor is
+// allocated.
 func (b *dctcBackend) decode(ctx context.Context, src payloadSource, shape []int) (*tensor.Tensor, error) {
-	head, err := src.next(1)
-	if err != nil {
-		return nil, fmt.Errorf("dctc: reading payload mode: %w", err)
+	l := b.layout(shapeOf(shape))
+	if err := l.readHead(src, "dctc", shape); err != nil {
+		return nil, err
 	}
-	mode := head[0]
-	elems := 1
-	for _, d := range shape {
-		elems *= d
-	}
-	n, ok := b.planar(shape)
-	switch mode {
-	case dctcModePlanar:
-		if !ok {
-			return nil, fmt.Errorf("dctc: planar payload but shape %v is not a compatible [BD,C,n,n] batch", shape)
-		}
-	case dctcModeFlat:
-		head, err := src.next(8)
-		if err != nil {
-			return nil, fmt.Errorf("dctc: flat payload truncated: %w", err)
-		}
-		n = int(binary.LittleEndian.Uint32(head))
-		if n < 1 || n > 1<<12 {
-			return nil, fmt.Errorf("dctc: implausible flat plane edge %d", n)
-		}
-		if encElems := binary.LittleEndian.Uint32(head[4:]); encElems != uint32(elems) {
-			return nil, fmt.Errorf("dctc: flat payload holds %d values, shape %v implies %d", encElems, shape, elems)
-		}
-	default:
-		return nil, fmt.Errorf("dctc: unknown payload mode %d", mode)
-	}
+	n := l.h
 	comp, err := b.compilerFor(n)
 	if err != nil {
 		return nil, err
 	}
-	planes := (elems + n*n - 1) / (n * n)
 	ss := b.cfg.Serialization * b.cfg.Serialization
 	cv := comp.ChunkValues()
-	frame, err := readPlaneFrame(src, planes, 4*ss*cv, true)
+	frame, err := readPlaneFrame(src, l.planes, 4*ss*cv, true)
 	if err != nil {
 		return nil, err
 	}
 	defer frame.release()
 	out := tensor.New(shape...)
-	dst := out.Data()
-	if mode == dctcModeFlat {
-		// Every flat plane, padded tail included, is decoded into the
-		// scratch before the copy-out, so no zeroing is needed.
-		dst = getScratchNoZero(planes * n * n)
-		defer putScratch(dst)
-	}
+	// Every padded plane, tail included, is decoded before the
+	// copy-out, so the scratch needs no zeroing.
+	dst, sp := l.values(out.Data(), false)
+	defer putScratch(sp)
 	// Each group decodes in one batched DecompressInto: the payload
 	// stores each plane's s×s chunks together, core.Compressed each
 	// chunk's planes together.
 	var vals []float32
 	chunkShape := append([]int{0, 1}, comp.CompressedPlaneShape()...)
-	for frame.taken < planes {
+	for frame.taken < l.planes {
 		p0, p1, data, err := frame.group(ctx)
 		if err != nil {
 			return nil, err
@@ -262,8 +206,9 @@ func (b *dctcBackend) decode(ctx context.Context, src payloadSource, shape []int
 			if r, ok := src.(*payloadReader); ok {
 				vals = r.staging(g * ss * cv)
 			} else {
-				vals = getScratchNoZero(g * ss * cv)
-				defer putScratch(vals)
+				vp := getScratchNoZero(g * ss * cv)
+				defer putScratch(vp)
+				vals = *vp
 			}
 		}
 		y := &core.Compressed{Config: b.cfg, BatchSize: g, Channels: 1, N: n}
@@ -279,7 +224,7 @@ func (b *dctcBackend) decode(ctx context.Context, src payloadSource, shape []int
 			return nil, err
 		}
 	}
-	if mode == dctcModeFlat {
+	if sp != nil {
 		copy(out.Data(), dst)
 	}
 	return out, nil
@@ -299,11 +244,4 @@ func Compiler(c Codec, n int) (*core.Compressor, error) {
 		return nil, fmt.Errorf("codec: device simulation requires a dctc codec, got %q", c.Name())
 	}
 	return b.compilerFor(n)
-}
-
-// framedSize is the plane-framed length of planes compressed planes,
-// each its s×s chunks of raw float32 values.
-func (b *dctcBackend) framedSize(comp *core.Compressor, planes int) int {
-	s := b.cfg.Serialization
-	return 4 + planes*(4+4*s*s*comp.ChunkValues())
 }

@@ -111,12 +111,15 @@ func TestRoundTripIntoMatchesSerializePath(t *testing.T) {
 				// encodePayload/decodePayload run the entropy stage (if any)
 				// on top of the backend, so staged specs compare against
 				// the bytes that actually hit the wire.
-				payload, err := impl.encodePayload(context.Background(), nil, x)
-				if err != nil {
+				payload, encErr := impl.encodePayload(context.Background(), nil, x)
+				if encErr != nil {
 					// A shape the family rejects must be rejected by the
-					// fused paths too.
+					// fused paths too, with the same error: a family
+					// refuses a shape one way only.
 					if _, err := RoundTripInto(c, tensor.New(x.Shape()...), x); err == nil {
 						t.Errorf("%v: RoundTripInto accepted a shape the serialize path rejects", x.Shape())
+					} else if err.Error() != encErr.Error() {
+						t.Errorf("%v: RoundTripInto refuses with %q, the serialize path with %q", x.Shape(), err, encErr)
 					}
 					// Refused in place, x must come back untouched.
 					inPlace := x.Clone()
@@ -181,37 +184,47 @@ func signedZeros() *tensor.Tensor {
 
 // TestRoundTripIntoAllocs is the allocs/op gate on the registry round
 // trip: every family bare and through the entropy stage, on one
-// 3-channel 256×256 sample with a single-worker pipeline (the
-// multi-worker pipeline spends a few allocations on the fan-out). Each
-// bound is the steady-state count plus max(4, 10 %) of headroom for
-// pool warm-up jitter; zfp, jpegq and sz allocate nothing at all.
+// 3-channel 256×256 sample — and zfp on a vector and an unaligned
+// tensor, which it packs into padded planes — with a single-worker
+// pipeline (the multi-worker pipeline spends a few allocations on the
+// fan-out). Each bound is the steady-state count plus max(4, 10 %) of
+// headroom for pool warm-up jitter; the plane engine's fused zfp,
+// jpegq and sz round trips allocate nothing at all.
 func TestRoundTripIntoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts only hold without -race")
 	}
 	prev := SetMaxWorkers(1)
 	defer SetMaxWorkers(prev)
-	x := tensor.NewRNG(1).Uniform(0, 1, 1, 3, 256, 256)
-	dst := tensor.New(x.Shape()...)
+	sample := tensor.NewRNG(1).Uniform(0, 1, 1, 3, 256, 256)
 	for _, tc := range []struct {
-		spec string
-		max  float64
+		spec  string
+		max   float64
+		shape []int // nil: the 3-channel sample
 	}{
-		{"zfp:rate=8", 0},
-		{"zfp:rate=8+huf", 27},
-		{"jpegq:q=50", 0},
-		{"jpegq:q=50+huf", 24},
-		{"sz:eb=1e-3", 0},
-		{"sz:eb=1e-3+huf", 30},
-		{"dctc:cf=4", 26},
-		{"dctc:cf=4+huf", 27},
-		{"lossless:bg=4", 9},
-		{"lossless:bg=4+huf", 12},
+		{"zfp:rate=8", 0, nil},
+		// Shapes zfp packs into zero-padded planes.
+		{"zfp:rate=8", 0, []int{1000}},
+		{"zfp:rate=8", 0, []int{5, 7, 9}},
+		{"zfp:rate=8+huf", 27, nil},
+		{"jpegq:q=50", 0, nil},
+		{"jpegq:q=50+huf", 24, nil},
+		{"sz:eb=1e-3", 0, nil},
+		{"sz:eb=1e-3+huf", 30, nil},
+		{"dctc:cf=4", 26, nil},
+		{"dctc:cf=4+huf", 27, nil},
+		{"lossless:bg=4", 9, nil},
+		{"lossless:bg=4+huf", 12, nil},
 	} {
 		c, err := New(tc.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
+		x := sample
+		if tc.shape != nil {
+			x = tensor.NewRNG(2).Uniform(0, 1, tc.shape...)
+		}
+		dst := tensor.New(x.Shape()...)
 		if _, err := RoundTripInto(c, dst, x); err != nil {
 			t.Fatal(err)
 		}
@@ -220,9 +233,9 @@ func TestRoundTripIntoAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%s: %v allocs/op (bound %v)", tc.spec, allocs, tc.max)
+		t.Logf("%s %v: %v allocs/op (bound %v)", tc.spec, x.Shape(), allocs, tc.max)
 		if allocs > tc.max {
-			t.Errorf("%s: RoundTripInto allocates %v/op, want ≤ %v", tc.spec, allocs, tc.max)
+			t.Errorf("%s %v: RoundTripInto allocates %v/op, want ≤ %v", tc.spec, x.Shape(), allocs, tc.max)
 		}
 	}
 }

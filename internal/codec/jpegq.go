@@ -12,11 +12,11 @@ import (
 // "jpegq:q=50" (quality factor 1–100).
 //
 // The codec is image-specific: it requires [BD, C, n, n] batches with
-// values nominally in [0,1] and block-aligned resolutions. Channel 0
-// of every sample quantizes with the luminance table and the remaining
-// channels with chrominance, as jpegq.Codec.TableFor assigns them;
-// each plane is a standalone RLE+Huffman stream on the shared
-// pipeline.
+// values nominally in [0,1] and block-aligned resolutions, and its
+// payload has no mode byte. Channel 0 of every sample quantizes with
+// the luminance table and the remaining channels with chrominance, as
+// jpegq.Codec.TableFor assigns them; each plane is a standalone
+// RLE+Huffman stream on the shared pipeline.
 type jpegqBackend struct {
 	codec *jpegq.Codec
 }
@@ -46,78 +46,42 @@ func (b *jpegqBackend) canonical() string {
 	return fmt.Sprintf("q=%d", b.codec.Quality)
 }
 
-// checkShape validates the image-batch constraint, returning (C, h, w).
-func (b *jpegqBackend) checkShape(shape []int) (int, int, int, error) {
-	if len(shape) != 4 {
-		return 0, 0, 0, fmt.Errorf("jpegq: needs [BD,C,n,n] image batches, got shape %v", shape)
+func (b *jpegqBackend) layout(s planeShape) (planeLayout, error) {
+	if s.rank != 4 {
+		return planeLayout{}, fmt.Errorf("jpegq: needs [BD,C,n,n] image batches, got a rank-%d tensor", s.rank)
 	}
-	h, w := shape[2], shape[3]
-	if h%jpegq.BlockSize != 0 || w%jpegq.BlockSize != 0 {
-		return 0, 0, 0, fmt.Errorf("jpegq: resolution %dx%d not a multiple of %d", h, w, jpegq.BlockSize)
+	if s.h%jpegq.BlockSize != 0 || s.w%jpegq.BlockSize != 0 {
+		return planeLayout{}, fmt.Errorf("jpegq: resolution %dx%d not a multiple of %d", s.h, s.w, jpegq.BlockSize)
 	}
-	return shape[1], h, w, nil
+	l := planarLayout(noMode, s.h, s.w, s.n)
+	l.channels = s.c
+	return l, nil
 }
 
 func (b *jpegqBackend) encode(ctx context.Context, x *tensor.Tensor) ([]byte, error) {
-	ch, h, w, err := b.checkShape(x.Shape())
-	if err != nil {
-		return nil, err
-	}
-	return compressPlanes(ctx, x.Data(), h, w, func(p int, plane []float32) ([]byte, error) {
-		return b.codec.EncodePlane(plane, h, w, p%ch)
-	})
+	return planeEncode(ctx, b, x)
 }
 
 func (b *jpegqBackend) decode(ctx context.Context, src payloadSource, shape []int) (*tensor.Tensor, error) {
-	ch, h, w, err := b.checkShape(shape)
-	if err != nil {
-		return nil, err
-	}
-	if elems := shape[0] * ch * h * w; elems > maxJPEGQExpansion*src.len() {
+	if elems := shapeOf(shape).n; elems > maxJPEGQExpansion*src.len() {
 		return nil, fmt.Errorf("jpegq: %d-byte payload implausibly small for %d elements", src.len(), elems)
 	}
-	// jpegq payloads have no mode byte: the plane frame starts at once.
-	frame, err := readPlaneFrame(src, shape[0]*ch, 0, false)
-	if err != nil {
-		return nil, err
-	}
-	out := tensor.New(shape...)
-	if err := frame.decodePlanes(ctx, out.Data(), h, w, b.planeDec(ch, h, w)); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return planeDecode(ctx, b, src, shape)
 }
 
-// planeDec returns the decoder of h×w planes; the channel index picks
-// the quantization table, exactly as in encode.
-func (b *jpegqBackend) planeDec(ch, h, w int) func(p int, data []byte, plane []float32) error {
-	return func(p int, data []byte, plane []float32) error {
-		return b.codec.DecodePlane(data, plane, h, w, p%ch)
-	}
+// The channel index picks the quantization table, the same on every
+// path.
+func (b *jpegqBackend) encodePlane(l planeLayout, p int, plane []float32) ([]byte, error) {
+	return b.codec.EncodePlane(plane, l.h, l.w, p%l.channels)
 }
 
-// fastRoundTripInto round-trips every plane through the codec's pooled
-// quantize→dequantize path: each plane's vle stream is sized with
-// vle.FlatLen and never coded. The reported size matches the serialize
-// path's payload: the plane frame plus each plane's stream.
-func (b *jpegqBackend) fastRoundTripInto(dst, x *tensor.Tensor) (int, error) {
-	// Dim/Dims instead of Shape(): Shape clones its slice, and this
-	// path must stay allocation-free. Shapes checkShape rejects take
-	// the serialize path, which reports the error.
-	if x.Dims() != 4 || x.Dim(2)%jpegq.BlockSize != 0 || x.Dim(3)%jpegq.BlockSize != 0 {
-		return 0, errNoFastPath
-	}
-	h, w := x.Dim(2), x.Dim(3)
-	ch := x.Dim(1)
-	planes := x.Dim(0) * ch
-	total := 4 + 4*planes // plane-frame header
-	xd, dd := x.Data(), dst.Data()
-	for p := 0; p < planes; p++ {
-		n, err := b.codec.RoundTripPlane(dd[p*h*w:(p+1)*h*w], xd[p*h*w:(p+1)*h*w], h, w, p%ch)
-		if err != nil {
-			return 0, fmt.Errorf("jpegq: plane %d: %w", p, err)
-		}
-		total += n
-	}
-	return total, nil
+func (b *jpegqBackend) decodePlane(l planeLayout, p int, data []byte, plane []float32) error {
+	return b.codec.DecodePlane(data, plane, l.h, l.w, p%l.channels)
+}
+
+// roundTripPlane dequantizes from the quantized coefficients
+// themselves: vle.FlatLen sizes the plane's stream, and it is never
+// coded.
+func (b *jpegqBackend) roundTripPlane(l planeLayout, p int, dst, src []float32) (int, error) {
+	return b.codec.RoundTripPlane(dst, src, l.h, l.w, p%l.channels)
 }

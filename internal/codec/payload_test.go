@@ -246,7 +246,7 @@ func TestForgedClaimFailsBeforeAllocation(t *testing.T) {
 		t.Skip("race instrumentation allocates; the allocation bound only holds without -race")
 	}
 	const present = 1 << 10
-	szHead := []byte{szModePlanar}
+	szHead := []byte{modePlanar}
 	szHead = binary.LittleEndian.AppendUint32(szHead, 1<<20)
 	for len(szHead) < present {
 		szHead = binary.LittleEndian.AppendUint32(szHead, 8)

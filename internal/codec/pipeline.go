@@ -11,15 +11,20 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file is the shared batch pipeline: the plane-independent
-// adapters (ZFP, SZ and JPEG process trailing 2-D planes independently)
-// fan a tensor's planes out on internal/tensor's plane pool — the one
-// pool DCT+Chop's batched passes and IndexedStream.DecodeRange use too,
-// under the one cap SetMaxWorkers sets — with sync.Pool-reused float32
-// scratch buffers for the packing/staging copies.
+// This file is the shared batch pipeline and the plane engine. The
+// plane-independent families (ZFP, SZ and JPEG code each trailing 2-D
+// plane on its own) fan a tensor's planes out on internal/tensor's
+// plane pool — the one pool DCT+Chop's batched passes and
+// IndexedStream.DecodeRange use too, under the one cap SetMaxWorkers
+// sets — with sync.Pool-reused float32 scratch buffers for the padding
+// copies. A family supplies its layout rule and its per-plane calls
+// (planeFamily); the engine owns the head, the zero padding, the plane
+// frame and the fused round trip.
 //
 // Plane-framed payload layout (little-endian):
 //
+//	head   u8 mode (sz, zfp and dctc; jpegq writes none), then for a
+//	       padded layout u32 plane edge and u32 value count
 //	u32 plane count
 //	u32 × count  per-plane payload lengths
 //	concatenated per-plane payloads
@@ -94,30 +99,35 @@ func forEachPlane(ctx context.Context, planes int, fn func(p int) error) error {
 // scratchPool recycles float32 staging buffers across planes and calls.
 var scratchPool = sync.Pool{New: func() any { return new([]float32) }}
 
-// getScratchNoZero returns a scratch buffer of length n with arbitrary
-// contents — for callers that overwrite every element before reading
-// any (the flat decode paths decode into every plane, padded tail
-// included, before copying out).
-func getScratchNoZero(n int) []float32 {
+// getScratchNoZero returns a pooled scratch buffer of length n with
+// arbitrary contents — for callers that overwrite every element before
+// reading any (the padded decode paths decode into every plane, padded
+// tail included, before copying out). Hand the pointer back to
+// putScratch: pooling the pointer itself keeps the round trip
+// allocation-free.
+func getScratchNoZero(n int) *[]float32 {
 	bp := scratchPool.Get().(*[]float32)
 	if cap(*bp) < n {
 		*bp = make([]float32, n)
 	}
-	return (*bp)[:n]
+	*bp = (*bp)[:n]
+	return bp
 }
 
-// getScratch returns a zeroed scratch buffer of length n — for callers
-// that read elements they never wrote, like the flat encode paths whose
-// zero-padded tail is compressed along with the data.
-func getScratch(n int) []float32 {
-	buf := getScratchNoZero(n)
-	clear(buf)
-	return buf
+// getScratch returns a zeroed pooled scratch buffer of length n — for
+// callers that read elements they never wrote, like the padded encode
+// paths whose zero tail is compressed along with the data.
+func getScratch(n int) *[]float32 {
+	bp := getScratchNoZero(n)
+	clear(*bp)
+	return bp
 }
 
-// putScratch returns a buffer to the pool.
-func putScratch(buf []float32) {
-	scratchPool.Put(&buf)
+// putScratch returns a buffer to the pool; nil is a no-op.
+func putScratch(bp *[]float32) {
+	if bp != nil {
+		scratchPool.Put(bp)
+	}
 }
 
 // byteScratchPool recycles byte staging buffers (plane-frame tables,
@@ -141,22 +151,309 @@ func putByteScratch(bp *[]byte) {
 	byteScratchPool.Put(bp)
 }
 
-// compressPlanes encodes every h×w plane of x concurrently with enc and
-// assembles the plane-framed payload. enc receives plane p as the
-// zero-copy view x[p·h·w : (p+1)·h·w]. A length that is not a whole
-// number of planes is an error — silently truncating the tail would
-// decode to a different tensor.
-func compressPlanes(ctx context.Context, x []float32, h, w int, enc func(p int, plane []float32) ([]byte, error)) ([]byte, error) {
-	if h < 1 || w < 1 {
-		return nil, fmt.Errorf("codec: invalid plane size %d×%d", h, w)
+// planeShape is what a layout rule reads of a tensor's shape: its rank,
+// its element count and its trailing three dims (0 past the rank). It
+// is a plain value, so the fused path fills it from x's Dim calls
+// without cloning x's shape.
+type planeShape struct{ rank, n, c, h, w int }
+
+// shapeOf reads a shape's planeShape.
+func shapeOf(shape []int) planeShape {
+	s := planeShape{rank: len(shape), n: 1}
+	var tail [3]int
+	for i, d := range shape {
+		s.n *= d
+		if k := i + 3 - len(shape); k >= 0 {
+			tail[k] = d
+		}
 	}
-	if len(x)%(h*w) != 0 {
-		return nil, fmt.Errorf("codec: tensor length %d is not a whole number of %d×%d planes (%d trailing values)", len(x), h, w, len(x)%(h*w))
+	s.c, s.h, s.w = tail[0], tail[1], tail[2]
+	return s
+}
+
+// tensorShape is shapeOf(x.Shape()) without the clone.
+func tensorShape(x *tensor.Tensor) planeShape {
+	s := planeShape{rank: x.Dims(), n: x.Len()}
+	var tail [3]int
+	for k := max(0, 3-s.rank); k < 3; k++ {
+		tail[k] = x.Dim(k - 3)
 	}
-	planes := len(x) / (h * w)
-	parts := make([][]byte, planes)
-	err := forEachPlane(ctx, planes, func(p int) error {
-		out, err := enc(p, x[p*h*w:(p+1)*h*w])
+	s.c, s.h, s.w = tail[0], tail[1], tail[2]
+	return s
+}
+
+// Payload mode bytes.
+const (
+	noMode     = -1 // the family writes no mode byte (jpegq)
+	modePlanar = 0  // the tensor's own trailing h×w planes
+	modeFlat   = 1  // sz's one 1×len row, or zfp's and dctc's padded planes
+)
+
+// planeLayout is a family's layout of one tensor shape — the one value
+// its encode writes, its decode checks and its fused round trip sizes:
+// the head, then planes planes of h×w values, each framed in at most
+// budget bytes (0: no budget).
+type planeLayout struct {
+	mode     int // the payload's mode byte, or noMode
+	edge     int // > 0: the n values zero-padded into edge×edge planes
+	n        int // the tensor's element count
+	h, w     int
+	planes   int
+	budget   int
+	channels int // jpegq: plane p quantizes with channel p % channels
+}
+
+// planarLayout lays n values out as the tensor's own h×w planes.
+func planarLayout(mode, h, w, n int) planeLayout {
+	return planeLayout{mode: mode, n: n, h: h, w: w, planes: n / (h * w)}
+}
+
+// paddedLayout packs n values row-major into edge×edge planes with a
+// zero-padded tail, so any tensor meets a block-aligned plane shape.
+func paddedLayout(edge, n int) planeLayout {
+	return planeLayout{mode: modeFlat, edge: edge, n: n, h: edge, w: edge, planes: (n + edge*edge - 1) / (edge * edge)}
+}
+
+// flatEdge picks a padded layout's plane edge: the spec's planen when
+// set, else the smallest multiple of step whose square covers the
+// values, capped at 256.
+func flatEdge(planeN, step, values int) int {
+	if planeN != 0 {
+		return planeN
+	}
+	n := step
+	for n*n < values && n+step <= 256 {
+		n += step
+	}
+	return n
+}
+
+// headLen is the length of l's head.
+func (l planeLayout) headLen() int {
+	n := 0
+	if l.mode != noMode {
+		n++
+	}
+	if l.edge > 0 {
+		n += 8
+	}
+	return n
+}
+
+// payloadLen is the length of l's payload whose planes are planeBytes
+// long in all: the head, the plane frame and the planes.
+func (l planeLayout) payloadLen(planeBytes int) int {
+	return l.headLen() + 4 + 4*l.planes + planeBytes
+}
+
+// appendHead appends l's head to dst: the mode byte, and for a padded
+// layout the plane edge and the exact value count. The count rides in
+// the head because the padded plane geometry alone cannot tell claimed
+// lengths within one plane apart.
+func (l planeLayout) appendHead(dst []byte) []byte {
+	if l.mode != noMode {
+		dst = append(dst, byte(l.mode))
+	}
+	if l.edge > 0 {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(l.edge))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(l.n))
+	}
+	return dst
+}
+
+// readHead reads the head of a payload of the given shape, laid out as
+// l, and checks it against l: the mode byte, and for a padded layout
+// the plane edge and the value count.
+func (l planeLayout) readHead(src payloadSource, family string, shape []int) error {
+	if l.mode == noMode {
+		return nil
+	}
+	head, err := src.next(1)
+	if err != nil {
+		return fmt.Errorf("%s: reading payload mode: %w", family, err)
+	}
+	if int(head[0]) != l.mode {
+		return fmt.Errorf("%s: payload mode %d does not match shape %v", family, head[0], shape)
+	}
+	if l.edge == 0 {
+		return nil
+	}
+	if head, err = src.next(8); err != nil {
+		return fmt.Errorf("%s: flat payload truncated: %w", family, err)
+	}
+	if edge := binary.LittleEndian.Uint32(head); edge != uint32(l.edge) {
+		return fmt.Errorf("%s: flat payload plane edge %d, shape %v packs into %d", family, edge, shape, l.edge)
+	}
+	if n := binary.LittleEndian.Uint32(head[4:]); n != uint32(l.n) {
+		return fmt.Errorf("%s: flat payload holds %d values, shape %v implies %d", family, n, shape, l.n)
+	}
+	return nil
+}
+
+// values returns the planes·h·w values l's planes cover: x itself for a
+// planar layout, else pooled scratch — holding x and a zero tail when
+// fill, arbitrary values when not — and its pointer for putScratch
+// (nil for x itself).
+func (l planeLayout) values(x []float32, fill bool) ([]float32, *[]float32) {
+	if l.edge == 0 {
+		return x, nil
+	}
+	if !fill {
+		sp := getScratchNoZero(l.planes * l.h * l.w)
+		return *sp, sp
+	}
+	sp := getScratch(l.planes * l.h * l.w)
+	copy(*sp, x)
+	return *sp, sp
+}
+
+// planeFamily is a plane-framed family: its layout rule and its three
+// per-plane calls. sz, zfp and jpegq are plane families; their encode
+// and decode are planeEncode and planeDecode, and RoundTripInto runs
+// them unstaged through planeRoundTrip.
+type planeFamily interface {
+	backend
+	// layout lays out a tensor of shape s, s.n > 0, or refuses it
+	// with the error every path returns.
+	layout(s planeShape) (planeLayout, error)
+	// encodePlane encodes plane p of l.
+	encodePlane(l planeLayout, p int, plane []float32) ([]byte, error)
+	// decodePlane decodes plane p of l from data into plane.
+	decodePlane(l planeLayout, p int, data []byte, plane []float32) error
+	// roundTripPlane writes into dst what decodePlane makes of
+	// encodePlane(l, p, src), bit for bit, and returns the encoded
+	// length. dst may be src itself.
+	roundTripPlane(l planeLayout, p int, dst, src []float32) (int, error)
+}
+
+// layoutOf is f's layout of s; an empty tensor has none.
+func layoutOf(f planeFamily, s planeShape) (planeLayout, error) {
+	if s.n == 0 {
+		return planeLayout{}, fmt.Errorf("%s: empty tensor", f.name())
+	}
+	return f.layout(s)
+}
+
+// planeEncode is a plane family's encode: x's head and plane frame, its
+// planes encoded concurrently.
+func planeEncode(ctx context.Context, f planeFamily, x *tensor.Tensor) ([]byte, error) {
+	l, err := layoutOf(f, tensorShape(x))
+	if err != nil {
+		return nil, err
+	}
+	vals, sp := l.values(x.Data(), true)
+	defer putScratch(sp)
+	return compressPlanes(ctx, l, vals, func(p int, plane []float32) ([]byte, error) {
+		return f.encodePlane(l, p, plane)
+	})
+}
+
+// planeDecode is a plane family's decode. The head and the plane frame
+// are checked against the shape's layout before the output is
+// allocated; each plane then decodes straight into the output, or a
+// padded layout's into scratch before the copy-out.
+func planeDecode(ctx context.Context, f planeFamily, src payloadSource, shape []int) (*tensor.Tensor, error) {
+	l, err := layoutOf(f, shapeOf(shape))
+	if err != nil {
+		return nil, err
+	}
+	if err := l.readHead(src, f.name(), shape); err != nil {
+		return nil, err
+	}
+	frame, err := readPlaneFrame(src, l.planes, l.budget, false)
+	if err != nil {
+		return nil, err
+	}
+	out := tensor.New(shape...)
+	// Every padded plane, tail included, is decoded before the
+	// copy-out, so the scratch needs no zeroing.
+	vals, sp := l.values(out.Data(), false)
+	defer putScratch(sp)
+	err = frame.decodePlanes(ctx, vals, l.h, l.w, func(p int, data []byte, plane []float32) error {
+		return f.decodePlane(l, p, data, plane)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if sp != nil {
+		copy(out.Data(), vals)
+	}
+	return out, nil
+}
+
+// roundTripJob is planeRoundTrip's job on the plane pool: plane p of x
+// round-trips into plane p of dst, and its encoded length adds to
+// bytes. Pooled with run, its runPlane method value bound once, so a
+// round trip allocates nothing.
+type roundTripJob struct {
+	f      planeFamily
+	l      planeLayout
+	dst, x []float32
+	bytes  atomic.Int64
+	run    func(p int) error
+}
+
+var roundTripJobs = sync.Pool{New: func() any {
+	j := new(roundTripJob)
+	j.run = j.runPlane
+	return j
+}}
+
+func (j *roundTripJob) runPlane(p int) error {
+	n := j.l.h * j.l.w
+	size, err := j.f.roundTripPlane(j.l, p, j.dst[p*n:(p+1)*n], j.x[p*n:(p+1)*n])
+	if err != nil {
+		return fmt.Errorf("codec: plane %d: %w", p, err)
+	}
+	j.bytes.Add(int64(size))
+	return nil
+}
+
+// planeRoundTrip is a plane family's fused round trip: every plane of
+// x round-trips into dst through roundTripPlane on the plane pool, and
+// no payload is framed. It reports the length planeEncode's payload
+// has, from the same layout. A padded layout round-trips in the
+// scratch holding x, so dst changes only once every plane has passed.
+func planeRoundTrip(f planeFamily, dst, x *tensor.Tensor) (int, error) {
+	l, err := layoutOf(f, tensorShape(x))
+	if err != nil {
+		return 0, err
+	}
+	vals, sp := l.values(x.Data(), true)
+	defer putScratch(sp)
+	out := dst.Data()
+	if sp != nil {
+		out = vals
+	}
+	j := roundTripJobs.Get().(*roundTripJob)
+	j.f, j.l, j.dst, j.x = f, l, out, vals
+	j.bytes.Store(0)
+	err = forEachPlane(context.Background(), l.planes, j.run)
+	n := l.payloadLen(int(j.bytes.Load()))
+	j.f, j.dst, j.x = nil, nil, nil
+	roundTripJobs.Put(j)
+	if err != nil {
+		return 0, err
+	}
+	if sp != nil {
+		copy(dst.Data(), vals)
+	}
+	return n, nil
+}
+
+// compressPlanes encodes the l.planes h×w planes of x concurrently with
+// enc and assembles the payload: l's head, then the plane frame. enc
+// receives plane p as the zero-copy view x[p·h·w : (p+1)·h·w]. A length
+// that is not the layout's whole number of planes is an error —
+// silently truncating the tail would decode to a different tensor.
+func compressPlanes(ctx context.Context, l planeLayout, x []float32, enc func(p int, plane []float32) ([]byte, error)) ([]byte, error) {
+	hw := l.h * l.w
+	if hw < 1 || len(x) != l.planes*hw {
+		return nil, fmt.Errorf("codec: tensor length %d is not %d whole %d×%d planes (%d trailing values)", len(x), l.planes, l.h, l.w, len(x)-l.planes*hw)
+	}
+	parts := make([][]byte, l.planes)
+	err := forEachPlane(ctx, l.planes, func(p int) error {
+		out, err := enc(p, x[p*hw:(p+1)*hw])
 		if err != nil {
 			return fmt.Errorf("codec: plane %d: %w", p, err)
 		}
@@ -166,12 +463,12 @@ func compressPlanes(ctx context.Context, x []float32, h, w int, enc func(p int, 
 	if err != nil {
 		return nil, err
 	}
-	total := 4 + 4*planes
+	total := 0
 	for _, part := range parts {
 		total += len(part)
 	}
-	payload := make([]byte, 0, total)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(planes))
+	payload := l.appendHead(make([]byte, 0, l.payloadLen(total)))
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(l.planes))
 	for _, part := range parts {
 		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(part)))
 	}

@@ -48,7 +48,7 @@ func TestPlaneFramingRoundTrip(t *testing.T) {
 	for i := range x.Data() {
 		x.Data()[i] = float32(i)
 	}
-	payload, err := compressPlanes(context.Background(), x.Data(), 4, 4, func(p int, plane []float32) ([]byte, error) {
+	payload, err := compressPlanes(context.Background(), planarLayout(noMode, 4, 4, x.Len()), x.Data(), func(p int, plane []float32) ([]byte, error) {
 		// Variable-length per-plane payload: p+1 copies of byte p.
 		out := make([]byte, p+1)
 		for i := range out {
@@ -135,12 +135,12 @@ func TestPlaneFrameRejectsMalformed(t *testing.T) {
 
 func TestScratchPoolReuse(t *testing.T) {
 	a := getScratch(64)
-	for i := range a {
-		a[i] = 42
+	for i := range *a {
+		(*a)[i] = 42
 	}
 	putScratch(a)
 	b := getScratch(32)
-	for i, v := range b {
+	for i, v := range *b {
 		if v != 0 {
 			t.Fatalf("scratch not zeroed at %d: %g", i, v)
 		}
@@ -231,7 +231,7 @@ func TestForEachPlaneLowestIndexedError(t *testing.T) {
 // of planes must be rejected, not silently truncated.
 func TestCompressPlanesRaggedLength(t *testing.T) {
 	x := tensor.New(100)
-	_, err := compressPlanes(context.Background(), x.Data(), 3, 3, func(p int, plane []float32) ([]byte, error) {
+	_, err := compressPlanes(context.Background(), planarLayout(noMode, 3, 3, x.Len()), x.Data(), func(p int, plane []float32) ([]byte, error) {
 		return []byte{0}, nil
 	})
 	if err == nil {
@@ -247,16 +247,16 @@ func TestCompressPlanesRaggedLength(t *testing.T) {
 // reuse must surface stale data here, not zeros).
 func TestGetScratchNoZero(t *testing.T) {
 	a := getScratchNoZero(64)
-	for i := range a {
-		a[i] = 42
+	for i := range *a {
+		(*a)[i] = 42
 	}
 	putScratch(a)
 	b := getScratchNoZero(64)
 	defer putScratch(b)
 	// sync.Pool may or may not hand back the same buffer; only assert
 	// when it did.
-	if &a[0] == &b[0] {
-		if b[0] != 42 {
+	if a == b {
+		if (*b)[0] != 42 {
 			t.Fatal("no-zero scratch was cleared")
 		}
 	}

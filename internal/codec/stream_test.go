@@ -299,7 +299,7 @@ func TestPipelineCancellation(t *testing.T) {
 	const planes = 64
 	x := mkStreamTensor(planes, 4, 4)
 	var calls atomic.Int64
-	_, err := compressPlanes(ctx, x.Data(), 4, 4, func(p int, plane []float32) ([]byte, error) {
+	_, err := compressPlanes(ctx, planarLayout(noMode, 4, 4, x.Len()), x.Data(), func(p int, plane []float32) ([]byte, error) {
 		if calls.Add(1) == 3 {
 			cancel()
 		}

@@ -194,3 +194,41 @@ func TestEOBValueCoefficientFails(t *testing.T) {
 		t.Fatalf("DC -32767: %v", err)
 	}
 }
+
+// TestNonFiniteCoefficientsRefused: a coefficient that is NaN or rounds
+// past the int32 range quantizes to math.MinInt32, which vle refuses,
+// on every GOARCH — Go leaves the plain conversion to the platform, and
+// a saturating one would code a clamped coefficient that decodes
+// silently wrong. So a plane holding NaN, ±Inf or 1e38 is refused by
+// EncodePlane and RoundTripPlane alike, and every in-range value
+// rounds as before.
+func TestNonFiniteCoefficientsRefused(t *testing.T) {
+	c, err := NewCodec(50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 1e38} {
+		x := tensor.Full(0.5, 8, 8).Data()
+		x[9] = v
+		if _, err := c.EncodePlane(x, 8, 8, 0); err == nil {
+			t.Errorf("EncodePlane coded a plane holding %g", v)
+		}
+		if _, err := c.RoundTripPlane(make([]float32, 64), x, 8, 8, 0); err == nil {
+			t.Errorf("RoundTripPlane coded a plane holding %g", v)
+		}
+	}
+	for _, tc := range []struct {
+		q    float64
+		want int32
+	}{
+		{0.49, 0}, {0.5, 1}, {-0.5, -1}, {-2.5, -3},
+		{math.MaxInt32 - 0.4, math.MaxInt32}, {math.MinInt32 + 0.4, math.MinInt32},
+		{math.MaxInt32 + 0.5, math.MinInt32}, {math.MinInt32 - 0.5, math.MinInt32},
+		{1e38, math.MinInt32}, {-1e38, math.MinInt32},
+		{math.Inf(1), math.MinInt32}, {math.Inf(-1), math.MinInt32}, {math.NaN(), math.MinInt32},
+	} {
+		if got := quantize(tc.q); got != tc.want {
+			t.Errorf("quantize(%v) = %d, want %d", tc.q, got, tc.want)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package jpegq
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/dct"
@@ -115,16 +116,27 @@ func quantizePlane(dst []int32, plane []float32, h, w int, table *[64]int) {
 			}
 			forwardDCT8(&d, &blk)
 			for z, ix := range zzOrder {
-				q := float64(d[ix]) / float64(table[ix])
-				if q >= 0 {
-					dst[k+z] = int32(q + 0.5)
-				} else {
-					dst[k+z] = int32(q - 0.5)
-				}
+				dst[k+z] = quantize(float64(d[ix]) / float64(table[ix]))
 			}
 			k += 64
 		}
 	}
+}
+
+// quantize rounds q half away from zero to an int32. Go leaves the
+// conversion of NaN, or of a value past the int32 range, to the
+// platform — amd64 gives math.MinInt32, arm64 saturates — so such a q
+// becomes math.MinInt32 here, the value vle refuses, on every GOARCH.
+func quantize(q float64) int32 {
+	if q >= 0 {
+		q += 0.5
+	} else {
+		q -= 0.5
+	}
+	if !(q > math.MinInt32-1 && q < math.MaxInt32+1) {
+		return math.MinInt32
+	}
+	return int32(q)
 }
 
 // dequantizePlane inverts quantizePlane: src holds 64 zigzagged

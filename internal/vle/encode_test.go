@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math"
 	"math/bits"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/bitstream"
@@ -304,15 +306,16 @@ func TestWideValueRefused(t *testing.T) {
 
 // TestFlatBlockSizeLimit: the header holds the block size in 16 bits,
 // so AppendFlat and FlatLen refuse a wider block rather than write a
-// stream that names another size.
+// stream that names another size, and the error names the limit.
 func TestFlatBlockSizeLimit(t *testing.T) {
 	flat := make([]int32, MaxFlatBlock+1)
 	flat[7] = 3
-	if _, err := AppendFlat(nil, flat, len(flat)); err == nil {
-		t.Fatal("AppendFlat accepted a block wider than the header's field")
+	limit := fmt.Sprintf("block size %d outside [1, %d]", len(flat), MaxFlatBlock)
+	if _, err := AppendFlat(nil, flat, len(flat)); err == nil || !strings.Contains(err.Error(), limit) {
+		t.Fatalf("AppendFlat on a block wider than the header's field: err %v, want %q", err, limit)
 	}
-	if _, err := FlatLen(flat, len(flat)); err == nil {
-		t.Fatal("FlatLen accepted a block wider than the header's field")
+	if _, err := FlatLen(flat, len(flat)); err == nil || !strings.Contains(err.Error(), limit) {
+		t.Fatalf("FlatLen on a block wider than the header's field: err %v, want %q", err, limit)
 	}
 	data, err := AppendFlat(nil, flat[:MaxFlatBlock], MaxFlatBlock)
 	if err != nil {

@@ -222,8 +222,11 @@ func (e *Encoder) writeHeader(w *bitstream.Writer, nblocks, size int) {
 // canonical code, on a pooled Encoder the caller hands back to
 // encoderPool.
 func prepare(coeffs []int32, blockSize int) (*Encoder, error) {
-	if blockSize < 1 || blockSize > MaxFlatBlock || len(coeffs) == 0 || len(coeffs)%blockSize != 0 {
-		return nil, fmt.Errorf("vle: flat buffer %d not a multiple of a block size %d in [1, %d]", len(coeffs), blockSize, MaxFlatBlock)
+	if blockSize < 1 || blockSize > MaxFlatBlock {
+		return nil, fmt.Errorf("vle: block size %d outside [1, %d]", blockSize, MaxFlatBlock)
+	}
+	if len(coeffs) == 0 || len(coeffs)%blockSize != 0 {
+		return nil, fmt.Errorf("vle: flat buffer of %d values is not a whole, nonzero number of %d-value blocks", len(coeffs), blockSize)
 	}
 	e := encoderPool.Get().(*Encoder)
 	e.reset()
