@@ -75,7 +75,8 @@ type backend interface {
 // nothing at steady state on one worker; jpegq and sz size their vle
 // streams without coding them. A shape the family refuses fails with
 // the error encode gives. dctc, lossless and every staged codec
-// serialize, decode and copy.
+// serialize, decode and copy. A refused in-place round trip leaves x
+// untouched on every path.
 func RoundTripInto(c Codec, dst, x *tensor.Tensor) (int, error) {
 	if dst.Len() != x.Len() {
 		return 0, fmt.Errorf("codec: RoundTripInto dst holds %d values, x holds %d", dst.Len(), x.Len())

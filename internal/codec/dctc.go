@@ -65,6 +65,9 @@ func init() {
 		if err := cfg.Validate(bs * cfg.Serialization); err != nil {
 			return nil, fmt.Errorf("codec: dctc: %w", err)
 		}
+		if b.planeN > maxPlaneEdge {
+			return nil, fmt.Errorf("codec: dctc: invalid value %d for key %q (want at most %d)", b.planeN, "planen", maxPlaneEdge)
+		}
 		if b.planeN != 0 {
 			if err := cfg.Validate(b.planeN); err != nil {
 				return nil, fmt.Errorf("codec: dctc: invalid value %d for key %q: %w", b.planeN, "planen", err)

@@ -81,8 +81,11 @@ func TestGoldenContainers(t *testing.T) {
 // the serialize path for every conformance spec, on the planar
 // conformance batch, on a shape no block-aligned fast path covers, on
 // rank-1 vectors — one wider than vle's 16-bit block field, which sz
-// must refuse on every path — and on signed zeros, NaN and a tiny
-// residual (sz's −0 codes): RoundTripInto, into a second tensor and in place
+// must refuse on every path — on signed zeros, NaN and a tiny
+// residual (sz's −0 codes), and on a [1,2,8,8] batch with a NaN in
+// plane 1, which jpegq refuses after plane 0 has passed (so a refused
+// in-place round trip must not have written plane 0 back into x):
+// RoundTripInto, into a second tensor and in place
 // (dst == x), and Codec.RoundTrip must all report exactly the
 // serialized payload's length and reproduce its decode bit for bit
 // (every family decodes deterministically, so any divergence is a
@@ -98,7 +101,9 @@ func TestRoundTripIntoMatchesSerializePath(t *testing.T) {
 			v.Data()[i] = float32(math.Cos(float64(i) / 5))
 		}
 	}
-	inputs := []*tensor.Tensor{conformanceBatch(), flat, vec, wide, signedZeros()}
+	nanPlane1 := tensor.Full(0.3, 1, 2, 8, 8)
+	nanPlane1.Data()[64+9] = float32(math.NaN())
+	inputs := []*tensor.Tensor{conformanceBatch(), flat, vec, wide, signedZeros(), nanPlane1}
 	for _, tc := range conformanceSpecs {
 		tc := tc
 		t.Run(tc.spec, func(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"runtime"
@@ -210,6 +211,15 @@ func TestMalformedFrameRejectedOnEveryPath(t *testing.T) {
 			return append(p, make([]byte, 4*64)...)
 		}()},
 		{"dctc plane of the wrong size", "dctc:cf=4", []int{1, 2, 16, 16}, shiftPlane0(dctc, 1, -4)},
+		// The mode byte and a padded head's edge must be the ones the
+		// shape's layout writes: a [64] vector packs into one padded 8×8
+		// plane, which an aligned [8,8] shape must not read; auto edges
+		// are 12 for 100 zfp values and 24 for 300 dctc values.
+		{"zfp padded payload read as an aligned shape", "zfp:rate=8", []int{8, 8},
+			encodeRaw(t, "zfp:rate=8", tensor.NewRNG(6).Uniform(0, 1, 64))},
+		{"zfp padded head edge other than the layout's", "zfp:rate=8", []int{100}, zfpFlat},
+		{"dctc padded head edge other than the layout's", "dctc:cf=4", []int{300},
+			encodeRaw(t, "dctc:cf=4,planen=32", tensor.NewRNG(7).Uniform(0, 1, 300))},
 	}
 	for _, tc := range cases {
 		_, errs := decodeEveryPath(t, tc.spec, tc.shape, tc.payload)
@@ -217,6 +227,39 @@ func TestMalformedFrameRejectedOnEveryPath(t *testing.T) {
 			if err == nil {
 				t.Errorf("%s: %s accepted the payload", tc.name, pathNames[i])
 			}
+		}
+	}
+}
+
+// TestPlaneEdgeBounded: a padded decode sizes its scratch, and dctc its
+// compiled plane, from the spec's planen before it reads a plane, so
+// the registry refuses a planen past maxPlaneEdge, and a record whose
+// spec claims one fails on every path without allocating for it.
+func TestPlaneEdgeBounded(t *testing.T) {
+	for _, family := range []string{"zfp:rate=8", "dctc:cf=4"} {
+		if _, err := New(fmt.Sprintf("%s,planen=%d", family, maxPlaneEdge)); err != nil {
+			t.Errorf("%s,planen=%d: %v", family, maxPlaneEdge, err)
+		}
+		spec := family + ",planen=65536"
+		if _, err := New(spec); err == nil {
+			t.Errorf("New(%q) accepted a plane edge past %d", spec, maxPlaneEdge)
+		}
+		// A head that matches the claimed layout, then one empty plane.
+		payload := []byte{modeFlat}
+		for _, v := range []uint32{65536, 1, 1, 0} {
+			payload = binary.LittleEndian.AppendUint32(payload, v)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, errs := decodeEveryPath(t, spec, []int{1}, payload)
+		runtime.ReadMemStats(&after)
+		for i, err := range errs {
+			if err == nil {
+				t.Errorf("%s: %s accepted the record", spec, pathNames[i])
+			}
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; !raceEnabled && alloc >= 1<<20 {
+			t.Errorf("%s: decoding on every path allocated %d KB, want < 1 MiB", spec, alloc>>10)
 		}
 	}
 }

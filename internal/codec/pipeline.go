@@ -214,6 +214,11 @@ func paddedLayout(edge, n int) planeLayout {
 	return planeLayout{mode: modeFlat, edge: edge, n: n, h: edge, w: edge, planes: (n + edge*edge - 1) / (edge * edge)}
 }
 
+// maxPlaneEdge bounds a spec's planen: a padded decode sizes its scratch
+// (and dctc its compiled plane) from the spec's edge before it reads a
+// plane, so a record's spec must not claim more than 16M values a plane.
+const maxPlaneEdge = 1 << 12
+
 // flatEdge picks a padded layout's plane edge: the spec's planen when
 // set, else the smallest multiple of step whose square covers the
 // values, capped at 256.
@@ -413,18 +418,22 @@ func (j *roundTripJob) runPlane(p int) error {
 // x round-trips into dst through roundTripPlane on the plane pool, and
 // no payload is framed. It reports the length planeEncode's payload
 // has, from the same layout. A padded layout round-trips in the
-// scratch holding x, so dst changes only once every plane has passed.
+// scratch holding x, and an in-place planar one (dst == x) into
+// scratch, so a plane refused after others have passed leaves x whole.
 func planeRoundTrip(f planeFamily, dst, x *tensor.Tensor) (int, error) {
 	l, err := layoutOf(f, tensorShape(x))
 	if err != nil {
 		return 0, err
 	}
 	vals, sp := l.values(x.Data(), true)
-	defer putScratch(sp)
-	out := dst.Data()
-	if sp != nil {
-		out = vals
+	out := vals
+	if sp == nil {
+		if out = dst.Data(); &out[0] == &vals[0] {
+			sp = getScratchNoZero(len(out))
+			out = *sp
+		}
 	}
+	defer putScratch(sp)
 	j := roundTripJobs.Get().(*roundTripJob)
 	j.f, j.l, j.dst, j.x = f, l, out, vals
 	j.bytes.Store(0)
@@ -436,7 +445,7 @@ func planeRoundTrip(f planeFamily, dst, x *tensor.Tensor) (int, error) {
 		return 0, err
 	}
 	if sp != nil {
-		copy(dst.Data(), vals)
+		copy(dst.Data(), out)
 	}
 	return n, nil
 }

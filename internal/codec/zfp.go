@@ -31,8 +31,8 @@ func init() {
 		if err != nil {
 			return nil, fmt.Errorf("codec: zfp: invalid value %g for key %q: %w", rate, "rate", err)
 		}
-		if planeN != 0 && (planeN < zfp.BlockSize || planeN%zfp.BlockSize != 0) {
-			return nil, fmt.Errorf("codec: zfp: invalid value %d for key %q (want a positive multiple of %d)", planeN, "planen", zfp.BlockSize)
+		if planeN != 0 && (planeN < zfp.BlockSize || planeN > maxPlaneEdge || planeN%zfp.BlockSize != 0) {
+			return nil, fmt.Errorf("codec: zfp: invalid value %d for key %q (want a positive multiple of %d up to %d)", planeN, "planen", zfp.BlockSize, maxPlaneEdge)
 		}
 		return &zfpBackend{codec: c, planeN: planeN}, nil
 	})
