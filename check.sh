@@ -19,14 +19,16 @@ go build ./...
 # any reintroduced wrap-around or truncating conversion.
 GOOS=linux GOARCH=386 go build ./...
 GOOS=linux GOARCH=386 go vet ./...
-# ...and run the framing, entropy, vle and vecops suites (with vle's sz
-# and jpegq callers) as 32-bit binaries: the index footer loader
-# converts the footer's u64 offsets and lengths, and vle checks a
-# header's block count times block size against the destination,
-# products that vet alone cannot check at run time; vecops' byte-group
-# lanes run their portable, endian-neutral loops there, held to the
-# layout's definition by the same parity tests the AVX2 kernels pass.
-GOOS=linux GOARCH=386 go test -count=1 ./internal/codec/ ./internal/entropy/ ./internal/vle/ ./internal/sz/ ./internal/jpegq/ ./internal/vecops/
+# ...and run the framing, entropy, vle, zfp, bitstream and vecops
+# suites (with vle's sz and jpegq callers) as 32-bit binaries: the index
+# footer loader converts the footer's u64 offsets and lengths, and vle
+# checks a header's block count times block size against the
+# destination, products that vet alone cannot check at run time; the
+# bit emitter that vle, fse and zfp write through shifts a 64-bit
+# accumulator by a 32-bit uint; vecops' byte-group lanes run their
+# portable, endian-neutral loops there, held to the layout's definition
+# by the same parity tests the AVX2 kernels pass.
+GOOS=linux GOARCH=386 go test -count=1 ./internal/codec/ ./internal/entropy/ ./internal/vle/ ./internal/sz/ ./internal/jpegq/ ./internal/vecops/ ./internal/zfp/ ./internal/bitstream/
 # Cross-arch smoke builds for the dispatched kernels: arm64 exercises
 # the non-amd64 stubs (constant-false dispatch), and GOAMD64=v1 checks
 # the amd64 build makes no baseline-ISA assumptions outside the

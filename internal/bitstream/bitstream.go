@@ -4,155 +4,59 @@
 // cannot express from PyTorch (§3.1) — which is why they live here, on
 // the host, and never inside a device graph.
 //
-// Both ends run on a 64-bit accumulator: the Writer packs bits into a
-// word and flushes eight bytes at a time, and the Reader refills a word
-// and serves Peek/Consume out of it, so the per-bit inner loops of the
-// bit-plane and Huffman coders touch memory once per word instead of
-// once per byte. The byte stream produced is identical, bit for bit, to
-// the original byte-at-a-time implementation.
+// Both ends run on a 64-bit accumulator: the Emitter packs bits into a
+// word and stores eight bytes at a time into a buffer its caller sized
+// for the whole stream, and the Reader refills a word and serves
+// Peek/Consume out of it, so the per-bit inner loops of the bit-plane
+// and Huffman coders touch memory once per word instead of once per
+// byte. Every encoder sizes its stream before it emits it and writes it
+// once, straight into the buffer the stream is returned in. The entropy
+// package's huf coder (hufEmitStream) runs the same arithmetic unrolled
+// four codes at a time in registers; it is this emitter's register
+// form. The byte stream produced is identical, bit for bit, to the
+// original byte-at-a-time implementation.
 package bitstream
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
-	"sync"
 )
 
-// Writer accumulates bits MSB-first into a growable byte buffer.
-//
-// The zero value is ready to use. A Writer may be reused across streams
-// with Reset, which retains the underlying buffer; pool Writers with
-// GetWriter/PutWriter to make steady-state encoding allocation-free.
-type Writer struct {
-	buf    []byte
-	acc    uint64 // pending bits, left-aligned (top n bits valid)
-	n      uint   // number of pending bits in acc, < 64 between calls
-	bits   int    // total bits written
-	sealed bool   // Bytes has been called; writes are rejected until Reset
+// Emitter writes bits MSB-first into a caller-sized buffer. buf must
+// hold the whole stream plus 8 bytes of slack: every Put stores a whole
+// 8-byte word at pos, so an undersized buffer fails the bounds check
+// rather than writing past it. The bytes past Len are scratch.
+type Emitter struct {
+	buf []byte
+	pos int    // bytes complete
+	acc uint64 // pending bits, left-aligned (top n bits valid)
+	n   uint   // number of pending bits in acc, < 8 between calls
 }
 
-// NewWriter returns an empty bit writer.
-func NewWriter() *Writer { return &Writer{} }
+// NewEmitter returns an Emitter writing from buf[0].
+func NewEmitter(buf []byte) Emitter { return Emitter{buf: buf} }
 
-var writerPool = sync.Pool{New: func() any { return &Writer{} }}
-
-// GetWriter returns a reset Writer from a package pool.
-func GetWriter() *Writer {
-	w := writerPool.Get().(*Writer)
-	w.Reset()
-	return w
+// Put appends the k ≤ 56 bits of v < 1<<k, most significant first.
+// k = 0 (with v = 0) writes nothing.
+func (e *Emitter) Put(v uint64, k uint) {
+	e.n += k
+	e.acc |= v << ((64 - e.n) & 63)
+	binary.BigEndian.PutUint64(e.buf[e.pos:], e.acc)
+	e.pos += int(e.n >> 3)
+	e.acc <<= e.n & 56
+	e.n &= 7
 }
 
-// PutWriter returns w to the package pool. The caller must not use w —
-// or any slice previously obtained from w.Bytes() — afterwards.
-func PutWriter(w *Writer) { writerPool.Put(w) }
-
-// Reset discards all written bits and un-seals the writer, retaining
-// the underlying buffer for reuse. Any slice previously returned by
-// Bytes aliases that buffer and is invalidated.
-func (w *Writer) Reset() {
-	w.buf = w.buf[:0]
-	w.acc = 0
-	w.n = 0
-	w.bits = 0
-	w.sealed = false
-}
-
-// Grow ensures the buffer can absorb n more bytes without
-// reallocating, so encoders that know a stream's size bound can
-// collapse the append-growth ladder (a pool Writer that survived a GC
-// restarts from an empty buffer) into at most one allocation.
-func (w *Writer) Grow(n int) {
-	if cap(w.buf)-len(w.buf) < n {
-		w.buf = slices.Grow(w.buf, n)
-	}
-}
-
-func (w *Writer) flushWord() {
-	w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc)
-	w.acc = 0
-	w.n = 0
-}
-
-// WriteBits appends the low `width` bits of v, most significant first.
-// width must be ≤ 64.
-func (w *Writer) WriteBits(v uint64, width uint) {
-	if width > 64 {
-		panic(fmt.Sprintf("bitstream: width %d > 64", width))
-	}
-	if w.sealed {
-		panic("bitstream: WriteBits after Bytes; call Reset first")
-	}
-	if width == 0 {
-		return
-	}
-	if width < 64 {
-		v &= (1 << width) - 1
-	}
-	w.bits += int(width)
-	if space := 64 - w.n; width <= space {
-		w.acc |= v << (space - width)
-		w.n += width
-		if w.n == 64 {
-			w.flushWord()
-		}
-		return
-	}
-	// Split across the word boundary: top `space` bits complete the
-	// accumulator, the low remainder starts the next word.
-	space := 64 - w.n
-	w.acc |= v >> (width - space)
-	w.flushWord()
-	rem := width - space // ≥ 1 and ≤ 63
-	w.acc = v << (64 - rem)
-	w.n = rem
-}
-
-// WriteBit appends one bit.
-func (w *Writer) WriteBit(b uint) {
-	if w.sealed {
-		panic("bitstream: WriteBit after Bytes; call Reset first")
-	}
-	w.bits++
-	w.acc |= uint64(b&1) << (63 - w.n)
-	w.n++
-	if w.n == 64 {
-		w.flushWord()
-	}
-}
-
-// Bits returns the total number of bits written.
-func (w *Writer) Bits() int { return w.bits }
-
-// Bytes seals the writer and returns the encoded buffer, with the final
-// partial byte zero-padded. The returned slice aliases the Writer's
-// internal buffer: it is invalidated by Reset (and by returning the
-// Writer to the pool), so callers handing the bytes to longer-lived
-// owners must copy. Further writes without an intervening Reset panic;
-// repeated Bytes calls return the same sealed buffer.
-func (w *Writer) Bytes() []byte {
-	if !w.sealed {
-		for w.n > 0 {
-			w.buf = append(w.buf, byte(w.acc>>56))
-			w.acc <<= 8
-			if w.n > 8 {
-				w.n -= 8
-			} else {
-				w.n = 0
-			}
-		}
-		w.sealed = true
-	}
-	return w.buf
-}
+// Len returns the stream's length in bytes so far, the final partial
+// byte included: its unwritten low bits are already stored as zeros.
+func (e *Emitter) Len() int { return e.pos + int(e.n+7)>>3 }
 
 // Reader consumes bits MSB-first from a byte slice.
 //
-// Two usage styles are supported and may be mixed:
+// Three usage styles are supported and may be mixed:
 //
-//   - ReadBits/ReadBit/Skip: strict, error-checked. An over-read
+//   - ReadBits/ReadBit: strict, error-checked. An over-read
 //     returns ErrOutOfBits without consuming anything.
 //   - Peek/Consume: the table-driven decode style. Peek returns the
 //     next bits zero-padded past the end of the stream; Consume
@@ -322,23 +226,3 @@ func (r *Reader) Overread() bool { return r.over }
 
 // Remaining returns the number of unread bits.
 func (r *Reader) Remaining() int { return 8*(len(r.buf)-r.off) + int(r.n) }
-
-// Skip advances past n ≥ 0 bits, or returns ErrOutOfBits (consuming
-// nothing) if fewer remain.
-func (r *Reader) Skip(n int) error {
-	if n > r.Remaining() {
-		return ErrOutOfBits
-	}
-	for n > 0 {
-		if r.n == 0 {
-			r.refill()
-		}
-		step := uint(n)
-		if step > r.n {
-			step = r.n
-		}
-		r.take(step)
-		n -= int(step)
-	}
-	return nil
-}

@@ -3,20 +3,32 @@ package bitstream
 import (
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 )
 
-func TestWriteReadRoundTrip(t *testing.T) {
-	w := NewWriter()
-	w.WriteBits(0b101, 3)
-	w.WriteBits(0xFF, 8)
-	w.WriteBits(0, 5)
-	w.WriteBits(0xDEADBEEF, 32)
-	w.WriteBit(1)
-	if w.Bits() != 3+8+5+32+1 {
-		t.Fatalf("Bits = %d", w.Bits())
+// put is one Emitter.Put call.
+type put struct {
+	v uint64
+	k uint
+}
+
+// emit writes puts through an Emitter whose buffer holds exactly the
+// stream plus its 8 bytes of slack, and returns the stream.
+func emit(puts ...put) []byte {
+	bits := 0
+	for _, p := range puts {
+		bits += int(p.k)
 	}
-	r := NewReader(w.Bytes())
+	n := (bits + 7) / 8
+	buf := make([]byte, n+8)
+	e := NewEmitter(buf)
+	for _, p := range puts {
+		e.Put(p.v, p.k)
+	}
+	return buf[:e.Len()]
+}
+
+func TestWriteReadRoundTrip(t *testing.T) {
+	r := NewReader(emit(put{0b101, 3}, put{0xFF, 8}, put{0, 5}, put{0xDEADBEEF, 32}, put{1, 1}))
 	for _, c := range []struct {
 		width uint
 		want  uint64
@@ -29,31 +41,25 @@ func TestWriteReadRoundTrip(t *testing.T) {
 			t.Fatalf("ReadBits(%d) = %#x, want %#x", c.width, got, c.want)
 		}
 	}
-}
-
-func TestWidthMasking(t *testing.T) {
-	w := NewWriter()
-	w.WriteBits(0xFFFF, 4) // only low 4 bits should be kept
-	r := NewReader(w.Bytes())
-	v, err := r.ReadBits(4)
-	if err != nil || v != 0xF {
-		t.Fatalf("masked write read back %#x (%v)", v, err)
+	if r.Remaining() != 7 {
+		t.Fatalf("Remaining = %d, want the 7 padding bits", r.Remaining())
 	}
 }
 
 func TestZeroWidthIsNoop(t *testing.T) {
-	w := NewWriter()
-	w.WriteBits(123, 0)
-	if w.Bits() != 0 || len(w.Bytes()) != 0 {
-		t.Fatal("zero-width write must not emit anything")
+	if b := emit(put{0, 0}); len(b) != 0 {
+		t.Fatalf("zero-width put emitted % x", b)
+	}
+	if b := emit(put{0xA, 4}, put{0, 0}, put{0x5, 4}); len(b) != 1 || b[0] != 0xA5 {
+		t.Fatalf("zero-width put between nibbles gave % x", b)
 	}
 }
 
+// TestFull64BitWrite reads a 64-bit value, emitted as two Puts, back
+// with one ReadBits.
 func TestFull64BitWrite(t *testing.T) {
-	w := NewWriter()
 	const v = 0xA5A5_5A5A_DEAD_BEEF
-	w.WriteBits(v, 64)
-	r := NewReader(w.Bytes())
+	r := NewReader(emit(put{v >> 32, 32}, put{v & (1<<32 - 1), 32}))
 	got, err := r.ReadBits(64)
 	if err != nil || got != v {
 		t.Fatalf("64-bit round trip %#x (%v)", got, err)
@@ -61,9 +67,7 @@ func TestFull64BitWrite(t *testing.T) {
 }
 
 func TestOverReadFails(t *testing.T) {
-	w := NewWriter()
-	w.WriteBits(1, 3)
-	r := NewReader(w.Bytes())
+	r := NewReader(emit(put{1, 3}))
 	if _, err := r.ReadBits(8); err != nil {
 		t.Fatal("padded byte should still be readable")
 	}
@@ -73,113 +77,76 @@ func TestOverReadFails(t *testing.T) {
 }
 
 func TestSkipAndRemaining(t *testing.T) {
-	w := NewWriter()
-	w.WriteBits(0xAB, 8)
-	w.WriteBits(0xCD, 8)
-	r := NewReader(w.Bytes())
+	r := NewReader(emit(put{0xAB, 8}, put{0xCD, 8}))
 	if r.Remaining() != 16 {
 		t.Fatalf("Remaining = %d", r.Remaining())
 	}
-	if err := r.Skip(8); err != nil {
-		t.Fatal(err)
+	if v, err := r.ReadBits(8); err != nil || v != 0xAB {
+		t.Fatalf("first read %#x (%v)", v, err)
+	}
+	if r.Remaining() != 8 {
+		t.Fatalf("Remaining after one byte = %d", r.Remaining())
 	}
 	v, err := r.ReadBits(8)
 	if err != nil || v != 0xCD {
-		t.Fatalf("after skip read %#x", v)
+		t.Fatalf("second read %#x (%v)", v, err)
 	}
-	if err := r.Skip(1); err != ErrOutOfBits {
-		t.Fatal("skip past end must fail")
+	if r.Remaining() != 0 {
+		t.Fatalf("Remaining at the end = %d", r.Remaining())
 	}
 }
 
-// Property: any sequence of (value, width) writes reads back identically.
+// TestRoundTripProperty emits random (v, k ≤ 56) sequences, k = 0
+// included, into a buffer of exactly the stream's length plus 8 bytes:
+// the Reader reads every value back, the length is ⌈bits/8⌉, and the
+// padding bits are zero.
 func TestRoundTripProperty(t *testing.T) {
-	f := func(values []uint64, widths []uint8) bool {
-		n := len(values)
-		if len(widths) < n {
-			n = len(widths)
-		}
-		w := NewWriter()
-		type rec struct {
-			v     uint64
-			width uint
-		}
-		var recs []rec
-		for i := 0; i < n; i++ {
-			width := uint(widths[i] % 65)
-			v := values[i]
-			if width < 64 {
-				v &= (1 << width) - 1
+	rng := rand.New(rand.NewPCG(3, 4))
+	for trial := 0; trial < 2000; trial++ {
+		puts := make([]put, rng.IntN(60))
+		bits := 0
+		for i := range puts {
+			k := uint(rng.IntN(57))
+			if rng.IntN(8) == 0 {
+				k = 0
 			}
-			w.WriteBits(values[i], width)
-			recs = append(recs, rec{v, width})
+			puts[i] = put{rng.Uint64() & (1<<k - 1), k}
+			bits += int(k)
 		}
-		r := NewReader(w.Bytes())
-		for _, rc := range recs {
-			got, err := r.ReadBits(rc.width)
-			if err != nil || got != rc.v {
-				return false
+		b := emit(puts...)
+		if len(b) != (bits+7)/8 {
+			t.Fatalf("trial %d: %d bytes for %d bits", trial, len(b), bits)
+		}
+		r := NewReader(b)
+		for i, p := range puts {
+			got, err := r.ReadBits(p.k)
+			if err != nil || got != p.v {
+				t.Fatalf("trial %d: put %d (%d bits) read back %#x (%v), want %#x", trial, i, p.k, got, err, p.v)
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+		if pad := uint(r.Remaining()); pad > 7 {
+			t.Fatalf("trial %d: %d bits left past the stream", trial, pad)
+		} else if v, _ := r.ReadBits(pad); v != 0 {
+			t.Fatalf("trial %d: padding bits %#b, want zero", trial, v)
+		}
 	}
 }
 
-func TestBytesSealsWriter(t *testing.T) {
-	w := NewWriter()
-	w.WriteBits(0xAB, 8)
-	b1 := w.Bytes()
-	b2 := w.Bytes()
-	if &b1[0] != &b2[0] || len(b1) != len(b2) {
-		t.Fatal("repeated Bytes must return the same sealed buffer")
-	}
+// TestEmitterRefusesShortBuffer holds the slack contract: a buffer
+// short of the stream plus its slack fails the bounds check instead of
+// writing past it.
+func TestEmitterRefusesShortBuffer(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("WriteBits after Bytes must panic")
+			t.Fatal("Put into a buffer short of its slack did not panic")
 		}
 	}()
-	w.WriteBits(1, 1)
-}
-
-func TestResetReusesBuffer(t *testing.T) {
-	w := NewWriter()
-	w.WriteBits(0xDEADBEEF, 32)
-	first := w.Bytes()
-	if len(first) != 4 {
-		t.Fatalf("len = %d", len(first))
-	}
-	w.Reset()
-	if w.Bits() != 0 {
-		t.Fatal("Reset must clear bit count")
-	}
-	w.WriteBits(0x12, 8)
-	got := w.Bytes()
-	if len(got) != 1 || got[0] != 0x12 {
-		t.Fatalf("after Reset got % x", got)
-	}
-}
-
-func TestWriterPool(t *testing.T) {
-	w := GetWriter()
-	w.WriteBits(0xFFFF, 16)
-	if len(w.Bytes()) != 2 {
-		t.Fatal("pooled writer broken")
-	}
-	PutWriter(w)
-	w2 := GetWriter()
-	if w2.Bits() != 0 {
-		t.Fatal("pooled writer not reset")
-	}
-	PutWriter(w2)
+	e := NewEmitter(make([]byte, 1+6))
+	e.Put(0xFF, 8)
 }
 
 func TestPeekConsumeOverread(t *testing.T) {
-	w := NewWriter()
-	w.WriteBits(0b1011, 4)
-	r := NewReader(w.Bytes()) // one padded byte: 1011_0000
+	r := NewReader(emit(put{0b1011, 4})) // one padded byte: 1011_0000
 	if v := r.Peek(4); v != 0b1011 {
 		t.Fatalf("Peek(4) = %#b", v)
 	}
@@ -203,9 +170,7 @@ func TestPeekConsumeOverread(t *testing.T) {
 func TestWideReadFailureConsumesNothing(t *testing.T) {
 	// 60 bits available, 64 requested: the split path must pre-check
 	// and leave the reader untouched on failure.
-	w := NewWriter()
-	w.WriteBits(^uint64(0), 56)
-	r := NewReader(w.Bytes())
+	r := NewReader(emit(put{1<<56 - 1, 56}))
 	if _, err := r.ReadBits(3); err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +232,7 @@ func TestReaderMatchesBitModel(t *testing.T) {
 		r := NewReader(buf)
 		pos := 0
 		for op := 0; op < 60 && !r.Overread(); op++ {
-			switch rng.IntN(6) {
+			switch rng.IntN(5) {
 			case 0:
 				w := uint(rng.IntN(65))
 				v, err := r.ReadBits(w)
@@ -296,14 +261,6 @@ func TestReaderMatchesBitModel(t *testing.T) {
 					continue
 				}
 				pos += int(w)
-			case 3:
-				n := rng.IntN(70)
-				if err := r.Skip(n); (err != nil) != (pos+n > total) {
-					t.Fatalf("trial %d: Skip(%d) at %d/%d: err %v", trial, n, pos, total, err)
-				}
-				if pos+n <= total {
-					pos += n
-				}
 			default:
 				r.Fill()
 				n := r.Buffered()

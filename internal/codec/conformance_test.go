@@ -2,6 +2,7 @@ package codec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/tensor"
 	"repro/internal/vle"
+	"repro/internal/zfp"
 )
 
 // conformanceSpecs is every registered family/variant the suite
@@ -388,6 +390,55 @@ func TestSZRefusesWideRowsOnce(t *testing.T) {
 		for name, err := range map[string]error{"Compress": cerr, "WriteTensor": werr, "RoundTripInto": rerr} {
 			if err == nil || err.Error() != want {
 				t.Errorf("%v: %s error %v, want %q", shape, name, err, want)
+			}
+		}
+	}
+}
+
+// TestZfpRefusesNonFinite: zfp has no fixed-point value for NaN or
+// ±Inf, so Compress, StreamWriter.WriteTensor, RoundTripInto (into a
+// second tensor and in place) and RoundTrip refuse a tensor holding
+// one with zfp.ErrNonFinite, on the planar and the padded layout, bare
+// and staged. A refused in-place round trip leaves x bit-identical.
+// The finite extremes — 1e38, ±MaxFloat32, a denormal and −0 — code on
+// every one of those paths.
+func TestZfpRefusesNonFinite(t *testing.T) {
+	extremes := []float32{1e38, math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32, float32(math.Copysign(0, -1))}
+	for _, spec := range []string{"zfp:rate=16", "zfp:rate=8+huf"} {
+		c, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shape := range [][]int{{1, 2, 8, 8}, {37}} {
+			for _, v := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 0} {
+				x := tensor.Full(0.3, shape...)
+				d := x.Data()
+				copy(d[len(d)-len(extremes)-1:], extremes)
+				d[len(d)-1] = v // in plane 1 of the planar batch
+				refuse := v != 0
+				_, cerr := c.Compress(x)
+				sw := NewStreamWriter(io.Discard)
+				werr := sw.WriteTensor(context.Background(), c, x)
+				_, rerr := RoundTripInto(c, tensor.New(shape...), x)
+				inPlace := x.Clone()
+				_, ierr := RoundTripInto(c, inPlace, inPlace)
+				_, _, terr := c.RoundTrip(x)
+				for name, err := range map[string]error{"Compress": cerr, "WriteTensor": werr, "RoundTripInto": rerr, "in-place RoundTripInto": ierr, "RoundTrip": terr} {
+					if refuse && !errors.Is(err, zfp.ErrNonFinite) {
+						t.Errorf("%s %v holding %g: %s returned %v, want %v", spec, shape, v, name, err, zfp.ErrNonFinite)
+					}
+					if !refuse && err != nil {
+						t.Errorf("%s %v holding the finite extremes: %s returned %v", spec, shape, name, err)
+					}
+				}
+				if !refuse {
+					continue
+				}
+				for i, want := range d {
+					if math.Float32bits(inPlace.Data()[i]) != math.Float32bits(want) {
+						t.Fatalf("%s %v position %d: a refused in-place RoundTripInto changed %g to %g", spec, shape, i, want, inPlace.Data()[i])
+					}
+				}
 			}
 		}
 	}

@@ -68,13 +68,15 @@ func (b *zfpBackend) decode(ctx context.Context, src payloadSource, shape []int)
 	return planeDecode(ctx, b, src, shape)
 }
 
-// encodePlane compresses on a pooled bit writer; the only allocation
-// is the payload hand-off copy itself.
+// encodePlane emits the plane once, into the slice it returns: the
+// layout's budget plus the emitter's 8 bytes of slack.
 func (b *zfpBackend) encodePlane(l planeLayout, p int, plane []float32) ([]byte, error) {
-	bw := bitstream.GetWriter()
-	defer bitstream.PutWriter(bw)
-	b.codec.EncodePlane(bw, plane, l.h, l.w)
-	return append([]byte(nil), bw.Bytes()...), nil
+	buf := make([]byte, l.budget+8)
+	w := bitstream.NewEmitter(buf)
+	if err := b.codec.EncodePlane(&w, plane, l.h, l.w); err != nil {
+		return nil, err
+	}
+	return buf[:w.Len()], nil
 }
 
 // decodePlane decompresses straight into the caller's plane: a stack
@@ -85,13 +87,16 @@ func (b *zfpBackend) decodePlane(l planeLayout, p int, data []byte, plane []floa
 	return b.codec.DecodePlane(&br, plane, l.h, l.w)
 }
 
-// roundTripPlane encodes into the pooled writer and decodes from its
-// own bytes.
+// roundTripPlane emits into pooled scratch and decodes from its own
+// bytes.
 func (b *zfpBackend) roundTripPlane(l planeLayout, p int, dst, src []float32) (int, error) {
-	bw := bitstream.GetWriter()
-	defer bitstream.PutWriter(bw)
-	b.codec.EncodePlane(bw, src, l.h, l.w)
+	bp := getByteScratch(l.budget + 8)
+	defer putByteScratch(bp)
+	w := bitstream.NewEmitter(*bp)
+	if err := b.codec.EncodePlane(&w, src, l.h, l.w); err != nil {
+		return 0, err
+	}
 	var br bitstream.Reader
-	br.Reset(bw.Bytes())
-	return len(bw.Bytes()), b.codec.DecodePlane(&br, dst, l.h, l.w)
+	br.Reset((*bp)[:w.Len()])
+	return w.Len(), b.codec.DecodePlane(&br, dst, l.h, l.w)
 }

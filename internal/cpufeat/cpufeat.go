@@ -1,6 +1,6 @@
 // Package cpufeat detects the SIMD capabilities of the host CPU at
 // startup and exposes them to the kernel-dispatch shims in the codec
-// packages (internal/dct, internal/jpegq, internal/zfp, internal/vle,
+// packages (internal/dct, internal/jpegq, internal/zfp, and
 // internal/entropy via internal/vecops).
 //
 // The package follows the klauspost/compress playbook: detection runs

@@ -107,15 +107,20 @@ func TestCanonTableRoundTrip(t *testing.T) {
 			t.Fatalf("canonical order breaks at %d: symbol %d (len %d) before %d (len %d)", i, a, lens[a], b, lens[b])
 		}
 	}
-	bw := bitstream.NewWriter()
+	nbits := 0
+	for _, l := range lens {
+		nbits += 3 * int(l)
+	}
+	buf := make([]byte, (nbits+7)/8+8)
+	bw := bitstream.NewEmitter(buf)
 	for rep := 0; rep < 3; rep++ {
 		for sym := range lens {
 			if e := tab.Enc[sym]; e != 0 {
-				bw.WriteBits(e>>8, uint(e&0xFF))
+				bw.Put(e>>8, uint(e&0xFF))
 			}
 		}
 	}
-	r := bitstream.NewReader(bw.Bytes())
+	r := bitstream.NewReader(buf[:bw.Len()])
 	for rep := 0; rep < 3; rep++ {
 		for sym, l := range lens {
 			if l == 0 {

@@ -28,7 +28,8 @@
 // the block backwards (symbol n-1 first), alternating two states by
 // symbol-index parity, and the decoder walks forwards consuming bits in
 // exactly the reverse order of emission — so the encoder records each
-// step's bit chunk and replays them reversed through the bit writer.
+// step's bit chunk, sizing the stream as it goes, and replays them
+// reversed through the bit emitter.
 // Every step reads table-bounded state transitions, so a decoder fed a
 // valid table never indexes out of range; truncation surfaces on the
 // reader's sticky overread flag.
@@ -282,7 +283,9 @@ func appendBlockHeader(dst []byte, mode byte, rawLen int) []byte {
 // appendFSEBlock runs the fse encoder over one block (histogram already
 // taken), falling back to a raw block when the coded form would not
 // shrink it. CompressHuf calls it for the blocks its size estimate
-// gives to fse.
+// gives to fse. The backward walk sizes the bitstream, so the raw-or-fse
+// decision comes before anything is emitted, and the stream is written
+// once, straight into dst after its header.
 func appendFSEBlock(dst, block []byte, st *scratch, nsym int) []byte {
 	tableLog := tableLogFor(len(block), nsym)
 	size := 1 << tableLog
@@ -293,6 +296,7 @@ func appendFSEBlock(dst, block []byte, st *scratch, nsym int) []byte {
 	// Walk the block backwards, alternating states by index parity, and
 	// record each step's emitted chunk for the reversed replay.
 	v0, v1 := uint32(2*size-1), uint32(2*size-1)
+	nbits := 2 * tableLog
 	for i := len(block) - 1; i >= 0; i-- {
 		sym := block[i]
 		v := &v0
@@ -303,28 +307,16 @@ func appendFSEBlock(dst, block []byte, st *scratch, nsym int) []byte {
 		if *v < st.threshold[sym] {
 			nb--
 		}
+		nbits += int(nb)
 		st.chunks = append(st.chunks, uint16(nb<<12)|uint16(*v&(1<<nb-1)))
 		q := *v >> nb // ∈ [freq, 2·freq)
 		*v = uint32(size) + uint32(st.ptable[st.cumStart[sym]+int32(q)])
 	}
 
-	bw := bitstream.GetWriter()
-	// A body larger than the block falls back to raw below, so the
-	// block length bounds the useful stream size; one Grow spares a
-	// cold pool Writer the growth ladder.
-	bw.Grow(len(block) + 16)
-	bw.WriteBits(uint64(v0)-uint64(size), uint(tableLog))
-	bw.WriteBits(uint64(v1)-uint64(size), uint(tableLog))
-	for i := len(st.chunks) - 1; i >= 0; i-- {
-		c := st.chunks[i]
-		bw.WriteBits(uint64(c&0xFFF), uint(c>>12))
-	}
-	body := bw.Bytes()
-
-	bodyLen := 2 + 3*nsym + len(body)
+	streamLen := (nbits + 7) / 8
+	bodyLen := 2 + 3*nsym + streamLen
 	headLen := 1 + uvarintLen(uint64(len(block))) + uvarintLen(uint64(bodyLen))
 	if headLen+bodyLen >= 1+uvarintLen(uint64(len(block)))+len(block) {
-		bitstream.PutWriter(bw)
 		backendRaw.Inc()
 		dst = appendBlockHeader(dst, modeRaw, len(block))
 		return append(dst, block...)
@@ -338,9 +330,16 @@ func appendFSEBlock(dst, block []byte, st *scratch, nsym int) []byte {
 		sym := st.syms[i]
 		dst = append(dst, sym, byte(st.norm[sym]), byte(st.norm[sym]>>8))
 	}
-	dst = append(dst, body...)
-	bitstream.PutWriter(bw)
-	return dst
+	start := len(dst)
+	dst = slices.Grow(dst, streamLen+8)
+	w := bitstream.NewEmitter(dst[start : start+streamLen+8])
+	w.Put(uint64(v0)-uint64(size), uint(tableLog))
+	w.Put(uint64(v1)-uint64(size), uint(tableLog))
+	for i := len(st.chunks) - 1; i >= 0; i-- {
+		c := st.chunks[i]
+		w.Put(uint64(c&0xFFF), uint(c>>12))
+	}
+	return dst[:start+streamLen]
 }
 
 func uvarintLen(v uint64) int {

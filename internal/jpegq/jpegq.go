@@ -70,19 +70,16 @@ func ScaleTable(base [64]int, quality int) ([64]int, error) {
 }
 
 // QuantizeBlock divides an 8×8 DCT coefficient block elementwise by the
-// table, rounding to nearest (the loss-introducing step of JPEG).
+// table, rounding as the codec's quantize does: half away from zero,
+// with NaN and values past the int32 range mapped to math.MinInt32 (the
+// loss-introducing step of JPEG).
 func QuantizeBlock(d *tensor.Tensor, table [64]int) [64]int {
 	if d.Dim(0) != BlockSize || d.Dim(1) != BlockSize {
 		panic(fmt.Sprintf("jpegq: QuantizeBlock needs 8x8, got %v", d.Shape()))
 	}
 	var out [64]int
 	for i, v := range d.Data() {
-		q := float64(v) / float64(table[i])
-		if q >= 0 {
-			out[i] = int(q + 0.5)
-		} else {
-			out[i] = int(q - 0.5)
-		}
+		out[i] = int(quantize(float64(v) / float64(table[i])))
 	}
 	return out
 }

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bitstream"
 	"repro/internal/tensor"
 )
 
@@ -54,9 +53,28 @@ func refCountBlock[T ~int | ~int32](e *Encoder, coeffs []T) {
 	e.freq[0]++
 }
 
+// bitWriter is the reference's bit-by-bit MSB-first writer, sharing
+// nothing with bitstream's emitter.
+type bitWriter struct {
+	buf []byte
+	n   int // bits written
+}
+
+// write appends the low width bits of v, most significant first.
+func (w *bitWriter) write(v uint64, width uint) {
+	for i := int(width) - 1; i >= 0; i-- {
+		if w.n%8 == 0 {
+			w.buf = append(w.buf, 0)
+		}
+		w.buf[len(w.buf)-1] |= byte(v>>uint(i)&1) << (7 - w.n%8)
+		w.n++
+	}
+}
+
 // refEmitBlock is the reference for emitBlock, branching on the sign
-// as refCountBlock does.
-func refEmitBlock[T ~int | ~int32](e *Encoder, w *bitstream.Writer, coeffs []T) {
+// as refCountBlock does and writing each code and its extra bits
+// separately.
+func refEmitBlock[T ~int | ~int32](e *Encoder, w *bitWriter, coeffs []T) {
 	last := len(coeffs) - 1
 	for last >= 0 && coeffs[last] == 0 {
 		last--
@@ -68,13 +86,13 @@ func refEmitBlock[T ~int | ~int32](e *Encoder, w *bitstream.Writer, coeffs []T) 
 			run++
 			if run == maxRun {
 				sym := 1 + maxRun*32
-				w.WriteBits(e.code.Enc[sym]>>8, uint(e.lens[sym]))
+				w.write(e.code.Enc[sym]>>8, uint(e.lens[sym]))
 				run = 0
 			}
 			continue
 		}
 		if v == symEOB {
-			w.WriteBits(e.code.Enc[0]>>8, uint(e.lens[0]))
+			w.write(e.code.Enc[0]>>8, uint(e.lens[0]))
 			run = 0
 			continue
 		}
@@ -92,23 +110,31 @@ func refEmitBlock[T ~int | ~int32](e *Encoder, w *bitstream.Writer, coeffs []T) 
 		if neg {
 			extra |= 1 << cat
 		}
-		l := uint(e.lens[sym])
-		if l+cat+1 <= 64 {
-			w.WriteBits(e.code.Enc[sym]>>8<<(cat+1)|extra, l+cat+1)
-		} else {
-			w.WriteBits(e.code.Enc[sym]>>8, l)
-			w.WriteBits(extra, cat+1)
-		}
+		w.write(e.code.Enc[sym]>>8, uint(e.lens[sym]))
+		w.write(extra, cat+1)
 		run = 0
 	}
-	w.WriteBits(e.code.Enc[0]>>8, uint(e.lens[0]))
+	w.write(e.code.Enc[0]>>8, uint(e.lens[0]))
 }
 
-// refEncode codes blocks through the reference tokenizer and the
-// package's own Huffman build and header. It is the historical encoder
-// too: it codes −32768 as the end-of-block marker, where Encode refuses
-// the value, so the decoder tests build the streams such a collision
-// left behind with it.
+// refWriteHeader is the reference for writeHeader: block count, block
+// size, symbol count, then each symbol and its code length.
+func refWriteHeader(e *Encoder, w *bitWriter, nblocks, size int) {
+	w.write(uint64(nblocks), 32)
+	w.write(uint64(size), 16)
+	syms := e.code.Symbols()
+	w.write(uint64(len(syms)), 16)
+	for _, sym := range syms {
+		w.write(uint64(sym), 16)
+		w.write(uint64(e.lens[sym]), 6)
+	}
+}
+
+// refEncode codes blocks through the reference tokenizer, header and
+// bit writer, and the package's own Huffman build. It is the
+// historical encoder too: it codes −32768 as the end-of-block marker,
+// where Encode refuses the value, so the decoder tests build the
+// streams such a collision left behind with it.
 func refEncode[T ~int | ~int32](blocks [][]T) ([]byte, error) {
 	e := &Encoder{}
 	for _, b := range blocks {
@@ -117,12 +143,12 @@ func refEncode[T ~int | ~int32](blocks [][]T) ([]byte, error) {
 	if err := e.build(); err != nil {
 		return nil, err
 	}
-	w := bitstream.NewWriter()
-	e.writeHeader(w, len(blocks), len(blocks[0]))
+	var w bitWriter
+	refWriteHeader(e, &w, len(blocks), len(blocks[0]))
 	for _, b := range blocks {
-		refEmitBlock(e, w, b)
+		refEmitBlock(e, &w, b)
 	}
-	return w.Bytes(), nil
+	return w.buf, nil
 }
 
 // requireReferenceBytes codes blocks through Encode, through

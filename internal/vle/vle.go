@@ -21,10 +21,11 @@
 // lookup instead of a symbol decode plus a magnitude read. Encoder and
 // Decoder state live in pools, and the entry points work on flat int32
 // blocks (AppendFlat / DecodeFlatInto, and FlatLen, which sizes
-// AppendFlat's stream without emitting it), so callers with pooled
-// buffers compress and decompress without allocating. The
-// byte format is unchanged from the original map-and-token
-// implementation.
+// AppendFlat's stream without emitting it). AppendFlat sizes its stream
+// with FlatLen's computation, grows dst once and emits straight into it
+// through a bitstream.Emitter, so callers with pooled buffers compress
+// and decompress without allocating. The byte format is unchanged from
+// the original map-and-token implementation.
 package vle
 
 import (
@@ -143,8 +144,8 @@ func signMag(v int64) (extra uint64, cat uint) {
 }
 
 // emitBlock re-runs the tokenizer over one block countBlock accepted,
-// writing codes.
-func emitBlock[T ~int | ~int32](e *Encoder, w *bitstream.Writer, coeffs []T) {
+// emitting codes.
+func emitBlock[T ~int | ~int32](e *Encoder, w *bitstream.Emitter, coeffs []T) {
 	last := len(coeffs) - 1
 	for last >= 0 && coeffs[last] == 0 {
 		last--
@@ -156,24 +157,24 @@ func emitBlock[T ~int | ~int32](e *Encoder, w *bitstream.Writer, coeffs []T) {
 			run++
 			if run == maxRun {
 				sym := 1 + maxRun*32
-				w.WriteBits(e.code.Enc[sym]>>8, uint(e.lens[sym]))
+				w.Put(e.code.Enc[sym]>>8, uint(e.lens[sym]))
 				run = 0
 			}
 			continue
 		}
 		extra, cat := signMag(v)
 		sym := 1 + run*32 + int(cat)
-		// Code and extra bits in one word write when they fit.
+		// Code and extra bits in one Put when they fit.
 		l := uint(e.lens[sym])
-		if l+cat+1 <= 64 {
-			w.WriteBits(e.code.Enc[sym]>>8<<(cat+1)|extra, l+cat+1)
+		if l+cat+1 <= 56 {
+			w.Put(e.code.Enc[sym]>>8<<(cat+1)|extra, l+cat+1)
 		} else {
-			w.WriteBits(e.code.Enc[sym]>>8, l)
-			w.WriteBits(extra, cat+1)
+			w.Put(e.code.Enc[sym]>>8, l)
+			w.Put(extra, cat+1)
 		}
 		run = 0
 	}
-	w.WriteBits(e.code.Enc[0]>>8, uint(e.lens[0])) // EOB
+	w.Put(e.code.Enc[0]>>8, uint(e.lens[0])) // EOB
 }
 
 // build turns the histogram into canonical code tables: the shared
@@ -205,15 +206,15 @@ func (e *Encoder) build() error {
 	return e.code.Build(e.lens[:])
 }
 
-// writeHeader persists block count, block size and the code lengths.
-func (e *Encoder) writeHeader(w *bitstream.Writer, nblocks, size int) {
-	w.WriteBits(uint64(nblocks), 32)
-	w.WriteBits(uint64(size), 16)
+// writeHeader persists block count, block size and the code lengths,
+// each symbol and its 6-bit length as one 22-bit value.
+func (e *Encoder) writeHeader(w *bitstream.Emitter, nblocks, size int) {
+	w.Put(uint64(nblocks), 32)
+	w.Put(uint64(size), 16)
 	syms := e.code.Symbols()
-	w.WriteBits(uint64(len(syms)), 16)
+	w.Put(uint64(len(syms)), 16)
 	for _, sym := range syms {
-		w.WriteBits(uint64(sym), 16)
-		w.WriteBits(uint64(e.lens[sym]), 6)
+		w.Put(uint64(sym)<<6|uint64(e.lens[sym]), 22)
 	}
 }
 
@@ -243,36 +244,12 @@ func prepare(coeffs []int32, blockSize int) (*Encoder, error) {
 	return e, nil
 }
 
-// AppendFlat compresses len(coeffs)/blockSize equal-size blocks stored
-// back to back in a flat int32 buffer, appending the encoded stream to
-// dst. It allocates nothing beyond dst's
-// growth, so callers with capacity-managed buffers run allocation-free.
-func AppendFlat(dst []byte, coeffs []int32, blockSize int) ([]byte, error) {
-	e, err := prepare(coeffs, blockSize)
-	if err != nil {
-		return nil, err
-	}
-	defer encoderPool.Put(e)
-	w := bitstream.GetWriter()
-	defer bitstream.PutWriter(w)
-	e.writeHeader(w, len(coeffs)/blockSize, blockSize)
-	for off := 0; off < len(coeffs); off += blockSize {
-		emitBlock(e, w, coeffs[off:off+blockSize])
-	}
-	return append(dst, w.Bytes()...), nil
-}
-
-// FlatLen is len(AppendFlat(nil, coeffs, blockSize)), with the same
-// errors, computed without coding the stream: the header's 64 bits and
-// 22 per present symbol, then each symbol's count times its code length
-// plus, for a value symbol, its category+1 magnitude and sign bits,
-// rounded up to whole bytes.
-func FlatLen(coeffs []int32, blockSize int) (int, error) {
-	e, err := prepare(coeffs, blockSize)
-	if err != nil {
-		return 0, err
-	}
-	defer encoderPool.Put(e)
+// flatLen is the length of the stream the prepared code gives, computed
+// without coding it: the header's 64 bits and 22 per present symbol,
+// then each symbol's count times its code length plus, for a value
+// symbol, its category+1 magnitude and sign bits, rounded up to whole
+// bytes.
+func (e *Encoder) flatLen() int {
 	nbits := uint64(64)
 	for sym, f := range e.freq {
 		if f == 0 {
@@ -284,7 +261,40 @@ func FlatLen(coeffs []int32, blockSize int) (int, error) {
 		}
 		nbits += n
 	}
-	return int((nbits + 7) / 8), nil
+	return int((nbits + 7) / 8)
+}
+
+// AppendFlat compresses len(coeffs)/blockSize equal-size blocks stored
+// back to back in a flat int32 buffer, appending the encoded stream to
+// dst. It sizes the stream first, grows dst once and emits straight
+// into it, so callers with capacity-managed buffers run
+// allocation-free. dst's capacity past the stream holds 8 bytes of
+// emitter scratch.
+func AppendFlat(dst []byte, coeffs []int32, blockSize int) ([]byte, error) {
+	e, err := prepare(coeffs, blockSize)
+	if err != nil {
+		return nil, err
+	}
+	defer encoderPool.Put(e)
+	n, start := e.flatLen(), len(dst)
+	dst = slices.Grow(dst, n+8)
+	w := bitstream.NewEmitter(dst[start : start+n+8])
+	e.writeHeader(&w, len(coeffs)/blockSize, blockSize)
+	for off := 0; off < len(coeffs); off += blockSize {
+		emitBlock(e, &w, coeffs[off:off+blockSize])
+	}
+	return dst[:start+w.Len()], nil
+}
+
+// FlatLen is len(AppendFlat(nil, coeffs, blockSize)), with the same
+// errors, computed without coding the stream.
+func FlatLen(coeffs []int32, blockSize int) (int, error) {
+	e, err := prepare(coeffs, blockSize)
+	if err != nil {
+		return 0, err
+	}
+	defer encoderPool.Put(e)
+	return e.flatLen(), nil
 }
 
 // Decoder holds the canonical decode tables rebuilt per stream; pooled

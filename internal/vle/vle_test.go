@@ -29,12 +29,13 @@ func Encode(blocks [][]int) ([]byte, error) {
 	if err := e.build(); err != nil {
 		return nil, err
 	}
-	w := bitstream.NewWriter()
-	e.writeHeader(w, len(blocks), len(blocks[0]))
+	buf := make([]byte, e.flatLen()+8)
+	w := bitstream.NewEmitter(buf)
+	e.writeHeader(&w, len(blocks), len(blocks[0]))
 	for _, b := range blocks {
-		emitBlock(e, w, b)
+		emitBlock(e, &w, b)
 	}
-	return w.Bytes(), nil
+	return buf[:w.Len()], nil
 }
 
 // maxBlockSize bounds a decoded block against hostile headers.
@@ -169,18 +170,18 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // forgeStream writes a stream header declaring the given (symbol,
 // length) pairs, followed by the payload bits.
 func forgeStream(nblocks, size int, lens [][2]int, payload ...uint) []byte {
-	w := bitstream.NewWriter()
-	w.WriteBits(uint64(nblocks), 32)
-	w.WriteBits(uint64(size), 16)
-	w.WriteBits(uint64(len(lens)), 16)
+	var w bitWriter
+	w.write(uint64(nblocks), 32)
+	w.write(uint64(size), 16)
+	w.write(uint64(len(lens)), 16)
 	for _, sl := range lens {
-		w.WriteBits(uint64(sl[0]), 16)
-		w.WriteBits(uint64(sl[1]), 6)
+		w.write(uint64(sl[0]), 16)
+		w.write(uint64(sl[1]), 6)
 	}
 	for _, b := range payload {
-		w.WriteBit(b)
+		w.write(uint64(b), 1)
 	}
-	return w.Bytes()
+	return w.buf
 }
 
 // TestDecodeRejectsOversubscribedCode: three 1-bit codes have Kraft sum

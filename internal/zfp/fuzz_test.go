@@ -16,7 +16,10 @@ func FuzzDecompress(f *testing.F) {
 		f.Fatal(err)
 	}
 	r := tensor.NewRNG(1)
-	valid := encode(c, r.Uniform(-1, 1, 8, 8))
+	valid, err := encode(c, r.Uniform(-1, 1, 8, 8))
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte{})

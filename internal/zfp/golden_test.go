@@ -48,15 +48,18 @@ func TestGoldenStreams(t *testing.T) {
 			x := goldenTensor(tc.Shape...)
 			h, w := x.Dim(-2), x.Dim(-1)
 			planes := x.Len() / (h * w)
-			bw := bitstream.NewWriter()
+			buf := make([]byte, c.CompressedBytes(planes, h, w)+8)
+			bw := bitstream.NewEmitter(buf)
 			for p := 0; p < planes; p++ {
-				c.EncodePlane(bw, x.Data()[p*h*w:(p+1)*h*w], h, w)
+				if err := c.EncodePlane(&bw, x.Data()[p*h*w:(p+1)*h*w], h, w); err != nil {
+					t.Fatal(err)
+				}
 			}
 			want, err := hex.DecodeString(tc.Hex)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if data := bw.Bytes(); !bytes.Equal(data, want) {
+			if data := buf[:bw.Len()]; !bytes.Equal(data, want) {
 				t.Fatalf("compressed bytes diverge from recorded stream (len %d vs %d)", len(data), len(want))
 			}
 			out := tensor.New(tc.Shape...)

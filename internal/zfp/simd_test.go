@@ -2,6 +2,7 @@ package zfp
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -81,37 +82,53 @@ func TestTransposeSIMDEquivalence(t *testing.T) {
 
 // TestCodecSIMDEquivalence checks that full streams and reconstructions
 // are byte- and bit-identical across modes, including adversarial
-// values.
+// finite values, and that both modes refuse non-finite ones.
 func TestCodecSIMDEquivalence(t *testing.T) {
 	if !SIMDAvailable() {
 		t.Skip("no SIMD kernels on this platform")
 	}
 	defer SetSIMD(true)
 	r := rand.New(rand.NewSource(17))
+	// Trial 3 codes the finite specials; trial 4 adds NaN and ±Inf,
+	// which both modes refuse alike.
 	specials := []float32{
-		0, float32(math.Copysign(0, -1)), float32(math.NaN()),
-		float32(math.Inf(1)), float32(math.Inf(-1)),
+		0, float32(math.Copysign(0, -1)), 1e38,
 		math.SmallestNonzeroFloat32, math.MaxFloat32, -math.MaxFloat32,
 	}
+	nonFinite := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
 	for _, rate := range []float64{1, 4, 8, 16, 32} {
 		c, err := New(rate)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for trial := 0; trial < 4; trial++ {
+		for trial := 0; trial < 5; trial++ {
 			x := tensor.New(32, 16)
 			d := x.Data()
 			for i := range d {
-				if trial == 3 && r.Intn(3) == 0 {
+				if trial >= 3 && r.Intn(3) == 0 {
 					d[i] = specials[r.Intn(len(specials))]
 				} else {
 					d[i] = float32(r.NormFloat64() * 100)
 				}
 			}
+			if trial == 4 {
+				for _, v := range nonFinite {
+					d[r.Intn(len(d))] = v
+				}
+			}
 			SetSIMD(false)
-			encP := encode(c, x)
+			encP, errP := encode(c, x)
 			SetSIMD(true)
-			encS := encode(c, x)
+			encS, errS := encode(c, x)
+			if trial == 4 {
+				if !errors.Is(errP, ErrNonFinite) || !errors.Is(errS, ErrNonFinite) {
+					t.Fatalf("rate=%g: NaN and ±Inf gave %v (portable) and %v (simd), want %v", rate, errP, errS, ErrNonFinite)
+				}
+				continue
+			}
+			if errP != nil || errS != nil {
+				t.Fatalf("rate=%g trial=%d: %v (portable), %v (simd)", rate, trial, errP, errS)
+			}
 			if !bytes.Equal(encP, encS) {
 				t.Fatalf("rate=%g trial=%d: streams differ", rate, trial)
 			}
@@ -149,16 +166,18 @@ func TestZfpSIMDAllocs(t *testing.T) {
 		plane[i] = float32(r.NormFloat64())
 	}
 	out := make([]float32, 32*32)
-	bw := bitstream.NewWriter()
+	buf := make([]byte, c.CompressedBytes(1, 32, 32)+8)
 	for _, mode := range []bool{false, true} {
 		if mode && !SIMDAvailable() {
 			continue
 		}
 		SetSIMD(mode)
 		allocs := testing.AllocsPerRun(10, func() {
-			bw.Reset()
-			c.EncodePlane(bw, plane, 32, 32)
-			br := bitstream.NewReader(bw.Bytes())
+			bw := bitstream.NewEmitter(buf)
+			if err := c.EncodePlane(&bw, plane, 32, 32); err != nil {
+				t.Fatal(err)
+			}
+			br := bitstream.NewReader(buf[:bw.Len()])
 			if err := c.DecodePlane(br, out, 32, 32); err != nil {
 				t.Fatal(err)
 			}

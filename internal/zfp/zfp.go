@@ -13,9 +13,15 @@
 // and bit planes are truncated at a hard budget rather than group-coded.
 // Both choices preserve the codec's defining behaviour: fixed rate
 // chosen at "compile time" and graceful quality scaling with that rate.
+//
+// Every finite float32 codes, denormals and ±MaxFloat32 included. A
+// block holding NaN or ±Inf has no block-floating-point form, so the
+// encoder refuses it with ErrNonFinite before converting anything; no
+// outcome is left to the platform's float→int conversion.
 package zfp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -74,10 +80,16 @@ func (c *Codec) CompressedBytes(planes, h, w int) int {
 	return (blocks*c.blockBits() + 7) / 8
 }
 
+// ErrNonFinite refuses a plane holding a NaN or an infinity: a block's
+// fixed-point conversion has no defined value for either.
+var ErrNonFinite = errors.New("zfp: NaN or infinite value")
+
 // EncodePlane writes every 4×4 block of one h×w plane (len h·w, h and w
-// multiples of 4) to bw. It allocates nothing, so a pooled Writer gives
-// an allocation-free compress path.
-func (c *Codec) EncodePlane(bw *bitstream.Writer, plane []float32, h, w int) {
+// multiples of 4) to e, whose buffer must hold CompressedBytes(1, h, w)
+// plus 8 bytes. It allocates nothing. A block holding a NaN or an
+// infinity stops it with ErrNonFinite, the stream emitted so far
+// unusable.
+func (c *Codec) EncodePlane(e *bitstream.Emitter, plane []float32, h, w int) error {
 	countPlaneCall()
 	budget := c.blockBits()
 	var block [blockValues]float32
@@ -86,9 +98,12 @@ func (c *Codec) EncodePlane(bw *bitstream.Writer, plane []float32, h, w int) {
 			for i := 0; i < BlockSize; i++ {
 				copy(block[i*BlockSize:(i+1)*BlockSize], plane[(bi+i)*w+bj:(bi+i)*w+bj+BlockSize])
 			}
-			c.encodeBlock(bw, &block, budget)
+			if err := c.encodeBlock(e, &block, budget); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
 // DecodePlane reads every 4×4 block of one h×w plane from br into
@@ -110,11 +125,15 @@ func (c *Codec) DecodePlane(br *bitstream.Reader, plane []float32, h, w int) err
 	return nil
 }
 
-// encodeBlock writes one 4×4 block at the fixed budget.
-func (c *Codec) encodeBlock(bw *bitstream.Writer, block *[blockValues]float32, budget int) {
+// encodeBlock writes one 4×4 block at the fixed budget, or refuses a
+// non-finite block before writing any of it.
+func (c *Codec) encodeBlock(bw *bitstream.Emitter, block *[blockValues]float32, budget int) error {
 	// Common exponent: largest binary exponent in the block.
-	e := blockExponent(block)
-	bw.WriteBits(uint64(e+exponentBias), expBits)
+	e, err := blockExponent(block)
+	if err != nil {
+		return err
+	}
+	bw.Put(uint64(e+exponentBias), expBits)
 	budget -= expBits
 
 	// Block-floating-point: scale so the largest magnitude fills the
@@ -155,7 +174,7 @@ func (c *Codec) encodeBlock(bw *bitstream.Writer, block *[blockValues]float32, b
 		for plane := maxPlane; plane >= 0 && budget > 0; plane-- {
 			encodePlane(bw, uint32(masks[plane]), &n, &budget)
 		}
-		return
+		return nil
 	}
 	// Portable path (and the oracle for the vector kernel): pack
 	// coefficient pairs into 64-bit words so each plane gather touches 8
@@ -179,6 +198,7 @@ func (c *Codec) encodeBlock(bw *bitstream.Writer, block *[blockValues]float32, b
 		}
 		encodePlane(bw, x, &n, &budget)
 	}
+	return nil
 }
 
 // encodePlane writes one bit plane (bit k of x = coefficient k in
@@ -187,18 +207,19 @@ func (c *Codec) encodeBlock(bw *bitstream.Writer, block *[blockValues]float32, b
 // scheme — a verbatim section for already-significant coefficients,
 // then group-test bits with unary walks to each newly-significant
 // coefficient — but emitted in batched word writes: the verbatim
-// section is one bit-reversed WriteBits, and each test-bit + zero-run +
-// terminator triple is a single write sized by TrailingZeros32.
-func encodePlane(bw *bitstream.Writer, x uint32, n, budget *int) {
+// section is one bit-reversed Put, and each test-bit + zero-run +
+// terminator triple is a single Put sized by TrailingZeros32; no Put
+// exceeds 32 bits.
+func encodePlane(bw *bitstream.Emitter, x uint32, n, budget *int) {
 	// Verbatim section: min(n, budget) low bits of x, coefficient 0
 	// first. Bit-reversal converts the LSB-first coefficient order into
-	// the MSB-first order WriteBits emits.
+	// the MSB-first order Put emits.
 	m := *n
 	if m > *budget {
 		m = *budget
 	}
 	if m > 0 {
-		bw.WriteBits(uint64(bits.Reverse32(x)>>(32-uint(m))), uint(m))
+		bw.Put(uint64(bits.Reverse32(x)>>(32-uint(m))), uint(m))
 		x >>= uint(m)
 		*budget -= m
 	}
@@ -207,7 +228,7 @@ func encodePlane(bw *bitstream.Writer, x uint32, n, budget *int) {
 	for k < blockValues && *budget > 0 {
 		if x == 0 {
 			// Group test fails: one 0 bit retires the whole plane tail.
-			bw.WriteBit(0)
+			bw.Put(0, 1)
 			*budget--
 			break
 		}
@@ -215,7 +236,7 @@ func encodePlane(bw *bitstream.Writer, x uint32, n, budget *int) {
 		if *budget >= tz+2 {
 			// Test bit (1), tz zeros, and the terminating 1 in one write:
 			// 1 0…0 1 over tz+2 bits.
-			bw.WriteBits(1<<(uint(tz)+1)|1, uint(tz)+2)
+			bw.Put(1<<(uint(tz)+1)|1, uint(tz)+2)
 			*budget -= tz + 2
 			x >>= uint(tz) + 1
 			k += tz + 1
@@ -223,7 +244,7 @@ func encodePlane(bw *bitstream.Writer, x uint32, n, budget *int) {
 		} else {
 			// Budget expires inside the run: test bit then budget−1
 			// zeros, exactly where the bit-by-bit coder stopped.
-			bw.WriteBits(1<<uint(*budget-1), uint(*budget))
+			bw.Put(1<<uint(*budget-1), uint(*budget))
 			*budget = 0
 		}
 	}
@@ -381,20 +402,24 @@ func decodePlane(br *bitstream.Reader, n, budget *int) (uint32, error) {
 const exponentBias = 256
 
 // blockExponent returns the largest binary exponent of any block value
-// (frexp convention: |v| < 2^e).
-func blockExponent(block *[blockValues]float32) int {
+// (frexp convention: |v| < 2^e), or ErrNonFinite for a block holding a
+// NaN or an infinity.
+func blockExponent(block *[blockValues]float32) (int, error) {
 	maxAbs := 0.0
 	for _, v := range block {
 		a := math.Abs(float64(v))
+		if !(a <= math.MaxFloat32) { // NaN or ±Inf
+			return 0, ErrNonFinite
+		}
 		if a > maxAbs {
 			maxAbs = a
 		}
 	}
 	if maxAbs == 0 {
-		return -exponentBias + 1 // all-zero block: smallest exponent
+		return -exponentBias + 1, nil // all-zero block: smallest exponent
 	}
 	_, e := math.Frexp(maxAbs)
-	return e
+	return e, nil
 }
 
 // fwdLift applies the two-level S-transform to 4 strided values:

@@ -1,6 +1,7 @@
 package zfp
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -11,10 +12,14 @@ import (
 )
 
 // encode codes one h×w plane, a 2-D tensor, and returns its stream.
-func encode(c *Codec, x *tensor.Tensor) []byte {
-	bw := bitstream.NewWriter()
-	c.EncodePlane(bw, x.Data(), x.Dim(0), x.Dim(1))
-	return bw.Bytes()
+func encode(c *Codec, x *tensor.Tensor) ([]byte, error) {
+	h, w := x.Dim(0), x.Dim(1)
+	buf := make([]byte, c.CompressedBytes(1, h, w)+8)
+	e := bitstream.NewEmitter(buf)
+	if err := c.EncodePlane(&e, x.Data(), h, w); err != nil {
+		return nil, err
+	}
+	return buf[:e.Len()], nil
 }
 
 // decode reconstructs an h×w plane from an EncodePlane stream.
@@ -27,7 +32,10 @@ func decode(c *Codec, data []byte, h, w int) (*tensor.Tensor, error) {
 // reconstruction and the stream's length in bytes.
 func roundTrip(t testing.TB, c *Codec, x *tensor.Tensor) (*tensor.Tensor, int) {
 	t.Helper()
-	data := encode(c, x)
+	data, err := encode(c, x)
+	if err != nil {
+		t.Fatal(err)
+	}
 	out, err := decode(c, data, x.Dim(0), x.Dim(1))
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +163,10 @@ func TestCompressedSizeBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data := encode(c, x)
+		data, err := encode(c, x)
+		if err != nil {
+			t.Fatal(err)
+		}
 		bound := float64(x.Len())*rate/8 + 8
 		if float64(len(data)) > bound {
 			t.Fatalf("rate %g: %d bytes exceeds budget %g", rate, len(data), bound)
@@ -216,6 +227,26 @@ func TestRejectsTruncatedStream(t *testing.T) {
 	if _, err := decode(c, []byte{1, 2}, 8, 8); err == nil {
 		t.Fatal("truncated stream must be rejected")
 	}
+}
+
+// TestNonFiniteRefused: a block holding NaN or ±Inf has no fixed-point
+// form, so EncodePlane refuses it with ErrNonFinite, in whichever mode
+// the kernels run; the finite extremes code.
+func TestNonFiniteRefused(t *testing.T) {
+	c, err := New(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		x := tensor.Full(0.5, 8, 8)
+		x.Data()[37] = v
+		if _, err := encode(c, x); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("%g: EncodePlane returned %v, want %v", v, err, ErrNonFinite)
+		}
+	}
+	x := tensor.Full(0.5, 8, 8)
+	copy(x.Data()[30:], []float32{1e38, math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32, float32(math.Copysign(0, -1))})
+	roundTrip(t, c, x)
 }
 
 func TestLargeDynamicRange(t *testing.T) {
