@@ -27,7 +27,9 @@ GOOS=linux GOARCH=386 go vet ./...
 # bit emitter that vle, fse and zfp write through shifts a 64-bit
 # accumulator by a 32-bit uint; vecops' byte-group lanes run their
 # portable, endian-neutral loops there, held to the layout's definition
-# by the same parity tests the AVX2 kernels pass.
+# by the same parity tests the AVX2 kernels pass; HufLen's stream sums
+# and zfp's saturating decode run there too (TestHufLenMatchesCompressHuf,
+# TestZfpDecodesFinite).
 GOOS=linux GOARCH=386 go test -count=1 ./internal/codec/ ./internal/entropy/ ./internal/vle/ ./internal/sz/ ./internal/jpegq/ ./internal/vecops/ ./internal/zfp/ ./internal/bitstream/
 # Cross-arch smoke builds for the dispatched kernels: arm64 exercises
 # the non-amd64 stubs (constant-false dispatch), and GOAMD64=v1 checks
@@ -53,16 +55,19 @@ go test -count=1 -cpu 1,4 -run 'Parallel|ForEachPlane|SetMaxWorkers|DecodeRange|
 FUZZTIME=10s sh fuzz.sh
 # Kernel-dispatch suite with SIMD force-disabled: the portable
 # fallbacks must pass the same equivalence/golden tests the vector
-# paths do (on non-AVX2 hosts this is a harmless re-run). The codec
+# paths do (on non-AVX2 hosts this is a harmless re-run). The entropy
+# suite includes TestHufLenMatchesCompressHuf, so the size-only coder
+# is held to CompressHuf on the portable histogram merge. The codec
 # slice runs lossless' byte-group lanes on the portable loops end to
 # end: exact round trips, every golden container and stream, and every
-# family staged through "+huf"; and the plane engine's fused zfp and
-# jpegq round trips on their portable kernels, held to the serialize
-# path and to their alloc bounds.
+# family staged through "+huf"; the fused round trips — the plane
+# engine's zfp and jpegq on their portable kernels, and lossless' lane
+# sizing — held to the serialize path and to their alloc bounds; and
+# zfp's saturating decode of a ±MaxFloat32 block on the portable scatter.
 ACC_DISABLE_SIMD=1 go test -count=1 \
 	./internal/cpufeat/ ./internal/dct/ ./internal/jpegq/ \
 	./internal/zfp/ ./internal/vecops/ ./internal/vle/ ./internal/entropy/
-ACC_DISABLE_SIMD=1 go test -count=1 ./internal/codec/ -run 'TestLosslessExact|TestGolden|TestStagedFamilies|TestRoundTripInto'
+ACC_DISABLE_SIMD=1 go test -count=1 ./internal/codec/ -run 'TestLosslessExact|TestGolden|TestStagedFamilies|TestRoundTripInto|TestZfpDecodesFinite'
 
 # The allocation gates skip themselves under -race (the race runtime
 # allocates), so run them again without it: the entropy backend's

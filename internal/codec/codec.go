@@ -70,11 +70,14 @@ type backend interface {
 // have x's element count, returning the compressed payload size — the
 // length of the framed payload Compress would carry. dst may be x
 // itself, round-tripping it in place, but must not otherwise overlap
-// it. An unstaged plane family (zfp, jpegq, sz) takes the plane
-// engine's fused path for every shape it lays out, and allocates
-// nothing at steady state on one worker; jpegq and sz size their vle
-// streams without coding them. A shape the family refuses fails with
-// the error encode gives. dctc, lossless and every staged codec
+// it. Where a codec has a fused path it codes no stream: an unstaged
+// plane family (zfp, jpegq, sz) runs the plane engine's fused round
+// trip for every shape it lays out, jpegq and sz sizing their vle
+// streams without coding them; lossless, bare or "+huf", copies x and
+// sizes its payload, the "+huf" lanes with entropy.HufLen. Fused paths
+// allocate nothing at steady state on one worker and tick
+// codec.<spec>.roundtrip_fused_calls. A shape the family refuses fails
+// with the error encode gives. dctc and every other staged codec
 // serialize, decode and copy. A refused in-place round trip leaves x
 // untouched on every path.
 func RoundTripInto(c Codec, dst, x *tensor.Tensor) (int, error) {
@@ -86,19 +89,19 @@ func RoundTripInto(c Codec, dst, x *tensor.Tensor) (int, error) {
 		return 0, fmt.Errorf("codec: %T is not a registry codec", c)
 	}
 	start := telemetry.NowNanos()
-	var n int
-	if f, ok := impl.b.(planeFamily); ok && impl.stage == "" {
-		var err error
-		if n, err = planeRoundTrip(f, dst, x); err != nil {
-			impl.m.countErr(err)
-			return 0, err
-		}
-		// The fused path bypasses encodePayload/decodePayload, so it is
-		// counted here; the serialize path counts at those choke points
-		// and must not double-count.
+	n, fused, err := impl.fusedRoundTrip(dst, x)
+	switch {
+	case err != nil:
+		impl.m.countErr(err)
+		return 0, err
+	case fused:
+		// The fused paths bypass encodePayload/decodePayload, so they
+		// are counted here; the serialize path counts at those choke
+		// points and must not double-count.
 		impl.m.inputBytes.Add(uint64(x.SizeBytes()))
 		impl.m.payloadBytes.Add(uint64(n))
-	} else {
+		impl.m.roundTripFusedCalls.Inc()
+	default:
 		ctx := context.Background()
 		payload, err := impl.encodePayload(ctx, nil, x)
 		if err != nil {
@@ -114,6 +117,27 @@ func RoundTripInto(c Codec, dst, x *tensor.Tensor) (int, error) {
 	impl.m.roundTripCalls.Inc()
 	impl.m.roundTripNs.ObserveSince(start)
 	return n, nil
+}
+
+// fusedRoundTrip runs RoundTripInto's fused path when the codec has
+// one, reporting whether it did: the plane engine for an unstaged
+// plane family, the copy-and-size round trip for lossless bare or
+// "+huf". The decode-only "+fse" has none, so its round trip fails
+// where its encode does.
+func (c *codecImpl) fusedRoundTrip(dst, x *tensor.Tensor) (n int, fused bool, err error) {
+	switch b := c.b.(type) {
+	case planeFamily:
+		if c.stage == "" {
+			n, err = planeRoundTrip(b, dst, x)
+			return n, true, err
+		}
+	case *losslessBackend:
+		if c.stage != "fse" {
+			n, err = b.roundTrip(dst, x, c.stage == "huf")
+			return n, true, err
+		}
+	}
+	return 0, false, nil
 }
 
 // codecImpl frames a backend plus its optional entropy stage behind

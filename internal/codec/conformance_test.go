@@ -443,3 +443,41 @@ func TestZfpRefusesNonFinite(t *testing.T) {
 		}
 	}
 }
+
+// TestZfpDecodesFinite: a block whose largest value is ±MaxFloat32
+// reconstructs in fixed point at up to 2¹²⁸, past float32's range, at
+// some rates (8 and 16 on a 4×4 block of 0.5 with one ±MaxFloat32
+// cell). The decoder saturates at ±MaxFloat32, so at every rate both
+// RoundTripInto and Decompress return finite values, and the same ones.
+func TestZfpDecodesFinite(t *testing.T) {
+	for _, rate := range []int{1, 4, 8, 16, 32} {
+		c, err := New(fmt.Sprintf("zfp:rate=%d", rate))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, extreme := range []float32{math.MaxFloat32, -math.MaxFloat32} {
+			x := tensor.Full(0.5, 1, 1, 4, 4)
+			x.Data()[5] = extreme
+			rt := tensor.New(x.Shape()...)
+			if _, err := RoundTripInto(c, rt, x); err != nil {
+				t.Fatalf("rate %d, %g: RoundTripInto: %v", rate, extreme, err)
+			}
+			data, err := c.Compress(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := c.Decompress(data)
+			if err != nil {
+				t.Fatalf("rate %d, %g: Decompress: %v", rate, extreme, err)
+			}
+			for i, v := range dec.Data() {
+				if math.IsInf(float64(v), 0) || math.IsNaN(float64(v)) {
+					t.Errorf("rate %d, %g: position %d decodes to %g", rate, extreme, i, v)
+				}
+				if math.Float32bits(rt.Data()[i]) != math.Float32bits(v) {
+					t.Errorf("rate %d, %g: position %d: RoundTripInto %g, Decompress %g", rate, extreme, i, rt.Data()[i], v)
+				}
+			}
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"os"
@@ -78,7 +79,10 @@ func TestGoldenContainers(t *testing.T) {
 }
 
 // TestRoundTripIntoMatchesSerializePath pins the fused round trip to
-// the serialize path for every conformance spec, on the planar
+// the serialize path for every conformance spec and every lossless
+// spec (the decode-only "+fse" included, which must refuse every input
+// with errFSEWrite), on an empty tensor, which every family refuses
+// with the same error on every path, on the planar
 // conformance batch, on a shape no block-aligned fast path covers, on
 // rank-1 vectors — one wider than vle's 16-bit block field, which sz
 // must refuse on every path — on signed zeros, NaN and a tiny
@@ -103,11 +107,17 @@ func TestRoundTripIntoMatchesSerializePath(t *testing.T) {
 	}
 	nanPlane1 := tensor.Full(0.3, 1, 2, 8, 8)
 	nanPlane1.Data()[64+9] = float32(math.NaN())
-	inputs := []*tensor.Tensor{conformanceBatch(), flat, vec, wide, signedZeros(), nanPlane1}
+	inputs := []*tensor.Tensor{conformanceBatch(), flat, vec, wide, signedZeros(), nanPlane1, tensor.New(0, 4)}
+	// Every lossless spec, whose fused path copies x and sizes the
+	// payload, and the decode-only "+fse", which has no fused path and
+	// must refuse every write.
+	specs := []string{"lossless:bg=1", "lossless:bg=2", "lossless:bg=4", "lossless:bg=1+huf", "lossless:bg=2+huf", "lossless:bg=4+fse"}
 	for _, tc := range conformanceSpecs {
-		tc := tc
-		t.Run(tc.spec, func(t *testing.T) {
-			c, err := New(tc.spec)
+		specs = append(specs, tc.spec)
+	}
+	for _, spec := range specs {
+		t.Run(spec, func(t *testing.T) {
+			c, err := New(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,6 +135,8 @@ func TestRoundTripIntoMatchesSerializePath(t *testing.T) {
 						t.Errorf("%v: RoundTripInto accepted a shape the serialize path rejects", x.Shape())
 					} else if err.Error() != encErr.Error() {
 						t.Errorf("%v: RoundTripInto refuses with %q, the serialize path with %q", x.Shape(), err, encErr)
+					} else if strings.HasSuffix(spec, "+fse") && !errors.Is(err, errFSEWrite) {
+						t.Errorf("%v: RoundTripInto refuses a +fse spec with %v, want errFSEWrite", x.Shape(), err)
 					}
 					// Refused in place, x must come back untouched.
 					inPlace := x.Clone()
@@ -193,8 +205,9 @@ func signedZeros() *tensor.Tensor {
 // tensor, which it packs into padded planes — with a single-worker
 // pipeline (the multi-worker pipeline spends a few allocations on the
 // fan-out). Each bound is the steady-state count plus max(4, 10 %) of
-// headroom for pool warm-up jitter; the plane engine's fused zfp,
-// jpegq and sz round trips allocate nothing at all.
+// headroom for pool warm-up jitter; the fused round trips — the plane
+// engine's zfp, jpegq and sz, and lossless bare and "+huf" — allocate
+// nothing at all.
 func TestRoundTripIntoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts only hold without -race")
@@ -218,8 +231,8 @@ func TestRoundTripIntoAllocs(t *testing.T) {
 		{"sz:eb=1e-3+huf", 30, nil},
 		{"dctc:cf=4", 26, nil},
 		{"dctc:cf=4+huf", 27, nil},
-		{"lossless:bg=4", 9, nil},
-		{"lossless:bg=4+huf", 12, nil},
+		{"lossless:bg=4", 0, nil},
+		{"lossless:bg=4+huf", 0, nil},
 	} {
 		c, err := New(tc.spec)
 		if err != nil {

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/tensor"
@@ -44,27 +45,57 @@ func (b *losslessBackend) canonical() string {
 	return fmt.Sprintf("bg=%d", b.bg)
 }
 
+// errLosslessEmpty is every path's refusal of an empty tensor.
+var errLosslessEmpty = errors.New("lossless: empty tensor")
+
 func (b *losslessBackend) encode(ctx context.Context, x *tensor.Tensor) ([]byte, error) {
 	return b.group(ctx, nil, x)
 }
 
-// group writes x's byte-group transpose into buf, grown to 4 bytes per
-// element when it is short, and returns it. A staged encode passes a
-// pooled buffer: the lanes are read only by the entropy step.
+// roundTrip is the family's fused round trip. A bit-exact family's
+// reconstruction is its input, so it copies x into dst (NaN payloads
+// included) and sizes the payload without coding it: 4 bytes per
+// element bare, and through "+huf" the length hufEncode would append,
+// measured on the byte-group lanes in a pooled buffer.
+func (b *losslessBackend) roundTrip(dst, x *tensor.Tensor, staged bool) (int, error) {
+	if x.Len() == 0 {
+		return 0, errLosslessEmpty
+	}
+	n := 4 * x.Len()
+	if staged {
+		bp := groupBufs.Get().(*[]byte)
+		*bp = b.lanes(*bp, x)
+		n = hufLen(b.bg, *bp)
+		groupBufs.Put(bp)
+	}
+	copy(dst.Data(), x.Data())
+	return n, nil
+}
+
+// group is lanes behind the encode path's checks: an empty tensor and
+// a canceled context fail.
 func (b *losslessBackend) group(ctx context.Context, buf []byte, x *tensor.Tensor) ([]byte, error) {
 	if x.Len() == 0 {
-		return nil, fmt.Errorf("lossless: empty tensor")
+		return nil, errLosslessEmpty
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	return b.lanes(buf, x), nil
+}
+
+// lanes writes x's byte-group transpose into buf, grown to 4 bytes per
+// element when it is short, and returns it. A staged encode and the
+// staged fused round trip pass a pooled buffer: the lanes are read
+// only by the entropy step.
+func (b *losslessBackend) lanes(buf []byte, x *tensor.Tensor) []byte {
 	elems := x.Len()
 	if cap(buf) < 4*elems {
 		buf = make([]byte, 4*elems)
 	}
 	out := buf[:4*elems]
 	vecops.SplitLanes(out, x.Data(), b.bg)
-	return out, nil
+	return out
 }
 
 // decode takes the whole payload in one view: zero-copy from a

@@ -17,6 +17,7 @@ import (
 // Naming (see the telemetry package doc for the scheme):
 //
 //	codec.<spec>.compress_calls / decompress_calls / roundtrip_calls
+//	codec.<spec>.roundtrip_fused_calls          (RoundTripInto's fused paths)
 //	codec.<spec>.compress_ns / decompress_ns / roundtrip_ns
 //	codec.<spec>.input_bytes / payload_bytes    (live ratio = in/payload)
 //	codec.<spec>.decode_bytes / output_bytes
@@ -44,6 +45,10 @@ type codecMetrics struct {
 	payloadBytes    *telemetry.Counter
 	decodeBytes     *telemetry.Counter
 	outputBytes     *telemetry.Counter
+
+	// roundTripFusedCalls ticks with roundTripCalls when RoundTripInto
+	// took a fused path, which codes no stream (see RoundTripInto).
+	roundTripFusedCalls *telemetry.Counter
 
 	errCRC       *telemetry.Counter
 	errTruncated *telemetry.Counter
@@ -82,6 +87,8 @@ func metricsFor(spec string) *codecMetrics {
 		errBadSpec:      telemetry.NewCounter(p + "errors.bad_spec"),
 		errCanceled:     telemetry.NewCounter(p + "errors.canceled"),
 		errOther:        telemetry.NewCounter(p + "errors.other"),
+
+		roundTripFusedCalls: telemetry.NewCounter(p + "roundtrip_fused_calls"),
 	}
 	codecMetricsBy[spec] = m
 	return m

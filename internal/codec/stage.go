@@ -112,8 +112,20 @@ func hufEncode(dst []byte, lanes int, payload []byte) []byte {
 	return dst
 }
 
-// groupBufs recycles a staged lossless encode's byte-group transpose:
-// the lanes are needed only until the entropy step returns.
+// hufLen is the length hufEncode appends for the same payload, sized
+// lane by lane with entropy.HufLen, coding nothing.
+func hufLen(lanes int, payload []byte) int {
+	n := 0
+	lane := len(payload) / lanes
+	for off := 0; off < len(payload); off += lane {
+		n += entropy.HufLen(payload[off : off+lane])
+	}
+	return n
+}
+
+// groupBufs recycles the byte-group transpose of a staged lossless
+// encode or fused round trip: the lanes are needed only until the
+// entropy step, or its sizing, returns.
 var groupBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // encodePayload runs the family encoder, then the entropy step. It is

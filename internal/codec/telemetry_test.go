@@ -129,6 +129,52 @@ func TestCodecErrorCounters(t *testing.T) {
 	})
 }
 
+// TestRoundTripFusedCalls checks which path RoundTripInto took:
+// roundtrip_fused_calls ticks with roundtrip_calls on the fused paths
+// (sz, zfp, jpegq, lossless bare and "+huf") and stays put on the
+// serialize path (dctc, a staged lossy spec).
+func TestRoundTripFusedCalls(t *testing.T) {
+	withTelemetry(t, true, func() {
+		x := conformanceBatch()
+		out := tensor.New(x.Shape()...)
+		for _, tc := range []struct {
+			spec  string
+			fused bool
+		}{
+			{"sz:eb=1e-3", true},
+			{"zfp:rate=8", true},
+			{"jpegq:q=50", true},
+			{"lossless:bg=4", true},
+			{"lossless:bg=4+huf", true},
+			{"dctc:cf=4", false},
+			{"zfp:rate=8+huf", false},
+		} {
+			c, err := New(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := telemetry.Default().Snapshot()
+			for k := 0; k < 2; k++ {
+				if _, err := RoundTripInto(c, out, x); err != nil {
+					t.Fatalf("%s: %v", tc.spec, err)
+				}
+			}
+			d := countersSince(before)
+			p := "codec." + c.Spec() + "."
+			want := uint64(0)
+			if tc.fused {
+				want = 2
+			}
+			if got := d[p+"roundtrip_fused_calls"]; got != want {
+				t.Errorf("%sroundtrip_fused_calls = %d, want %d", p, got, want)
+			}
+			if got := d[p+"roundtrip_calls"]; got != 2 {
+				t.Errorf("%sroundtrip_calls = %d, want 2", p, got)
+			}
+		}
+	})
+}
+
 // countingOn forces telemetry on for the rest of the test and reports
 // whether it records: false under -tags acc_notelemetry, where callers
 // skip their counter assertions after checking behavior.
@@ -414,7 +460,7 @@ func TestStreamReaderStats(t *testing.T) {
 }
 
 // TestInstrumentedRoundTripIntoAllocs is the alloc-regression gate for
-// the fused hot path WITH telemetry explicitly enabled: metric handles
+// the fused hot paths WITH telemetry explicitly enabled: metric handles
 // are pre-resolved, so recording must not allocate.
 func TestInstrumentedRoundTripIntoAllocs(t *testing.T) {
 	if raceEnabled {
@@ -424,7 +470,7 @@ func TestInstrumentedRoundTripIntoAllocs(t *testing.T) {
 		prev := SetMaxWorkers(1)
 		defer SetMaxWorkers(prev)
 		x := conformanceBatch()
-		for _, spec := range []string{"zfp:rate=8", "jpegq:q=50"} {
+		for _, spec := range []string{"zfp:rate=8", "jpegq:q=50", "sz:eb=1e-3", "lossless:bg=4", "lossless:bg=4+huf"} {
 			c, err := New(spec)
 			if err != nil {
 				t.Fatal(err)

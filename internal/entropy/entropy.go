@@ -37,7 +37,9 @@
 // CompressHuf is the one encoder. It picks the cheapest block mode per
 // block, never fails, and never expands a payload by more than the
 // per-block framing overhead: a block whose coded body would match or
-// exceed the raw bytes is stored raw. An fse-only encoder, the codec's
+// exceed the raw bytes is stored raw. HufLen makes the same per-block
+// decision and returns the length CompressHuf would write, coding
+// nothing. An fse-only encoder, the codec's
 // retired "+fse" stage, wrote the same block format with modes 0–2
 // only, so its streams decode here unchanged. Both directions run with
 // zero heap allocations at steady state when the caller reuses dst
@@ -118,9 +120,8 @@ type scratch struct {
 	hlen   [256]uint8           // code length per symbol (0 = absent)
 	htab   CanonTable
 	hlut   [hufLutSize]uint32 // multi-symbol entries (see hufBuildLUT)
-	// hbuf is the huf encoder's stream buffer (see hufEncodeStreams),
-	// grown once to the largest block's bound and kept with the scratch.
-	hbuf []byte
+	// segHist[k] counts the block's huf segments 0..k (see histogram).
+	segHist [hufNumStreams - 1][256]int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -144,12 +145,20 @@ func (s *scratch) sized(tableSize, blockLen int) {
 }
 
 // histogram fills s.hist and s.syms for block, returning the number of
-// distinct symbols.
+// distinct symbols. It counts block one huf segment at a time (see
+// huf.go), keeping the counts of the first one, two and three segments
+// in s.segHist, from which planHuf sizes each stream.
 func (s *scratch) histogram(block []byte) int {
-	for i := range s.hist {
-		s.hist[i] = 0
+	clear(s.hist[:])
+	segLen := (len(block) + 3) / 4
+	lo := 0
+	for k := range s.segHist {
+		hi := min(lo+segLen, len(block))
+		vecops.Histogram256(&s.hist, block[lo:hi])
+		s.segHist[k] = s.hist
+		lo = hi
 	}
-	vecops.Histogram256(&s.hist, block)
+	vecops.Histogram256(&s.hist, block[lo:])
 	nsym := 0
 	for v := 0; v < 256; v++ {
 		if s.hist[v] > 0 {
@@ -280,13 +289,12 @@ func appendBlockHeader(dst []byte, mode byte, rawLen int) []byte {
 	return binary.AppendUvarint(dst, uint64(rawLen))
 }
 
-// appendFSEBlock runs the fse encoder over one block (histogram already
-// taken), falling back to a raw block when the coded form would not
-// shrink it. CompressHuf calls it for the blocks its size estimate
-// gives to fse. The backward walk sizes the bitstream, so the raw-or-fse
-// decision comes before anything is emitted, and the stream is written
-// once, straight into dst after its header.
-func appendFSEBlock(dst, block []byte, st *scratch, nsym int) []byte {
+// planFSE runs the fse encoder's backward walk over one block
+// (histogram already taken): it builds the tables, records each step's
+// chunk for the reversed replay and sums the chunk widths, so the
+// block's body length, and with it the raw-or-fse decision, is known
+// before anything is emitted.
+func (st *scratch) planFSE(block []byte, nsym int) blockPlan {
 	tableLog := tableLogFor(len(block), nsym)
 	size := 1 << tableLog
 	st.sized(size, len(block))
@@ -312,34 +320,32 @@ func appendFSEBlock(dst, block []byte, st *scratch, nsym int) []byte {
 		q := *v >> nb // ∈ [freq, 2·freq)
 		*v = uint32(size) + uint32(st.ptable[st.cumStart[sym]+int32(q)])
 	}
+	return blockPlan{mode: modeFSE, bodyLen: 2 + 3*nsym + (nbits+7)/8,
+		nsym: nsym, tableLog: tableLog, v0: v0, v1: v1}
+}
 
-	streamLen := (nbits + 7) / 8
-	bodyLen := 2 + 3*nsym + streamLen
-	headLen := 1 + uvarintLen(uint64(len(block))) + uvarintLen(uint64(bodyLen))
-	if headLen+bodyLen >= 1+uvarintLen(uint64(len(block)))+len(block) {
-		backendRaw.Inc()
-		dst = appendBlockHeader(dst, modeRaw, len(block))
-		return append(dst, block...)
-	}
-
-	backendFSE.Inc()
-	dst = appendBlockHeader(dst, modeFSE, len(block))
-	dst = binary.AppendUvarint(dst, uint64(bodyLen))
-	dst = append(dst, byte(tableLog), byte(nsym-1))
-	for i := 0; i < nsym; i++ {
+// appendFSEBody appends the body planFSE sized: the table description,
+// then the two final states and the recorded chunks replayed in
+// reverse, written once through the bit emitter. dst must have room
+// for the body plus the emitter's 8 bytes of slack (appendBlock grows
+// it).
+func (st *scratch) appendFSEBody(dst []byte, p *blockPlan) []byte {
+	dst = append(dst, byte(p.tableLog), byte(p.nsym-1))
+	for i := 0; i < p.nsym; i++ {
 		sym := st.syms[i]
 		dst = append(dst, sym, byte(st.norm[sym]), byte(st.norm[sym]>>8))
 	}
 	start := len(dst)
-	dst = slices.Grow(dst, streamLen+8)
-	w := bitstream.NewEmitter(dst[start : start+streamLen+8])
-	w.Put(uint64(v0)-uint64(size), uint(tableLog))
-	w.Put(uint64(v1)-uint64(size), uint(tableLog))
+	end := start + p.bodyLen - 2 - 3*p.nsym
+	w := bitstream.NewEmitter(dst[start : end+8])
+	size := uint64(1) << p.tableLog
+	w.Put(uint64(p.v0)-size, uint(p.tableLog))
+	w.Put(uint64(p.v1)-size, uint(p.tableLog))
 	for i := len(st.chunks) - 1; i >= 0; i-- {
 		c := st.chunks[i]
 		w.Put(uint64(c&0xFFF), uint(c>>12))
 	}
-	return dst[:start+streamLen]
+	return dst[:end]
 }
 
 func uvarintLen(v uint64) int {

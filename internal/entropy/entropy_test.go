@@ -22,9 +22,10 @@ func (r *testRNG) next() uint64 {
 
 // fseCompress frames src as fse-only blocks, the way the codec's
 // retired "+fse" stage did: ≤ maxBlock blocks, each rle for a single
-// symbol, raw below minCompressBlock, and otherwise appendFSEBlock —
-// the fse block encoder CompressHuf still calls. The tests hold it to
-// refFSECompress block for block.
+// symbol, raw below minCompressBlock, and otherwise planFSE's block
+// (or raw, when it does not shrink) — the fse block encoder CompressHuf
+// still plans and emits. The tests hold it to refFSECompress block for
+// block.
 func fseCompress(dst, src []byte) []byte {
 	st := getScratch()
 	defer putScratch(st)
@@ -37,7 +38,8 @@ func fseCompress(dst, src []byte) []byte {
 		case len(block) < minCompressBlock:
 			dst = append(appendBlockHeader(dst, modeRaw, len(block)), block...)
 		default:
-			dst = appendFSEBlock(dst, block, st, nsym)
+			p := st.planFSE(block, nsym).orRaw(len(block))
+			dst = st.appendBlock(dst, block, &p)
 		}
 	}
 	return dst

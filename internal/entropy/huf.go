@@ -44,8 +44,10 @@ import (
 // CompressHuf is the encoder entry point: per block it picks the
 // cheapest of raw, rle, fse, and huf, comparing the exact huf
 // table+payload size against a deterministic fse size estimate (see
-// fseEstimateBody). Decompress handles all four modes, so "+huf"
-// streams need no decoder-side configuration.
+// fseEstimateBody). planBlock makes that decision and sizes the chosen
+// block exactly, so CompressHuf emits each block once, straight into
+// dst, and HufLen sizes a stream without coding it. Decompress handles
+// all four modes, so "+huf" streams need no decoder-side configuration.
 
 const (
 	// hufLutBits is the decode-LUT probe width; hufMaxLen (the code
@@ -71,49 +73,119 @@ const (
 func CompressHuf(dst, src []byte) []byte {
 	st := getScratch()
 	for len(src) > 0 {
-		n := len(src)
-		if n > maxBlock {
-			n = maxBlock
-		}
-		dst = compressHufBlock(dst, src[:n], st)
-		src = src[n:]
+		block := src[:min(len(src), maxBlock)]
+		p := st.planBlock(block)
+		dst = st.appendBlock(dst, block, &p)
+		src = src[len(block):]
 	}
 	putScratch(st)
 	return dst
 }
 
-// compressHufBlock encodes one ≤ maxBlock slice, choosing the backend
-// by measured (huf) or deterministically estimated (fse) table+payload
-// size.
-func compressHufBlock(dst, block []byte, st *scratch) []byte {
+// HufLen returns len(CompressHuf(nil, src)) without coding src: it
+// makes CompressHuf's per-block decision and adds up the length of
+// each block it plans, emitting nothing. A huf block is sized from its
+// code lengths and segment histograms, an fse block by the backward
+// walk that sizes it for CompressHuf.
+func HufLen(src []byte) int {
+	st := getScratch()
+	n := 0
+	for len(src) > 0 {
+		block := src[:min(len(src), maxBlock)]
+		p := st.planBlock(block)
+		n += p.framedLen(len(block))
+		src = src[len(block):]
+	}
+	putScratch(st)
+	return n
+}
+
+// blockPlan is how one block is coded: its mode and, for fse and huf,
+// the body length and what emitting the body needs. planBlock makes
+// the decision both CompressHuf and HufLen take; the scratch it ran on
+// holds the tables the body is emitted from.
+type blockPlan struct {
+	mode    byte
+	bodyLen int // fse and huf: the body's length after its uvarint
+
+	// fse: the table's symbol count and log, and the backward walk's
+	// final states.
+	nsym, tableLog int
+	v0, v1         uint32
+
+	// huf: each stream's end offset within the stream section.
+	ends [hufNumStreams]int
+}
+
+// framedLen returns the bytes the planned block takes in a stream.
+func (p blockPlan) framedLen(rawLen int) int {
+	n := 1 + uvarintLen(uint64(rawLen))
+	switch p.mode {
+	case modeRaw:
+		return n + rawLen
+	case modeRLE:
+		return n + 1
+	}
+	return n + uvarintLen(uint64(p.bodyLen)) + p.bodyLen
+}
+
+// orRaw stores the block raw when the planned body does not beat the
+// raw bytes.
+func (p blockPlan) orRaw(rawLen int) blockPlan {
+	if uvarintLen(uint64(p.bodyLen))+p.bodyLen >= rawLen {
+		return blockPlan{mode: modeRaw}
+	}
+	return p
+}
+
+// planBlock chooses one ≤ maxBlock block's representation by measured
+// (huf) or deterministically estimated (fse) table+payload size, then
+// measures the chosen body exactly for the raw fallback.
+func (st *scratch) planBlock(block []byte) blockPlan {
 	nsym := st.histogram(block)
 	if nsym == 1 {
-		backendRLE.Inc()
-		dst = appendBlockHeader(dst, modeRLE, len(block))
-		return append(dst, block[0])
+		return blockPlan{mode: modeRLE}
 	}
 	if len(block) < minCompressBlock {
-		backendRaw.Inc()
-		dst = appendBlockHeader(dst, modeRaw, len(block))
-		return append(dst, block...)
+		return blockPlan{mode: modeRaw}
 	}
 	hufBody := st.hufBuildLengths(nsym)
 	fseBody := st.fseEstimateBody(len(block), nsym)
 	// Incompressible early out: when neither body beats storing the
-	// block raw, skip the trial encode entirely — both backends' raw
+	// block raw, skip the trial walk entirely — both backends' raw
 	// fallbacks would fire anyway, and on near-uniform data (float32
 	// mantissa lanes) the discarded fse walk is the dominant cost.
 	// Like the fse-vs-huf comparison this rule runs on the estimates,
 	// is format-defining, and is shared with the reference oracle.
 	if hufBody >= len(block) && fseBody >= len(block) {
-		backendRaw.Inc()
-		dst = appendBlockHeader(dst, modeRaw, len(block))
-		return append(dst, block...)
+		return blockPlan{mode: modeRaw}
 	}
 	if fseBody < hufBody {
-		return appendFSEBlock(dst, block, st, nsym)
+		return st.planFSE(block, nsym).orRaw(len(block))
 	}
-	return appendHufBlock(dst, block, st)
+	return st.planHuf(nsym).orRaw(len(block))
+}
+
+// appendBlock emits block as p plans it, counting the block under the
+// representation it chose. dst grows once, by the planned length plus
+// the bit emitters' 8 bytes of slack.
+func (st *scratch) appendBlock(dst, block []byte, p *blockPlan) []byte {
+	dst = slices.Grow(dst, p.framedLen(len(block))+8)
+	dst = appendBlockHeader(dst, p.mode, len(block))
+	switch p.mode {
+	case modeRaw:
+		backendRaw.Inc()
+		return append(dst, block...)
+	case modeRLE:
+		backendRLE.Inc()
+		return append(dst, block[0])
+	case modeFSE:
+		backendFSE.Inc()
+		return st.appendFSEBody(binary.AppendUvarint(dst, uint64(p.bodyLen)), p)
+	default:
+		backendHuf.Inc()
+		return st.appendHufBody(binary.AppendUvarint(dst, uint64(p.bodyLen)), block, p)
+	}
 }
 
 // hufBuildLengths fills st.hlen with the canonical length-limited code
@@ -231,56 +303,65 @@ func (s *scratch) fseEstimateBody(blockLen, nsym int) int {
 	return 2 + 3*nsym + int((2*int64(tableLog)+estBits+7)/8)
 }
 
-// appendHufBlock emits one huf block from the lengths hufBuildLengths
-// left in the scratch, falling back to raw if the measured size does
-// not beat it.
-func appendHufBlock(dst, block []byte, st *scratch) []byte {
-	streams, ends := st.hufEncodeStreams(block)
-	bodyLen := hufTableBytes + hufJumpBytes + len(streams)
-
-	headLen := 1 + uvarintLen(uint64(len(block))) + uvarintLen(uint64(bodyLen))
-	if headLen+bodyLen >= 1+uvarintLen(uint64(len(block)))+len(block) {
-		backendRaw.Inc()
-		dst = appendBlockHeader(dst, modeRaw, len(block))
-		return append(dst, block...)
+// planHuf sizes a huf block from the code lengths hufBuildLengths left
+// in the scratch. Stream k codes segment k, so its bit length is
+// Σ count·len over that segment's histogram: the difference of the
+// sums over st.segHist[k] and st.segHist[k-1], the whole block's
+// histogram standing in for the last. Each stream's byte length is
+// exact without coding it.
+func (st *scratch) planHuf(nsym int) blockPlan {
+	p := blockPlan{mode: modeHUF}
+	var prevBits int64
+	end := 0
+	for k := 0; k < hufNumStreams; k++ {
+		h := &st.hist
+		if k < len(st.segHist) {
+			h = &st.segHist[k]
+		}
+		var bits int64
+		for _, sym := range st.syms[:nsym] {
+			bits += int64(h[sym]) * int64(st.hlen[sym])
+		}
+		end += int((bits - prevBits + 7) / 8)
+		p.ends[k] = end
+		prevBits = bits
 	}
+	p.bodyLen = hufTableBytes + hufJumpBytes + end
+	return p
+}
 
-	backendHuf.Inc()
-	dst = appendBlockHeader(dst, modeHUF, len(block))
-	dst = binary.AppendUvarint(dst, uint64(bodyLen))
+// appendHufBody appends the body planHuf sized: the nibble-packed code
+// lengths, the jump table and the four streams, emitted straight into
+// dst. dst must have room for the body plus the emitter's 8 bytes of
+// slack (appendBlock grows it).
+func (st *scratch) appendHufBody(dst, block []byte, p *blockPlan) []byte {
 	for i := 0; i < hufTableBytes; i++ {
 		dst = append(dst, st.hlen[2*i]|st.hlen[2*i+1]<<4)
 	}
 	prev := 0
 	for s := 0; s < hufNumStreams-1; s++ {
-		n := ends[s] - prev // ≤ 16384 symbols × 11 bits: fits u16
+		n := p.ends[s] - prev // ≤ 16384 symbols × 11 bits: fits u16
 		dst = append(dst, byte(n), byte(n>>8))
-		prev = ends[s]
+		prev = p.ends[s]
 	}
-	return append(dst, streams...)
+	start := len(dst)
+	end := start + p.ends[hufNumStreams-1]
+	st.hufEmitStreams(dst[start:end+8], block)
+	return dst[:end]
 }
 
-// hufEncodeStreams codes block's four streams, with the canonical codes
-// of the lengths in st.hlen, back to back into st.hbuf. It returns the
-// streams in wire order and the end offset of each.
-func (st *scratch) hufEncodeStreams(block []byte) ([]byte, [hufNumStreams]int) {
+// hufEmitStreams codes block's four streams, with the canonical codes
+// of the lengths in st.hlen, back to back into out, which holds the
+// streams planHuf sized plus 8 bytes of slack for the last store.
+func (st *scratch) hufEmitStreams(out, block []byte) {
 	_ = st.htab.Build(st.hlen[:]) // cannot fail: the lengths are a complete code
 	segLen := (len(block) + 3) / 4
-	// A stream holds at most segLen·11 bits, padding included, and its
-	// last 8-byte store reaches at most 8 bytes past its end.
-	if need := hufNumStreams * (segLen*hufMaxLen/8 + 16); cap(st.hbuf) < need {
-		st.hbuf = make([]byte, need)
-	}
-	out := st.hbuf[:cap(st.hbuf)]
-	var ends [hufNumStreams]int
 	pos := 0
 	for s := 0; s < hufNumStreams; s++ {
 		lo := s * segLen
 		hi := min(lo+segLen, len(block))
 		pos += hufEmitStream(out[pos:], block[lo:hi], &st.htab.Enc)
-		ends[s] = pos
 	}
-	return out[:pos], ends
 }
 
 // hufEmitStream codes seg into out as one MSB-first stream, zero-padded

@@ -2,6 +2,7 @@ package entropy
 
 import (
 	"bytes"
+	"fmt"
 	"math/bits"
 	"slices"
 	"testing"
@@ -178,8 +179,9 @@ func tailAlphabets(n int) map[string][]byte {
 // TestHufEncodeTailsMatchReference sweeps the huf emitter over every
 // stream tail: block lengths 32…300 give segments of every length mod
 // 4 with every final partial byte, and 65533…65536 do the same at the
-// full block size. At each length the four streams are compared with
-// the bit-serial oracle's byte for byte (whether or not huf wins the
+// full block size. At each length the four streams, cut at the ends
+// planHuf sizes from the segment histograms, are compared with the
+// bit-serial oracle's byte for byte (whether or not huf wins the
 // block's selection), and the whole CompressHuf output with
 // ReferenceCompressHuf's.
 func TestHufEncodeTailsMatchReference(t *testing.T) {
@@ -195,17 +197,16 @@ func TestHufEncodeTailsMatchReference(t *testing.T) {
 			if nsym := st.histogram(block); nsym >= 2 {
 				st.hufBuildLengths(nsym)
 				maxLen = max(maxLen, slices.Max(st.hlen[:]))
-				got, ends := st.hufEncodeStreams(block)
+				ends := st.planHuf(nsym).ends
+				got := make([]byte, ends[hufNumStreams-1]+8)
+				st.hufEmitStreams(got, block)
 				want := refHufStreams(block, st.hlen[:])
 				off := 0
 				for s, stream := range want {
 					if ends[s] != off+len(stream) || !bytes.Equal(got[off:ends[s]], stream) {
-						t.Fatalf("%s, %d bytes: stream %d differs from the oracle's (ends at %d, oracle's at %d)", name, n, s, ends[s], off+len(stream))
+						t.Fatalf("%s, %d bytes: stream %d differs from the oracle's (planned to end at %d, oracle's ends at %d)", name, n, s, ends[s], off+len(stream))
 					}
 					off += len(stream)
-				}
-				if len(got) != off {
-					t.Fatalf("%s, %d bytes: %d stream bytes, oracle has %d", name, n, len(got), off)
 				}
 			}
 			fast := CompressHuf(nil, block)
@@ -226,6 +227,60 @@ func TestHufEncodeTailsMatchReference(t *testing.T) {
 		t.Fatalf("longest code in the sweep is %d bits, want %d", maxLen, hufMaxLen)
 	}
 	t.Logf("%d of %d blocks selected huf", hufBlocks, 4*len(lengths))
+}
+
+// TestHufLenMatchesCompressHuf holds the size-only coder to the
+// encoder: HufLen must equal the length of CompressHuf's output, and of
+// the bit-serial oracle's, on blocks that take every mode — rle, raw
+// (short or incompressible), fse and huf, each checked against the
+// modes CompressHuf chose — and on lengths straddling the 64 KiB block
+// boundary.
+func TestHufLenMatchesCompressHuf(t *testing.T) {
+	rng := testRNG(0x510e527fade682d1)
+	c := hufCorpus()
+	twoSym := make([]byte, 5000)
+	for i := range twoSym {
+		twoSym[i] = byte(rng.next()&1) * 0xFF
+	}
+	cases := []struct {
+		name string
+		src  []byte
+		mode byte // the mode every block must take; 0xFF: any mix
+	}{
+		{"all-equal", bytes.Repeat([]byte{0x3c}, 3*maxBlock+5), modeRLE},
+		{"two-symbol", twoSym, 0xFF},
+		{"uniform", c["uniform-big"], modeRaw},
+		{"short", c["short-raw"], modeRaw},
+		{"fse-chosen", c["skewed-big"], modeFSE},
+		{"huf-chosen", c["mantissa-lane"], modeHUF},
+		{"empty", nil, 0xFF},
+	}
+	for _, n := range []int{maxBlock - 1, maxBlock, maxBlock + 1} {
+		for name, src := range tailAlphabets(n) {
+			cases = append(cases, struct {
+				name string
+				src  []byte
+				mode byte
+			}{fmt.Sprintf("%s-%d", name, n), src, 0xFF})
+		}
+	}
+	for _, tc := range cases {
+		comp := CompressHuf(nil, tc.src)
+		if got := HufLen(tc.src); got != len(comp) {
+			t.Errorf("%s (%d bytes): HufLen %d, CompressHuf wrote %d", tc.name, len(tc.src), got, len(comp))
+		}
+		if ref := ReferenceCompressHuf(tc.src); len(ref) != len(comp) {
+			t.Errorf("%s: oracle wrote %d bytes, CompressHuf %d", tc.name, len(ref), len(comp))
+		}
+		if tc.mode == 0xFF {
+			continue
+		}
+		for i, m := range hufBlockModes(t, comp) {
+			if m != tc.mode {
+				t.Errorf("%s block %d: mode %d, want %d", tc.name, i, m, tc.mode)
+			}
+		}
+	}
 }
 
 // TestHufLengthSortOrder holds hufBuildLengths' radix sort to the
@@ -519,6 +574,9 @@ func FuzzHufRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(got, data) {
 			t.Fatal("round trip mismatch")
+		}
+		if n := HufLen(data); n != len(comp) {
+			t.Fatalf("HufLen %d, CompressHuf wrote %d bytes", n, len(comp))
 		}
 		if len(data) <= 4096 {
 			if ref := ReferenceCompressHuf(data); !bytes.Equal(comp, ref) {

@@ -44,7 +44,7 @@ func refCompressHufBlock(dst, block []byte) []byte {
 	}
 	hufBody := st.hufBuildLengths(nsym)
 	fseBody := st.fseEstimateBody(len(block), nsym)
-	// Incompressible early out, mirrored from compressHufBlock: the
+	// Incompressible early out, mirrored from planBlock: the
 	// estimate-based raw decision is part of the encoder spec.
 	if hufBody >= len(block) && fseBody >= len(block) {
 		dst = appendBlockHeader(dst, modeRaw, len(block))

@@ -27,7 +27,10 @@ type RoundTripper interface {
 // compression introduces ("data loss can lead to incorrectly calculated
 // gradients", §3.1). The activation round-trips as a rank-1 view of its
 // values, so a dctc codec packs it into its flat planes whatever the
-// layer's shape.
+// layer's shape. An activation whose framed payload is no smaller than
+// its raw bytes (a tiny tensor padded out to a whole plane) is stored
+// exact and counted at its raw size, so the wrapper never costs more
+// than storing the activation uncompressed.
 type CheckpointCompress struct {
 	Inner Layer
 	RT    RoundTripper
@@ -55,6 +58,10 @@ func (c *CheckpointCompress) Forward(x *tensor.Tensor, train bool) *tensor.Tenso
 		if err != nil {
 			c.rtFailed = err
 			return out
+		}
+		if bytes >= x.SizeBytes() {
+			copy(rec.Data(), x.Data())
+			bytes = x.SizeBytes()
 		}
 		c.stored = tensor.FromSlice(rec.Data(), x.Shape()...)
 		c.RawBytes += x.SizeBytes()
@@ -92,7 +99,9 @@ func (c *CheckpointCompress) SavingsRatio() float64 {
 // parameter gradient is round-tripped through the lossy compressor
 // before the wrapped optimizer consumes it, simulating a compressed
 // all-reduce. Stats record the traffic saved. Like CheckpointCompress
-// it round-trips a rank-1 view of the values.
+// it round-trips a rank-1 view of the values, and sends a gradient
+// whose framed payload is no smaller than its raw bytes (a bias vector
+// padded out to a whole plane) exact, counted at its raw size.
 //
 // Because DCT+Chop is a projection, naively compressing each step's
 // gradient would permanently lose the components in the chop's kernel
@@ -186,6 +195,10 @@ func (g *GradCompressOptimizer) Step(params []*Param) {
 			panic("nn: GradCompressOptimizer: " + err.Error())
 		}
 		vals := rec.Data()
+		if raw := p.Grad.SizeBytes(); bytes >= raw {
+			copy(vals, payload)
+			bytes = raw
+		}
 		if offset != 0 {
 			vals = rotated(vals, len(vals)-offset)
 		}

@@ -14,10 +14,12 @@
 // Both choices preserve the codec's defining behaviour: fixed rate
 // chosen at "compile time" and graceful quality scaling with that rate.
 //
-// Every finite float32 codes, denormals and ±MaxFloat32 included. A
-// block holding NaN or ±Inf has no block-floating-point form, so the
-// encoder refuses it with ErrNonFinite before converting anything; no
-// outcome is left to the platform's float→int conversion.
+// Every finite float32 codes, denormals and ±MaxFloat32 included, and
+// decodes finite: a reconstruction past float32's range (a block whose
+// largest value is ±MaxFloat32 can round up to 2¹²⁸) saturates at
+// ±MaxFloat32. A block holding NaN or ±Inf has no block-floating-point
+// form, so the encoder refuses it with ErrNonFinite before converting
+// anything; no outcome is left to the platform's float→int conversion.
 package zfp
 
 import (
@@ -313,9 +315,13 @@ func (c *Codec) decodeBlock(br *bitstream.Reader, block *[blockValues]float32, b
 	for i := 0; i < BlockSize; i++ {
 		invLift(q[i*BlockSize:], 1)
 	}
+	// The fixed-point reconstruction of a block holding ±MaxFloat32 can
+	// round past float32's range; it saturates at ±MaxFloat32, so a
+	// finite value never decodes as ±Inf.
 	scale := math.Ldexp(1, e-(precision-1))
 	for i := range block {
-		block[i] = float32(float64(q[i]) * scale)
+		v := float64(q[i]) * scale
+		block[i] = float32(max(-math.MaxFloat32, min(v, math.MaxFloat32)))
 	}
 	return nil
 }
