@@ -29,8 +29,12 @@ GOOS=linux GOARCH=386 go vet ./...
 # portable, endian-neutral loops there, held to the layout's definition
 # by the same parity tests the AVX2 kernels pass; HufLen's stream sums
 # and zfp's saturating decode run there too (TestHufLenMatchesCompressHuf,
-# TestZfpDecodesFinite).
+# TestZfpDecodesFinite). sz's round runs there on math.RoundToEven's
+# software fallback (TestRoundMatchesMathRound).
 GOOS=linux GOARCH=386 go test -count=1 ./internal/codec/ ./internal/entropy/ ./internal/vle/ ./internal/sz/ ./internal/jpegq/ ./internal/vecops/ ./internal/zfp/ ./internal/bitstream/
+# At GOAMD64=v3 math.RoundToEven is one ROUNDSD with no run-time SSE4.1
+# check, so sz's round and its kernels run on that path too.
+GOAMD64=v3 go test -count=1 ./internal/sz/ ./internal/vle/
 # Cross-arch smoke builds for the dispatched kernels: arm64 exercises
 # the non-amd64 stubs (constant-false dispatch), and GOAMD64=v1 checks
 # the amd64 build makes no baseline-ISA assumptions outside the

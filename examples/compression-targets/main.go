@@ -5,7 +5,8 @@
 // training run: compressed activation checkpoints (COMET/ActNN-style
 // recompute-from-lossy) and compressed gradients with damped error
 // feedback (3LC-style), both driven by the same registry codec
-// (dctc:cf=5,planen=16): any codec.New codec is an nn.RoundTripper.
+// (dctc:cf=5, whose flat path picks its own plane edge): any codec.New
+// codec is an nn.RoundTripper.
 package main
 
 import (
@@ -25,7 +26,7 @@ func main() {
 	trainX, trainY := gen.Batch(128)
 	testX, testY := gen.Batch(64)
 
-	rt, err := codec.New("dctc:cf=5,planen=16")
+	rt, err := codec.New("dctc:cf=5")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,17 +9,19 @@
 # new.
 #
 # vle's FuzzDecode holds the fused-table decoder to the symbol-by-symbol
-# reference on every stream, and sz's FuzzDecompress feeds arbitrary
-# bytes to DecompressInto at the geometry StreamDims reads from them,
-# which must fail or write every cell; FuzzContainerDecode feeds mutated
+# reference on every stream, values, error and error text, and sz's
+# FuzzDecompress feeds arbitrary bytes to DecompressInto at the geometry
+# StreamDims reads from them, which must fail or write every cell, as
+# the cell-by-cell reference decoder does; FuzzContainerDecode feeds mutated
 # containers to the registry decoder, which must return an error or a
 # tensor consistent with the header, never panic or allocate without
 # bound. On the encode side, vle's FuzzEncodeDecodeRoundTrip holds the
 # branch-free tokenizer to the reference encoder and requires
 # Encode∘Decode to be the identity and FlatLen to size AppendFlat's
-# stream, and sz's FuzzCompress holds the two-row quantizer to the
-# cell-by-cell reference byte for byte and RoundTripPlane to the
-# stream's decode and length.
+# stream, and sz's FuzzCompress holds the four-row band quantizer to
+# the cell-by-cell reference byte for byte, the band replay to the
+# reference decoder bit for bit, and RoundTripPlane to the stream's
+# decode and length.
 # FuzzStreamDecode and FuzzIndexedStream feed mutated v2 streams to the
 # sequential and the random-access reader; every family decodes records
 # through the same single decoder as containers, so these reach each

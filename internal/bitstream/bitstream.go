@@ -10,11 +10,14 @@
 // Peek/Consume out of it, so the per-bit inner loops of the bit-plane
 // and Huffman coders touch memory once per word instead of once per
 // byte. Every encoder sizes its stream before it emits it and writes it
-// once, straight into the buffer the stream is returned in. The entropy
-// package's huf coder (hufEmitStream) runs the same arithmetic unrolled
-// four codes at a time in registers; it is this emitter's register
-// form. The byte stream produced is identical, bit for bit, to the
-// original byte-at-a-time implementation.
+// once, straight into the buffer the stream is returned in. Tight loops
+// keep the state in registers: Emitter.PutTokens writes a whole
+// table-coded token stream that way, the entropy package's huf coder
+// (hufEmitStream) runs the same arithmetic unrolled four codes at a
+// time, and a decode loop takes a Reader's Window, advances it with
+// Refill and shifts, and hands it back. The byte stream produced is
+// identical, bit for bit, to the original byte-at-a-time
+// implementation.
 package bitstream
 
 import (
@@ -46,6 +49,44 @@ func (e *Emitter) Put(v uint64, k uint) {
 	e.pos += int(e.n >> 3)
 	e.acc <<= e.n & 56
 	e.n &= 7
+}
+
+// The token layout PutTokens reads: a symbol in the low TokenSymBits
+// bits, the count of its extra bits (0 to 32) in the next six, and the
+// extra bits from TokenExtra up.
+const (
+	TokenSymBits = 10
+	TokenExtra   = 16
+)
+
+// PutTokens is Put's register form for a table-coded token stream: for
+// each token it appends its symbol's code from codes, which holds
+// code<<8 | length per symbol (lengths ≤ 32), then the token's extra
+// bits. It keeps the accumulator in registers for the whole stream,
+// where a loop of Puts loads and stores it through the Emitter on every
+// call; the bytes are the Puts'.
+func (e *Emitter) PutTokens(toks, codes []uint64) {
+	buf, pos, acc, n := e.buf, e.pos, e.acc, e.n
+	for _, t := range toks {
+		c, k := codes[t&(1<<TokenSymBits-1)], uint(t>>TokenSymBits&63)
+		v, l := c>>8<<k|t>>TokenExtra, uint(c&0xFF)+k
+		if l > 56 { // the code, then the extra bits, each at most 32
+			pos, acc, n = putWord(buf, pos, acc, n, c>>8, uint(c&0xFF))
+			v, l = t>>TokenExtra, k
+		}
+		pos, acc, n = putWord(buf, pos, acc, n, v, l)
+	}
+	e.pos, e.acc, e.n = pos, acc, n
+}
+
+// putWord is Put on an Emitter's fields held in registers.
+func putWord(buf []byte, pos int, acc uint64, n uint, v uint64, k uint) (int, uint64, uint) {
+	n += k
+	acc |= v << ((64 - n) & 63)
+	binary.BigEndian.PutUint64(buf[pos:], acc)
+	pos += int(n >> 3)
+	acc <<= n & 56
+	return pos, acc, n & 7
 }
 
 // Len returns the stream's length in bytes so far, the final partial
@@ -219,6 +260,30 @@ func (r *Reader) PeekBuffered(width uint) uint64 { return r.acc >> (64 - width) 
 func (r *Reader) ConsumeBuffered(width uint) {
 	r.acc <<= width
 	r.n -= width
+}
+
+// Window returns the reader's state for a decode loop that keeps it in
+// registers: the accumulator acc, its n valid bits (left-aligned) and
+// off, the next unread byte of the stream. Such a loop advances the
+// window with Refill, on the buffer the reader reads, and by shifting
+// bits out of acc, and hands it back with SetWindow before any other
+// call on the reader.
+func (r *Reader) Window() (acc uint64, n uint, off int) { return r.acc, r.n, r.off }
+
+// SetWindow hands back a window taken with Window and advanced with
+// Refill and shifts.
+func (r *Reader) SetWindow(acc uint64, n uint, off int) { r.acc, r.n, r.off = acc, n, off }
+
+// Refill is Fill on a window of buf: with n ≤ 56 and 8 stream bytes
+// left at off, one 8-byte load tops acc up to at least 56 valid bits;
+// within 8 bytes of the end it returns the window unchanged.
+func Refill(buf []byte, acc uint64, n uint, off int) (uint64, uint, int) {
+	if n <= 56 && off+8 <= len(buf) {
+		acc |= binary.BigEndian.Uint64(buf[off:]) >> n
+		off += int(63-n) >> 3
+		n |= 56
+	}
+	return acc, n, off
 }
 
 // Overread reports whether a Consume ran past the end of the stream.

@@ -204,9 +204,9 @@ func TestReaderReset(t *testing.T) {
 }
 
 // TestReaderMatchesBitModel drives every Reader call in random
-// interleavings — strict, Peek/Consume and the Fill/PeekBuffered/
-// ConsumeBuffered fast path — against a bit-indexed model of the same
-// buffer. Fill's word load leaves copies of the following stream bits
+// interleavings — strict, Peek/Consume, the Fill/PeekBuffered/
+// ConsumeBuffered fast path and a Window advanced by Refill and shifts
+// — against a bit-indexed model of the same buffer. Fill's word load leaves copies of the following stream bits
 // below the valid ones; no other call may see them as anything but the
 // stream's own bits, and none may see them past the end.
 func TestReaderMatchesBitModel(t *testing.T) {
@@ -232,7 +232,7 @@ func TestReaderMatchesBitModel(t *testing.T) {
 		r := NewReader(buf)
 		pos := 0
 		for op := 0; op < 60 && !r.Overread(); op++ {
-			switch rng.IntN(5) {
+			switch rng.IntN(6) {
 			case 0:
 				w := uint(rng.IntN(65))
 				v, err := r.ReadBits(w)
@@ -261,6 +261,18 @@ func TestReaderMatchesBitModel(t *testing.T) {
 					continue
 				}
 				pos += int(w)
+			case 3:
+				acc, n, off := r.Window()
+				acc, n, off = Refill(buf, acc, n, off)
+				if n > uint(total-pos) || (n < 56 && total-pos-int(n) >= 64) {
+					t.Fatalf("trial %d: %d window bits after Refill at %d/%d", trial, n, pos, total)
+				}
+				w := uint(rng.IntN(int(n) + 1))
+				if v := acc >> (64 - w); v != bits(pos, w) {
+					t.Fatalf("trial %d: window's top %d bits at %d = %#x, want %#x", trial, w, pos, v, bits(pos, w))
+				}
+				r.SetWindow(acc<<w, n-w, off)
+				pos += int(w)
 			default:
 				r.Fill()
 				n := r.Buffered()
@@ -277,6 +289,41 @@ func TestReaderMatchesBitModel(t *testing.T) {
 			if r.Remaining() != total-pos {
 				t.Fatalf("trial %d: Remaining %d, want %d", trial, r.Remaining(), total-pos)
 			}
+		}
+	}
+}
+
+// TestPutTokensMatchesPut: PutTokens writes, for every token, its
+// symbol's code and then its extra bits, byte for byte as a Put of each
+// would — code and extra bits summing past 56 included — and leaves the
+// Emitter where those Puts would, so later Puts continue the stream.
+func TestPutTokensMatchesPut(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	codes := make([]uint64, 1<<TokenSymBits)
+	for sym := range codes {
+		l := uint64(1 + rng.IntN(32))
+		codes[sym] = rng.Uint64()&(1<<l-1)<<8 | l
+	}
+	for trial := 0; trial < 300; trial++ {
+		toks := make([]uint64, rng.IntN(200))
+		var puts []put
+		for i := range toks {
+			sym := uint64(rng.IntN(len(codes)))
+			k := uint(rng.IntN(33))
+			extra := rng.Uint64() & (1<<k - 1)
+			toks[i] = sym | uint64(k)<<TokenSymBits | extra<<TokenExtra
+			puts = append(puts, put{codes[sym] >> 8, uint(codes[sym] & 0xFF)}, put{extra, k})
+		}
+		lead, tail := put{rng.Uint64() & 0x7F, uint(rng.IntN(8))}, put{0x2D, 6}
+		lead.v &= 1<<lead.k - 1
+		want := emit(append(append([]put{lead}, puts...), tail)...)
+		buf := make([]byte, len(want)+8)
+		e := NewEmitter(buf)
+		e.Put(lead.v, lead.k)
+		e.PutTokens(toks, codes)
+		e.Put(tail.v, tail.k)
+		if got := buf[:e.Len()]; string(got) != string(want) {
+			t.Fatalf("trial %d: PutTokens wrote % x, Puts % x", trial, got, want)
 		}
 	}
 }

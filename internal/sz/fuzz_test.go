@@ -22,8 +22,10 @@ func streamDims(data []byte) (planes, h, w int, err error) {
 // must produce an error or a reconstruction, never a panic. A decode
 // that succeeds must write every cell: it runs twice, into destinations
 // pre-filled with two different marker patterns, and both must hold the
-// same bits. A NaN or ±Inf output is no failure: sz stores those
-// verbatim.
+// same bits, which are the cell-by-cell reference decoder's (a NaN that
+// arithmetic on NaN neighbours makes matching any NaN); a decode that
+// fails must fail as the reference does. A NaN or ±Inf output is no
+// failure: sz stores those verbatim.
 func FuzzDecompress(f *testing.F) {
 	c, err := New(1e-2)
 	if err != nil {
@@ -45,6 +47,16 @@ func FuzzDecompress(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(special)
+	// A stream the encoder cannot make: row 3, column 3 of a 5×6 plane,
+	// in the band's unrolled steady state, is predicted from raw NaNs
+	// of opposite sign to its north and west.
+	codes := make([]int32, 5*6)
+	codes[2*6+3], codes[3*6+2] = int32(c.Bins+1), int32(c.Bins+1)
+	nans, err := c.appendStream(codes, []float32{math.Float32frombits(0x7FC00000), math.Float32frombits(0xFFC00000)}, 1, 5, 6)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(nans)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		planes, h, w, err := streamDims(data)
@@ -67,6 +79,7 @@ func FuzzDecompress(f *testing.F) {
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("decodes disagree: %v, then %v", errA, errB)
 		}
+		requireDecodeReference(t, c, data, h, w, n, true)
 		if errA != nil {
 			return
 		}

@@ -108,10 +108,9 @@ func (c *Codec) compress(x []float32, h, w int) ([]byte, error) {
 	defer codePool.Put(codesBox)
 	recon, reconBox := getF32(h * w)
 	defer f32Pool.Put(reconBox)
-	raws, rawsBox, sideBox := qz.run(recon, x[:planes*h*w], codes, h, w)
-	defer f32Pool.Put(rawsBox)
-	defer f32Pool.Put(sideBox)
-	return c.appendStream(codes, raws, planes, h, w)
+	s := qz.run(recon, x[:planes*h*w], codes, h, w)
+	defer rawPool.Put(s)
+	return c.appendStream(codes, s.raws, planes, h, w)
 }
 
 // RoundTripPlane compresses one h×w plane src and writes the stream's
@@ -132,14 +131,13 @@ func (c *Codec) RoundTripPlane(dst, src []float32, h, w int) (int, error) {
 	}
 	codes, codesBox := getCodes(h * w)
 	defer codePool.Put(codesBox)
-	raws, rawsBox, sideBox := c.quantizer().run(dst, src, codes, h, w)
-	defer f32Pool.Put(rawsBox)
-	defer f32Pool.Put(sideBox)
+	s := c.quantizer().run(dst, src, codes, h, w)
+	defer rawPool.Put(s)
 	n, err := vle.FlatLen(codes, w)
 	if err != nil {
 		return 0, err
 	}
-	return headerLen + n + 4*len(raws), nil
+	return headerLen + n + 4*len(s.raws), nil
 }
 
 // quantizer is the Lorenzo residual quantizer's per-stream constants:
@@ -152,7 +150,7 @@ type quantizer struct {
 
 // quantizer returns c's quantizer. It quantizes against the bound
 // exactly as the decompressor will see it (stored as float32); the
-// guard in cell still enforces the user's full-precision bound.
+// guard in band still enforces the user's full-precision bound.
 func (c *Codec) quantizer() quantizer {
 	return quantizer{
 		step:  2 * float64(float32(c.ErrorBound)),
@@ -163,110 +161,129 @@ func (c *Codec) quantizer() quantizer {
 	}
 }
 
-// run quantizes the len(x)/(h·w) h×w planes of x into codes, each
-// plane reconstructed in turn in the one plane recon, and returns their
-// unpredictable values in cell order. The raw values and the pair
-// loop's side buffer are pooled: hand both boxes back to f32Pool once
-// raws is used.
-func (qz quantizer) run(recon, x []float32, codes []int32, h, w int) (raws []float32, rawsBox, sideBox *[]float32) {
-	rawsBox = f32Pool.Get().(*[]float32)
-	sideBox = f32Pool.Get().(*[]float32)
-	raws, side := (*rawsBox)[:0], (*sideBox)[:0]
-	for p := 0; p < len(x); p += h * w {
-		raws, side = qz.plane(recon, x[p:p+h*w], codes[p:p+h*w], w, raws, side)
-	}
-	*rawsBox, *sideBox = raws, side
-	return raws, rawsBox, sideBox
+// bandRows is the height of the band both Lorenzo kernels run the rows
+// below a plane's first in.
+const bandRows = 4
+
+// rawScratch is the quantizer's pooled working set: the stream's
+// unpredictable values in cell order, and one side buffer per band row,
+// where that row's unpredictable values wait until the band is done.
+type rawScratch struct {
+	raws []float32
+	side [bandRows][]float32
 }
 
-// cell quantizes value v against its Lorenzo prediction, returning the
-// code and the reconstruction the decoder will replay, and whether the
-// cell was predictable. An unpredictable cell codes as the sentinel
-// and reconstructs as v itself, stored verbatim. So does a cell whose
-// code would be −32768, which vle refuses as its end-of-block value.
-//
-// The reconstruction is the decoder's arithmetic to the bit: the code
-// travels as an int32, so a −0 from math.Round decodes as +0, and
-// step·(q+0) adds +0 where step·q would add −0 (the sum differs only
-// in the sign of a zero prediction; the code is the same either way).
-func (qz quantizer) cell(v, pred float32) (int32, float32, bool) {
-	x := float64(v)
-	q := math.Round((x - float64(pred)) / qz.step)
-	if math.Abs(q) <= qz.bins && q != math.MinInt16 {
-		// Guard against float32 rounding pushing the reconstruction
-		// outside the bound.
-		if r32 := float32(float64(pred) + qz.step*(q+0)); math.Abs(float64(r32)-x) <= qz.bound {
-			return int32(q), r32, true
-		}
+var rawPool = sync.Pool{New: func() any { return new(rawScratch) }}
+
+// run quantizes the len(x)/(h·w) h×w planes of x into codes, each
+// plane reconstructed in turn in the one plane recon, and returns their
+// unpredictable values in cell order in s.raws. Hand s back to rawPool
+// once s.raws is used.
+func (qz quantizer) run(recon, x []float32, codes []int32, h, w int) (s *rawScratch) {
+	s = rawPool.Get().(*rawScratch)
+	s.raws = s.raws[:0]
+	for p := 0; p < len(x); p += h * w {
+		qz.plane(recon, x[p:p+h*w], codes[p:p+h*w], w, s)
 	}
-	return qz.sentinel, v, false
+	return s
 }
 
 // plane runs the Lorenzo quantizer over one plane x of width w, writing
 // its codes and its reconstruction recon (the predictor reads only
 // cells already written there), and appending its unpredictable values
-// to raws in cell order. It mirrors replayPlane: every cell computes
-// exactly lorenzo's float32 sum and cell's quantization, so the codes
-// match a cell-by-cell pass, but the rows below the first go in pairs.
-// Cell j of the lower row needs only cells j−1 and j of the upper one,
-// so the two rows' divide → round → reconstruct chains overlap in the
-// CPU. The lower row's raw values wait in side until the upper row is
-// done. It returns raws and side's grown buffers.
-func (qz quantizer) plane(recon, x []float32, codes []int32, w int, raws, side []float32) ([]float32, []float32) {
-	var ok bool
-	// First row: predict 0, then the west neighbour.
-	row, xs, qs := recon[:w], x[:w], codes[:w]
-	if qs[0], row[0], ok = qz.cell(xs[0], 0); !ok {
-		raws = append(raws, xs[0])
+// to s.raws in cell order. The first row runs alone, the rows below it
+// in bands of bandRows (the last band holds what is left).
+func (qz quantizer) plane(recon, x []float32, codes []int32, w int, s *rawScratch) {
+	qz.band(recon, x, codes, 0, 1, w, s)
+	for off := w; off < len(x); off += bandRows * w {
+		qz.band(recon, x, codes, off, min(bandRows, (len(x)-off)/w), w, s)
 	}
-	for j := 1; j < len(row) && j < len(xs) && j < len(qs); j++ {
-		if qs[j], row[j], ok = qz.cell(xs[j], row[j-1]); !ok {
-			raws = append(raws, xs[j])
-		}
+}
+
+// band quantizes the band of rows rows, of width w, that starts at cell
+// off. Every cell computes exactly lorenzo's float32 sum and the
+// reference quantizer's rounding and guard, so the codes match a
+// cell-by-cell pass, but the rows are skewed: step t does row k's
+// column t−k. A cell needs its west neighbour (step t−1) and the row
+// above's cells j and j−1 (steps t−1 and t−2), so no cell waits on
+// another of its own step, and the band's divide → round → reconstruct
+// chains overlap in the CPU. Each row's unpredictable values wait in
+// its side buffer until the band is done.
+//
+// An unpredictable cell codes as the sentinel and reconstructs as its
+// value, stored verbatim. So does a cell whose code would be −32768,
+// which vle refuses as its end-of-block value. The reconstruction is
+// the decoder's arithmetic to the bit: the code travels as an int32,
+// so a −0 from round decodes as +0, and step·(q+0) adds +0 where
+// step·q would add −0 (the sum differs only in the sign of a zero
+// prediction; the code is the same either way).
+func (qz quantizer) band(recon, x []float32, codes []int32, off, rows, w int, s *rawScratch) {
+	for k := range rows {
+		s.side[k] = s.side[k][:0]
 	}
-	// Row pairs a, b under row up: the first cell predicts from north,
-	// the rest from west + north − northwest, carried in registers.
-	off := w
-	for ; off+2*w <= len(x); off += 2 * w {
-		up, a, b := recon[off-w:off], recon[off:off+w], recon[off+w:off+2*w]
-		xa, xb := x[off:off+w], x[off+w:off+2*w]
-		qa, qb := codes[off:off+w], codes[off+w:off+2*w]
-		side = side[:0]
-		if qa[0], a[0], ok = qz.cell(xa[0], up[0]); !ok {
-			raws = append(raws, xa[0])
-		}
-		if qb[0], b[0], ok = qz.cell(xb[0], a[0]); !ok {
-			side = append(side, xb[0])
-		}
-		nw, aw, bw := up[0], a[0], b[0]
-		for j := 1; j < len(up) && j < len(a) && j < len(b) && j < len(xa) && j < len(xb) && j < len(qa) && j < len(qb); j++ {
-			n := up[j]
-			var ra, rb float32
-			if qa[j], ra, ok = qz.cell(xa[j], aw+n-nw); !ok {
-				raws = append(raws, xa[j])
+	for t := range w + rows - 1 {
+		// Row k's column t−k is cell off + k·(w−1) + t.
+		k := max(0, t-w+1)
+		for i := off + k*(w-1) + t; k < min(rows, t+1); k, i = k+1, i+w-1 {
+			pred, v := predict(recon, i, t-k, w), x[i]
+			q := round((float64(v) - float64(pred)) / qz.step)
+			if math.Abs(q) <= qz.bins && q != math.MinInt16 {
+				// Guard against float32 rounding pushing the
+				// reconstruction outside the bound.
+				if r := float32(float64(pred) + qz.step*(q+0)); math.Abs(float64(r)-float64(v)) <= qz.bound {
+					codes[i], recon[i] = int32(q), r
+					continue
+				}
 			}
-			if qb[j], rb, ok = qz.cell(xb[j], bw+ra-aw); !ok {
-				side = append(side, xb[j])
-			}
-			a[j], b[j] = ra, rb
-			nw, aw, bw = n, ra, rb
-		}
-		raws = append(raws, side...)
-	}
-	// A last unpaired row.
-	if off < len(x) {
-		up, row := recon[off-w:off], recon[off:off+w]
-		xs, qs := x[off:off+w], codes[off:off+w]
-		if qs[0], row[0], ok = qz.cell(xs[0], up[0]); !ok {
-			raws = append(raws, xs[0])
-		}
-		for j := 1; j < len(up) && j < len(row) && j < len(xs) && j < len(qs); j++ {
-			if qs[j], row[j], ok = qz.cell(xs[j], row[j-1]+up[j]-up[j-1]); !ok {
-				raws = append(raws, xs[j])
-			}
+			codes[i], recon[i] = qz.sentinel, v
+			s.side[k] = append(s.side[k], v)
 		}
 	}
-	return raws, side
+	for k := range rows {
+		s.raws = append(s.raws, s.side[k]...)
+	}
+}
+
+// predict is the first-order 2-D Lorenzo prediction of cell i, in
+// column j of a plane of width w, from the cells already reconstructed
+// in p: west + north − northwest, the north neighbour alone in column
+// 0, the west one alone in the first row, and 0 for the first cell.
+func predict(p []float32, i, j, w int) float32 {
+	switch {
+	case i >= w && j > 0:
+		return p[i-1] + p[i-w] - p[i-w-1]
+	case i >= w:
+		return p[i-w]
+	case j > 0:
+		return p[i-1]
+	}
+	return 0
+}
+
+// round is math.Round, half away from zero, on every float64, in a
+// form the compiler turns into one ROUNDSD (math.RoundToEven is an
+// intrinsic, gated at run time on SSE4.1 below GOAMD64=v2) and a
+// branch taken only at exact ties, where math.Round's exponent
+// branches mispredict on sz's small residuals.
+//
+// Proof. Let t = RoundToEven(r). The two roundings differ only at a
+// tie, r = k + ½ with k an integer: RoundToEven goes to the even
+// neighbour, Round away from zero. d = r − t is exact: for |r| ≤ ½,
+// t = ±0 and d = r; for ½ < |r| < 2⁵², t has r's sign and
+// |r|/2 ≤ |t| ≤ 2|r| (|t − r| ≤ ½), so Sterbenz's lemma makes the
+// subtraction exact; for |r| ≥ 2⁵², r is an integer, t = r and d = 0. So |d| = ½ exactly
+// when r is a tie. There |r| < 2⁵², and r + Copysign(½, r), the
+// integer next to r away from zero, is representable, so the addition
+// is exact and equals Round(r). Everywhere else t = Round(r),
+// the sign of a zero included (RoundToEven keeps it, as Round does).
+// ±0, ±Inf and |r| ≥ 2⁵² pass through unchanged (for ±Inf, d is NaN);
+// a NaN gives NaN, which band's bound check sends to the sentinel.
+func round(r float64) float64 {
+	t := math.RoundToEven(r)
+	if d := r - t; d == 0.5 || d == -0.5 {
+		t = r + math.Copysign(0.5, r)
+	}
+	return t
 }
 
 // appendStream codes the planes' quantization codes and frames them,
@@ -384,84 +401,129 @@ func (c *Codec) decompressBody(dst []float32, data []byte, hd header) error {
 // writing each reconstructed cell to plane and reading its predictor
 // back from there. Every cell computes exactly lorenzo's float32 sum
 // and the encoder's float32(float64(pred) + 2*eb*q), so the output is
-// bit-identical to a cell-by-cell replay, but the rows below the first
-// go in pairs: cell j of the lower row needs only cell j of the upper
-// one, so the two rows' dependency chains overlap in the CPU instead
-// of running back to back. The lower row's raw values start after the
-// upper row's, found by counting the upper row's sentinels. It returns
-// the unread raw values.
+// bit-identical to a cell-by-cell replay, but the cells go in
+// quantizer.band's order: the first row alone, then bands of bandRows
+// rows, skewed so that no cell waits on another of its own step. It
+// returns the unread raw values.
 func replayPlane(plane []float32, codes []int32, w int, eb float64, sentinel int32, raws []byte) ([]byte, error) {
-	step := 2 * eb // the encoder's 2*eb*q groups as (2*eb)*q
-	var ok bool
-	// First row: predict 0, then the west neighbour.
-	row, qs := plane[:w], codes[:w]
-	if row[0], raws, ok = cell(qs[0], sentinel, 0, step, raws); !ok {
-		return nil, errRawsExhausted
+	rp := replayer{plane: plane, codes: codes, w: w, step: 2 * eb, sentinel: sentinel}
+	var err error
+	if raws, err = rp.band(0, 1, raws); err != nil {
+		return nil, err
 	}
-	for j := 1; j < len(row); j++ {
-		if row[j], raws, ok = cell(qs[j], sentinel, row[j-1], step, raws); !ok {
-			return nil, errRawsExhausted
-		}
-	}
-	// Row pairs a, b under row up: the first cell predicts from north,
-	// the rest from west + north − northwest.
-	off := w
-	for ; off+2*w <= len(plane); off += 2 * w {
-		up, a, b := plane[off-w:off], plane[off:off+w], plane[off+w:off+2*w]
-		qa, qb := codes[off:off+w], codes[off+w:off+2*w]
-		na := 0
-		for _, q := range qa {
-			if q == sentinel {
-				na++
-			}
-		}
-		if 4*na > len(raws) {
-			return nil, errRawsExhausted
-		}
-		rb := raws[4*na:]
-		// Row a's raw values were counted above, so only b's can run out.
-		a[0], raws, _ = cell(qa[0], sentinel, up[0], step, raws)
-		if b[0], rb, ok = cell(qb[0], sentinel, a[0], step, rb); !ok {
-			return nil, errRawsExhausted
-		}
-		for j := 1; j < len(a) && j < len(b) && j < len(up); j++ {
-			a[j], raws, _ = cell(qa[j], sentinel, a[j-1]+up[j]-up[j-1], step, raws)
-			if b[j], rb, ok = cell(qb[j], sentinel, b[j-1]+a[j]-a[j-1], step, rb); !ok {
-				return nil, errRawsExhausted
-			}
-		}
-		raws = rb
-	}
-	// A last unpaired row.
-	if off < len(plane) {
-		up, row, qs := plane[off-w:off], plane[off:off+w], codes[off:off+w]
-		if row[0], raws, ok = cell(qs[0], sentinel, up[0], step, raws); !ok {
-			return nil, errRawsExhausted
-		}
-		for j := 1; j < len(row) && j < len(up); j++ {
-			if row[j], raws, ok = cell(qs[j], sentinel, row[j-1]+up[j]-up[j-1], step, raws); !ok {
-				return nil, errRawsExhausted
-			}
+	for off := w; off < len(plane); off += bandRows * w {
+		if raws, err = rp.band(off, min(bandRows, (len(plane)-off)/w), raws); err != nil {
+			return nil, err
 		}
 	}
 	return raws, nil
 }
 
-// cell reconstructs one cell from its code q and Lorenzo prediction,
-// popping a verbatim value off raws for the sentinel code.
-func cell(q, sentinel int32, pred float32, step float64, raws []byte) (float32, []byte, bool) {
-	if q != sentinel {
-		return float32(float64(pred) + step*float64(q)), raws, true
-	}
-	return takeRaw(raws)
+// replayer is one plane's replay: the plane, its codes, its width, the
+// bin width 2·eb (the encoder's 2*eb*q groups as (2*eb)*q) and the
+// unpredictable sentinel.
+type replayer struct {
+	plane    []float32
+	codes    []int32
+	w        int
+	step     float64
+	sentinel int32
 }
 
 var errRawsExhausted = errors.New("sz: raw-value section exhausted")
 
-// takeRaw pops one verbatim float32 off the raw-value section.
-func takeRaw(raws []byte) (float32, []byte, bool) {
-	if len(raws) < 4 {
-		return 0, raws, false
+// band replays the band of rows rows that starts at cell off, as
+// quantizer.band coded it, and returns the raw values left after it.
+// A band row's raw values follow those of the rows above it, so the
+// sentinels of every row but the last are counted first: each row then
+// reads from its own cursor, its end known, and the last row reads to
+// the end of the section. A full band below the first row runs its
+// steady state hand-unrolled, one cell per row per step; the steps
+// before and after it, and a band of fewer rows, go cell by cell.
+func (rp *replayer) band(off, rows int, raws []byte) ([]byte, error) {
+	w, codes := rp.w, rp.codes
+	var cur, end [bandRows]int
+	n := 0
+	for k := range rows - 1 {
+		cur[k] = n
+		for _, q := range codes[off+k*w : off+(k+1)*w] {
+			if q == rp.sentinel {
+				n += 4
+			}
+		}
+		end[k] = n
 	}
-	return math.Float32frombits(binary.LittleEndian.Uint32(raws)), raws[4:], true
+	if n > len(raws) {
+		return nil, errRawsExhausted
+	}
+	cur[rows-1], end[rows-1] = n, len(raws)
+
+	// Steps bandRows ≤ t < w hold every row's column t−k in [1, w).
+	steps, lo, hi := w+rows-1, w+rows-1, w+rows-1
+	if rows == bandRows && w > bandRows {
+		lo, hi = bandRows, w
+	}
+	if !rp.steps(off, rows, 0, lo, raws, &cur, &end) {
+		return nil, errRawsExhausted
+	}
+	if lo < hi {
+		step, sentinel := rp.step, rp.sentinel
+		up, r0, r1, r2, r3 := rp.plane[off-w:off], rp.plane[off:off+w], rp.plane[off+w:off+2*w], rp.plane[off+2*w:off+3*w], rp.plane[off+3*w:off+4*w]
+		c0, c1, c2, c3 := codes[off:off+w], codes[off+w:off+2*w], codes[off+2*w:off+3*w], codes[off+3*w:off+4*w]
+		// Each row's last cell (o) and the one before it (p) ride in
+		// registers: row k's west neighbour is its own last cell, its
+		// north and northwest ones the row above's last two.
+		o0, o1, o2, o3 := r0[lo-1], r1[lo-2], r2[lo-3], r3[lo-4]
+		p0, p1, p2 := r0[lo-2], r1[lo-3], r2[lo-4]
+		for t := lo; t < hi && t < len(up) && t < len(r0) && t < len(c0); t++ {
+			a, b, c, d := t, t-1, t-2, t-3
+			n0, ok0 := replayCell(c0[a], sentinel, o0+up[a]-up[a-1], step, raws, &cur[0], end[0])
+			n1, ok1 := replayCell(c1[b], sentinel, o1+o0-p0, step, raws, &cur[1], end[1])
+			n2, ok2 := replayCell(c2[c], sentinel, o2+o1-p1, step, raws, &cur[2], end[2])
+			n3, ok3 := replayCell(c3[d], sentinel, o3+o2-p2, step, raws, &cur[3], end[3])
+			if !(ok0 && ok1 && ok2 && ok3) {
+				return nil, errRawsExhausted
+			}
+			r0[a], r1[b], r2[c], r3[d] = n0, n1, n2, n3
+			p0, p1, p2 = o0, o1, o2
+			o0, o1, o2, o3 = n0, n1, n2, n3
+		}
+	}
+	if !rp.steps(off, rows, hi, steps, raws, &cur, &end) {
+		return nil, errRawsExhausted
+	}
+	return raws[cur[rows-1]:], nil
+}
+
+// steps replays the band's steps t0 ≤ t < t1 cell by cell: step t does
+// row k's column t−k, predicted as quantizer.band predicts it. It
+// reports false when a row's raw values run out.
+func (rp *replayer) steps(off, rows, t0, t1 int, raws []byte, cur, end *[bandRows]int) bool {
+	w, plane := rp.w, rp.plane
+	for t := t0; t < t1; t++ {
+		k := max(0, t-w+1)
+		for i := off + k*(w-1) + t; k < min(rows, t+1); k, i = k+1, i+w-1 {
+			var ok bool
+			if plane[i], ok = replayCell(rp.codes[i], rp.sentinel, predict(plane, i, t-k, w), rp.step, raws, &cur[k], end[k]); !ok {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// replayCell reconstructs one cell from its code q and Lorenzo
+// prediction, or, for the sentinel code, reads a verbatim float32 from
+// raws at *cur, before end, and advances *cur past it. It reports false
+// when no raw value is left.
+func replayCell(q, sentinel int32, pred float32, step float64, raws []byte, cur *int, end int) (float32, bool) {
+	if q != sentinel {
+		return float32(float64(pred) + step*float64(q)), true
+	}
+	if *cur+4 > end {
+		return 0, false
+	}
+	v := math.Float32frombits(binary.LittleEndian.Uint32(raws[*cur:]))
+	*cur += 4
+	return v, true
 }

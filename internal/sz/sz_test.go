@@ -312,3 +312,27 @@ func BenchmarkCompress(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRoundTripPlane round-trips one [4,8,128,128] CloudSeg record
+// at eb=1e-3 plane by plane into a reused output, as the codec
+// registry's fused path does: the quantizer and vle's sizer, with no
+// stream coded or decoded.
+func BenchmarkRoundTripPlane(b *testing.B) {
+	c, err := New(1e-3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x, _ := datagen.NewCloudSeg(1, 128, 8).Batch(4)
+	const hw = 128 * 128
+	dst := make([]float32, x.Len())
+	b.SetBytes(int64(4 * x.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for p := 0; p < x.Len(); p += hw {
+			if _, err := c.RoundTripPlane(dst[p:p+hw], x.Data()[p:p+hw], 128, 128); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/bitstream"
@@ -25,10 +26,10 @@ func refDecodeFlatInto(dst []int32, data []byte, blockSize int) error {
 		return err
 	}
 	if size != blockSize {
-		return fmt.Errorf("block size %d, want %d", size, blockSize)
+		return fmt.Errorf("vle: stream block size %d, want %d", size, blockSize)
 	}
 	if nblocks < 1 || uint64(nblocks)*uint64(blockSize) != uint64(len(dst)) {
-		return fmt.Errorf("%d×%d values, want %d", nblocks, size, len(dst))
+		return fmt.Errorf("vle: stream holds %d×%d values, want %d", nblocks, size, len(dst))
 	}
 	clear(dst)
 	for off := 0; off < len(dst); off += blockSize {
@@ -59,7 +60,7 @@ func refDecodeBlock(d *Decoder, r *bitstream.Reader, dst []int32) error {
 			return err
 		}
 		if pos >= len(dst) {
-			return fmt.Errorf("run overflows block")
+			return fmt.Errorf("vle: run overflows block (%d ≥ %d)", pos, len(dst))
 		}
 		v := int32(raw & (1<<uint(cat) - 1))
 		if raw>>uint(cat)&1 != 0 {
@@ -71,17 +72,18 @@ func refDecodeBlock(d *Decoder, r *bitstream.Reader, dst []int32) error {
 }
 
 // agreeWithReference decodes data through DecodeFlatInto and the
-// reference into n values: both must fail, or both succeed with the
-// same values.
+// reference into n values: both must fail with the same error, or both
+// succeed with the same values. DecodeFlatInto's destination starts
+// filled with a marker, so every cell must be written.
 func agreeWithReference(t *testing.T, data []byte, blockSize, n int) {
 	t.Helper()
 	got, want := make([]int32, n), make([]int32, n)
 	for i := range got {
-		got[i] = 0x5A5A5A5A // every cell must be written
+		got[i] = 0x5A5A5A5A
 	}
 	errGot := DecodeFlatInto(got, data, blockSize)
 	errWant := refDecodeFlatInto(want, data, blockSize)
-	if (errGot == nil) != (errWant == nil) {
+	if fmt.Sprint(errGot) != fmt.Sprint(errWant) {
 		t.Fatalf("DecodeFlatInto err %v, reference err %v (stream %x)", errGot, errWant, data)
 	}
 	if errGot != nil {
@@ -226,6 +228,56 @@ func TestFusedWindowStraddle(t *testing.T) {
 	}
 }
 
+// TestFusedSlowTokenMidGroup: one refill serves several fused-table
+// tokens from the local window, so a token the table does not hold —
+// a rare value whose code and magnitude bits pass the 11-bit probe —
+// can fall anywhere in that group; and a stream cut anywhere ends
+// within a group of its last refill, with fewer than 8 bytes left to
+// load. Every such stream, whole, cut at every byte and with every
+// bit flipped, decodes like the reference.
+func TestFusedSlowTokenMidGroup(t *testing.T) {
+	rng := tensor.NewRNG(15)
+	const size = 32
+	codes := make([]int32, 24*size)
+	for i := range codes {
+		codes[i] = int32(rng.Intn(7)) - 3 // short fused tokens, some zeros
+		if rng.Intn(9) == 0 {
+			// A rare wide value: its category appears a handful of
+			// times, so its code is long, and code plus 9–16 magnitude
+			// and sign bits never fit the probe.
+			codes[i] = int32(1<<(8+rng.Intn(8))+rng.Intn(200)) * (1 - 2*int32(rng.Intn(2)))
+		}
+	}
+	data, err := AppendFlat(nil, codes, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &Decoder{}
+	if _, _, err := d.readHeader(bitstream.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	fast, slow := 0, 0
+	for _, sym := range d.code.Symbols() {
+		if l, cat := int(d.code.Enc[sym]&0xFF), (int(sym)-1)%32; sym != 0 && l+cat+1 > fastBits {
+			slow++
+		} else {
+			fast++
+		}
+	}
+	if fast == 0 || slow == 0 {
+		t.Fatalf("stream has %d fused and %d fallback symbols, want both", fast, slow)
+	}
+	agreeWithReference(t, data, size, len(codes))
+	for n := 0; n < len(data); n++ {
+		agreeWithReference(t, data[:n], size, len(codes))
+	}
+	for bit := 0; bit < 8*len(data); bit++ {
+		flipped := append([]byte(nil), data...)
+		flipped[bit/8] ^= 0x80 >> (bit % 8)
+		agreeWithReference(t, flipped, size, len(codes))
+	}
+}
+
 // TestFusedDeepGolden: the recorded stream with 20-bit codes, past the
 // probe width, decodes like the reference.
 func TestFusedDeepGolden(t *testing.T) {
@@ -278,21 +330,13 @@ func TestFusedPureRuns(t *testing.T) {
 		data := forgeStream(2, size, lens, payload...)
 		agreeWithReference(t, data, size, 2*size)
 	}
-}
-
-// BenchmarkDecodeFlatInto decodes a 128×128 plane of small
-// quantization-like codes in 128-value blocks, the fields-sz layout.
-func BenchmarkDecodeFlatInto(b *testing.B) {
-	codes := twoSided(tensor.NewRNG(3), 128*128, 4, 1, 0)
-	data, err := AppendFlat(nil, codes, 128)
-	if err != nil {
-		b.Fatal(err)
+	// Two pure runs of 7 past a 4-value block, then EOB, and a second
+	// block of EOB alone: no value overflows the block, so it decodes,
+	// as zeros, without error.
+	data := forgeStream(2, 4, lens, 1, 0, 1, 1, 0, 1, 0, 0, 0, 0)
+	got := []int32{9, 9, 9, 9, 9, 9, 9, 9}
+	if err := DecodeFlatInto(got, data, 4); err != nil || slices.ContainsFunc(got, func(v int32) bool { return v != 0 }) {
+		t.Fatalf("pure runs past the block, closed by EOB: %v, err %v", got, err)
 	}
-	dst := make([]int32, len(codes))
-	b.SetBytes(int64(4 * len(codes)))
-	for range b.N {
-		if err := DecodeFlatInto(dst, data, 128); err != nil {
-			b.Fatal(err)
-		}
-	}
+	agreeWithReference(t, data, 4, 8)
 }

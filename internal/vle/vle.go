@@ -9,23 +9,27 @@
 // shapes and two matmuls. The ablation bench compares chop, triangle
 // (SG) and zigzag+RLE+Huffman retention on the same coefficient data.
 //
-// The coder is two-pass and table-driven: a histogram pass over the
-// coefficients, a canonical Huffman build, then an emit pass — no token
-// stream is ever materialised. The Huffman machinery (the two-queue
-// length build and the canonical code table with its decode LUT) is
-// internal/entropy's, shared with the huf backend; this package owns
-// the (run, category) symbol mapping, the magnitude and sign bits and
-// the stream header. The decoder adds one table of its own, built from
-// the canonical code per stream: an 11-bit probe that yields a whole
-// (run, value, length) token, so the common short token costs one
-// lookup instead of a symbol decode plus a magnitude read. Encoder and
-// Decoder state live in pools, and the entry points work on flat int32
-// blocks (AppendFlat / DecodeFlatInto, and FlatLen, which sizes
-// AppendFlat's stream without emitting it). AppendFlat sizes its stream
-// with FlatLen's computation, grows dst once and emits straight into it
-// through a bitstream.Emitter, so callers with pooled buffers compress
-// and decompress without allocating. The byte format is unchanged from
-// the original map-and-token implementation.
+// The coder is two-pass and table-driven: a count pass tokenizes the
+// coefficients once, histogramming the tokens and, when AppendFlat
+// codes them, recording each as one word in the pooled Encoder; a
+// canonical Huffman build; then an emit pass that only looks each
+// recorded token's code up and writes it with its extra bits
+// (bitstream.Emitter.PutTokens). FlatLen, which sizes AppendFlat's
+// stream without emitting it, records no tokens. The Huffman machinery
+// (the two-queue length build and the canonical code table with its
+// decode LUT) is internal/entropy's, shared with the huf backend; this
+// package owns the (run, category) symbol mapping, the magnitude and
+// sign bits and the stream header. The decoder adds one table of its
+// own, built from the canonical code per stream: an 11-bit probe that
+// yields a whole (run, value, length) token, so the common short token
+// costs one lookup instead of a symbol decode plus a magnitude read,
+// and one refill of a register copy of the reader's window serves
+// several of them. Encoder and Decoder state live in pools, and the
+// entry points work on flat int32 blocks (AppendFlat / DecodeFlatInto,
+// and FlatLen). AppendFlat sizes its stream with FlatLen's computation,
+// grows dst once and emits straight into it, so callers with pooled
+// buffers compress and decompress without allocating. The byte format
+// is unchanged from the original map-and-token implementation.
 package vle
 
 import (
@@ -66,8 +70,9 @@ const MaxFlatBlock = 1<<16 - 1
 const maxCodeLen = 32
 
 // Encoder holds the histogram, code lengths, canonical code table and
-// Huffman build scratch on fixed-size arrays so a pooled instance
-// encodes without allocating. The zero value is NOT ready; obtain
+// Huffman build scratch on fixed-size arrays, and the recorded tokens
+// in a buffer it keeps, so a pooled instance encodes without allocating
+// once that buffer has grown. The zero value is NOT ready; obtain
 // instances through the package functions, which pool them.
 type Encoder struct {
 	freq [alphabetSize]int64
@@ -79,6 +84,10 @@ type Encoder struct {
 	keys  [alphabetSize]uint64
 	w     [2 * alphabetSize]int64
 	depth [2 * alphabetSize]uint16
+	// toks is the count pass's token stream, when AppendFlat asks for
+	// it: one word per token, laid out as bitstream.Emitter.PutTokens
+	// reads it (symbol, extra-bit count, extra bits).
+	toks []uint64
 }
 
 var encoderPool = sync.Pool{New: func() any { return &Encoder{} }}
@@ -99,10 +108,13 @@ var errEOBValue = fmt.Errorf("vle: value %d collides with the end-of-block marke
 // r+1), so it would decode as something else.
 var errWideValue = errors.New("vle: value outside ±(2³¹−1)")
 
-// countBlock runs the tokenizer over one block, updating the histogram.
-// It refuses a block holding −32768 (errEOBValue) or a value wider than
-// 31 bits (errWideValue).
-func countBlock[T ~int | ~int32](e *Encoder, coeffs []T) error {
+// countBlock runs the tokenizer over one block, updating the histogram
+// and writing each token to toks while it has room, and returns the
+// part of toks it left unwritten. AppendFlat passes the rest of e.toks,
+// sized for every token; FlatLen passes nil and records nothing. It
+// refuses a block holding −32768 (errEOBValue) or a value wider than 31
+// bits (errWideValue).
+func countBlock[T ~int | ~int32](e *Encoder, coeffs []T, toks []uint64) ([]uint64, error) {
 	last := len(coeffs) - 1
 	for last >= 0 && coeffs[last] == 0 {
 		last--
@@ -113,68 +125,48 @@ func countBlock[T ~int | ~int32](e *Encoder, coeffs []T) error {
 		if v == 0 {
 			run++
 			if run == maxRun {
-				e.freq[1+maxRun*32]++
+				const sym = 1 + maxRun*32
+				e.freq[sym]++
+				if len(toks) > 0 {
+					toks[0] = sym
+					toks = toks[1:]
+				}
 				run = 0
 			}
 			continue
 		}
 		if v == symEOB {
-			return errEOBValue
+			return nil, errEOBValue
 		}
-		_, cat := signMag(v)
+		s, mag := signMag(v)
+		cat := uint(bits.Len64(mag))
 		if cat > 31 {
-			return errWideValue
+			return nil, errWideValue
 		}
-		e.freq[1+run*32+int(cat)]++
+		sym := 1 + run*32 + int(cat)
+		e.freq[sym]++
+		if len(toks) > 0 {
+			toks[0] = uint64(sym) | uint64(cat+1)<<bitstream.TokenSymBits | (mag|s<<cat)<<bitstream.TokenExtra
+			toks = toks[1:]
+		}
 		run = 0
 	}
 	e.freq[0]++ // EOB
-	return nil
+	if len(toks) > 0 {
+		toks[0] = 0
+		toks = toks[1:]
+	}
+	return toks, nil
 }
 
-// signMag splits a nonzero value into its sign-and-magnitude extra
-// bits (the magnitude, with the sign bit set just above it for a
-// negative value) and its category, the magnitude's bit length —
-// without a branch on the sign, which sz's ± residuals mispredict.
-func signMag(v int64) (extra uint64, cat uint) {
+// signMag splits a nonzero value into its sign bit (1 for a negative
+// value) and its magnitude without a branch on the sign, which sz's ±
+// residuals mispredict. The magnitude's bit length is the value's
+// category; its extra bits are the magnitude with the sign bit set just
+// above it.
+func signMag(v int64) (sign, mag uint64) {
 	s := v >> 63
-	mag := uint64((v ^ s) - s)
-	cat = uint(bits.Len64(mag))
-	return mag | uint64(s&1)<<cat, cat
-}
-
-// emitBlock re-runs the tokenizer over one block countBlock accepted,
-// emitting codes.
-func emitBlock[T ~int | ~int32](e *Encoder, w *bitstream.Emitter, coeffs []T) {
-	last := len(coeffs) - 1
-	for last >= 0 && coeffs[last] == 0 {
-		last--
-	}
-	run := 0
-	for i := 0; i <= last; i++ {
-		v := int64(coeffs[i])
-		if v == 0 {
-			run++
-			if run == maxRun {
-				sym := 1 + maxRun*32
-				w.Put(e.code.Enc[sym]>>8, uint(e.lens[sym]))
-				run = 0
-			}
-			continue
-		}
-		extra, cat := signMag(v)
-		sym := 1 + run*32 + int(cat)
-		// Code and extra bits in one Put when they fit.
-		l := uint(e.lens[sym])
-		if l+cat+1 <= 56 {
-			w.Put(e.code.Enc[sym]>>8<<(cat+1)|extra, l+cat+1)
-		} else {
-			w.Put(e.code.Enc[sym]>>8, l)
-			w.Put(extra, cat+1)
-		}
-		run = 0
-	}
-	w.Put(e.code.Enc[0]>>8, uint(e.lens[0])) // EOB
+	return uint64(s & 1), uint64((v ^ s) - s)
 }
 
 // build turns the histogram into canonical code tables: the shared
@@ -219,10 +211,10 @@ func (e *Encoder) writeHeader(w *bitstream.Emitter, nblocks, size int) {
 }
 
 // prepare is AppendFlat's and FlatLen's shared first pass: it checks
-// the block geometry, counts every block's tokens and builds the
-// canonical code, on a pooled Encoder the caller hands back to
-// encoderPool.
-func prepare(coeffs []int32, blockSize int) (*Encoder, error) {
+// the block geometry, counts every block's tokens, recording them when
+// record is set, and builds the canonical code, on a pooled Encoder the
+// caller hands back to encoderPool.
+func prepare(coeffs []int32, blockSize int, record bool) (*Encoder, error) {
 	if blockSize < 1 || blockSize > MaxFlatBlock {
 		return nil, fmt.Errorf("vle: block size %d outside [1, %d]", blockSize, MaxFlatBlock)
 	}
@@ -231,12 +223,21 @@ func prepare(coeffs []int32, blockSize int) (*Encoder, error) {
 	}
 	e := encoderPool.Get().(*Encoder)
 	e.reset()
+	var toks []uint64
+	if record {
+		// A block is at most one token per value plus its EOB.
+		toks = slices.Grow(e.toks[:0], len(coeffs)+len(coeffs)/blockSize)
+		toks = toks[:cap(toks)]
+	}
+	rest := toks
 	for off := 0; off < len(coeffs); off += blockSize {
-		if err := countBlock(e, coeffs[off:off+blockSize]); err != nil {
+		var err error
+		if rest, err = countBlock(e, coeffs[off:off+blockSize], rest); err != nil {
 			encoderPool.Put(e)
 			return nil, err
 		}
 	}
+	e.toks = toks[:len(toks)-len(rest)]
 	if err := e.build(); err != nil {
 		encoderPool.Put(e)
 		return nil, err
@@ -266,12 +267,13 @@ func (e *Encoder) flatLen() int {
 
 // AppendFlat compresses len(coeffs)/blockSize equal-size blocks stored
 // back to back in a flat int32 buffer, appending the encoded stream to
-// dst. It sizes the stream first, grows dst once and emits straight
-// into it, so callers with capacity-managed buffers run
-// allocation-free. dst's capacity past the stream holds 8 bytes of
-// emitter scratch.
+// dst. Its count pass tokenizes the blocks once, keeping the tokens in
+// the pooled Encoder; it then sizes the stream, grows dst once and
+// emits the tokens straight into it, so callers with capacity-managed
+// buffers run allocation-free. dst's capacity past the stream holds 8
+// bytes of emitter scratch.
 func AppendFlat(dst []byte, coeffs []int32, blockSize int) ([]byte, error) {
-	e, err := prepare(coeffs, blockSize)
+	e, err := prepare(coeffs, blockSize, true)
 	if err != nil {
 		return nil, err
 	}
@@ -280,16 +282,14 @@ func AppendFlat(dst []byte, coeffs []int32, blockSize int) ([]byte, error) {
 	dst = slices.Grow(dst, n+8)
 	w := bitstream.NewEmitter(dst[start : start+n+8])
 	e.writeHeader(&w, len(coeffs)/blockSize, blockSize)
-	for off := 0; off < len(coeffs); off += blockSize {
-		emitBlock(e, &w, coeffs[off:off+blockSize])
-	}
+	w.PutTokens(e.toks, e.code.Enc[:])
 	return dst[:start+w.Len()], nil
 }
 
 // FlatLen is len(AppendFlat(nil, coeffs, blockSize)), with the same
-// errors, computed without coding the stream.
+// errors, computed without coding the stream or recording its tokens.
 func FlatLen(coeffs []int32, blockSize int) (int, error) {
-	e, err := prepare(coeffs, blockSize)
+	e, err := prepare(coeffs, blockSize, false)
 	if err != nil {
 		return 0, err
 	}
@@ -406,59 +406,112 @@ func fillFast(dst []uint32, v uint32) {
 	}
 }
 
-// decodeBlockInto decodes one block's tokens into dst (pre-zeroed).
-// Each token costs one refill and one fused-table probe; a token the
-// table does not hold, or that the stream's remaining bits cannot
-// cover, takes the symbol-then-magnitude path through code.ReadSym,
-// which also reports truncation and invalid codes.
-func (d *Decoder) decodeBlockInto(r *bitstream.Reader, dst []int32) error {
-	pos := 0
+// decodeBlockInto decodes one block's tokens from r, which reads data,
+// into dst, writing every value: zeros go only into the gaps the runs
+// leave and into the block's tail. Fused-table tokens are served from a
+// local copy of the reader's window, several per refill: a refill tops
+// the window up only once fewer than fastBits bits are left. A token the
+// table does not hold, or that the stream's remaining bits cannot cover,
+// takes the symbol-then-magnitude path through code.ReadSym and
+// ReadBits, which also report truncation and invalid codes.
+func (d *Decoder) decodeBlockInto(r *bitstream.Reader, data []byte, dst []int32) error {
+	pos := 0 // dst[:pos] is written, unless a pure run overflowed it
 	for {
-		r.Fill()
-		e := d.fast[r.PeekBuffered(fastBits)]
-		if l := uint(e & 15); l != 0 && l <= r.Buffered() {
-			r.ConsumeBuffered(l)
-			pos += int(e >> 8 & 0xFF)
-			switch e & fastKind {
-			case fastEOB:
-				return nil
-			case fastRun:
+		acc, n, off := r.Window()
+		for {
+			if n < fastBits {
+				acc, n, off = bitstream.Refill(data, acc, n, off)
+			}
+			e := d.fast[acc>>(64-fastBits)]
+			l := uint(e & 15)
+			if l == 0 || l > n {
+				break
+			}
+			acc <<= l
+			n -= l
+			end := pos + int(e>>8&0xFF)
+			if e&fastKind != fastValue {
+				if e&fastKind == fastEOB {
+					r.SetWindow(acc, n, off)
+					clear(dst[min(pos, len(dst)):])
+					return nil
+				}
+				pos = zeroRun(dst, pos, end)
 				continue
 			}
-			if uint(pos) >= uint(len(dst)) { // pos only grows from 0
-				return fmt.Errorf("vle: run overflows block (%d ≥ %d)", pos, len(dst))
+			if uint(end) >= uint(len(dst)) { // end only grows from 0
+				return errRunOverflow(end, len(dst))
 			}
+			pos = zeroGap(dst, pos, end)
 			dst[pos] = int32(int16(e >> 16))
 			pos++
-			continue
 		}
+		r.SetWindow(acc, n, off)
 		sym, err := d.code.ReadSym(r)
 		if err != nil {
 			return err
 		}
 		if sym == 0 {
+			clear(dst[min(pos, len(dst)):])
 			return nil // EOB
 		}
 		run := (sym - 1) / 32
 		cat := (sym - 1) % 32
-		pos += run
+		end := pos + run
 		if cat == 0 {
-			continue // pure run extension
+			pos = zeroRun(dst, pos, end) // pure run extension
+			continue
 		}
 		raw, err := r.ReadBits(uint(cat) + 1)
 		if err != nil {
 			return err
 		}
-		if pos >= len(dst) {
-			return fmt.Errorf("vle: run overflows block (%d ≥ %d)", pos, len(dst))
+		if end >= len(dst) {
+			return errRunOverflow(end, len(dst))
 		}
 		v := int32(raw & ((1 << uint(cat)) - 1))
 		if raw&(1<<uint(cat)) != 0 {
 			v = -v
 		}
+		pos = zeroGap(dst, pos, end)
 		dst[pos] = v
 		pos++
 	}
+}
+
+// zeroGap writes the zeros of a run from pos to end < len(dst) and
+// returns end. A gap of at most 16 values is cleared with one 16-value
+// store, which may write zeros past end, into cells no token has
+// reached yet: the later tokens overwrite them, and the block's tail
+// is cleared at its EOB.
+func zeroGap(dst []int32, pos, end int) int {
+	if end == pos {
+		return end
+	}
+	if end-pos <= 16 && pos+16 <= len(dst) {
+		*(*[16]int32)(dst[pos:]) = [16]int32{}
+		return end
+	}
+	for ; pos < end; pos++ {
+		dst[pos] = 0
+	}
+	return end
+}
+
+// zeroRun writes the zeros of a pure run from pos to end, as far as the
+// block dst reaches, and returns end: a pure run may overflow the block
+// and still be closed by EOB.
+func zeroRun(dst []int32, pos, end int) int {
+	for ; pos < end && pos < len(dst); pos++ {
+		dst[pos] = 0
+	}
+	return end
+}
+
+// errRunOverflow reports a token whose run puts its value at pos, past
+// a block of n values.
+func errRunOverflow(pos, n int) error {
+	return fmt.Errorf("vle: run overflows block (%d ≥ %d)", pos, n)
 }
 
 // DecodeFlatInto decodes a stream produced by AppendFlat
@@ -478,11 +531,8 @@ func DecodeFlatInto(dst []int32, data []byte, blockSize int) error {
 	if nblocks < 1 || uint64(nblocks)*uint64(blockSize) != uint64(len(dst)) {
 		return fmt.Errorf("vle: stream holds %d×%d values, want %d", nblocks, size, len(dst))
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
 	for off := 0; off < len(dst); off += blockSize {
-		if err := d.decodeBlockInto(r, dst[off:off+blockSize]); err != nil {
+		if err := d.decodeBlockInto(r, data, dst[off:off+blockSize]); err != nil {
 			return err
 		}
 	}

@@ -21,20 +21,26 @@ func Encode(blocks [][]int) ([]byte, error) {
 	e := encoderPool.Get().(*Encoder)
 	defer encoderPool.Put(e)
 	e.reset()
+	n := 0
 	for _, b := range blocks {
-		if err := countBlock(e, b); err != nil {
+		n += len(b) + 1 // at most a token per value, and the EOB
+	}
+	toks := make([]uint64, n)
+	rest := toks
+	for _, b := range blocks {
+		var err error
+		if rest, err = countBlock(e, b, rest); err != nil {
 			return nil, err
 		}
 	}
+	e.toks = toks[:len(toks)-len(rest)]
 	if err := e.build(); err != nil {
 		return nil, err
 	}
 	buf := make([]byte, e.flatLen()+8)
 	w := bitstream.NewEmitter(buf)
 	e.writeHeader(&w, len(blocks), len(blocks[0]))
-	for _, b := range blocks {
-		emitBlock(e, &w, b)
-	}
+	w.PutTokens(e.toks, e.code.Enc[:])
 	return buf[:w.Len()], nil
 }
 
@@ -61,10 +67,7 @@ func Decode(data []byte) ([][]int, error) {
 	out := make([][]int, 0, min(nblocks, 1024))
 	row := make([]int32, size)
 	for b := 0; b < nblocks; b++ {
-		for i := range row {
-			row[i] = 0
-		}
-		if err := d.decodeBlockInto(r, row); err != nil {
+		if err := d.decodeBlockInto(r, data, row); err != nil {
 			return nil, err
 		}
 		block := make([]int, size)
