@@ -42,8 +42,7 @@
 //
 //	acc-compress -mode decompress -stream -record 2 -in batch.accs -out c.f32
 //
-// The legacy DCT+Chop flags (-cf, -s, -sg, -transform) still work and
-// map onto a dctc spec when -codec is not given.
+// -codec defaults to dctc:cf=4, the paper's DCT+Chop at ratio 4.
 package main
 
 import (
@@ -70,11 +69,7 @@ func main() {
 		bd     = flag.Int("bd", 1, "batch size")
 		ch     = flag.Int("c", 1, "channels")
 		n      = flag.Int("n", 0, "resolution (images are n x n)")
-		spec   = flag.String("codec", "", `codec spec, e.g. "dctc:cf=4,s=2,sg" or "zfp:rate=8"`)
-		cf     = flag.Int("cf", 4, "legacy: chop factor (1-8)")
-		sg     = flag.Bool("sg", false, "legacy: scatter/gather triangle variant")
-		serial = flag.Int("s", 1, "legacy: partial-serialization factor")
-		trans  = flag.String("transform", "dct8", "legacy: block transform: dct8 | zfp4")
+		spec   = flag.String("codec", "dctc:cf=4", `codec spec, e.g. "dctc:cf=4,s=2,sg" or "zfp:rate=8"`)
 		device = flag.String("device", "", "simulate on a device (CS-2, SN30, GroqChip, IPU, A100)")
 		stream = flag.Bool("stream", false, "ACCF v2 stream mode: compress many inputs into one multi-tensor stream, decompress record by record")
 		index  = flag.Bool("index", true, "stream compress: append the seek-index footer (readers that predate it skip it; -index=false reproduces the footer-less format)")
@@ -90,11 +85,11 @@ func main() {
 	switch *mode {
 	case "compress":
 		if *stream {
-			compressStream(*in, *out, newCodec(*spec, *cf, *sg, *serial, *trans), *bd, *ch, *n, *index)
+			compressStream(*in, *out, newCodec(*spec), *bd, *ch, *n, *index)
 			break
 		}
 		x := readTensor(*in, *bd, *ch, *n)
-		c := newCodec(*spec, *cf, *sg, *serial, *trans)
+		c := newCodec(*spec)
 		data, err := c.Compress(x)
 		check(err)
 		check(os.WriteFile(*out, data, 0o644))
@@ -122,7 +117,7 @@ func main() {
 
 	case "roundtrip":
 		x := readTensor(*in, *bd, *ch, *n)
-		c := newCodec(*spec, *cf, *sg, *serial, *trans)
+		c := newCodec(*spec)
 		if *device != "" {
 			dev := platforms.ByName(*device)
 			if dev == nil {
@@ -248,23 +243,10 @@ func extractRecord(in, out string, rec int) {
 		hdr.Spec, rec, ix.Len(), hdr.Shape, out, x.SizeBytes(), how)
 }
 
-// newCodec resolves the codec: an explicit -codec spec wins; otherwise
-// the legacy DCT+Chop flags are mapped onto an equivalent dctc spec.
-// A bad spec dies with the library's diagnosis (which names the
-// offending token and the valid alternatives) plus the full grammar.
-func newCodec(spec string, cf int, sg bool, serial int, transform string) codec.Codec {
-	if spec == "" {
-		spec = fmt.Sprintf("dctc:cf=%d", cf)
-		if serial > 1 {
-			spec += fmt.Sprintf(",s=%d", serial)
-		}
-		if sg {
-			spec += ",sg"
-		}
-		if transform != "" && transform != "dct8" {
-			spec += ",transform=" + transform
-		}
-	}
+// newCodec resolves the -codec spec. A bad spec dies with the library's
+// diagnosis (which names the offending token and the valid
+// alternatives) plus the full grammar.
+func newCodec(spec string) codec.Codec {
 	c, err := codec.New(spec)
 	if err != nil {
 		check(fmt.Errorf("%w\n%s", err, specHelp(spec)))

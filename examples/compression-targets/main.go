@@ -5,8 +5,10 @@
 // training run: compressed activation checkpoints (COMET/ActNN-style
 // recompute-from-lossy) and compressed gradients with damped error
 // feedback (3LC-style), both driven by the same registry codec
-// (dctc:cf=5, whose flat path picks its own plane edge): any codec.New
-// codec is an nn.RoundTripper.
+// (dctc:cf=5): any codec.New codec is an nn.RoundTripper. Activations
+// keep their [BD,C,n,n] shape and take dctc's planar layout; gradients
+// go as rank-1 views through its flat path, which picks its own plane
+// edge.
 package main
 
 import (

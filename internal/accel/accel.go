@@ -175,21 +175,14 @@ func (d *Device) Compile(g *graph.Graph) (*Program, error) {
 			return nil, err
 		}
 	}
-	return &Program{device: d, graph: g, estimate: d.estimate(g)}, nil
+	return &Program{graph: g, estimate: d.estimate(g)}, nil
 }
 
 // Program is a compiled graph bound to a device.
 type Program struct {
-	device   *Device
 	graph    *graph.Graph
 	estimate Stats
 }
-
-// Device returns the program's device.
-func (p *Program) Device() *Device { return p.device }
-
-// Graph returns the compiled graph.
-func (p *Program) Graph() *graph.Graph { return p.graph }
 
 // Stats describes one simulated execution.
 type Stats struct {

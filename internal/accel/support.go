@@ -3,9 +3,9 @@ package accel
 import "repro/internal/graph"
 
 // CommonSupport returns the operator set every platform's PyTorch
-// backend handles (§3.1): matrix multiplication, reshape, elementwise
-// add, constants and inputs. Gather/scatter and the bitwise ops are
-// deliberately absent — platforms that support them add them explicitly.
+// backend handles (§3.1): matrix multiplication, reshape, constants and
+// inputs. Gather/scatter and the bitwise ops are deliberately absent —
+// platforms that support them add them explicitly.
 func CommonSupport() map[graph.OpKind]bool {
 	return map[graph.OpKind]bool{
 		graph.OpInput:       true,
@@ -13,6 +13,5 @@ func CommonSupport() map[graph.OpKind]bool {
 		graph.OpMatMulRight: true,
 		graph.OpMatMulLeft:  true,
 		graph.OpReshape:     true,
-		graph.OpAdd:         true,
 	}
 }

@@ -104,17 +104,18 @@ func (e *Emitter) Len() int { return e.pos + int(e.n+7)>>3 }
 //     advances unconditionally and sets a sticky Overread flag when it
 //     runs past the end. Check Overread once per decoded run instead
 //     of per bit.
-//   - Fill/PeekBuffered/ConsumeBuffered: the per-symbol fast path. One
-//     Fill per symbol, then the symbol is served from the accumulator
-//     with no refill or end-of-stream check; the caller compares the
-//     symbol's length against Buffered and falls back to the strict or
-//     Peek/Consume style when the accumulator runs short.
+//   - Window/Refill/SetWindow: the register-resident fast path. A
+//     decode loop takes the reader's state with Window, tops it up with
+//     one Refill per symbol or per few symbols, shifts symbols out of
+//     the accumulator with no end-of-stream check, and hands the state
+//     back with SetWindow; within 8 bytes of the end it falls back to
+//     the strict or Peek/Consume style.
 type Reader struct {
 	buf []byte
 	off int // next unread byte offset in buf
 	// acc holds the unread bits left-aligned: the top n are valid, the
 	// rest are either zero or a copy of the stream bits that follow
-	// (Fill's word load leaves part of buf[off] there), so refill can
+	// (Refill's word load leaves part of buf[off] there), so refill can
 	// OR the next bytes in either way.
 	acc  uint64
 	n    uint // number of valid bits in acc
@@ -231,37 +232,6 @@ func (r *Reader) Consume(width uint) {
 	r.n -= width
 }
 
-// Fill tops the accumulator up to at least 56 bits with one 8-byte load
-// whenever it holds 56 or fewer and 8 stream bytes remain; within 8
-// bytes of the end it leaves the accumulator alone, and the strict and
-// Peek/Consume calls refill byte by byte as always. It is small enough
-// to inline into a per-symbol decode loop.
-func (r *Reader) Fill() {
-	if r.n <= 56 && r.off+8 <= len(r.buf) {
-		// Take the whole bytes that fit below the valid bits; the load's
-		// leftover low bits are the top of buf[off], left in place.
-		r.acc |= binary.BigEndian.Uint64(r.buf[r.off:]) >> r.n
-		r.off += int(63-r.n) >> 3
-		r.n |= 56
-	}
-}
-
-// Buffered returns the number of valid bits in the accumulator: at
-// least 56 after Fill unless the stream is within 8 bytes of its end.
-func (r *Reader) Buffered() uint { return r.n }
-
-// PeekBuffered returns the top `width` ≤ 64 bits of the accumulator
-// without refilling. Bits past Buffered are zero or the stream's next
-// bits, so only the first Buffered of them are meaningful.
-func (r *Reader) PeekBuffered(width uint) uint64 { return r.acc >> (64 - width) }
-
-// ConsumeBuffered drops `width` ≤ Buffered() bits from the accumulator,
-// with no refill and no Overread bookkeeping.
-func (r *Reader) ConsumeBuffered(width uint) {
-	r.acc <<= width
-	r.n -= width
-}
-
 // Window returns the reader's state for a decode loop that keeps it in
 // registers: the accumulator acc, its n valid bits (left-aligned) and
 // off, the next unread byte of the stream. Such a loop advances the
@@ -274,9 +244,11 @@ func (r *Reader) Window() (acc uint64, n uint, off int) { return r.acc, r.n, r.o
 // Refill and shifts.
 func (r *Reader) SetWindow(acc uint64, n uint, off int) { r.acc, r.n, r.off = acc, n, off }
 
-// Refill is Fill on a window of buf: with n ≤ 56 and 8 stream bytes
-// left at off, one 8-byte load tops acc up to at least 56 valid bits;
-// within 8 bytes of the end it returns the window unchanged.
+// Refill tops a window of buf up: with n ≤ 56 and 8 stream bytes left
+// at off, one 8-byte load brings acc to at least 56 valid bits; within
+// 8 bytes of the end it returns the window unchanged, and the strict and
+// Peek/Consume calls refill byte by byte as always. It is small enough
+// to inline into a per-symbol decode loop.
 func Refill(buf []byte, acc uint64, n uint, off int) (uint64, uint, int) {
 	if n <= 56 && off+8 <= len(buf) {
 		acc |= binary.BigEndian.Uint64(buf[off:]) >> n

@@ -204,10 +204,10 @@ func TestReaderReset(t *testing.T) {
 }
 
 // TestReaderMatchesBitModel drives every Reader call in random
-// interleavings — strict, Peek/Consume, the Fill/PeekBuffered/
-// ConsumeBuffered fast path and a Window advanced by Refill and shifts
-// — against a bit-indexed model of the same buffer. Fill's word load leaves copies of the following stream bits
-// below the valid ones; no other call may see them as anything but the
+// interleavings — strict, Peek/Consume and a Window advanced by Refill
+// and shifts — against a bit-indexed model of the same buffer. Refill's
+// word load leaves copies of the following stream bits below the valid
+// ones; no other call may see them as anything but the
 // stream's own bits, and none may see them past the end.
 func TestReaderMatchesBitModel(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
@@ -232,7 +232,7 @@ func TestReaderMatchesBitModel(t *testing.T) {
 		r := NewReader(buf)
 		pos := 0
 		for op := 0; op < 60 && !r.Overread(); op++ {
-			switch rng.IntN(6) {
+			switch rng.IntN(4) {
 			case 0:
 				w := uint(rng.IntN(65))
 				v, err := r.ReadBits(w)
@@ -261,7 +261,7 @@ func TestReaderMatchesBitModel(t *testing.T) {
 					continue
 				}
 				pos += int(w)
-			case 3:
+			default:
 				acc, n, off := r.Window()
 				acc, n, off = Refill(buf, acc, n, off)
 				if n > uint(total-pos) || (n < 56 && total-pos-int(n) >= 64) {
@@ -272,18 +272,6 @@ func TestReaderMatchesBitModel(t *testing.T) {
 					t.Fatalf("trial %d: window's top %d bits at %d = %#x, want %#x", trial, w, pos, v, bits(pos, w))
 				}
 				r.SetWindow(acc<<w, n-w, off)
-				pos += int(w)
-			default:
-				r.Fill()
-				n := r.Buffered()
-				if n > uint(total-pos) || (n < 56 && total-pos-int(n) >= 64) {
-					t.Fatalf("trial %d: Buffered %d after Fill at %d/%d", trial, n, pos, total)
-				}
-				w := uint(rng.IntN(int(n) + 1))
-				if v := r.PeekBuffered(w); v != bits(pos, w) {
-					t.Fatalf("trial %d: PeekBuffered(%d) at %d = %#x, want %#x", trial, w, pos, v, bits(pos, w))
-				}
-				r.ConsumeBuffered(w)
 				pos += int(w)
 			}
 			if r.Remaining() != total-pos {

@@ -15,11 +15,11 @@ func TestCompressorAccessors(t *testing.T) {
 	if len(shape) != 2 || shape[0] != 16 || shape[1] != 16 {
 		t.Fatalf("CompressedPlaneShape = %v", shape)
 	}
-	if c.TriangleIndices() != nil {
+	if c.triIdx != nil {
 		t.Fatal("chop mode has no triangle indices")
 	}
 	// RHS is LHSᵀ for the orthonormal DCT.
-	if d := c.RHS().MaxAbsDiff(c.LHS().Transpose()); d != 0 {
+	if d := c.rhs.MaxAbsDiff(c.lhs.Transpose()); d != 0 {
 		t.Fatalf("RHS != LHSᵀ by %g", d)
 	}
 
@@ -28,8 +28,8 @@ func TestCompressorAccessors(t *testing.T) {
 	if len(sgShape) != 1 || sgShape[0] != 16*6 {
 		t.Fatalf("SG plane shape %v, want [96]", sgShape)
 	}
-	if len(sg.TriangleIndices()) != 96 {
-		t.Fatalf("SG triangle indices %d", len(sg.TriangleIndices()))
+	if len(sg.triIdx) != 96 {
+		t.Fatalf("SG triangle indices %d", len(sg.triIdx))
 	}
 }
 

@@ -143,16 +143,6 @@ func (c *Compressor) ChunkValues() int {
 	return c.m * c.m
 }
 
-// LHS exposes the fused compression matrix (read-only by convention);
-// the accelerator graph builder ships it to devices as a constant.
-func (c *Compressor) LHS() *tensor.Tensor { return c.lhs }
-
-// RHS exposes the fused decompression-side matrix.
-func (c *Compressor) RHS() *tensor.Tensor { return c.rhs }
-
-// TriangleIndices exposes the SG gather indices (nil in chop mode).
-func (c *Compressor) TriangleIndices() []int { return c.triIdx }
-
 // getScratch pops (or grows) a plane working set. The free list never
 // shrinks, so after every worker has been through one plane the steady
 // state performs no allocation.

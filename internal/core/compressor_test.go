@@ -211,10 +211,10 @@ func TestPartialSerializationShrinksMatrices(t *testing.T) {
 	// elements, the memory saving that lets 512×512 compile on SN30/IPU.
 	base := mustCompressor(t, Config{ChopFactor: 4, Serialization: 1}, 512)
 	ps := mustCompressor(t, Config{ChopFactor: 4, Serialization: 2}, 512)
-	if base.LHS().Len() != 4*ps.LHS().Len() {
-		t.Fatalf("LHS elements: s=1 %d vs s=2 %d, want 4×", base.LHS().Len(), ps.LHS().Len())
+	if base.lhs.Len() != 4*ps.lhs.Len() {
+		t.Fatalf("LHS elements: s=1 %d vs s=2 %d, want 4×", base.lhs.Len(), ps.lhs.Len())
 	}
-	if len(base.LHS().Data())*4 != 4*len(ps.LHS().Data())*4 {
+	if len(base.lhs.Data())*4 != 4*len(ps.lhs.Data())*4 {
 		t.Fatal("byte accounting inconsistent")
 	}
 }

@@ -96,9 +96,6 @@ type Config struct {
 	Transform TransformKind
 }
 
-// BlockSize is the paper's DCT block size.
-const BlockSize = dct.BlockSize
-
 // blockSize returns the configured transform's block edge.
 func (c Config) blockSize() int { return c.Transform.BlockSizeOf() }
 

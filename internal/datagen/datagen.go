@@ -230,9 +230,6 @@ func NewCloudSeg(seed uint64, n, channels int) *CloudSeg {
 	return &CloudSeg{rng: tensor.NewRNG(seed), n: n, channels: channels}
 }
 
-// Channels returns the scene channel count.
-func (c *CloudSeg) Channels() int { return c.channels }
-
 // Batch returns scenes [bd, C, n, n] and binary masks [bd, 1, n, n].
 func (c *CloudSeg) Batch(bd int) (scenes, masks *tensor.Tensor) {
 	scenes = tensor.New(bd, c.channels, c.n, c.n)

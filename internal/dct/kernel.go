@@ -63,12 +63,6 @@ func NewKernel(t, it *tensor.Tensor, cf int) *Kernel {
 	return k
 }
 
-// BlockSize returns the transform block edge b.
-func (k *Kernel) BlockSize() int { return k.b }
-
-// ChopFactor returns the retained row/column count CF.
-func (k *Kernel) ChopFactor() int { return k.cf }
-
 // M returns the compressed plane edge cf·n/b for an n-edge input plane.
 func (k *Kernel) M(n int) int { return k.cf * n / k.b }
 

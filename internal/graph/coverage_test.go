@@ -16,7 +16,6 @@ func TestOpKindStrings(t *testing.T) {
 		OpGather:      "gather",
 		OpScatter:     "scatter",
 		OpReshape:     "reshape",
-		OpAdd:         "add",
 		OpBitShift:    "bitshift",
 		OpBitAnd:      "bitand",
 	} {
@@ -43,30 +42,6 @@ func TestMatMulLeftFLOPs(t *testing.T) {
 	want := 2.0 * 6 * 4 * 8 * 5
 	if g.TotalFLOPs() != want {
 		t.Fatalf("FLOPs = %g, want %g", g.TotalFLOPs(), want)
-	}
-}
-
-func TestAddFLOPsAndExec(t *testing.T) {
-	b := NewBuilder("add")
-	x := b.Input("x", 2, 3)
-	y := b.Input("y", 2, 3)
-	sum := b.Add(x, y)
-	if sum.FLOPs() != 6 {
-		t.Fatalf("add FLOPs = %g", sum.FLOPs())
-	}
-	b.Output(sum)
-	g, err := b.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := tensor.NewRNG(1)
-	xt, yt := r.Uniform(-1, 1, 2, 3), r.Uniform(-1, 1, 2, 3)
-	outs, err := g.Execute(map[string]*tensor.Tensor{"x": xt, "y": yt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !outs[0].Equal(xt.Add(yt)) {
-		t.Fatal("add execution wrong")
 	}
 }
 

@@ -55,8 +55,6 @@ func evalNode(n *Node, vals []*tensor.Tensor) (*tensor.Tensor, error) {
 		return tensor.ScatterLast(in(0), n.Indices, n.K), nil
 	case OpReshape:
 		return in(0).Reshape(n.Shape...), nil
-	case OpAdd:
-		return in(0).Add(in(1)), nil
 	case OpBitShift:
 		// Reinterpret the float32 bits as uint32 and shift — the packing
 		// primitive VLE encoders need. Host execution supports it; the

@@ -39,8 +39,6 @@ const (
 	OpScatter
 	// OpReshape reinterprets the shape (element count preserved).
 	OpReshape
-	// OpAdd is elementwise addition of two equal-shaped nodes.
-	OpAdd
 	// OpBitShift is a per-element integer bit shift. No AI accelerator
 	// in the paper supports it from PyTorch; it exists so compilation
 	// fails in the right place for VLE-style encoders.
@@ -57,7 +55,6 @@ var opNames = map[OpKind]string{
 	OpGather:      "gather",
 	OpScatter:     "scatter",
 	OpReshape:     "reshape",
-	OpAdd:         "add",
 	OpBitShift:    "bitshift",
 	OpBitAnd:      "bitand",
 }
@@ -109,8 +106,6 @@ func (n *Node) FLOPs() float64 {
 		cols := x.Shape[len(x.Shape)-1]
 		batch := x.Elems() / (k * cols)
 		return 2 * float64(batch) * float64(w.Shape[0]) * float64(k) * float64(cols)
-	case OpAdd:
-		return float64(n.Elems())
 	default:
 		return 0
 	}
@@ -239,14 +234,6 @@ func (b *Builder) Reshape(x *Node, shape ...int) *Node {
 		return b.fail("reshape %v → %v changes element count", x.Shape, shape)
 	}
 	return b.add(&Node{Kind: OpReshape, Inputs: []*Node{x}, Shape: append([]int(nil), shape...)})
-}
-
-// Add returns x + y elementwise.
-func (b *Builder) Add(x, y *Node) *Node {
-	if fmt.Sprint(x.Shape) != fmt.Sprint(y.Shape) {
-		return b.fail("add shape mismatch %v vs %v", x.Shape, y.Shape)
-	}
-	return b.add(&Node{Kind: OpAdd, Inputs: []*Node{x, y}, Shape: append([]int(nil), x.Shape...)})
 }
 
 // BitShift declares an integer bit shift by k (semantically on the

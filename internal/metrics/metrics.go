@@ -1,6 +1,6 @@
 // Package metrics provides the data-fidelity and model-quality measures
-// used across the evaluation: MSE, RMSE, PSNR, maximum pointwise error,
-// a windowless SSIM variant, and classification accuracy.
+// used across the evaluation: MSE, PSNR, maximum pointwise error
+// and classification accuracy.
 package metrics
 
 import (
@@ -38,37 +38,6 @@ func PSNR(a, b *tensor.Tensor) float64 {
 		peak = 1
 	}
 	return 20*math.Log10(peak) - 10*math.Log10(mse)
-}
-
-// SSIM returns a global (single-window) structural-similarity index in
-// [-1, 1]; 1 means structurally identical. The windowless form is
-// sufficient for comparing whole reconstructed planes.
-func SSIM(a, b *tensor.Tensor) float64 {
-	if !a.SameShape(b) {
-		panic("metrics: SSIM shape mismatch")
-	}
-	n := float64(a.Len())
-	muA, muB := a.Mean(), b.Mean()
-	var varA, varB, cov float64
-	ad, bd := a.Data(), b.Data()
-	for i := range ad {
-		da := float64(ad[i]) - muA
-		db := float64(bd[i]) - muB
-		varA += da * da
-		varB += db * db
-		cov += da * db
-	}
-	varA /= n
-	varB /= n
-	cov /= n
-	l := float64(a.Max() - a.Min())
-	if l == 0 {
-		l = 1
-	}
-	c1 := (0.01 * l) * (0.01 * l)
-	c2 := (0.03 * l) * (0.03 * l)
-	return ((2*muA*muB + c1) * (2*cov + c2)) /
-		((muA*muA + muB*muB + c1) * (varA + varB + c2))
 }
 
 // Accuracy returns the fraction of rows of logits (shape [BD, classes])

@@ -53,23 +53,6 @@ func TestPSNRConstantReference(t *testing.T) {
 	}
 }
 
-func TestSSIM(t *testing.T) {
-	r := tensor.NewRNG(1)
-	a := r.Uniform(0, 1, 64)
-	if s := SSIM(a, a.Clone()); math.Abs(s-1) > 1e-6 {
-		t.Fatalf("self-SSIM = %g", s)
-	}
-	// Adding noise lowers SSIM; inverting the signal lowers it further.
-	noisy := a.Add(r.Normal(0, 0.2, 64))
-	inverted := a.Scale(-1).AddScalar(1)
-	if SSIM(a, noisy) >= 1 {
-		t.Fatal("noisy SSIM must drop below 1")
-	}
-	if SSIM(a, inverted) >= SSIM(a, noisy) {
-		t.Fatal("anti-correlated signal must score below noisy copy")
-	}
-}
-
 func TestAccuracy(t *testing.T) {
 	logits := tensor.FromSlice([]float32{
 		0.9, 0.1, // → 0

@@ -98,7 +98,7 @@ func TestUNetGradCheck(t *testing.T) {
 	u := NewUNet(rng, 2, 2)
 	x := rng.Uniform(0.1, 1, 1, 2, 8, 8)
 	target := rng.Uniform(0, 1, 1, 1, 8, 8)
-	target.ApplyInPlace(func(v float32) float32 {
+	target = target.Apply(func(v float32) float32 {
 		if v > 0.5 {
 			return 1
 		}

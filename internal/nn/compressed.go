@@ -25,12 +25,12 @@ type RoundTripper interface {
 // The forward *output* is exact; only the gradient is computed from the
 // lossy activation, which is precisely the error mode activation
 // compression introduces ("data loss can lead to incorrectly calculated
-// gradients", §3.1). The activation round-trips as a rank-1 view of its
-// values, so a dctc codec packs it into its flat planes whatever the
-// layer's shape. An activation whose framed payload is no smaller than
-// its raw bytes (a tiny tensor padded out to a whole plane) is stored
-// exact and counted at its raw size, so the wrapper never costs more
-// than storing the activation uncompressed.
+// gradients", §3.1). The activation round-trips in its own shape, so a
+// [BD,C,n,n] image activation takes a codec's planar layout, its blocks
+// inside image rows. An activation whose framed payload is no smaller
+// than its raw bytes (a tiny tensor padded out to a whole plane) is
+// stored exact and counted at its raw size, so the wrapper never costs
+// more than storing the activation uncompressed.
 type CheckpointCompress struct {
 	Inner Layer
 	RT    RoundTripper
@@ -54,7 +54,7 @@ func (c *CheckpointCompress) Forward(x *tensor.Tensor, train bool) *tensor.Tenso
 	out := c.Inner.Forward(x, train)
 	c.trained = train
 	if train {
-		rec, bytes, err := c.RT.RoundTrip(tensor.FromSlice(x.Data(), x.Len()))
+		rec, bytes, err := c.RT.RoundTrip(x)
 		if err != nil {
 			c.rtFailed = err
 			return out
@@ -63,7 +63,7 @@ func (c *CheckpointCompress) Forward(x *tensor.Tensor, train bool) *tensor.Tenso
 			copy(rec.Data(), x.Data())
 			bytes = x.SizeBytes()
 		}
-		c.stored = tensor.FromSlice(rec.Data(), x.Shape()...)
+		c.stored = rec
 		c.RawBytes += x.SizeBytes()
 		c.CompressedBytes += bytes
 	}
@@ -98,10 +98,11 @@ func (c *CheckpointCompress) SavingsRatio() float64 {
 // (§6, and the distributed-training motivation of §2.2): every
 // parameter gradient is round-tripped through the lossy compressor
 // before the wrapped optimizer consumes it, simulating a compressed
-// all-reduce. Stats record the traffic saved. Like CheckpointCompress
-// it round-trips a rank-1 view of the values, and sends a gradient
-// whose framed payload is no smaller than its raw bytes (a bias vector
-// padded out to a whole plane) exact, counted at its raw size.
+// all-reduce. Stats record the traffic saved. It round-trips a rank-1
+// view of the values (rotated, below), and like CheckpointCompress
+// sends a gradient whose framed payload is no smaller than its raw
+// bytes (a bias vector padded out to a whole plane) exact, counted at
+// its raw size.
 //
 // Because DCT+Chop is a projection, naively compressing each step's
 // gradient would permanently lose the components in the chop's kernel
@@ -123,18 +124,6 @@ type GradCompressOptimizer struct {
 	// the kernel around; combined with error feedback every component
 	// is transmitted within a few steps.
 	DisableRotation bool
-	// FullSyncEvery additionally sends the accumulated gradient
-	// uncompressed every k-th step (0, the default, disables). With
-	// rotation enabled it is unnecessary; it exists for experiments
-	// with rotation off.
-	FullSyncEvery int
-	// ResidualDecay scales the carried residual each step (damped error
-	// feedback). Undamped feedback (1.0) through a *non-contractive*
-	// compressor like chop lets stale high-frequency residual resonate
-	// with the optimizer and diverge; the constructor defaults to 0.5,
-	// which bounds the residual at ~2 steps of dropped gradient while
-	// still re-transmitting most of what the chop removed.
-	ResidualDecay float64
 
 	RawBytes        int
 	CompressedBytes int
@@ -146,24 +135,27 @@ type GradCompressOptimizer struct {
 	step     int
 }
 
+// residualDecay scales the carried residual each step (damped error
+// feedback). Undamped feedback (1.0) through a *non-contractive*
+// compressor like chop lets stale high-frequency residual resonate with
+// the optimizer and diverge; 0.5 bounds the residual at ~2 steps of
+// dropped gradient while still re-transmitting most of what the chop
+// removed.
+const residualDecay = 0.5
+
 // NewGradCompressOptimizer wraps inner with gradient compression, error
 // feedback and packing rotation on.
 func NewGradCompressOptimizer(inner Optimizer, rt RoundTripper) *GradCompressOptimizer {
-	return &GradCompressOptimizer{
-		Inner: inner, RT: rt,
-		ResidualDecay: 0.5,
-		residual:      map[*Param]*tensor.Tensor{},
-	}
+	return &GradCompressOptimizer{Inner: inner, RT: rt, residual: map[*Param]*tensor.Tensor{}}
 }
 
-// Step compresses every gradient in place (with error feedback and
-// periodic full sync), then delegates to the wrapped optimizer.
+// Step compresses every gradient in place (with error feedback), then
+// delegates to the wrapped optimizer.
 func (g *GradCompressOptimizer) Step(params []*Param) {
 	if g.Err != nil {
 		panic("nn: GradCompressOptimizer: " + g.Err.Error())
 	}
 	g.step++
-	fullSync := g.FullSyncEvery > 0 && g.step%g.FullSyncEvery == 0
 	for _, p := range params {
 		if !g.DisableErrorFeedback {
 			res, ok := g.residual[p]
@@ -172,15 +164,6 @@ func (g *GradCompressOptimizer) Step(params []*Param) {
 				g.residual[p] = res
 			}
 			p.Grad.AddInPlace(res)
-		}
-		if fullSync {
-			// Transmit gradient+residual uncompressed; residual clears.
-			if !g.DisableErrorFeedback {
-				g.residual[p].Zero()
-			}
-			g.RawBytes += p.Grad.SizeBytes()
-			g.CompressedBytes += p.Grad.SizeBytes()
-			continue
 		}
 		payload := p.Grad.Data()
 		offset := 0
@@ -203,11 +186,9 @@ func (g *GradCompressOptimizer) Step(params []*Param) {
 			vals = rotated(vals, len(vals)-offset)
 		}
 		if !g.DisableErrorFeedback {
-			res := g.residual[p]
-			decay := float32(g.ResidualDecay)
-			rd, gd := res.Data(), p.Grad.Data()
+			rd, gd := g.residual[p].Data(), p.Grad.Data()
 			for i := range rd {
-				rd[i] = decay * (gd[i] - vals[i]) // carry what the chop dropped
+				rd[i] = residualDecay * (gd[i] - vals[i]) // carry what the chop dropped
 			}
 		}
 		copy(p.Grad.Data(), vals)

@@ -35,10 +35,10 @@ func dctRT(t *testing.T, cf int) RoundTripper {
 // codecs of two families. Neither wrapper may count more bytes than the
 // raw tensors. dctc's payload size is a function of the shape alone, so
 // there each wrapper's byte count must equal the codec's own figure for
-// the rank-1 views it round-trips, or the raw size where that is
-// smaller; zfp's
-// bit-plane coder ends a block early where the planes run out, so there
-// the counts need only show compression.
+// what it round-trips (the activation in its shape, each gradient as a
+// rank-1 view), or the raw size where that is smaller; zfp's bit-plane
+// coder ends a block early where the planes run out, so there the
+// counts need only show compression.
 func TestRegistryCodecsDriveCompressionTargets(t *testing.T) {
 	for _, tc := range []struct {
 		spec       string
@@ -74,16 +74,17 @@ func TestRegistryCodecsDriveCompressionTargets(t *testing.T) {
 		if !tc.fixedBytes {
 			continue
 		}
-		// The bytes counted for n values: the framed payload, or the
-		// raw bytes when that is no larger.
-		framed := func(n int) int {
-			_, bytes, err := rt.RoundTrip(tensor.New(n))
+		// The bytes counted for a tensor of this shape: the framed
+		// payload, or the raw bytes when that is no larger.
+		framed := func(shape ...int) int {
+			x := tensor.New(shape...)
+			_, bytes, err := rt.RoundTrip(x)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return min(bytes, 4*n)
+			return min(bytes, x.SizeBytes())
 		}
-		if want := steps * framed(16*8*8); conv.CompressedBytes != want {
+		if want := steps * framed(16, 1, 8, 8); conv.CompressedBytes != want {
 			t.Fatalf("%s: activation bytes %d, want %d", tc.spec, conv.CompressedBytes, want)
 		}
 		want := 0
@@ -93,6 +94,31 @@ func TestRegistryCodecsDriveCompressionTargets(t *testing.T) {
 		if opt.CompressedBytes != want {
 			t.Fatalf("%s: gradient bytes %d, want %d", tc.spec, opt.CompressedBytes, want)
 		}
+	}
+}
+
+// TestCheckpointCompressStoresCodecRoundTrip: the wrapper round-trips
+// the activation in its own shape, so what it stores is, bit for bit,
+// the codec's reconstruction of the activation: a [BD,C,16,16] batch
+// takes dctc's planar layout, not a flat packing of its values.
+func TestCheckpointCompressStoresCodecRoundTrip(t *testing.T) {
+	rt, err := codec.New("dctc:cf=5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := tensor.NewRNG(4)
+	c := NewCheckpointCompress(NewConv2d(rng, "c", 3, 2, 3, 1, 1), rt)
+	x := rng.Uniform(-1, 1, 2, 3, 16, 16)
+	c.Forward(x, true)
+	want, bytes, err := rt.RoundTrip(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.stored.Equal(want) {
+		t.Fatalf("stored activation differs from the codec's round trip by %g", c.stored.MaxAbsDiff(want))
+	}
+	if c.CompressedBytes != bytes {
+		t.Fatalf("counted %d bytes, the codec's payload is %d", c.CompressedBytes, bytes)
 	}
 }
 
@@ -153,12 +179,11 @@ func TestCheckpointCompressLossyGradientsApproximate(t *testing.T) {
 	if diff > 0.9*wNormPlain {
 		t.Fatalf("gradient error %g too large vs norm %g", diff, wNormPlain)
 	}
-	// The 512 activations fill two 16×16 flat planes. The framed
-	// payload is a 9-byte head (mode, plane edge, value count), the
-	// plane count, and per plane its length and its 12×12 chop of
-	// float32s: 9 + 4 + 2·(4 + 576) = 1173 bytes.
-	if wrapped.RawBytes != 2048 || wrapped.CompressedBytes != 1173 {
-		t.Fatalf("activation bytes %d → %d, want 2048 → 1173", wrapped.RawBytes, wrapped.CompressedBytes)
+	// The [2,1,16,16] activation takes the planar layout: a 1-byte
+	// head (the mode), the plane count, and per plane its length and
+	// its 12×12 chop of float32s: 1 + 4 + 2·(4 + 576) = 1165 bytes.
+	if wrapped.RawBytes != 2048 || wrapped.CompressedBytes != 1165 {
+		t.Fatalf("activation bytes %d → %d, want 2048 → 1165", wrapped.RawBytes, wrapped.CompressedBytes)
 	}
 }
 
@@ -314,13 +339,12 @@ func TestGradCompressOptimizerConvergesWithErrorFeedback(t *testing.T) {
 		t.Fatalf("gradient traffic saved %gx: the steps were not sent compressed", r)
 	}
 
-	// ...while the ablation without error feedback or full sync stalls:
+	// ...while the ablation without error feedback or rotation stalls:
 	// the chop kernel's components are never transmitted.
 	p2 := NewParam("p", tensor.NewRNG(7).Uniform(-4, 4, 32))
 	naive := NewGradCompressOptimizer(NewSGD(0.1, 0), rt)
 	naive.DisableErrorFeedback = true
 	naive.DisableRotation = true
-	naive.FullSyncEvery = 0
 	for i := 0; i < 400; i++ {
 		p2.Grad.Zero()
 		p2.Grad.Axpy(2, p2.Value)

@@ -115,7 +115,7 @@ func (s HistogramSnapshot) Quantile(q float64) uint64 {
 	if s.Count == 0 {
 		return 0
 	}
-	if q < 0 {
+	if !(q >= 0) { // NaN too
 		q = 0
 	}
 	if q > 1 {

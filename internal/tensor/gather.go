@@ -64,33 +64,3 @@ func ScatterLast(t *Tensor, indices []int, k int) *Tensor {
 	}
 	return out
 }
-
-// GatherFlat collects t's elements at the given flat offsets into a 1-D
-// tensor. The SG variant uses it to pack a whole plane's triangle values
-// into one contiguous payload.
-func GatherFlat(t *Tensor, indices []int) *Tensor {
-	out := New(len(indices))
-	for j, ix := range indices {
-		if ix < 0 || ix >= len(t.data) {
-			panic(fmt.Sprintf("tensor: GatherFlat index %d out of range [0,%d)", ix, len(t.data)))
-		}
-		out.data[j] = t.data[ix]
-	}
-	return out
-}
-
-// ScatterFlat places a 1-D tensor's values at the given flat offsets of a
-// zero-initialized tensor of the given shape.
-func ScatterFlat(t *Tensor, indices []int, shape ...int) *Tensor {
-	if len(t.shape) != 1 || t.shape[0] != len(indices) {
-		panic(fmt.Sprintf("tensor: ScatterFlat needs 1-D input of %d values, got %v", len(indices), t.shape))
-	}
-	out := New(shape...)
-	for j, ix := range indices {
-		if ix < 0 || ix >= len(out.data) {
-			panic(fmt.Sprintf("tensor: ScatterFlat index %d out of range [0,%d)", ix, len(out.data)))
-		}
-		out.data[ix] = t.data[j]
-	}
-	return out
-}

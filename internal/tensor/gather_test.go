@@ -53,24 +53,6 @@ func TestScatterWidthMismatchPanics(t *testing.T) {
 	ScatterLast(New(2, 3), []int{0, 1}, 5)
 }
 
-func TestGatherScatterFlatRoundTrip(t *testing.T) {
-	x := Arange(0, 1, 16).Reshape(4, 4)
-	idx := []int{0, 5, 10, 15, 3}
-	g := GatherFlat(x, idx)
-	if g.Len() != 5 || g.At(1) != 5 {
-		t.Fatalf("GatherFlat = %v", g.Data())
-	}
-	s := ScatterFlat(g, idx, 4, 4)
-	for _, ix := range idx {
-		if s.Data()[ix] != x.Data()[ix] {
-			t.Fatalf("ScatterFlat lost index %d", ix)
-		}
-	}
-	if s.CountNonzero(0) > len(idx) {
-		t.Fatal("ScatterFlat wrote extra positions")
-	}
-}
-
 // Property: for distinct indices, ScatterLast∘GatherLast restores exactly
 // the gathered positions and zeroes the rest — the invariant the SG
 // decompression path (torch.scatter then DCT decompress) relies on.

@@ -29,16 +29,6 @@ func MatMul(a, b *Tensor) *Tensor {
 	return c
 }
 
-// MatMulInto computes dst = A×B, reusing dst's storage. dst must be m×n.
-func MatMulInto(dst, a, b *Tensor) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if b.shape[0] != k || dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch dst %v = %v × %v", dst.shape, a.shape, b.shape))
-	}
-	matmulInto(dst.data, a.data, b.data, m, k, n)
-}
-
 // matmulInto computes C = A×B, as one row band per pool worker when the
 // product is large enough.
 func matmulInto(c, a, b []float32, m, k, n int) {

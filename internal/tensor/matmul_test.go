@@ -59,17 +59,6 @@ func TestMatMulDimensionMismatchPanics(t *testing.T) {
 	MatMul(New(2, 3), New(4, 2))
 }
 
-func TestMatMulInto(t *testing.T) {
-	r := NewRNG(17)
-	a := r.Uniform(-1, 1, 5, 6)
-	b := r.Uniform(-1, 1, 6, 4)
-	dst := Full(99, 5, 4) // stale contents must be overwritten
-	MatMulInto(dst, a, b)
-	if d := dst.MaxAbsDiff(MatMul(a, b)); d != 0 {
-		t.Fatalf("MatMulInto deviates by %g", d)
-	}
-}
-
 func TestBatchedMatMul(t *testing.T) {
 	r := NewRNG(19)
 	a := r.Uniform(-1, 1, 4, 3, 5, 6) // [BD=4, C=3, 5, 6]

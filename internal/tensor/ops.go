@@ -39,16 +39,6 @@ func (t *Tensor) Sub(o *Tensor) *Tensor {
 	return out
 }
 
-// Mul returns the elementwise (Hadamard) product.
-func (t *Tensor) Mul(o *Tensor) *Tensor {
-	t.checkSame(o, "Mul")
-	out := New(t.shape...)
-	for i := range t.data {
-		out.data[i] = t.data[i] * o.data[i]
-	}
-	return out
-}
-
 // Scale returns t * s elementwise.
 func (t *Tensor) Scale(s float32) *Tensor {
 	out := New(t.shape...)
@@ -63,15 +53,6 @@ func (t *Tensor) ScaleInPlace(s float32) {
 	for i := range t.data {
 		t.data[i] *= s
 	}
-}
-
-// AddScalar returns t + s elementwise.
-func (t *Tensor) AddScalar(s float32) *Tensor {
-	out := New(t.shape...)
-	for i := range t.data {
-		out.data[i] = t.data[i] + s
-	}
-	return out
 }
 
 // Axpy sets t += alpha*o (the BLAS update used by the optimizers).
@@ -89,13 +70,6 @@ func (t *Tensor) Apply(f func(float32) float32) *Tensor {
 		out.data[i] = f(v)
 	}
 	return out
-}
-
-// ApplyInPlace maps f over every element in place.
-func (t *Tensor) ApplyInPlace(f func(float32) float32) {
-	for i, v := range t.data {
-		t.data[i] = f(v)
-	}
 }
 
 // Sum returns the sum of all elements (float64 accumulator).
@@ -179,26 +153,4 @@ func (t *Tensor) Norm2() float64 {
 		s += float64(v) * float64(v)
 	}
 	return math.Sqrt(s)
-}
-
-// CountNonzero returns the number of elements with |v| > eps.
-func (t *Tensor) CountNonzero(eps float32) int {
-	n := 0
-	for _, v := range t.data {
-		if v > eps || v < -eps {
-			n++
-		}
-	}
-	return n
-}
-
-// Clamp limits every element to [lo, hi] in place.
-func (t *Tensor) Clamp(lo, hi float32) {
-	for i, v := range t.data {
-		if v < lo {
-			t.data[i] = lo
-		} else if v > hi {
-			t.data[i] = hi
-		}
-	}
 }

@@ -80,36 +80,6 @@ func (t *Tensor) Index(i int) *Tensor {
 	return sub.Reshape(sub.shape[1:]...)
 }
 
-// Cat concatenates tensors along dimension 0. All trailing dimensions
-// must match.
-func Cat(ts ...*Tensor) *Tensor {
-	if len(ts) == 0 {
-		panic("tensor: Cat of nothing")
-	}
-	first := ts[0]
-	total := 0
-	for _, t := range ts {
-		if len(t.shape) != len(first.shape) {
-			panic("tensor: Cat rank mismatch")
-		}
-		for d := 1; d < len(first.shape); d++ {
-			if t.shape[d] != first.shape[d] {
-				panic(fmt.Sprintf("tensor: Cat trailing-shape mismatch %v vs %v", t.shape, first.shape))
-			}
-		}
-		total += t.shape[0]
-	}
-	shape := cloneInts(first.shape)
-	shape[0] = total
-	out := New(shape...)
-	off := 0
-	for _, t := range ts {
-		copy(out.data[off:], t.data)
-		off += len(t.data)
-	}
-	return out
-}
-
 // SpatialChunk splits a [BD, C, n, n] tensor into s×s spatial chunks of
 // shape [BD, C, n/s, n/s], returned in row-major chunk order. This is the
 // subdivision used by partially-serialized compression (Fig. 5): chunk
@@ -168,30 +138,6 @@ func SpatialUnchunk(chunks []*Tensor, s int) *Tensor {
 					srcOff := ((b*c+k)*ch + i) * cw
 					copy(out.data[dstOff:dstOff+cw], chunk.data[srcOff:srcOff+cw])
 				}
-			}
-		}
-	}
-	return out
-}
-
-// Pad2D zero-pads the last two dimensions of a 4-D tensor by p on every
-// side.
-func Pad2D(t *Tensor, p int) *Tensor {
-	if len(t.shape) != 4 {
-		panic(fmt.Sprintf("tensor: Pad2D requires 4-D, got %v", t.shape))
-	}
-	if p == 0 {
-		return t.Clone()
-	}
-	bd, c, h, w := t.shape[0], t.shape[1], t.shape[2], t.shape[3]
-	out := New(bd, c, h+2*p, w+2*p)
-	ow := w + 2*p
-	for b := 0; b < bd; b++ {
-		for k := 0; k < c; k++ {
-			for i := 0; i < h; i++ {
-				srcOff := ((b*c+k)*h + i) * w
-				dstOff := ((b*c+k)*(h+2*p)+(i+p))*ow + p
-				copy(out.data[dstOff:dstOff+w], t.data[srcOff:srcOff+w])
 			}
 		}
 	}

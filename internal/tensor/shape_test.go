@@ -63,23 +63,6 @@ func TestSliceDim0AndIndex(t *testing.T) {
 	}
 }
 
-func TestCat(t *testing.T) {
-	a := Full(1, 2, 3)
-	b := Full(2, 1, 3)
-	c := Cat(a, b)
-	if c.Dim(0) != 3 {
-		t.Fatalf("Cat dim0 = %d", c.Dim(0))
-	}
-	if c.At2(2, 0) != 2 || c.At2(1, 2) != 1 {
-		t.Fatal("Cat content wrong")
-	}
-}
-
-func TestCatShapeMismatchPanics(t *testing.T) {
-	defer expectPanic(t, "Cat trailing mismatch")
-	Cat(New(2, 3), New(2, 4))
-}
-
 func TestSpatialChunkRoundTrip(t *testing.T) {
 	r := NewRNG(5)
 	x := r.Uniform(-1, 1, 2, 3, 8, 8)
@@ -133,19 +116,5 @@ func TestSpatialChunkProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPad2D(t *testing.T) {
-	x := Full(3, 1, 1, 2, 2)
-	p := Pad2D(x, 1)
-	if p.Dim(2) != 4 || p.Dim(3) != 4 {
-		t.Fatalf("Pad2D shape %v", p.Shape())
-	}
-	if p.At4(0, 0, 0, 0) != 0 || p.At4(0, 0, 1, 1) != 3 {
-		t.Fatal("Pad2D content wrong")
-	}
-	if s := p.Sum(); s != 4*3 {
-		t.Fatalf("Pad2D sum = %g, want 12", s)
 	}
 }
