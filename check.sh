@@ -30,8 +30,10 @@ GOOS=linux GOARCH=386 go vet ./...
 # by the same parity tests the AVX2 kernels pass; HufLen's stream sums
 # and zfp's saturating decode run there too (TestHufLenMatchesCompressHuf,
 # TestZfpDecodesFinite). sz's round runs there on math.RoundToEven's
-# software fallback (TestRoundMatchesMathRound).
-GOOS=linux GOARCH=386 go test -count=1 ./internal/codec/ ./internal/entropy/ ./internal/vle/ ./internal/sz/ ./internal/jpegq/ ./internal/vecops/ ./internal/zfp/ ./internal/bitstream/
+# software fallback (TestRoundMatchesMathRound). dct and core run their
+# portable transform loops there, the oracle the AVX2 kernels are held
+# to, with no fused multiply-add.
+GOOS=linux GOARCH=386 go test -count=1 ./internal/codec/ ./internal/entropy/ ./internal/vle/ ./internal/sz/ ./internal/jpegq/ ./internal/vecops/ ./internal/zfp/ ./internal/bitstream/ ./internal/dct/ ./internal/core/
 # At GOAMD64=v3 math.RoundToEven is one ROUNDSD with no run-time SSE4.1
 # check, so sz's round and its kernels run on that path too.
 GOAMD64=v3 go test -count=1 ./internal/sz/ ./internal/vle/

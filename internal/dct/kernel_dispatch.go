@@ -5,15 +5,20 @@ package dct
 // ACC_DISABLE_* environment overrides). A nil pointer selects the
 // portable Go path, which is the semantic oracle: every dispatched
 // implementation must produce bit-identical float32 results on the
-// same inputs.
+// same inputs. The row kernels take b = 8; the column kernels take a
+// block row of b = 4 or 8.
 var (
-	fwdBand8 func(dst *float32, dstStride int, src *float32, srcStride int, nblks, cf int, fwd *float32, mask *int32)
-	invBand8 func(dst *float32, dstStride int, src *float32, srcStride int, nblks, cf int, inv *float32, mask *int32)
-	colPass8 func(dst *float32, src *float32, srcStride int, coef *float32, nc, m int)
+	fwdBand8 func(dst *float32, dstStride int, src *float32, srcStride int, nblks, cf int, tab *float32, mask *int32)
+	invRows8 func(dst *float32, dstStride int, src *float32, srcStride int, rows, nblks, cf int, cols *float32)
+	fwdCol   colKernel
+	invCol   colKernel
 )
 
+// colKernel runs the column pass of one block row (kernel_amd64.go).
+type colKernel func(dst *float32, dstStride int, src *float32, srcStride int, cols, b, cf int, tab *float32, mask *int32, tail *int32)
+
 // laneMask[c] has its first c lanes set to all-ones: the load/store
-// masks for cf-wide masked vector ops inside the band kernels.
+// masks for cf-wide outputs and cols%8-wide column tails.
 var laneMask [9][8]int32
 
 func init() {
@@ -35,11 +40,11 @@ func SIMDAvailable() bool { return archSIMDAvailable() }
 // state. Enabling is a no-op when SIMDAvailable is false. It is a
 // testing hook — not safe to call concurrently with running transforms.
 func SetSIMD(on bool) bool {
-	prev := colPass8 != nil
+	prev := fwdCol != nil
 	if on && archSIMDAvailable() {
 		archEnable()
 	} else {
-		fwdBand8, invBand8, colPass8 = nil, nil, nil
+		fwdBand8, invRows8, fwdCol, invCol = nil, nil, nil, nil
 	}
 	return prev
 }

@@ -139,3 +139,69 @@ func mustInverse(t *testing.T, m *tensor.Tensor) *tensor.Tensor {
 	}
 	return inv
 }
+
+// kernelBenchCases are the shapes the kernel benchmarks time: the DCT's
+// b = 8 at two chop factors on a small and a large plane, and the zfp4
+// transform's b = 4.
+var kernelBenchCases = []struct {
+	name  string
+	b, cf int
+	n     int
+}{
+	{"b8/cf2/n64", 8, 2, 64},
+	{"b8/cf4/n64", 8, 4, 64},
+	{"b8/cf2/n512", 8, 2, 512},
+	{"b8/cf4/n512", 8, 4, 512},
+	{"b4/cf3/n64", 4, 3, 64},
+}
+
+func benchKernel(b *testing.B, bs, cf int) *Kernel {
+	if bs == 4 {
+		tr := ZFPBlockTransform()
+		inv, err := tensor.Inverse(tr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return NewKernel(tr, inv, cf)
+	}
+	tr := Transform(bs)
+	return NewKernel(tr, tr.Transpose(), cf)
+}
+
+// BenchmarkKernelForward times Kernel.Forward on one n×n plane; bytes
+// are the plane's input floats.
+func BenchmarkKernelForward(b *testing.B) {
+	for _, bc := range kernelBenchCases {
+		b.Run(bc.name, func(b *testing.B) {
+			k := benchKernel(b, bc.b, bc.cf)
+			n, m := bc.n, k.M(bc.n)
+			x := testPlane(n, 0.3)
+			dst := make([]float32, m*m)
+			scratch := make([]float32, k.ScratchLen(n))
+			b.SetBytes(int64(4 * n * n))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.Forward(dst, m, x.Data(), n, n, scratch)
+			}
+		})
+	}
+}
+
+// BenchmarkKernelInverse times Kernel.Inverse back to one n×n plane;
+// bytes are the plane's output floats.
+func BenchmarkKernelInverse(b *testing.B) {
+	for _, bc := range kernelBenchCases {
+		b.Run(bc.name, func(b *testing.B) {
+			k := benchKernel(b, bc.b, bc.cf)
+			n, m := bc.n, k.M(bc.n)
+			y := testPlane(m, 0.3)
+			dst := make([]float32, n*n)
+			scratch := make([]float32, k.ScratchLen(n))
+			b.SetBytes(int64(4 * n * n))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.Inverse(dst, n, y.Data(), m, n, scratch)
+			}
+		})
+	}
+}

@@ -10,22 +10,35 @@ import (
 )
 
 // adversarialFill seeds a slice with values that stress float32 edge
-// cases: ±0, NaN, ±Inf, denormals, and huge magnitudes, mixed with
-// ordinary noise.
-func adversarialFill(r *rand.Rand, s []float32) {
+// cases — ±0, ±Inf, denormals, huge magnitudes, and NaNs with distinct
+// payloads (quiet and signaling, either sign, so a swapped operand order
+// shows in which payload survives) — about one value in oneIn, mixed
+// with ordinary noise. Sparse specials leave most outputs, each a sum of
+// up to 64 inputs, free of NaN, so ±Inf, denormal and −0 arithmetic is
+// compared too; dense ones make NaN meet NaN.
+func adversarialFill(r *rand.Rand, s []float32, oneIn int) {
 	specials := []float32{
 		0, float32(math.Copysign(0, -1)),
-		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		float32(math.Inf(1)), float32(math.Inf(-1)),
 		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
 		math.MaxFloat32, -math.MaxFloat32, 1e-30, -1e-30,
 	}
 	for i := range s {
-		if r.Intn(3) == 0 {
-			s[i] = specials[r.Intn(len(specials))]
-		} else {
+		switch {
+		case r.Intn(oneIn) != 0:
 			s[i] = float32(r.NormFloat64() * 100)
+		case r.Intn(5) == 0:
+			s[i] = randNaN(r)
+		default:
+			s[i] = specials[r.Intn(len(specials))]
 		}
 	}
+}
+
+// randNaN returns a NaN with a random sign, quiet bit and payload.
+func randNaN(r *rand.Rand) float32 {
+	bits := uint32(0x7F800000) | uint32(r.Intn(1<<23-1)+1) | uint32(r.Intn(2))<<31
+	return math.Float32frombits(bits)
 }
 
 // sameBits reports whether two float32 slices are bit-identical
@@ -50,19 +63,24 @@ func sameBits(a, b []float32) (int, bool) {
 }
 
 // randKernel builds a Kernel over a random b×b transform. Some entries
-// are forced to exactly zero to exercise the column-pass skip branch.
-func randKernel(r *rand.Rand, b, cf int) *Kernel {
+// are forced to +0 or −0 to exercise the column pass's zero skip, and
+// with nonFinite some are NaN (random payloads) or ±Inf.
+func randKernel(r *rand.Rand, b, cf int, nonFinite bool) *Kernel {
 	t := tensor.New(b, b)
 	it := tensor.New(b, b)
-	td, itd := t.Data(), it.Data()
-	for i := 0; i < b*b; i++ {
-		td[i] = float32(r.NormFloat64())
-		itd[i] = float32(r.NormFloat64())
-		if r.Intn(5) == 0 {
-			td[i] = 0
-		}
-		if r.Intn(5) == 0 {
-			itd[i] = 0
+	for _, d := range [][]float32{t.Data(), it.Data()} {
+		for i := range d {
+			d[i] = float32(r.NormFloat64())
+			switch r.Intn(10) {
+			case 0, 1:
+				d[i] = 0
+			case 2:
+				d[i] = float32(math.Copysign(0, -1))
+			case 3:
+				if nonFinite {
+					d[i] = []float32{randNaN(r), float32(math.Inf(1)), float32(math.Inf(-1))}[r.Intn(3)]
+				}
+			}
 		}
 	}
 	return NewKernel(t, it, cf)
@@ -70,7 +88,8 @@ func randKernel(r *rand.Rand, b, cf int) *Kernel {
 
 // TestKernelSIMDEquivalence checks that the dispatched vector kernels
 // produce bit-identical output to the portable path across block sizes,
-// chop factors, strides, and adversarial inputs.
+// chop factors, strides, column tails (n or m not a multiple of 8),
+// non-finite and signed-zero coefficients, and adversarial inputs.
 func TestKernelSIMDEquivalence(t *testing.T) {
 	if !SIMDAvailable() {
 		t.Skip("no SIMD kernels on this platform")
@@ -81,20 +100,27 @@ func TestKernelSIMDEquivalence(t *testing.T) {
 		for cf := 1; cf <= b; cf++ {
 			for _, nblkRows := range []int{1, 2, 3, 5} {
 				n := b * nblkRows
-				k := randKernel(r, b, cf)
-				m := k.M(n)
-				for trial := 0; trial < 4; trial++ {
+				m := cf * nblkRows
+				// Trials 0-2 use a finite kernel, 3-5 a non-finite one;
+				// each fills its planes with noise, sparse specials or
+				// dense specials.
+				for trial := 0; trial < 6; trial++ {
 					name := fmt.Sprintf("b=%d/cf=%d/n=%d/trial=%d", b, cf, n, trial)
-					srcStride := n + r.Intn(5)
-					dstStride := m + r.Intn(5)
-					src := make([]float32, n*srcStride+n)
-					if trial%2 == 0 {
-						adversarialFill(r, src)
-					} else {
-						for i := range src {
-							src[i] = float32(r.NormFloat64())
+					k := randKernel(r, b, cf, trial >= 3)
+					fill := func(s []float32) {
+						if oneIn := []int{0, 16, 3}[trial%3]; oneIn > 0 {
+							adversarialFill(r, s, oneIn)
+							return
+						}
+						for i := range s {
+							s[i] = float32(r.NormFloat64())
 						}
 					}
+					srcStride := n + r.Intn(5)
+					dstStride := m + r.Intn(5)
+					invStride := n + r.Intn(5)
+					src := make([]float32, n*srcStride+n)
+					fill(src)
 					scratchA := make([]float32, k.ScratchLen(n))
 					scratchB := make([]float32, k.ScratchLen(n))
 					fwdA := make([]float32, m*dstStride+m)
@@ -113,19 +139,13 @@ func TestKernelSIMDEquivalence(t *testing.T) {
 					// forward output would propagate NaNs everywhere and
 					// weaken the comparison less interestingly).
 					isrc := make([]float32, m*srcStride+m)
-					if trial%2 == 0 {
-						adversarialFill(r, isrc)
-					} else {
-						for i := range isrc {
-							isrc[i] = float32(r.NormFloat64())
-						}
-					}
-					invA := make([]float32, n*dstStride+n)
-					invB := make([]float32, n*dstStride+n)
+					fill(isrc)
+					invA := make([]float32, n*invStride+n)
+					invB := make([]float32, n*invStride+n)
 					SetSIMD(false)
-					k.Inverse(invA, dstStride, isrc, srcStride, n, scratchA)
+					k.Inverse(invA, invStride, isrc, srcStride, n, scratchA)
 					SetSIMD(true)
-					k.Inverse(invB, dstStride, isrc, srcStride, n, scratchB)
+					k.Inverse(invB, invStride, isrc, srcStride, n, scratchB)
 					if i, ok := sameBits(invA, invB); !ok {
 						t.Fatalf("%s: Inverse diverges at %d: portable %08x simd %08x",
 							name, i, math.Float32bits(invA[i]), math.Float32bits(invB[i]))
@@ -136,11 +156,44 @@ func TestKernelSIMDEquivalence(t *testing.T) {
 	}
 }
 
+// TestKernelRejectsNarrowStride checks that Forward and Inverse refuse
+// a row stride narrower than the rows it addresses, on either path.
+func TestKernelRejectsNarrowStride(t *testing.T) {
+	defer SetSIMD(true)
+	k := randKernel(rand.New(rand.NewSource(3)), 8, 4, false)
+	const n = 16
+	m := k.M(n)
+	big := make([]float32, 4*n*n)
+	scratch := make([]float32, k.ScratchLen(n))
+	cases := []struct {
+		name string
+		call func()
+	}{
+		{"Forward src", func() { k.Forward(big, m, big, n-1, n, scratch) }},
+		{"Forward dst", func() { k.Forward(big, m-1, big, n, n, scratch) }},
+		{"Inverse src", func() { k.Inverse(big, n, big, m-1, n, scratch) }},
+		{"Inverse dst", func() { k.Inverse(big, n-1, big, m, n, scratch) }},
+	}
+	for _, simd := range []bool{false, true} {
+		SetSIMD(simd)
+		for _, tc := range cases {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("simd=%v: %s: narrow stride accepted", simd, tc.name)
+					}
+				}()
+				tc.call()
+			}()
+		}
+	}
+}
+
 // TestKernelSIMDAllocs verifies the dispatched paths stay
 // allocation-free in both modes.
 func TestKernelSIMDAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	k := randKernel(r, 8, 4)
+	k := randKernel(r, 8, 4, false)
 	n := 64
 	m := k.M(n)
 	src := make([]float32, n*n)
