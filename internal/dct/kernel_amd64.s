@@ -71,8 +71,8 @@
 
 // TRANSPOSE4X2(r0, r1, r2, r3, t0, t1, t2, t3, c0, c1, c2, c3): transpose
 // the 4x4 float32 block in each 128-bit half of r0..r3 into c0..c3
-// (c_j lane i = r_i lane j, per half), through t0..t3. r0..r3 are read
-// before t0..t3 are written, and t0..t3 before c0..c3.
+// (c_j lane i = r_i lane j, per half), through t0..t3. The three sets
+// of registers must be distinct.
 #define TRANSPOSE4X2(r0, r1, r2, r3, t0, t1, t2, t3, c0, c1, c2, c3) \
 	VUNPCKLPS r1, r0, t0           \
 	VUNPCKHPS r1, r0, t1           \
