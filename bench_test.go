@@ -330,7 +330,7 @@ func BenchmarkAblationFusedVsChain(b *testing.B) {
 	const n, cf = 128, 4
 	x := benchBatch(8, 3, n)
 	comp := mustComp(b, core.Config{ChopFactor: cf, Serialization: 1}, n)
-	tl := dct.BlockDiagTransform(dct.BlockSize, n/dct.BlockSize)
+	tl := dct.BlockDiag(dct.Transform(dct.BlockSize), n/dct.BlockSize)
 	tlT := tl.Transpose()
 	m := dct.ChopMask(n, cf, dct.BlockSize)
 	mT := m.Transpose()

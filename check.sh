@@ -37,12 +37,29 @@ GOOS=linux GOARCH=386 go test -count=1 ./internal/codec/ ./internal/entropy/ ./i
 # At GOAMD64=v3 math.RoundToEven is one ROUNDSD with no run-time SSE4.1
 # check, so sz's round and its kernels run on that path too.
 GOAMD64=v3 go test -count=1 ./internal/sz/ ./internal/vle/
-# Cross-arch smoke builds for the dispatched kernels: arm64 exercises
-# the non-amd64 stubs (constant-false dispatch), and GOAMD64=v1 checks
-# the amd64 build makes no baseline-ISA assumptions outside the
-# runtime-gated kernels.
+# Cross-arch smoke builds for the dispatched kernels: on arm64
+# cpufeat.Have reports no feature without reading the switch, so every
+# dispatch branch folds to the portable path and the panicking kernel
+# stubs are unreachable; GOAMD64=v1 checks the amd64 build makes no
+# baseline-ISA assumptions outside the runtime-gated kernels.
 GOOS=linux GOARCH=arm64 go build ./...
 GOOS=linux GOARCH=amd64 GOAMD64=v1 go build ./...
+# Portable bytes: arm64 (like ppc64le and riscv64) may fuse x*y + z into
+# one rounding, which amd64, where every golden was recorded, never
+# does. Every product the codec packages add or subtract carries an
+# explicit conversion that forbids the fusion, so an arm64 acc-compress
+# must hold no fused multiply-add in their functions.
+armbin=$(mktemp -d)
+GOOS=linux GOARCH=arm64 go build -o "$armbin/acc-compress" ./cmd/acc-compress
+fused=$(go tool objdump -s '^repro/internal/(dct|sz|jpegq|tensor|zfp|vle|entropy|codec|core)\.' "$armbin/acc-compress" | awk '
+	/^TEXT / { fn = $2 }
+	/FMADD|FMSUB|FNMADD|FNMSUB/ { print fn }' | sort | uniq -c)
+rm -r "$armbin"
+if [ -n "$fused" ]; then
+	echo "check.sh: fused multiply-adds in an arm64 build (count, function):" >&2
+	echo "$fused" >&2
+	exit 1
+fi
 # The library serves no HTTP: net/http would double every binary and pprof's import mounts handlers on the host's DefaultServeMux.
 if go list -deps ./cmd/... ./examples/... ./internal/... | grep -qx 'net/http\|net/http/pprof'; then
 	echo "check.sh: net/http is linked into the library or its binaries" >&2

@@ -136,9 +136,6 @@ func (d *Device) Specs() Specs { return d.specs }
 // Name returns the device name.
 func (d *Device) Name() string { return d.specs.Name }
 
-// Supports reports operator support — the §3.1 programmability table.
-func (d *Device) Supports(k graph.OpKind) bool { return d.support[k] }
-
 // CompileError explains why a graph cannot run on a device, mirroring
 // the paper's compile failures.
 type CompileError struct {

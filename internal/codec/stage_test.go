@@ -13,8 +13,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cpufeat"
 	"repro/internal/tensor"
-	"repro/internal/vecops"
 )
 
 // stagedRepSpecs maps every registered family to a representative spec,
@@ -552,9 +552,9 @@ func fillExactPatterns(d []float32) {
 // bg, bare and staged, on a record shorter than one 32-value kernel
 // step, a ragged one and checkpoint's largest matrix.
 func TestLosslessSIMDParity(t *testing.T) {
-	defer vecops.SetSIMD(true)
+	defer cpufeat.SetSIMD(cpufeat.SetSIMD(true))
 	modes := []bool{false}
-	if vecops.SIMDAvailable() {
+	if cpufeat.Have().AVX2 {
 		modes = append(modes, true)
 	}
 	for _, shape := range [][]int{{8}, {3, 11}, {1, 1, 512, 1024}} {
@@ -567,7 +567,7 @@ func TestLosslessSIMDParity(t *testing.T) {
 			}
 			var streams [][]byte
 			for _, simd := range modes {
-				vecops.SetSIMD(simd)
+				cpufeat.SetSIMD(simd)
 				data, err := c.Compress(x)
 				if err != nil {
 					t.Fatalf("%s %v simd=%v: %v", spec, shape, simd, err)
@@ -578,7 +578,7 @@ func TestLosslessSIMDParity(t *testing.T) {
 				t.Fatalf("%s %v: the container differs with SIMD on and off", spec, shape)
 			}
 			for _, simd := range modes {
-				vecops.SetSIMD(simd)
+				cpufeat.SetSIMD(simd)
 				back, _, err := DecodeBytes(streams[0])
 				if err != nil {
 					t.Fatalf("%s %v simd=%v: %v", spec, shape, simd, err)

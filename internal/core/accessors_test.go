@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestCompressorAccessors(t *testing.T) {
 	cfg := Config{ChopFactor: 4, Serialization: 1}
@@ -51,19 +48,5 @@ func TestConfigStringVariants(t *testing.T) {
 	}
 	if Mode(7).String() == "" || TransformKind(9).String() == "" {
 		t.Fatal("unknown enums must still render")
-	}
-}
-
-func TestFLOPsZFPVariant(t *testing.T) {
-	cfg := Config{ChopFactor: 2, Serialization: 1, Transform: TransformZFP4}
-	// Dense fused cost: 2mn² + 2m²n per plane with m = cf·n/4.
-	n := 16
-	m := 2 * n / 4
-	want := 2.0 * (2*float64(m)*float64(n)*float64(n) + 2*float64(m)*float64(m)*float64(n)) * 3
-	if got := cfg.CompressFLOPs(2, 3, n); math.Abs(got-want) > 1e-6 {
-		t.Fatalf("ZFP4 CompressFLOPs = %g, want %g", got, want)
-	}
-	if cfg.DecompressFLOPs(2, 3, n) != cfg.CompressFLOPs(2, 3, n) {
-		t.Fatal("dense fused cost is symmetric for the ZFP4 variant")
 	}
 }

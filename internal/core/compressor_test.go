@@ -435,19 +435,6 @@ func TestLinearityProperty(t *testing.T) {
 	}
 }
 
-func TestFLOPAccounting(t *testing.T) {
-	cfg := Config{ChopFactor: 4, Serialization: 2}
-	// 2 samples × 3 channels × 4 chunks of 16×16 planes.
-	got := cfg.CompressFLOPs(2, 3, 32)
-	want := 6.0 * 4 * dct.CompressFLOPs(16, 4)
-	if math.Abs(got-want) > 1e-6 {
-		t.Fatalf("CompressFLOPs = %g, want %g", got, want)
-	}
-	if cfg.DecompressFLOPs(2, 3, 32) >= got {
-		t.Fatal("decompress FLOPs must be lower than compress for CF<8")
-	}
-}
-
 func TestConfigString(t *testing.T) {
 	s := Config{ChopFactor: 4, Serialization: 2}.String()
 	if s == "" || s == "Mode(0)" {

@@ -138,35 +138,6 @@ func (c Config) Ratio() float64 {
 	}
 }
 
-// CompressFLOPs returns the total floating-point operations to compress
-// a BD×C×n×n batch at this configuration (Eq. 5 per plane-chunk for the
-// DCT-8 transform, the dense fused form for ZFP-4, times the number of
-// chunks and planes).
-func (c Config) CompressFLOPs(bd, channels, n int) float64 {
-	s := c.Serialization
-	var perChunk float64
-	if c.Transform == TransformZFP4 {
-		cn := n / s
-		perChunk = dct.DenseCompressFLOPs(cn, c.ChopFactor*cn/c.blockSize())
-	} else {
-		perChunk = dct.CompressFLOPs(n/s, c.ChopFactor)
-	}
-	return float64(bd*channels) * float64(s*s) * perChunk
-}
-
-// DecompressFLOPs is the Eq. 7 analogue of CompressFLOPs.
-func (c Config) DecompressFLOPs(bd, channels, n int) float64 {
-	s := c.Serialization
-	var perChunk float64
-	if c.Transform == TransformZFP4 {
-		cn := n / s
-		perChunk = dct.DenseCompressFLOPs(cn, c.ChopFactor*cn/c.blockSize())
-	} else {
-		perChunk = dct.DecompressFLOPs(n/s, c.ChopFactor)
-	}
-	return float64(bd*channels) * float64(s*s) * perChunk
-}
-
 // String renders the configuration the way the paper's figures label
 // series ("CF=4 CR=4.00 DCT+Chop s=2").
 func (c Config) String() string {

@@ -3,12 +3,15 @@
 // packages (internal/dct, internal/jpegq, internal/zfp, and
 // internal/entropy via internal/vecops).
 //
-// The package follows the klauspost/compress playbook: detection runs
-// once at init, consumers capture the result in package-level function
-// pointers, and the portable Go implementation always remains both the
-// fallback and the semantic oracle the dispatched kernels are tested
-// against. Nothing here mutates after init except through the
-// per-package SetSIMD testing hooks.
+// Detection runs once at init. Every kernel package reads Have at its
+// dispatch site and calls its assembly directly, and the portable Go
+// implementation always remains both the fallback and the semantic
+// oracle the dispatched kernels are tested against. Nothing here
+// mutates after init except through SetSIMD, the one testing switch
+// for every kernel package. Without compiled kernels (non-amd64 or
+// purego builds) Have returns the empty set without reading a
+// variable, so every dispatch branch folds to the portable path at
+// compile time.
 //
 // # Environment overrides
 //
@@ -39,17 +42,31 @@ type Features struct {
 	BMI2 bool
 }
 
-// active is the post-override feature set consumers dispatch on.
-var active Features
+// detected is the hardware feature set with the ACC_DISABLE_*
+// overrides applied, fixed at init; active is the set Have reports:
+// detected, or none after SetSIMD(false).
+var detected, active Features
 
 func init() {
-	active = applyOverrides(detect(), os.Getenv)
+	detected = applyOverrides(detect(), os.Getenv)
+	active = detected
 	publishFeatureGauges()
 }
 
-// Have returns the active feature set: hardware capabilities with the
-// ACC_DISABLE_* environment overrides applied.
-func Have() Features { return active }
+// SetSIMD switches every dispatched kernel off, or back on to the set
+// detected at init, and reports whether any feature was active before.
+// It never enables a feature the hardware or an ACC_DISABLE_* override
+// cleared. It is a testing hook — not safe to call concurrently with
+// running kernels.
+func SetSIMD(on bool) bool {
+	prev := active != Features{}
+	active = Features{}
+	if on {
+		active = detected
+	}
+	publishFeatureGauges()
+	return prev
+}
 
 // applyOverrides returns f with the kill-switch environment variables
 // applied. get abstracts os.Getenv so tests can inject environments.

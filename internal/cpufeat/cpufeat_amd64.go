@@ -52,3 +52,8 @@ func detect() Features {
 	f.AVX2 = osAVX && ecx1&cpuidAVX != 0 && ebx7&cpuidAVX2 != 0
 	return f
 }
+
+// Have returns the active feature set: hardware capabilities with the
+// ACC_DISABLE_* environment overrides applied, or none after
+// SetSIMD(false).
+func Have() Features { return active }

@@ -1,6 +1,9 @@
 package cpufeat
 
-import "testing"
+import (
+	"os"
+	"testing"
+)
 
 // envMap builds a Getenv-shaped lookup from a literal map.
 func envMap(m map[string]string) func(string) string {
@@ -16,6 +19,30 @@ func TestDetectImplications(t *testing.T) {
 	}
 	if got.BMI2 && !hw.BMI2 {
 		t.Fatalf("active BMI2 without hardware BMI2: active %+v, detected %+v", got, hw)
+	}
+}
+
+// TestSetSIMD: the switch clears every feature, and switching back on
+// restores exactly the overridden detection, never a feature detect
+// lacks or an ACC_DISABLE_* variable cleared.
+func TestSetSIMD(t *testing.T) {
+	defer SetSIMD(SetSIMD(true))
+	hw := detect()
+	want := applyOverrides(hw, os.Getenv)
+	if got := Have(); got != want {
+		t.Fatalf("SetSIMD(true): active %+v, want detected %+v with overrides", got, want)
+	}
+	if got := Have(); (got.AVX2 && !hw.AVX2) || (got.BMI2 && !hw.BMI2) {
+		t.Fatalf("SetSIMD(true) reports %+v beyond detected %+v", got, hw)
+	}
+	if prev := SetSIMD(false); prev != (want != Features{}) {
+		t.Fatalf("SetSIMD(false) reported previous %v with %+v active", prev, want)
+	}
+	if got := Have(); got != (Features{}) {
+		t.Fatalf("SetSIMD(false) left %+v active", got)
+	}
+	if SetSIMD(true) {
+		t.Fatal("SetSIMD(true) reported a feature active after SetSIMD(false)")
 	}
 }
 

@@ -5,7 +5,7 @@ import "repro/internal/telemetry"
 // publishFeatureGauges mirrors the active (post-override) feature set
 // into 0/1 telemetry gauges, so a metrics snapshot is self-describing
 // about which kernel paths the process could dispatch to. Called from
-// this package's init, after overrides are applied.
+// this package's init, after overrides are applied, and from SetSIMD.
 func publishFeatureGauges() {
 	set := func(name string, on bool) {
 		g := telemetry.NewGauge("simd.cpufeat." + name)
@@ -15,6 +15,7 @@ func publishFeatureGauges() {
 			g.Set(0)
 		}
 	}
-	set("avx2", active.AVX2)
-	set("bmi2", active.BMI2)
+	f := Have()
+	set("avx2", f.AVX2)
+	set("bmi2", f.BMI2)
 }

@@ -95,14 +95,6 @@ func Direct2D(a *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// BlockDiagTransform returns T_L: nblks copies of the b×b transform T
-// placed along the diagonal of an (nblks·b)×(nblks·b) zero matrix
-// (Fig. 4), so that T_L·A·T_Lᵀ applies the DCT to every b×b block of A
-// at once.
-func BlockDiagTransform(b, nblks int) *tensor.Tensor {
-	return BlockDiag(Transform(b), nblks)
-}
-
 // ChopMask returns the mask matrix M of Fig. 4 for an n×n input with
 // chop factor cf: a (cf·n/b)×n matrix of cf×cf identity sub-blocks, one
 // per b-wide block column, so that M·D·Mᵀ retains the upper-left cf×cf
@@ -123,20 +115,6 @@ func ChopMask(n, cf, b int) *tensor.Tensor {
 		}
 	}
 	return out
-}
-
-// LHS returns the fused compression matrix M·T_L of Eq. 4, of size
-// (cf·n/b)×n. The paper computes LHS offline, at compile time; callers
-// should do the same and reuse it across batches.
-func LHS(n, cf, b int) *tensor.Tensor {
-	return tensor.MatMul(ChopMask(n, cf, b), BlockDiagTransform(b, n/b))
-}
-
-// RHS returns the fused compression matrix T_Lᵀ·Mᵀ of Eq. 4, of size
-// n×(cf·n/b). RHS(n,cf,b) == LHS(n,cf,b)ᵀ because T_L is applied
-// symmetrically; the identity is asserted in tests.
-func RHS(n, cf, b int) *tensor.Tensor {
-	return LHS(n, cf, b).Transpose()
 }
 
 // ZigZag returns the classic JPEG zigzag traversal order of an n×n

@@ -89,7 +89,7 @@ func TestConstantBlockCompactsToDC(t *testing.T) {
 }
 
 func TestBlockDiagTransform(t *testing.T) {
-	tl := BlockDiagTransform(8, 3)
+	tl := BlockDiag(Transform(8), 3)
 	if tl.Dim(0) != 24 || tl.Dim(1) != 24 {
 		t.Fatalf("T_L shape %v", tl.Shape())
 	}
@@ -172,19 +172,6 @@ func TestChopMaskSelectsUpperLeft(t *testing.T) {
 func TestChopMaskValidation(t *testing.T) {
 	defer expectPanic(t, "n not multiple of block")
 	ChopMask(20, 3, 8)
-}
-
-func TestLHSRHSTransposeIdentity(t *testing.T) {
-	for _, cf := range []int{1, 3, 5, 8} {
-		lhs := LHS(24, cf, 8)
-		rhs := RHS(24, cf, 8)
-		if d := rhs.MaxAbsDiff(lhs.Transpose()); d != 0 {
-			t.Fatalf("cf=%d: RHS != LHSᵀ (%g)", cf, d)
-		}
-		if lhs.Dim(0) != cf*3 || lhs.Dim(1) != 24 {
-			t.Fatalf("cf=%d: LHS shape %v, want [%d 24]", cf, lhs.Shape(), cf*3)
-		}
-	}
 }
 
 func TestZigZagIsPermutation(t *testing.T) {

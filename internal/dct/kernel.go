@@ -3,6 +3,7 @@ package dct
 import (
 	"fmt"
 
+	"repro/internal/cpufeat"
 	"repro/internal/tensor"
 )
 
@@ -110,6 +111,18 @@ func (k *Kernel) M(n int) int { return k.cf * n / k.b }
 // plane.
 func (k *Kernel) ScratchLen(n int) int { return n * k.M(n) }
 
+// laneMask[c] has its first c lanes set to all-ones: the load/store
+// masks for cf-wide outputs and cols%8-wide column tails.
+var laneMask [9][8]int32
+
+func init() {
+	for c := 1; c <= 8; c++ {
+		for j := 0; j < c; j++ {
+			laneMask[c][j] = -1
+		}
+	}
+}
+
 // checkPlane panics unless buf holds rows rows of w floats at stride,
 // the bound every kernel pass, vector or portable, relies on.
 func checkPlane(op, name string, buf []float32, stride, rows, w int) {
@@ -128,8 +141,12 @@ func checkPlane(op, name string, buf []float32, stride, rows, w int) {
 // size, and each stride at least its row width. Forward performs no
 // allocation.
 func (k *Kernel) Forward(dst []float32, dstStride int, src []float32, srcStride, n int, scratch []float32) {
-	countKernelCall(k.b)
+	// The AVX2 column kernels take b = 4 or 8, the blocks with tables;
+	// the row kernels take b = 8 alone. Each is bit-identical to its
+	// portable loop, the oracle.
 	b, cf := k.b, k.cf
+	vec := cpufeat.Have().AVX2 && k.fwdTab != nil
+	countKernelCall(vec && b == 8)
 	if n%b != 0 {
 		panic(fmt.Sprintf("dct: Kernel.Forward n=%d not a multiple of block size %d", n, b))
 	}
@@ -145,10 +162,10 @@ func (k *Kernel) Forward(dst []float32, dstStride int, src []float32, srcStride,
 	// dispatched kernel handles 8-row bands of 8-wide blocks (b == 8
 	// forces n%8 == 0: no remainder rows); b != 8 and no SIMD take the
 	// portable loop.
-	if band := fwdBand8; band != nil && b == 8 {
+	if vec && b == 8 {
 		mask := &laneMask[cf][0]
 		for i := 0; i+8 <= n; i += 8 {
-			band(&scratch[i*m], m, &src[i*srcStride], srcStride, nblks, cf, &k.fwdTab[0], mask)
+			fwdBand8AVX2(&scratch[i*m], m, &src[i*srcStride], srcStride, nblks, cf, &k.fwdTab[0], mask)
 		}
 	} else {
 		k.forwardRows(scratch, m, src, srcStride, n)
@@ -157,10 +174,10 @@ func (k *Kernel) Forward(dst []float32, dstStride int, src []float32, srcStride,
 	// half-transformed rows of block-row I, weighted by transform row r —
 	// a contiguous axpy per source row, so both streams stay sequential.
 	// The dispatched kernel emits a whole block row per call.
-	if col := fwdCol; col != nil && k.fwdTab != nil {
+	if vec {
 		tail := &laneMask[m%8][0]
 		for blkI := 0; blkI < nblks; blkI++ {
-			col(&dst[blkI*cf*dstStride], dstStride, &scratch[blkI*b*m], m, m, b, cf, &k.fwdTab[0], &k.fwdMask[0], tail)
+			fwdColAVX2(&dst[blkI*cf*dstStride], dstStride, &scratch[blkI*b*m], m, m, b, cf, &k.fwdTab[0], &k.fwdMask[0], tail)
 		}
 		return
 	}
@@ -223,8 +240,10 @@ func portableColPass(d, scratch []float32, m int, coef []float32) {
 // ScratchLen(n) float32s, and each stride must be at least its row
 // width. Inverse performs no allocation.
 func (k *Kernel) Inverse(dst []float32, dstStride int, src []float32, srcStride, n int, scratch []float32) {
-	countKernelCall(k.b)
+	// The vector kernels run as in Forward.
 	b, cf := k.b, k.cf
+	vec := cpufeat.Have().AVX2 && k.fwdTab != nil
+	countKernelCall(vec && b == 8)
 	if n%b != 0 {
 		panic(fmt.Sprintf("dct: Kernel.Inverse n=%d not a multiple of block size %d", n, b))
 	}
@@ -238,18 +257,18 @@ func (k *Kernel) Inverse(dst []float32, dstStride int, src []float32, srcStride,
 	// Row pass: R = Y·G_Lᵀ (m×n). Each chopped row expands every cf-wide
 	// block segment back to b columns through G. The dispatched kernel
 	// runs every row, 8 outputs of a block per vector.
-	if rows := invRows8; rows != nil && b == 8 && m > 0 {
-		rows(&scratch[0], n, &src[0], srcStride, m, nblks, cf, &k.invCols[0])
+	if vec && b == 8 && m > 0 {
+		invRowsAVX2(&scratch[0], n, &src[0], srcStride, m, nblks, cf, &k.invCols[0])
 	} else {
 		k.inverseRows(scratch, n, src, srcStride, m)
 	}
 	// Column pass: A' = G_L·R (n×n). Only the cf retained rows of each
 	// block-row exist in R; every output row is a cf-term axpy sum. The
 	// dispatched kernel emits a whole block row per call.
-	if col := invCol; col != nil && k.invTab != nil {
+	if vec {
 		tail := &laneMask[n%8][0]
 		for blkI := 0; blkI < nblks; blkI++ {
-			col(&dst[blkI*b*dstStride], dstStride, &scratch[blkI*cf*n], n, n, b, cf, &k.invTab[0], &k.invMask[0], tail)
+			invColAVX2(&dst[blkI*b*dstStride], dstStride, &scratch[blkI*cf*n], n, n, b, cf, &k.invTab[0], &k.invMask[0], tail)
 		}
 		return
 	}

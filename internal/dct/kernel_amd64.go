@@ -2,8 +2,6 @@
 
 package dct
 
-import "repro/internal/cpufeat"
-
 // fwdBand8AVX2 runs the forward row pass over 8 consecutive plane rows:
 // for each row r < 8 and block blk < nblks,
 // dst[r*dstStride+blk*cf+c] = Σ_{p<8} src[r*srcStride+blk*8+p]·F[c,p],
@@ -36,12 +34,3 @@ func fwdColAVX2(dst *float32, dstStride int, src *float32, srcStride int, cols, 
 //
 //go:noescape
 func invColAVX2(dst *float32, dstStride int, src *float32, srcStride int, cols, b, cf int, tab *float32, mask *int32, tail *int32)
-
-func archSIMDAvailable() bool { return cpufeat.Have().AVX2 }
-
-func archEnable() {
-	fwdBand8 = fwdBand8AVX2
-	invRows8 = invRowsAVX2
-	fwdCol = fwdColAVX2
-	invCol = invColAVX2
-}

@@ -10,12 +10,12 @@ var (
 	simdPortableCalls = telemetry.NewCounter("simd.dct.portable_calls")
 )
 
-// countKernelCall records which path a Forward/Inverse call of a b-wide
-// block transform takes: vector only when both of its passes dispatch.
-// The column kernels take b = 4 and 8, the row kernels b = 8 alone, so
-// a b = 4 call, whose row pass runs portable, counts as portable.
-func countKernelCall(b int) {
-	if fwdCol != nil && b == 8 {
+// countKernelCall records which path a Forward/Inverse call takes:
+// vector only when both of its passes dispatch. The column kernels take
+// b = 4 and 8, the row kernels b = 8 alone, so a b = 4 call, whose row
+// pass runs portable, counts as portable.
+func countKernelCall(vector bool) {
+	if vector {
 		simdVectorCalls.Inc()
 	} else {
 		simdPortableCalls.Inc()

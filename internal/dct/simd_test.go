@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cpufeat"
 	"repro/internal/tensor"
 )
 
@@ -91,10 +92,10 @@ func randKernel(r *rand.Rand, b, cf int, nonFinite bool) *Kernel {
 // chop factors, strides, column tails (n or m not a multiple of 8),
 // non-finite and signed-zero coefficients, and adversarial inputs.
 func TestKernelSIMDEquivalence(t *testing.T) {
-	if !SIMDAvailable() {
+	if !cpufeat.Have().AVX2 {
 		t.Skip("no SIMD kernels on this platform")
 	}
-	defer SetSIMD(true)
+	defer cpufeat.SetSIMD(cpufeat.SetSIMD(true))
 	r := rand.New(rand.NewSource(7))
 	for _, b := range []int{4, 8} {
 		for cf := 1; cf <= b; cf++ {
@@ -126,9 +127,9 @@ func TestKernelSIMDEquivalence(t *testing.T) {
 					fwdA := make([]float32, m*dstStride+m)
 					fwdB := make([]float32, m*dstStride+m)
 
-					SetSIMD(false)
+					cpufeat.SetSIMD(false)
 					k.Forward(fwdA, dstStride, src, srcStride, n, scratchA)
-					SetSIMD(true)
+					cpufeat.SetSIMD(true)
 					k.Forward(fwdB, dstStride, src, srcStride, n, scratchB)
 					if i, ok := sameBits(fwdA, fwdB); !ok {
 						t.Fatalf("%s: Forward diverges at %d: portable %08x simd %08x",
@@ -142,9 +143,9 @@ func TestKernelSIMDEquivalence(t *testing.T) {
 					fill(isrc)
 					invA := make([]float32, n*invStride+n)
 					invB := make([]float32, n*invStride+n)
-					SetSIMD(false)
+					cpufeat.SetSIMD(false)
 					k.Inverse(invA, invStride, isrc, srcStride, n, scratchA)
-					SetSIMD(true)
+					cpufeat.SetSIMD(true)
 					k.Inverse(invB, invStride, isrc, srcStride, n, scratchB)
 					if i, ok := sameBits(invA, invB); !ok {
 						t.Fatalf("%s: Inverse diverges at %d: portable %08x simd %08x",
@@ -159,7 +160,7 @@ func TestKernelSIMDEquivalence(t *testing.T) {
 // TestKernelRejectsNarrowStride checks that Forward and Inverse refuse
 // a row stride narrower than the rows it addresses, on either path.
 func TestKernelRejectsNarrowStride(t *testing.T) {
-	defer SetSIMD(true)
+	defer cpufeat.SetSIMD(cpufeat.SetSIMD(true))
 	k := randKernel(rand.New(rand.NewSource(3)), 8, 4, false)
 	const n = 16
 	m := k.M(n)
@@ -175,7 +176,7 @@ func TestKernelRejectsNarrowStride(t *testing.T) {
 		{"Inverse dst", func() { k.Inverse(big, n-1, big, m, n, scratch) }},
 	}
 	for _, simd := range []bool{false, true} {
-		SetSIMD(simd)
+		cpufeat.SetSIMD(simd)
 		for _, tc := range cases {
 			func() {
 				defer func() {
@@ -203,11 +204,12 @@ func TestKernelSIMDAllocs(t *testing.T) {
 	dst := make([]float32, m*m)
 	rec := make([]float32, n*n)
 	scratch := make([]float32, k.ScratchLen(n))
+	defer cpufeat.SetSIMD(cpufeat.SetSIMD(true))
 	for _, mode := range []bool{false, true} {
-		if mode && !SIMDAvailable() {
+		cpufeat.SetSIMD(mode)
+		if mode && !cpufeat.Have().AVX2 {
 			continue
 		}
-		SetSIMD(mode)
 		allocs := testing.AllocsPerRun(10, func() {
 			k.Forward(dst, m, src, n, n, scratch)
 			k.Inverse(rec, n, dst, m, n, scratch)
@@ -216,5 +218,4 @@ func TestKernelSIMDAllocs(t *testing.T) {
 			t.Fatalf("simd=%v: Forward+Inverse allocated %v times per run", mode, allocs)
 		}
 	}
-	SetSIMD(true)
 }

@@ -30,8 +30,10 @@ func ZFPBlockTransform() *tensor.Tensor {
 	return t
 }
 
-// BlockDiag generalizes BlockDiagTransform: nblks copies of an
-// arbitrary b×b matrix placed along the diagonal of a zero matrix.
+// BlockDiag places nblks copies of a b×b matrix along the diagonal of
+// an (nblks·b)×(nblks·b) zero matrix. Of the DCT matrix T it is T_L
+// (Fig. 4), so that T_L·A·T_Lᵀ applies the DCT to every b×b block of A
+// at once.
 func BlockDiag(m *tensor.Tensor, nblks int) *tensor.Tensor {
 	b := m.Dim(0)
 	n := b * nblks
@@ -45,14 +47,4 @@ func BlockDiag(m *tensor.Tensor, nblks int) *tensor.Tensor {
 		}
 	}
 	return out
-}
-
-// DenseCompressFLOPs is the dense-matmul operation count of the fused
-// two-product pipeline Y = LHS·A·RHS for an n×n plane chopped to m×m:
-// 2mn² + 2m²n. It generalizes Eq. 5 to transforms whose block-diagonal
-// sparsity the device compilers do not exploit (the ZFP-transform
-// variant); for DCT-II at block size 8 use CompressFLOPs (Eq. 5).
-func DenseCompressFLOPs(n, m int) float64 {
-	nf, mf := float64(n), float64(m)
-	return 2*mf*nf*nf + 2*mf*mf*nf
 }

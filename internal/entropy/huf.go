@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+
+	"repro/internal/cpufeat"
 )
 
 // This file is the huff0-style multi-symbol fast path: a canonical
@@ -495,8 +497,10 @@ func decodeHufBody(dst, body []byte, rawLen int, st *scratch) ([]byte, error) {
 	outs[3] = out[3*segLen:]
 
 	// Bulk decode: the asm kernel runs the four streams interleaved (one
-	// probe per stream per iteration) while every stream has ≥ 8
-	// readable source bytes and ≥ 2 writable output bytes; the portable
+	// probe per stream per iteration, scalar over general-purpose
+	// registers, so BMI2's flag-free shifts are all it needs) while
+	// every stream has ≥ 8 readable source bytes and ≥ 2 writable
+	// output bytes; the portable
 	// per-stream loop finishes each stream from wherever the kernel
 	// stopped, or does everything when the kernel is off or the block
 	// is too short for it (counted apart: the kernel was on but skipped).
@@ -504,7 +508,7 @@ func decodeHufBody(dst, body []byte, rawLen int, st *scratch) ([]byte, error) {
 	var buf [hufNumStreams]uint64
 	var cnt [hufNumStreams]uint
 	switch {
-	case !hufSIMD():
+	case !cpufeat.Have().BMI2:
 		hufPortableCalls.Inc()
 	case hufKernelViable(&srcs, &outs):
 		hufVectorCalls.Inc()

@@ -2,11 +2,7 @@
 
 package entropy
 
-import (
-	"unsafe"
-
-	"repro/internal/cpufeat"
-)
+import "unsafe"
 
 // huf4State is the register file of the 4-stream decode kernel. Field
 // offsets are hard-coded in huf_amd64.s — keep them in sync. Pointers
@@ -30,22 +26,6 @@ type huf4State struct {
 //
 //go:noescape
 func hufDecode4BMI2(st *huf4State)
-
-// hufSIMDOn gates the 4-stream kernel. The kernel is scalar 4-way ILP
-// over general-purpose registers; its only ISA requirement is BMI2
-// (flag-free SHLX/SHRX variable shifts).
-var hufSIMDOn = cpufeat.Have().BMI2
-
-func hufSIMD() bool { return hufSIMDOn }
-
-// SetSIMD forcibly enables or disables the huf decode kernel for
-// tests, returning the previous state. Enabling still requires the CPU
-// to have the feature.
-func SetSIMD(on bool) bool {
-	prev := hufSIMDOn
-	hufSIMDOn = on && cpufeat.Have().BMI2
-	return prev
-}
 
 // hufDecode4 adapts the slice-world decode state to the kernel's raw
 // cursors and back. Callers guarantee every stream has ≥ 8 source

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/cpufeat"
 	"repro/internal/telemetry"
 )
 
@@ -330,13 +331,12 @@ func TestHufLengthSortOrder(t *testing.T) {
 // hardware without the kernel both runs take the portable path and the
 // test degenerates to a round-trip check.
 func TestHufSIMDEquivalence(t *testing.T) {
-	prev := SetSIMD(true)
-	defer SetSIMD(prev)
+	defer cpufeat.SetSIMD(cpufeat.SetSIMD(true))
 	for name, src := range hufCorpus() {
 		comp := CompressHuf(nil, src)
-		SetSIMD(true)
+		cpufeat.SetSIMD(true)
 		vec, vecErr := Decompress(nil, comp)
-		SetSIMD(false)
+		cpufeat.SetSIMD(false)
 		port, portErr := Decompress(nil, comp)
 		if vecErr != nil || portErr != nil {
 			t.Fatalf("%s: vec err=%v, portable err=%v", name, vecErr, portErr)
@@ -378,8 +378,7 @@ func TestHufKernelPathCounters(t *testing.T) {
 	if !telemetry.Enabled() {
 		t.Skip("telemetry disabled")
 	}
-	prev := SetSIMD(true)
-	defer SetSIMD(prev)
+	defer cpufeat.SetSIMD(cpufeat.SetSIMD(true))
 	counts := func(comp []byte) [3]uint64 {
 		t.Helper()
 		before := [3]uint64{hufVectorCalls.Value(), hufPortableCalls.Value(), hufKernelSkipped.Value()}
@@ -389,7 +388,7 @@ func TestHufKernelPathCounters(t *testing.T) {
 		return [3]uint64{hufVectorCalls.Value() - before[0], hufPortableCalls.Value() - before[1], hufKernelSkipped.Value() - before[2]}
 	}
 	// {vector, portable, kernel_skipped} per decode.
-	if hufSIMD() {
+	if cpufeat.Have().BMI2 {
 		if got := counts(short); got != [3]uint64{0, 0, 1} {
 			t.Errorf("kernel on, short block: counts %v, want kernel_skipped only", got)
 		}
@@ -399,7 +398,7 @@ func TestHufKernelPathCounters(t *testing.T) {
 	} else {
 		t.Log("no BMI2 kernel on this host: checking the portable counts only")
 	}
-	SetSIMD(false)
+	cpufeat.SetSIMD(false)
 	for name, comp := range map[string][]byte{"short": short, "long": long} {
 		if got := counts(comp); got != [3]uint64{0, 1, 0} {
 			t.Errorf("kernel off, %s block: counts %v, want portable only", name, got)

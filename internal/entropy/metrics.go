@@ -14,7 +14,7 @@ var (
 // Dispatch counters for the 4-stream huf decode kernel, mirroring the
 // simd.vecops.* pair: one tick per decoded huf block, keyed by which
 // path ran. vector_calls: the BMI2 bulk kernel ran. portable_calls: the
-// kernel is off (no BMI2, a non-amd64 build, or SetSIMD(false)).
+// kernel is off (no BMI2, a non-amd64 build, or cpufeat.SetSIMD(false)).
 // kernel_skipped: the kernel is on but the block has a stream too short
 // for its entry bounds, so the portable loop decoded it.
 var (

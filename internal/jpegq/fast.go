@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/cpufeat"
 	"repro/internal/dct"
 	"repro/internal/vle"
 )
@@ -54,14 +55,14 @@ func mm8(c, a, b *[64]float32) {
 				continue
 			}
 			bp := b[p*BlockSize : p*BlockSize+BlockSize : p*BlockSize+BlockSize]
-			c0 += av * bp[0]
-			c1 += av * bp[1]
-			c2 += av * bp[2]
-			c3 += av * bp[3]
-			c4 += av * bp[4]
-			c5 += av * bp[5]
-			c6 += av * bp[6]
-			c7 += av * bp[7]
+			c0 += float32(av * bp[0])
+			c1 += float32(av * bp[1])
+			c2 += float32(av * bp[2])
+			c3 += float32(av * bp[3])
+			c4 += float32(av * bp[4])
+			c5 += float32(av * bp[5])
+			c6 += float32(av * bp[6])
+			c7 += float32(av * bp[7])
 		}
 		ci := c[i*BlockSize : i*BlockSize+BlockSize : i*BlockSize+BlockSize]
 		ci[0], ci[1], ci[2], ci[3] = c0, c1, c2, c3
@@ -73,7 +74,7 @@ func mm8(c, a, b *[64]float32) {
 // dct.Apply2D bit-for-bit.
 func forwardDCT8(dst, src *[64]float32) {
 	var tmp [64]float32
-	if simdOn {
+	if cpufeat.Have().AVX2 {
 		mm8AVX2(&tmp, &dctT, src)
 		mm8AVX2(dst, &tmp, &dctTt)
 		return
@@ -85,7 +86,7 @@ func forwardDCT8(dst, src *[64]float32) {
 // inverseDCT8 computes dst = Tᵀ·src·T, matching dct.Invert2D.
 func inverseDCT8(dst, src *[64]float32) {
 	var tmp [64]float32
-	if simdOn {
+	if cpufeat.Have().AVX2 {
 		mm8AVX2(&tmp, &dctTt, src)
 		mm8AVX2(dst, &tmp, &dctT)
 		return
@@ -104,13 +105,13 @@ func quantizePlane(dst []int32, plane []float32, h, w int, table *[64]int) {
 	k := 0
 	for bi := 0; bi < h; bi += BlockSize {
 		for bj := 0; bj < w; bj += BlockSize {
-			if simdOn {
+			if cpufeat.Have().AVX2 {
 				levelShift8AVX2(&blk, &plane[bi*w+bj], w)
 			} else {
 				for i := 0; i < BlockSize; i++ {
 					row := plane[(bi+i)*w+bj : (bi+i)*w+bj+BlockSize]
 					for j, v := range row {
-						blk[i*BlockSize+j] = v*255 - 128
+						blk[i*BlockSize+j] = float32(v*255) - 128
 					}
 				}
 			}
@@ -152,7 +153,7 @@ func dequantizePlane(plane []float32, src []int32, h, w int, table *[64]int) {
 			}
 			k += 64
 			inverseDCT8(&rec, &d)
-			if simdOn {
+			if cpufeat.Have().AVX2 {
 				storeShift8AVX2(&plane[bi*w+bj], w, &rec)
 			} else {
 				for i := 0; i < BlockSize; i++ {

@@ -2,8 +2,6 @@
 
 package jpegq
 
-import "repro/internal/cpufeat"
-
 // mm8AVX2 is the dispatched 8×8 matmul: bit-identical to mm8 (same
 // accumulation order, zero-row skip, no FMA), vectorized across the 8
 // output columns.
@@ -23,20 +21,3 @@ func levelShift8AVX2(dst *[64]float32, src *float32, stride int)
 //
 //go:noescape
 func storeShift8AVX2(dst *float32, stride int, rec *[64]float32)
-
-// simdOn guards the direct calls to the dispatched kernels. A direct
-// (not function-pointer) call is required so the //go:noescape contract
-// keeps the callers' stack blocks off the heap.
-var simdOn = cpufeat.Have().AVX2
-
-// SIMDAvailable reports whether vectorized kernels are compiled in and
-// usable on this CPU (after environment overrides).
-func SIMDAvailable() bool { return cpufeat.Have().AVX2 }
-
-// SetSIMD forces the vector kernels on or off and reports the previous
-// state. A testing hook — not safe concurrently with running planes.
-func SetSIMD(on bool) bool {
-	prev := simdOn
-	simdOn = on && SIMDAvailable()
-	return prev
-}

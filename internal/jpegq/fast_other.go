@@ -2,18 +2,6 @@
 
 package jpegq
 
-// simdOn is constant-false without compiled kernels, so the dispatch
-// branches (and the kernel stubs below) are eliminated at compile time.
-const simdOn = false
-
-// SIMDAvailable reports whether vectorized kernels are compiled in and
-// usable on this CPU.
-func SIMDAvailable() bool { return false }
-
-// SetSIMD is the testing hook for forcing kernels on or off; without
-// compiled kernels it is a no-op.
-func SetSIMD(on bool) bool { return false }
-
 func mm8AVX2(c, a, b *[64]float32) { panic("jpegq: no simd kernels") }
 
 func levelShift8AVX2(dst *[64]float32, src *float32, stride int) { panic("jpegq: no simd kernels") }

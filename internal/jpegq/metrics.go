@@ -1,6 +1,9 @@
 package jpegq
 
-import "repro/internal/telemetry"
+import (
+	"repro/internal/cpufeat"
+	"repro/internal/telemetry"
+)
 
 // SIMD-dispatch counters, ticked once per plane (not per 8×8 block) so
 // the block loops stay free of atomics.
@@ -12,7 +15,7 @@ var (
 // countPlaneCall records which path a quantize/dequantize plane pass
 // dispatches to.
 func countPlaneCall() {
-	if simdOn {
+	if cpufeat.Have().AVX2 {
 		simdVectorCalls.Inc()
 	} else {
 		simdPortableCalls.Inc()

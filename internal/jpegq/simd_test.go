@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/cpufeat"
 )
 
 // adversarialFloats mixes ordinary noise with float32 edge cases.
@@ -39,10 +41,9 @@ func bitsEqual(t *testing.T, name string, want, got []float32) {
 // TestMM8SIMDEquivalence checks mm8AVX2 against the portable mm8
 // bit-for-bit, including zero-skip rows and NaN/Inf propagation.
 func TestMM8SIMDEquivalence(t *testing.T) {
-	if !SIMDAvailable() {
+	if !cpufeat.Have().AVX2 {
 		t.Skip("no SIMD kernels on this platform")
 	}
-	defer SetSIMD(true)
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 500; trial++ {
 		var a, b, cp, cs [64]float32
@@ -79,10 +80,10 @@ func TestMM8SIMDEquivalence(t *testing.T) {
 // both modes: coefficients must be identical and reconstructions
 // bit-identical.
 func TestPlaneSIMDEquivalence(t *testing.T) {
-	if !SIMDAvailable() {
+	if !cpufeat.Have().AVX2 {
 		t.Skip("no SIMD kernels on this platform")
 	}
-	defer SetSIMD(true)
+	defer cpufeat.SetSIMD(cpufeat.SetSIMD(true))
 	r := rand.New(rand.NewSource(5))
 	c, err := NewCodec(50)
 	if err != nil {
@@ -109,10 +110,10 @@ func TestPlaneSIMDEquivalence(t *testing.T) {
 			outA := make([]float32, h*w)
 			outB := make([]float32, h*w)
 
-			SetSIMD(false)
+			cpufeat.SetSIMD(false)
 			quantizePlane(cA, plane, h, w, &table)
 			dequantizePlane(outA, cA, h, w, &table)
-			SetSIMD(true)
+			cpufeat.SetSIMD(true)
 			quantizePlane(cB, plane, h, w, &table)
 			dequantizePlane(outB, cB, h, w, &table)
 
@@ -145,11 +146,12 @@ func TestPlaneSIMDAllocs(t *testing.T) {
 	}
 	coeffs := make([]int32, (h/8)*(w/8)*64)
 	out := make([]float32, h*w)
+	defer cpufeat.SetSIMD(cpufeat.SetSIMD(true))
 	for _, mode := range []bool{false, true} {
-		if mode && !SIMDAvailable() {
+		cpufeat.SetSIMD(mode)
+		if mode && !cpufeat.Have().AVX2 {
 			continue
 		}
-		SetSIMD(mode)
 		allocs := testing.AllocsPerRun(10, func() {
 			quantizePlane(coeffs, plane, h, w, &table)
 			dequantizePlane(out, coeffs, h, w, &table)
@@ -158,5 +160,4 @@ func TestPlaneSIMDAllocs(t *testing.T) {
 			t.Fatalf("simd=%v: plane pipeline allocated %v times per run", mode, allocs)
 		}
 	}
-	SetSIMD(true)
 }

@@ -30,8 +30,12 @@ func TestResNetSShapes(t *testing.T) {
 	if y.Dim(0) != 4 || y.Dim(1) != 10 {
 		t.Fatalf("ResNetS output %v", y.Shape())
 	}
-	if m.ParamCount() < 1000 {
-		t.Fatalf("ResNetS too small: %d params", m.ParamCount())
+	n := 0
+	for _, p := range m.Params() {
+		n += p.Value.Len()
+	}
+	if n < 1000 {
+		t.Fatalf("ResNetS too small: %d params", n)
 	}
 }
 

@@ -85,15 +85,6 @@ func (s *Sequential) ZeroGrad() {
 	}
 }
 
-// ParamCount returns the total number of trainable scalars.
-func (s *Sequential) ParamCount() int {
-	n := 0
-	for _, p := range s.Params() {
-		n += p.Value.Len()
-	}
-	return n
-}
-
 // checkShape4 panics with a labelled message when x is not 4-D — the
 // convolutional layers' contract.
 func checkShape4(x *tensor.Tensor, layer string) {

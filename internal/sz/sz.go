@@ -230,7 +230,7 @@ func (qz quantizer) band(recon, x []float32, codes []int32, off, rows, w int, s 
 			if math.Abs(q) <= qz.bins && q != math.MinInt16 {
 				// Guard against float32 rounding pushing the
 				// reconstruction outside the bound.
-				if r := float32(float64(pred) + qz.step*(q+0)); math.Abs(float64(r)-float64(v)) <= qz.bound {
+				if r := float32(float64(pred) + float64(qz.step*(q+0))); math.Abs(float64(r)-float64(v)) <= qz.bound {
 					codes[i], recon[i] = int32(q), r
 					continue
 				}
@@ -518,7 +518,7 @@ func (rp *replayer) steps(off, rows, t0, t1 int, raws []byte, cur, end *[bandRow
 // when no raw value is left.
 func replayCell(q, sentinel int32, pred float32, step float64, raws []byte, cur *int, end int) (float32, bool) {
 	if q != sentinel {
-		return float32(float64(pred) + step*float64(q)), true
+		return float32(float64(pred) + float64(step*float64(q))), true
 	}
 	if *cur+4 > end {
 		return 0, false

@@ -49,7 +49,7 @@ func Inverse(t *Tensor) (*Tensor, error) {
 				continue
 			}
 			for j := 0; j < 2*n; j++ {
-				a[r][j] -= f * a[col][j]
+				a[r][j] -= float64(f * a[col][j])
 			}
 		}
 	}

@@ -58,7 +58,7 @@ func matmulRange(c, a, b []float32, lo, hi, k, n int) {
 			}
 			bp := b[p*n : (p+1)*n]
 			for j, bv := range bp {
-				ci[j] += av * bv
+				ci[j] += float32(av * bv)
 			}
 		}
 	}
@@ -77,7 +77,7 @@ func MatMulNaive(a, b *Tensor) *Tensor {
 		for j := 0; j < n; j++ {
 			var s float32
 			for p := 0; p < k; p++ {
-				s += a.data[i*k+p] * b.data[p*n+j]
+				s += float32(a.data[i*k+p] * b.data[p*n+j])
 			}
 			c.data[i*n+j] = s
 		}

@@ -48,15 +48,6 @@ func (t *Tensor) Transpose() *Tensor {
 	return out
 }
 
-// Row returns row i of a 2-D tensor as a view (shares storage).
-func (t *Tensor) Row(i int) *Tensor {
-	if len(t.shape) != 2 {
-		panic(fmt.Sprintf("tensor: Row requires 2-D, got %v", t.shape))
-	}
-	n := t.shape[1]
-	return &Tensor{shape: []int{n}, data: t.data[i*n : (i+1)*n]}
-}
-
 // SliceDim0 returns the sub-tensor t[lo:hi] along dimension 0 as a view.
 func (t *Tensor) SliceDim0(lo, hi int) *Tensor {
 	if len(t.shape) == 0 {

@@ -39,18 +39,6 @@ func TestTransposeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRowIsView(t *testing.T) {
-	x := Arange(0, 1, 6).Reshape(2, 3)
-	row := x.Row(1)
-	if row.At(0) != 3 {
-		t.Fatalf("Row(1)[0] = %g, want 3", row.At(0))
-	}
-	row.Set(42, 0)
-	if x.At2(1, 0) != 42 {
-		t.Fatal("Row must be a view")
-	}
-}
-
 func TestSliceDim0AndIndex(t *testing.T) {
 	x := Arange(0, 1, 24).Reshape(4, 3, 2)
 	s := x.SliceDim0(1, 3)

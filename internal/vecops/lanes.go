@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"repro/internal/cpufeat"
 )
 
 // laneChunk is the element count one step of the lane kernels moves:
@@ -27,7 +29,7 @@ func laneKernel(n, bg int) bool { return bg != 2 && n >= laneChunk }
 func SplitLanes(dst []byte, src []float32, bg int) {
 	checkLanes(len(dst), len(src), bg)
 	done := 0
-	if !simdOn {
+	if !cpufeat.Have().AVX2 {
 		simdPortableCalls.Inc()
 	} else if laneKernel(len(src), bg) {
 		simdVectorCalls.Inc()
@@ -42,7 +44,7 @@ func SplitLanes(dst []byte, src []float32, bg int) {
 func JoinLanes(dst []float32, src []byte, bg int) {
 	checkLanes(len(src), len(dst), bg)
 	done := 0
-	if !simdOn {
+	if !cpufeat.Have().AVX2 {
 		simdPortableCalls.Inc()
 	} else if laneKernel(len(dst), bg) {
 		simdVectorCalls.Inc()

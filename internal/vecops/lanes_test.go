@@ -5,12 +5,14 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/cpufeat"
 )
 
 // laneModes are the dispatch states a lane test runs: the portable
 // loop always, the vector kernels where this host has them.
 func laneModes() []bool {
-	if SIMDAvailable() {
+	if cpufeat.Have().AVX2 {
 		return []bool{false, true}
 	}
 	return []bool{false}
@@ -65,7 +67,7 @@ func laneLengths() []int {
 // offset between guard bytes, and requires join∘split to keep every
 // bit and both paths to join arbitrary lane bytes alike.
 func TestLaneParity(t *testing.T) {
-	defer SetSIMD(true)
+	defer cpufeat.SetSIMD(cpufeat.SetSIMD(true))
 	const guard = 37
 	r := rand.New(rand.NewSource(31))
 	for _, bg := range []int{1, 2, 4} {
@@ -75,7 +77,7 @@ func TestLaneParity(t *testing.T) {
 			r.Read(raw)
 			var joined [][]float32
 			for _, simd := range laneModes() {
-				SetSIMD(simd)
+				cpufeat.SetSIMD(simd)
 				off := 1 + 2*r.Intn(8) // odd byte offset
 				buf := make([]byte, off+4*n+guard)
 				r.Read(buf)
@@ -166,11 +168,11 @@ func TestLanesRejectMisuse(t *testing.T) {
 
 // TestLanesAllocs: both directions are allocation-free on both paths.
 func TestLanesAllocs(t *testing.T) {
-	defer SetSIMD(true)
+	defer cpufeat.SetSIMD(cpufeat.SetSIMD(true))
 	src := make([]float32, 4099)
 	lanes := make([]byte, 4*len(src))
 	for _, simd := range laneModes() {
-		SetSIMD(simd)
+		cpufeat.SetSIMD(simd)
 		for _, bg := range []int{1, 2, 4} {
 			allocs := testing.AllocsPerRun(10, func() {
 				SplitLanes(lanes, src, bg)
@@ -193,7 +195,7 @@ func FuzzLanes(f *testing.F) {
 	rand.New(rand.NewSource(37)).Read(seed)
 	f.Add(seed, uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, sel uint8) {
-		defer SetSIMD(true)
+		defer cpufeat.SetSIMD(cpufeat.SetSIMD(true))
 		bg := [3]int{1, 2, 4}[sel%3]
 		n := len(data) / 4
 		data = data[:4*n]
@@ -204,7 +206,7 @@ func FuzzLanes(f *testing.F) {
 		var split [][]byte
 		var joined [][]float32
 		for _, simd := range laneModes() {
-			SetSIMD(simd)
+			cpufeat.SetSIMD(simd)
 			lanes := make([]byte, 4*n)
 			SplitLanes(lanes, src, bg)
 			back := make([]float32, n)
@@ -238,7 +240,7 @@ func FuzzLanes(f *testing.F) {
 // BenchmarkLanes moves a [512,1024] float32 matrix, checkpoint's
 // largest record, through each direction at bg=4 on each path.
 func BenchmarkLanes(b *testing.B) {
-	defer SetSIMD(true)
+	defer cpufeat.SetSIMD(cpufeat.SetSIMD(true))
 	src := laneValues(rand.New(rand.NewSource(41)), 512*1024)
 	lanes := make([]byte, 4*len(src))
 	for _, simd := range laneModes() {
@@ -247,14 +249,14 @@ func BenchmarkLanes(b *testing.B) {
 			name = "avx2"
 		}
 		b.Run("split/"+name, func(b *testing.B) {
-			SetSIMD(simd)
+			cpufeat.SetSIMD(simd)
 			b.SetBytes(int64(len(lanes)))
 			for i := 0; i < b.N; i++ {
 				SplitLanes(lanes, src, 4)
 			}
 		})
 		b.Run("join/"+name, func(b *testing.B) {
-			SetSIMD(simd)
+			cpufeat.SetSIMD(simd)
 			b.SetBytes(int64(len(lanes)))
 			for i := 0; i < b.N; i++ {
 				JoinLanes(src, lanes, 4)

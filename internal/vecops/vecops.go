@@ -9,7 +9,11 @@
 // callers see no behavioral difference beyond speed.
 package vecops
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/cpufeat"
+)
 
 // fillThreshold is the slice length below which the portable loop is
 // used even when vector kernels are available — the call and
@@ -19,12 +23,13 @@ const fillThreshold = 32
 
 // FillUint16 sets every element of dst to v.
 func FillUint16(dst []uint16, v uint16) {
-	if simdOn && len(dst) >= fillThreshold {
+	avx2 := cpufeat.Have().AVX2
+	if avx2 && len(dst) >= fillThreshold {
 		simdVectorCalls.Inc()
 		fillUint16AVX2(&dst[0], len(dst), v)
 		return
 	}
-	if !simdOn {
+	if !avx2 {
 		simdPortableCalls.Inc()
 	}
 	for i := range dst {
@@ -66,7 +71,7 @@ func Histogram256(h *[256]int32, src []byte) {
 	for ; i < len(src); i++ {
 		t[src[i]]++
 	}
-	if simdOn {
+	if cpufeat.Have().AVX2 {
 		simdVectorCalls.Inc()
 		histMergeAVX2(&h[0], &t[0])
 	} else {
@@ -80,12 +85,13 @@ func Histogram256(h *[256]int32, src []byte) {
 
 // FillBytes sets every byte of dst to v.
 func FillBytes(dst []byte, v byte) {
-	if simdOn && len(dst) >= fillThreshold {
+	avx2 := cpufeat.Have().AVX2
+	if avx2 && len(dst) >= fillThreshold {
 		simdVectorCalls.Inc()
 		fillBytesAVX2(&dst[0], len(dst), v)
 		return
 	}
-	if !simdOn {
+	if !avx2 {
 		simdPortableCalls.Inc()
 	}
 	for i := range dst {

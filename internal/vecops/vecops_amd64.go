@@ -2,11 +2,7 @@
 
 package vecops
 
-import (
-	"unsafe"
-
-	"repro/internal/cpufeat"
-)
+import "unsafe"
 
 //go:noescape
 func fillUint16AVX2(dst *uint16, n int, v uint16)
@@ -58,19 +54,4 @@ func joinLanesVec(dst []float32, src []byte, bg int) int {
 	m := len(dst) &^ (laneChunk - 1)
 	joinLanes4AVX2(&dst[0], &src[0], len(dst), m)
 	return m
-}
-
-// simdOn guards direct calls to the dispatched kernels.
-var simdOn = cpufeat.Have().AVX2
-
-// SIMDAvailable reports whether vectorized kernels are compiled in and
-// usable on this CPU (after environment overrides).
-func SIMDAvailable() bool { return cpufeat.Have().AVX2 }
-
-// SetSIMD forces the vector kernels on or off and reports the previous
-// state. A testing hook — not safe concurrently with fills.
-func SetSIMD(on bool) bool {
-	prev := simdOn
-	simdOn = on && SIMDAvailable()
-	return prev
 }

@@ -3,24 +3,26 @@ package vecops
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/cpufeat"
 )
 
 // TestFillSIMDEquivalence checks both fills against the portable loop
 // across lengths straddling every vector-width boundary.
 func TestFillSIMDEquivalence(t *testing.T) {
-	if !SIMDAvailable() {
+	if !cpufeat.Have().AVX2 {
 		t.Skip("no SIMD kernels on this platform")
 	}
-	defer SetSIMD(true)
+	defer cpufeat.SetSIMD(cpufeat.SetSIMD(true))
 	r := rand.New(rand.NewSource(23))
 	lengths := []int{0, 1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 2048, 2049}
 	for _, n := range lengths {
 		v16 := uint16(r.Uint32())
 		a16 := make([]uint16, n)
 		b16 := make([]uint16, n)
-		SetSIMD(false)
+		cpufeat.SetSIMD(false)
 		FillUint16(a16, v16)
-		SetSIMD(true)
+		cpufeat.SetSIMD(true)
 		FillUint16(b16, v16)
 		for i := range a16 {
 			if a16[i] != b16[i] {
@@ -31,9 +33,9 @@ func TestFillSIMDEquivalence(t *testing.T) {
 		v8 := byte(r.Uint32())
 		a8 := make([]byte, n)
 		b8 := make([]byte, n)
-		SetSIMD(false)
+		cpufeat.SetSIMD(false)
 		FillBytes(a8, v8)
-		SetSIMD(true)
+		cpufeat.SetSIMD(true)
 		FillBytes(b8, v8)
 		for i := range a8 {
 			if a8[i] != b8[i] {
@@ -46,11 +48,10 @@ func TestFillSIMDEquivalence(t *testing.T) {
 // TestFillBounds verifies the vector paths write exactly [0, n) — the
 // guard elements on either side must survive untouched.
 func TestFillBounds(t *testing.T) {
-	if !SIMDAvailable() {
+	if !cpufeat.Have().AVX2 {
 		t.Skip("no SIMD kernels on this platform")
 	}
-	defer SetSIMD(true)
-	SetSIMD(true)
+	defer cpufeat.SetSIMD(cpufeat.SetSIMD(true))
 	for _, n := range []int{32, 33, 47, 64, 100} {
 		buf := make([]uint16, n+2)
 		buf[0], buf[n+1] = 0xDEAD, 0xBEEF
@@ -71,11 +72,12 @@ func TestFillBounds(t *testing.T) {
 func TestFillAllocs(t *testing.T) {
 	dst16 := make([]uint16, 4096)
 	dst8 := make([]byte, 4096)
+	defer cpufeat.SetSIMD(cpufeat.SetSIMD(true))
 	for _, mode := range []bool{false, true} {
-		if mode && !SIMDAvailable() {
+		cpufeat.SetSIMD(mode)
+		if mode && !cpufeat.Have().AVX2 {
 			continue
 		}
-		SetSIMD(mode)
 		allocs := testing.AllocsPerRun(10, func() {
 			FillUint16(dst16, 7)
 			FillBytes(dst8, 9)
@@ -84,14 +86,13 @@ func TestFillAllocs(t *testing.T) {
 			t.Fatalf("simd=%v: fills allocated %v times per run", mode, allocs)
 		}
 	}
-	SetSIMD(true)
 }
 
 // TestHistogramEquivalence checks Histogram256 — including the
 // 4-sub-table split and the AVX2 merge — against a plain counting loop,
 // across lengths straddling the threshold and the 4-byte unroll.
 func TestHistogramEquivalence(t *testing.T) {
-	defer SetSIMD(true)
+	defer cpufeat.SetSIMD(cpufeat.SetSIMD(true))
 	r := rand.New(rand.NewSource(29))
 	for _, n := range []int{0, 1, 3, 1023, 1024, 1025, 4096, 65536, 65539} {
 		src := make([]byte, n)
@@ -103,10 +104,10 @@ func TestHistogramEquivalence(t *testing.T) {
 			want[b]++
 		}
 		for _, mode := range []bool{false, true} {
-			if mode && !SIMDAvailable() {
+			cpufeat.SetSIMD(mode)
+			if mode && !cpufeat.Have().AVX2 {
 				continue
 			}
-			SetSIMD(mode)
 			// Seed with a bias to confirm accumulate (not overwrite)
 			// semantics.
 			var got [256]int32

@@ -1,6 +1,9 @@
 package zfp
 
-import "repro/internal/telemetry"
+import (
+	"repro/internal/cpufeat"
+	"repro/internal/telemetry"
+)
 
 // SIMD-dispatch counters, ticked once per plane (not per 4×4 block) so
 // the block loops stay free of atomics.
@@ -12,7 +15,7 @@ var (
 // countPlaneCall records which path an Encode/DecodePlane call
 // dispatches to.
 func countPlaneCall() {
-	if simdOn {
+	if cpufeat.Have().AVX2 {
 		simdVectorCalls.Inc()
 	} else {
 		simdPortableCalls.Inc()

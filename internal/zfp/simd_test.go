@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/bitstream"
+	"repro/internal/cpufeat"
 	"repro/internal/tensor"
 )
 
@@ -48,7 +49,7 @@ func portableScatter(u *[blockValues]uint32, masks *[32]uint16) {
 // the SWAR oracle bit-for-bit on random and adversarial coefficient
 // patterns.
 func TestTransposeSIMDEquivalence(t *testing.T) {
-	if !SIMDAvailable() {
+	if !cpufeat.Have().AVX2 {
 		t.Skip("no SIMD kernels on this platform")
 	}
 	r := rand.New(rand.NewSource(13))
@@ -84,10 +85,10 @@ func TestTransposeSIMDEquivalence(t *testing.T) {
 // are byte- and bit-identical across modes, including adversarial
 // finite values, and that both modes refuse non-finite ones.
 func TestCodecSIMDEquivalence(t *testing.T) {
-	if !SIMDAvailable() {
+	if !cpufeat.Have().AVX2 {
 		t.Skip("no SIMD kernels on this platform")
 	}
-	defer SetSIMD(true)
+	defer cpufeat.SetSIMD(cpufeat.SetSIMD(true))
 	r := rand.New(rand.NewSource(17))
 	// Trial 3 codes the finite specials; trial 4 adds NaN and ±Inf,
 	// which both modes refuse alike.
@@ -116,9 +117,9 @@ func TestCodecSIMDEquivalence(t *testing.T) {
 					d[r.Intn(len(d))] = v
 				}
 			}
-			SetSIMD(false)
+			cpufeat.SetSIMD(false)
 			encP, errP := encode(c, x)
-			SetSIMD(true)
+			cpufeat.SetSIMD(true)
 			encS, errS := encode(c, x)
 			if trial == 4 {
 				if !errors.Is(errP, ErrNonFinite) || !errors.Is(errS, ErrNonFinite) {
@@ -132,12 +133,12 @@ func TestCodecSIMDEquivalence(t *testing.T) {
 			if !bytes.Equal(encP, encS) {
 				t.Fatalf("rate=%g trial=%d: streams differ", rate, trial)
 			}
-			SetSIMD(false)
+			cpufeat.SetSIMD(false)
 			outP, err := decode(c, encP, 32, 16)
 			if err != nil {
 				t.Fatal(err)
 			}
-			SetSIMD(true)
+			cpufeat.SetSIMD(true)
 			outS, err := decode(c, encP, 32, 16)
 			if err != nil {
 				t.Fatal(err)
@@ -167,11 +168,12 @@ func TestZfpSIMDAllocs(t *testing.T) {
 	}
 	out := make([]float32, 32*32)
 	buf := make([]byte, c.CompressedBytes(1, 32, 32)+8)
+	defer cpufeat.SetSIMD(cpufeat.SetSIMD(true))
 	for _, mode := range []bool{false, true} {
-		if mode && !SIMDAvailable() {
+		cpufeat.SetSIMD(mode)
+		if mode && !cpufeat.Have().AVX2 {
 			continue
 		}
-		SetSIMD(mode)
 		allocs := testing.AllocsPerRun(10, func() {
 			bw := bitstream.NewEmitter(buf)
 			if err := c.EncodePlane(&bw, plane, 32, 32); err != nil {
@@ -186,5 +188,4 @@ func TestZfpSIMDAllocs(t *testing.T) {
 			t.Fatalf("simd=%v: plane round trip allocated %v times per run", mode, allocs)
 		}
 	}
-	SetSIMD(true)
 }

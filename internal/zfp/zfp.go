@@ -29,6 +29,7 @@ import (
 	"math/bits"
 
 	"repro/internal/bitstream"
+	"repro/internal/cpufeat"
 )
 
 // BlockSize is the codec's block edge (4×4 blocks, as in 2-D ZFP).
@@ -168,7 +169,7 @@ func (c *Codec) encodeBlock(bw *bitstream.Emitter, block *[blockValues]float32, 
 	// unary walk to each newly-significant coefficient, so all-zero
 	// tails cost a single bit per plane.
 	n := 0
-	if simdOn {
+	if cpufeat.Have().AVX2 {
 		// One vectorized 16×32 bit transpose up front; each plane's mask
 		// is then a single table read. Bit-identical to the SWAR path.
 		var masks [32]uint16
@@ -266,7 +267,7 @@ func (c *Codec) decodeBlock(br *bitstream.Reader, block *[blockValues]float32, b
 
 	var u [blockValues]uint32
 	n := 0
-	if simdOn {
+	if cpufeat.Have().AVX2 {
 		// Collect each plane's 16-bit mask (decodePlane can set junk
 		// bits ≥ 16 on corrupt streams; the scatter — like the portable
 		// unpack — reads only bits 0..15), then run one vectorized

@@ -2,8 +2,6 @@
 
 package zfp
 
-import "repro/internal/cpufeat"
-
 // zfpGatherAVX2 transposes 16 negabinary coefficients into 32 bit-plane
 // masks (masks[p] bit k = bit p of u[k]).
 //
@@ -15,19 +13,3 @@ func zfpGatherAVX2(u *[16]uint32, masks *[32]uint16)
 //
 //go:noescape
 func zfpScatterAVX2(u *[16]uint32, masks *[32]uint16)
-
-// simdOn guards direct calls to the dispatched kernels; direct calls
-// keep the callers' stack blocks off the heap via //go:noescape.
-var simdOn = cpufeat.Have().AVX2
-
-// SIMDAvailable reports whether vectorized kernels are compiled in and
-// usable on this CPU (after environment overrides).
-func SIMDAvailable() bool { return cpufeat.Have().AVX2 }
-
-// SetSIMD forces the vector kernels on or off and reports the previous
-// state. A testing hook — not safe concurrently with running codecs.
-func SetSIMD(on bool) bool {
-	prev := simdOn
-	simdOn = on && SIMDAvailable()
-	return prev
-}

@@ -2,18 +2,6 @@
 
 package zfp
 
-// simdOn is constant-false without compiled kernels, so the dispatch
-// branches (and the kernel stubs below) are eliminated at compile time.
-const simdOn = false
-
-// SIMDAvailable reports whether vectorized kernels are compiled in and
-// usable on this CPU.
-func SIMDAvailable() bool { return false }
-
-// SetSIMD is the testing hook for forcing kernels on or off; without
-// compiled kernels it is a no-op.
-func SetSIMD(on bool) bool { return false }
-
 func zfpGatherAVX2(u *[16]uint32, masks *[32]uint16) { panic("zfp: no simd kernels") }
 
 func zfpScatterAVX2(u *[16]uint32, masks *[32]uint16) { panic("zfp: no simd kernels") }

@@ -43,27 +43,25 @@ var surfaceArches = []string{"amd64", "arm64", "386"}
 var surfaceAllowed = map[string]string{
 	// Shared test helpers: tests across the packages build, fill and
 	// compare tensors and models with these.
-	"tensor.Eye":               "test helper: identity matrices for matmul and inverse tests",
-	"tensor.Arange":            "test helper: ramp tensors for layout tests",
-	"tensor.Tensor.At":         "test helper: indexed reads in assertions",
-	"tensor.Tensor.Norm2":      "test helper: Frobenius norms in assertions",
-	"tensor.Tensor.AllClose":   "test helper: tolerance compare of two tensors",
-	"tensor.Tensor.CopyFrom":   "test helper: copies a tensor into preallocated storage",
-	"tensor.Tensor.Equal":      "test helper: exact compare of two tensors",
-	"tensor.Tensor.Fill":       "test helper: sets every element, for gradients in optimizer tests",
-	"tensor.Tensor.MaxAbs":     "test helper: largest magnitude in assertions",
-	"tensor.Tensor.Mean":       "test helper: mean in assertions",
-	"tensor.Tensor.Scale":      "test helper: scaled copies for linearity properties",
-	"tensor.Tensor.Set":        "test helper: indexed writes, the pair of At",
-	"tensor.Tensor.Row":        "test helper: a row view of a matrix",
-	"tensor.Tensor.Sub":        "test helper: differences in assertions",
-	"tensor.RNG.Perm":          "test helper: seeded permutations",
-	"tensor.RNG.Uniform":       "test helper: seeded uniform tensors, the inputs of most tests",
-	"nn.NewSGD":                "test helper: the linear optimizer a dozen nn tests train with",
-	"nn.Sequential.ParamCount": "test helper: model sizes the nn and models tests pin",
-	"entropy.Decompress":       "test helper: the unbounded decode entropy's tests call",
-	"jpegq.LuminanceTable":     "test helper: the Annex K base jpegq's tests scale",
-	"codec/faultinject.":       "test-helper package: byte mutations for the failure-handling suites",
+	"tensor.Eye":             "test helper: identity matrices for matmul and inverse tests",
+	"tensor.Arange":          "test helper: ramp tensors for layout tests",
+	"tensor.Tensor.At":       "test helper: indexed reads in assertions",
+	"tensor.Tensor.Norm2":    "test helper: Frobenius norms in assertions",
+	"tensor.Tensor.AllClose": "test helper: tolerance compare of two tensors",
+	"tensor.Tensor.CopyFrom": "test helper: copies a tensor into preallocated storage",
+	"tensor.Tensor.Equal":    "test helper: exact compare of two tensors",
+	"tensor.Tensor.Fill":     "test helper: sets every element, for gradients in optimizer tests",
+	"tensor.Tensor.MaxAbs":   "test helper: largest magnitude in assertions",
+	"tensor.Tensor.Mean":     "test helper: mean in assertions",
+	"tensor.Tensor.Scale":    "test helper: scaled copies for linearity properties",
+	"tensor.Tensor.Set":      "test helper: indexed writes, the pair of At",
+	"tensor.Tensor.Sub":      "test helper: differences in assertions",
+	"tensor.RNG.Perm":        "test helper: seeded permutations",
+	"tensor.RNG.Uniform":     "test helper: seeded uniform tensors, the inputs of most tests",
+	"nn.NewSGD":              "test helper: the linear optimizer a dozen nn tests train with",
+	"entropy.Decompress":     "test helper: the unbounded decode entropy's tests call",
+	"jpegq.LuminanceTable":   "test helper: the Annex K base jpegq's tests scale",
+	"codec/faultinject.":     "test-helper package: byte mutations for the failure-handling suites",
 
 	// Reference oracles the fast paths are held to.
 	"dct.Direct2D":                   "reference oracle: the naive Eq. 1 DCT",
@@ -72,26 +70,11 @@ var surfaceAllowed = map[string]string{
 	"core.Compressor.RoundTripDense": "reference oracle: the dense fused round trip, ablation 1 (§5)",
 	"core.Compressor.NewCompressed":  "reference oracle: the unpooled payload of the Into paths",
 
-	// The paper's formulas, which tests pin: Eq. 5 and 7 per
-	// configuration, and the RHS = LHSᵀ identity of Eq. 4.
-	"core.Config.CompressFLOPs":   "Eq. 5 FLOP count of a whole batch, the ZFP-4 variant included",
-	"core.Config.DecompressFLOPs": "Eq. 7 FLOP count of a whole batch, the ZFP-4 variant included",
-	"dct.RHS":                     "Eq. 4's fused right-hand matrix, LHSᵀ",
-
 	// Test hooks and the API a caller inspects.
-	"dct.SetSIMD":                     "test hook: runs the portable kernels on a SIMD host",
-	"entropy.SetSIMD":                 "test hook: runs the portable kernels on a SIMD host",
-	"jpegq.SetSIMD":                   "test hook: runs the portable kernels on a SIMD host",
-	"vecops.SetSIMD":                  "test hook: runs the portable kernels on a SIMD host",
-	"zfp.SetSIMD":                     "test hook: runs the portable kernels on a SIMD host",
-	"dct.SIMDAvailable":               "test hook: SIMD-vs-portable tests skip without the kernels",
-	"jpegq.SIMDAvailable":             "test hook: SIMD-vs-portable tests skip without the kernels",
-	"vecops.SIMDAvailable":            "test hook: SIMD-vs-portable tests skip without the kernels",
-	"zfp.SIMDAvailable":               "test hook: SIMD-vs-portable tests skip without the kernels",
+	"cpufeat.SetSIMD":                 "test hook: runs every kernel package's portable path on a SIMD host",
 	"telemetry.SetEnabled":            "test hook: switches instrumentation for the neutrality tests",
 	"codec.StreamWriter.SetChunkSize": "test hook: small chunks exercise chunk boundaries",
 	"codec.StreamReader.Skip":         "stream API: drops a record undecoded; the stream, read-ahead, index and fuzz suites drive it",
-	"accel.Device.Supports":           "the §3.1 operator-support table, which the platform tests pin per device",
 
 	// The paper's own artefacts.
 	"graph.Builder.BitAnd": "§3.2 bit-level step: tests pin that every device but the GPU rejects it",
